@@ -25,7 +25,7 @@ from .planner import (
     q_bound_main,
     recover_exact_deadbeat,
 )
-from .quantizer import QuantizerSpec, ScalingState, advance_scaling, quantize_scalar, quantize_vector
+from .quantizer import QuantizerSpec, quantize_scalar, quantize_vector
 from .loop import (
     ClosedLoopTrace,
     RunConfig,
@@ -44,8 +44,6 @@ __all__ = [
     "spectral_radius",
     "block_closed_loop",
     "QuantizerSpec",
-    "ScalingState",
-    "advance_scaling",
     "quantize_scalar",
     "quantize_vector",
     "PlantModel",

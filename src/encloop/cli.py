@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from fractions import Fraction
 
@@ -30,6 +29,7 @@ from .planner import (
     NotObservableError,
     PlannerError,
     PlantModel,
+    _main_integer_targets,
     check_prelim_feasible,
     design_deadbeat_observer,
     plan_main,
@@ -149,15 +149,7 @@ def _apply_overrides(plan: MainPlan, overrides: dict, scenario: Scenario) -> Mai
         omega = Fraction(overrides["omega"])
         if not (0 < omega < 1):
             raise ConfigError("omega override must lie in (0, 1)")
-        targets = {
-            "A/omega": plant.A,
-            "s2B/omega": plant.B.scale(plan.s2),
-            "L/omega": plan.L,
-            "F/omega": ctrl.F,
-            "GC/omega": ctrl.G @ plant.C,
-            "R/omega": ctrl.R_ref,
-            "1/omega": RationalMatrix.from_rows([[1]]),
-        }
+        targets = _main_integer_targets(plant, ctrl, plan.L, plan.s2)
         certs = dict(plan.certificates)
         for name, mat in targets.items():
             ok, cert = is_integer_after_scale(mat, omega, source=name)
@@ -247,8 +239,7 @@ def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemePara
         return loop.lattice_params_for_main(plan, plan.dims, horizon)
     width = max(scenario.plant.n, scenario.ctrl.n_x, scenario.ctrl.w,
                 scenario.ctrl.n_r, scenario.plant.v)
-    per_step = math.ceil(math.log2(plan.q)) + width.bit_length() + 3
-    return he.SchemeParams.lattice_for_budget(plan.q, (horizon + 4) * per_step + 64)
+    return loop.lattice_params(plan.q, width, horizon)
 
 
 def cmd_simulate(args) -> int:

@@ -9,7 +9,6 @@ gate inequalities with wide margins.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -119,12 +118,6 @@ class RationalMatrix:
         return np.array(
             [[float(x) for x in self.row(i)] for i in range(self.rows)], dtype=float
         ).reshape(self.rows, self.cols)
-
-    def column_vector(self):
-        """Entries of an n x 1 matrix as a flat tuple."""
-        if self.cols != 1:
-            raise DimensionMismatchError("not a column vector")
-        return self.data
 
     @property
     def shape(self):
@@ -396,9 +389,3 @@ def fraction_to_str(x: Fraction) -> str:
 def matrix_to_json(m: RationalMatrix):
     return [[fraction_to_str(x) for x in m.row(i)] for i in range(m.rows)]
 
-
-def load_matrix(path_or_obj, name="matrix") -> RationalMatrix:
-    if isinstance(path_or_obj, str):
-        with open(path_or_obj) as f:
-            return matrix_from_json(json.load(f), name)
-    return matrix_from_json(path_or_obj, name)

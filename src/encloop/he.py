@@ -21,7 +21,6 @@ cryptosystem.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
@@ -298,56 +297,3 @@ def plain_vector_from_json(obj, q: int) -> Tuple[int, ...]:
     _check_plain(vals, q)
     return vals
 
-
-_TAGS = {"mock": 0, "lattice": 1}
-_BACKENDS = {v: k for k, v in _TAGS.items()}
-
-
-def _pack_int(x: int) -> bytes:
-    raw = x.to_bytes((x.bit_length() + 7) // 8 or 1, "big")
-    return struct.pack(">I", len(raw)) + raw
-
-
-def _unpack_int(buf: bytes, off: int):
-    (n,) = struct.unpack_from(">I", buf, off)
-    off += 4
-    return int.from_bytes(buf[off : off + n], "big"), off + n
-
-
-def ciphertext_to_bytes(ct: Ciphertext) -> bytes:
-    parts = [struct.pack(">BI", _TAGS[ct.params.backend], ct.dim)]
-    if ct.params.backend == "mock":
-        for x in ct.payload:
-            parts.append(_pack_int(x))
-    else:
-        for a, c in ct.payload:
-            parts.append(struct.pack(">I", len(a)))
-            for x in a:
-                parts.append(_pack_int(x))
-            parts.append(_pack_int(c))
-    return b"".join(parts)
-
-
-def ciphertext_from_bytes(buf: bytes, params: SchemeParams) -> Ciphertext:
-    tag, dim = struct.unpack_from(">BI", buf, 0)
-    if _BACKENDS.get(tag) != params.backend:
-        raise BadParamsError("backend tag does not match scheme parameters")
-    off = 5
-    if params.backend == "mock":
-        payload = []
-        for _ in range(dim):
-            x, off = _unpack_int(buf, off)
-            payload.append(x)
-        return Ciphertext(params, dim, tuple(payload))
-    comps = []
-    for _ in range(dim):
-        (klen,) = struct.unpack_from(">I", buf, off)
-        off += 4
-        a = []
-        for _ in range(klen):
-            x, off = _unpack_int(buf, off)
-            a.append(x)
-        c, off = _unpack_int(buf, off)
-        comps.append((tuple(a), c))
-    return Ciphertext(params, dim, tuple(comps),
-                      noise_bound=params.lattice.fresh_noise_bound)

@@ -10,11 +10,22 @@ amplified without bound; exactness is load-bearing, not cosmetic.  Doubles
 appear only in the unencrypted reference loop (the restoration target) and
 in reporting.
 
-Alongside the encrypted loop run three checks:
-* an exact integer shadow of the converted controller (ground truth for
-  every ciphertext, bit-exact under the mock backend);
-* the original unquantized closed loop in doubles (restoration target);
-* per-step mod-q decryption checks against the integer shadow.
+Each converted controller is written once, over a ring with two operations,
+`matvec` and `add`: `MainRecurrence` (state update, increments, and their
+inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers run
+them on the ciphertext ring (`CipherRing`, `he` ops on plaintexts reduced
+into [0, q)); the integer shadows and the main actuator's reconstruction run
+them on the integer ring (`IntRing`).
+
+Alongside the encrypted loop run these checks:
+* the integer shadow: ground truth for every ciphertext, so the per-step
+  mod-q decryption checks and the recovery checks test the ciphertext ring,
+  the modulus and the recovery windows (bit-exact under the mock backend);
+* the original unquantized closed loop in doubles (`IdealLoop`, the
+  restoration target).
+The recurrence itself is checked by code it shares nothing with: the
+reference loop above, and the closed forms of the increments in the tests
+(`test_step_identities_on_batch`, acceptance criterion 7).
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -61,22 +73,6 @@ def _imat(cert) -> list:
     """Integer matrix (list of row lists) from an integrality certificate."""
     return [list(cert.scaled_entries[i * cert.cols : (i + 1) * cert.cols])
             for i in range(cert.rows)]
-
-
-def _imat_mod(M, q):
-    return [[x % q for x in row] for row in M]
-
-
-def _ineg_mod(M, q):
-    return [[(-x) % q for x in row] for row in M]
-
-
-def _imatvec(M, v):
-    return [sum(m * x for m, x in zip(row, v)) for row in M]
-
-
-def _ivadd(*vs):
-    return [sum(t) for t in zip(*vs)]
 
 
 def _inorm(v):
@@ -217,14 +213,6 @@ class PlantSim:
         return np.array([float(x) for x in self.x], dtype=float)
 
 
-def process_step(x_p: np.ndarray, u, plant: PlantModel):
-    """One plant transition; returns (x_p_next, y_p at the current step)."""
-    A, B, C = plant.A.to_floats(), plant.B.to_floats(), plant.C.to_floats()
-    x_p = np.asarray(x_p, dtype=float)
-    y_p = C @ x_p
-    return A @ x_p + B @ np.asarray(u, dtype=float), y_p
-
-
 class IdealLoop:
     """The pre-given controller closed with its own plant copy, no quantization."""
 
@@ -247,180 +235,229 @@ class IdealLoop:
         return u
 
 
-# -- main scheme parties ------------------------------------------------------
+# -- the converted controllers, each written once over two rings ---------------
+#
+# A ring supplies the two operations the recurrences use, `matvec` (plaintext
+# integer matrix times ring vector) and `add` (of any number of vectors, left
+# to right), plus how it embeds plaintext matrices (`plain`, `scalar`) and
+# fresh integer vectors (`fresh`).
 
 
-class MainEncController:
-    """Holds only the public key; iterates the converted observer controller on
-    ciphertexts and emits the bounded increments plus the observer output."""
+class IntRing:
+    """Plain Python integers: the integer shadows and the main actuator."""
 
-    def __init__(self, pk, plan: MainPlan, dims, rng):
-        self.pk = pk
-        self.rng = rng
-        q = plan.q
-        certs = plan.certificates
-        self.q = q
-        self.A_o = _imat_mod(_imat(certs["A/omega"]), q)
-        self.B_o = _imat_mod(_imat(certs["s2B/omega"]), q)
-        self.L_o = _imat_mod(_imat(certs["L/omega"]), q)
-        self.C_s = _imat_mod(_imat(certs["C/s1"]), q)
-        self.F_m = _imat_mod(_imat(certs["F/omega"]), q)
-        self.G_m = _imat_mod(_imat(certs["GC/omega"]), q)
-        self.R_m = _imat_mod(_imat(certs["R/omega"]), q)
-        self.H_m = _imat_mod(_imat(certs["H/s2"]), q)
-        self.J_m = _imat_mod(_imat(certs["JC/s2"]), q)
-        self.S_m = _imat_mod(_imat(certs["S/s2"]), q)
-        inv_omega = certs["1/omega"].scaled_entries[0]
+    @staticmethod
+    def plain(M):
+        return M
 
-        def om_eye(d):
-            return [[inv_omega % q if i == j else 0 for j in range(d)] for i in range(d)]
+    @staticmethod
+    def scalar(c, d):
+        return c
 
-        # the scalar 1/omega acts on three differently sized vectors
-        self.Om_r = om_eye(dims["n_r"])
-        self.Om_x = om_eye(dims["n_x"])
-        self.Om_u = om_eye(dims["w"])
-        for name in ("A_o", "B_o", "F_m", "G_m", "H_m", "J_m",
-                     "Om_r", "Om_x", "Om_u"):
-            setattr(self, name + "_neg", _ineg_mod(getattr(self, name), q))
+    @staticmethod
+    def fresh(values):
+        return list(values)
+
+    @staticmethod
+    def matvec(M, v):
+        if isinstance(M, int):
+            return [M * x for x in v]
+        return [sum(m * x for m, x in zip(row, v)) for row in M]
+
+    @staticmethod
+    def add(*vs):
+        return [sum(t) for t in zip(*vs)]
+
+
+class CipherRing:
+    """Ciphertexts under `pk`: the encrypted controllers.  Plaintext matrices
+    are reduced into [0, q), and a scalar becomes that multiple of the
+    identity, since `he` offers no other product."""
+
+    def __init__(self, pk, q: int, rng):
+        self.pk, self.q, self.rng = pk, q, rng
         self.enc_ops = 0
-        self.dims = dims
 
-    def _enc(self, values):
+    def plain(self, M):
+        return [[x % self.q for x in row] for row in M]
+
+    def scalar(self, c, d):
+        return self.plain([[c if i == j else 0 for j in range(d)] for i in range(d)])
+
+    def fresh(self, values):
         self.enc_ops += len(values)
         return he.encrypt(self.pk, [v % self.q for v in values], self.rng)
 
+    @staticmethod
+    def matvec(M, ct):
+        return he.plain_matmul(M, ct)
+
+    @staticmethod
+    def add(first, *rest):
+        for ct in rest:
+            first = he.add(first, ct)
+        return first
+
+
+MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
+                     "F": "F/omega", "G": "GC/omega", "R": "R/omega",
+                     "H": "H/s2", "J": "JC/s2", "S": "S/s2"}
+PRELIM_CERTIFICATES = {"F": "F/omega", "G": "G/(s1*omega)", "R": "R/(s1*omega)",
+                       "H": "H/s2", "J": "J/(s1*s2)", "S": "S/(s1*s2)"}
+
+
+def _load(ring, certs, names: dict, sign: int = 1) -> SimpleNamespace:
+    """The certified integer matrices, times `sign`, as plaintexts of `ring`."""
+    return SimpleNamespace(**{
+        key: ring.plain([[sign * x for x in row] for row in _imat(certs[name])])
+        for key, name in names.items()})
+
+
+class MainRecurrence:
+    """The converted observer controller in scaled-integer coordinates.
+
+    With A, B, L, C, F, G, R, H, J, S the certified integer matrices
+    (A/omega, s2B/omega, ...), the state is the observer xo, the controller
+    xe, the reference estimate re and the output u = H xe + J xo + S re, plus
+    two steps of memory (suffix _m1, _m2).  `increments` gives what the
+    controller sends:
+
+        alpha = xo - A xo_m1 - B u_m1
+        beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
+        gamma = u  - H xe    - J xo    - (u_m1  - H xe_m1 - J xo_m1) / omega
+
+    and `rebuild` inverts it from memory alone, as the actuator does.
+    """
+
+    def __init__(self, ring, plan: MainPlan, dims):
+        self.ring = ring
+        self.dims = dims
+        inv_omega = plan.certificates["1/omega"].scaled_entries[0]
+        self.pos = _load(ring, plan.certificates, MAIN_CERTIFICATES)
+        self.neg = _load(ring, plan.certificates, MAIN_CERTIFICATES, -1)
+        for m, c in ((self.pos, inv_omega), (self.neg, -inv_omega)):
+            # the scalar 1/omega acts on three differently sized vectors
+            m.Om_r, m.Om_x, m.Om_u = (ring.scalar(c, dims[k]) for k in ("n_r", "n_x", "w"))
+
+    def reset(self, x_e0_scaled):
+        """Initial states plus zeroed two-deep memory (controller and actuator
+        share this convention so reconstruction telescopes from the first step)."""
+        d, fresh = self.dims, self.ring.fresh
+        self.xo = fresh([0] * d["n"])
+        self.xe = fresh(x_e0_scaled)
+        self.re = fresh([0] * d["n_r"])
+        self.xo_m1, self.xo_m2 = fresh([0] * d["n"]), fresh([0] * d["n"])
+        self.xe_m1, self.xe_m2 = fresh([0] * d["n_x"]), fresh([0] * d["n_x"])
+        self.u_m1 = fresh([0] * d["w"])
+        self.u = self._output()
+
     def bootstrap(self, x_e0_scaled):
-        """Initial states plus zeroed two-deep memory (both sides share this
-        convention so reconstruction telescopes from the first step)."""
-        d = self.dims
-        self.x_o = self._enc([0] * d["n"])
-        self.x = self._enc(list(x_e0_scaled))
-        self.r = self._enc([0] * d["n_r"])
-        self.x_o_m1 = self._enc([0] * d["n"])
-        self.x_o_m2 = self._enc([0] * d["n"])
-        self.x_m1 = self._enc([0] * d["n_x"])
-        self.x_m2 = self._enc([0] * d["n_x"])
-        self.u_m1 = self._enc([0] * d["w"])
-        self.u = self._emit_u()
-        return self._emit_all()
+        self.reset(x_e0_scaled)
+        return self.increments()
 
-    def _emit_u(self):
-        return he.add(
-            he.add(he.plain_matmul(self.H_m, self.x), he.plain_matmul(self.J_m, self.x_o)),
-            he.plain_matmul(self.S_m, self.r),
-        )
+    def step(self, innovation, ref_increment):
+        """Advance one step on last step's quantized innovation and reference
+        increment; returns the new increments."""
+        mv, add, p = self.ring.matvec, self.ring.add, self.pos
+        xo = add(mv(p.A, self.xo), mv(p.B, self.u), mv(p.L, innovation))
+        re = add(mv(p.Om_r, self.re), mv(p.Om_r, ref_increment))
+        xe = add(mv(p.F, self.xe), mv(p.G, self.xo), mv(p.R, self.re))
+        self._shift()
+        self.xo, self.xe, self.re = xo, xe, re
+        self.u = self._output()
+        return self.increments()
 
-    def _emit_all(self):
-        y_o = he.plain_matmul(self.C_s, self.x_o)
-        r_beta = he.add(
-            he.add(self.x_m1, he.plain_matmul(self.F_m_neg, self.x_m2)),
-            he.plain_matmul(self.G_m_neg, self.x_o_m2),
-        )
-        r_gamma = he.add(
-            he.add(self.u_m1, he.plain_matmul(self.H_m_neg, self.x_m1)),
-            he.plain_matmul(self.J_m_neg, self.x_o_m1),
-        )
-        alpha = he.add(
-            he.add(self.x_o, he.plain_matmul(self.A_o_neg, self.x_o_m1)),
-            he.plain_matmul(self.B_o_neg, self.u_m1),
-        )
-        beta = he.add(
-            he.add(he.add(self.x, he.plain_matmul(self.F_m_neg, self.x_m1)),
-                   he.plain_matmul(self.G_m_neg, self.x_o_m1)),
-            he.plain_matmul(self.Om_x_neg, r_beta),
-        )
-        gamma = he.add(
-            he.add(he.add(self.u, he.plain_matmul(self.H_m_neg, self.x)),
-                   he.plain_matmul(self.J_m_neg, self.x_o)),
-            he.plain_matmul(self.Om_u_neg, r_gamma),
-        )
-        return y_o, alpha, beta, gamma
+    def y_o(self):
+        return self.ring.matvec(self.pos.C, self.xo)
+
+    def increments(self):
+        """(alpha, beta, gamma): each state less what memory predicts of it."""
+        add, n = self.ring.add, self.neg
+        return (add(self.xo, *self._xo_terms(n)),
+                add(self.xe, *self._xe_terms(n)),
+                add(self.u, *self._u_terms(n)))
+
+    def rebuild(self, alpha, beta, gamma):
+        """The states of the next step from its increments and memory; returns u."""
+        add, p = self.ring.add, self.pos
+        self._shift()
+        self.xo = add(alpha, *self._xo_terms(p))
+        self.xe = add(beta, *self._xe_terms(p))
+        self.u = add(gamma, *self._u_terms(p))
+        return self.u
+
+    def _output(self):
+        mv, p = self.ring.matvec, self.pos
+        return self.ring.add(mv(p.H, self.xe), mv(p.J, self.xo), mv(p.S, self.re))
+
+    def _shift(self):
+        self.xo_m2, self.xo_m1 = self.xo_m1, self.xo
+        self.xe_m2, self.xe_m1 = self.xe_m1, self.xe
+        self.u_m1 = self.u
+
+    # What memory predicts of xo, xe and u: with the matrices m = self.pos
+    # the prediction, with m = self.neg its negative.  The carries inside the
+    # brackets above always enter negated.
+
+    def _xo_terms(self, m):
+        mv = self.ring.matvec
+        return mv(m.A, self.xo_m1), mv(m.B, self.u_m1)
+
+    def _xe_terms(self, m):
+        mv, n = self.ring.matvec, self.neg
+        carry = self.ring.add(self.xe_m1, mv(n.F, self.xe_m2), mv(n.G, self.xo_m2))
+        return mv(m.F, self.xe_m1), mv(m.G, self.xo_m1), mv(m.Om_x, carry)
+
+    def _u_terms(self, m):
+        mv, n = self.ring.matvec, self.neg
+        carry = self.ring.add(self.u_m1, mv(n.H, self.xe_m1), mv(n.J, self.xo_m1))
+        return mv(m.H, self.xe), mv(m.J, self.xo), mv(m.Om_u, carry)
+
+
+class PrelimRecurrence:
+    """The directly converted controller, u = H x + J y + S r and
+    x <- F x + G y + R r, with the certified integer matrices F/omega,
+    G/(s1 omega), R/(s1 omega), H/s2, J/(s1 s2), S/(s1 s2)."""
+
+    def __init__(self, ring, plan: PrelimPlan):
+        self.ring = ring
+        self.m = _load(ring, plan.certificates, PRELIM_CERTIFICATES)
+
+    def bootstrap(self, x0_scaled):
+        self.x = self.ring.fresh(x0_scaled)
+
+    def step(self, y, r):
+        mv, add, m = self.ring.matvec, self.ring.add, self.m
+        u = add(mv(m.H, self.x), mv(m.J, y), mv(m.S, r))
+        self.x = add(mv(m.F, self.x), mv(m.G, y), mv(m.R, r))
+        return u
+
+
+# -- main scheme parties ------------------------------------------------------
+
+
+class MainEncController(MainRecurrence):
+    """Holds only the public key; iterates the converted observer controller on
+    ciphertexts and emits the observer output plus the bounded increments."""
+
+    def __init__(self, pk, plan: MainPlan, dims, rng):
+        super().__init__(CipherRing(pk, plan.q, rng), plan, dims)
+
+    def bootstrap(self, x_e0_scaled):
+        increments = super().bootstrap(x_e0_scaled)
+        return (self.y_o(), *increments)
 
     def step(self, enc_innovation, enc_ref_increment):
-        """Advance one step using last step's encrypted innovation and
-        reference increment; emit (y_o, alpha, beta, gamma)."""
-        x_o_next = he.add(
-            he.add(he.plain_matmul(self.A_o, self.x_o), he.plain_matmul(self.B_o, self.u)),
-            he.plain_matmul(self.L_o, enc_innovation),
-        )
-        r_next = he.add(he.plain_matmul(self.Om_r, self.r),
-                        he.plain_matmul(self.Om_r, enc_ref_increment))
-        x_next = he.add(
-            he.add(he.plain_matmul(self.F_m, self.x), he.plain_matmul(self.G_m, self.x_o)),
-            he.plain_matmul(self.R_m, self.r),
-        )
-        self.x_o_m2, self.x_o_m1 = self.x_o_m1, self.x_o
-        self.x_m2, self.x_m1 = self.x_m1, self.x
-        self.u_m1 = self.u
-        self.x_o, self.x, self.r = x_o_next, x_next, r_next
-        self.u = self._emit_u()
-        return self._emit_all()
+        increments = super().step(enc_innovation, enc_ref_increment)
+        return (self.y_o(), *increments)
 
 
-class MainIntegerShadow:
+class MainIntegerShadow(MainRecurrence):
     """Exact unbounded integer dynamics of the converted controller; ground
     truth for every ciphertext (mod q) and for the actuator reconstruction."""
 
     def __init__(self, plan: MainPlan, dims):
-        certs = plan.certificates
-        self.Ai = _imat(certs["A/omega"])
-        self.Bi = _imat(certs["s2B/omega"])
-        self.Li = _imat(certs["L/omega"])
-        self.Ci = _imat(certs["C/s1"])
-        self.Fi = _imat(certs["F/omega"])
-        self.Gi = _imat(certs["GC/omega"])
-        self.Ri = _imat(certs["R/omega"])
-        self.Hi = _imat(certs["H/s2"])
-        self.Ji = _imat(certs["JC/s2"])
-        self.Si = _imat(certs["S/s2"])
-        self.inv_omega = certs["1/omega"].scaled_entries[0]
-        self.dims = dims
-
-    def bootstrap(self, x_e0_scaled):
-        d = self.dims
-        self.xo = [0] * d["n"]
-        self.xe = list(x_e0_scaled)
-        self.re = [0] * d["n_r"]
-        self.xo_m1 = [0] * d["n"]
-        self.xo_m2 = [0] * d["n"]
-        self.xe_m1 = [0] * d["n_x"]
-        self.xe_m2 = [0] * d["n_x"]
-        self.u_m1 = [0] * d["w"]
-        self.u = self._u_now()
-        return self.increments()
-
-    def _u_now(self):
-        return _ivadd(_imatvec(self.Hi, self.xe), _imatvec(self.Ji, self.xo),
-                      _imatvec(self.Si, self.re))
-
-    def y_o(self):
-        return _imatvec(self.Ci, self.xo)
-
-    def increments(self):
-        r_beta = [a - b - c for a, b, c in zip(
-            self.xe_m1, _imatvec(self.Fi, self.xe_m2), _imatvec(self.Gi, self.xo_m2))]
-        r_gamma = [a - b - c for a, b, c in zip(
-            self.u_m1, _imatvec(self.Hi, self.xe_m1), _imatvec(self.Ji, self.xo_m1))]
-        alpha = [a - b - c for a, b, c in zip(
-            self.xo, _imatvec(self.Ai, self.xo_m1), _imatvec(self.Bi, self.u_m1))]
-        beta = [a - b - c - self.inv_omega * d for a, b, c, d in zip(
-            self.xe, _imatvec(self.Fi, self.xe_m1), _imatvec(self.Gi, self.xo_m1), r_beta)]
-        gamma = [a - b - c - self.inv_omega * d for a, b, c, d in zip(
-            self.u, _imatvec(self.Hi, self.xe), _imatvec(self.Ji, self.xo), r_gamma)]
-        return alpha, beta, gamma
-
-    def step(self, innovation, ref_increment):
-        xo_next = _ivadd(_imatvec(self.Ai, self.xo), _imatvec(self.Bi, self.u),
-                         _imatvec(self.Li, innovation))
-        re_next = [self.inv_omega * (a + b) for a, b in zip(self.re, ref_increment)]
-        xe_next = _ivadd(_imatvec(self.Fi, self.xe), _imatvec(self.Gi, self.xo),
-                         _imatvec(self.Ri, self.re))
-        self.xo_m2, self.xo_m1 = self.xo_m1, self.xo
-        self.xe_m2, self.xe_m1 = self.xe_m1, self.xe
-        self.u_m1 = self.u
-        self.xo, self.xe, self.re = xo_next, xe_next, re_next
-        self.u = self._u_now()
-        return self.increments()
+        super().__init__(IntRing(), plan, dims)
 
 
 class MainSensor:
@@ -457,13 +494,12 @@ class RefProvider:
     """Tracks its local copy of the reference estimate and streams encrypted
     quantized reference increments."""
 
-    def __init__(self, pk, plan: MainPlan, reference: RationalMatrix, rng,
-                 r_e0=None):
+    def __init__(self, pk, plan: MainPlan, reference: RationalMatrix, rng):
         self.pk = pk
         self.q = plan.q
         self.spec = QuantizerSpec(plan.range_level)
         self.r = list(reference.data)
-        self.r_e = [as_fraction(x) for x in (r_e0 or [0] * len(self.r))]
+        self.r_e = [Fraction(0)] * len(self.r)
         self.rng = rng
         self.enc_ops = 0
 
@@ -487,25 +523,15 @@ class MainActuator:
         self.sk = sk
         self.q = plan.q
         self.s2 = plan.s2
-        certs = plan.certificates
-        self.Ai = _imat(certs["A/omega"])
-        self.Bi = _imat(certs["s2B/omega"])
-        self.Fi = _imat(certs["F/omega"])
-        self.Gi = _imat(certs["GC/omega"])
-        self.Hi = _imat(certs["H/s2"])
-        self.Ji = _imat(certs["JC/s2"])
-        self.inv_omega = certs["1/omega"].scaled_entries[0]
-        d = dims
-        self.xo = [0] * d["n"]
-        self.xe = [0] * d["n_x"]
-        self.ut = [0] * d["w"]
-        self.xo_m1 = [0] * d["n"]
-        self.xo_m2 = [0] * d["n"]
-        self.xe_m1 = [0] * d["n_x"]
-        self.xe_m2 = [0] * d["n_x"]
-        self.ut_m1 = [0] * d["w"]
+        self.states = MainRecurrence(IntRing(), plan, dims)
+        self.states.reset([0] * dims["n_x"])
         self.dec_ops = 0
         self.enc_ops = 0
+
+    @property
+    def ut(self):
+        """The reconstructed controller output u_tilde."""
+        return self.states.u
 
     def step(self, alpha_ct, beta_ct, gamma_ct, l_t: Fraction):
         lifted = []
@@ -513,79 +539,22 @@ class MainActuator:
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(list(dec), 0, self.q))
-        alpha_a, beta_a, gamma_a = lifted
-        self.xo_m2, self.xo_m1 = self.xo_m1, list(self.xo)
-        self.xe_m2, self.xe_m1 = self.xe_m1, list(self.xe)
-        self.ut_m1 = list(self.ut)
-        self.xo = _ivadd(alpha_a, _imatvec(self.Ai, self.xo_m1),
-                         _imatvec(self.Bi, self.ut_m1))
-        carry_x = [a - b - c for a, b, c in zip(
-            self.xe_m1, _imatvec(self.Fi, self.xe_m2), _imatvec(self.Gi, self.xo_m2))]
-        self.xe = _ivadd(beta_a, _imatvec(self.Fi, self.xe_m1),
-                         _imatvec(self.Gi, self.xo_m1),
-                         [self.inv_omega * x for x in carry_x])
-        carry_u = [a - b - c for a, b, c in zip(
-            self.ut_m1, _imatvec(self.Hi, self.xe_m1), _imatvec(self.Ji, self.xo_m1))]
-        self.ut = _ivadd(gamma_a, _imatvec(self.Hi, self.xe),
-                         _imatvec(self.Ji, self.xo),
-                         [self.inv_omega * x for x in carry_u])
-        u_a = [self.s2 * l_t * x for x in self.ut]            # exact rationals
-        return (alpha_a, beta_a, gamma_a), list(self.ut), u_a
+        ut = self.states.rebuild(*lifted)
+        u_a = [self.s2 * l_t * x for x in ut]                 # exact rationals
+        return tuple(lifted), list(ut), u_a
 
 
 # -- prelim scheme parties -----------------------------------------------------
 
 
-class PrelimEncController:
+class PrelimEncController(PrelimRecurrence):
     def __init__(self, pk, plan: PrelimPlan, rng):
-        self.pk = pk
-        self.rng = rng
-        q = plan.q
-        self.q = q
-        certs = plan.certificates
-        self.F_m = _imat_mod(_imat(certs["F/omega"]), q)
-        self.G_m = _imat_mod(_imat(certs["G/(s1*omega)"]), q)
-        self.R_m = _imat_mod(_imat(certs["R/(s1*omega)"]), q)
-        self.H_m = _imat_mod(_imat(certs["H/s2"]), q)
-        self.J_m = _imat_mod(_imat(certs["J/(s1*s2)"]), q)
-        self.S_m = _imat_mod(_imat(certs["S/(s1*s2)"]), q)
-        self.enc_ops = 0
-
-    def bootstrap(self, x0_scaled):
-        self.x = he.encrypt(self.pk, [v % self.q for v in x0_scaled], self.rng)
-        self.enc_ops += len(x0_scaled)
-
-    def step(self, enc_y, enc_r):
-        u = he.add(
-            he.add(he.plain_matmul(self.H_m, self.x), he.plain_matmul(self.J_m, enc_y)),
-            he.plain_matmul(self.S_m, enc_r),
-        )
-        self.x = he.add(
-            he.add(he.plain_matmul(self.F_m, self.x), he.plain_matmul(self.G_m, enc_y)),
-            he.plain_matmul(self.R_m, enc_r),
-        )
-        return u
+        super().__init__(CipherRing(pk, plan.q, rng), plan)
 
 
-class PrelimIntegerShadow:
+class PrelimIntegerShadow(PrelimRecurrence):
     def __init__(self, plan: PrelimPlan):
-        certs = plan.certificates
-        self.Fi = _imat(certs["F/omega"])
-        self.Gi = _imat(certs["G/(s1*omega)"])
-        self.Ri = _imat(certs["R/(s1*omega)"])
-        self.Hi = _imat(certs["H/s2"])
-        self.Ji = _imat(certs["J/(s1*s2)"])
-        self.Si = _imat(certs["S/(s1*s2)"])
-
-    def bootstrap(self, x0_scaled):
-        self.x = list(x0_scaled)
-
-    def step(self, qy, qr):
-        u = _ivadd(_imatvec(self.Hi, self.x), _imatvec(self.Ji, qy),
-                   _imatvec(self.Si, qr))
-        self.x = _ivadd(_imatvec(self.Fi, self.x), _imatvec(self.Gi, qy),
-                        _imatvec(self.Ri, qr))
-        return u
+        super().__init__(IntRing(), plan)
 
 
 class PrelimActuator:
@@ -620,9 +589,7 @@ class RunConfig:
     horizon: int
     params: he.SchemeParams
     seed: int = 0
-    verify_oracle: bool = True
     collect_detail: bool = False
-    r_e0: Optional[tuple] = None
     # experimental: per-step reference vectors (held at the last entry);
     # the planned error envelopes are asserted only for constant references
     reference_schedule: Optional[Sequence] = None
@@ -635,14 +602,18 @@ class RunConfig:
         return vec.data if isinstance(vec, RationalMatrix) else vec
 
 
-def lattice_params_for_main(plan: MainPlan, dims, horizon: int, *,
-                            dimension=16, samples=48, noise=4) -> he.SchemeParams:
-    """Size the ciphertext modulus so a horizon-long run decrypts exactly."""
+def lattice_params(q: int, width: int, horizon: int) -> he.SchemeParams:
+    """Size the ciphertext modulus so a horizon-long run on vectors at most
+    `width` long decrypts exactly."""
+    per_step = math.ceil(math.log2(q)) + width.bit_length() + 3
+    return he.SchemeParams.lattice_for_budget(q, (horizon + 4) * per_step + 64)
+
+
+def lattice_params_for_main(plan: MainPlan, dims, horizon: int) -> he.SchemeParams:
+    """`lattice_params` for the main route, whose widest vector is the
+    longest of the observer, controller, input and reference vectors."""
     width = max(dims["n"], dims["n_x"], dims["w"], dims["n_r"])
-    per_step = math.ceil(math.log2(plan.q)) + width.bit_length() + 3
-    budget = (horizon + 4) * per_step + 64
-    return he.SchemeParams.lattice_for_budget(plan.q, budget, dimension=dimension,
-                                              samples=samples, noise=noise)
+    return lattice_params(plan.q, width, horizon)
 
 
 def _scaled_integer_state(x0_entries, scale: Fraction):
@@ -657,6 +628,29 @@ def _scaled_integer_state(x0_entries, scale: Fraction):
     return out
 
 
+def _close_step(trace, plant_sim, ideal, r_t, u_a, **record):
+    """The tail both routes share: the reference loop and the plant (on the
+    exact delivered input) advance, and the step's record is kept."""
+    u_true = ideal.step(r=r_t)
+    u_a_float = np.array([float(x) for x in u_a])
+    plant_sim.step(u_a)
+    diff = float(np.max(np.abs(u_a_float - u_true))) if len(u_a) else 0.0
+    trace.records.append(StepRecord(
+        u_true=tuple(float(x) for x in u_true),
+        u_a=tuple(float(x) for x in u_a_float),
+        diff_inf=diff,
+        enc_ops=trace.enc_ops,
+        dec_ops=trace.dec_ops,
+        **record,
+    ))
+
+
+def _finish(trace, plant_sim, ideal) -> ClosedLoopTrace:
+    trace.final_plant_state = tuple(plant_sim.state_floats())
+    trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
+    return trace
+
+
 def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     dims = dict(plan.dims)
     n, n_x, w_dim = dims["n"], dims["n_x"], dims["w"]
@@ -667,7 +661,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     controller = MainEncController(pk, plan, dims, rng)
     shadow = MainIntegerShadow(plan, dims)
     sensor = MainSensor(pk, sk, plan, rng)
-    provider = RefProvider(pk, plan, cfg.reference, rng, r_e0=cfg.r_e0)
+    provider = RefProvider(pk, plan, cfg.reference, rng)
     actuator = MainActuator(sk, plan, dims)
     plant_sim = PlantSim(cfg.plant, cfg.x_p0)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
@@ -686,22 +680,20 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     for t in range(cfg.horizon):
         if t == 0:
             y_o_ct, a_ct, b_ct, g_ct = controller.bootstrap(x_e0_scaled)
-            shadow.bootstrap(x_e0_scaled)
-            alpha_i, beta_i, gamma_i = shadow.increments()
+            alpha_i, beta_i, gamma_i = shadow.bootstrap(x_e0_scaled)
         else:
             y_o_ct, a_ct, b_ct, g_ct = controller.step(inno_ct, ref_ct)
             alpha_i, beta_i, gamma_i = shadow.step(inno_int, ref_int)
 
         fail = False
-        if cfg.verify_oracle:
-            ok = (
-                dec_matches(y_o_ct, shadow.y_o())
-                and dec_matches(a_ct, alpha_i)
-                and dec_matches(b_ct, beta_i)
-                and dec_matches(g_ct, gamma_i)
-            )
-            if not ok:
-                trace.oracle_mismatches += 1
+        ok = (
+            dec_matches(y_o_ct, shadow.y_o())
+            and dec_matches(a_ct, alpha_i)
+            and dec_matches(b_ct, beta_i)
+            and dec_matches(g_ct, gamma_i)
+        )
+        if not ok:
+            trace.oracle_mismatches += 1
 
         y_p = plant_sim.output()
         y_o_s, lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_p, l_t)
@@ -717,10 +709,6 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         if ut_a != shadow.u:
             fail = True
 
-        u_true = ideal.step(r=r_t)
-        u_a_float = np.array([float(x) for x in u_a])
-        plant_sim.step(u_a)
-
         saturated = bool(sat_s or sat_r)
         trace.saturation_count += int(saturated)
         trace.recovery_failures += int(fail)
@@ -730,25 +718,21 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_ctrl_to_sensor += v
         trace.actuator_dec_ops = actuator.dec_ops
         trace.actuator_enc_ops = actuator.enc_ops
-        trace.enc_ops = controller.enc_ops + sensor.enc_ops + provider.enc_ops + actuator.enc_ops
+        trace.enc_ops = (controller.ring.enc_ops + sensor.enc_ops + provider.enc_ops
+                         + actuator.enc_ops)
         trace.dec_ops = sensor.dec_ops + actuator.dec_ops
 
-        diff = float(np.max(np.abs(u_a_float - u_true))) if w_dim else 0.0
-        trace.records.append(StepRecord(
+        _close_step(
+            trace, plant_sim, ideal, r_t, u_a,
             t=t,
-            u_true=tuple(float(x) for x in u_true),
-            u_a=tuple(float(x) for x in u_a_float),
-            diff_inf=diff,
             log2_alpha=_log2norm(alpha_i),
             log2_beta=_log2norm(beta_i),
             log2_gamma=_log2norm(gamma_i),
             log2_sensor_gap=math.log2(gap) if gap > 0 else float("-inf"),
             saturated=saturated,
             msgs_ctrl_to_act=n + n_x + w_dim,
-            enc_ops=trace.enc_ops,
-            dec_ops=trace.dec_ops,
             recovery_failure=fail,
-        ))
+        )
         if cfg.collect_detail:
             trace.detail.append({
                 "t": t,
@@ -763,13 +747,10 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                 "u_a_exact": list(u_a),
             })
         l_t = l_t * omega
-    trace.final_plant_state = tuple(plant_sim.state_floats())
-    trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
-    return trace
+    return _finish(trace, plant_sim, ideal)
 
 
 def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
-    n_x = cfg.ctrl.n_x
     w_dim = cfg.ctrl.w
     v = cfg.plant.v
     n_r = cfg.ctrl.n_r
@@ -810,15 +791,11 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         ut_true = shadow.step(q_y, q_r)
 
         fail = False
-        if cfg.verify_oracle and list(he.decrypt(sk, u_ct)) != [x % q for x in ut_true]:
+        if list(he.decrypt(sk, u_ct)) != [x % q for x in ut_true]:
             trace.oracle_mismatches += 1
         lifted, u_a = actuator.step(u_ct, l_t)
         if lifted != ut_true:
             fail = True
-
-        u_true = ideal.step(r=r_t)
-        u_a_float = np.array([float(x) for x in u_a])
-        plant_sim.step(u_a)
 
         inc = (
             [x - as_fraction(y) / plan.omega for x, y in zip(ut_true, prev_ut)]
@@ -832,26 +809,21 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_provider_to_ctrl += n_r
         trace.actuator_dec_ops = actuator.dec_ops
         trace.actuator_enc_ops = actuator.enc_ops
-        trace.enc_ops = controller.enc_ops + edge_enc_ops
+        trace.enc_ops = controller.ring.enc_ops + edge_enc_ops
         trace.dec_ops = actuator.dec_ops
 
-        diff = float(np.max(np.abs(u_a_float - u_true))) if w_dim else 0.0
         mx = max((abs(float(x)) for x in inc), default=0.0)
-        trace.records.append(StepRecord(
+        _close_step(
+            trace, plant_sim, ideal, r_t, u_a,
             t=t,
-            u_true=tuple(float(x) for x in u_true),
-            u_a=tuple(float(x) for x in u_a_float),
-            diff_inf=diff,
             log2_alpha=math.log2(mx) if mx > 0 else float("-inf"),
             log2_beta=float("-inf"),
             log2_gamma=float("-inf"),
             log2_sensor_gap=float("-inf"),
             saturated=False,
             msgs_ctrl_to_act=w_dim,
-            enc_ops=trace.enc_ops,
-            dec_ops=trace.dec_ops,
             recovery_failure=fail,
-        ))
+        )
         if cfg.collect_detail:
             trace.detail.append({
                 "t": t,
@@ -863,6 +835,4 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
                 "u_a_exact": list(u_a),
             })
         l_t = l_t * plan.omega
-    trace.final_plant_state = tuple(plant_sim.state_floats())
-    trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
-    return trace
+    return _finish(trace, plant_sim, ideal)

@@ -1,4 +1,4 @@
-"""Mid-tread saturating quantizer and the geometric zoom schedule.
+"""Mid-tread saturating quantizer.
 
 The scalar quantizer maps chi to the integer cell index psi with
 (2 psi - 1)/2 <= chi < (2 psi + 1)/2 for chi >= -1/2 and mirrors for
@@ -64,27 +64,3 @@ def quantize_vector(x: Sequence, spec: Optional[QuantizerSpec] = None):
         out.append(psi)
         sat = sat or s
     return out, sat
-
-
-@dataclass(frozen=True)
-class ScalingState:
-    """Dynamic-quantizer zoom l(t), contracted by omega each step (0 < omega < 1)."""
-
-    l: Fraction
-    omega: Fraction
-    t: int = 0
-
-    def __post_init__(self):
-        l = as_fraction(self.l)
-        omega = as_fraction(self.omega)
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "omega", omega)
-        if l <= 0:
-            raise ValueError("zoom l must be positive")
-        if not (0 < omega < 1):
-            raise ValueError("omega must satisfy 0 < omega < 1")
-
-
-def advance_scaling(s: ScalingState) -> ScalingState:
-    """l' = omega * l, exact in rational arithmetic."""
-    return ScalingState(s.l * s.omega, s.omega, s.t + 1)

@@ -85,6 +85,18 @@ def test_override_validation_rejects_bad_omega(capsys):
     assert "integrality" in err
 
 
+def test_override_omega_recertifies_every_omega_matrix(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "exact", "--override", "omega=1/920000")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["omega"] == "1/920000"
+    scales = {name: c["scale"] for name, c in rep["certificates"].items()
+              if name.endswith("/omega")}
+    assert len(scales) == 7
+    assert set(scales.values()) == {"1/920000"}
+
+
 def test_override_validation_rejects_unknown_key(capsys):
     code, _, err = run_cli(capsys, "plan", "--fixture", "batch-reactor",
                            "--override", "zoom=0.5")

@@ -170,24 +170,6 @@ def test_noise_overflow_predicted_and_raised():
         he.plain_matmul([[2**12]], fresh)
 
 
-def test_serialization_roundtrip(scheme, keys):
-    pk, sk = keys
-    rng = random.Random(14)
-    c = he.encrypt(pk, [3, 1, 4], rng)
-    blob = he.ciphertext_to_bytes(c)
-    back = he.ciphertext_from_bytes(blob, scheme)
-    assert he.decrypt(sk, back) == (3, 1, 4)
-
-
-def test_serialization_backend_tag_checked():
-    mock = make_scheme("mock")
-    lat = make_scheme("lattice")
-    pk, _ = he.keygen(mock, seed=0)
-    blob = he.ciphertext_to_bytes(he.encrypt(pk, [1]))
-    with pytest.raises(he.BadParamsError):
-        he.ciphertext_from_bytes(blob, lat)
-
-
 def test_plain_vector_json_roundtrip():
     v = (0, 2**60, 5)
     obj = he.plain_vector_to_json(v)

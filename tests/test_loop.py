@@ -1,13 +1,14 @@
+import hashlib
 import math
 import random
 from dataclasses import replace
 from fractions import Fraction
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from encloop import he
+from encloop import cli, he
 from encloop.exactmat import RationalMatrix
 from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
@@ -15,11 +16,10 @@ from encloop.loop import (
     RunConfig,
     centered_mod_recover,
     lattice_params_for_main,
-    process_step,
     run_closed_loop_main,
     run_closed_loop_prelim,
 )
-from encloop.planner import MainPlanOptions, PlantModel, plan_main
+from encloop.planner import MainPlanOptions, plan_main
 
 from conftest import random_main_system
 
@@ -67,43 +67,6 @@ class TestCenteredRecover:
         x, prior = 17, 0  # |x - prior| >= q/2: off by a multiple of q
         got = centered_mod_recover([x % q], prior, q)[0]
         assert got != x and (got - x) % q == 0
-
-
-class TestProcessStep:
-    def test_rest_stays_at_rest(self, batch):
-        x, y = process_step(np.zeros(4), np.zeros(1), batch.plant)
-        assert not x.any() and not y.any()
-
-    def test_identity_hold(self):
-        plant = PlantModel(A=RationalMatrix.identity(2),
-                           B=RationalMatrix.zeros(2, 1),
-                           C=RationalMatrix.identity(2))
-        x, y = process_step(np.array([1.0, -2.0]), np.zeros(1), plant)
-        assert np.allclose(x, [1.0, -2.0]) and np.allclose(y, [1.0, -2.0])
-
-    def test_ten_steps_match_direct_recursion(self, batch):
-        # plant driven by the unquantized controller; independent oracle
-        A, B, C = (m.to_floats() for m in
-                   (batch.plant.A, batch.plant.B, batch.plant.C))
-        F, G, H = (m.to_floats() for m in
-                   (batch.ctrl.F, batch.ctrl.G, batch.ctrl.H))
-        R, J, S = (m.to_floats() for m in
-                   (batch.ctrl.R_ref, batch.ctrl.J, batch.ctrl.S))
-        r = np.array([float(x) for x in batch.reference.data])
-        xp = np.array([1.0, 1.0, 1.0, 1.0])
-        xc = np.zeros(4)
-        xp2, xc2 = xp.copy(), xc.copy()
-        for _ in range(10):
-            y = C @ xp
-            u = H @ xc + J @ y + S @ r
-            xp, _ = process_step(xp, u, batch.plant)
-            xc = F @ xc + G @ y + R @ r
-            # oracle: plain numpy recursion
-            y2 = C @ xp2
-            u2 = H @ xc2 + J @ y2 + S @ r
-            xp2 = A @ xp2 + B @ u2
-            xc2 = F @ xc2 + G @ y2 + R @ r
-        assert np.allclose(xp, xp2, atol=1e-12)
 
 
 class TestMainLoop:
@@ -352,3 +315,45 @@ class TestRandomSystems:
             assert tr.recovery_failures == 0
             assert tr.oracle_mismatches == 0
             assert tr.saturation_count == 0
+
+
+def _golden_digest(trace) -> str:
+    """SHA-256 over the exact parts of a trace: the per-step records (less the
+    float reference loop's u_true and diff_inf, whose last bits vary with the
+    BLAS build), the detail log, and the summary's integer counters."""
+    records = [(r.t, r.u_a, r.log2_alpha, r.log2_beta, r.log2_gamma,
+                r.log2_sensor_gap, r.saturated, r.msgs_ctrl_to_act, r.enc_ops,
+                r.dec_ops, r.recovery_failure) for r in trace.records]
+    counters = sorted((k, v) for k, v in trace.summary().items()
+                      if isinstance(v, int) and not isinstance(v, bool))
+    h = hashlib.sha256()
+    for part in (records, trace.detail, counters):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+GOLDEN = [
+    # (fixture, scheme, backend, horizon, seed, digest)
+    ("batch", "main", "mock", 120, 0,
+     "595af251d04fb61c03e94fe13f40f3eab09da5ad95c2bd0e7e903c52497c888c"),
+    ("batch", "main", "lattice", 40, 3,
+     "8cbbafb0b3ba6cda6e5d795b6ce13a8f624ba67fad3366462301c3960d59bbd9"),
+    ("tanks", "prelim", "mock", 200, 0,
+     "44358ef0efadd4316704ad198a0e64de2ebfcbb529afff66195df2b34a73dbcb"),
+    ("tanks", "prelim", "lattice", 60, 3,
+     "11f34c47d5615afe373e402e256f9ecc2e8998069ce3fcd7928f79e8e087a081"),
+]
+
+
+@pytest.mark.parametrize("fixture,scheme,backend,horizon,seed,digest", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}-{g[2]}" for g in GOLDEN])
+def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
+    """Exact closed-loop traces stay bit-identical (main route with the exact
+    observer, prelim route; both backends, sized as `encloop simulate` does)."""
+    sc = request.getfixturevalue(fixture)
+    plan = request.getfixturevalue("sound_plan" if scheme == "main" else "tanks_plan")
+    cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                    x_p0=sc.x_p0, horizon=horizon, seed=seed, collect_detail=True,
+                    params=cli._backend_params(backend, plan, sc, horizon))
+    run = run_closed_loop_main if scheme == "main" else run_closed_loop_prelim
+    assert _golden_digest(run(plan, cfg)) == digest

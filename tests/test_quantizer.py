@@ -1,13 +1,10 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from encloop.quantizer import (
     QuantizerSpec,
-    ScalingState,
-    advance_scaling,
     quantize_scalar,
     quantize_vector,
 )
@@ -79,30 +76,3 @@ def test_monotone(chi, step):
     hi, _ = quantize_scalar(chi + step, spec9)
     assert lo <= hi
 
-
-class TestScaling:
-    def test_three_halvings(self):
-        s = ScalingState(l=1, omega=Fraction(1, 2))
-        for _ in range(3):
-            s = advance_scaling(s)
-        assert s.l == Fraction(1, 8) and s.t == 3
-
-    def test_omega_one_rejected(self):
-        with pytest.raises(ValueError):
-            ScalingState(l=1, omega=1)
-
-    def test_nonpositive_zoom_rejected(self):
-        with pytest.raises(ValueError):
-            ScalingState(l=0, omega=Fraction(1, 2))
-
-    def test_ten_thousandth_zoom_exact(self):
-        s = ScalingState(l=1, omega=Fraction(1, 10000))
-        s = advance_scaling(advance_scaling(s))
-        assert s.l == Fraction(1, 10**8)
-
-    def test_exact_power_accumulation(self):
-        w = Fraction(3, 7)
-        s = ScalingState(l=Fraction(2, 5), omega=w)
-        for _ in range(11):
-            s = advance_scaling(s)
-        assert s.l == Fraction(2, 5) * w**11
