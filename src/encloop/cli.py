@@ -1,7 +1,7 @@
 """Command-line front end: plan parameters, run the closed loop, compare overheads.
 
 Exit codes: 0 success, 1 config/validation error, 2 infeasible,
-3 runtime recovery failure, 4 quantizer saturation.
+3 runtime recovery failure, 4 quantizer saturation, 5 encryption error.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import he, loop
@@ -16,7 +17,6 @@ from .exactmat import (
     ExactMatError,
     RationalMatrix,
     fraction_to_str,
-    is_integer_after_scale,
     matrix_from_json,
 )
 from .fixtures import FIXTURES, Scenario, batch_reactor_exact_observer
@@ -27,10 +27,10 @@ from .planner import (
     MainPlanOptions,
     NoIntegerOmegaError,
     NotObservableError,
+    PinError,
     PlannerError,
     PlantModel,
-    _main_integer_targets,
-    check_prelim_feasible,
+    PrelimInfeasibleError,
     design_deadbeat_observer,
     plan_main,
     plan_preliminary,
@@ -42,6 +42,7 @@ EXIT_CONFIG = 1
 EXIT_INFEASIBLE = 2
 EXIT_RECOVERY = 3
 EXIT_SATURATION = 4
+EXIT_ENCRYPTION = 5
 
 
 class ConfigError(Exception):
@@ -89,16 +90,33 @@ def _load_scenario(args) -> tuple:
     return FIXTURES[name](), {}
 
 
-def _parse_overrides(pairs):
-    out = {}
-    allowed = {"q", "omega", "s1", "s2", "l0", "range_level"}
-    for item in pairs or []:
+def _overrides(args, cfg: dict, scheme: str) -> dict:
+    """The config's overrides, then the command line's (which win), checked
+    against the scheme and parsed: omega and l0 to Fractions, q and
+    range_level to ints."""
+    given = cfg.get("overrides", {})
+    if not isinstance(given, dict):
+        raise ConfigError("config 'overrides' must be an object")
+    pairs = {k: str(v) for k, v in given.items()}
+    for item in args.override or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
         k, v = item.split("=", 1)
+        pairs[k] = v
+    allowed = ["q"] if scheme == "prelim" else ["l0", "omega", "q", "range_level"]
+    out = {}
+    for k, v in pairs.items():
         if k not in allowed:
-            raise ConfigError(f"unknown override {k!r}; allowed: {sorted(allowed)}")
-        out[k] = v
+            raise ConfigError(f"unknown override {k!r} for the {scheme} scheme; "
+                              f"allowed: {allowed}")
+        try:
+            out[k] = Fraction(v) if k in ("omega", "l0") else int(v, 0)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"override {k}={v!r} is not a number")
+    if out.get("q", 4) < 4:
+        raise ConfigError("q override must be >= 4")
+    if out.get("range_level", 1) < 1:
+        raise ConfigError("range_level override must be >= 1")
     return out
 
 
@@ -128,102 +146,39 @@ def _observer_for(scenario: Scenario, mode: str):
     raise ConfigError(f"unknown observer mode {mode!r}")
 
 
-def _build_main_plan(scenario: Scenario, observer_mode: str) -> MainPlan:
-    L, L_exact = _observer_for(scenario, observer_mode)
-    return plan_main(
-        scenario.plant, scenario.ctrl,
-        MainPlanOptions(L=L, L_exact=L_exact, reference=scenario.reference),
-    )
-
-
-def _apply_overrides(plan: MainPlan, overrides: dict, scenario: Scenario) -> MainPlan:
-    """Substitute overridden values, re-running the exact validations the
-    planner ran; reject anything that breaks a certificate."""
-    from dataclasses import replace
-
-    if not overrides:
-        return plan
-    plant, ctrl = scenario.plant, scenario.ctrl
-    kw = {}
-    if "omega" in overrides:
-        omega = Fraction(overrides["omega"])
-        if not (0 < omega < 1):
-            raise ConfigError("omega override must lie in (0, 1)")
-        targets = _main_integer_targets(plant, ctrl, plan.L, plan.s2)
-        certs = dict(plan.certificates)
-        for name, mat in targets.items():
-            ok, cert = is_integer_after_scale(mat, omega, source=name)
-            if not ok:
-                raise ConfigError(f"omega override breaks integrality of {name}")
-            certs[name] = cert
-        kw["omega"] = omega
-        kw["certificates"] = certs
-    for key in ("s1", "s2"):
-        if key in overrides:
-            raise ConfigError(f"{key} cannot be overridden without re-planning; "
-                              "edit the config instead")
-    if "l0" in overrides:
-        l0 = Fraction(overrides["l0"])
-        if l0 <= 0:
-            raise ConfigError("l0 override must be positive")
-        for x in ctrl.x0.data:
-            if (x / l0).denominator != 1:
-                raise ConfigError("l0 override does not divide the controller "
-                                  "initial state exactly")
-        kw["l0"] = l0
-    if "q" in overrides:
-        q = int(overrides["q"], 0)
-        if q < 4:
-            raise ConfigError("q override must be >= 4")
-        kw["q"] = q
-    if "range_level" in overrides:
-        r = int(overrides["range_level"], 0)
-        if r < 1:
-            raise ConfigError("range_level override must be >= 1")
-        kw["range_level"] = r
-    return replace(plan, **kw)
-
-
-def _apply_prelim_overrides(plan, overrides, scenario):
-    from dataclasses import replace
-
-    if not overrides:
-        return plan
-    kw = {}
-    if "q" in overrides:
-        q = int(overrides["q"], 0)
-        if q < 4:
-            raise ConfigError("q override must be >= 4")
-        kw["q"] = q
-    for key in ("omega", "s1", "s2", "l0", "range_level"):
-        if key in overrides:
-            raise ConfigError(f"{key} override is not supported for the prelim scheme")
-    return replace(plan, **kw)
+def _plan(args, scenario: Scenario, cfg: dict):
+    """The one planning path of every subcommand: scheme, observer and
+    overrides resolved into a plan.  omega and l0 are pinned in `plan_main`,
+    which derives every other value from them; q and range_level are set on
+    the finished plan as given, so they can void its guarantees."""
+    scheme = args.scheme or cfg.get("scheme", "main")
+    overrides = _overrides(args, cfg, scheme)
+    if scheme == "prelim":
+        ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
+        plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
+    else:
+        L, L_exact = _observer_for(scenario, args.observer)
+        plan = plan_main(scenario.plant, scenario.ctrl, MainPlanOptions(
+            L=L, L_exact=L_exact, reference=scenario.reference,
+            omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
+    return replace(plan, **overrides)
 
 
 def cmd_plan(args) -> int:
     scenario, cfg = _load_scenario(args)
-    scheme = args.scheme or cfg.get("scheme", "main")
-    if scheme == "prelim":
-        report = check_prelim_feasible(scenario.plant, scenario.ctrl)
-        if not report.feasible:
-            print(json.dumps({
-                "scheme": "prelim",
-                "feasible": False,
-                "rho_c": report.rho_c,
-                "s_F": fraction_to_str(report.s_F),
-                "reason": report.reason,
-            }, indent=2, sort_keys=True))
-            return EXIT_INFEASIBLE
-        ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
-        plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
-        out = plan.to_json()
-        out["feasible"] = True
-    else:
-        plan = _build_main_plan(scenario, args.observer)
-        plan = _apply_overrides(plan, _parse_overrides(args.override), scenario)
-        out = plan.to_json(include_integer_matrices=args.full)
-        out["feasible"] = True
+    try:
+        plan = _plan(args, scenario, cfg)
+    except PrelimInfeasibleError as e:
+        print(json.dumps({
+            "scheme": "prelim",
+            "feasible": False,
+            "rho_c": e.report.rho_c,
+            "s_F": fraction_to_str(e.report.s_F),
+            "reason": e.report.reason,
+        }, indent=2, sort_keys=True))
+        return EXIT_INFEASIBLE
+    out = plan.to_json(args.full) if isinstance(plan, MainPlan) else plan.to_json()
+    out["feasible"] = True
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as f:
@@ -242,37 +197,32 @@ def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemePara
     return loop.lattice_params(plan.q, width, horizon)
 
 
-def cmd_simulate(args) -> int:
-    scenario, cfg = _load_scenario(args)
-    scheme = args.scheme or cfg.get("scheme", "main")
+def _run_config(args, cfg: dict, scenario: Scenario, plan, seed: int) -> loop.RunConfig:
+    """The run settings: the command line's, else the config's, else the defaults."""
     backend = args.backend or cfg.get("backend", "mock")
     horizon = args.horizon or int(cfg.get("horizon", 100))
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
-    overrides = _parse_overrides(args.override)
-    overrides.update({k: str(v) for k, v in cfg.get("overrides", {}).items()})
-
-    if scheme == "prelim":
-        report = check_prelim_feasible(scenario.plant, scenario.ctrl)
-        if not report.feasible:
-            print(report.reason, file=sys.stderr)
-            return EXIT_INFEASIBLE
-        ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
-        plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
-        plan = _apply_prelim_overrides(plan, overrides, scenario)
-        run = loop.run_closed_loop_prelim
-    else:
-        plan = _build_main_plan(scenario, args.observer)
-        plan = _apply_overrides(plan, overrides, scenario)
-        run = loop.run_closed_loop_main
-
-    params = _backend_params(backend, plan, scenario, horizon)
-    trace = run(plan, loop.RunConfig(
+    return loop.RunConfig(
         plant=scenario.plant, ctrl=scenario.ctrl, reference=scenario.reference,
-        x_p0=scenario.x_p0, horizon=horizon, params=params, seed=seed,
-    ))
+        x_p0=scenario.x_p0, horizon=horizon,
+        params=_backend_params(backend, plan, scenario, horizon), seed=seed,
+    )
+
+
+def _run(plan, run_cfg: loop.RunConfig) -> loop.ClosedLoopTrace:
+    if isinstance(plan, MainPlan):
+        return loop.run_closed_loop_main(plan, run_cfg)
+    return loop.run_closed_loop_prelim(plan, run_cfg)
+
+
+def cmd_simulate(args) -> int:
+    scenario, cfg = _load_scenario(args)
+    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
+    plan = _plan(args, scenario, cfg)
+    run_cfg = _run_config(args, cfg, scenario, plan, seed)
+    trace = _run(plan, run_cfg)
     summary = trace.summary()
     summary["plan"] = plan.to_json()
-    summary["backend"] = backend
+    summary["backend"] = run_cfg.params.backend
     summary["seed"] = seed
     if args.out:
         trace.to_csv(args.out + ".csv")
@@ -287,15 +237,10 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(payload):
-    scenario, scheme, plan, params, horizon, seed = payload
-    run = loop.run_closed_loop_prelim if scheme == "prelim" else loop.run_closed_loop_main
-    trace = run(plan, loop.RunConfig(
-        plant=scenario.plant, ctrl=scenario.ctrl, reference=scenario.reference,
-        x_p0=scenario.x_p0, horizon=horizon, params=params, seed=seed,
-    ))
-    out = trace.summary()
-    out["seed"] = seed
+def _sweep_one(job):
+    plan, run_cfg = job
+    out = _run(plan, run_cfg).summary()
+    out["seed"] = run_cfg.seed
     return out
 
 
@@ -304,17 +249,9 @@ def cmd_sweep(args) -> int:
     from concurrent.futures import ProcessPoolExecutor
 
     scenario, cfg = _load_scenario(args)
-    scheme = args.scheme or cfg.get("scheme", "main")
-    horizon = args.horizon or int(cfg.get("horizon", 100))
-    if scheme == "prelim":
-        ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
-        plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
-    else:
-        plan = _build_main_plan(scenario, args.observer)
-        plan = _apply_overrides(plan, _parse_overrides(args.override), scenario)
-    backend = args.backend or cfg.get("backend", "mock")
-    params = _backend_params(backend, plan, scenario, horizon)
-    jobs = [(scenario, scheme, plan, params, horizon, s) for s in range(args.seeds)]
+    plan = _plan(args, scenario, cfg)
+    run_cfg = _run_config(args, cfg, scenario, plan, seed=0)
+    jobs = [(plan, replace(run_cfg, seed=s)) for s in range(args.seeds)]
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(_sweep_one, jobs))
@@ -346,16 +283,13 @@ def cmd_compare(args) -> int:
         n, n_x, w = dims["n"], dims["n_x"], dims["w"]
         measured = None
     else:
-        scenario, _ = _load_scenario(args)
-        plan = _build_main_plan(scenario, args.observer)
-        params = he.SchemeParams.mock(plan.q)
-        trace = loop.run_closed_loop_main(plan, loop.RunConfig(
-            plant=scenario.plant, ctrl=scenario.ctrl, reference=scenario.reference,
-            x_p0=scenario.x_p0, horizon=args.horizon, params=params, seed=0,
-        ))
+        scenario, cfg = _load_scenario(args)
+        plan = _plan(args, scenario, cfg)
+        if not isinstance(plan, MainPlan):
+            raise ConfigError("compare measures the main scheme only")
+        measured = _run(plan, _run_config(args, cfg, scenario, plan, seed=0))
         d = plan.dims
         n, n_x, w = d["n"], d["n_x"], d["w"]
-        measured = trace
 
     rows = [
         ("", "with re-encryption", "re-encryption free"),
@@ -428,7 +362,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--horizon", type=int, default=20)
     p_cmp.add_argument("--hypothetical", metavar="n=..,n_x=..,w=..",
                        help="print the analytic comparison for given dimensions")
-    p_cmp.set_defaults(func=cmd_compare)
+    p_cmp.set_defaults(func=cmd_compare, backend="mock")  # measured on mock only
 
     p_swp = sub.add_parser("sweep", help="independent seeded runs, aggregated")
     common(p_swp, "exact")
@@ -442,7 +376,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, PinError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (InfeasibleError, NoIntegerOmegaError) as e:
@@ -454,6 +388,9 @@ def main(argv=None) -> int:
     except (ExactMatError, ValueError) as e:
         print(f"validation error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except he.HEError as e:
+        print(f"encryption error: {e}", file=sys.stderr)
+        return EXIT_ENCRYPTION
 
 
 if __name__ == "__main__":

@@ -270,9 +270,10 @@ class IntRing:
 
 
 class CipherRing:
-    """Ciphertexts under `pk`: the encrypted controllers.  Plaintext matrices
-    are reduced into [0, q), and a scalar becomes that multiple of the
-    identity, since `he` offers no other product."""
+    """Ciphertexts under `pk`: the encrypted controllers, and every party that
+    encrypts (`fresh`, which counts the ciphertext entries it makes).
+    Plaintext matrices are reduced into [0, q), and a scalar becomes that
+    multiple of the identity, since `he` offers no other product."""
 
     def __init__(self, pk, q: int, rng):
         self.pk, self.q, self.rng = pk, q, rng
@@ -437,11 +438,9 @@ class PrelimRecurrence:
 
 
 class MainEncController(MainRecurrence):
-    """Holds only the public key; iterates the converted observer controller on
-    ciphertexts and emits the observer output plus the bounded increments."""
-
-    def __init__(self, pk, plan: MainPlan, dims, rng):
-        super().__init__(CipherRing(pk, plan.q, rng), plan, dims)
+    """Holds only the public key (in its `CipherRing`); iterates the converted
+    observer controller on ciphertexts and emits the observer output plus the
+    bounded increments."""
 
     def bootstrap(self, x_e0_scaled):
         increments = super().bootstrap(x_e0_scaled)
@@ -465,26 +464,22 @@ class MainSensor:
     centered window around the measured output, and returns the encrypted
     quantized innovation."""
 
-    def __init__(self, pk, sk, plan: MainPlan, rng):
-        self.pk, self.sk = pk, sk
-        self.q = plan.q
+    def __init__(self, ring: CipherRing, sk, plan: MainPlan):
+        self.ring, self.sk = ring, sk
         self.s1 = plan.s1
         self.spec = QuantizerSpec(plan.range_level)
-        self.rng = rng
         self.dec_ops = 0
-        self.enc_ops = 0
 
     def step(self, y_o_ct, y_p, l_t: Fraction):
         dec = he.decrypt(self.sk, y_o_ct)
         self.dec_ops += len(dec)
         y_bar = [as_fraction(y) / l_t for y in y_p]
         prior = [yb / self.s1 for yb in y_bar]
-        lifted = centered_mod_recover(list(dec), prior, self.q)
+        lifted = centered_mod_recover(list(dec), prior, self.ring.q)
         y_o_s = [self.s1 * l_t * v for v in lifted]           # exact rationals
         innovation = [yb - self.s1 * v for yb, v in zip(y_bar, lifted)]
         q_inno, sat = quantize_vector(innovation, self.spec)
-        ct = he.encrypt(self.pk, [x % self.q for x in q_inno], self.rng)
-        self.enc_ops += len(q_inno)
+        ct = self.ring.fresh(q_inno)
         gap = max((abs(float(yb / self.s1 - v)) for yb, v in zip(y_bar, lifted)),
                   default=0.0)
         return y_o_s, lifted, q_inno, ct, sat, gap
@@ -494,14 +489,11 @@ class RefProvider:
     """Tracks its local copy of the reference estimate and streams encrypted
     quantized reference increments."""
 
-    def __init__(self, pk, plan: MainPlan, reference: RationalMatrix, rng):
-        self.pk = pk
-        self.q = plan.q
+    def __init__(self, ring: CipherRing, plan: MainPlan, reference: RationalMatrix):
+        self.ring = ring
         self.spec = QuantizerSpec(plan.range_level)
         self.r = list(reference.data)
         self.r_e = [Fraction(0)] * len(self.r)
-        self.rng = rng
-        self.enc_ops = 0
 
     def step(self, l_t: Fraction, r=None):
         if r is not None:
@@ -509,9 +501,7 @@ class RefProvider:
         err = [(r - re) / l_t for r, re in zip(self.r, self.r_e)]
         q_inc, sat = quantize_vector(err, self.spec)
         self.r_e = [re + l_t * qi for re, qi in zip(self.r_e, q_inc)]
-        ct = he.encrypt(self.pk, [x % self.q for x in q_inc], self.rng)
-        self.enc_ops += len(q_inc)
-        return q_inc, ct, sat
+        return q_inc, self.ring.fresh(q_inc), sat
 
 
 class MainActuator:
@@ -548,8 +538,7 @@ class MainActuator:
 
 
 class PrelimEncController(PrelimRecurrence):
-    def __init__(self, pk, plan: PrelimPlan, rng):
-        super().__init__(CipherRing(pk, plan.q, rng), plan)
+    """The directly converted controller on ciphertexts (a `CipherRing`)."""
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
@@ -655,13 +644,13 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     dims = dict(plan.dims)
     n, n_x, w_dim = dims["n"], dims["n_x"], dims["w"]
     v, n_r = dims["v"], dims["n_r"]
-    rng = random.Random(cfg.seed)
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
+    ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
 
-    controller = MainEncController(pk, plan, dims, rng)
+    controller = MainEncController(ring, plan, dims)
     shadow = MainIntegerShadow(plan, dims)
-    sensor = MainSensor(pk, sk, plan, rng)
-    provider = RefProvider(pk, plan, cfg.reference, rng)
+    sensor = MainSensor(ring, sk, plan)
+    provider = RefProvider(ring, plan, cfg.reference)
     actuator = MainActuator(sk, plan, dims)
     plant_sim = PlantSim(cfg.plant, cfg.x_p0)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
@@ -718,8 +707,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_ctrl_to_sensor += v
         trace.actuator_dec_ops = actuator.dec_ops
         trace.actuator_enc_ops = actuator.enc_ops
-        trace.enc_ops = (controller.ring.enc_ops + sensor.enc_ops + provider.enc_ops
-                         + actuator.enc_ops)
+        trace.enc_ops = ring.enc_ops
         trace.dec_ops = sensor.dec_ops + actuator.dec_ops
 
         _close_step(
@@ -754,10 +742,10 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     w_dim = cfg.ctrl.w
     v = cfg.plant.v
     n_r = cfg.ctrl.n_r
-    rng = random.Random(cfg.seed)
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
+    ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
 
-    controller = PrelimEncController(pk, plan, rng)
+    controller = PrelimEncController(ring, plan)
     shadow = PrelimIntegerShadow(plan)
     actuator = PrelimActuator(sk, plan, w_dim)
     plant_sim = PlantSim(cfg.plant, cfg.x_p0)
@@ -772,7 +760,6 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     ref = list(cfg.reference.data)
     q = plan.q
     prev_ut = None
-    edge_enc_ops = 0
 
     for t in range(cfg.horizon):
         r_t = cfg.reference_at(t)
@@ -783,11 +770,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         r_bar = [r / l_t for r in ref]
         q_y, _ = quantize_vector(y_bar, None)
         q_r, _ = quantize_vector(r_bar, None)
-        enc_y = he.encrypt(pk, [x % q for x in q_y], rng)
-        enc_r = he.encrypt(pk, [x % q for x in q_r], rng)
-        edge_enc_ops += v + n_r
-
-        u_ct = controller.step(enc_y, enc_r)
+        u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
         ut_true = shadow.step(q_y, q_r)
 
         fail = False
@@ -809,7 +792,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_provider_to_ctrl += n_r
         trace.actuator_dec_ops = actuator.dec_ops
         trace.actuator_enc_ops = actuator.enc_ops
-        trace.enc_ops = controller.ring.enc_ops + edge_enc_ops
+        trace.enc_ops = ring.enc_ops
         trace.dec_ops = actuator.dec_ops
 
         mx = max((abs(float(x)) for x in inc), default=0.0)

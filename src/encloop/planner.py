@@ -65,6 +65,11 @@ class NoIntegerOmegaError(PlannerError):
     pass
 
 
+class PinError(PlannerError):
+    """A value pinned in `MainPlanOptions` fails a check that the planner's
+    own choice of that value always passes."""
+
+
 # -- models --------------------------------------------------------------
 
 
@@ -164,6 +169,14 @@ def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> Feasibili
         "can both outrun the closed loop and integerize F"
     )
     return FeasibilityReport(rho_c, s_F, feasible, reason)
+
+
+class PrelimInfeasibleError(InfeasibleError):
+    """The preliminary route is infeasible; carries the feasibility report."""
+
+    def __init__(self, report: FeasibilityReport):
+        super().__init__(report.reason)
+        self.report = report
 
 
 # -- increment-magnitude bound for the preliminary route ------------------
@@ -292,10 +305,10 @@ def _common_scale(mats: Sequence[RationalMatrix]) -> Fraction:
     return g
 
 
-def _largest_decimal_l0(vectors, constraints_max=None, max_k: int = 24) -> Fraction:
-    """Largest 10^-k (k >= 0) dividing the given exact vectors entrywise and
-    satisfying l0 >= constraints_max when given."""
-    for k in range(max_k + 1):
+def _largest_decimal_l0(vectors, constraints_max=None) -> Fraction:
+    """Largest 10^-k (0 <= k <= 24) dividing the given exact vectors entrywise
+    and satisfying l0 >= constraints_max when given."""
+    for k in range(25):
         l0 = Fraction(1, 10**k)
         if constraints_max is not None and l0 < constraints_max:
             continue
@@ -328,7 +341,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     """Select (omega, s1, s2, l0, q) for the direct conversion route."""
     report = check_prelim_feasible(plant, ctrl)
     if not report.feasible:
-        raise InfeasibleError(report.reason)
+        raise PrelimInfeasibleError(report)
     omega = report.s_F  # largest admissible divisor of F in (rho_c, s_F]
     s2 = max_integer_scale(ctrl.H) if not ctrl.H.is_zero() else Fraction(1)
     s1 = _common_scale(
@@ -676,10 +689,9 @@ def q_bound_main(L: RationalMatrix, C: RationalMatrix, R_ref: RationalMatrix,
 class MainPlanOptions:
     L: Optional[RationalMatrix] = None          # runtime gain (certified)
     L_exact: Optional[RationalMatrix] = None    # exact companion, for the spectral report
-    grid_decimals: Optional[int] = None         # round a designed gain to this grid
     reference: Optional[RationalMatrix] = None  # constant reference (n_r x 1)
-    omega_max_pow10: int = 12
-    l0_max_pow10: int = 24
+    omega: Optional[Fraction] = None            # pinned zoom factor; chosen when None
+    l0: Optional[Fraction] = None               # pinned initial zoom; chosen when None
 
 
 @dataclass(frozen=True)
@@ -757,9 +769,9 @@ def _main_integer_targets(plant, ctrl, L, s2):
     }
 
 
-def _find_omega(targets: dict, max_pow10: int) -> Fraction:
-    # largest power of ten <= 1/2 that integerizes everything
-    for k in range(1, max_pow10 + 1):
+def _find_omega(targets: dict) -> Fraction:
+    # largest power of ten <= 1/2 (down to 1/10^12) that integerizes everything
+    for k in range(1, 13):
         omega = Fraction(1, 10**k)
         if all(is_integer_after_scale(m, omega)[0] for m in targets.values()):
             return omega
@@ -776,7 +788,11 @@ def _find_omega(targets: dict, max_pow10: int) -> Fraction:
 
 def plan_main(plant: PlantModel, ctrl: ControllerModel,
               options: MainPlanOptions = MainPlanOptions()) -> MainPlan:
-    """Select the observer gain and (omega, s1, s2, l0, q, range_level)."""
+    """Select the observer gain and (omega, s1, s2, l0, q, range_level).
+
+    A pinned omega or l0 replaces the planner's choice; everything downstream
+    (certificates, C_e, q, bootstrap_bound, range_level) is derived from it
+    as from a chosen one.  A pin that fails a check raises PinError."""
     n = plant.n
     rho_c = spectral_radius(block_closed_loop(plant, ctrl))
     if rho_c >= 1.0:
@@ -788,9 +804,8 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
     if options.L is not None:
         L = options.L
     else:
-        design = design_deadbeat_observer(plant.A, plant.C,
-                                          grid_decimals=options.grid_decimals)
-        L = design.L_grid if design.L_grid is not None else design.L
+        design = design_deadbeat_observer(plant.A, plant.C)
+        L = design.L
         L_exact = design.L if L_exact is None else L_exact
         deadbeat_index = design.nilpotency_index
 
@@ -817,7 +832,11 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
     s2 = _common_scale([ctrl.H, JC, ctrl.S])
 
     targets = _main_integer_targets(plant, ctrl, L, s2)
-    omega = _find_omega(targets, options.omega_max_pow10)
+    omega = options.omega
+    if omega is None:
+        omega = _find_omega(targets)
+    elif not 0 < omega < 1:
+        raise PinError(f"pinned omega = {fraction_to_str(omega)} does not lie in (0, 1)")
 
     certs = {}
     for name, mat in [("C/s1", plant.C), ("H/s2", ctrl.H), ("JC/s2", JC),
@@ -830,7 +849,9 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
     for name, mat in targets.items():
         ok, cert = is_integer_after_scale(mat, omega, source=name)
         if not ok:
-            raise NoIntegerOmegaError(f"{name} failed integrality at omega")
+            # _find_omega checks these very targets, so only a pin fails here
+            raise PinError(f"{name} fails integrality at the pinned omega = "
+                           f"{fraction_to_str(omega)}")
         certs[name] = cert
 
     # initial zoom: exact division of x0 (and the reference when it is exact
@@ -841,15 +862,23 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
     if ref is not None:
         ref_norm = max((abs(x) for x in ref.data), default=Fraction(0))
     floor_l0 = 2 * as_fraction(omega) * ref_norm
-    try:
-        # prefer an l0 that also divides the reference exactly: the scaled
-        # reference error then extinguishes after one step
-        vectors = [ctrl.x0.data] + ([ref.data] if ref is not None else [])
-        l0 = _largest_decimal_l0(vectors, constraints_max=floor_l0,
-                                 max_k=options.l0_max_pow10)
-    except InfeasibleError:
-        l0 = _largest_decimal_l0([ctrl.x0.data], constraints_max=floor_l0,
-                                 max_k=options.l0_max_pow10)
+    l0 = options.l0
+    if l0 is not None:
+        pinned = f"pinned l0 = {fraction_to_str(l0)}"
+        if l0 <= 0:
+            raise PinError(f"{pinned} is not positive")
+        if l0 < floor_l0:
+            raise PinError(f"{pinned} is below 2*omega*|r|_inf = {fraction_to_str(floor_l0)}")
+        if any((x / l0).denominator != 1 for x in ctrl.x0.data):
+            raise PinError(f"x0/l0 is not integral at the {pinned}")
+    else:
+        try:
+            # prefer an l0 that also divides the reference exactly: the scaled
+            # reference error then extinguishes after one step
+            vectors = [ctrl.x0.data] + ([ref.data] if ref is not None else [])
+            l0 = _largest_decimal_l0(vectors, constraints_max=floor_l0)
+        except InfeasibleError:
+            l0 = _largest_decimal_l0([ctrl.x0.data], constraints_max=floor_l0)
 
     # observer-error bound and the modulus
     e0 = float(plant.x_p0_bound / l0)

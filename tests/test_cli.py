@@ -1,6 +1,14 @@
 import json
+import re
+from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from encloop import cli, he, loop
 from encloop.cli import main
+from encloop.fixtures import batch_reactor, batch_reactor_exact_observer
+from encloop.planner import MainPlanOptions, plan_main
 
 
 def run_cli(capsys, *argv):
@@ -189,3 +197,109 @@ def test_zero_matrix_controller_rejected(capsys, tmp_path):
                            "--scheme", "prelim")
     assert code == 1
     assert "zero" in err.lower()
+
+
+PRELIM_CONFIG = {
+    "plant": {"A": [["0.4"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
+    "controller": {"F": [["0", "1/2"], ["0", "0"]],
+                   "G": [["0"], ["0"]], "R": [["0"], ["0"]],
+                   "H": [["0.05", "0.15"]], "J": [["0"]], "S": [["0"]],
+                   "x0": ["0", "0"]},
+    "reference": ["0"],
+    "x_p0": ["0.5"],
+    "scheme": "prelim",
+    "horizon": 40,
+}
+
+
+def exact_plan_pinned(**pins):
+    sc, design = batch_reactor(), batch_reactor_exact_observer()
+    return plan_main(sc.plant, sc.ctrl, MainPlanOptions(
+        L=design.L, L_exact=design.L, reference=sc.reference, **pins))
+
+
+def test_override_omega_replans_every_derived_value(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "exact", "--override", "omega=1/920000")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["q"] == str(2**68)
+    pinned = exact_plan_pinned(omega=Fraction(1, 920000))
+    assert rep == {**pinned.to_json(), "feasible": True}
+
+
+def test_override_omega_and_l0_equal_the_pinned_plan(capsys):
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "exact", "--override", "omega=1/920000",
+                           "--override", "l0=1/1000")
+    assert code == 0
+    pinned = exact_plan_pinned(omega=Fraction(1, 920000), l0=Fraction(1, 1000))
+    assert json.loads(out) == {**pinned.to_json(), "feasible": True}
+
+
+def test_override_l0_below_the_reference_floor_rejected(capsys):
+    code, _, err = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "exact", "--override", "l0=1e-30")
+    assert code == 1
+    assert "below" in err
+
+
+def test_sweep_prelim_rejects_omega_override(capsys):
+    code, _, err = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--horizon", "5", "--seeds", "1",
+                           "--override", "omega=1/2")
+    assert code == 1
+    assert "omega" in err
+
+
+def test_compare_applies_overrides(capsys):
+    code, _, err = run_cli(capsys, "compare", "--fixture", "batch-reactor",
+                           "--horizon", "5", "--override", "omega=1/3")
+    assert code == 1
+    assert "integrality" in err
+
+
+def test_config_overrides_are_validated(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "overrides": {"zoom": "0.5"}}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1
+    assert "zoom" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+def test_command_line_override_beats_config_override(capsys, tmp_path, command):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "overrides": {"q": 8}}))
+    code, out, _ = run_cli(capsys, command, "--config", str(path),
+                           "--override", "q=4096")
+    assert code == 0
+    rep = json.loads(out)
+    assert (rep["plan"] if command == "simulate" else rep)["q"] == "4096"
+
+
+def test_encryption_error_exits_5(capsys, monkeypatch):
+    def overflow(plan, cfg):
+        raise he.NoiseOverflowError("noise bound past the declared budget")
+
+    monkeypatch.setattr(loop, "run_closed_loop_main", overflow)
+    code, _, err = run_cli(capsys, "simulate", "--fixture", "batch-reactor",
+                           "--horizon", "5")
+    assert code == 5
+    assert err == "encryption error: noise bound past the declared budget\n"
+
+
+def documented_exit_codes(text: str) -> dict:
+    """{code: meaning} from an 'Exit codes: 0 success, 1 ....' sentence."""
+    sentence = text.split("Exit codes:", 1)[1].split(".", 1)[0]
+    return {int(code): " ".join(meaning.split())
+            for code, meaning in re.findall(r"`?(\d+)`? ([^,]+)", sentence)}
+
+
+def test_exit_codes_documented_as_defined():
+    defined = {v for k, v in vars(cli).items() if k.startswith("EXIT_")}
+    in_doc = documented_exit_codes(cli.__doc__)
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    in_readme = documented_exit_codes(readme.read_text())
+    assert set(in_doc) == defined
+    assert in_readme == in_doc

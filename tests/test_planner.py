@@ -20,6 +20,7 @@ from encloop.planner import (
     InfeasibleError,
     MainPlanOptions,
     NotObservableError,
+    PinError,
     PlantModel,
     check_prelim_feasible,
     compute_Ce,
@@ -395,3 +396,33 @@ class TestMainPlan:
             assert plan.rho_observer == 0.0
             assert plan.q & (plan.q - 1) == 0
             assert (1 / plan.omega).denominator == 1
+
+
+class TestPins:
+    def test_pinning_the_chosen_values_reproduces_the_plan(self, sound_plan, batch,
+                                                           batch_companion):
+        pinned = plan_main(batch.plant, batch.ctrl, MainPlanOptions(
+            L=batch_companion.L, L_exact=batch_companion.L, reference=batch.reference,
+            omega=sound_plan.omega, l0=sound_plan.l0))
+        assert pinned == sound_plan
+
+    def test_pinned_omega_must_integerize(self, batch, batch_companion):
+        with pytest.raises(PinError, match="integrality"):
+            plan_main(batch.plant, batch.ctrl, MainPlanOptions(
+                L=batch_companion.L, omega=Fraction(1, 3)))
+
+    @pytest.mark.parametrize("l0, check", [
+        (Fraction(0), "not positive"),
+        (Fraction(1, 2), "below"),          # floor 2 (1/10) 5 = 1
+        (Fraction(3), "x0/l0"),
+    ])
+    def test_pinned_l0_checks(self, l0, check):
+        A = rmat([[0, 1], [0, 0]])
+        ctrl = ControllerModel(
+            F=rmat([[0]]), G=rmat([[0, 0]]), R_ref=rmat([[1]]),
+            H=rmat([[0]]), J=rmat([[0, 0]]), S=rmat([[1]]), x0=rmat([[2]]),
+        )
+        plant = PlantModel(A=A, B=rmat([[0], [1]]), C=RationalMatrix.identity(2))
+        options = MainPlanOptions(L=A, L_exact=A, reference=rmat([[5]]), l0=l0)
+        with pytest.raises(PinError, match=check):
+            plan_main(plant, ctrl, options)
