@@ -19,13 +19,12 @@ from .exactmat import (
     fraction_to_str,
     matrix_from_json,
 )
-from .fixtures import FIXTURES, Scenario, batch_reactor_exact_observer
+from .fixtures import FIXTURES, Scenario
 from .planner import (
     ControllerModel,
     InfeasibleError,
     MainPlan,
     MainPlanOptions,
-    NoIntegerOmegaError,
     NotObservableError,
     PinError,
     PlannerError,
@@ -121,29 +120,21 @@ def _overrides(args, cfg: dict, scheme: str) -> dict:
 
 
 def _observer_for(scenario: Scenario, mode: str):
-    """Resolve the observer gain pair (runtime L, exact companion) for a scenario."""
+    """Resolve the observer gain pair (runtime L, exact companion) for a scenario:
+    `published` runs the published gain, `exact` its exact deadbeat companion
+    (a fresh design when there is no published gain), `design` a fresh design."""
+    A, C, L_published = scenario.plant.A, scenario.plant.C, scenario.L_published
+    if mode == "design" or (mode == "exact" and L_published is None):
+        L = design_deadbeat_observer(A, C).L
+        return L, L
+    if L_published is None:
+        raise ConfigError("scenario carries no published observer gain")
+    companion = recover_exact_deadbeat(A, C, L_published)
     if mode == "published":
-        if scenario.L_published is None:
-            raise ConfigError("scenario carries no published observer gain")
-        L = scenario.L_published
-        rec = recover_exact_deadbeat(scenario.plant.A, scenario.plant.C, L)
-        return L, (rec.L if rec is not None else None)
-    if mode == "exact":
-        if scenario.L_published is not None:
-            if scenario.name == "batch-reactor":
-                design = batch_reactor_exact_observer()
-            else:
-                design = recover_exact_deadbeat(
-                    scenario.plant.A, scenario.plant.C, scenario.L_published)
-            if design is None:
-                raise ConfigError("no exact deadbeat companion near the published gain")
-            return design.L, design.L
-        design = design_deadbeat_observer(scenario.plant.A, scenario.plant.C)
-        return design.L, design.L
-    if mode == "design":
-        design = design_deadbeat_observer(scenario.plant.A, scenario.plant.C)
-        return design.L, design.L
-    raise ConfigError(f"unknown observer mode {mode!r}")
+        return L_published, (companion.L if companion is not None else None)
+    if companion is None:
+        raise ConfigError("no exact deadbeat companion near the published gain")
+    return companion.L, companion.L
 
 
 def _plan(args, scenario: Scenario, cfg: dict):
@@ -152,6 +143,8 @@ def _plan(args, scenario: Scenario, cfg: dict):
     which derives every other value from them; q and range_level are set on
     the finished plan as given, so they can void its guarantees."""
     scheme = args.scheme or cfg.get("scheme", "main")
+    if scheme not in ("main", "prelim"):
+        raise ConfigError(f"unknown scheme {scheme!r}; have ['main', 'prelim']")
     overrides = _overrides(args, cfg, scheme)
     if scheme == "prelim":
         ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
@@ -200,7 +193,9 @@ def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemePara
 def _run_config(args, cfg: dict, scenario: Scenario, plan, seed: int) -> loop.RunConfig:
     """The run settings: the command line's, else the config's, else the defaults."""
     backend = args.backend or cfg.get("backend", "mock")
-    horizon = args.horizon or int(cfg.get("horizon", 100))
+    horizon = args.horizon if args.horizon is not None else int(cfg.get("horizon", 100))
+    if horizon < 1:
+        raise ConfigError(f"horizon must be >= 1, got {horizon}")
     return loop.RunConfig(
         plant=scenario.plant, ctrl=scenario.ctrl, reference=scenario.reference,
         x_p0=scenario.x_p0, horizon=horizon,
@@ -274,13 +269,23 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _hypothetical_dims(spec: str) -> tuple:
+    """(n, n_x, w) from "n=..,n_x=..,w=..", each a nonnegative integer."""
+    dims = {}
+    for part in spec.split(","):
+        k, _, v = part.partition("=")
+        try:
+            dims[k.strip()] = int(v)
+        except ValueError:
+            raise ConfigError(f"--hypothetical {part!r} is not key=integer")
+    if sorted(dims) != ["n", "n_x", "w"] or min(dims.values()) < 0:
+        raise ConfigError(f"--hypothetical needs n, n_x and w, each >= 0; got {spec!r}")
+    return dims["n"], dims["n_x"], dims["w"]
+
+
 def cmd_compare(args) -> int:
     if args.hypothetical:
-        dims = {}
-        for part in args.hypothetical.split(","):
-            k, v = part.split("=")
-            dims[k.strip()] = int(v)
-        n, n_x, w = dims["n"], dims["n_x"], dims["w"]
+        n, n_x, w = _hypothetical_dims(args.hypothetical)
         measured = None
     else:
         scenario, cfg = _load_scenario(args)
@@ -379,7 +384,7 @@ def main(argv=None) -> int:
     except (ConfigError, PinError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InfeasibleError, NoIntegerOmegaError) as e:
+    except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except (NotObservableError, PlannerError) as e:

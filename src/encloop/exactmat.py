@@ -187,9 +187,6 @@ class RationalMatrix:
     def is_zero(self) -> bool:
         return all(x == 0 for x in self.data)
 
-    def is_integer(self) -> bool:
-        return all(x.denominator == 1 for x in self.data)
-
     def inverse(self) -> "RationalMatrix":
         """Exact Gauss-Jordan inverse."""
         if self.rows != self.cols:
@@ -312,18 +309,24 @@ class IntegralityCertificate:
     def as_matrix(self) -> RationalMatrix:
         return RationalMatrix(self.rows, self.cols, [Fraction(v) for v in self.scaled_entries])
 
+    def int_rows(self) -> list:
+        """The integer matrix as a list of row lists."""
+        return [list(self.scaled_entries[i * self.cols:(i + 1) * self.cols])
+                for i in range(self.rows)]
 
-def max_integer_scale(m: RationalMatrix) -> Fraction:
-    """Largest a in (0, 1] such that m/a is an integer matrix.
 
-    The rational gcd g of the nonzero entries is the largest unrestricted
+def max_integer_scale(*mats: RationalMatrix) -> Fraction:
+    """Largest a in (0, 1] such that every m/a is an integer matrix.
+
+    The rational gcd g of all nonzero entries is the largest unrestricted
     scale; when g > 1 the answer is its largest divisor not exceeding 1,
-    g/ceil(g).  Raises ZeroMatrixError for an all-zero matrix.
+    g/ceil(g).  Raises ZeroMatrixError when every entry is zero.
     """
     g = Fraction(0)
-    for x in m.data:
-        if x != 0:
-            g = rational_gcd(g, x)
+    for m in mats:
+        for x in m.data:
+            if x != 0:
+                g = rational_gcd(g, x)
     if g == 0:
         raise ZeroMatrixError("all-zero matrix has no integer scale")
     if g > 1:

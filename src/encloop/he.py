@@ -282,18 +282,3 @@ def noise_report(ct: Ciphertext) -> NoiseReport:
     nb = float(ct.noise_bound.bit_length())
     return NoiseReport(nb, budget, budget - nb)
 
-
-# -- serialization -------------------------------------------------------
-
-
-def plain_vector_to_json(v: Sequence[int]) -> list:
-    """Z_q vectors travel as decimal-integer strings (JSON numbers would lose
-    precision past 2^53)."""
-    return [str(int(x)) for x in v]
-
-
-def plain_vector_from_json(obj, q: int) -> Tuple[int, ...]:
-    vals = tuple(int(x) for x in obj)
-    _check_plain(vals, q)
-    return vals
-

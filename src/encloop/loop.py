@@ -69,12 +69,6 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int):
     return out
 
 
-def _imat(cert) -> list:
-    """Integer matrix (list of row lists) from an integrality certificate."""
-    return [list(cert.scaled_entries[i * cert.cols : (i + 1) * cert.cols])
-            for i in range(cert.rows)]
-
-
 def _inorm(v):
     return max((abs(x) for x in v), default=0)
 
@@ -310,7 +304,7 @@ PRELIM_CERTIFICATES = {"F": "F/omega", "G": "G/(s1*omega)", "R": "R/(s1*omega)",
 def _load(ring, certs, names: dict, sign: int = 1) -> SimpleNamespace:
     """The certified integer matrices, times `sign`, as plaintexts of `ring`."""
     return SimpleNamespace(**{
-        key: ring.plain([[sign * x for x in row] for row in _imat(certs[name])])
+        key: ring.plain([[sign * x for x in row] for row in certs[name].int_rows()])
         for key, name in names.items()})
 
 
@@ -476,13 +470,12 @@ class MainSensor:
         y_bar = [as_fraction(y) / l_t for y in y_p]
         prior = [yb / self.s1 for yb in y_bar]
         lifted = centered_mod_recover(list(dec), prior, self.ring.q)
-        y_o_s = [self.s1 * l_t * v for v in lifted]           # exact rationals
         innovation = [yb - self.s1 * v for yb, v in zip(y_bar, lifted)]
         q_inno, sat = quantize_vector(innovation, self.spec)
         ct = self.ring.fresh(q_inno)
         gap = max((abs(float(yb / self.s1 - v)) for yb, v in zip(y_bar, lifted)),
                   default=0.0)
-        return y_o_s, lifted, q_inno, ct, sat, gap
+        return lifted, q_inno, ct, sat, gap
 
 
 class RefProvider:
@@ -685,7 +678,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             trace.oracle_mismatches += 1
 
         y_p = plant_sim.output()
-        y_o_s, lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_p, l_t)
+        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_p, l_t)
         if lifted_y != shadow.y_o():
             fail = True
         r_t = cfg.reference_at(t)

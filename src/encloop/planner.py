@@ -8,8 +8,14 @@ Two conversion routes for a pre-given controller:
 
 * main: a deadbeat observer decouples omega from the closed-loop rate, so an
   integerizing omega always exists; the modulus and quantizer range come from
-  worst-case bounds on the transmitted increments.
+  worst-case bounds on the transmitted increments.  The caller supplies the
+  observer gain (`MainPlanOptions.L`: a published gain, its exact companion
+  from `recover_exact_deadbeat`, or a `design_deadbeat_observer` design), and
+  the observer-error bound C_e is a finite sum up to the gain's nilpotency
+  index (`compute_Ce(..., deadbeat_index)`).
 
+Each scale is the largest integerizing one (`exactmat.max_integer_scale`);
+each zoom (omega, l0) is the largest power of ten that passes its checks.
 Everything that gates an exact property (integrality, nilpotency) is computed
 in rational arithmetic; series bounds and spectra run in floats.
 """
@@ -19,13 +25,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .exactmat import (
     DimensionMismatchError,
     RationalMatrix,
+    ZeroMatrixError,
     as_fraction,
     block,
     block_closed_loop,
@@ -35,7 +42,6 @@ from .exactmat import (
     is_integer_after_scale,
     matrix_to_json,
     max_integer_scale,
-    rational_gcd,
     spectral_radius,
     vstack,
 )
@@ -58,10 +64,6 @@ class DivergentError(PlannerError):
 
 
 class NotObservableError(PlannerError):
-    pass
-
-
-class NoIntegerOmegaError(PlannerError):
     pass
 
 
@@ -151,18 +153,13 @@ class FeasibilityReport:
     reason: str
 
 
-def coarsest_scale_of_F(ctrl: ControllerModel) -> Fraction:
-    """Largest a in (0,1] with F/a integer (the controller's own granularity)."""
-    return max_integer_scale(ctrl.F)
-
-
 def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> FeasibilityReport:
     rho_c = spectral_radius(block_closed_loop(plant, ctrl))
     if rho_c >= 1.0:
         raise AssumptionViolatedError(
             f"closed loop is not contractive: rho_c = {rho_c:.6f} >= 1"
         )
-    s_F = coarsest_scale_of_F(ctrl)
+    s_F = max_integer_scale(ctrl.F)  # the controller's own granularity
     feasible = rho_c < float(s_F)
     reason = "" if feasible else (
         f"rho_c = {rho_c:.4f} >= s_F = {fraction_to_str(s_F)}: no zoom factor "
@@ -200,15 +197,18 @@ def stacked_error_bound(v: int, w: int, n_r: int, omega) -> float:
     return math.sqrt(v + w + n_r) * (0.5 + 0.5 / float(as_fraction(omega)))
 
 
+M_SERIES_RTOL = 1e-12
+M_SERIES_MAX_TERMS = 20000
+
+
 def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
-              delta0_bound: float, *, rtol: float = 1e-12,
-              max_terms: int = 20000) -> float:
+              delta0_bound: float) -> float:
     """Uniform bound on the stacked one-step state differences delta(t).
 
     delta obeys delta(t+1) = (A_cl/omega) delta(t) + (Bbar/omega) e(t) with
     ||e(t)||_2 <= sqrt(v+w+n_r) (1/2 + 1/(2 omega)); the bound is the seeded
     transient supremum plus the geometric series of 2-norm power terms,
-    truncated once terms fall below rtol of the partial sum.
+    truncated once terms fall below M_SERIES_RTOL of the partial sum.
     """
     omega = as_fraction(omega)
     A_cl, Bbar = _coupling_blocks(plant, ctrl)
@@ -224,12 +224,12 @@ def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
     Pk = np.eye(P.shape[0])
     series = 0.0
     transient = 0.0
-    for k in range(max_terms):
+    for k in range(M_SERIES_MAX_TERMS):
         nk = float(np.linalg.norm(Pk, 2))
         transient = max(transient, nk * delta0_bound)
         term = nk * b2 * e_max
         series += term
-        if k > 0 and term <= rtol * series:
+        if k > 0 and term <= M_SERIES_RTOL * series:
             break
         Pk = Pk @ P
     else:
@@ -272,68 +272,41 @@ class PrelimPlan:
             "u0_bound": self.u0_bound,
             "rho_c": self.rho_c,
             "s_F": fraction_to_str(self.s_F),
-            "certificates": {
-                name: {
-                    "scale": fraction_to_str(cert.scale),
-                    "shape": [cert.rows, cert.cols],
-                }
-                for name, cert in self.certificates.items()
-            },
+            "certificates": _certificates_json(self.certificates),
         }
 
 
-def _unclamped_scale(m: RationalMatrix) -> Optional[Fraction]:
-    """Rational gcd of nonzero entries, or None for an all-zero matrix."""
-    g = Fraction(0)
-    for x in m.data:
-        if x != 0:
-            g = rational_gcd(g, x)
-    return g if g != 0 else None
+def _certificates_json(certs: dict) -> dict:
+    return {name: {"scale": fraction_to_str(cert.scale), "shape": [cert.rows, cert.cols]}
+            for name, cert in certs.items()}
 
 
-def _common_scale(mats: Sequence[RationalMatrix]) -> Fraction:
-    """Largest s in (0,1] dividing every entry of every matrix (1 if all zero)."""
-    g = Fraction(0)
-    for m in mats:
-        u = _unclamped_scale(m)
-        if u is not None:
-            g = rational_gcd(g, u)
-    if g == 0:
+def _common_scale(*mats: RationalMatrix) -> Fraction:
+    """`max_integer_scale` of the matrices, or 1 when every entry is zero."""
+    try:
+        return max_integer_scale(*mats)
+    except ZeroMatrixError:
         return Fraction(1)
-    if g > 1:
-        g = g / math.ceil(g)
-    return g
 
 
-def _largest_decimal_l0(vectors, constraints_max=None) -> Fraction:
-    """Largest 10^-k (0 <= k <= 24) dividing the given exact vectors entrywise
-    and satisfying l0 >= constraints_max when given."""
-    for k in range(25):
-        l0 = Fraction(1, 10**k)
-        if constraints_max is not None and l0 < constraints_max:
-            continue
-        ok = True
-        for vec in vectors:
-            for x in vec:
-                if (as_fraction(x) / l0).denominator != 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return l0
-    raise InfeasibleError("no decimal initial zoom l0 satisfies the exactness constraints")
+def _largest_power_of_ten(ks, passes) -> Optional[Fraction]:
+    """The largest 10^-k over k in ks that passes the check, or None."""
+    return next((x for x in (Fraction(1, 10**k) for k in ks) if passes(x)), None)
+
+
+def _largest_decimal_l0(vectors, floor=0) -> Fraction:
+    """Largest 10^-k (0 <= k <= 24) of at least `floor` that divides the given
+    exact vectors entrywise."""
+    l0 = _largest_power_of_ten(range(25), lambda l0: l0 >= floor and all(
+        (x / l0).denominator == 1 for vec in vectors for x in vec))
+    if l0 is None:
+        raise InfeasibleError("no decimal initial zoom l0 satisfies the exactness constraints")
+    return l0
 
 
 def _pow2_above(x: float) -> int:
-    """Smallest power of two strictly exceeding x."""
-    if x < 1:
-        return 1
-    k = math.frexp(x)[1]  # 2**(k-1) <= x < 2**k
-    q = 1 << (k - 1)
-    while q <= x:
-        q <<= 1
-    return q
+    """Smallest power of two strictly exceeding x (for finite x >= 0)."""
+    return 1 << math.floor(x).bit_length()
 
 
 def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
@@ -343,11 +316,9 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     if not report.feasible:
         raise PrelimInfeasibleError(report)
     omega = report.s_F  # largest admissible divisor of F in (rho_c, s_F]
-    s2 = max_integer_scale(ctrl.H) if not ctrl.H.is_zero() else Fraction(1)
-    s1 = _common_scale(
-        [ctrl.G.scale(1 / omega), ctrl.R_ref.scale(1 / omega),
-         ctrl.J.scale(1 / s2), ctrl.S.scale(1 / s2)]
-    )
+    s2 = _common_scale(ctrl.H)
+    s1 = _common_scale(ctrl.G.scale(1 / omega), ctrl.R_ref.scale(1 / omega),
+                       ctrl.J.scale(1 / s2), ctrl.S.scale(1 / s2))
 
     certs = {}
     for name, mat, scale in [
@@ -413,8 +384,6 @@ class DeadbeatDesign:
     L: RationalMatrix              # exact rational gain, rho(A - L C) = 0
     nilpotency_index: int          # smallest mu with (A - L C)^mu = 0
     rho_eig_float: float           # what a double-precision eigensolver reports
-    L_grid: Optional[RationalMatrix] = None   # decimal rounding, if requested
-    rho_grid_float: Optional[float] = None
 
 
 def observability_matrix(A: RationalMatrix, C: RationalMatrix) -> RationalMatrix:
@@ -519,27 +488,8 @@ def _multi_input_deadbeat(Abar: RationalMatrix, Bbar: RationalMatrix) -> Rationa
     return gk1 - K0                # Abar - Bbar K = M - bsel k1
 
 
-def round_to_decimal_grid(m: RationalMatrix, decimals: int) -> RationalMatrix:
-    scale = 10**decimals
-    vals = []
-    for x in m.data:
-        n2 = x.numerator * scale * 2
-        d = x.denominator
-        # round half away from zero
-        q_, r_ = divmod(abs(n2), 2 * d)
-        rounded = q_ + (1 if r_ >= d else 0)
-        vals.append(Fraction(rounded if n2 >= 0 else -rounded, scale))
-    return RationalMatrix(m.rows, m.cols, vals)
-
-
-def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix, *,
-                             grid_decimals: Optional[int] = None) -> DeadbeatDesign:
-    """Exact rational observer gain L with (A - L C)^n = 0, verified exactly.
-
-    When grid_decimals is given, a decimal rounding of L is attached for
-    integrality certification; the rounding generally destroys exact
-    nilpotency, so both spectral radii are reported.
-    """
+def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix) -> DeadbeatDesign:
+    """Exact rational observer gain L with (A - L C)^n = 0, verified exactly."""
     n = A.rows
     if observability_matrix(A, C).rank() < n:
         raise NotObservableError("(A, C) is not observable")
@@ -549,29 +499,19 @@ def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix, *,
     idx = _nilpotency_index(N)
     if idx is None:
         raise PlannerError("deadbeat construction failed exact verification")
-    design = DeadbeatDesign(
-        L=L, nilpotency_index=idx, rho_eig_float=spectral_radius(N),
-    )
-    if grid_decimals is not None:
-        Lg = round_to_decimal_grid(L, grid_decimals)
-        rg = spectral_radius(A - Lg @ C)
-        design = DeadbeatDesign(
-            L=L, nilpotency_index=idx, rho_eig_float=design.rho_eig_float,
-            L_grid=Lg, rho_grid_float=rg,
-        )
-    return design
+    return DeadbeatDesign(L=L, nilpotency_index=idx, rho_eig_float=spectral_radius(N))
 
 
 def recover_exact_deadbeat(A: RationalMatrix, C: RationalMatrix,
-                           L_seed: RationalMatrix, *,
-                           max_denominator: int = 10**7) -> Optional[DeadbeatDesign]:
+                           L_seed: RationalMatrix) -> Optional[DeadbeatDesign]:
     """Snap a near-deadbeat gain to the exact nilpotent variety.
 
     Newton/least-squares descent on vec((A - L C)^mu) from the seed, then
-    rationalize entrywise and verify nilpotency exactly.  Returns None when
-    no exactly-nilpotent rational gain is found near the seed.
+    rationalize entrywise (denominators up to 10^7) and verify nilpotency
+    exactly.  Returns None when no exactly-nilpotent rational gain is found
+    near the seed.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import least_squares  # lazy: only this route needs scipy
 
     Af = A.to_floats()
     Cf = C.to_floats()
@@ -586,7 +526,7 @@ def recover_exact_deadbeat(A: RationalMatrix, C: RationalMatrix,
         sol = least_squares(resid, seed, xtol=3e-16, ftol=3e-16, gtol=3e-16)
         if not np.all(np.isfinite(sol.x)):
             continue
-        for max_den in (10**4, 10**6, max_denominator):
+        for max_den in (10**4, 10**6, 10**7):
             entries = [
                 Fraction(float(x)).limit_denominator(max_den) for x in sol.x
             ]
@@ -612,50 +552,32 @@ class CeResult:
 
 
 def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
-               e0_bound: float, *, deadbeat_index: Optional[int] = None,
-               rtol: float = 1e-12, max_terms: int = 20000) -> CeResult:
+               e0_bound: float, deadbeat_index: int) -> CeResult:
     """Upper bound on the scaled observer error driven by quantization noise.
 
-    C_e = max(1/2, sup_k ||Abar^k|| e0 + sum_k ||Abar^k Lbar||/2) with
-    Abar = (A - L C)/omega.  For an exactly deadbeat L the sum terminates at
-    the nilpotency index.  When a deadbeat_index is declared for a gain that
-    is only approximately nilpotent (e.g. a decimal rounding), the sum is
-    truncated at that horizon and tail_sound reports whether the discarded
-    tail actually contracts.
+    C_e = max(1/2, max_{k<mu} ||Abar^k|| e0 + sum_{k<mu} ||Abar^k Lbar||/2)
+    with Abar = (A - L C)/omega, Lbar = L/omega and mu = deadbeat_index, a
+    finite sum.  For an exactly deadbeat L of index mu the discarded tail is
+    zero; for a gain that is only approximately nilpotent (e.g. a decimal
+    rounding) tail_sound reports whether the tail contracts (rho(Abar) < 1)
+    or vanishes in floats.
     """
     w = float(as_fraction(omega))
     Nf = (A - L @ C).to_floats() / w
     Lf = L.to_floats() / w
     rho = float(np.max(np.abs(np.linalg.eigvals(Nf)))) if Nf.size else 0.0
-    horizon = deadbeat_index if deadbeat_index is not None else None
-    if rho >= 1.0 - 1e-12 and horizon is None:
-        raise DivergentError(
-            f"rho((A - L C)/omega) = {rho:.4f} >= 1 and no deadbeat horizon declared"
-        )
-    terms = []
-    transient = e0_bound
+    terms, series, transient = [], 0.0, e0_bound
     Pk = np.eye(Nf.shape[0])
-    series = 0.0
-    k = 0
-    while True:
-        term = 0.5 * float(np.linalg.norm(Pk @ Lf, np.inf))
-        terms.append(term)
-        series += term
-        k += 1
+    for k in range(deadbeat_index):          # Pk = Abar^k
+        if k:
+            transient = max(transient, float(np.linalg.norm(Pk, np.inf)) * e0_bound)
+        terms.append(0.5 * float(np.linalg.norm(Pk @ Lf, np.inf)))
+        series += terms[-1]
         Pk = Pk @ Nf
-        nk = float(np.linalg.norm(Pk, np.inf))
-        if horizon is not None and k >= horizon:
-            break
-        transient = max(transient, nk * e0_bound)
-        if nk == 0.0 or (k >= (horizon or 1) and term <= rtol * max(series, 1.0) and rho < 1.0):
-            break
-        if k >= max_terms:
-            raise DivergentError("observer-error series did not converge")
     tail_norm = float(np.linalg.norm(Pk @ Lf, np.inf))
-    tail_sound = rho < 1.0 or tail_norm == 0.0
-    value = max(0.5, transient + series)
-    return CeResult(value=value, tail_sound=tail_sound,
-                    truncation_index=k, terms=tuple(terms))
+    return CeResult(value=max(0.5, transient + series),
+                    tail_sound=rho < 1.0 or tail_norm == 0.0,
+                    truncation_index=deadbeat_index, terms=tuple(terms))
 
 
 # -- modulus bound -----------------------------------------------------------
@@ -687,7 +609,7 @@ def q_bound_main(L: RationalMatrix, C: RationalMatrix, R_ref: RationalMatrix,
 
 @dataclass(frozen=True)
 class MainPlanOptions:
-    L: Optional[RationalMatrix] = None          # runtime gain (certified)
+    L: RationalMatrix                           # runtime gain (certified)
     L_exact: Optional[RationalMatrix] = None    # exact companion, for the spectral report
     reference: Optional[RationalMatrix] = None  # constant reference (n_r x 1)
     omega: Optional[Fraction] = None            # pinned zoom factor; chosen when None
@@ -739,20 +661,11 @@ class MainPlan:
             "bootstrap_bound": self.bootstrap_bound,
             "dims": dict(self.dims),
             "L": matrix_to_json(self.L),
-            "certificates": {
-                name: {
-                    "scale": fraction_to_str(cert.scale),
-                    "shape": [cert.rows, cert.cols],
-                }
-                for name, cert in self.certificates.items()
-            },
+            "certificates": _certificates_json(self.certificates),
         }
         if include_integer_matrices:
-            out["integer_matrices"] = {
-                name: [list(cert.scaled_entries[i * cert.cols : (i + 1) * cert.cols])
-                       for i in range(cert.rows)]
-                for name, cert in self.certificates.items()
-            }
+            out["integer_matrices"] = {name: cert.int_rows()
+                                       for name, cert in self.certificates.items()}
         return out
 
 
@@ -770,25 +683,18 @@ def _main_integer_targets(plant, ctrl, L, s2):
 
 
 def _find_omega(targets: dict) -> Fraction:
-    # largest power of ten <= 1/2 (down to 1/10^12) that integerizes everything
-    for k in range(1, 13):
-        omega = Fraction(1, 10**k)
-        if all(is_integer_after_scale(m, omega)[0] for m in targets.values()):
-            return omega
-    # exact fallback: 1/lcm of all denominators (and at most 1/2)
-    lcm = 2
-    for m in targets.values():
-        d = m.denominator_lcm()
-        lcm = lcm * d // math.gcd(lcm, d)
-    omega = Fraction(1, lcm)
-    if not all(is_integer_after_scale(m, omega)[0] for m in targets.values()):
-        raise NoIntegerOmegaError("no rational zoom factor integerizes the converted controller")
+    """Largest 10^-k (1 <= k <= 12) that integerizes every target, else
+    1/lcm of all their denominators and 2, which always does."""
+    omega = _largest_power_of_ten(range(1, 13), lambda omega: all(
+        is_integer_after_scale(m, omega)[0] for m in targets.values()))
+    if omega is None:
+        omega = Fraction(1, math.lcm(2, *(m.denominator_lcm() for m in targets.values())))
     return omega
 
 
-def plan_main(plant: PlantModel, ctrl: ControllerModel,
-              options: MainPlanOptions = MainPlanOptions()) -> MainPlan:
-    """Select the observer gain and (omega, s1, s2, l0, q, range_level).
+def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions) -> MainPlan:
+    """Select (omega, s1, s2, l0, q, range_level) for the observer gain
+    `options.L`.
 
     A pinned omega or l0 replaces the planner's choice; everything downstream
     (certificates, C_e, q, bootstrap_bound, range_level) is derived from it
@@ -797,39 +703,23 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
     rho_c = spectral_radius(block_closed_loop(plant, ctrl))
     if rho_c >= 1.0:
         raise AssumptionViolatedError(f"rho_c = {rho_c:.6f} >= 1")
-
-    # observer gain: supplied, or designed exactly
-    L_exact = options.L_exact
-    deadbeat_index = None
-    if options.L is not None:
-        L = options.L
-    else:
-        design = design_deadbeat_observer(plant.A, plant.C)
-        L = design.L
-        L_exact = design.L if L_exact is None else L_exact
-        deadbeat_index = design.nilpotency_index
-
     if observability_matrix(plant.A, plant.C).rank() < n:
         raise NotObservableError("(A, C) is not observable")
 
-    # spectral report: the exact companion when available, else the runtime gain
-    L_best = L_exact if L_exact is not None else L
+    # observer report: the spectrum of the exact companion when given, else of
+    # the runtime gain; the C_e sum runs to the runtime gain's nilpotency index,
+    # or to n when it is not nilpotent (a grid-rounded gain)
+    L = options.L
+    L_best = options.L_exact if options.L_exact is not None else L
     rho_eig = spectral_radius(plant.A - L_best @ plant.C)
-    nilp_idx = _nilpotency_index(plant.A - L_best @ plant.C)
-    rho_observer = 0.0 if nilp_idx is not None else rho_eig
-    rho_grid = None
-    if L_exact is not None and L != L_exact:
-        rho_grid = spectral_radius(plant.A - L @ plant.C)
-    if deadbeat_index is None:
-        if nilp_idx is not None and L == L_best:
-            deadbeat_index = nilp_idx
-        else:
-            deadbeat_index = n  # design horizon for a grid-rounded gain
+    rho_observer = 0.0 if _nilpotency_index(plant.A - L_best @ plant.C) else rho_eig
+    rho_grid = spectral_radius(plant.A - L @ plant.C) if L != L_best else None
+    deadbeat_index = _nilpotency_index(plant.A - L @ plant.C) or n
 
     # scales
     s1 = max_integer_scale(plant.C)
     JC = ctrl.J @ plant.C
-    s2 = _common_scale([ctrl.H, JC, ctrl.S])
+    s2 = _common_scale(ctrl.H, JC, ctrl.S)
 
     targets = _main_integer_targets(plant, ctrl, L, s2)
     omega = options.omega
@@ -839,9 +729,8 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
         raise PinError(f"pinned omega = {fraction_to_str(omega)} does not lie in (0, 1)")
 
     certs = {}
-    for name, mat in [("C/s1", plant.C), ("H/s2", ctrl.H), ("JC/s2", JC),
-                      ("S/s2", ctrl.S)]:
-        scale = s1 if name == "C/s1" else s2
+    for name, mat, scale in [("C/s1", plant.C, s1), ("H/s2", ctrl.H, s2),
+                             ("JC/s2", JC, s2), ("S/s2", ctrl.S, s2)]:
         ok, cert = is_integer_after_scale(mat, scale, source=name)
         if not ok:
             raise InfeasibleError(f"{name} failed integrality")
@@ -876,13 +765,13 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel,
             # prefer an l0 that also divides the reference exactly: the scaled
             # reference error then extinguishes after one step
             vectors = [ctrl.x0.data] + ([ref.data] if ref is not None else [])
-            l0 = _largest_decimal_l0(vectors, constraints_max=floor_l0)
+            l0 = _largest_decimal_l0(vectors, floor_l0)
         except InfeasibleError:
-            l0 = _largest_decimal_l0([ctrl.x0.data], constraints_max=floor_l0)
+            l0 = _largest_decimal_l0([ctrl.x0.data], floor_l0)
 
     # observer-error bound and the modulus
     e0 = float(plant.x_p0_bound / l0)
-    ce = compute_Ce(plant.A, plant.C, L, omega, e0, deadbeat_index=deadbeat_index)
+    ce = compute_Ce(plant.A, plant.C, L, omega, e0, deadbeat_index)
 
     bound = q_bound_main(L, plant.C, ctrl.R_ref, ctrl.S, s1, s2, omega, ce.value)
 

@@ -1,13 +1,19 @@
+import argparse
+import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import encloop
 from encloop import cli, he, loop
 from encloop.cli import main
-from encloop.fixtures import batch_reactor, batch_reactor_exact_observer
+from encloop.fixtures import FIXTURES, batch_reactor, batch_reactor_exact_observer
 from encloop.planner import MainPlanOptions, plan_main
 
 
@@ -303,3 +309,95 @@ def test_exit_codes_documented_as_defined():
     in_readme = documented_exit_codes(readme.read_text())
     assert set(in_doc) == defined
     assert in_readme == in_doc
+
+
+def _plan_digest(plan) -> str:
+    """SHA-256 over a plan's exact fields: the scales, the modulus, the
+    quantizer range, the observer report, the gain, the dimensions and every
+    certificate's scale and integer rows.  The float bounds are left out, as
+    their last bits vary with the BLAS build."""
+    fields = [(name, getattr(plan, name)) for name in (
+        "omega", "s1", "s2", "l0", "q", "range_level", "deadbeat_index",
+        "tail_sound", "L", "dims") if hasattr(plan, name)]
+    certs = [(name, cert.scale, cert.int_rows())
+             for name, cert in sorted(plan.certificates.items())]
+    h = hashlib.sha256()
+    for part in (fields, certs):
+        h.update(repr(part).encode())
+    return h.hexdigest()
+
+
+GOLDEN_PLANS = [
+    # (fixture, scheme, observer, overrides, digest)
+    ("batch-reactor", "main", "published", [],
+     "68b967504950adc4d61d0cad17604c6e13dcac346c3a4da627c25fd56b54b9ef"),
+    ("batch-reactor", "main", "exact", [],
+     "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
+    ("batch-reactor", "main", "design", [],
+     "b96c2a0fb02d25a744de2cbe8117ebabff30a064ccac94069fc0a50e678aacd9"),
+    ("batch-reactor", "main", "exact", ["omega=1/920000"],
+     "089b9029e2cd5f2438f86c52ca081de3441ffa4126e8b998a0725544613d3024"),
+    ("coupled-tanks", "prelim", "exact", [],
+     "bfd1993eb8dda1db6a5dec449d66dccee4f6070c41a11456294f7130b5d236e1"),
+]
+
+
+@pytest.mark.parametrize("fixture,scheme,observer,overrides,digest", GOLDEN_PLANS,
+                         ids=[f"{g[0]}-{g[1]}-{g[2]}{'-pinned' if g[3] else ''}"
+                              for g in GOLDEN_PLANS])
+def test_golden_plan(fixture, scheme, observer, overrides, digest):
+    """Every exact plan field stays bit-identical along the CLI's planning
+    path (observer resolution, pins, both schemes)."""
+    args = argparse.Namespace(scheme=scheme, observer=observer, override=overrides)
+    plan = cli._plan(args, FIXTURES[fixture](), {})
+    assert _plan_digest(plan) == digest
+
+
+def test_prelim_plan_does_not_import_scipy():
+    """scipy is imported lazily, by the exact-companion recovery of the main
+    route only: importing encloop and planning the prelim route stay free of it."""
+    code = (
+        "import sys, encloop\n"
+        "from encloop.cli import main\n"
+        "assert main(['plan', '--fixture', 'coupled-tanks', '--scheme', 'prelim']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(encloop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("spec", ["n=4", "n=4,n_x=4", "n=4,n_x=x,w=1", "n=4,n_x=4,w",
+                                  "n=4,n_x=4,w=10,q=3", "n=4,n_x=-1,w=1"])
+def test_compare_hypothetical_rejects_bad_dimensions(capsys, spec):
+    code, _, err = run_cli(capsys, "compare", "--hypothetical", spec)
+    assert code == 1
+    assert err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("observer", ["exact", "design"])
+def test_unknown_config_scheme_rejected(capsys, tmp_path, observer):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": "foo"}))
+    code, _, err = run_cli(capsys, "plan", "--config", str(path),
+                           "--observer", observer)
+    assert code == 1
+    assert err.startswith("config error: ") and "foo" in err
+
+
+@pytest.mark.parametrize("horizon", ["0", "-3"])
+def test_nonpositive_horizon_rejected(capsys, horizon):
+    code, _, err = run_cli(capsys, "simulate", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--horizon", horizon)
+    assert code == 1
+    assert err.startswith("config error: ") and "horizon" in err
+
+
+def test_nonpositive_config_horizon_rejected(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "horizon": -3}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1
+    assert err.startswith("config error: ") and "horizon" in err

@@ -170,15 +170,6 @@ def test_noise_overflow_predicted_and_raised():
         he.plain_matmul([[2**12]], fresh)
 
 
-def test_plain_vector_json_roundtrip():
-    v = (0, 2**60, 5)
-    obj = he.plain_vector_to_json(v)
-    assert obj == ["0", str(2**60), "5"]
-    assert he.plain_vector_from_json(obj, q=2**61) == v
-    with pytest.raises(he.OutOfRangeError):
-        he.plain_vector_from_json(["8"], q=8)
-
-
 def test_bad_params_rejected():
     with pytest.raises(he.BadParamsError):
         he.SchemeParams(q=1)
