@@ -53,6 +53,15 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
+def as_ratio(x) -> tuple:
+    """Exact (numerator, denominator > 0) of x; an int passes through
+    without building a Fraction."""
+    if isinstance(x, int):
+        return x, 1
+    f = as_fraction(x)
+    return f.numerator, f.denominator
+
+
 def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
     """gcd over Q: largest rational dividing both (gcd(p1/q1, p2/q2) = gcd(p1 q2, p2 q1)/(q1 q2))."""
     a, b = abs(a), abs(b)

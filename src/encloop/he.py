@@ -236,8 +236,9 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
         raise DimensionMismatchError("empty matrix")
     if any(len(r) != ct.dim for r in M):
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
-    weight = max(sum(abs(x) for x in row) for row in M)
-    noise = ct.noise_bound * weight
+    noise = 0
+    if ct.noise_bound:  # mock ciphertexts carry 0: skip the row-sum weight
+        noise = ct.noise_bound * max(sum(abs(x) for x in row) for row in M)
     if params.backend == "mock":
         payload = tuple(
             sum(m * x for m, x in zip(row, ct.payload)) % params.q for row in M

@@ -3,12 +3,18 @@ actuator, and reference provider.
 
 Numeric split: the simulated plant, the quantizer inputs, and everything
 behind the quantizer (controller states, transmitted increments, actuator
-reconstruction) are exact -- rationals at the edges, arbitrary-precision
-integers inside, with the zoom l(t) an exact rational.  The measurement
-y_p(t) gets divided by l(t), so any fixed-precision noise on it would be
-amplified without bound; exactness is load-bearing, not cosmetic.  Doubles
-appear only in the unencrypted reference loop (the restoration target) and
-in reporting.
+reconstruction) are exact.  The measurement y_p(t) gets divided by l(t), so
+any fixed-precision noise on it would be amplified without bound; exactness
+is load-bearing, not cosmetic.  The exact per-step work runs in the zoomed
+coordinates x/l(t) with l(t) = l0 omega^t, where the planner's certificates
+make the coefficients integers: the plant holds x/l(t) as integers over one
+denominator (`PlantSim`), the sensor and the reference provider quantize
+integer numerators over one denominator, and the actuators return integers
+with the exact scale of the delivered input.  On the main route a step is
+therefore integer arithmetic only; the prelim route's plant denominator
+grows by that of A/omega each step.  Doubles appear only in the
+unencrypted reference loop (the restoration target) and in reporting, where
+a ratio of integers converts with one correctly rounded division.
 
 Each converted controller is written once, over a ring with two operations,
 `matvec` and `add`: `MainRecurrence` (state update, increments, and their
@@ -41,7 +47,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import he
-from .exactmat import RationalMatrix, as_fraction
+from .exactmat import RationalMatrix, as_fraction, as_ratio
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
 
@@ -49,23 +55,25 @@ from .quantizer import QuantizerSpec, quantize_vector
 # -- shared kernels ---------------------------------------------------------
 
 
-def centered_mod_recover(v_modq: Sequence[int], prior, q: int):
+def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
     """Lift residues to the integers nearest a prior estimate.
 
     Entry i becomes the unique integer congruent to v_modq[i] mod q inside
-    [prior_i - q/2, prior_i + q/2), via x = v - floor((v - prior + q/2)/q) q.
-    Priors may be exact rationals.  If the true value strays q/2 or more from
-    the prior, the lift is off by a multiple of q (the documented failure
-    mode that modulus planning must exclude).
+    [p - q/2, p + q/2) for p = prior_i/den (den > 0), via x = v - k q with
+    k = floor((v - p + q/2)/q) = (2 d v - 2 n + q d) // (2 q d) for p = n/d.
+    Priors may be exact rationals; integer priors over `den` need no
+    Fraction.  If the true value strays q/2 or more from the prior, the lift
+    is off by a multiple of q (the documented failure mode that modulus
+    planning must exclude).
     """
     if q < 2:
         raise ValueError("modulus must be >= 2")
     priors = prior if isinstance(prior, (list, tuple)) else [prior] * len(v_modq)
     out = []
-    half = Fraction(q, 2)
     for v, p in zip(v_modq, priors):
-        k = math.floor((v - as_fraction(p) + half) / q)
-        out.append(v - k * q)
+        n, d = as_ratio(p)
+        d *= den
+        out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
     return out
 
 
@@ -176,35 +184,73 @@ class ClosedLoopTrace:
 # -- plant and the unencrypted reference loop --------------------------------
 
 
+def _over_common_den(values):
+    """Exact rationals as (integer numerators, their common denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(M: RationalMatrix):
+    """M as (integer rows, their common denominator)."""
+    nums, den = _over_common_den(M.data)
+    return [nums[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)], den
+
+
 class PlantSim:
-    """Exact rational process state.
+    """Exact process state in the zoomed coordinates x/l(t) = X/D, with
+    integer X and D, and l(t) = l0 omega^t.
 
     The sensor divides its measurement by l(t); any fixed-precision noise on
     y_p is amplified by 1/l(t) and overwhelms the quantizer cell within a few
-    steps, so the simulated plant must carry exact values.  All plant data is
-    rational (models, delivered inputs), so the state stays rational.
+    steps, so the simulated plant must carry exact values.  The delivered
+    input is u_a = scale l(t) U for an integer vector U, so the zoomed state
+    obeys x/l <- (A/omega) x/l + (scale B/omega) U.  Those two matrices are
+    held as integer rows over common denominators a and b; a step sets
+    D <- lcm(a D, b) and scales both products onto it.  On the main route
+    (scale = s2) the planner certifies A/omega and s2 B/omega integral, so
+    a = b = 1, D never changes and a step needs no gcd.  On the prelim route
+    (scale = s1 s2) D grows by a factor a per step.
     """
 
-    def __init__(self, plant: PlantModel, x_p0):
-        self.A = plant.A.to_lists()
-        self.B = plant.B.to_lists()
-        self.C = plant.C.to_lists()
-        self.x = [as_fraction(x) for x in x_p0]
+    def __init__(self, plant: PlantModel, x_p0, l0, omega, scale):
+        self.l0, self.omega = as_fraction(l0), as_fraction(omega)
+        self.A, self.a = _int_rows(plant.A.scale(1 / self.omega))
+        self.B, self.b = _int_rows(plant.B.scale(as_fraction(scale) / self.omega))
+        self.C, self.c = _int_rows(plant.C)
+        self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
+        self.t = 0
 
     def output(self):
-        return [sum((c * x for c, x in zip(row, self.x)), Fraction(0))
-                for row in self.C]
+        """y/l(t) as (integer numerators, their common denominator)."""
+        return [sum(c * x for c, x in zip(row, self.X)) for row in self.C], self.c * self.D
 
-    def step(self, u):
-        u = [as_fraction(x) for x in u]
-        self.x = [
-            sum((a * x for a, x in zip(arow, self.x)), Fraction(0))
-            + sum((b * ui for b, ui in zip(brow, u)), Fraction(0))
+    def step(self, U):
+        """Advance on the delivered input u_a = scale l(t) U, U integers."""
+        aD = self.a * self.D
+        D = math.lcm(aD, self.b)
+        fa, fb = D // aD, D // self.b
+        self.X = [
+            fa * sum(m * x for m, x in zip(arow, self.X))
+            + fb * sum(m * u for m, u in zip(brow, U))
             for arow, brow in zip(self.A, self.B)
         ]
+        self.D = D
+        self.t += 1
+
+    def _state_ratio(self):
+        """The exact state as (numerator factor, common denominator)."""
+        l = self.l0 * self.omega ** self.t
+        return l.numerator, l.denominator * self.D
+
+    @property
+    def x(self) -> list:
+        """The exact state l(t) X/D."""
+        n, d = self._state_ratio()
+        return [Fraction(n * x, d) for x in self.X]
 
     def state_floats(self) -> np.ndarray:
-        return np.array([float(x) for x in self.x], dtype=float)
+        n, d = self._state_ratio()
+        return np.array([n * x / d for x in self.X], dtype=float)
 
 
 class IdealLoop:
@@ -464,36 +510,52 @@ class MainSensor:
         self.spec = QuantizerSpec(plan.range_level)
         self.dec_ops = 0
 
-    def step(self, y_o_ct, y_p, l_t: Fraction):
+    def step(self, y_o_ct, y_bar):
+        """`y_bar` is the measurement y/l(t) as (integer numerators Y, their
+        denominator E), as `PlantSim.output` gives it."""
         dec = he.decrypt(self.sk, y_o_ct)
         self.dec_ops += len(dec)
-        y_bar = [as_fraction(y) / l_t for y in y_p]
-        prior = [yb / self.s1 for yb in y_bar]
-        lifted = centered_mod_recover(list(dec), prior, self.ring.q)
-        innovation = [yb - self.s1 * v for yb, v in zip(y_bar, lifted)]
-        q_inno, sat = quantize_vector(innovation, self.spec)
+        Y, E = y_bar
+        s1n, s1d = self.s1.numerator, self.s1.denominator
+        # prior y_bar/s1 = P/d; prior - lifted = gap_num/d, and the
+        # innovation y_bar - s1 lifted = gap_num/(E s1d)
+        d = E * s1n
+        P = [y * s1d for y in Y]
+        lifted = centered_mod_recover(list(dec), P, self.ring.q, d)
+        gap_num = [p - d * v for p, v in zip(P, lifted)]
+        q_inno, sat = quantize_vector(gap_num, self.spec, E * s1d)
         ct = self.ring.fresh(q_inno)
-        gap = max((abs(float(yb / self.s1 - v)) for yb, v in zip(y_bar, lifted)),
-                  default=0.0)
+        gap = max((abs(g / d) for g in gap_num), default=0.0)
         return lifted, q_inno, ct, sat, gap
 
 
 class RefProvider:
-    """Tracks its local copy of the reference estimate and streams encrypted
-    quantized reference increments."""
+    """Streams encrypted quantized reference increments.
+
+    It keeps the scaled error e = (r - r_e)/l(t) of its local reference
+    estimate r_e, as integer numerators over one denominator.  Sending the
+    increment k moves r_e by l(t) k, so e <- (e - k)/omega, and a reference
+    switch from r to r' adds (r' - r)/l(t).  The main plan certifies 1/omega
+    an integer, so the denominator stays fixed and e stays bounded.
+    """
 
     def __init__(self, ring: CipherRing, plan: MainPlan, reference: RationalMatrix):
         self.ring = ring
         self.spec = QuantizerSpec(plan.range_level)
         self.r = list(reference.data)
-        self.r_e = [Fraction(0)] * len(self.r)
+        self.inv_omega = plan.certificates["1/omega"].scaled_entries[0]
+        self.e, self.den = _over_common_den([r / plan.l0 for r in self.r])
 
     def step(self, l_t: Fraction, r=None):
         if r is not None:
-            self.r = [as_fraction(x) for x in r]
-        err = [(r - re) / l_t for r, re in zip(self.r, self.r_e)]
-        q_inc, sat = quantize_vector(err, self.spec)
-        self.r_e = [re + l_t * qi for re, qi in zip(self.r_e, q_inc)]
+            r = [as_fraction(x) for x in r]
+            if r != self.r:
+                self.e, self.den = _over_common_den([
+                    Fraction(e, self.den) + (new - old) / l_t
+                    for e, new, old in zip(self.e, r, self.r)])
+                self.r = r
+        q_inc, sat = quantize_vector(self.e, self.spec, self.den)
+        self.e = [(e - k * self.den) * self.inv_omega for e, k in zip(self.e, q_inc)]
         return q_inc, self.ring.fresh(q_inc), sat
 
 
@@ -517,14 +579,15 @@ class MainActuator:
         return self.states.u
 
     def step(self, alpha_ct, beta_ct, gamma_ct, l_t: Fraction):
+        """Returns the lifted increments, u_tilde and the exact scale s2 l(t)
+        of the delivered input u_a = s2 l(t) u_tilde."""
         lifted = []
         for ct in (alpha_ct, beta_ct, gamma_ct):
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(list(dec), 0, self.q))
         ut = self.states.rebuild(*lifted)
-        u_a = [self.s2 * l_t * x for x in ut]                 # exact rationals
-        return tuple(lifted), list(ut), u_a
+        return tuple(lifted), list(ut), self.s2 * l_t
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -544,19 +607,20 @@ class PrelimActuator:
         self.sk = sk
         self.q = plan.q
         self.s1s2 = plan.s1 * plan.s2
-        self.inv_omega = 1 / plan.omega  # exact rational; integer when planned so
-        self.prior = [Fraction(0)] * w
+        self.omega = plan.omega
+        self.prior = [0] * w
         self.dec_ops = 0
         self.enc_ops = 0
 
     def step(self, u_ct, l_t: Fraction):
+        """Lifts u_tilde around last step's value over omega; returns it and
+        the exact scale s1 s2 l(t) of the delivered input."""
         dec = he.decrypt(self.sk, u_ct)
         self.dec_ops += len(dec)
-        priors = [p * self.inv_omega for p in self.prior]
-        lifted = centered_mod_recover(list(dec), priors, self.q)
-        self.prior = [as_fraction(x) for x in lifted]
-        u_a = [self.s1s2 * l_t * x for x in lifted]
-        return lifted, u_a
+        on, od = self.omega.numerator, self.omega.denominator
+        lifted = centered_mod_recover(list(dec), [p * od for p in self.prior], self.q, on)
+        self.prior = lifted
+        return lifted, self.s1s2 * l_t
 
 
 # -- orchestrator ---------------------------------------------------------------
@@ -610,16 +674,17 @@ def _scaled_integer_state(x0_entries, scale: Fraction):
     return out
 
 
-def _close_step(trace, plant_sim, ideal, r_t, u_a, **record):
+def _close_step(trace, plant_sim, ideal, r_t, U, scale: Fraction, **record):
     """The tail both routes share: the reference loop and the plant (on the
-    exact delivered input) advance, and the step's record is kept."""
+    exact delivered input u_a = scale U, U integers) advance, and the step's
+    record is kept."""
     u_true = ideal.step(r=r_t)
-    u_a_float = np.array([float(x) for x in u_a])
-    plant_sim.step(u_a)
-    diff = float(np.max(np.abs(u_a_float - u_true))) if len(u_a) else 0.0
+    u_a = [scale.numerator * x / scale.denominator for x in U]
+    plant_sim.step(U)
+    diff = float(np.max(np.abs(np.array(u_a) - u_true))) if len(U) else 0.0
     trace.records.append(StepRecord(
         u_true=tuple(float(x) for x in u_true),
-        u_a=tuple(float(x) for x in u_a_float),
+        u_a=tuple(u_a),
         diff_inf=diff,
         enc_ops=trace.enc_ops,
         dec_ops=trace.dec_ops,
@@ -645,7 +710,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     sensor = MainSensor(ring, sk, plan)
     provider = RefProvider(ring, plan, cfg.reference)
     actuator = MainActuator(sk, plan, dims)
-    plant_sim = PlantSim(cfg.plant, cfg.x_p0)
+    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s2)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
 
     x_e0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.l0)
@@ -668,8 +733,9 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             alpha_i, beta_i, gamma_i = shadow.step(inno_int, ref_int)
 
         fail = False
+        y_o_i = shadow.y_o()
         ok = (
-            dec_matches(y_o_ct, shadow.y_o())
+            dec_matches(y_o_ct, y_o_i)
             and dec_matches(a_ct, alpha_i)
             and dec_matches(b_ct, beta_i)
             and dec_matches(g_ct, gamma_i)
@@ -677,15 +743,14 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         if not ok:
             trace.oracle_mismatches += 1
 
-        y_p = plant_sim.output()
-        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_p, l_t)
-        if lifted_y != shadow.y_o():
+        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, plant_sim.output())
+        if lifted_y != y_o_i:
             fail = True
         r_t = cfg.reference_at(t)
         q_ref, ref_ct, sat_r = provider.step(l_t, r=r_t)
         inno_int, ref_int = q_inno, q_ref
 
-        (alpha_a, beta_a, gamma_a), ut_a, u_a = actuator.step(a_ct, b_ct, g_ct, l_t)
+        (alpha_a, beta_a, gamma_a), ut_a, scale = actuator.step(a_ct, b_ct, g_ct, l_t)
         if alpha_a != alpha_i or beta_a != beta_i or gamma_a != gamma_i:
             fail = True
         if ut_a != shadow.u:
@@ -704,7 +769,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.dec_ops = sensor.dec_ops + actuator.dec_ops
 
         _close_step(
-            trace, plant_sim, ideal, r_t, u_a,
+            trace, plant_sim, ideal, r_t, ut_a, scale,
             t=t,
             log2_alpha=_log2norm(alpha_i),
             log2_beta=_log2norm(beta_i),
@@ -725,7 +790,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                 "gamma": list(gamma_i),
                 "re_scaled": list(shadow.re),
                 "u_tilde": list(shadow.u),
-                "u_a_exact": list(u_a),
+                "u_a_exact": [scale * x for x in ut_a],
             })
         l_t = l_t * omega
     return _finish(trace, plant_sim, ideal)
@@ -741,7 +806,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     controller = PrelimEncController(ring, plan)
     shadow = PrelimIntegerShadow(plan)
     actuator = PrelimActuator(sk, plan, w_dim)
-    plant_sim = PlantSim(cfg.plant, cfg.x_p0)
+    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s1 * plan.s2)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
 
     x0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.s1 * plan.l0)
@@ -752,16 +817,16 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     l_t = plan.l0
     ref = list(cfg.reference.data)
     q = plan.q
-    prev_ut = None
+    on, od = plan.omega.numerator, plan.omega.denominator
+    prev_ut = [0] * w_dim
 
     for t in range(cfg.horizon):
         r_t = cfg.reference_at(t)
         if r_t is not None:
             ref = [as_fraction(x) for x in r_t]
-        y_p = plant_sim.output()
-        y_bar = [as_fraction(y) / l_t for y in y_p]
+        Y, E = plant_sim.output()
+        q_y, _ = quantize_vector(Y, den=E)
         r_bar = [r / l_t for r in ref]
-        q_y, _ = quantize_vector(y_bar, None)
         q_r, _ = quantize_vector(r_bar, None)
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
         ut_true = shadow.step(q_y, q_r)
@@ -769,14 +834,13 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         fail = False
         if list(he.decrypt(sk, u_ct)) != [x % q for x in ut_true]:
             trace.oracle_mismatches += 1
-        lifted, u_a = actuator.step(u_ct, l_t)
+        lifted, scale = actuator.step(u_ct, l_t)
         if lifted != ut_true:
             fail = True
 
-        inc = (
-            [x - as_fraction(y) / plan.omega for x, y in zip(ut_true, prev_ut)]
-            if prev_ut is not None else [as_fraction(x) for x in ut_true]
-        )
+        # the increment ut - prev_ut/omega = (on ut - od prev_ut)/on
+        mx = max((abs((on * x - od * y) / on) for x, y in zip(ut_true, prev_ut)),
+                 default=0.0)
         prev_ut = ut_true
 
         trace.recovery_failures += int(fail)
@@ -788,9 +852,8 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.enc_ops = ring.enc_ops
         trace.dec_ops = actuator.dec_ops
 
-        mx = max((abs(float(x)) for x in inc), default=0.0)
         _close_step(
-            trace, plant_sim, ideal, r_t, u_a,
+            trace, plant_sim, ideal, r_t, lifted, scale,
             t=t,
             log2_alpha=math.log2(mx) if mx > 0 else float("-inf"),
             log2_beta=float("-inf"),
@@ -808,7 +871,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
                 "q_r": list(q_r),
                 "u_tilde": list(ut_true),
                 "u_tilde_recovered": list(lifted),
-                "u_a_exact": list(u_a),
+                "u_a_exact": [scale * x for x in lifted],
             })
         l_t = l_t * plan.omega
     return _finish(trace, plant_sim, ideal)

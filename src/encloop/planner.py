@@ -557,15 +557,15 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
 
     C_e = max(1/2, max_{k<mu} ||Abar^k|| e0 + sum_{k<mu} ||Abar^k Lbar||/2)
     with Abar = (A - L C)/omega, Lbar = L/omega and mu = deadbeat_index, a
-    finite sum.  For an exactly deadbeat L of index mu the discarded tail is
-    zero; for a gain that is only approximately nilpotent (e.g. a decimal
-    rounding) tail_sound reports whether the tail contracts (rho(Abar) < 1)
-    or vanishes in floats.
+    finite sum.  The tail is sound when (A - L C)^mu is exactly zero, so
+    that everything discarded vanishes; for a gain that is only
+    approximately nilpotent (e.g. a decimal rounding) tail_sound reports
+    whether the tail contracts (rho(Abar) < 1) or vanishes in floats.
     """
     w = float(as_fraction(omega))
-    Nf = (A - L @ C).to_floats() / w
+    N = A - L @ C
+    Nf = N.to_floats() / w
     Lf = L.to_floats() / w
-    rho = float(np.max(np.abs(np.linalg.eigvals(Nf)))) if Nf.size else 0.0
     terms, series, transient = [], 0.0, e0_bound
     Pk = np.eye(Nf.shape[0])
     for k in range(deadbeat_index):          # Pk = Abar^k
@@ -574,9 +574,12 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
         terms.append(0.5 * float(np.linalg.norm(Pk @ Lf, np.inf)))
         series += terms[-1]
         Pk = Pk @ Nf
-    tail_norm = float(np.linalg.norm(Pk @ Lf, np.inf))
+    tail_sound = N.matpow(deadbeat_index).is_zero()
+    if not tail_sound:
+        rho = float(np.max(np.abs(np.linalg.eigvals(Nf)))) if Nf.size else 0.0
+        tail_sound = rho < 1.0 or float(np.linalg.norm(Pk @ Lf, np.inf)) == 0.0
     return CeResult(value=max(0.5, transient + series),
-                    tail_sound=rho < 1.0 or tail_norm == 0.0,
+                    tail_sound=tail_sound,
                     truncation_index=deadbeat_index, terms=tuple(terms))
 
 

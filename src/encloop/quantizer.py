@@ -4,17 +4,21 @@ The scalar quantizer maps chi to the integer cell index psi with
 (2 psi - 1)/2 <= chi < (2 psi + 1)/2 for chi >= -1/2 and mirrors for
 chi < -1/2 (so cells are left-closed on the positive side, right-closed on
 the negative side; the overlap at chi = -1/2 resolves to 0).  Saturation
-clamps to +-range_level and raises a flag instead of an error: whether a
-saturated sample invalidates a run is the orchestrator's call.
+at |chi| >= (2R+1)/2 clamps to +-range_level and raises a flag instead of
+an error: whether a saturated sample invalidates a run is the
+orchestrator's call.
+
+One integer rule decides every cell, on chi = n/d with integer n and d > 0,
+so callers that hold values as integer numerators over a common denominator
+quantize them without building a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
-from .exactmat import as_fraction
+from .exactmat import as_ratio
 
 
 @dataclass(frozen=True)
@@ -27,15 +31,17 @@ class QuantizerSpec:
         if self.range_level < 1:
             raise ValueError("range_level must be >= 1")
 
-    @property
-    def half_range(self) -> Fraction:
-        """Saturation threshold (2R+1)/2: inputs at or beyond it saturate."""
-        return Fraction(2 * self.range_level + 1, 2)
 
-
-def _cell_index(chi: Fraction) -> int:
+def _cell(n: int, d: int, spec: Optional[QuantizerSpec]):
+    """(psi, saturated) for chi = n/d, d > 0."""
+    if 2 * n < -d:
+        psi, sat = _cell(-n, d, spec)
+        return -psi, sat
     # unsaturated mid-tread for chi >= -1/2: psi = floor(chi + 1/2)
-    return (2 * chi.numerator + chi.denominator) // (2 * chi.denominator)
+    psi = (2 * n + d) // (2 * d)
+    if spec is not None and 2 * abs(n) >= (2 * spec.range_level + 1) * d:
+        return min(psi, spec.range_level), True
+    return psi, False
 
 
 def quantize_scalar(chi, spec: Optional[QuantizerSpec] = None):
@@ -45,22 +51,18 @@ def quantize_scalar(chi, spec: Optional[QuantizerSpec] = None):
     assumes infinite range).  Accepts int/float/Fraction; floats convert
     exactly, so cell decisions are deterministic.
     """
-    chi = as_fraction(chi)
-    if chi < Fraction(-1, 2):
-        psi, sat = quantize_scalar(-chi, spec)
-        return -psi, sat
-    psi = _cell_index(chi)
-    if spec is not None and abs(chi) >= spec.half_range:
-        return min(psi, spec.range_level), True
-    return psi, False
+    return _cell(*as_ratio(chi), spec)
 
 
-def quantize_vector(x: Sequence, spec: Optional[QuantizerSpec] = None):
-    """Elementwise quantization; flag is the OR of element flags."""
+def quantize_vector(values: Sequence, spec: Optional[QuantizerSpec] = None,
+                    den: int = 1):
+    """Elementwise quantization of values[i]/den (den > 0); flag is the OR
+    of element flags.  With integer values this is integer arithmetic only."""
     out = []
     sat = False
-    for chi in x:
-        psi, s = quantize_scalar(chi, spec)
+    for v in values:
+        n, d = as_ratio(v)
+        psi, s = _cell(n, d * den, spec)
         out.append(psi)
         sat = sat or s
     return out, sat

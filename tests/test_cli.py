@@ -61,6 +61,17 @@ def test_plan_exact_observer(capsys):
     assert rep["tail_sound"] is True
 
 
+def test_plan_design_observer_tail_sound(capsys):
+    """The designed gain is exactly nilpotent, so its C_e tail vanishes
+    exactly, whatever the float eigenvalues of (A - L C)/omega read."""
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "design")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["deadbeat_index"] == 4
+    assert rep["tail_sound"] is True
+
+
 def test_simulate_main_writes_outputs(capsys, tmp_path):
     out_prefix = str(tmp_path / "run")
     code, out, _ = run_cli(capsys, "simulate", "--fixture", "batch-reactor",
@@ -334,7 +345,7 @@ GOLDEN_PLANS = [
     ("batch-reactor", "main", "exact", [],
      "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
     ("batch-reactor", "main", "design", [],
-     "b96c2a0fb02d25a744de2cbe8117ebabff30a064ccac94069fc0a50e678aacd9"),
+     "2dfa59e257b0cddea33812960fa95d3bddbf3f78f842cad3cbb74d29d80fc79b"),
     ("batch-reactor", "main", "exact", ["omega=1/920000"],
      "089b9029e2cd5f2438f86c52ca081de3441ffa4126e8b998a0725544613d3024"),
     ("coupled-tanks", "prelim", "exact", [],
@@ -351,6 +362,16 @@ def test_golden_plan(fixture, scheme, observer, overrides, digest):
     args = argparse.Namespace(scheme=scheme, observer=observer, override=overrides)
     plan = cli._plan(args, FIXTURES[fixture](), {})
     assert _plan_digest(plan) == digest
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(encloop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-m", "encloop", "plan", "--fixture",
+                           "coupled-tanks", "--scheme", "prelim"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["q"]
 
 
 def test_prelim_plan_does_not_import_scipy():

@@ -5,7 +5,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from encloop import cli, he
@@ -61,6 +61,23 @@ class TestCenteredRecover:
         offset = offset % q - q // 2  # pull offset inside [-q/2, q/2)
         x = prior + offset
         assert centered_mod_recover([x % q], prior, q) == [x]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(min_value=-10**30, max_value=10**30),
+           st.integers(min_value=1, max_value=10**12),
+           st.integers(min_value=2, max_value=10**20),
+           st.integers(min_value=0, max_value=10**20))
+    @example(1, 2, 2, 0)
+    @example(-499, 2, 100, 51)
+    @example(5, 1, 10, 0)
+    def test_integer_prior_over_den(self, n, den, q, v):
+        """An integer prior over `den` lifts like the Fraction prior n/den,
+        and both follow x = v - floor((v - prior + q/2)/q) q."""
+        v %= q
+        got = centered_mod_recover([v], [n], q, den)
+        assert got == centered_mod_recover([v], [Fraction(n, den)], q)
+        prior = Fraction(n, den)
+        assert got == [v - math.floor((v - prior + Fraction(q, 2)) / q) * q]
 
     def test_documented_failure_mode(self):
         q = 10
@@ -268,15 +285,61 @@ class TestTrace:
         assert len(path.read_text().splitlines()) == 6
 
     def test_exact_plant_state(self, batch):
-        sim = PlantSim(batch.plant, batch.x_p0)
-        u = [Fraction(1, 3)]
-        sim.step(u)
+        # delivered input u_a = scale l0 U = 1/3
+        sim = PlantSim(batch.plant, batch.x_p0, l0=1, omega=Fraction(1, 460000),
+                       scale=Fraction(1, 3))
+        sim.step([1])
         expect = [
             sum(a * x for a, x in zip(row, [Fraction(1)] * 4))
             + row_b[0] * Fraction(1, 3)
             for row, row_b in zip(batch.plant.A.to_lists(), batch.plant.B.to_lists())
         ]
         assert sim.x == expect
+
+
+def _fraction_plant(plant, x_p0, inputs):
+    """The plain recurrence x <- A x + B u_a in Fractions, state after each step."""
+    A, B = plant.A.to_lists(), plant.B.to_lists()
+    x, out = [Fraction(v) for v in x_p0], []
+    for u in inputs:
+        x = [sum(a * v for a, v in zip(arow, x)) + sum(b * v for b, v in zip(brow, u))
+             for arow, brow in zip(A, B)]
+        out.append(x)
+    return out
+
+
+class TestZoomedPlant:
+    """`PlantSim` in zoomed integer coordinates equals the unzoomed Fraction
+    recurrence on the inputs a real run delivers."""
+
+    def test_main_route(self, batch, sound_plan):
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,
+                                                       detail=True))
+        sim = PlantSim(batch.plant, batch.x_p0, sound_plan.l0, sound_plan.omega,
+                       sound_plan.s2)
+        D0 = sim.D
+        want = _fraction_plant(batch.plant, batch.x_p0,
+                               [det["u_a_exact"] for det in tr.detail])
+        for det, x in zip(tr.detail, want):
+            sim.step(det["u_tilde"])
+            assert sim.x == x
+            assert sim.D == D0  # A/omega and s2 B/omega are integral: no growth
+        assert tuple(sim.state_floats()) == tr.final_plant_state
+
+    def test_prelim_route(self, tanks, tanks_plan):
+        cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
+                        reference=tanks.reference, x_p0=tanks.x_p0,
+                        horizon=50, params=he.SchemeParams.mock(tanks_plan.q),
+                        seed=0, collect_detail=True)
+        tr = run_closed_loop_prelim(tanks_plan, cfg)
+        sim = PlantSim(tanks.plant, tanks.x_p0, tanks_plan.l0, tanks_plan.omega,
+                       tanks_plan.s1 * tanks_plan.s2)
+        want = _fraction_plant(tanks.plant, tanks.x_p0,
+                               [det["u_a_exact"] for det in tr.detail])
+        for det, x in zip(tr.detail, want):
+            sim.step(det["u_tilde_recovered"])
+            assert sim.x == x
+        assert tuple(sim.state_floats()) == tr.final_plant_state
 
 
 class TestDeterminismAndSchedules:

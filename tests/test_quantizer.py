@@ -1,6 +1,6 @@
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from encloop.quantizer import (
@@ -76,3 +76,20 @@ def test_monotone(chi, step):
     hi, _ = quantize_scalar(chi + step, spec9)
     assert lo <= hi
 
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-10**6, max_value=10**6),
+       st.integers(min_value=1, max_value=1000),
+       st.integers(min_value=1, max_value=50),
+       st.sampled_from([None, spec9]))
+@example(1, 2, 1, spec9)        # +1/2
+@example(-1, 2, 3, spec9)       # -1/2
+@example(19, 2, 1, spec9)       # +(2R+1)/2
+@example(-19, 2, 5, spec9)      # -(2R+1)/2
+@example(-19, 2, 5, None)
+def test_vector_over_den_agrees_with_scalar(n, d, m, spec):
+    """Integer numerators over a common denominator, not reduced (n m over
+    d m), quantize as the Fraction n/d does."""
+    psi, sat = quantize_scalar(Fraction(n, d), spec)
+    assert quantize_vector([n * m], spec, den=d * m) == ([psi], sat)
