@@ -19,11 +19,11 @@ from .planner import (
     check_prelim_feasible,
     compute_Ce,
     compute_M,
+    deadbeat_companion,
     design_deadbeat_observer,
     plan_main,
     plan_preliminary,
     q_bound_main,
-    recover_exact_deadbeat,
 )
 from .quantizer import QuantizerSpec, quantize_scalar, quantize_vector
 from .loop import (
@@ -58,7 +58,7 @@ __all__ = [
     "compute_Ce",
     "q_bound_main",
     "design_deadbeat_observer",
-    "recover_exact_deadbeat",
+    "deadbeat_companion",
     "centered_mod_recover",
     "run_closed_loop_main",
     "run_closed_loop_prelim",

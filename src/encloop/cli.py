@@ -30,10 +30,10 @@ from .planner import (
     PlannerError,
     PlantModel,
     PrelimInfeasibleError,
+    deadbeat_companion,
     design_deadbeat_observer,
     plan_main,
     plan_preliminary,
-    recover_exact_deadbeat,
 )
 
 EXIT_OK = 0
@@ -121,27 +121,29 @@ def _overrides(args, cfg: dict, scheme: str) -> dict:
 
 def _observer_for(scenario: Scenario, mode: str):
     """Resolve the observer gain pair (runtime L, exact companion) for a scenario:
-    `published` runs the published gain, `exact` its exact deadbeat companion
-    (a fresh design when there is no published gain), `design` a fresh design."""
+    `published` runs the published gain, `exact` the minimal-index deadbeat
+    design once the published gain is found to be its rounding (the design
+    alone when there is no published gain), `design` the design."""
     A, C, L_published = scenario.plant.A, scenario.plant.C, scenario.L_published
     if mode == "design" or (mode == "exact" and L_published is None):
         L = design_deadbeat_observer(A, C).L
         return L, L
     if L_published is None:
         raise ConfigError("scenario carries no published observer gain")
-    companion = recover_exact_deadbeat(A, C, L_published)
+    companion = deadbeat_companion(A, C, L_published)
     if mode == "published":
         return L_published, (companion.L if companion is not None else None)
     if companion is None:
-        raise ConfigError("no exact deadbeat companion near the published gain")
+        raise ConfigError("the published observer gain is not a rounding of the "
+                          "minimal-index deadbeat design")
     return companion.L, companion.L
 
 
-def _plan(args, scenario: Scenario, cfg: dict):
+def _planned(args, scenario: Scenario, cfg: dict):
     """The one planning path of every subcommand: scheme, observer and
     overrides resolved into a plan.  omega and l0 are pinned in `plan_main`,
-    which derives every other value from them; q and range_level are set on
-    the finished plan as given, so they can void its guarantees."""
+    which derives every other value from them.  Returns that plan and the
+    q and range_level overrides, which `_plan` sets on it as given."""
     scheme = args.scheme or cfg.get("scheme", "main")
     if scheme not in ("main", "prelim"):
         raise ConfigError(f"unknown scheme {scheme!r}; have ['main', 'prelim']")
@@ -154,13 +156,20 @@ def _plan(args, scenario: Scenario, cfg: dict):
         plan = plan_main(scenario.plant, scenario.ctrl, MainPlanOptions(
             L=L, L_exact=L_exact, reference=scenario.reference,
             omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
-    return replace(plan, **overrides)
+    return plan, overrides
+
+
+def _plan(args, scenario: Scenario, cfg: dict):
+    """The plan of `_planned` with q and range_level set as given, which can
+    void its guarantees."""
+    plan, given = _planned(args, scenario, cfg)
+    return replace(plan, **given)
 
 
 def cmd_plan(args) -> int:
     scenario, cfg = _load_scenario(args)
     try:
-        plan = _plan(args, scenario, cfg)
+        planned, given = _planned(args, scenario, cfg)
     except PrelimInfeasibleError as e:
         print(json.dumps({
             "scheme": "prelim",
@@ -170,8 +179,12 @@ def cmd_plan(args) -> int:
             "reason": e.report.reason,
         }, indent=2, sort_keys=True))
         return EXIT_INFEASIBLE
+    plan = replace(planned, **given)
     out = plan.to_json(args.full) if isinstance(plan, MainPlan) else plan.to_json()
     out["feasible"] = True
+    below = sorted(k for k, v in given.items() if v < getattr(planned, k))
+    if below:
+        out["overrides_below_plan"] = below
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as f:
@@ -315,16 +328,6 @@ def cmd_compare(args) -> int:
     width1 = max(len(r[1]) for r in rows)
     for r in rows:
         print(f"{r[0]:<{width0}}  {r[1]:<{width1}}  {r[2]}")
-    # crude break-even on actuator compute: one encryption costs roughly 3-4
-    # decryptions, so re-encryption wins when n + n_x outweighs (3~4) w
-    lo, hi = 3 * w, 4 * w
-    if n + n_x < lo:
-        note = "re-encryption-free scheme favored (n + n_x < 3w)"
-    elif n + n_x > hi:
-        note = "re-encryption favored at the actuator (n + n_x > 4w)"
-    else:
-        note = "comparable actuator compute (3w <= n + n_x <= 4w)"
-    print(f"break-even: {note}")
     return EXIT_OK
 
 

@@ -4,8 +4,9 @@
 together with a stabilizing output-feedback controller from the encrypted
 control literature.  The published observer gain is a 4-decimal printing of an
 exactly deadbeat rational gain; `batch_reactor` carries the printed matrix and
-lazily recovers the exact companion (which, rounded back to 4 decimals,
-reproduces the printed one digit for digit).
+`batch_reactor_exact_observer` the exact companion: the minimal-index deadbeat
+design, which rounded to 4 decimals reproduces the printed gain digit for
+digit.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .planner import (
     ControllerModel,
     DeadbeatDesign,
     PlantModel,
-    recover_exact_deadbeat,
+    deadbeat_companion,
 )
 
 
@@ -81,9 +82,9 @@ def batch_reactor() -> Scenario:
 def batch_reactor_exact_observer() -> DeadbeatDesign:
     """Exact deadbeat companion of the published 4-decimal observer gain."""
     sc = batch_reactor()
-    design = recover_exact_deadbeat(sc.plant.A, sc.plant.C, sc.L_published)
+    design = deadbeat_companion(sc.plant.A, sc.plant.C, sc.L_published)
     if design is None:
-        raise RuntimeError("failed to recover the exact deadbeat companion gain")
+        raise RuntimeError("the published gain is not a rounding of the deadbeat design")
     return design
 
 

@@ -9,8 +9,9 @@ Two conversion routes for a pre-given controller:
 * main: a deadbeat observer decouples omega from the closed-loop rate, so an
   integerizing omega always exists; the modulus and quantizer range come from
   worst-case bounds on the transmitted increments.  The caller supplies the
-  observer gain (`MainPlanOptions.L`: a published gain, its exact companion
-  from `recover_exact_deadbeat`, or a `design_deadbeat_observer` design), and
+  observer gain (`MainPlanOptions.L`: a published gain, or the exact
+  minimal-index deadbeat design of `design_deadbeat_observer`, which
+  `deadbeat_companion` accepts when the published gain is its rounding), and
   the observer-error bound C_e is a finite sum up to the gain's nilpotency
   index (`compute_Ce(..., deadbeat_index)`).
 
@@ -402,141 +403,62 @@ def _nilpotency_index(N: RationalMatrix) -> Optional[int]:
     return None
 
 
-def _single_input_deadbeat(Abar: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Exact Ackermann gain k (1 x n) with (Abar - b k)^n = 0."""
-    n = Abar.rows
-    cols = [b]
-    for _ in range(n - 1):
-        cols.append(Abar @ cols[-1])
-    K = hstack(*cols)
-    Kinv = K.inverse()  # raises SingularMatrixError if chain does not span
-    last = RationalMatrix(1, n, Kinv.row(n - 1))
-    return last @ Abar.matpow(n)
-
-
-def _heymann_chain(Abar: RationalMatrix, Bbar: RationalMatrix):
-    """Single-chain basis x_{i+1} = Abar x_i + Bbar u_i spanning R^n.
-
-    Columns are consumed input by input; within a chain u = 0, and at a
-    dependence the next independent input column is injected.  Returns
-    (X, U, g) with X the basis, U the injections, g the first input selector.
-    """
-    n, m = Abar.rows, Bbar.cols
-    basis = []      # selected x_i
-    inject = []     # u_i used to produce x_{i+1} from x_i (length n-1)
-    g = None
-
-    def independent(v):
-        if all(x == 0 for x in v.data):
-            return False
-        test = hstack(*(basis + [v]))
-        return test.rank() == len(basis) + 1
-
-    col = 0
-    while len(basis) < n and col < m:
-        bcol = RationalMatrix(n, 1, [Bbar[(i, col)] for i in range(n)])
-        if not independent(bcol):
-            col += 1
-            continue
-        if g is None:
-            g = col
-            basis.append(bcol)
-        else:
-            # bridge from the previous chain tip: x' = Abar x + Bbar e_col
-            tip = basis[-1]
-            v = Abar @ tip + bcol
-            if not independent(v):
-                col += 1
-                continue
-            inject.append(col)
-            basis.append(v)
-        # extend with u = 0 while independent
-        while len(basis) < n:
-            v = Abar @ basis[-1]
-            if not independent(v):
-                break
-            inject.append(None)
-            basis.append(v)
-        col += 1
-    if len(basis) < n:
-        raise NotObservableError("chain construction failed: pair is not controllable")
-    return basis, inject, g
-
-
-def _multi_input_deadbeat(Abar: RationalMatrix, Bbar: RationalMatrix) -> RationalMatrix:
-    """Exact K (m x n) with (Abar - Bbar K)^n = 0 for a controllable pair."""
-    n, m = Abar.rows, Bbar.cols
-    if m == 1:
-        return _single_input_deadbeat(Abar, Bbar)
-    basis, inject, g = _heymann_chain(Abar, Bbar)
-    X = hstack(*basis)
-    ucols = []
-    for j in inject:
-        u = [Fraction(0)] * m
-        if j is not None:
-            u[j] = Fraction(1)
-        ucols.append(RationalMatrix(m, 1, u))
-    ucols.append(RationalMatrix.zeros(m, 1))
-    U = hstack(*ucols)
-    K0 = U @ X.inverse()           # x_{i+1} = (Abar + Bbar K0) x_i
-    M = Abar + Bbar @ K0
-    bsel = RationalMatrix(n, 1, [Bbar[(i, g)] for i in range(n)])
-    k1 = _single_input_deadbeat(M, bsel)
-    gcol = [Fraction(0)] * m
-    gcol[g] = Fraction(1)
-    gk1 = RationalMatrix(m, 1, gcol) @ k1
-    return gk1 - K0                # Abar - Bbar K = M - bsel k1
-
-
 def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix) -> DeadbeatDesign:
-    """Exact rational observer gain L with (A - L C)^n = 0, verified exactly."""
-    n = A.rows
-    if observability_matrix(A, C).rank() < n:
-        raise NotObservableError("(A, C) is not observable")
-    K = _multi_input_deadbeat(A.transpose(), C.transpose())
-    L = K.transpose()
-    N = A - L @ C
-    idx = _nilpotency_index(N)
-    if idx is None:
-        raise PlannerError("deadbeat construction failed exact verification")
-    return DeadbeatDesign(L=L, nilpotency_index=idx, rho_eig_float=spectral_radius(N))
+    """Exact rational gain L with A - L C nilpotent of the least index, the
+    largest observability index of (A, C), verified exactly.
 
-
-def recover_exact_deadbeat(A: RationalMatrix, C: RationalMatrix,
-                           L_seed: RationalMatrix) -> Optional[DeadbeatDesign]:
-    """Snap a near-deadbeat gain to the exact nilpotent variety.
-
-    Newton/least-squares descent on vec((A - L C)^mu) from the seed, then
-    rationalize entrywise (denominators up to 10^7) and verify nilpotency
-    exactly.  Returns None when no exactly-nilpotent rational gain is found
-    near the seed.
+    Luenberger's block-companion form of the dual pair (A^T, C^T).  The rows
+    c_j A^k are taken in crate order (the power k outer, the output j inner);
+    a chain ends at its first row that depends on those taken before, so
+    chain j has length nu_j, the j-th observability index (0 for a dependent
+    row of C).  Stacked chain by chain, the rows form an invertible O; q_j is
+    the column of O^-1 at the last row of chain j.  In the coordinates
+    T = [q_j^T (A^T)^k], k < nu_j, the feedback K_c = B_m^-1 A_m zeroes each
+    chain's free row and leaves shift blocks of sizes nu_j.  Transposed,
+    with P = [A^(nu_j - 1) q_j] and E selecting the outputs that have a
+    chain:  L = (K_c T)^T = A P (E C P)^-1 E, which is 0 on the others.
     """
-    from scipy.optimize import least_squares  # lazy: only this route needs scipy
-
-    Af = A.to_floats()
-    Cf = C.to_floats()
     n, v = A.rows, C.rows
-    seed = L_seed.to_floats().ravel()
+    chains = [[] for _ in range(v)]
+    taken = []
+    live = list(range(v))
+    while live:
+        for j in list(live):
+            row = chains[j][-1] @ A if chains[j] else RationalMatrix(1, n, C.row(j))
+            if vstack(*taken, row).rank() > len(taken):
+                taken.append(row)
+                chains[j].append(row)
+            else:
+                live.remove(j)
+    if len(taken) < n:
+        raise NotObservableError("(A, C) is not observable")
+    active = [j for j in range(v) if chains[j]]
+    O_inv = vstack(*(row for j in active for row in chains[j])).inverse()
+    P_cols, last = [], -1
+    for j in active:
+        last += len(chains[j])
+        q = RationalMatrix(n, 1, [O_inv[(i, last)] for i in range(n)])
+        P_cols.append(A.matpow(len(chains[j]) - 1) @ q)
+    P = hstack(*P_cols)
+    E = RationalMatrix(len(active), v, [Fraction(int(j == k)) for j in active
+                                        for k in range(v)])
+    L = A @ P @ (E @ C @ P).inverse() @ E
+    N = A - L @ C
+    index = _nilpotency_index(N)
+    if index != max(len(chain) for chain in chains):
+        raise PlannerError("deadbeat construction failed exact verification")
+    return DeadbeatDesign(L=L, nilpotency_index=index, rho_eig_float=spectral_radius(N))
 
-    for mu in range(2, n + 1):
-        def resid(Lv, mu=mu):
-            N = Af - (Lv.reshape(n, v) @ Cf)
-            return np.linalg.matrix_power(N, mu).ravel()
 
-        sol = least_squares(resid, seed, xtol=3e-16, ftol=3e-16, gtol=3e-16)
-        if not np.all(np.isfinite(sol.x)):
-            continue
-        for max_den in (10**4, 10**6, 10**7):
-            entries = [
-                Fraction(float(x)).limit_denominator(max_den) for x in sol.x
-            ]
-            L = RationalMatrix(n, v, entries)
-            N = A - L @ C
-            idx = _nilpotency_index(N)
-            if idx is not None and idx <= mu:
-                return DeadbeatDesign(
-                    L=L, nilpotency_index=idx, rho_eig_float=spectral_radius(N),
-                )
+def deadbeat_companion(A: RationalMatrix, C: RationalMatrix,
+                       L_published: RationalMatrix) -> Optional[DeadbeatDesign]:
+    """The minimal-index design when `L_published` is a rounding of it, else
+    None.  A rounding lies within half a unit of the published resolution:
+    |L - L_published| <= 1/(2 lcm of L_published's denominators) entrywise."""
+    design = design_deadbeat_observer(A, C)
+    half_unit = Fraction(1, 2 * L_published.denominator_lcm())
+    if all(abs(x) <= half_unit for x in (design.L - L_published).data):
+        return design
     return None
 
 

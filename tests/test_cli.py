@@ -68,8 +68,23 @@ def test_plan_design_observer_tail_sound(capsys):
                            "--observer", "design")
     assert code == 0
     rep = json.loads(out)
-    assert rep["deadbeat_index"] == 4
+    assert rep["deadbeat_index"] == 2
     assert rep["tail_sound"] is True
+
+
+def test_plan_design_observer_is_the_exact_plan(capsys):
+    """The minimal-index design of the batch reactor has index 2, like the
+    published gain's exact companion, and plans the same q = 2^65."""
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--observer", "design")
+    assert code == 0
+    rep = json.loads(out)
+    assert rep["deadbeat_index"] == 2
+    assert rep["q"] == str(2**65)
+    assert rep["omega"] == "1/460000"
+    _, exact, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                          "--observer", "exact")
+    assert out == exact
 
 
 def test_simulate_main_writes_outputs(capsys, tmp_path):
@@ -133,15 +148,26 @@ def test_compare_batch(capsys):
                            "--horizon", "10")
     assert code == 0
     assert "n + n_x + w" in out          # symbolic row
-    assert "9" in out and "2" in out     # measured 9 vs analytic 2w
-    assert "0 Enc" in out
-    assert "re-encryption favored" in out
+    rows = table_rows(out)
+    assert rows["ctrl<->act ciphertexts / step (here)"] == ["2", "9"]
+    assert rows["measured / step"] == ["-", "9 ciphertexts, 9 Dec, 0 Enc"]
+    assert "break-even" not in out       # no verdict from unmeasured costs
 
 
 def test_compare_hypothetical_wide_input(capsys):
     code, out, _ = run_cli(capsys, "compare", "--hypothetical", "n=4,n_x=4,w=10")
     assert code == 0
-    assert "re-encryption-free scheme favored" in out
+    rows = table_rows(out)
+    assert rows["ctrl<->act ciphertexts / step (here)"] == ["20", "18"]
+    assert "measured / step" not in rows
+    assert "break-even" not in out
+
+
+def table_rows(out: str) -> dict:
+    """{label: [with re-encryption, re-encryption free]} of the compare table,
+    whose columns are separated by two or more spaces."""
+    return {cells[0]: cells[1:] for cells in
+            (re.split(r"\s{2,}", line.strip()) for line in out.splitlines()[1:])}
 
 
 def test_config_rejects_float_matrix_entries(capsys, tmp_path):
@@ -345,7 +371,7 @@ GOLDEN_PLANS = [
     ("batch-reactor", "main", "exact", [],
      "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
     ("batch-reactor", "main", "design", [],
-     "2dfa59e257b0cddea33812960fa95d3bddbf3f78f842cad3cbb74d29d80fc79b"),
+     "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
     ("batch-reactor", "main", "exact", ["omega=1/920000"],
      "089b9029e2cd5f2438f86c52ca081de3441ffa4126e8b998a0725544613d3024"),
     ("coupled-tanks", "prelim", "exact", [],
@@ -374,13 +400,17 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["q"]
 
 
-def test_prelim_plan_does_not_import_scipy():
-    """scipy is imported lazily, by the exact-companion recovery of the main
-    route only: importing encloop and planning the prelim route stay free of it."""
+def test_no_route_imports_scipy():
+    """encloop depends on numpy only: planning with every observer mode, the
+    prelim plan and a main-route simulation never import scipy."""
     code = (
         "import sys, encloop\n"
         "from encloop.cli import main\n"
+        "for obs in ['published', 'exact', 'design']:\n"
+        "    assert main(['plan', '--fixture', 'batch-reactor', '--observer', obs]) == 0\n"
         "assert main(['plan', '--fixture', 'coupled-tanks', '--scheme', 'prelim']) == 0\n"
+        "assert main(['simulate', '--fixture', 'batch-reactor', '--backend', 'mock',\n"
+        "             '--horizon', '5']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     src = str(Path(encloop.__file__).resolve().parents[1])
@@ -422,3 +452,31 @@ def test_nonpositive_config_horizon_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 1
     assert err.startswith("config error: ") and "horizon" in err
+
+
+@pytest.mark.parametrize("overrides,below", [
+    ([], None),
+    (["q=0x20000000000"], ["q"]),                    # 2^41 < 2^65
+    (["q=0x200000000000000000"], None),              # 2^69 > 2^65
+    (["q=0x20000000000", "range_level=1"], ["q", "range_level"]),
+])
+def test_plan_lists_overrides_below_the_plan(capsys, overrides, below):
+    argv = ["plan", "--fixture", "batch-reactor", "--observer", "exact"]
+    for item in overrides:
+        argv += ["--override", item]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out).get("overrides_below_plan") == below
+
+
+def test_exact_observer_needs_a_rounding_of_the_design(capsys, tmp_path):
+    """The design for A = 0.4, C = 1 is L = 0.4.  A published 0.7 is not its
+    rounding to one decimal, so `exact` has no companion; `published` plans."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": "main", "L": [["0.7"]]}))
+    code, _, err = run_cli(capsys, "plan", "--config", str(path), "--observer", "exact")
+    assert code == 1
+    assert err.startswith("config error: ") and "rounding" in err
+    code, out, _ = run_cli(capsys, "plan", "--config", str(path), "--observer", "published")
+    assert code == 0
+    assert json.loads(out)["L"] == [["7/10"]]

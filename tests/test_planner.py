@@ -12,6 +12,7 @@ from encloop.exactmat import (
     hstack,
     inf_norm,
     is_integer_after_scale,
+    vstack,
 )
 from encloop.planner import (
     AssumptionViolatedError,
@@ -236,6 +237,35 @@ class TestDeadbeatObserver:
             # reports eps^(1/index)-level noise, not 0
             assert design.rho_eig_float <= 1e-3
 
+    def test_index_is_the_largest_observability_index(self):
+        """On seeded random observable pairs, a third or so with a row of C
+        that depends on the others, the designed A - L C is exactly nilpotent
+        and its index is the observability index of (A, C): the least k with
+        rank [C; CA; ...; CA^(k-1)] = n."""
+        rng = random.Random(2026)
+        checked = dependent = 0
+        while checked < 60:
+            n, v = rng.randint(1, 5), rng.randint(1, 3)
+            A = RationalMatrix(n, n, [Fraction(rng.randint(-20, 20), 10)
+                                      for _ in range(n * n)])
+            rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(v)]
+            if v > 1 and rng.random() < 0.4:
+                rows[-1] = [a + b for a, b in zip(rows[0], rows[-2])]
+            C = rmat(rows)
+            O, k = C, 1
+            while O.rank() < n and k < n:
+                O, k = vstack(O, C @ A.matpow(k)), k + 1
+            if O.rank() < n:
+                continue
+            design = design_deadbeat_observer(A, C)
+            N = A - design.L @ C
+            assert N.matpow(n).is_zero()
+            index = next(m for m in range(1, n + 1) if N.matpow(m).is_zero())
+            assert index == design.nilpotency_index == k
+            checked += 1
+            dependent += C.rank() < v
+        assert dependent >= 10
+
     def test_not_observable_raises(self):
         A = rmat([[1, 0], [0, 2]])
         C = rmat([[1, 0]])
@@ -244,7 +274,7 @@ class TestDeadbeatObserver:
 
     def test_batch_companion_recovery(self, batch, batch_companion):
         """The published 4-decimal gain is the rounding of an exact deadbeat
-        gain with denominator 18400; recovery reproduces it."""
+        gain with denominator 18400: the minimal-index design."""
         d = batch_companion
         N = batch.plant.A - d.L @ batch.plant.C
         assert (N @ N).is_zero()
