@@ -194,13 +194,11 @@ def cmd_plan(args) -> int:
 
 
 def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemeParams:
+    """The HE parameters of a horizon-long run of `plan`.  The lattice pad
+    follows from the plan alone; `scenario` stays for callers that pass it."""
     if backend == "mock":
         return he.SchemeParams.mock(plan.q)
-    if isinstance(plan, MainPlan):
-        return loop.lattice_params_for_main(plan, plan.dims, horizon)
-    width = max(scenario.plant.n, scenario.ctrl.n_x, scenario.ctrl.w,
-                scenario.ctrl.n_r, scenario.plant.v)
-    return loop.lattice_params(plan.q, width, horizon)
+    return loop.lattice_params(plan, horizon)
 
 
 def _run_config(args, cfg: dict, scenario: Scenario, plan, seed: int) -> loop.RunConfig:

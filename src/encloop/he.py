@@ -229,7 +229,10 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 
 
 def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
-    """M is an integer matrix (caller reduces mod q); decrypts to M v mod q."""
+    """M is an integer matrix, entries of either sign; decrypts to M v mod q.
+
+    The noise bound grows by M's largest absolute row sum, so the smallest
+    representatives mod q (centered ones) keep it smallest."""
     params = ct.params
     rows = len(M)
     if rows == 0:

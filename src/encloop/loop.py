@@ -19,14 +19,17 @@ a ratio of integers converts with one correctly rounded division.
 Each converted controller is written once, over a ring with two operations,
 `matvec` and `add`: `MainRecurrence` (state update, increments, and their
 inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers run
-them on the ciphertext ring (`CipherRing`, `he` ops on plaintexts reduced
-into [0, q)); the integer shadows and the main actuator's reconstruction run
-them on the integer ring (`IntRing`).
+them on the ciphertext ring (`CipherRing`, `he` ops on plaintexts centered
+into (-q/2, q/2]); the integer shadows and the main actuator's
+reconstruction run them on the integer ring (`IntRing`); and the lattice
+pad is sized by running them once on the ring of `he` noise bounds
+(`NoiseRing`, `lattice_params`).
 
 Alongside the encrypted loop run these checks:
 * the integer shadow: ground truth for every ciphertext, so the per-step
-  mod-q decryption checks and the recovery checks test the ciphertext ring,
-  the modulus and the recovery windows (bit-exact under the mock backend);
+  mod-q checks of what the parties decrypt (the oracle) and the recovery
+  checks test the ciphertext ring, the modulus and the recovery windows
+  (bit-exact under the mock backend);
 * the original unquantized closed loop in doubles (`IdealLoop`, the
   restoration target).
 The recurrence itself is checked by code it shares nothing with: the
@@ -75,6 +78,12 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
         d *= den
         out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
     return out
+
+
+def _centered(x: int, q: int) -> int:
+    """The representative of x mod q in (-q/2, q/2]."""
+    r = x % q
+    return r - q if r > q // 2 else r
 
 
 def _inorm(v):
@@ -275,7 +284,7 @@ class IdealLoop:
         return u
 
 
-# -- the converted controllers, each written once over two rings ---------------
+# -- the converted controllers, each written once over three rings -------------
 #
 # A ring supplies the two operations the recurrences use, `matvec` (plaintext
 # integer matrix times ring vector) and `add` (of any number of vectors, left
@@ -312,15 +321,17 @@ class IntRing:
 class CipherRing:
     """Ciphertexts under `pk`: the encrypted controllers, and every party that
     encrypts (`fresh`, which counts the ciphertext entries it makes).
-    Plaintext matrices are reduced into [0, q), and a scalar becomes that
-    multiple of the identity, since `he` offers no other product."""
+    Plaintext matrices are centered into (-q/2, q/2], which keeps the row-sum
+    weight `he.plain_matmul` charges to the noise as small as the certified
+    coefficients allow, and a scalar becomes that multiple of the identity,
+    since `he` offers no other product."""
 
     def __init__(self, pk, q: int, rng):
         self.pk, self.q, self.rng = pk, q, rng
         self.enc_ops = 0
 
     def plain(self, M):
-        return [[x % self.q for x in row] for row in M]
+        return [[_centered(x, self.q) for x in row] for row in M]
 
     def scalar(self, c, d):
         return self.plain([[c if i == j else 0 for j in range(d)] for i in range(d)])
@@ -338,6 +349,40 @@ class CipherRing:
         for ct in rest:
             first = he.add(first, ct)
         return first
+
+
+class NoiseRing:
+    """The lattice backend's noise bounds in place of ciphertexts: a dry run
+    of the budget model of `he`.  A plaintext becomes the weight
+    `he.plain_matmul` charges, the largest absolute row sum of the matrix
+    `CipherRing.plain` makes; `fresh` is the bound of a fresh encryption
+    under the default `he.LatticeParams`, which `lattice_params` keeps; sums
+    add bounds.  `peak` is the largest bound of any ciphertext made so
+    far, since `he.plain_matmul` refuses an intermediate product too."""
+
+    def __init__(self, q: int):
+        self.q = q
+        self.fresh_bound = he.LatticeParams().fresh_noise_bound
+        self.peak = 0
+
+    def plain(self, M):
+        return max(sum(abs(_centered(x, self.q)) for x in row) for row in M)
+
+    def scalar(self, c, d):
+        return abs(_centered(c, self.q))
+
+    def fresh(self, values):
+        return self._made(self.fresh_bound)
+
+    def matvec(self, weight, bound):
+        return self._made(weight * bound)
+
+    def add(self, *bounds):
+        return self._made(sum(bounds))
+
+    def _made(self, bound):
+        self.peak = max(self.peak, bound)
+        return bound
 
 
 MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
@@ -648,18 +693,42 @@ class RunConfig:
         return vec.data if isinstance(vec, RationalMatrix) else vec
 
 
-def lattice_params(q: int, width: int, horizon: int) -> he.SchemeParams:
-    """Size the ciphertext modulus so a horizon-long run on vectors at most
-    `width` long decrypts exactly."""
-    per_step = math.ceil(math.log2(q)) + width.bit_length() + 3
-    return he.SchemeParams.lattice_for_budget(q, (horizon + 4) * per_step + 64)
+def noise_peak(plan, horizon: int) -> int:
+    """The largest `he` noise bound of any ciphertext that a horizon-long
+    lattice run of `plan` (main or prelim) makes.
+
+    The plan's recurrence runs on a `NoiseRing` through the operations of
+    `run_closed_loop_*`: on the main route the bootstrap, its `y_o` and
+    horizon - 1 steps, each fed two fresh encryptions; on the prelim route
+    the bootstrap and horizon steps.  Noise bounds depend neither on the
+    plaintext values nor on the vector lengths, so none are needed."""
+    ring = NoiseRing(plan.q)
+    if isinstance(plan, MainPlan):
+        controller = MainRecurrence(ring, plan, plan.dims)
+        controller.bootstrap(())
+        controller.y_o()
+        for _ in range(horizon - 1):
+            controller.step(ring.fresh(()), ring.fresh(()))
+            controller.y_o()
+    else:
+        controller = PrelimRecurrence(ring, plan)
+        controller.bootstrap(())
+        for _ in range(horizon):
+            controller.step(ring.fresh(()), ring.fresh(()))
+    return ring.peak
+
+
+def lattice_params(plan, horizon: int) -> he.SchemeParams:
+    """Size the ciphertext modulus so a horizon-long lattice run of `plan`
+    decrypts exactly: the pad holds the noise dry run's peak."""
+    budget = noise_peak(plan, horizon).bit_length()
+    return he.SchemeParams.lattice_for_budget(plan.q, budget)
 
 
 def lattice_params_for_main(plan: MainPlan, dims, horizon: int) -> he.SchemeParams:
-    """`lattice_params` for the main route, whose widest vector is the
-    longest of the observer, controller, input and reference vectors."""
-    width = max(dims["n"], dims["n_x"], dims["w"], dims["n_r"])
-    return lattice_params(plan.q, width, horizon)
+    """`lattice_params` under its main-route name; the noise bounds do not
+    depend on the vector lengths `dims`."""
+    return lattice_params(plan, horizon)
 
 
 def _scaled_integer_state(x0_entries, scale: Fraction):
@@ -672,6 +741,12 @@ def _scaled_integer_state(x0_entries, scale: Fraction):
             )
         out.append(s.numerator)
     return out
+
+
+def _same_residues(lifted, shadow_values, q: int) -> bool:
+    """The oracle check of one decryption: a lift keeps the residues the party
+    decrypted, so they must equal the integer shadow's mod q."""
+    return [x % q for x in lifted] == [x % q for x in shadow_values]
 
 
 def _close_step(trace, plant_sim, ideal, r_t, U, scale: Fraction, **record):
@@ -721,9 +796,6 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     inno_ct = ref_ct = None
     inno_int = ref_int = None
 
-    def dec_matches(ct, ints):
-        return list(he.decrypt(sk, ct)) == [x % q for x in ints]
-
     for t in range(cfg.horizon):
         if t == 0:
             y_o_ct, a_ct, b_ct, g_ct = controller.bootstrap(x_e0_scaled)
@@ -732,29 +804,17 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             y_o_ct, a_ct, b_ct, g_ct = controller.step(inno_ct, ref_ct)
             alpha_i, beta_i, gamma_i = shadow.step(inno_int, ref_int)
 
-        fail = False
         y_o_i = shadow.y_o()
-        ok = (
-            dec_matches(y_o_ct, y_o_i)
-            and dec_matches(a_ct, alpha_i)
-            and dec_matches(b_ct, beta_i)
-            and dec_matches(g_ct, gamma_i)
-        )
-        if not ok:
-            trace.oracle_mismatches += 1
-
         lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, plant_sim.output())
-        if lifted_y != y_o_i:
-            fail = True
         r_t = cfg.reference_at(t)
         q_ref, ref_ct, sat_r = provider.step(l_t, r=r_t)
         inno_int, ref_int = q_inno, q_ref
 
-        (alpha_a, beta_a, gamma_a), ut_a, scale = actuator.step(a_ct, b_ct, g_ct, l_t)
-        if alpha_a != alpha_i or beta_a != beta_i or gamma_a != gamma_i:
-            fail = True
-        if ut_a != shadow.u:
-            fail = True
+        lifted_a, ut_a, scale = actuator.step(a_ct, b_ct, g_ct, l_t)
+        got, want = (lifted_y, *lifted_a), (y_o_i, alpha_i, beta_i, gamma_i)
+        if not all(_same_residues(g, w, q) for g, w in zip(got, want)):
+            trace.oracle_mismatches += 1
+        fail = got != want or ut_a != shadow.u
 
         saturated = bool(sat_s or sat_r)
         trace.saturation_count += int(saturated)
@@ -831,12 +891,10 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
         ut_true = shadow.step(q_y, q_r)
 
-        fail = False
-        if list(he.decrypt(sk, u_ct)) != [x % q for x in ut_true]:
-            trace.oracle_mismatches += 1
         lifted, scale = actuator.step(u_ct, l_t)
-        if lifted != ut_true:
-            fail = True
+        if not _same_residues(lifted, ut_true, q):
+            trace.oracle_mismatches += 1
+        fail = lifted != ut_true
 
         # the increment ut - prev_ut/omega = (on ut - od prev_ut)/on
         mx = max((abs((on * x - od * y) / on) for x, y in zip(ut_true, prev_ut)),

@@ -26,6 +26,7 @@ from encloop.exactmat import RationalMatrix
 from encloop.fixtures import Scenario
 from encloop.loop import (
     RunConfig,
+    lattice_params,
     lattice_params_for_main,
     run_closed_loop_main,
     run_closed_loop_prelim,
@@ -310,6 +311,22 @@ def test_criterion_9_he_laws_and_backend_equivalence(batch, sound_plan):
     assert tr_l.recovery_failures == 0
     report(9, "additive laws exact on 10^4 randomized inputs per backend; "
               "mock and lattice runs bit-identical over 50 steps")
+
+
+def test_criterion_9_long_horizon_lattice(batch, sound_plan):
+    """Criterion 9's backend equivalence, at a horizon four times longer, under
+    the planner's own lattice sizing (`lattice_params`)."""
+    cfg_m = RunConfig(plant=batch.plant, ctrl=batch.ctrl,
+                      reference=batch.reference, x_p0=batch.x_p0, horizon=200,
+                      params=he.SchemeParams.mock(sound_plan.q), seed=3)
+    cfg_l = replace(cfg_m, params=lattice_params(sound_plan, 200))
+    tr_m = run_closed_loop_main(sound_plan, cfg_m)
+    tr_l = run_closed_loop_main(sound_plan, cfg_l)
+    assert tr_l.recovery_failures == 0
+    assert tr_l.oracle_mismatches == 0
+    assert [r.u_a for r in tr_m.records] == [r.u_a for r in tr_l.records]
+    report("9*", f"mock and lattice runs bit-identical over 200 steps "
+                 f"(pad {cfg_l.params.lattice.pad_bits} bits)")
 
 
 def test_criterion_10_overheads(sound_plan, sound_trace_600):

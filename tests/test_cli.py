@@ -111,6 +111,17 @@ def test_simulate_small_q_override_fails_with_code_3(capsys):
     assert json.loads(out)["recovery_failures"] > 0
 
 
+def test_simulate_long_lattice_run(capsys):
+    """The planned noise budget holds past the horizons that once overflowed
+    it (exit 5 at H >= 55)."""
+    code, out, err = run_cli(capsys, "simulate", "--fixture", "batch-reactor",
+                             "--backend", "lattice", "--horizon", "60")
+    assert code == 0, err
+    summary = json.loads(out)
+    assert summary["backend"] == "lattice"
+    assert summary["recovery_failures"] == 0 and summary["oracle_mismatches"] == 0
+
+
 def test_simulate_prelim_fixture(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--fixture", "coupled-tanks",
                            "--scheme", "prelim", "--horizon", "60")

@@ -80,6 +80,20 @@ def test_plain_matmul_identity_zero_random(scheme, keys):
         assert got == want
 
 
+def test_plain_matmul_centered_entries(scheme, keys):
+    """Negative entries decrypt like their [0, q) residues, and the lattice
+    noise bound charges the row sums of the entries as given."""
+    pk, sk = keys
+    rng = random.Random(14)
+    c = he.encrypt(pk, [3, scheme.q - 5, 12345], rng)
+    M = [[-1, 2, -3], [-(scheme.q // 2) + 1, 0, 7]]
+    reduced = [[x % scheme.q for x in row] for row in M]
+    got = he.plain_matmul(M, c)
+    assert he.decrypt(sk, got) == he.decrypt(sk, he.plain_matmul(reduced, c))
+    assert got.noise_bound == c.noise_bound * (scheme.q // 2 + 6)
+    assert he.plain_matmul([[-1, 2, -3]], c).noise_bound == c.noise_bound * 6
+
+
 def test_dimension_mismatch(scheme, keys):
     pk, sk = keys
     rng = random.Random(5)

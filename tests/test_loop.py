@@ -12,10 +12,13 @@ from encloop import cli, he
 from encloop.exactmat import RationalMatrix
 from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
+    CipherRing,
     PlantSim,
     RunConfig,
     centered_mod_recover,
+    lattice_params,
     lattice_params_for_main,
+    noise_peak,
     run_closed_loop_main,
     run_closed_loop_prelim,
 )
@@ -37,6 +40,16 @@ def main_cfg(sc, plan, horizon, *, backend="mock", seed=0, detail=False, q=None)
     return RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                      x_p0=sc.x_p0, horizon=horizon, params=params, seed=seed,
                      collect_detail=detail)
+
+
+def route(request, scheme):
+    """(scenario, plan, runner): the batch reactor on the main route, or the
+    coupled tanks on the prelim route."""
+    if scheme == "main":
+        return (request.getfixturevalue("batch"),
+                request.getfixturevalue("sound_plan"), run_closed_loop_main)
+    return (request.getfixturevalue("tanks"),
+            request.getfixturevalue("tanks_plan"), run_closed_loop_prelim)
 
 
 class TestCenteredRecover:
@@ -257,16 +270,71 @@ class TestPrelimLoop:
         assert tr.records[-1].diff_inf < 1e-9
 
     def test_prelim_on_lattice_backend(self, tanks, tanks_plan):
-        width = max(tanks.plant.n, tanks.ctrl.n_x, tanks.ctrl.w,
-                    tanks.ctrl.n_r, tanks.plant.v)
-        per_step = math.ceil(math.log2(tanks_plan.q)) + width.bit_length() + 3
-        params = he.SchemeParams.lattice_for_budget(
-            tanks_plan.q, 24 * per_step + 64)
+        params = lattice_params(tanks_plan, 20)
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
                         reference=tanks.reference, x_p0=tanks.x_p0,
                         horizon=20, params=params, seed=1)
         tr = run_closed_loop_prelim(tanks_plan, cfg)
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+
+
+class TestNoiseDryRun:
+    """`lattice_params` sizes the pad from a dry run of the noise budget
+    (`NoiseRing`); the dry run predicts a real run exactly."""
+
+    def test_cipher_ring_centers_plaintexts(self):
+        pk, _ = he.keygen(he.SchemeParams.mock(10))
+        ring = CipherRing(pk, 10, random.Random(0))
+        assert ring.plain([[9, 1, 5, 6, -5, 20]]) == [[-1, 1, 5, -4, 5, 0]]
+        assert ring.scalar(14, 2) == [[4, 0], [0, 4]]
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_peak_is_the_largest_noise_of_a_run(self, request, monkeypatch, scheme):
+        sc, plan, run = route(request, scheme)
+        largest = [0]
+
+        def recording(op):
+            def wrapped(*args, **kwargs):
+                ct = op(*args, **kwargs)
+                largest[0] = max(largest[0], ct.noise_bound)
+                return ct
+            return wrapped
+
+        for name in ("plain_matmul", "add", "encrypt"):
+            monkeypatch.setattr(he, name, recording(getattr(he, name)))
+        params = lattice_params(plan, 30)
+        cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                        x_p0=sc.x_p0, horizon=30, params=params, seed=1)
+        tr = run(plan, cfg)
+        assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+        assert largest[0] == noise_peak(plan, 30)
+        # two bits less pad and the same run overflows
+        lp = params.lattice
+        tight = replace(params, lattice=replace(lp, pad_bits=lp.pad_bits - 2))
+        with pytest.raises(he.NoiseOverflowError):
+            run(plan, replace(cfg, params=tight))
+
+
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+def test_oracle_counts_a_wrong_decryption(request, monkeypatch, scheme):
+    """The oracle reads the residues the parties decrypted: one decryption
+    off by one is one oracle mismatch, and a recovery failure."""
+    sc, plan, run = route(request, scheme)
+    decrypt, calls = he.decrypt, [0]
+
+    def off_by_one_once(sk, ct):
+        out = decrypt(sk, ct)
+        calls[0] += 1
+        if calls[0] == 7:
+            out = ((out[0] + 1) % plan.q, *out[1:])
+        return out
+
+    monkeypatch.setattr(he, "decrypt", off_by_one_once)
+    cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                    x_p0=sc.x_p0, horizon=10, params=he.SchemeParams.mock(plan.q))
+    tr = run(plan, cfg)
+    assert tr.oracle_mismatches == 1
+    assert tr.recovery_failures >= 1
 
 
 class TestTrace:
