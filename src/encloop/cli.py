@@ -254,12 +254,17 @@ def cmd_sweep(args) -> int:
     """Fan independent seeded runs out over a process pool."""
     from concurrent.futures import ProcessPoolExecutor
 
+    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     scenario, cfg = _load_scenario(args)
     plan = _plan(args, scenario, cfg)
     run_cfg = _run_config(args, cfg, scenario, plan, seed=0)
     jobs = [(plan, replace(run_cfg, seed=s)) for s in range(args.seeds)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    workers = min(args.jobs, args.seeds)
+    if workers > 1:
+        # the pool starts every worker at once, so none beyond one per run
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))
     else:
         results = [_sweep_one(j) for j in jobs]

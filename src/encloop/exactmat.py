@@ -179,12 +179,6 @@ class RationalMatrix:
                 out.append(sum((ri[t] * other.data[t * m + j] for t in range(k)), Fraction(0)))
         return RationalMatrix(n, m, out)
 
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows,
-            [self.data[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def matpow(self, k: int) -> "RationalMatrix":
         if self.rows != self.cols:
             raise NonSquareError("power of a non-square matrix")
@@ -197,54 +191,45 @@ class RationalMatrix:
         return all(x == 0 for x in self.data)
 
     def inverse(self) -> "RationalMatrix":
-        """Exact Gauss-Jordan inverse."""
+        """Exact Gauss-Jordan inverse: [A | I] reduces to [I | A^-1]."""
         if self.rows != self.cols:
             raise NonSquareError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) for i in range(n)]
-        b = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise SingularMatrixError("matrix is singular")
-            a[col], a[piv] = a[piv], a[col]
-            b[col], b[piv] = b[piv], b[col]
-            inv = 1 / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            b[col] = [x * inv for x in b[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-                    b[r] = [x - f * y for x, y in zip(b[r], b[col])]
-        return RationalMatrix(n, n, [x for row in b for x in row])
+        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
+             for i in range(n)]
+        if _row_reduce(a, n) < n:
+            raise SingularMatrixError("matrix is singular")
+        return RationalMatrix(n, n, [x for row in a for x in row[n:]])
 
     def rank(self) -> int:
-        """Exact rank via fraction-free-ish elimination."""
-        a = [list(self.row(i)) for i in range(self.rows)]
-        rank = 0
-        col = 0
-        while rank < self.rows and col < self.cols:
-            piv = next((r for r in range(rank, self.rows) if a[r][col] != 0), None)
-            if piv is None:
-                col += 1
-                continue
-            a[rank], a[piv] = a[piv], a[rank]
-            inv = 1 / a[rank][col]
-            a[rank] = [x * inv for x in a[rank]]
-            for r in range(self.rows):
-                if r != rank and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
-            rank += 1
-            col += 1
-        return rank
+        """Exact rank: the pivot count of Gauss-Jordan elimination."""
+        return _row_reduce([list(self.row(i)) for i in range(self.rows)], self.cols)
 
     def denominator_lcm(self) -> int:
         out = 1
         for x in self.data:
             out = out * x.denominator // math.gcd(out, x.denominator)
         return out
+
+
+def _row_reduce(a: list, cols: int) -> int:
+    """Gauss-Jordan elimination, in place, of the rows `a` (lists of
+    Fractions) on their first `cols` columns; returns the pivot count, the
+    rank of those columns.  Later columns follow the row operations."""
+    rank = 0
+    for col in range(cols):
+        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        if piv is None:
+            continue
+        a[rank], a[piv] = a[piv], a[rank]
+        inv = 1 / a[rank][col]
+        a[rank] = [x * inv for x in a[rank]]
+        for r in range(len(a)):
+            if r != rank and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+        rank += 1
+    return rank
 
 
 # -- block assembly ----------------------------------------------------

@@ -34,6 +34,14 @@ class Scenario:
     x_p0: tuple                      # exact initial plant state (Fractions)
     L_published: Optional[RationalMatrix] = None
 
+    def __post_init__(self):
+        if self.reference.shape != (self.ctrl.n_r, 1):
+            raise ValueError(f"reference has {self.reference.rows} entries; "
+                             f"the controller takes {self.ctrl.n_r}")
+        if len(self.x_p0) != self.plant.n:
+            raise ValueError(f"x_p0 has {len(self.x_p0)} entries; "
+                             f"the plant has {self.plant.n} states")
+
 
 @lru_cache(maxsize=None)
 def batch_reactor() -> Scenario:

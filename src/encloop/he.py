@@ -88,13 +88,11 @@ class SchemeParams:
         return cls(q=q, backend="mock")
 
     @classmethod
-    def lattice_for_budget(cls, q: int, noise_budget_log2: int, *,
-                           dimension: int = 16, samples: int = 48,
-                           noise: int = 4) -> "SchemeParams":
-        """Size pad_bits so the declared workload's noise (given in log2) decrypts exactly."""
-        lp = LatticeParams(dimension=dimension, samples=samples, noise=noise,
-                           pad_bits=noise_budget_log2 + 2)
-        return cls(q=q, backend="lattice", lattice=lp)
+    def lattice_for_budget(cls, q: int, noise_budget_log2: int) -> "SchemeParams":
+        """Default `LatticeParams` with pad_bits sized so the declared
+        workload's noise (given in log2) decrypts exactly."""
+        return cls(q=q, backend="lattice",
+                   lattice=LatticeParams(pad_bits=noise_budget_log2 + 2))
 
     @property
     def ct_modulus(self) -> int:
@@ -120,13 +118,11 @@ class KeyMaterial:
 
 @dataclass
 class Ciphertext:
-    """Opaque encrypted vector; op counters and the noise bound only grow."""
+    """Opaque encrypted vector; the noise bound only grows."""
 
     params: SchemeParams
     dim: int
     payload: tuple
-    adds: int = 0
-    pmults: int = 0
     noise_bound: int = 0
 
     def _compatible(self, other: "Ciphertext"):
@@ -223,16 +219,18 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
             for (a1, b1), (a2, b2) in zip(c1.payload, c2.payload)
         )
     return Ciphertext(params, c1.dim, payload,
-                      adds=c1.adds + c2.adds + 1,
-                      pmults=c1.pmults + c2.pmults,
                       noise_bound=c1.noise_bound + c2.noise_bound)
 
 
-def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
-    """M is an integer matrix, entries of either sign; decrypts to M v mod q.
+def matmul_weight(M: Sequence[Sequence[int]]) -> int:
+    """The factor `plain_matmul` multiplies a noise bound by: M's largest
+    absolute row sum, smallest for the centered representatives mod q."""
+    return max(sum(abs(x) for x in row) for row in M)
 
-    The noise bound grows by M's largest absolute row sum, so the smallest
-    representatives mod q (centered ones) keep it smallest."""
+
+def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
+    """M is an integer matrix, entries of either sign; decrypts to M v mod q,
+    with the noise bound multiplied by `matmul_weight(M)`."""
     params = ct.params
     rows = len(M)
     if rows == 0:
@@ -241,7 +239,7 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = 0
     if ct.noise_bound:  # mock ciphertexts carry 0: skip the row-sum weight
-        noise = ct.noise_bound * max(sum(abs(x) for x in row) for row in M)
+        noise = ct.noise_bound * matmul_weight(M)
     if params.backend == "mock":
         payload = tuple(
             sum(m * x for m, x in zip(row, ct.payload)) % params.q for row in M
@@ -264,8 +262,7 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
                 c += m * bj
             payload.append((tuple(x % Q for x in a), c % Q))
         payload = tuple(payload)
-    return Ciphertext(params, rows, payload,
-                      adds=ct.adds, pmults=ct.pmults + 1, noise_bound=noise)
+    return Ciphertext(params, rows, payload, noise_bound=noise)
 
 
 @dataclass(frozen=True)

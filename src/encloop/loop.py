@@ -1,5 +1,6 @@
 """Five-party closed-loop simulation: plant, sensor, encrypted controller,
-actuator, and reference provider.
+actuator, and reference provider.  A run tracks one constant reference
+(`RunConfig.reference`), the setting the planner's guarantees are stated for.
 
 Numeric split: the simulated plant, the quantizer inputs, and everything
 behind the quantizer (controller states, transmitted increments, actuator
@@ -45,7 +46,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -84,6 +85,11 @@ def _centered(x: int, q: int) -> int:
     """The representative of x mod q in (-q/2, q/2]."""
     r = x % q
     return r - q if r > q // 2 else r
+
+
+def _centered_rows(M, q: int) -> list:
+    """The plaintext matrix handed to `he`: M's entries centered mod q."""
+    return [[_centered(x, q) for x in row] for row in M]
 
 
 def _inorm(v):
@@ -263,7 +269,8 @@ class PlantSim:
 
 
 class IdealLoop:
-    """The pre-given controller closed with its own plant copy, no quantization."""
+    """The pre-given controller closed with its own plant copy on the constant
+    reference, no quantization."""
 
     def __init__(self, plant: PlantModel, ctrl: ControllerModel, x_p0, reference):
         self.A, self.B, self.C = (m.to_floats() for m in (plant.A, plant.B, plant.C))
@@ -273,9 +280,7 @@ class IdealLoop:
         self.x = ctrl.x0.to_floats().ravel()
         self.r = np.array([float(x) for x in reference.data], dtype=float)
 
-    def step(self, r=None) -> np.ndarray:
-        if r is not None:
-            self.r = np.array([float(x) for x in r], dtype=float)
+    def step(self) -> np.ndarray:
         y = self.C @ self.x_p
         u = self.H @ self.x + self.J @ y + self.S @ self.r
         x_next = self.F @ self.x + self.G @ y + self.R @ self.r
@@ -331,7 +336,7 @@ class CipherRing:
         self.enc_ops = 0
 
     def plain(self, M):
-        return [[_centered(x, self.q) for x in row] for row in M]
+        return _centered_rows(M, self.q)
 
     def scalar(self, c, d):
         return self.plain([[c if i == j else 0 for j in range(d)] for i in range(d)])
@@ -353,12 +358,12 @@ class CipherRing:
 
 class NoiseRing:
     """The lattice backend's noise bounds in place of ciphertexts: a dry run
-    of the budget model of `he`.  A plaintext becomes the weight
-    `he.plain_matmul` charges, the largest absolute row sum of the matrix
-    `CipherRing.plain` makes; `fresh` is the bound of a fresh encryption
-    under the default `he.LatticeParams`, which `lattice_params` keeps; sums
-    add bounds.  `peak` is the largest bound of any ciphertext made so
-    far, since `he.plain_matmul` refuses an intermediate product too."""
+    of the budget model of `he`.  A plaintext becomes `he.matmul_weight` of
+    the matrix `CipherRing` makes of it, the factor `he.plain_matmul`
+    charges; `fresh` is the bound of a fresh encryption under the default
+    `he.LatticeParams`, which `lattice_params` keeps; sums add bounds.
+    `peak` is the largest bound of any ciphertext made so far, since
+    `he.plain_matmul` refuses an intermediate product too."""
 
     def __init__(self, q: int):
         self.q = q
@@ -366,10 +371,9 @@ class NoiseRing:
         self.peak = 0
 
     def plain(self, M):
-        return max(sum(abs(_centered(x, self.q)) for x in row) for row in M)
+        return he.matmul_weight(_centered_rows(M, self.q))
 
-    def scalar(self, c, d):
-        return abs(_centered(c, self.q))
+    scalar = CipherRing.scalar
 
     def fresh(self, values):
         return self._made(self.fresh_bound)
@@ -575,30 +579,22 @@ class MainSensor:
 
 
 class RefProvider:
-    """Streams encrypted quantized reference increments.
+    """Streams encrypted quantized increments of the run's constant reference r.
 
     It keeps the scaled error e = (r - r_e)/l(t) of its local reference
     estimate r_e, as integer numerators over one denominator.  Sending the
-    increment k moves r_e by l(t) k, so e <- (e - k)/omega, and a reference
-    switch from r to r' adds (r' - r)/l(t).  The main plan certifies 1/omega
-    an integer, so the denominator stays fixed and e stays bounded.
+    increment k moves r_e by l(t) k, so e <- (e - k)/omega.  The main plan
+    certifies 1/omega an integer, so the denominator stays fixed, and it
+    sizes the quantizer range for a constant r, so e stays within it.
     """
 
     def __init__(self, ring: CipherRing, plan: MainPlan, reference: RationalMatrix):
         self.ring = ring
         self.spec = QuantizerSpec(plan.range_level)
-        self.r = list(reference.data)
         self.inv_omega = plan.certificates["1/omega"].scaled_entries[0]
-        self.e, self.den = _over_common_den([r / plan.l0 for r in self.r])
+        self.e, self.den = _over_common_den([r / plan.l0 for r in reference.data])
 
-    def step(self, l_t: Fraction, r=None):
-        if r is not None:
-            r = [as_fraction(x) for x in r]
-            if r != self.r:
-                self.e, self.den = _over_common_den([
-                    Fraction(e, self.den) + (new - old) / l_t
-                    for e, new, old in zip(self.e, r, self.r)])
-                self.r = r
+    def step(self):
         q_inc, sat = quantize_vector(self.e, self.spec, self.den)
         self.e = [(e - k * self.den) * self.inv_omega for e, k in zip(self.e, q_inc)]
         return q_inc, self.ring.fresh(q_inc), sat
@@ -673,6 +669,9 @@ class PrelimActuator:
 
 @dataclass
 class RunConfig:
+    """One closed-loop run.  `reference` (n_r x 1) is constant for the whole
+    run, as the plan's error envelopes and quantizer range assume."""
+
     plant: PlantModel
     ctrl: ControllerModel
     reference: RationalMatrix
@@ -681,16 +680,6 @@ class RunConfig:
     params: he.SchemeParams
     seed: int = 0
     collect_detail: bool = False
-    # experimental: per-step reference vectors (held at the last entry);
-    # the planned error envelopes are asserted only for constant references
-    reference_schedule: Optional[Sequence] = None
-
-    def reference_at(self, t: int):
-        if self.reference_schedule is None:
-            return None
-        sched = self.reference_schedule
-        vec = sched[min(t, len(sched) - 1)]
-        return vec.data if isinstance(vec, RationalMatrix) else vec
 
 
 def noise_peak(plan, horizon: int) -> int:
@@ -725,12 +714,6 @@ def lattice_params(plan, horizon: int) -> he.SchemeParams:
     return he.SchemeParams.lattice_for_budget(plan.q, budget)
 
 
-def lattice_params_for_main(plan: MainPlan, dims, horizon: int) -> he.SchemeParams:
-    """`lattice_params` under its main-route name; the noise bounds do not
-    depend on the vector lengths `dims`."""
-    return lattice_params(plan, horizon)
-
-
 def _scaled_integer_state(x0_entries, scale: Fraction):
     out = []
     for x in x0_entries:
@@ -749,11 +732,11 @@ def _same_residues(lifted, shadow_values, q: int) -> bool:
     return [x % q for x in lifted] == [x % q for x in shadow_values]
 
 
-def _close_step(trace, plant_sim, ideal, r_t, U, scale: Fraction, **record):
+def _close_step(trace, plant_sim, ideal, U, scale: Fraction, **record):
     """The tail both routes share: the reference loop and the plant (on the
     exact delivered input u_a = scale U, U integers) advance, and the step's
     record is kept."""
-    u_true = ideal.step(r=r_t)
+    u_true = ideal.step()
     u_a = [scale.numerator * x / scale.denominator for x in U]
     plant_sim.step(U)
     diff = float(np.max(np.abs(np.array(u_a) - u_true))) if len(U) else 0.0
@@ -806,8 +789,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
 
         y_o_i = shadow.y_o()
         lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, plant_sim.output())
-        r_t = cfg.reference_at(t)
-        q_ref, ref_ct, sat_r = provider.step(l_t, r=r_t)
+        q_ref, ref_ct, sat_r = provider.step()
         inno_int, ref_int = q_inno, q_ref
 
         lifted_a, ut_a, scale = actuator.step(a_ct, b_ct, g_ct, l_t)
@@ -829,7 +811,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.dec_ops = sensor.dec_ops + actuator.dec_ops
 
         _close_step(
-            trace, plant_sim, ideal, r_t, ut_a, scale,
+            trace, plant_sim, ideal, ut_a, scale,
             t=t,
             log2_alpha=_log2norm(alpha_i),
             log2_beta=_log2norm(beta_i),
@@ -875,18 +857,14 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
 
     trace = ClosedLoopTrace(scheme="prelim")
     l_t = plan.l0
-    ref = list(cfg.reference.data)
     q = plan.q
     on, od = plan.omega.numerator, plan.omega.denominator
     prev_ut = [0] * w_dim
 
     for t in range(cfg.horizon):
-        r_t = cfg.reference_at(t)
-        if r_t is not None:
-            ref = [as_fraction(x) for x in r_t]
         Y, E = plant_sim.output()
         q_y, _ = quantize_vector(Y, den=E)
-        r_bar = [r / l_t for r in ref]
+        r_bar = [r / l_t for r in cfg.reference.data]
         q_r, _ = quantize_vector(r_bar, None)
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
         ut_true = shadow.step(q_y, q_r)
@@ -911,7 +889,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.dec_ops = actuator.dec_ops
 
         _close_step(
-            trace, plant_sim, ideal, r_t, lifted, scale,
+            trace, plant_sim, ideal, lifted, scale,
             t=t,
             log2_alpha=math.log2(mx) if mx > 0 else float("-inf"),
             log2_beta=float("-inf"),

@@ -27,7 +27,6 @@ from encloop.fixtures import Scenario
 from encloop.loop import (
     RunConfig,
     lattice_params,
-    lattice_params_for_main,
     run_closed_loop_main,
     run_closed_loop_prelim,
 )
@@ -304,7 +303,7 @@ def test_criterion_9_he_laws_and_backend_equivalence(batch, sound_plan):
                       reference=batch.reference, x_p0=batch.x_p0, horizon=50,
                       params=he.SchemeParams.mock(sound_plan.q), seed=3)
     cfg_l = replace(cfg_m,
-                    params=lattice_params_for_main(sound_plan, sound_plan.dims, 50))
+                    params=lattice_params(sound_plan, 50))
     tr_m = run_closed_loop_main(sound_plan, cfg_m)
     tr_l = run_closed_loop_main(sound_plan, cfg_l)
     assert [r.u_a for r in tr_m.records] == [r.u_a for r in tr_l.records]

@@ -220,6 +220,45 @@ def test_config_scenario_roundtrip(capsys, tmp_path):
     assert json.loads(out)["recovery_failures"] == 0
 
 
+def test_sweep_pool_no_larger_than_its_runs(capsys, monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for `ProcessPoolExecutor`: records its size and runs
+        the jobs in this process, so no worker is ever started."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    code, out, _ = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--horizon", "5",
+                           "--seeds", "2", "--jobs", "64")
+    assert code == 0
+    assert sizes == [2]
+    assert len(json.loads(out)["runs"]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_sweep_rejects_counts_below_one(capsys, flag, value):
+    code, _, err = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--horizon", "5", flag, value)
+    assert code == 1
+    assert err.startswith("config error: ") and flag in err
+
+
 def test_sweep_aggregates_runs(capsys, tmp_path):
     out_path = str(tmp_path / "sweep.json")
     code, out, _ = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
@@ -447,6 +486,22 @@ def test_unknown_config_scheme_rejected(capsys, tmp_path, observer):
                            "--observer", observer)
     assert code == 1
     assert err.startswith("config error: ") and "foo" in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
+@pytest.mark.parametrize("key,value", [("reference", ["0", "0"]),
+                                       ("x_p0", ["0.5", "0.5"])],
+                         ids=["reference", "x_p0"])
+def test_config_vector_of_wrong_length_rejected(capsys, tmp_path, key, value,
+                                                command):
+    # one entry too many: the controller takes one reference, the plant has
+    # one state
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, key: value}))
+    horizon = [] if command == "plan" else ["--horizon", "3"]
+    code, _, err = run_cli(capsys, command, "--config", str(path), *horizon)
+    assert code == 1
+    assert err.startswith("config error: bad config: ") and key in err
 
 
 @pytest.mark.parametrize("horizon", ["0", "-3"])

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +27,17 @@ from encloop.planner import ControllerModel, PlantModel
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
 )
+
+
+@st.composite
+def small_int_matrices(draw):
+    """Integer matrices up to 4x4, square about half the time; entries this
+    small make singular ones common."""
+    rows = draw(st.integers(1, 4))
+    cols = draw(st.one_of(st.just(rows), st.integers(1, 4)))
+    entries = draw(st.lists(st.integers(-2, 2), min_size=rows * cols,
+                            max_size=rows * cols))
+    return RationalMatrix(rows, cols, [Fraction(x) for x in entries])
 
 
 def rmat(rows):
@@ -206,6 +218,21 @@ class TestLinearAlgebra:
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
             rmat([[1, 2], [2, 4]]).inverse()
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_int_matrices())
+    def test_rank_and_inverse_agree_with_numpy(self, m):
+        # integer entries: a nonzero minor is at least 1, far above the
+        # tolerance of numpy's singular-value rank
+        rank = m.rank()
+        assert rank == np.linalg.matrix_rank(m.to_floats())
+        if m.rows != m.cols:
+            return
+        if rank < m.rows:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            assert m @ m.inverse() == RationalMatrix.identity(m.rows)
 
     def test_matrix_power_exact(self):
         m = rmat([["1/2", 1], [0, "1/2"]])

@@ -17,7 +17,6 @@ from encloop.loop import (
     RunConfig,
     centered_mod_recover,
     lattice_params,
-    lattice_params_for_main,
     noise_peak,
     run_closed_loop_main,
     run_closed_loop_prelim,
@@ -36,7 +35,7 @@ def main_cfg(sc, plan, horizon, *, backend="mock", seed=0, detail=False, q=None)
     if backend == "mock":
         params = he.SchemeParams.mock(q)
     else:
-        params = lattice_params_for_main(plan, plan.dims, horizon)
+        params = lattice_params(plan, horizon)
     return RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                      x_p0=sc.x_p0, horizon=horizon, params=params, seed=seed,
                      collect_detail=detail)
@@ -416,21 +415,6 @@ class TestDeterminismAndSchedules:
         b = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30))
         assert [(r.u_a, r.log2_alpha, r.saturated) for r in a.records] == \
                [(r.u_a, r.log2_alpha, r.saturated) for r in b.records]
-
-    def test_time_varying_reference_experimental(self, batch, sound_plan):
-        ref2 = RationalMatrix.column(["2.2", "5.2", "3.5", "6.7"])
-        # switch while the zoom is still coarse: absorbed and tracked
-        early = [batch.reference] + [ref2] * 79
-        cfg = replace(main_cfg(batch, sound_plan, 80), reference_schedule=early)
-        tr = run_closed_loop_main(sound_plan, cfg)
-        assert tr.recovery_failures == 0
-        assert tr.records[-1].diff_inf < 1e-3
-        # switch after zooming in: (r - r_e)/l(t) blows past the quantizer
-        # range, and the run records the failure instead of hiding it
-        late = [batch.reference] * 10 + [ref2] * 30
-        cfg = replace(main_cfg(batch, sound_plan, 40), reference_schedule=late)
-        tr = run_closed_loop_main(sound_plan, cfg)
-        assert tr.saturation_count > 0 or tr.recovery_failures > 0
 
 
 class TestRandomSystems:
