@@ -201,12 +201,28 @@ def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemePara
     return loop.lattice_params(plan, horizon)
 
 
-def _run_config(args, cfg: dict, scenario: Scenario, plan, seed: int) -> loop.RunConfig:
+def _config_int(cfg: dict, key: str, default: int) -> int:
+    """A config's integer setting: a JSON integer or a string of one."""
+    value = cfg.get(key, default)
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"config {key!r} must be an integer, got {value!r}")
+
+
+def _run_config(args, cfg: dict, scenario: Scenario, plan) -> loop.RunConfig:
     """The run settings: the command line's, else the config's, else the defaults."""
     backend = args.backend or cfg.get("backend", "mock")
-    horizon = args.horizon if args.horizon is not None else int(cfg.get("horizon", 100))
+    if backend not in ("mock", "lattice"):
+        raise ConfigError(f"unknown backend {backend!r}; have ['mock', 'lattice']")
+    horizon = args.horizon if args.horizon is not None else _config_int(cfg, "horizon", 100)
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
+    seed = args.seed if args.seed is not None else _config_int(cfg, "seed", 0)
     return loop.RunConfig(
         plant=scenario.plant, ctrl=scenario.ctrl, reference=scenario.reference,
         x_p0=scenario.x_p0, horizon=horizon,
@@ -222,14 +238,13 @@ def _run(plan, run_cfg: loop.RunConfig) -> loop.ClosedLoopTrace:
 
 def cmd_simulate(args) -> int:
     scenario, cfg = _load_scenario(args)
-    seed = args.seed if args.seed is not None else int(cfg.get("seed", 0))
     plan = _plan(args, scenario, cfg)
-    run_cfg = _run_config(args, cfg, scenario, plan, seed)
+    run_cfg = _run_config(args, cfg, scenario, plan)
     trace = _run(plan, run_cfg)
     summary = trace.summary()
     summary["plan"] = plan.to_json()
     summary["backend"] = run_cfg.params.backend
-    summary["seed"] = seed
+    summary["seed"] = run_cfg.seed
     if args.out:
         trace.to_csv(args.out + ".csv")
         with open(args.out + ".json", "w") as f:
@@ -239,48 +254,6 @@ def cmd_simulate(args) -> int:
     if trace.recovery_failures:
         return EXIT_RECOVERY
     if trace.saturation_count:
-        return EXIT_SATURATION
-    return EXIT_OK
-
-
-def _sweep_one(job):
-    plan, run_cfg = job
-    out = _run(plan, run_cfg).summary()
-    out["seed"] = run_cfg.seed
-    return out
-
-
-def cmd_sweep(args) -> int:
-    """Fan independent seeded runs out over a process pool."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    for flag, value in (("--seeds", args.seeds), ("--jobs", args.jobs)):
-        if value < 1:
-            raise ConfigError(f"{flag} must be >= 1, got {value}")
-    scenario, cfg = _load_scenario(args)
-    plan = _plan(args, scenario, cfg)
-    run_cfg = _run_config(args, cfg, scenario, plan, seed=0)
-    jobs = [(plan, replace(run_cfg, seed=s)) for s in range(args.seeds)]
-    workers = min(args.jobs, args.seeds)
-    if workers > 1:
-        # the pool starts every worker at once, so none beyond one per run
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(j) for j in jobs]
-    report = {
-        "runs": results,
-        "total_recovery_failures": sum(r["recovery_failures"] for r in results),
-        "total_saturations": sum(r["saturation_count"] for r in results),
-    }
-    text = json.dumps(report, indent=2, sort_keys=True)
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text + "\n")
-    print(text)
-    if report["total_recovery_failures"]:
-        return EXIT_RECOVERY
-    if report["total_saturations"]:
         return EXIT_SATURATION
     return EXIT_OK
 
@@ -308,7 +281,7 @@ def cmd_compare(args) -> int:
         plan = _plan(args, scenario, cfg)
         if not isinstance(plan, MainPlan):
             raise ConfigError("compare measures the main scheme only")
-        measured = _run(plan, _run_config(args, cfg, scenario, plan, seed=0))
+        measured = _run(plan, _run_config(args, cfg, scenario, plan))
         d = plan.dims
         n, n_x, w = d["n"], d["n_x"], d["w"]
 
@@ -334,8 +307,17 @@ def cmd_compare(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1 like every other config error; argparse's own
+    exit 2 means "infeasible" here.  Subparsers are made of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="encloop",
         description="Convert a linear dynamic controller to integer coefficients "
                     "and run it closed-loop over additively homomorphic encryption.",
@@ -373,16 +355,7 @@ def main(argv=None) -> int:
     p_cmp.add_argument("--horizon", type=int, default=20)
     p_cmp.add_argument("--hypothetical", metavar="n=..,n_x=..,w=..",
                        help="print the analytic comparison for given dimensions")
-    p_cmp.set_defaults(func=cmd_compare, backend="mock")  # measured on mock only
-
-    p_swp = sub.add_parser("sweep", help="independent seeded runs, aggregated")
-    common(p_swp, "exact")
-    p_swp.add_argument("--backend", choices=["mock", "lattice"])
-    p_swp.add_argument("--horizon", type=int)
-    p_swp.add_argument("--seeds", type=int, default=4)
-    p_swp.add_argument("--jobs", type=int, default=1)
-    p_swp.add_argument("--out", help="write the aggregate report to this path")
-    p_swp.set_defaults(func=cmd_sweep)
+    p_cmp.set_defaults(func=cmd_compare, backend="mock", seed=0)  # measured on mock only
 
     args = parser.parse_args(argv)
     try:

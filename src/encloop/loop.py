@@ -419,9 +419,9 @@ class MainRecurrence:
     and `rebuild` inverts it from memory alone, as the actuator does.
     """
 
-    def __init__(self, ring, plan: MainPlan, dims):
+    def __init__(self, ring, plan: MainPlan):
         self.ring = ring
-        self.dims = dims
+        self.dims = dims = plan.dims
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
         self.pos = _load(ring, plan.certificates, MAIN_CERTIFICATES)
         self.neg = _load(ring, plan.certificates, MAIN_CERTIFICATES, -1)
@@ -544,8 +544,8 @@ class MainIntegerShadow(MainRecurrence):
     """Exact unbounded integer dynamics of the converted controller; ground
     truth for every ciphertext (mod q) and for the actuator reconstruction."""
 
-    def __init__(self, plan: MainPlan, dims):
-        super().__init__(IntRing(), plan, dims)
+    def __init__(self, plan: MainPlan):
+        super().__init__(IntRing(), plan)
 
 
 class MainSensor:
@@ -605,14 +605,13 @@ class MainActuator:
     controller states in scaled-integer coordinates (exact; the delivered
     input is u_a = s2 l(t) u_tilde)."""
 
-    def __init__(self, sk, plan: MainPlan, dims):
+    def __init__(self, sk, plan: MainPlan):
         self.sk = sk
         self.q = plan.q
         self.s2 = plan.s2
-        self.states = MainRecurrence(IntRing(), plan, dims)
-        self.states.reset([0] * dims["n_x"])
+        self.states = MainRecurrence(IntRing(), plan)
+        self.states.reset([0] * plan.dims["n_x"])
         self.dec_ops = 0
-        self.enc_ops = 0
 
     @property
     def ut(self):
@@ -651,7 +650,6 @@ class PrelimActuator:
         self.omega = plan.omega
         self.prior = [0] * w
         self.dec_ops = 0
-        self.enc_ops = 0
 
     def step(self, u_ct, l_t: Fraction):
         """Lifts u_tilde around last step's value over omega; returns it and
@@ -686,24 +684,19 @@ def noise_peak(plan, horizon: int) -> int:
     """The largest `he` noise bound of any ciphertext that a horizon-long
     lattice run of `plan` (main or prelim) makes.
 
-    The plan's recurrence runs on a `NoiseRing` through the operations of
-    `run_closed_loop_*`: on the main route the bootstrap, its `y_o` and
-    horizon - 1 steps, each fed two fresh encryptions; on the prelim route
-    the bootstrap and horizon steps.  Noise bounds depend neither on the
-    plaintext values nor on the vector lengths, so none are needed."""
+    The plan's encrypted controller runs on a `NoiseRing` as
+    `run_closed_loop_*` drives it: the bootstrap, then each step fed two
+    fresh encryptions, horizon - 1 steps on the main route and horizon on
+    the prelim route.  Noise bounds depend neither on the plaintext values
+    nor on the vector lengths, so none are needed."""
     ring = NoiseRing(plan.q)
     if isinstance(plan, MainPlan):
-        controller = MainRecurrence(ring, plan, plan.dims)
-        controller.bootstrap(())
-        controller.y_o()
-        for _ in range(horizon - 1):
-            controller.step(ring.fresh(()), ring.fresh(()))
-            controller.y_o()
+        controller, steps = MainEncController(ring, plan), horizon - 1
     else:
-        controller = PrelimRecurrence(ring, plan)
-        controller.bootstrap(())
-        for _ in range(horizon):
-            controller.step(ring.fresh(()), ring.fresh(()))
+        controller, steps = PrelimEncController(ring, plan), horizon
+    controller.bootstrap(())
+    for _ in range(steps):
+        controller.step(ring.fresh(()), ring.fresh(()))
     return ring.peak
 
 
@@ -757,17 +750,17 @@ def _finish(trace, plant_sim, ideal) -> ClosedLoopTrace:
 
 
 def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
-    dims = dict(plan.dims)
+    dims = plan.dims
     n, n_x, w_dim = dims["n"], dims["n_x"], dims["w"]
     v, n_r = dims["v"], dims["n_r"]
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
 
-    controller = MainEncController(ring, plan, dims)
-    shadow = MainIntegerShadow(plan, dims)
+    controller = MainEncController(ring, plan)
+    shadow = MainIntegerShadow(plan)
     sensor = MainSensor(ring, sk, plan)
     provider = RefProvider(ring, plan, cfg.reference)
-    actuator = MainActuator(sk, plan, dims)
+    actuator = MainActuator(sk, plan)
     plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s2)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
 
@@ -806,7 +799,6 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_provider_to_ctrl += n_r
         trace.msgs_ctrl_to_sensor += v
         trace.actuator_dec_ops = actuator.dec_ops
-        trace.actuator_enc_ops = actuator.enc_ops
         trace.enc_ops = ring.enc_ops
         trace.dec_ops = sensor.dec_ops + actuator.dec_ops
 
@@ -884,7 +876,6 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         trace.msgs_sensor_to_ctrl += v
         trace.msgs_provider_to_ctrl += n_r
         trace.actuator_dec_ops = actuator.dec_ops
-        trace.actuator_enc_ops = actuator.enc_ops
         trace.enc_ops = ring.enc_ops
         trace.dec_ops = actuator.dec_ops
 

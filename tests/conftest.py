@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 
 from encloop.exactmat import RationalMatrix, inf_norm, block_closed_loop
 from encloop.fixtures import batch_reactor, batch_reactor_exact_observer, coupled_tanks
@@ -15,6 +16,11 @@ from encloop.planner import (
     plan_main,
     plan_preliminary,
 )
+
+
+# CI runs with --hypothesis-profile=ci: a failing example also prints the
+# blob that replays it (@reproduce_failure).
+settings.register_profile("ci", print_blob=True)
 
 
 @pytest.fixture(scope="session")

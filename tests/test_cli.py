@@ -3,6 +3,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -220,57 +221,6 @@ def test_config_scenario_roundtrip(capsys, tmp_path):
     assert json.loads(out)["recovery_failures"] == 0
 
 
-def test_sweep_pool_no_larger_than_its_runs(capsys, monkeypatch):
-    import concurrent.futures
-
-    sizes = []
-
-    class RecordingPool:
-        """Stands in for `ProcessPoolExecutor`: records its size and runs
-        the jobs in this process, so no worker is ever started."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    code, out, _ = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
-                           "--scheme", "prelim", "--horizon", "5",
-                           "--seeds", "2", "--jobs", "64")
-    assert code == 0
-    assert sizes == [2]
-    assert len(json.loads(out)["runs"]) == 2
-
-
-@pytest.mark.parametrize("flag", ["--seeds", "--jobs"])
-@pytest.mark.parametrize("value", ["0", "-1"])
-def test_sweep_rejects_counts_below_one(capsys, flag, value):
-    code, _, err = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
-                           "--scheme", "prelim", "--horizon", "5", flag, value)
-    assert code == 1
-    assert err.startswith("config error: ") and flag in err
-
-
-def test_sweep_aggregates_runs(capsys, tmp_path):
-    out_path = str(tmp_path / "sweep.json")
-    code, out, _ = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
-                           "--scheme", "prelim", "--horizon", "30",
-                           "--seeds", "3", "--jobs", "2", "--out", out_path)
-    assert code == 0
-    rep = json.loads(out)
-    assert len(rep["runs"]) == 3
-    assert rep["total_recovery_failures"] == 0
-    assert {r["seed"] for r in rep["runs"]} == {0, 1, 2}
-
-
 def test_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "plan", "--fixture", "nope")
     assert code == 1
@@ -337,9 +287,9 @@ def test_override_l0_below_the_reference_floor_rejected(capsys):
     assert "below" in err
 
 
-def test_sweep_prelim_rejects_omega_override(capsys):
-    code, _, err = run_cli(capsys, "sweep", "--fixture", "coupled-tanks",
-                           "--scheme", "prelim", "--horizon", "5", "--seeds", "1",
+def test_simulate_prelim_rejects_omega_override(capsys):
+    code, _, err = run_cli(capsys, "simulate", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--horizon", "5",
                            "--override", "omega=1/2")
     assert code == 1
     assert "omega" in err
@@ -488,7 +438,7 @@ def test_unknown_config_scheme_rejected(capsys, tmp_path, observer):
     assert err.startswith("config error: ") and "foo" in err
 
 
-@pytest.mark.parametrize("command", ["plan", "simulate", "sweep"])
+@pytest.mark.parametrize("command", ["plan", "simulate"])
 @pytest.mark.parametrize("key,value", [("reference", ["0", "0"]),
                                        ("x_p0", ["0.5", "0.5"])],
                          ids=["reference", "x_p0"])
@@ -518,6 +468,81 @@ def test_nonpositive_config_horizon_rejected(capsys, tmp_path):
     code, _, err = run_cli(capsys, "simulate", "--config", str(path))
     assert code == 1
     assert err.startswith("config error: ") and "horizon" in err
+
+
+RUN_SETTINGS = [("backend", "foo"),
+                ("horizon", [1]), ("horizon", 2.7), ("horizon", True), ("horizon", "x"),
+                ("seed", [1]), ("seed", 2.7), ("seed", True)]
+
+
+@pytest.mark.parametrize("key,value", RUN_SETTINGS,
+                         ids=[f"{k}={json.dumps(v)}" for k, v in RUN_SETTINGS])
+def test_config_run_setting_rejected(capsys, tmp_path, key, value):
+    """A config's backend is mock or lattice, and its horizon and seed are
+    JSON integers or strings of one, like the flags that set them."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, key: value}))
+    code, _, err = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 1
+    assert err.startswith("config error: ") and key in err
+
+
+def test_config_run_settings_as_strings(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "horizon": "7", "seed": "3",
+                                "backend": "lattice"}))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path))
+    assert code == 0
+    summary = json.loads(out)
+    assert (summary["steps"], summary["seed"], summary["backend"]) == (7, 3, "lattice")
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--fixture", "coupled-tanks"],
+    ["simulate", "--backend", "foo"],
+    ["simulate", "--horizon", "x"],
+], ids=["unknown-command", "bad-choice", "bad-int"])
+def test_usage_error_is_a_config_error(capsys, argv):
+    """argparse's own exit 2 would read as "infeasible"."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: encloop") and "\nconfig error: " in err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"]],
+                         ids=["encloop", "simulate"])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: encloop")
+
+
+def readme_cli_lines() -> list:
+    """The `encloop ...` commands of the README's CLI block, with their
+    continuation lines joined, each with the exit code its comment states."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    out = []
+    for line in block.replace("\\\n", " ").splitlines():
+        command, _, comment = line.partition("#")
+        if command.strip():
+            out.append((shlex.split(command), 2 if "exit 2" in comment else 0))
+    return out
+
+
+def test_readme_cli_examples_run_as_written(capsys, tmp_path):
+    lines = readme_cli_lines()
+    assert lines and all(argv[0] == "encloop" for argv, _ in lines)
+    for argv, want in lines:
+        argv = argv[1:]
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / Path(argv[i]).name)
+        assert main(argv) == want, " ".join(argv)
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("overrides,below", [

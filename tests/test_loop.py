@@ -472,3 +472,21 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
                     params=cli._backend_params(backend, plan, sc, horizon))
     run = run_closed_loop_main if scheme == "main" else run_closed_loop_prelim
     assert _golden_digest(run(plan, cfg)) == digest
+
+
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+def test_every_seed_and_backend_report_the_same(request, tmp_path, scheme):
+    """A seed picks only the keys and the encryption randomness, and the
+    actuator restores the input exactly from decrypted plaintexts: mock seed
+    0, lattice seed 0 and lattice seed 1 give one trace digest and one CSV."""
+    sc, plan, run = route(request, scheme)
+    reports = set()
+    for backend, seed in (("mock", 0), ("lattice", 0), ("lattice", 1)):
+        cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                        x_p0=sc.x_p0, horizon=20, seed=seed, collect_detail=True,
+                        params=cli._backend_params(backend, plan, sc, 20))
+        trace = run(plan, cfg)
+        path = tmp_path / f"{backend}-{seed}.csv"
+        trace.to_csv(str(path))
+        reports.add((_golden_digest(trace), path.read_bytes()))
+    assert len(reports) == 1
