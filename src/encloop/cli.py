@@ -15,8 +15,9 @@ from fractions import Fraction
 from . import he, loop
 from .exactmat import (
     ExactMatError,
-    RationalMatrix,
+    column_from_json,
     fraction_to_str,
+    json_entry,
     matrix_from_json,
 )
 from .fixtures import FIXTURES, Scenario
@@ -63,7 +64,7 @@ def _load_scenario(args) -> tuple:
                 A=matrix_from_json(p["A"], "A"),
                 B=matrix_from_json(p["B"], "B"),
                 C=matrix_from_json(p["C"], "C"),
-                x_p0_bound=Fraction(str(p.get("x_p0_bound", "0"))),
+                x_p0_bound=column_from_json([p.get("x_p0_bound", "0")], "x_p0_bound")[0, 0],
             )
             ctrl = ControllerModel(
                 F=matrix_from_json(c["F"], "F"),
@@ -72,12 +73,10 @@ def _load_scenario(args) -> tuple:
                 H=matrix_from_json(c["H"], "H"),
                 J=matrix_from_json(c["J"], "J"),
                 S=matrix_from_json(c["S"], "S"),
-                x0=RationalMatrix.column([str(x) for x in c.get(
-                    "x0", ["0"] * matrix_from_json(c["F"], "F").rows)]),
+                x0=column_from_json(c.get("x0", ["0"] * len(c["F"])), "x0"),
             )
-            reference = RationalMatrix.column([str(x) for x in cfg["reference"]])
-            x_p0 = tuple(Fraction(str(x)) for x in cfg.get(
-                "x_p0", ["0"] * plant.n))
+            reference = column_from_json(cfg["reference"], "reference")
+            x_p0 = tuple(column_from_json(cfg.get("x_p0", ["0"] * plant.n), "x_p0").data)
             L = matrix_from_json(cfg["L"], "L") if "L" in cfg else None
             sc = Scenario("config", plant, ctrl, reference, x_p0, L_published=L)
         except (KeyError, ValueError, TypeError) as e:
@@ -96,7 +95,10 @@ def _overrides(args, cfg: dict, scheme: str) -> dict:
     given = cfg.get("overrides", {})
     if not isinstance(given, dict):
         raise ConfigError("config 'overrides' must be an object")
-    pairs = {k: str(v) for k, v in given.items()}
+    try:
+        pairs = {k: str(json_entry(v, f"override {k}")) for k, v in given.items()}
+    except ValueError as e:
+        raise ConfigError(str(e))
     for item in args.override or []:
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not key=value")
@@ -123,9 +125,9 @@ def _observer_for(scenario: Scenario, mode: str):
     """Resolve the observer gain pair (runtime L, exact companion) for a scenario:
     `published` runs the published gain, `exact` the minimal-index deadbeat
     design once the published gain is found to be its rounding (the design
-    alone when there is no published gain), `design` the design."""
+    alone when there is no published gain)."""
     A, C, L_published = scenario.plant.A, scenario.plant.C, scenario.L_published
-    if mode == "design" or (mode == "exact" and L_published is None):
+    if mode == "exact" and L_published is None:
         L = design_deadbeat_observer(A, C).L
         return L, L
     if L_published is None:
@@ -135,7 +137,8 @@ def _observer_for(scenario: Scenario, mode: str):
         return L_published, (companion.L if companion is not None else None)
     if companion is None:
         raise ConfigError("the published observer gain is not a rounding of the "
-                          "minimal-index deadbeat design")
+                          "minimal-index deadbeat design; without a published "
+                          "gain (no \"L\" in the config) `exact` runs the design")
     return companion.L, companion.L
 
 
@@ -328,10 +331,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", help="scenario JSON (matrices as decimal strings)")
         p.add_argument("--fixture", help=f"built-in scenario: {sorted(FIXTURES)}")
         p.add_argument("--scheme", choices=["prelim", "main"])
-        p.add_argument("--observer", choices=["published", "exact", "design"],
+        p.add_argument("--observer", choices=["published", "exact"],
                        default=observer_default,
                        help="main scheme observer gain: the scenario's published "
-                            "matrix, its exact deadbeat companion, or a fresh design")
+                            "matrix, or its exact deadbeat companion")
         p.add_argument("--override", action="append", metavar="KEY=VALUE",
                        help="override a planned value (q, omega, l0, range_level)")
 
@@ -375,6 +378,9 @@ def main(argv=None) -> int:
     except he.HEError as e:
         print(f"encryption error: {e}", file=sys.stderr)
         return EXIT_ENCRYPTION
+    except OSError as e:  # `_load_scenario` reads the config; this is --out
+        print(f"config error: cannot write {e.filename}: {e.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

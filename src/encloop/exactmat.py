@@ -356,27 +356,31 @@ def block_closed_loop(plant, ctrl) -> RationalMatrix:
 # -- JSON ---------------------------------------------------------------
 
 
-def matrix_from_json(obj, name: str = "matrix") -> RationalMatrix:
-    """Parse a matrix from JSON rows of decimal or "p/q" strings (exact).
+def json_entry(x, name: str):
+    """x itself, if it may be an exact entry of a JSON config: a decimal or
+    "p/q" string, or a bare JSON integer.  Booleans and binary floats are
+    rejected so configs cannot smuggle inexact coefficients."""
+    if isinstance(x, bool):
+        raise ValueError(f"{name}: boolean {x!r} rejected")
+    if isinstance(x, float):
+        raise ValueError(
+            f"{name}: float {x!r} rejected; use a decimal string like \"{x}\""
+        )
+    return x
 
-    Bare JSON numbers are accepted only when integral; binary floats are
-    rejected so configs cannot smuggle inexact coefficients.
-    """
+
+def matrix_from_json(obj, name: str = "matrix") -> RationalMatrix:
+    """Parse a matrix from JSON rows of `json_entry` entries (exact)."""
     if not isinstance(obj, list) or (obj and not isinstance(obj[0], list)):
         raise ValueError(f"{name}: expected a list of rows")
-    rows = []
-    for r in obj:
-        row = []
-        for x in r:
-            if isinstance(x, bool):
-                raise ValueError(f"{name}: booleans are not matrix entries")
-            if isinstance(x, float):
-                raise ValueError(
-                    f"{name}: float {x!r} rejected; use a decimal string like \"{x}\""
-                )
-            row.append(as_fraction(x))
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
+    return RationalMatrix.from_rows([[json_entry(x, name) for x in r] for r in obj])
+
+
+def column_from_json(obj, name: str = "vector") -> RationalMatrix:
+    """Parse a column from a JSON list of `json_entry` entries (exact)."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{name}: expected a list of entries")
+    return matrix_from_json([[x] for x in obj], name)
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -13,9 +13,11 @@ Two interchangeable backends:
   model (additive for sums, absolute-row-sum weighted for matrix products)
   so decryption ambiguity is predicted, not discovered.
 
-Parameters are sized for exactness within a declared workload, not for
-conjectured security; this is a simulation artifact, not a hardened
-cryptosystem.
+The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
+fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
+(`LatticeParams.pad_bits`) is the only per-run setting.  Parameters are sized
+for exactness, not for conjectured security; this is a simulation artifact,
+not a hardened cryptosystem.
 """
 
 from __future__ import annotations
@@ -49,24 +51,21 @@ class DimensionMismatchError(HEError):
     pass
 
 
+# The lattice backend's LWE dimensions: secret length, public-key sample count
+# and per-sample noise magnitude.  A fresh encryption sums a subset of samples.
+DIMENSION, SAMPLES, NOISE = 16, 48, 4
+FRESH_NOISE_BOUND = SAMPLES * NOISE
+
+
 @dataclass(frozen=True)
 class LatticeParams:
-    """LWE dimensions: secret length, public-key sample count, per-sample noise
-    magnitude, and pad_bits of headroom (Delta = 2^pad_bits)."""
+    """pad_bits of headroom above the plaintext: Delta = 2^pad_bits."""
 
-    dimension: int = 16
-    samples: int = 48
-    noise: int = 4
-    pad_bits: int = 64
+    pad_bits: int
 
     def __post_init__(self):
-        if min(self.dimension, self.samples, self.pad_bits) < 1 or self.noise < 1:
-            raise BadParamsError("lattice parameters must be positive")
-
-    @property
-    def fresh_noise_bound(self) -> int:
-        # subset-sum over at most `samples` pk rows
-        return self.samples * self.noise
+        if self.pad_bits < 1:
+            raise BadParamsError("pad_bits must be positive")
 
 
 @dataclass(frozen=True)
@@ -81,18 +80,11 @@ class SchemeParams:
         if self.backend not in ("mock", "lattice"):
             raise BadParamsError(f"unknown backend {self.backend!r}")
         if self.backend == "lattice" and self.lattice is None:
-            object.__setattr__(self, "lattice", LatticeParams())
+            raise BadParamsError("the lattice backend needs LatticeParams(pad_bits)")
 
     @classmethod
     def mock(cls, q: int) -> "SchemeParams":
         return cls(q=q, backend="mock")
-
-    @classmethod
-    def lattice_for_budget(cls, q: int, noise_budget_log2: int) -> "SchemeParams":
-        """Default `LatticeParams` with pad_bits sized so the declared
-        workload's noise (given in log2) decrypts exactly."""
-        return cls(q=q, backend="lattice",
-                   lattice=LatticeParams(pad_bits=noise_budget_log2 + 2))
 
     @property
     def ct_modulus(self) -> int:
@@ -139,15 +131,14 @@ def keygen(params: SchemeParams, seed: Optional[int] = None):
         sk = KeyMaterial("full", params)
         return pk, sk
     rng = random.Random(seed)
-    lp = params.lattice
     Q = params.ct_modulus
-    s = tuple(rng.randrange(Q) for _ in range(lp.dimension))
+    s = tuple(rng.randrange(Q) for _ in range(DIMENSION))
     A = tuple(
-        tuple(rng.randrange(Q) for _ in range(lp.dimension)) for _ in range(lp.samples)
+        tuple(rng.randrange(Q) for _ in range(DIMENSION)) for _ in range(SAMPLES)
     )
     b = tuple(
         (sum(a_j * s_j for a_j, s_j in zip(row, s))
-         + rng.randint(-lp.noise, lp.noise)) % Q
+         + rng.randint(-NOISE, NOISE)) % Q
         for row in A
     )
     pk = KeyMaterial("public", params, (A, b))
@@ -167,22 +158,21 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
     if params.backend == "mock":
         return Ciphertext(params, len(v), tuple(v))
     rng = rng if rng is not None else random.Random()
-    lp = params.lattice
     Q, delta = params.ct_modulus, params.delta
     A, b = pk.payload[0], pk.payload[1]
     comps = []
     for x in v:
-        rows = [i for i in range(lp.samples) if rng.getrandbits(1)]
-        a = [0] * lp.dimension
+        rows = [i for i in range(SAMPLES) if rng.getrandbits(1)]
+        a = [0] * DIMENSION
         c = delta * x
         for i in rows:
             ai = A[i]
-            for j in range(lp.dimension):
+            for j in range(DIMENSION):
                 a[j] += ai[j]
             c += b[i]
         comps.append((tuple(aj % Q for aj in a), c % Q))
     return Ciphertext(params, len(v), tuple(comps),
-                      noise_bound=lp.fresh_noise_bound)
+                      noise_bound=FRESH_NOISE_BOUND)
 
 
 def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
@@ -192,12 +182,11 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
         raise DimensionMismatchError("key/ciphertext scheme mismatch")
     if params.backend == "mock":
         return tuple(ct.payload)
-    lp = params.lattice
     Q, delta = params.ct_modulus, params.delta
     if ct.noise_bound >= delta // 2:
         raise NoiseOverflowError(
             f"noise bound 2^{ct.noise_bound.bit_length()} exceeds half-Delta "
-            f"2^{lp.pad_bits - 1}; decryption would be ambiguous"
+            f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
         )
     s = sk.payload[2]
     out = []
@@ -252,12 +241,12 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
         Q = params.ct_modulus
         payload = []
         for row in M:
-            a = [0] * params.lattice.dimension
+            a = [0] * DIMENSION
             c = 0
             for m, (aj, bj) in zip(row, ct.payload):
                 if m == 0:
                     continue
-                for k in range(params.lattice.dimension):
+                for k in range(DIMENSION):
                     a[k] += m * aj[k]
                 c += m * bj
             payload.append((tuple(x % Q for x in a), c % Q))

@@ -360,14 +360,14 @@ class NoiseRing:
     """The lattice backend's noise bounds in place of ciphertexts: a dry run
     of the budget model of `he`.  A plaintext becomes `he.matmul_weight` of
     the matrix `CipherRing` makes of it, the factor `he.plain_matmul`
-    charges; `fresh` is the bound of a fresh encryption under the default
-    `he.LatticeParams`, which `lattice_params` keeps; sums add bounds.
-    `peak` is the largest bound of any ciphertext made so far, since
-    `he.plain_matmul` refuses an intermediate product too."""
+    charges; `fresh` is `he.FRESH_NOISE_BOUND`, fixed by the constant LWE
+    dimensions; sums add bounds.  No bound depends on the pad, the one
+    per-run setting, which `lattice_params` sizes from `peak`: the largest
+    bound of any ciphertext made so far (`he.plain_matmul` refuses an
+    intermediate product too)."""
 
     def __init__(self, q: int):
         self.q = q
-        self.fresh_bound = he.LatticeParams().fresh_noise_bound
         self.peak = 0
 
     def plain(self, M):
@@ -376,7 +376,7 @@ class NoiseRing:
     scalar = CipherRing.scalar
 
     def fresh(self, values):
-        return self._made(self.fresh_bound)
+        return self._made(he.FRESH_NOISE_BOUND)
 
     def matvec(self, weight, bound):
         return self._made(weight * bound)
@@ -702,9 +702,9 @@ def noise_peak(plan, horizon: int) -> int:
 
 def lattice_params(plan, horizon: int) -> he.SchemeParams:
     """Size the ciphertext modulus so a horizon-long lattice run of `plan`
-    decrypts exactly: the pad holds the noise dry run's peak."""
-    budget = noise_peak(plan, horizon).bit_length()
-    return he.SchemeParams.lattice_for_budget(plan.q, budget)
+    decrypts exactly: the pad is 2 bits wider than the noise dry run's peak."""
+    pad = noise_peak(plan, horizon).bit_length() + 2
+    return he.SchemeParams(q=plan.q, backend="lattice", lattice=he.LatticeParams(pad))
 
 
 def _scaled_integer_state(x0_entries, scale: Fraction):

@@ -280,9 +280,7 @@ def test_criterion_9_he_laws_and_backend_equivalence(batch, sound_plan):
                     params = he.SchemeParams.mock(q)
                 else:
                     params = he.SchemeParams(q=q, backend="lattice",
-                                             lattice=he.LatticeParams(
-                                                 dimension=6, samples=16,
-                                                 noise=2, pad_bits=64))
+                                             lattice=he.LatticeParams(pad_bits=64))
                 key_cache[q] = (params, *he.keygen(params, seed=q))
             params, pk, sk = key_cache[q]
             n = rng.randint(1, 3)

@@ -60,32 +60,8 @@ def test_plan_exact_observer(capsys):
     rep = json.loads(out)
     assert rep["omega"] == "1/460000"
     assert rep["tail_sound"] is True
-
-
-def test_plan_design_observer_tail_sound(capsys):
-    """The designed gain is exactly nilpotent, so its C_e tail vanishes
-    exactly, whatever the float eigenvalues of (A - L C)/omega read."""
-    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
-                           "--observer", "design")
-    assert code == 0
-    rep = json.loads(out)
-    assert rep["deadbeat_index"] == 2
-    assert rep["tail_sound"] is True
-
-
-def test_plan_design_observer_is_the_exact_plan(capsys):
-    """The minimal-index design of the batch reactor has index 2, like the
-    published gain's exact companion, and plans the same q = 2^65."""
-    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
-                           "--observer", "design")
-    assert code == 0
-    rep = json.loads(out)
     assert rep["deadbeat_index"] == 2
     assert rep["q"] == str(2**65)
-    assert rep["omega"] == "1/460000"
-    _, exact, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
-                          "--observer", "exact")
-    assert out == exact
 
 
 def test_simulate_main_writes_outputs(capsys, tmp_path):
@@ -370,8 +346,6 @@ GOLDEN_PLANS = [
      "68b967504950adc4d61d0cad17604c6e13dcac346c3a4da627c25fd56b54b9ef"),
     ("batch-reactor", "main", "exact", [],
      "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
-    ("batch-reactor", "main", "design", [],
-     "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
     ("batch-reactor", "main", "exact", ["omega=1/920000"],
      "089b9029e2cd5f2438f86c52ca081de3441ffa4126e8b998a0725544613d3024"),
     ("coupled-tanks", "prelim", "exact", [],
@@ -406,7 +380,7 @@ def test_no_route_imports_scipy():
     code = (
         "import sys, encloop\n"
         "from encloop.cli import main\n"
-        "for obs in ['published', 'exact', 'design']:\n"
+        "for obs in ['published', 'exact']:\n"
         "    assert main(['plan', '--fixture', 'batch-reactor', '--observer', obs]) == 0\n"
         "assert main(['plan', '--fixture', 'coupled-tanks', '--scheme', 'prelim']) == 0\n"
         "assert main(['simulate', '--fixture', 'batch-reactor', '--backend', 'mock',\n"
@@ -428,7 +402,7 @@ def test_compare_hypothetical_rejects_bad_dimensions(capsys, spec):
     assert err.startswith("config error: ")
 
 
-@pytest.mark.parametrize("observer", ["exact", "design"])
+@pytest.mark.parametrize("observer", ["exact"])
 def test_unknown_config_scheme_rejected(capsys, tmp_path, observer):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": "foo"}))
@@ -562,12 +536,59 @@ def test_plan_lists_overrides_below_the_plan(capsys, overrides, below):
 
 def test_exact_observer_needs_a_rounding_of_the_design(capsys, tmp_path):
     """The design for A = 0.4, C = 1 is L = 0.4.  A published 0.7 is not its
-    rounding to one decimal, so `exact` has no companion; `published` plans."""
+    rounding to one decimal, so `exact` has no companion; `published` plans,
+    and so does `exact` once the config drops "L"."""
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": "main", "L": [["0.7"]]}))
     code, _, err = run_cli(capsys, "plan", "--config", str(path), "--observer", "exact")
     assert code == 1
-    assert err.startswith("config error: ") and "rounding" in err
+    assert err.startswith("config error: ") and "rounding" in err and '"L"' in err
     code, out, _ = run_cli(capsys, "plan", "--config", str(path), "--observer", "published")
     assert code == 0
     assert json.loads(out)["L"] == [["7/10"]]
+    path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": "main"}))
+    code, out, _ = run_cli(capsys, "plan", "--config", str(path), "--observer", "exact")
+    assert code == 0
+    assert json.loads(out)["L"] == [["2/5"]]
+
+
+@pytest.mark.parametrize("argv", [
+    ["plan", "--fixture", "coupled-tanks", "--scheme", "prelim"],
+    ["simulate", "--fixture", "coupled-tanks", "--scheme", "prelim", "--horizon", "3"],
+], ids=["plan", "simulate"])
+def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv):
+    out = tmp_path / "missing" / "run"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("config error: cannot write ") and "missing" in err
+
+
+INEXACT_ENTRIES = [
+    # (id, path of the key in the config, value)
+    ("reference-float", ("reference",), [0.1]),
+    ("reference-string", ("reference",), "3"),
+    ("x_p0-float", ("x_p0",), [0.5]),
+    ("x_p0-string", ("x_p0",), "5"),
+    ("x0-float", ("controller", "x0"), [0, 0.5]),
+    ("x_p0_bound-float", ("plant", "x_p0_bound"), 0.1),
+    ("x_p0_bound-bool", ("plant", "x_p0_bound"), True),
+    ("l0-float", ("overrides", "l0"), 0.5),
+]
+
+
+@pytest.mark.parametrize("path,value", [e[1:] for e in INEXACT_ENTRIES],
+                         ids=[e[0] for e in INEXACT_ENTRIES])
+def test_config_entry_under_the_matrix_rule(capsys, tmp_path, path, value):
+    """Every exact config entry follows the matrix-entry rule: vectors are
+    JSON lists, and bare floats and booleans are rejected."""
+    cfg = json.loads(json.dumps({**PRELIM_CONFIG, "scheme": "main"}))
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node.setdefault(name, {})
+    node[key] = value
+    file = tmp_path / "cfg.json"
+    file.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "plan", "--config", str(file), "--observer", "exact")
+    assert code == 1
+    assert err.startswith("config error: ") and key in err

@@ -11,8 +11,7 @@ def make_scheme(backend, q=Q41, pad=64):
     if backend == "mock":
         return he.SchemeParams.mock(q)
     return he.SchemeParams(q=q, backend="lattice",
-                           lattice=he.LatticeParams(dimension=8, samples=24,
-                                                    noise=3, pad_bits=pad))
+                           lattice=he.LatticeParams(pad_bits=pad))
 
 
 @pytest.fixture(params=["mock", "lattice"])
@@ -188,4 +187,6 @@ def test_bad_params_rejected():
     with pytest.raises(he.BadParamsError):
         he.SchemeParams(q=8, backend="nope")
     with pytest.raises(he.BadParamsError):
-        he.LatticeParams(dimension=0)
+        he.SchemeParams(q=8, backend="lattice")
+    with pytest.raises(he.BadParamsError):
+        he.LatticeParams(pad_bits=0)
