@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .exactmat import RationalMatrix
+from .exactmat import RationalMatrix, as_fraction, fraction_to_str
 from .planner import (
     ControllerModel,
     DeadbeatDesign,
@@ -41,6 +41,11 @@ class Scenario:
         if len(self.x_p0) != self.plant.n:
             raise ValueError(f"x_p0 has {len(self.x_p0)} entries; "
                              f"the plant has {self.plant.n} states")
+        # every plan sizes q and the quantizer range from the bound, not x_p0
+        worst = max(self.x_p0, key=abs, default=0)
+        if abs(worst) > self.plant.x_p0_bound:
+            raise ValueError(f"x_p0 entry {fraction_to_str(as_fraction(worst))} exceeds "
+                             f"x_p0_bound {fraction_to_str(self.plant.x_p0_bound)}")
 
 
 @lru_cache(maxsize=None)

@@ -15,15 +15,30 @@ Two interchangeable backends:
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
-(`LatticeParams.pad_bits`) is the only per-run setting.  Parameters are sized
-for exactness, not for conjectured security; this is a simulation artifact,
-not a hardened cryptosystem.
+(`LatticeParams.pad_bits`) is the only per-run setting.
+
+Packed slots.  A lattice ciphertext entry (a_1..a_16, c) is one Python int:
+slot 0 holds c and slot j holds a_j, each slot W = bits(Q) + bits(q) + GUARD
+bits wide.  Every public-key row is packed the same way, so `encrypt` sums
+packed rows, `add` adds two ints, `plain_matmul` accumulates m * entry over a
+row (m the centered residue of the matrix entry mod q, |m| <= q/2), and only
+`decrypt` unpacks.  Slots may go negative in between; a row of at most
+2^GUARD columns keeps every slot below 2^(W-1) in magnitude, so no borrow or
+carry crosses a slot boundary once the offset 2^(W-1) is added to each slot.
+The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
+two (every q the planner makes), and slot by slot otherwise.
+
+The secret is drawn from {-1, 0, 1}^16, a standard LWE variant (Applebaum,
+Cash, Peikert, Sahai, CRYPTO 2009), so decryption's inner product multiplies
+no Q-sized numbers.  Parameters are sized for exactness, not for conjectured
+security; this is a simulation artifact, not a hardened cryptosystem.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 
@@ -55,6 +70,9 @@ class DimensionMismatchError(HEError):
 # and per-sample noise magnitude.  A fresh encryption sums a subset of samples.
 DIMENSION, SAMPLES, NOISE = 16, 48, 4
 FRESH_NOISE_BOUND = SAMPLES * NOISE
+# A packed entry has one slot for c and one per a_j; the GUARD bits above
+# bits(Q) + bits(q) let `plain_matmul` sum up to 2^GUARD columns in a slot.
+SLOTS, GUARD = DIMENSION + 1, 8
 
 
 @dataclass(frozen=True)
@@ -96,6 +114,40 @@ class SchemeParams:
     def delta(self) -> int:
         return 1 << self.lattice.pad_bits
 
+    @cached_property
+    def _slots(self) -> "_Slots":
+        return _Slots(self.q, self.ct_modulus)
+
+
+class _Slots:
+    """The packed layout of a lattice ciphertext entry under one (q, Q)."""
+
+    def __init__(self, q: int, Q: int):
+        self.Q = Q
+        self.width = w = Q.bit_length() + q.bit_length() + GUARD
+        self.half = 1 << (w - 1)
+        self.offset = self.pack([self.half] * SLOTS)
+        self.mask = self.pack([Q - 1] * SLOTS) if Q & (Q - 1) == 0 else None
+
+    def pack(self, slots) -> int:
+        w = self.width
+        return sum(x << (k * w) for k, x in enumerate(slots))
+
+    def unpack(self, packed: int) -> list:
+        """The slots of an entry whose slots all lie in [0, 2^W)."""
+        w, full = self.width, (1 << self.width) - 1
+        return [(packed >> (k * w)) & full for k in range(SLOTS)]
+
+    def reduce(self, packed: int) -> int:
+        """Every slot mod Q; a slot may be any integer of magnitude below
+        2^(W-1).  The offset makes every slot nonnegative without touching its
+        neighbours, and it is 0 mod Q when Q is a power of two."""
+        packed += self.offset
+        if self.mask is not None:
+            return packed & self.mask
+        Q, half = self.Q, self.half
+        return self.pack([(x - half) % Q for x in self.unpack(packed)])
+
 
 @dataclass(frozen=True)
 class KeyMaterial:
@@ -110,7 +162,8 @@ class KeyMaterial:
 
 @dataclass
 class Ciphertext:
-    """Opaque encrypted vector; the noise bound only grows."""
+    """Opaque encrypted vector (one packed int per entry on the lattice
+    backend); the noise bound only grows."""
 
     params: SchemeParams
     dim: int
@@ -125,24 +178,24 @@ class Ciphertext:
 
 
 def keygen(params: SchemeParams, seed: Optional[int] = None):
-    """Returns (public KeyMaterial, full KeyMaterial); deterministic under a seed."""
+    """Returns (public KeyMaterial, full KeyMaterial); deterministic under a seed.
+    On the lattice backend the public key holds the SAMPLES packed rows
+    (a_i, b_i = <a_i, s> + e_i mod Q), and the full key also the secret s."""
     if params.backend == "mock":
         pk = KeyMaterial("public", params)
         sk = KeyMaterial("full", params)
         return pk, sk
     rng = random.Random(seed)
     Q = params.ct_modulus
-    s = tuple(rng.randrange(Q) for _ in range(DIMENSION))
-    A = tuple(
-        tuple(rng.randrange(Q) for _ in range(DIMENSION)) for _ in range(SAMPLES)
+    s = tuple(rng.randint(-1, 1) for _ in range(DIMENSION))
+    A = [[rng.randrange(Q) for _ in range(DIMENSION)] for _ in range(SAMPLES)]
+    rows = tuple(
+        params._slots.pack([(sum(a_j * s_j for a_j, s_j in zip(a, s))
+                             + rng.randint(-NOISE, NOISE)) % Q, *a])
+        for a in A
     )
-    b = tuple(
-        (sum(a_j * s_j for a_j, s_j in zip(row, s))
-         + rng.randint(-NOISE, NOISE)) % Q
-        for row in A
-    )
-    pk = KeyMaterial("public", params, (A, b))
-    sk = KeyMaterial("full", params, (A, b, s))
+    pk = KeyMaterial("public", params, (rows,))
+    sk = KeyMaterial("full", params, (rows, s))
     return pk, sk
 
 
@@ -158,21 +211,12 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
     if params.backend == "mock":
         return Ciphertext(params, len(v), tuple(v))
     rng = rng if rng is not None else random.Random()
-    Q, delta = params.ct_modulus, params.delta
-    A, b = pk.payload[0], pk.payload[1]
-    comps = []
-    for x in v:
-        rows = [i for i in range(SAMPLES) if rng.getrandbits(1)]
-        a = [0] * DIMENSION
-        c = delta * x
-        for i in rows:
-            ai = A[i]
-            for j in range(DIMENSION):
-                a[j] += ai[j]
-            c += b[i]
-        comps.append((tuple(aj % Q for aj in a), c % Q))
-    return Ciphertext(params, len(v), tuple(comps),
-                      noise_bound=FRESH_NOISE_BOUND)
+    delta, rows, reduce = params.delta, pk.payload[0], params._slots.reduce
+    payload = tuple(
+        reduce(delta * x + sum(row for row in rows if rng.getrandbits(1)))
+        for x in v
+    )
+    return Ciphertext(params, len(v), payload, noise_bound=FRESH_NOISE_BOUND)
 
 
 def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
@@ -188,9 +232,10 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
             f"noise bound 2^{ct.noise_bound.bit_length()} exceeds half-Delta "
             f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
         )
-    s = sk.payload[2]
+    s, unpack = sk.payload[1], params._slots.unpack
     out = []
-    for a, c in ct.payload:
+    for packed in ct.payload:
+        c, *a = unpack(packed)
         d = (c - sum(a_j * s_j for a_j, s_j in zip(a, s))) % Q
         out.append(((d + delta // 2) // delta) % params.q)
     return tuple(out)
@@ -202,11 +247,8 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
     if params.backend == "mock":
         payload = tuple((x + y) % params.q for x, y in zip(c1.payload, c2.payload))
     else:
-        Q = params.ct_modulus
-        payload = tuple(
-            (tuple((x + y) % Q for x, y in zip(a1, a2)), (b1 + b2) % Q)
-            for (a1, b1), (a2, b2) in zip(c1.payload, c2.payload)
-        )
+        reduce = params._slots.reduce
+        payload = tuple(reduce(x + y) for x, y in zip(c1.payload, c2.payload))
     return Ciphertext(params, c1.dim, payload,
                       noise_bound=c1.noise_bound + c2.noise_bound)
 
@@ -219,7 +261,9 @@ def matmul_weight(M: Sequence[Sequence[int]]) -> int:
 
 def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
     """M is an integer matrix, entries of either sign; decrypts to M v mod q,
-    with the noise bound multiplied by `matmul_weight(M)`."""
+    with the noise bound multiplied by `matmul_weight(M)`.  The lattice
+    backend multiplies by each entry's centered residue mod q, whose magnitude
+    is at most the entry's, and takes at most 2^GUARD columns."""
     params = ct.params
     rows = len(M)
     if rows == 0:
@@ -238,18 +282,18 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
             raise NoiseOverflowError(
                 "matrix product pushes the noise bound past the declared budget"
             )
-        Q = params.ct_modulus
+        if ct.dim > 1 << GUARD:
+            raise DimensionMismatchError(
+                f"{ct.dim} columns exceed the {1 << GUARD} a packed slot holds")
+        q, half, reduce = params.q, params.q // 2, params._slots.reduce
         payload = []
         for row in M:
-            a = [0] * DIMENSION
-            c = 0
-            for m, (aj, bj) in zip(row, ct.payload):
-                if m == 0:
-                    continue
-                for k in range(DIMENSION):
-                    a[k] += m * aj[k]
-                c += m * bj
-            payload.append((tuple(x % Q for x in a), c % Q))
+            acc = 0
+            for m, packed in zip(row, ct.payload):
+                m %= q
+                if m:
+                    acc += (m - q if m > half else m) * packed
+            payload.append(reduce(acc))
         payload = tuple(payload)
     return Ciphertext(params, rows, payload, noise_bound=noise)
 

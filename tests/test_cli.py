@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -592,3 +593,42 @@ def test_config_entry_under_the_matrix_rule(capsys, tmp_path, path, value):
     code, _, err = run_cli(capsys, "plan", "--config", str(file), "--observer", "exact")
     assert code == 1
     assert err.startswith("config error: ") and key in err
+
+
+@pytest.mark.parametrize("command", ["plan", "simulate"])
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+def test_initial_state_outside_its_bound_rejected(capsys, tmp_path, scheme, command):
+    """Every plan is sized from x_p0_bound, so an x_p0 entry beyond it is a
+    config error naming both values, not a run that saturates (the README
+    config with "x_p0": ["1234.567"] used to exit 3 on the main route)."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "scheme": scheme,
+                                "x_p0": ["1234.567"]}))
+    horizon = [] if command == "plan" else ["--horizon", "5"]
+    code, _, err = run_cli(capsys, command, "--config", str(path), *horizon)
+    assert code == 1
+    assert err.startswith("config error: bad config: ")
+    assert "1234567/1000" in err and "x_p0_bound 1" in err
+
+
+@pytest.mark.parametrize("x_p0,bound,ok", [(["-1"], "1", True), (["1/2"], None, False),
+                                           (["0"], None, True), (["-1.01"], "1", False)],
+                         ids=["at-bound", "absent-bound", "zero-absent-bound", "negative"])
+def test_initial_state_bound_edges(capsys, tmp_path, x_p0, bound, ok):
+    cfg = json.loads(json.dumps({**PRELIM_CONFIG, "x_p0": x_p0}))
+    if bound is None:
+        del cfg["plant"]["x_p0_bound"]
+    else:
+        cfg["plant"]["x_p0_bound"] = bound
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, _, err = run_cli(capsys, "plan", "--config", str(path))
+    assert code == (0 if ok else 1), err
+
+
+def test_fixture_initial_states_within_their_bounds():
+    for make in FIXTURES.values():
+        sc = make()
+        assert max(abs(x) for x in sc.x_p0) <= sc.plant.x_p0_bound
+        with pytest.raises(ValueError, match="exceeds x_p0_bound"):
+            replace(sc, x_p0=(sc.plant.x_p0_bound + 1, *sc.x_p0[1:]))

@@ -190,3 +190,68 @@ def test_bad_params_rejected():
         he.SchemeParams(q=8, backend="lattice")
     with pytest.raises(he.BadParamsError):
         he.LatticeParams(pad_bits=0)
+
+
+def _backends(q, pad, seed=21):
+    """(pk, sk) on mock and on lattice for one plaintext modulus."""
+    return [he.keygen(make_scheme(b, q=q, pad=pad), seed=seed) for b in ("mock", "lattice")]
+
+
+@pytest.mark.parametrize("q", [Q41, Q41 + 12345], ids=["power-of-two", "slot-by-slot"])
+def test_packed_kernels_match_mock_at_extreme_entries(q):
+    """Entries of +-(q-1), +-q/2 and 0, and an `add` that wraps at
+    (q-1) + (q-1), decrypt on lattice as on mock, whether Q = q * 2^pad is a
+    power of two (one mask reduces every slot) or not (slot by slot)."""
+    v = [q - 1, q // 2, 0, 1]
+    M = [[q - 1, -(q - 1), q // 2, -(q // 2)],
+         [-(q // 2), q // 2, 0, q - 1],
+         [0, 0, 0, 0]]
+    results = []
+    for pk, sk in _backends(q, pad=64):
+        rng = random.Random(15)
+        c1, c2 = he.encrypt(pk, v, rng), he.encrypt(pk, v, rng)
+        results.append((he.decrypt(sk, he.plain_matmul(M, c1)),
+                        he.decrypt(sk, he.add(c1, c2)),
+                        he.decrypt(sk, he.plain_matmul(M, he.add(c1, c2)))))
+    mock, lattice = results
+    assert lattice == mock
+    assert mock[1] == tuple(2 * x % q for x in v)
+    assert mock[1][0] == q - 2
+
+
+@pytest.mark.parametrize("q", [2**12, 2**12 + 1], ids=["power-of-two", "slot-by-slot"])
+def test_widest_matrix_the_guard_accepts(q):
+    """A row of 2^GUARD columns, each at the largest centered magnitude,
+    decrypts as on mock, also over the largest slots a ciphertext holds; one
+    column more is refused."""
+    n = 1 << he.GUARD
+    # the last row is q/2 once centered, but larger as given
+    M = [[q // 2] * n, [-(q // 2 - 1)] * n, [q // 2, -(q // 2)] * (n // 2),
+         [q // 2 + 16 * q] * n]
+    v = [q - 1] * n
+    results = []
+    for pk, sk in _backends(q, pad=36):
+        rng = random.Random(16)
+        results.append(he.decrypt(sk, he.plain_matmul(M, he.encrypt(pk, v, rng))))
+    assert results[1] == results[0]
+    assert results[0] == tuple(sum(m * x for m, x in zip(row, v)) % q for row in M)
+    # the largest slots: every component Q - 1, an encryption of 0 whose noise
+    # (the secret's sum less 1) is below the fresh bound
+    pk, sk = _backends(q, pad=36)[1]
+    params = pk.params
+    top = params._slots.pack([params.ct_modulus - 1] * he.SLOTS)
+    worst = he.Ciphertext(params, n, (top,) * n, noise_bound=he.FRESH_NOISE_BOUND)
+    assert he.decrypt(sk, he.plain_matmul(M, worst)) == (0,) * len(M)
+    wide = he.encrypt(pk, [1] * (n + 1), random.Random(17))
+    with pytest.raises(he.DimensionMismatchError):
+        he.plain_matmul([[1] * (n + 1)], wide)
+
+
+def test_secret_is_ternary():
+    params = make_scheme("lattice")
+    seen = set()
+    for seed in range(4):
+        s = he.keygen(params, seed=seed)[1].payload[-1]
+        assert len(s) == he.DIMENSION
+        seen |= set(s)
+    assert seen == {-1, 0, 1}

@@ -474,6 +474,20 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
     assert _golden_digest(run(plan, cfg)) == digest
 
 
+def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan):
+    """The batch reactor on lattice at H=200, whose 4696-bit pad makes the
+    widest packed slots of a bundled run, restores the same inputs as mock."""
+    assert lattice_params(sound_plan, 200).lattice.pad_bits == 4696
+    digests = set()
+    for backend in ("mock", "lattice"):
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 200,
+                                                       backend=backend, seed=7))
+        assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+        digests.add(hashlib.sha256(repr([(r.t, r.u_a) for r in tr.records])
+                                   .encode()).hexdigest())
+    assert len(digests) == 1
+
+
 @pytest.mark.parametrize("scheme", ["main", "prelim"])
 def test_every_seed_and_backend_report_the_same(request, tmp_path, scheme):
     """A seed picks only the keys and the encryption randomness, and the
