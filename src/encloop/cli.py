@@ -22,6 +22,7 @@ from .exactmat import (
 )
 from .fixtures import FIXTURES, Scenario
 from .planner import (
+    MIN_Q,
     ControllerModel,
     InfeasibleError,
     MainPlan,
@@ -114,8 +115,8 @@ def _overrides(args, cfg: dict, scheme: str) -> dict:
             out[k] = Fraction(v) if k in ("omega", "l0") else int(v, 0)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"override {k}={v!r} is not a number")
-    if out.get("q", 4) < 4:
-        raise ConfigError("q override must be >= 4")
+    if out.get("q", MIN_Q) < MIN_Q:
+        raise ConfigError(f"q override must be >= {MIN_Q}")
     if out.get("range_level", 1) < 1:
         raise ConfigError("range_level override must be >= 1")
     return out
@@ -174,26 +175,26 @@ def cmd_plan(args) -> int:
     try:
         planned, given = _planned(args, scenario, cfg)
     except PrelimInfeasibleError as e:
-        print(json.dumps({
+        code, out = EXIT_INFEASIBLE, {
             "scheme": "prelim",
             "feasible": False,
             "rho_c": e.report.rho_c,
             "s_F": fraction_to_str(e.report.s_F),
             "reason": e.report.reason,
-        }, indent=2, sort_keys=True))
-        return EXIT_INFEASIBLE
-    plan = replace(planned, **given)
-    out = plan.to_json(args.full) if isinstance(plan, MainPlan) else plan.to_json()
-    out["feasible"] = True
-    below = sorted(k for k, v in given.items() if v < getattr(planned, k))
-    if below:
-        out["overrides_below_plan"] = below
+        }
+    else:
+        code, plan = EXIT_OK, replace(planned, **given)
+        out = plan.to_json(args.full) if isinstance(plan, MainPlan) else plan.to_json()
+        out["feasible"] = True
+        below = sorted(k for k, v in given.items() if v < getattr(planned, k))
+        if below:
+            out["overrides_below_plan"] = below
     text = json.dumps(out, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
     print(text)
-    return EXIT_OK
+    return code
 
 
 def _backend_params(backend: str, plan, scenario, horizon: int) -> he.SchemeParams:

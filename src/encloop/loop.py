@@ -10,8 +10,9 @@ is load-bearing, not cosmetic.  The exact per-step work runs in the zoomed
 coordinates x/l(t) with l(t) = l0 omega^t, where the planner's certificates
 make the coefficients integers: the plant holds x/l(t) as integers over one
 denominator (`PlantSim`), the sensor and the reference provider quantize
-integer numerators over one denominator, and the actuators return integers
-with the exact scale of the delivered input.  On the main route a step is
+integer numerators over one denominator, and the actuators return the
+integers U of the delivered input u_a = scale l(t) U, with scale s2 on the
+main route and s1 s2 on the prelim route.  On the main route a step is
 therefore integer arithmetic only; the prelim route's plant denominator
 grows by that of A/omega each step.  Doubles appear only in the
 unencrypted reference loop (the restoration target) and in reporting, where
@@ -25,6 +26,14 @@ into (-q/2, q/2]); the integer shadows and the main actuator's
 reconstruction run them on the integer ring (`IntRing`); and the lattice
 pad is sized by running them once on the ring of `he` noise bounds
 (`NoiseRing`, `lattice_params`).
+
+One driver (`_drive`) runs the loop of both routes.  A route builds its
+keys, ring and parties and supplies one step: what its sensor, reference
+provider, encrypted controller, integer shadow and actuator compute, each
+value a party decrypted next to the shadow's, and its own record fields.
+The driver owns the rest: the plant, the unencrypted reference loop, the
+zoom l(t) and the delivered input's scale, the oracle and recovery checks,
+the records and detail rows, and the final states.
 
 Alongside the encrypted loop run these checks:
 * the integer shadow: ground truth for every ciphertext, so the per-step
@@ -46,7 +55,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,13 +101,12 @@ def _centered_rows(M, q: int) -> list:
     return [[_centered(x, q) for x in row] for row in M]
 
 
-def _inorm(v):
-    return max((abs(x) for x in v), default=0)
+def _log2(x) -> float:
+    return math.log2(x) if x > 0 else float("-inf")
 
 
 def _log2norm(v) -> float:
-    n = _inorm(v)
-    return math.log2(n) if n > 0 else float("-inf")
+    return _log2(max((abs(x) for x in v), default=0))
 
 
 # -- trace ------------------------------------------------------------------
@@ -110,17 +118,21 @@ CSV_COLUMNS_SUFFIX = [
 ]
 
 
-@dataclass
+@dataclass(kw_only=True)
 class StepRecord:
+    """One step of a run.  `enc_ops` and `dec_ops` count the run so far; the
+    prelim route has no beta, gamma, sensor gap or quantizer range, and
+    keeps the defaults."""
+
     t: int
     u_true: tuple
     u_a: tuple
     diff_inf: float
     log2_alpha: float
-    log2_beta: float
-    log2_gamma: float
-    log2_sensor_gap: float
-    saturated: bool
+    log2_beta: float = float("-inf")
+    log2_gamma: float = float("-inf")
+    log2_sensor_gap: float = float("-inf")
+    saturated: bool = False
     msgs_ctrl_to_act: int
     enc_ops: int
     dec_ops: int
@@ -129,22 +141,56 @@ class StepRecord:
 
 @dataclass
 class ClosedLoopTrace:
+    """A run's records and what they add up to.
+
+    The counts are read from the records: saturated steps, recovery
+    failures, controller-to-actuator messages, and the encryptions and
+    decryptions of the run (the last record's).  The other channels' totals
+    are the steps times the route's messages per step (`step_msgs`).  Only
+    the oracle mismatches, the actuator's decryptions and the final states
+    are kept apart."""
+
     scheme: str
+    step_msgs: dict  # messages per step: ctrl_to_act, sensor_to_ctrl, ...
     records: list = field(default_factory=list)
     detail: list = field(default_factory=list)
-    saturation_count: int = 0
-    recovery_failures: int = 0
     oracle_mismatches: int = 0
-    msgs_sensor_to_ctrl: int = 0
-    msgs_provider_to_ctrl: int = 0
-    msgs_ctrl_to_sensor: int = 0
-    msgs_ctrl_to_act: int = 0
-    actuator_enc_ops: int = 0
     actuator_dec_ops: int = 0
-    enc_ops: int = 0
-    dec_ops: int = 0
     final_plant_state: tuple = ()
     final_ideal_plant_state: tuple = ()
+    actuator_enc_ops = 0  # not a field: the actuators of both routes only decrypt
+
+    @property
+    def saturation_count(self) -> int:
+        return sum(r.saturated for r in self.records)
+
+    @property
+    def recovery_failures(self) -> int:
+        return sum(r.recovery_failure for r in self.records)
+
+    @property
+    def msgs_ctrl_to_act(self) -> int:
+        return sum(r.msgs_ctrl_to_act for r in self.records)
+
+    @property
+    def msgs_sensor_to_ctrl(self) -> int:
+        return len(self.records) * self.step_msgs["sensor_to_ctrl"]
+
+    @property
+    def msgs_provider_to_ctrl(self) -> int:
+        return len(self.records) * self.step_msgs["provider_to_ctrl"]
+
+    @property
+    def msgs_ctrl_to_sensor(self) -> int:
+        return len(self.records) * self.step_msgs["ctrl_to_sensor"]
+
+    @property
+    def enc_ops(self) -> int:
+        return self.records[-1].enc_ops if self.records else 0
+
+    @property
+    def dec_ops(self) -> int:
+        return self.records[-1].dec_ops if self.records else 0
 
     def max_log2_increment(self) -> float:
         m = float("-inf")
@@ -608,7 +654,6 @@ class MainActuator:
     def __init__(self, sk, plan: MainPlan):
         self.sk = sk
         self.q = plan.q
-        self.s2 = plan.s2
         self.states = MainRecurrence(IntRing(), plan)
         self.states.reset([0] * plan.dims["n_x"])
         self.dec_ops = 0
@@ -618,16 +663,15 @@ class MainActuator:
         """The reconstructed controller output u_tilde."""
         return self.states.u
 
-    def step(self, alpha_ct, beta_ct, gamma_ct, l_t: Fraction):
-        """Returns the lifted increments, u_tilde and the exact scale s2 l(t)
-        of the delivered input u_a = s2 l(t) u_tilde."""
+    def step(self, alpha_ct, beta_ct, gamma_ct):
+        """Returns the lifted increments and u_tilde."""
         lifted = []
         for ct in (alpha_ct, beta_ct, gamma_ct):
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(list(dec), 0, self.q))
         ut = self.states.rebuild(*lifted)
-        return tuple(lifted), list(ut), self.s2 * l_t
+        return tuple(lifted), list(ut)
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -643,23 +687,22 @@ class PrelimIntegerShadow(PrelimRecurrence):
 
 
 class PrelimActuator:
+    """Decrypts u_tilde (the delivered input is u_a = s1 s2 l(t) u_tilde)."""
+
     def __init__(self, sk, plan: PrelimPlan, w: int):
         self.sk = sk
         self.q = plan.q
-        self.s1s2 = plan.s1 * plan.s2
         self.omega = plan.omega
         self.prior = [0] * w
         self.dec_ops = 0
 
-    def step(self, u_ct, l_t: Fraction):
-        """Lifts u_tilde around last step's value over omega; returns it and
-        the exact scale s1 s2 l(t) of the delivered input."""
+    def step(self, u_ct):
+        """Lifts u_tilde around last step's value over omega and returns it."""
         dec = he.decrypt(self.sk, u_ct)
         self.dec_ops += len(dec)
         on, od = self.omega.numerator, self.omega.denominator
-        lifted = centered_mod_recover(list(dec), [p * od for p in self.prior], self.q, on)
-        self.prior = lifted
-        return lifted, self.s1s2 * l_t
+        self.prior = centered_mod_recover(list(dec), [p * od for p in self.prior], self.q, on)
+        return self.prior
 
 
 # -- orchestrator ---------------------------------------------------------------
@@ -684,8 +727,8 @@ def noise_peak(plan, horizon: int) -> int:
     """The largest `he` noise bound of any ciphertext that a horizon-long
     lattice run of `plan` (main or prelim) makes.
 
-    The plan's encrypted controller runs on a `NoiseRing` as
-    `run_closed_loop_*` drives it: the bootstrap, then each step fed two
+    The plan's encrypted controller runs on a `NoiseRing` as a route's step
+    drives it (`run_closed_loop_*`): the bootstrap, then each step fed two
     fresh encryptions, horizon - 1 steps on the main route and horizon on
     the prelim route.  Noise bounds depend neither on the plaintext values
     nor on the vector lengths, so none are needed."""
@@ -725,180 +768,127 @@ def _same_residues(lifted, shadow_values, q: int) -> bool:
     return [x % q for x in lifted] == [x % q for x in shadow_values]
 
 
-def _close_step(trace, plant_sim, ideal, U, scale: Fraction, **record):
-    """The tail both routes share: the reference loop and the plant (on the
-    exact delivered input u_a = scale U, U integers) advance, and the step's
-    record is kept."""
-    u_true = ideal.step()
-    u_a = [scale.numerator * x / scale.denominator for x in U]
-    plant_sim.step(U)
-    diff = float(np.max(np.abs(np.array(u_a) - u_true))) if len(U) else 0.0
-    trace.records.append(StepRecord(
-        u_true=tuple(float(x) for x in u_true),
-        u_a=tuple(u_a),
-        diff_inf=diff,
-        enc_ops=trace.enc_ops,
-        dec_ops=trace.dec_ops,
-        **record,
-    ))
+class _Step(NamedTuple):
+    """What one step of a route hands the driver."""
+
+    U: list         # the actuator's integers: u_a = scale l(t) U
+    u_shadow: list  # the integer shadow's controller output, which U restores
+    lifted: tuple   # every vector a party decrypted and lifted this step
+    shadow: tuple   # the integer shadow's value of each
+    fields: dict    # the route's own `StepRecord` fields
+    detail: dict    # the route's own detail entries
 
 
-def _finish(trace, plant_sim, ideal) -> ClosedLoopTrace:
+def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
+           *decrypting) -> ClosedLoopTrace:
+    """The closed loop of both routes.  The route supplies `step(t, l(t),
+    y/l(t))`, which runs its parties for step t on the measurement as
+    `PlantSim.output` gives it and returns a `_Step`; `decrypting` are the
+    parties that decrypt, the actuator last.  The driver advances the plant
+    on the delivered input u_a = scale l(t) U and the reference loop, keeps
+    the l(t) schedule, makes the oracle and recovery checks, and records
+    the step."""
+    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
+    ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
+    l_t = plan.l0
+    for t in range(cfg.horizon):
+        s = step(t, l_t, plant_sim.output())
+        if not all(_same_residues(g, w, plan.q) for g, w in zip(s.lifted, s.shadow)):
+            trace.oracle_mismatches += 1
+        trace.actuator_dec_ops = decrypting[-1].dec_ops
+        u_true = ideal.step()
+        u_scale = scale * l_t
+        u_a = [u_scale.numerator * x / u_scale.denominator for x in s.U]
+        plant_sim.step(s.U)
+        trace.records.append(StepRecord(
+            t=t,
+            u_true=tuple(float(x) for x in u_true),
+            u_a=tuple(u_a),
+            diff_inf=float(np.max(np.abs(np.array(u_a) - u_true))) if u_a else 0.0,
+            msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
+            enc_ops=ring.enc_ops,
+            dec_ops=sum(party.dec_ops for party in decrypting),
+            recovery_failure=s.lifted != s.shadow or s.U != s.u_shadow,
+            **s.fields,
+        ))
+        if cfg.collect_detail:
+            trace.detail.append({"t": t, "l": l_t, **s.detail,
+                                 "u_a_exact": [u_scale * x for x in s.U]})
+        l_t = l_t * plan.omega
     trace.final_plant_state = tuple(plant_sim.state_floats())
     trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
     return trace
 
 
 def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
-    dims = plan.dims
-    n, n_x, w_dim = dims["n"], dims["n_x"], dims["w"]
-    v, n_r = dims["v"], dims["n_r"]
+    d = plan.dims
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
-
     controller = MainEncController(ring, plan)
     shadow = MainIntegerShadow(plan)
     sensor = MainSensor(ring, sk, plan)
     provider = RefProvider(ring, plan, cfg.reference)
     actuator = MainActuator(sk, plan)
-    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s2)
-    ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
-
     x_e0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.l0)
-    trace = ClosedLoopTrace(scheme="main")
-    l_t = plan.l0
-    omega = plan.omega
-    q = plan.q
-    inno_ct = ref_ct = None
-    inno_int = ref_int = None
+    sent = None  # last step's innovation and reference increment: (cts, ints)
 
-    for t in range(cfg.horizon):
+    def step(t, l_t, y_bar):
+        nonlocal sent
         if t == 0:
-            y_o_ct, a_ct, b_ct, g_ct = controller.bootstrap(x_e0_scaled)
-            alpha_i, beta_i, gamma_i = shadow.bootstrap(x_e0_scaled)
+            y_o_ct, *incs_ct = controller.bootstrap(x_e0_scaled)
+            incs = shadow.bootstrap(x_e0_scaled)
         else:
-            y_o_ct, a_ct, b_ct, g_ct = controller.step(inno_ct, ref_ct)
-            alpha_i, beta_i, gamma_i = shadow.step(inno_int, ref_int)
-
-        y_o_i = shadow.y_o()
-        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, plant_sim.output())
+            y_o_ct, *incs_ct = controller.step(*sent[0])
+            incs = shadow.step(*sent[1])
+        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_bar)
         q_ref, ref_ct, sat_r = provider.step()
-        inno_int, ref_int = q_inno, q_ref
+        sent = (inno_ct, ref_ct), (q_inno, q_ref)
+        lifted_a, ut_a = actuator.step(*incs_ct)
+        alpha, beta, gamma = incs
+        return _Step(
+            U=ut_a, u_shadow=shadow.u,
+            lifted=(lifted_y, *lifted_a), shadow=(shadow.y_o(), *incs),
+            fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
+                    "log2_gamma": _log2norm(gamma), "log2_sensor_gap": _log2(gap),
+                    "saturated": bool(sat_s or sat_r)},
+            detail={"innovation": q_inno, "ref_increment": q_ref,
+                    "alpha": alpha, "beta": beta, "gamma": gamma,
+                    "re_scaled": shadow.re, "u_tilde": shadow.u})
 
-        lifted_a, ut_a, scale = actuator.step(a_ct, b_ct, g_ct, l_t)
-        got, want = (lifted_y, *lifted_a), (y_o_i, alpha_i, beta_i, gamma_i)
-        if not all(_same_residues(g, w, q) for g, w in zip(got, want)):
-            trace.oracle_mismatches += 1
-        fail = got != want or ut_a != shadow.u
-
-        saturated = bool(sat_s or sat_r)
-        trace.saturation_count += int(saturated)
-        trace.recovery_failures += int(fail)
-        trace.msgs_ctrl_to_act += n + n_x + w_dim
-        trace.msgs_sensor_to_ctrl += v
-        trace.msgs_provider_to_ctrl += n_r
-        trace.msgs_ctrl_to_sensor += v
-        trace.actuator_dec_ops = actuator.dec_ops
-        trace.enc_ops = ring.enc_ops
-        trace.dec_ops = sensor.dec_ops + actuator.dec_ops
-
-        _close_step(
-            trace, plant_sim, ideal, ut_a, scale,
-            t=t,
-            log2_alpha=_log2norm(alpha_i),
-            log2_beta=_log2norm(beta_i),
-            log2_gamma=_log2norm(gamma_i),
-            log2_sensor_gap=math.log2(gap) if gap > 0 else float("-inf"),
-            saturated=saturated,
-            msgs_ctrl_to_act=n + n_x + w_dim,
-            recovery_failure=fail,
-        )
-        if cfg.collect_detail:
-            trace.detail.append({
-                "t": t,
-                "l": l_t,
-                "innovation": list(q_inno),
-                "ref_increment": list(q_ref),
-                "alpha": list(alpha_i),
-                "beta": list(beta_i),
-                "gamma": list(gamma_i),
-                "re_scaled": list(shadow.re),
-                "u_tilde": list(shadow.u),
-                "u_a_exact": [scale * x for x in ut_a],
-            })
-        l_t = l_t * omega
-    return _finish(trace, plant_sim, ideal)
+    trace = ClosedLoopTrace("main", step_msgs={
+        "ctrl_to_act": d["n"] + d["n_x"] + d["w"], "sensor_to_ctrl": d["v"],
+        "provider_to_ctrl": d["n_r"], "ctrl_to_sensor": d["v"]})
+    return _drive(trace, plan, cfg, plan.s2, step, ring, sensor, actuator)
 
 
 def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
-    w_dim = cfg.ctrl.w
-    v = cfg.plant.v
-    n_r = cfg.ctrl.n_r
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
-
     controller = PrelimEncController(ring, plan)
     shadow = PrelimIntegerShadow(plan)
-    actuator = PrelimActuator(sk, plan, w_dim)
-    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s1 * plan.s2)
-    ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
-
+    actuator = PrelimActuator(sk, plan, cfg.ctrl.w)
     x0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.s1 * plan.l0)
     controller.bootstrap(x0_scaled)
     shadow.bootstrap(x0_scaled)
-
-    trace = ClosedLoopTrace(scheme="prelim")
-    l_t = plan.l0
-    q = plan.q
     on, od = plan.omega.numerator, plan.omega.denominator
-    prev_ut = [0] * w_dim
+    prev_ut = [0] * cfg.ctrl.w
 
-    for t in range(cfg.horizon):
-        Y, E = plant_sim.output()
-        q_y, _ = quantize_vector(Y, den=E)
-        r_bar = [r / l_t for r in cfg.reference.data]
-        q_r, _ = quantize_vector(r_bar, None)
+    def step(t, l_t, y_bar):
+        nonlocal prev_ut
+        q_y, _ = quantize_vector(y_bar[0], den=y_bar[1])
+        q_r, _ = quantize_vector([r / l_t for r in cfg.reference.data], None)
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
-        ut_true = shadow.step(q_y, q_r)
-
-        lifted, scale = actuator.step(u_ct, l_t)
-        if not _same_residues(lifted, ut_true, q):
-            trace.oracle_mismatches += 1
-        fail = lifted != ut_true
-
+        ut = shadow.step(q_y, q_r)
+        lifted = actuator.step(u_ct)
         # the increment ut - prev_ut/omega = (on ut - od prev_ut)/on
-        mx = max((abs((on * x - od * y) / on) for x, y in zip(ut_true, prev_ut)),
-                 default=0.0)
-        prev_ut = ut_true
+        mx = max((abs((on * x - od * y) / on) for x, y in zip(ut, prev_ut)), default=0.0)
+        prev_ut = ut
+        return _Step(
+            U=lifted, u_shadow=ut, lifted=(lifted,), shadow=(ut,),
+            fields={"log2_alpha": _log2(mx)},
+            detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted})
 
-        trace.recovery_failures += int(fail)
-        trace.msgs_ctrl_to_act += w_dim
-        trace.msgs_sensor_to_ctrl += v
-        trace.msgs_provider_to_ctrl += n_r
-        trace.actuator_dec_ops = actuator.dec_ops
-        trace.enc_ops = ring.enc_ops
-        trace.dec_ops = actuator.dec_ops
-
-        _close_step(
-            trace, plant_sim, ideal, lifted, scale,
-            t=t,
-            log2_alpha=math.log2(mx) if mx > 0 else float("-inf"),
-            log2_beta=float("-inf"),
-            log2_gamma=float("-inf"),
-            log2_sensor_gap=float("-inf"),
-            saturated=False,
-            msgs_ctrl_to_act=w_dim,
-            recovery_failure=fail,
-        )
-        if cfg.collect_detail:
-            trace.detail.append({
-                "t": t,
-                "l": l_t,
-                "q_y": list(q_y),
-                "q_r": list(q_r),
-                "u_tilde": list(ut_true),
-                "u_tilde_recovered": list(lifted),
-                "u_a_exact": [scale * x for x in lifted],
-            })
-        l_t = l_t * plan.omega
-    return _finish(trace, plant_sim, ideal)
+    trace = ClosedLoopTrace("prelim", step_msgs={
+        "ctrl_to_act": cfg.ctrl.w, "sensor_to_ctrl": cfg.plant.v,
+        "provider_to_ctrl": cfg.ctrl.n_r, "ctrl_to_sensor": 0})
+    return _drive(trace, plan, cfg, plan.s1 * plan.s2, step, ring, actuator)

@@ -198,6 +198,7 @@ def stacked_error_bound(v: int, w: int, n_r: int, omega) -> float:
     return math.sqrt(v + w + n_r) * (0.5 + 0.5 / float(as_fraction(omega)))
 
 
+MIN_Q = 4  # the smallest plaintext modulus a plan or a q override may set
 M_SERIES_RTOL = 1e-12
 M_SERIES_MAX_TERMS = 20000
 
@@ -305,9 +306,10 @@ def _largest_decimal_l0(vectors, floor=0) -> Fraction:
     return l0
 
 
-def _pow2_above(x: float) -> int:
-    """Smallest power of two strictly exceeding x (for finite x >= 0)."""
-    return 1 << math.floor(x).bit_length()
+def _modulus_above(x: float) -> int:
+    """Smallest power of two strictly exceeding x (for finite x >= 0), and at
+    least MIN_Q."""
+    return max(MIN_Q, 1 << math.floor(x).bit_length())
 
 
 def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
@@ -368,7 +370,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     base = float(inf_norm(JC_H)) * M
     cross = (nJ + nS) * 0.5 * (1.0 + 1.0 / w)
     window = (base + cross) / float(s1 * s2)
-    q = _pow2_above(2.0 * max(base, window, u0_bound))
+    q = _modulus_above(2.0 * max(base, window, u0_bound))
 
     return PrelimPlan(
         omega=omega, s1=s1, s2=s2, l0=l0, q=q, M_bound=M,
@@ -708,7 +710,7 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     g1 = float(inf_norm(ctrl.S.scale(1 / s2))) * (float(ref_norm / l0) + 0.5) / w
     bootstrap = max(b1, b1 / w, g1)
 
-    q = _pow2_above(max(bound, 2.0 * bootstrap))
+    q = _modulus_above(max(bound, 2.0 * bootstrap))
 
     # quantizer range: (2R+1)/2 must strictly exceed both saturation drivers
     sat = max(float(inf_norm(plant.C)) * ce.value, 1.0 / (2.0 * w))

@@ -36,6 +36,15 @@ def test_plan_prelim_batch_infeasible(capsys):
     assert "s_F" in rep["reason"]
 
 
+def test_plan_out_writes_the_infeasible_report(capsys, tmp_path):
+    path = tmp_path / "plan.json"
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
+                           "--scheme", "prelim", "--out", str(path))
+    assert code == 2
+    assert json.loads(out)["feasible"] is False
+    assert path.read_text() == out
+
+
 def test_plan_main_batch_published_parameters(capsys):
     code, out, _ = run_cli(capsys, "plan", "--fixture", "batch-reactor",
                            "--scheme", "main")
@@ -230,6 +239,22 @@ PRELIM_CONFIG = {
     "scheme": "prelim",
     "horizon": 40,
 }
+
+
+def test_zero_output_matrix_plans_the_smallest_modulus(capsys, tmp_path):
+    """With H = 0 every bound the prelim planner sizes q from is 0; the plan
+    still takes q = 4, the smallest modulus an override may set."""
+    path = tmp_path / "zero_h.json"
+    path.write_text(json.dumps({**PRELIM_CONFIG, "controller": {
+        **PRELIM_CONFIG["controller"], "H": [["0", "0"]]}}))
+    code, out, _ = run_cli(capsys, "plan", "--config", str(path))
+    assert code == 0
+    assert json.loads(out)["q"] == "4"
+    for backend in ("mock", "lattice"):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path),
+                                 "--backend", backend)
+        assert code == 0, err
+        assert json.loads(out)["recovery_failures"] == 0
 
 
 def exact_plan_pinned(**pins):

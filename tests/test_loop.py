@@ -124,18 +124,6 @@ class TestMainLoop:
             u_exact = [sound_plan.s2 * det["l"] * x for x in det["u_tilde"]]
             assert u_exact == det["u_a_exact"]
 
-    def test_main_counters(self, batch, sound_plan):
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 10))
-        d = sound_plan.dims
-        per = d["n"] + d["n_x"] + d["w"]
-        assert all(r.msgs_ctrl_to_act == per for r in tr.records)
-        assert tr.msgs_ctrl_to_act == 10 * per
-        assert tr.msgs_sensor_to_ctrl == 10 * d["v"]
-        assert tr.msgs_provider_to_ctrl == 10 * d["n_r"]
-        assert tr.msgs_ctrl_to_sensor == 10 * d["v"]
-        assert tr.actuator_enc_ops == 0
-        assert tr.actuator_dec_ops == 10 * per
-
     def test_fault_injection_small_modulus(self, batch, sound_plan):
         bad = replace(sound_plan, q=2**41)
         tr = run_closed_loop_main(bad, main_cfg(batch, bad, 50))
@@ -334,6 +322,25 @@ def test_oracle_counts_a_wrong_decryption(request, monkeypatch, scheme):
     tr = run(plan, cfg)
     assert tr.oracle_mismatches == 1
     assert tr.recovery_failures >= 1
+
+
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+def test_counters(request, scheme):
+    """The trace's counts over H = 10 steps: messages per channel, the
+    actuator's work, and the run's encryptions and decryptions."""
+    sc, plan, run = route(request, scheme)
+    tr = run(plan, main_cfg(sc, plan, 10))
+    v, n_r, w = sc.plant.v, sc.ctrl.n_r, sc.ctrl.w
+    # main sends the increments alpha, beta and gamma, prelim sends u
+    per, to_sensor = (sc.plant.n + sc.ctrl.n_x + w, v) if scheme == "main" else (w, 0)
+    assert all(r.msgs_ctrl_to_act == per for r in tr.records)
+    assert tr.msgs_ctrl_to_act == 10 * per
+    assert tr.msgs_sensor_to_ctrl == 10 * v
+    assert tr.msgs_provider_to_ctrl == 10 * n_r
+    assert tr.msgs_ctrl_to_sensor == 10 * to_sensor
+    assert tr.actuator_enc_ops == 0
+    assert tr.actuator_dec_ops == 10 * per
+    assert (tr.enc_ops, tr.dec_ops) == (tr.records[-1].enc_ops, tr.records[-1].dec_ops)
 
 
 class TestTrace:
