@@ -21,10 +21,11 @@ Packed slots.  A lattice ciphertext entry (a_1..a_16, c) is one Python int:
 slot 0 holds c and slot j holds a_j, each slot W = bits(Q) + bits(q) + GUARD
 bits wide.  Every public-key row is packed the same way, so `encrypt` sums
 packed rows, `add` adds two ints, `plain_matmul` accumulates m * entry over a
-row (m the centered residue of the matrix entry mod q, |m| <= q/2), and only
-`decrypt` unpacks.  Slots may go negative in between; a row of at most
-2^GUARD columns keeps every slot below 2^(W-1) in magnitude, so no borrow or
-carry crosses a slot boundary once the offset 2^(W-1) is added to each slot.
+row (m the centered residue of the matrix entry mod q, |m| <= q/2, prepared
+once per matrix by `PlainMatrix`), and only `decrypt` unpacks.  Slots may go
+negative in between; a row of at most 2^GUARD columns keeps every slot below
+2^(W-1) in magnitude, so no borrow or carry crosses a slot boundary once the
+offset 2^(W-1) is added to each slot.
 The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
 two (every q the planner makes), and slot by slot otherwise.
 
@@ -253,30 +254,42 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
                       noise_bound=c1.noise_bound + c2.noise_bound)
 
 
-def matmul_weight(M: Sequence[Sequence[int]]) -> int:
-    """The factor `plain_matmul` multiplies a noise bound by: M's largest
-    absolute row sum, smallest for the centered representatives mod q."""
-    return max(sum(abs(x) for x in row) for row in M)
+class PlainMatrix:
+    """An integer matrix prepared once for `plain_matmul` under plaintext
+    modulus q: each row as (column, m) pairs, m the centered residue of the
+    entry mod q (|m| <= q/2), zero residues dropped; and `weight`, the factor
+    `plain_matmul` multiplies a noise bound by: the largest absolute row sum
+    of the entries as given, so centered entries give the smallest."""
+
+    def __init__(self, M: Sequence[Sequence[int]], q: int):
+        if not M:
+            raise DimensionMismatchError("empty matrix")
+        self.q, self.cols = q, len(M[0])
+        if any(len(row) != self.cols for row in M):
+            raise DimensionMismatchError("matrix rows differ in length")
+        self.weight = max(sum(abs(x) for x in row) for row in M)
+        half = q // 2
+        self.rows = tuple(
+            tuple((j, m - q if m > half else m) for j, x in enumerate(row) if (m := x % q))
+            for row in M)
 
 
-def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
-    """M is an integer matrix, entries of either sign; decrypts to M v mod q,
-    with the noise bound multiplied by `matmul_weight(M)`.  The lattice
-    backend multiplies by each entry's centered residue mod q, whose magnitude
-    is at most the entry's, and takes at most 2^GUARD columns."""
+def plain_matmul(M, ct: Ciphertext) -> Ciphertext:
+    """M is a `PlainMatrix` under the ciphertext's q, or a list of integer
+    rows of either sign, prepared here; decrypts to M v mod q, with the noise
+    bound multiplied by M's weight.  The lattice backend takes at most
+    2^GUARD columns."""
     params = ct.params
-    rows = len(M)
-    if rows == 0:
-        raise DimensionMismatchError("empty matrix")
-    if any(len(r) != ct.dim for r in M):
+    if not isinstance(M, PlainMatrix):
+        M = PlainMatrix(M, params.q)
+    elif M.q != params.q:
+        raise DimensionMismatchError(f"matrix prepared mod {M.q}, ciphertext mod {params.q}")
+    if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
-    noise = 0
-    if ct.noise_bound:  # mock ciphertexts carry 0: skip the row-sum weight
-        noise = ct.noise_bound * matmul_weight(M)
+    noise = ct.noise_bound * M.weight
+    v = ct.payload
     if params.backend == "mock":
-        payload = tuple(
-            sum(m * x for m, x in zip(row, ct.payload)) % params.q for row in M
-        )
+        payload = tuple(sum(m * v[j] for j, m in row) % params.q for row in M.rows)
     else:
         if noise >= params.delta // 2:
             raise NoiseOverflowError(
@@ -285,17 +298,9 @@ def plain_matmul(M: Sequence[Sequence[int]], ct: Ciphertext) -> Ciphertext:
         if ct.dim > 1 << GUARD:
             raise DimensionMismatchError(
                 f"{ct.dim} columns exceed the {1 << GUARD} a packed slot holds")
-        q, half, reduce = params.q, params.q // 2, params._slots.reduce
-        payload = []
-        for row in M:
-            acc = 0
-            for m, packed in zip(row, ct.payload):
-                m %= q
-                if m:
-                    acc += (m - q if m > half else m) * packed
-            payload.append(reduce(acc))
-        payload = tuple(payload)
-    return Ciphertext(params, rows, payload, noise_bound=noise)
+        reduce = params._slots.reduce
+        payload = tuple(reduce(sum(m * v[j] for j, m in row)) for row in M.rows)
+    return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 
 
 @dataclass(frozen=True)

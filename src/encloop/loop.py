@@ -372,8 +372,9 @@ class IntRing:
 class CipherRing:
     """Ciphertexts under `pk`: the encrypted controllers, and every party that
     encrypts (`fresh`, which counts the ciphertext entries it makes).
-    Plaintext matrices are centered into (-q/2, q/2], which keeps the row-sum
-    weight `he.plain_matmul` charges to the noise as small as the certified
+    A plaintext matrix is prepared once (`he.PlainMatrix`) from its entries
+    centered into (-q/2, q/2], which keeps the row-sum weight
+    `he.plain_matmul` charges to the noise as small as the certified
     coefficients allow, and a scalar becomes that multiple of the identity,
     since `he` offers no other product."""
 
@@ -382,7 +383,7 @@ class CipherRing:
         self.enc_ops = 0
 
     def plain(self, M):
-        return _centered_rows(M, self.q)
+        return he.PlainMatrix(_centered_rows(M, self.q), self.q)
 
     def scalar(self, c, d):
         return self.plain([[c if i == j else 0 for j in range(d)] for i in range(d)])
@@ -404,35 +405,32 @@ class CipherRing:
 
 class NoiseRing:
     """The lattice backend's noise bounds in place of ciphertexts: a dry run
-    of the budget model of `he`.  A plaintext becomes `he.matmul_weight` of
-    the matrix `CipherRing` makes of it, the factor `he.plain_matmul`
-    charges; `fresh` is `he.FRESH_NOISE_BOUND`, fixed by the constant LWE
-    dimensions; sums add bounds.  No bound depends on the pad, the one
-    per-run setting, which `lattice_params` sizes from `peak`: the largest
-    bound of any ciphertext made so far (`he.plain_matmul` refuses an
-    intermediate product too)."""
+    of the budget model of `he`.  A plaintext is the `he.PlainMatrix`
+    `CipherRing` makes of it, whose weight a product charges; `fresh` is
+    `he.FRESH_NOISE_BOUND`, fixed by the constant LWE dimensions; sums add
+    bounds.  No bound depends on the pad, the one per-run setting.  `he`
+    checks a bound against the pad at each `plain_matmul` and `decrypt`, so
+    `peak` is the largest product so far; `noise_peak` adds the emitted
+    ciphertexts, which parties decrypt."""
 
     def __init__(self, q: int):
         self.q = q
         self.peak = 0
 
-    def plain(self, M):
-        return he.matmul_weight(_centered_rows(M, self.q))
+    plain, scalar = CipherRing.plain, CipherRing.scalar
 
-    scalar = CipherRing.scalar
+    @staticmethod
+    def fresh(values):
+        return he.FRESH_NOISE_BOUND
 
-    def fresh(self, values):
-        return self._made(he.FRESH_NOISE_BOUND)
-
-    def matvec(self, weight, bound):
-        return self._made(weight * bound)
-
-    def add(self, *bounds):
-        return self._made(sum(bounds))
-
-    def _made(self, bound):
+    def matvec(self, M, bound):
+        bound *= M.weight
         self.peak = max(self.peak, bound)
         return bound
+
+    @staticmethod
+    def add(*bounds):
+        return sum(bounds)
 
 
 MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
@@ -453,16 +451,29 @@ class MainRecurrence:
     """The converted observer controller in scaled-integer coordinates.
 
     With A, B, L, C, F, G, R, H, J, S the certified integer matrices
-    (A/omega, s2B/omega, ...), the state is the observer xo, the controller
-    xe, the reference estimate re and the output u = H xe + J xo + S re, plus
-    two steps of memory (suffix _m1, _m2).  `increments` gives what the
-    controller sends:
+    (A/omega, s2B/omega, ...) and the integer 1/omega, a step advances the
+    observer xo, the controller xe and the reference estimate re together
+    from the old states, and then the output u from the new ones:
+
+        xo <- A xo + B u + L innovation
+        xe <- F xe + G xo + R re
+        re <- (re + ref_increment) / omega
+        u   = H xe + J xo + S re
+
+    The controller sends the increments (suffix _m1, _m2: one and two steps
+    before)
 
         alpha = xo - A xo_m1 - B u_m1
         beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
         gamma = u  - H xe    - J xo    - (u_m1  - H xe_m1 - J xo_m1) / omega
 
-    and `rebuild` inverts it from memory alone, as the actuator does.
+    After the bootstrap the brackets are products the step makes anyway,
+    R re_m1 and S re, and alpha is its L innovation.  So the memory is one
+    step deep: the brackets of the step before (`bx`, `bu`), whose 1/omega
+    multiples a step takes from its own to emit beta and gamma.  The
+    bootstrap emits the definition form over zeroed memory, and `rebuild`
+    inverts the definition form with the carried brackets, as the actuator
+    does.
     """
 
     def __init__(self, ring, plan: MainPlan):
@@ -475,79 +486,65 @@ class MainRecurrence:
             # the scalar 1/omega acts on three differently sized vectors
             m.Om_r, m.Om_x, m.Om_u = (ring.scalar(c, dims[k]) for k in ("n_r", "n_x", "w"))
 
-    def reset(self, x_e0_scaled):
-        """Initial states plus zeroed two-deep memory (controller and actuator
-        share this convention so reconstruction telescopes from the first step)."""
+    def bootstrap(self, x_e0_scaled):
+        """The initial states, and the increments of step 0 in their
+        definition form over two steps of zeroed memory, every vector fresh
+        on the ring.  With x_e0 = 0 every state and bracket is zero, which
+        is where the actuator starts, so reconstruction telescopes from the
+        first step."""
         d, fresh = self.dims, self.ring.fresh
         self.xo = fresh([0] * d["n"])
         self.xe = fresh(x_e0_scaled)
         self.re = fresh([0] * d["n_r"])
-        self.xo_m1, self.xo_m2 = fresh([0] * d["n"]), fresh([0] * d["n"])
-        self.xe_m1, self.xe_m2 = fresh([0] * d["n_x"]), fresh([0] * d["n_x"])
-        self.u_m1 = fresh([0] * d["w"])
-        self.u = self._output()
+        xo_m1, xo_m2 = fresh([0] * d["n"]), fresh([0] * d["n"])
+        xe_m1, xe_m2 = fresh([0] * d["n_x"]), fresh([0] * d["n_x"])
+        u_m1 = fresh([0] * d["w"])
+        mv, p = self.ring.matvec, self.pos
+        self.u = self.ring.add(mv(p.H, self.xe), mv(p.J, self.xo), mv(p.S, self.re))
+        return self.increments(xo_m1, xe_m1, u_m1, xo_m2, xe_m2)
 
-    def bootstrap(self, x_e0_scaled):
-        self.reset(x_e0_scaled)
-        return self.increments()
+    def increments(self, xo_m1, xe_m1, u_m1, xo_m2, xe_m2):
+        """(alpha, beta, gamma) in their definition form, against the states
+        of the two steps before; keeps this step's brackets."""
+        mv, add, n = self.ring.matvec, self.ring.add, self.neg
+        bx_m1 = add(xe_m1, mv(n.F, xe_m2), mv(n.G, xo_m2))
+        bu_m1 = add(u_m1, mv(n.H, xe_m1), mv(n.J, xo_m1))
+        self.bx = add(self.xe, mv(n.F, xe_m1), mv(n.G, xo_m1))
+        self.bu = add(self.u, mv(n.H, self.xe), mv(n.J, self.xo))
+        return (add(self.xo, mv(n.A, xo_m1), mv(n.B, u_m1)),
+                add(self.bx, mv(n.Om_x, bx_m1)),
+                add(self.bu, mv(n.Om_u, bu_m1)))
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
-        increment; returns the new increments."""
-        mv, add, p = self.ring.matvec, self.ring.add, self.pos
-        xo = add(mv(p.A, self.xo), mv(p.B, self.u), mv(p.L, innovation))
-        re = add(mv(p.Om_r, self.re), mv(p.Om_r, ref_increment))
-        xe = add(mv(p.F, self.xe), mv(p.G, self.xo), mv(p.R, self.re))
-        self._shift()
-        self.xo, self.xe, self.re = xo, xe, re
-        self.u = self._output()
-        return self.increments()
+        increment; returns the new increments, from the step's own products."""
+        mv, add, p, n = self.ring.matvec, self.ring.add, self.pos, self.neg
+        alpha = mv(p.L, innovation)
+        xo = add(mv(p.A, self.xo), mv(p.B, self.u), alpha)
+        bx = mv(p.R, self.re)
+        xe = add(mv(p.F, self.xe), mv(p.G, self.xo), bx)
+        self.re = mv(p.Om_r, add(self.re, ref_increment))
+        bu = mv(p.S, self.re)
+        self.u = add(mv(p.H, xe), mv(p.J, xo), bu)
+        self.xo, self.xe = xo, xe
+        beta, gamma = add(bx, mv(n.Om_x, self.bx)), add(bu, mv(n.Om_u, self.bu))
+        self.bx, self.bu = bx, bu
+        return alpha, beta, gamma
 
     def y_o(self):
         return self.ring.matvec(self.pos.C, self.xo)
 
-    def increments(self):
-        """(alpha, beta, gamma): each state less what memory predicts of it."""
-        add, n = self.ring.add, self.neg
-        return (add(self.xo, *self._xo_terms(n)),
-                add(self.xe, *self._xe_terms(n)),
-                add(self.u, *self._u_terms(n)))
-
     def rebuild(self, alpha, beta, gamma):
-        """The states of the next step from its increments and memory; returns u."""
-        add, p = self.ring.add, self.pos
-        self._shift()
-        self.xo = add(alpha, *self._xo_terms(p))
-        self.xe = add(beta, *self._xe_terms(p))
-        self.u = add(gamma, *self._u_terms(p))
+        """The states of the next step from its increments and the carried
+        brackets; returns u."""
+        mv, add, p = self.ring.matvec, self.ring.add, self.pos
+        self.bx = add(beta, mv(p.Om_x, self.bx))
+        self.bu = add(gamma, mv(p.Om_u, self.bu))
+        xo = add(alpha, mv(p.A, self.xo), mv(p.B, self.u))
+        self.xe = add(self.bx, mv(p.F, self.xe), mv(p.G, self.xo))
+        self.xo = xo
+        self.u = add(self.bu, mv(p.H, self.xe), mv(p.J, self.xo))
         return self.u
-
-    def _output(self):
-        mv, p = self.ring.matvec, self.pos
-        return self.ring.add(mv(p.H, self.xe), mv(p.J, self.xo), mv(p.S, self.re))
-
-    def _shift(self):
-        self.xo_m2, self.xo_m1 = self.xo_m1, self.xo
-        self.xe_m2, self.xe_m1 = self.xe_m1, self.xe
-        self.u_m1 = self.u
-
-    # What memory predicts of xo, xe and u: with the matrices m = self.pos
-    # the prediction, with m = self.neg its negative.  The carries inside the
-    # brackets above always enter negated.
-
-    def _xo_terms(self, m):
-        mv = self.ring.matvec
-        return mv(m.A, self.xo_m1), mv(m.B, self.u_m1)
-
-    def _xe_terms(self, m):
-        mv, n = self.ring.matvec, self.neg
-        carry = self.ring.add(self.xe_m1, mv(n.F, self.xe_m2), mv(n.G, self.xo_m2))
-        return mv(m.F, self.xe_m1), mv(m.G, self.xo_m1), mv(m.Om_x, carry)
-
-    def _u_terms(self, m):
-        mv, n = self.ring.matvec, self.neg
-        carry = self.ring.add(self.u_m1, mv(n.H, self.xe_m1), mv(n.J, self.xo_m1))
-        return mv(m.H, self.xe), mv(m.J, self.xo), mv(m.Om_u, carry)
 
 
 class PrelimRecurrence:
@@ -655,7 +652,7 @@ class MainActuator:
         self.sk = sk
         self.q = plan.q
         self.states = MainRecurrence(IntRing(), plan)
-        self.states.reset([0] * plan.dims["n_x"])
+        self.states.bootstrap([0] * plan.dims["n_x"])
         self.dec_ops = 0
 
     @property
@@ -724,8 +721,9 @@ class RunConfig:
 
 
 def noise_peak(plan, horizon: int) -> int:
-    """The largest `he` noise bound of any ciphertext that a horizon-long
-    lattice run of `plan` (main or prelim) makes.
+    """The largest `he` noise bound that a horizon-long lattice run of `plan`
+    (main or prelim) checks against its pad: of any `plain_matmul` product,
+    and of any ciphertext the controller emits, which a party decrypts.
 
     The plan's encrypted controller runs on a `NoiseRing` as a route's step
     drives it (`run_closed_loop_*`): the bootstrap, then each step fed two
@@ -735,12 +733,15 @@ def noise_peak(plan, horizon: int) -> int:
     ring = NoiseRing(plan.q)
     if isinstance(plan, MainPlan):
         controller, steps = MainEncController(ring, plan), horizon - 1
+        peak = max(controller.bootstrap(()))
     else:
         controller, steps = PrelimEncController(ring, plan), horizon
-    controller.bootstrap(())
+        controller.bootstrap(())
+        peak = 0
     for _ in range(steps):
-        controller.step(ring.fresh(()), ring.fresh(()))
-    return ring.peak
+        emitted = controller.step(ring.fresh(()), ring.fresh(()))
+        peak = max(peak, *emitted) if isinstance(emitted, tuple) else max(peak, emitted)
+    return max(peak, ring.peak)
 
 
 def lattice_params(plan, horizon: int) -> he.SchemeParams:

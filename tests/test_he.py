@@ -102,6 +102,9 @@ def test_dimension_mismatch(scheme, keys):
         he.add(c1, c2)
     with pytest.raises(he.DimensionMismatchError):
         he.plain_matmul([[1, 2, 3]], c1)
+    # a matrix prepared under another plaintext modulus
+    with pytest.raises(he.DimensionMismatchError):
+        he.plain_matmul(he.PlainMatrix([[1, 2]], scheme.q + 1), c1)
 
 
 def test_out_of_range_rejected(scheme, keys):

@@ -10,9 +10,15 @@ from hypothesis import strategies as st
 
 from encloop import cli, he
 from encloop.exactmat import RationalMatrix
+from encloop.fixtures import Scenario
 from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
+    MAIN_CERTIFICATES,
     CipherRing,
+    IntRing,
+    MainEncController,
+    MainIntegerShadow,
+    MainRecurrence,
     PlantSim,
     RunConfig,
     centered_mod_recover,
@@ -20,6 +26,7 @@ from encloop.loop import (
     noise_peak,
     run_closed_loop_main,
     run_closed_loop_prelim,
+    _scaled_integer_state,
 )
 from encloop.planner import MainPlanOptions, plan_main
 
@@ -210,6 +217,126 @@ class TestMainLoop:
                 assert [Fraction(g) for g in gamma] == want_g
 
 
+NON_DECIMAL_X_P0 = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(-13, 9))
+
+
+class TestMainIncrements:
+    """What the main controller emits, on runs whose quantization errors
+    persist (non-decimal x_p0), so that its increments are nonzero."""
+
+    @pytest.fixture(scope="class")
+    def non_decimal(self, batch, batch_companion):
+        """A non-decimal x_p0 and a non-decimal reference: alpha, beta and
+        gamma are all nonzero at every step from t = 3 on."""
+        ref = RationalMatrix.column([Fraction(1, 3), Fraction(2, 7),
+                                     Fraction(1, 9), Fraction(5, 11)])
+        plan = plan_main(batch.plant, batch.ctrl, MainPlanOptions(
+            L=batch_companion.L, L_exact=batch_companion.L, reference=ref))
+        return Scenario("non-decimal", batch.plant, batch.ctrl, ref, NON_DECIMAL_X_P0), plan
+
+    def test_emitted_increments_are_the_definition_form(self, non_decimal):
+        """alpha, beta and gamma equal the definition form of `MainRecurrence`
+        at every step, computed from consecutive states of an integer shadow
+        replayed on the run's quantized inputs; mock and lattice runs agree."""
+        sc, plan = non_decimal
+        H = 20
+        details = []
+        for backend in ("mock", "lattice"):
+            tr = run_closed_loop_main(plan, main_cfg(sc, plan, H, backend=backend, detail=True))
+            assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+            details.append(tr.detail)
+        assert details[0] == details[1]
+        det = details[0]
+        assert all(any(d["alpha"]) and any(d["beta"]) and any(d["gamma"]) for d in det[3:])
+
+        d = plan.dims
+        states = [([0] * d["n"], [0] * d["n_x"], [0] * d["w"])] * 2  # t = -2, -1
+        shadow = MainIntegerShadow(plan)
+        shadow.bootstrap(_scaled_integer_state(sc.ctrl.x0.data, plan.l0))
+        states.append((shadow.xo, shadow.xe, shadow.u))
+        for step in det[:-1]:
+            shadow.step(step["innovation"], step["ref_increment"])
+            states.append((shadow.xo, shadow.xe, shadow.u))
+
+        m = {k: plan.certificates[name].int_rows() for k, name in MAIN_CERTIFICATES.items()}
+        inv_omega = plan.certificates["1/omega"].scaled_entries[0]
+        mv = IntRing.matvec
+
+        def less(v, *products):
+            return [x - sum(p) for x, *p in zip(v, *products)]
+
+        def brackets(k):  # of step k - 2, from the states of steps k - 3 and k - 2
+            (xo_m1, xe_m1, _), (xo, xe, u) = states[k - 1], states[k]
+            return (less(xe, mv(m["F"], xe_m1), mv(m["G"], xo_m1)),
+                    less(u, mv(m["H"], xe), mv(m["J"], xo)))
+
+        for t in range(H):
+            (xo_m1, _, u_m1), (xo, _, _) = states[t + 1], states[t + 2]
+            (bx, bu), (bx_m1, bu_m1) = brackets(t + 2), brackets(t + 1)
+            assert det[t]["alpha"] == less(xo, mv(m["A"], xo_m1), mv(m["B"], u_m1))
+            assert det[t]["beta"] == less(bx, mv(inv_omega, bx_m1))
+            assert det[t]["gamma"] == less(bu, mv(inv_omega, bu_m1))
+
+    def test_ops_per_step(self, batch, sound_plan, monkeypatch):
+        """A controller step makes 13 `he.plain_matmul` (y_o's included) and 9
+        `he.add`; the integer shadow's step 12 matvecs, the actuator's
+        `rebuild` 8."""
+        counts = {"plain_matmul": 0, "add": 0}
+
+        def counting(name):
+            op = getattr(he, name)
+
+            def wrapped(*args):
+                counts[name] += 1
+                return op(*args)
+            return wrapped
+
+        for name in counts:
+            monkeypatch.setattr(he, name, counting(name))
+        q, d = sound_plan.q, sound_plan.dims
+        x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
+        ring = CipherRing(he.keygen(he.SchemeParams.mock(q))[0], q, random.Random(0))
+        controller = MainEncController(ring, sound_plan)
+        controller.bootstrap(x_e0)
+        for _ in range(3):
+            counts.update(plain_matmul=0, add=0)
+            controller.step(ring.fresh([1] * d["v"]), ring.fresh([1] * d["n_r"]))
+            assert counts == {"plain_matmul": 13, "add": 9}
+
+        class CountingRing(IntRing):
+            matvecs = 0
+
+            def matvec(self, M, v):
+                self.matvecs += 1
+                return IntRing.matvec(M, v)
+
+        actuator = MainRecurrence(CountingRing(), sound_plan)
+        shadow = MainRecurrence(CountingRing(), sound_plan)
+        actuator.bootstrap([0] * d["n_x"])
+        shadow.bootstrap(x_e0)
+        for _ in range(3):
+            actuator.ring.matvecs = shadow.ring.matvecs = 0
+            actuator.rebuild(*shadow.step([1] * d["v"], [1] * d["n_r"]))
+            assert (actuator.ring.matvecs, shadow.ring.matvecs) == (8, 12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
+                    min_size=4, max_size=4))
+    @example([Fraction(2), Fraction(-2), Fraction(2), Fraction(-2)])
+    @example(list(NON_DECIMAL_X_P0))
+    def test_any_x_p0_in_the_box(self, batch, sound_plan, x_p0):
+        """Any rational x_p0 with |x| <= x_p0_bound: no saturation, recovery
+        failure or oracle mismatch, and every increment below q/2."""
+        assert batch.plant.x_p0_bound == 2
+        sc = Scenario("box", batch.plant, batch.ctrl, batch.reference, tuple(x_p0))
+        tr = run_closed_loop_main(sound_plan, main_cfg(sc, sound_plan, 12, detail=True))
+        assert tr.saturation_count == 0
+        assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+        largest = max(abs(x) for det in tr.detail
+                      for x in (*det["alpha"], *det["beta"], *det["gamma"]))
+        assert 2 * largest < sound_plan.q
+
+
 class TestPrelimLoop:
     def test_tanks_run_exact(self, tanks, tanks_plan):
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
@@ -272,23 +399,31 @@ class TestNoiseDryRun:
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
         ring = CipherRing(pk, 10, random.Random(0))
-        assert ring.plain([[9, 1, 5, 6, -5, 20]]) == [[-1, 1, 5, -4, 5, 0]]
-        assert ring.scalar(14, 2) == [[4, 0], [0, 4]]
+        # centered [[-1, 1, 5, -4, 5, 0]], zero entries dropped
+        M = ring.plain([[9, 1, 5, 6, -5, 20]])
+        assert M.rows == (((0, -1), (1, 1), (2, 5), (3, -4), (4, 5)),)
+        assert (M.cols, M.weight) == (6, 16)
+        I4 = ring.scalar(14, 2)
+        assert (I4.rows, I4.weight) == ((((0, 4),), ((1, 4),)), 4)
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_peak_is_the_largest_noise_of_a_run(self, request, monkeypatch, scheme):
         sc, plan, run = route(request, scheme)
         largest = [0]
+        plain_matmul, decrypt = he.plain_matmul, he.decrypt
 
-        def recording(op):
-            def wrapped(*args, **kwargs):
-                ct = op(*args, **kwargs)
-                largest[0] = max(largest[0], ct.noise_bound)
-                return ct
-            return wrapped
+        # the bounds `he` checks against the pad: products, and what parties decrypt
+        def recording_product(M, ct):
+            out = plain_matmul(M, ct)
+            largest[0] = max(largest[0], out.noise_bound)
+            return out
 
-        for name in ("plain_matmul", "add", "encrypt"):
-            monkeypatch.setattr(he, name, recording(getattr(he, name)))
+        def recording_decrypt(sk, ct):
+            largest[0] = max(largest[0], ct.noise_bound)
+            return decrypt(sk, ct)
+
+        monkeypatch.setattr(he, "plain_matmul", recording_product)
+        monkeypatch.setattr(he, "decrypt", recording_decrypt)
         params = lattice_params(plan, 30)
         cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                         x_p0=sc.x_p0, horizon=30, params=params, seed=1)
@@ -482,9 +617,9 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
 
 
 def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan):
-    """The batch reactor on lattice at H=200, whose 4696-bit pad makes the
+    """The batch reactor on lattice at H=200, whose 4694-bit pad makes the
     widest packed slots of a bundled run, restores the same inputs as mock."""
-    assert lattice_params(sound_plan, 200).lattice.pad_bits == 4696
+    assert lattice_params(sound_plan, 200).lattice.pad_bits == 4694
     digests = set()
     for backend in ("mock", "lattice"):
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 200,
