@@ -152,14 +152,19 @@ def _planned(args, scenario: Scenario, cfg: dict):
     if scheme not in ("main", "prelim"):
         raise ConfigError(f"unknown scheme {scheme!r}; have ['main', 'prelim']")
     overrides = _overrides(args, cfg, scheme)
-    if scheme == "prelim":
-        ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
-        plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
-    else:
-        L, L_exact = _observer_for(scenario, args.observer)
-        plan = plan_main(scenario.plant, scenario.ctrl, MainPlanOptions(
-            L=L, L_exact=L_exact, reference=scenario.reference,
-            omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
+    try:
+        if scheme == "prelim":
+            ref_bound = max((abs(x) for x in scenario.reference.data), default=Fraction(0))
+            plan = plan_preliminary(scenario.plant, scenario.ctrl, reference_bound=ref_bound)
+        else:
+            L, L_exact = _observer_for(scenario, args.observer)
+            plan = plan_main(scenario.plant, scenario.ctrl, MainPlanOptions(
+                L=L, L_exact=L_exact, reference=scenario.reference,
+                omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
+    except (OverflowError, ZeroDivisionError) as e:
+        # the planner's bounds are floats, which an exact config value can outrange
+        raise ConfigError(f"a config value lies beyond the float range of the "
+                          f"planner's bounds ({e})") from None
     return plan, overrides
 
 

@@ -373,7 +373,10 @@ def matrix_from_json(obj, name: str = "matrix") -> RationalMatrix:
     """Parse a matrix from JSON rows of `json_entry` entries (exact)."""
     if not isinstance(obj, list) or (obj and not isinstance(obj[0], list)):
         raise ValueError(f"{name}: expected a list of rows")
-    return RationalMatrix.from_rows([[json_entry(x, name) for x in r] for r in obj])
+    try:
+        return RationalMatrix.from_rows([[json_entry(x, name) for x in r] for r in obj])
+    except ZeroDivisionError:
+        raise ValueError(f"{name}: an entry has a zero denominator") from None
 
 
 def column_from_json(obj, name: str = "vector") -> RationalMatrix:

@@ -43,8 +43,10 @@ Alongside the encrypted loop run these checks:
 * the original unquantized closed loop in doubles (`IdealLoop`, the
   restoration target).
 The recurrence itself is checked by code it shares nothing with: the
-reference loop above, and the closed forms of the increments in the tests
-(`test_step_identities_on_batch`, acceptance criterion 7).
+reference loop above, and in the tests the closed forms of the increments
+(`test_step_identities_on_batch`, acceptance criterion 7) and their
+definition form (`test_emitted_increments_are_the_definition_form`), which
+`MainRecurrence` does not evaluate.
 """
 
 from __future__ import annotations
@@ -440,11 +442,10 @@ PRELIM_CERTIFICATES = {"F": "F/omega", "G": "G/(s1*omega)", "R": "R/(s1*omega)",
                        "H": "H/s2", "J": "J/(s1*s2)", "S": "S/(s1*s2)"}
 
 
-def _load(ring, certs, names: dict, sign: int = 1) -> SimpleNamespace:
-    """The certified integer matrices, times `sign`, as plaintexts of `ring`."""
-    return SimpleNamespace(**{
-        key: ring.plain([[sign * x for x in row] for row in certs[name].int_rows()])
-        for key, name in names.items()})
+def _load(ring, certs, names: dict) -> SimpleNamespace:
+    """The certified integer matrices as plaintexts of `ring`."""
+    return SimpleNamespace(**{key: ring.plain(certs[name].int_rows())
+                              for key, name in names.items()})
 
 
 class MainRecurrence:
@@ -461,89 +462,79 @@ class MainRecurrence:
         u   = H xe + J xo + S re
 
     The controller sends the increments (suffix _m1, _m2: one and two steps
-    before)
+    before; every state before step 0 is zero)
 
         alpha = xo - A xo_m1 - B u_m1
         beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
         gamma = u  - H xe    - J xo    - (u_m1  - H xe_m1 - J xo_m1) / omega
 
-    After the bootstrap the brackets are products the step makes anyway,
-    R re_m1 and S re, and alpha is its L innovation.  So the memory is one
-    step deep: the brackets of the step before (`bx`, `bu`), whose 1/omega
-    multiples a step takes from its own to emit beta and gamma.  The
-    bootstrap emits the definition form over zeroed memory, and `rebuild`
-    inverts the definition form with the carried brackets, as the actuator
-    does.
+    The brackets are products the step makes anyway, R re_m1 and S re, and
+    alpha is its L innovation; at step 0 they are xe, S re and xo.  So the
+    memory is one step deep: `increments`, the one emission rule, takes
+    1/omega times the brackets of the step before (`bx`, `bu`; zero before
+    step 0) from the step's own, and carries the new ones.  `rebuild`
+    inverts it with the carried brackets, as the actuator does.
     """
 
     def __init__(self, ring, plan: MainPlan):
         self.ring = ring
         self.dims = dims = plan.dims
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
-        self.pos = _load(ring, plan.certificates, MAIN_CERTIFICATES)
-        self.neg = _load(ring, plan.certificates, MAIN_CERTIFICATES, -1)
-        for m, c in ((self.pos, inv_omega), (self.neg, -inv_omega)):
-            # the scalar 1/omega acts on three differently sized vectors
-            m.Om_r, m.Om_x, m.Om_u = (ring.scalar(c, dims[k]) for k in ("n_r", "n_x", "w"))
+        self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES)
+        # the scalars 1/omega and -1/omega act on differently sized vectors
+        m.Om_r, m.Om_x, m.Om_u = (ring.scalar(inv_omega, dims[k]) for k in ("n_r", "n_x", "w"))
+        m.neg_Om_x, m.neg_Om_u = (ring.scalar(-inv_omega, dims[k]) for k in ("n_x", "w"))
 
     def bootstrap(self, x_e0_scaled):
-        """The initial states, and the increments of step 0 in their
-        definition form over two steps of zeroed memory, every vector fresh
-        on the ring.  With x_e0 = 0 every state and bracket is zero, which
-        is where the actuator starts, so reconstruction telescopes from the
+        """The initial states, and the increments of step 0 by the rule of
+        every step (`increments`) from zero brackets, every vector fresh on
+        the ring.  With x_e0 = 0 every state and bracket is zero, which is
+        where the actuator starts, so reconstruction telescopes from the
         first step."""
-        d, fresh = self.dims, self.ring.fresh
+        d, fresh, mv, m = self.dims, self.ring.fresh, self.ring.matvec, self.m
         self.xo = fresh([0] * d["n"])
         self.xe = fresh(x_e0_scaled)
         self.re = fresh([0] * d["n_r"])
-        xo_m1, xo_m2 = fresh([0] * d["n"]), fresh([0] * d["n"])
-        xe_m1, xe_m2 = fresh([0] * d["n_x"]), fresh([0] * d["n_x"])
-        u_m1 = fresh([0] * d["w"])
-        mv, p = self.ring.matvec, self.pos
-        self.u = self.ring.add(mv(p.H, self.xe), mv(p.J, self.xo), mv(p.S, self.re))
-        return self.increments(xo_m1, xe_m1, u_m1, xo_m2, xe_m2)
+        self.bx, self.bu = fresh([0] * d["n_x"]), fresh([0] * d["w"])
+        bu = mv(m.S, self.re)
+        self.u = self.ring.add(mv(m.H, self.xe), mv(m.J, self.xo), bu)
+        return self.increments(self.xo, self.xe, bu)
 
-    def increments(self, xo_m1, xe_m1, u_m1, xo_m2, xe_m2):
-        """(alpha, beta, gamma) in their definition form, against the states
-        of the two steps before; keeps this step's brackets."""
-        mv, add, n = self.ring.matvec, self.ring.add, self.neg
-        bx_m1 = add(xe_m1, mv(n.F, xe_m2), mv(n.G, xo_m2))
-        bu_m1 = add(u_m1, mv(n.H, xe_m1), mv(n.J, xo_m1))
-        self.bx = add(self.xe, mv(n.F, xe_m1), mv(n.G, xo_m1))
-        self.bu = add(self.u, mv(n.H, self.xe), mv(n.J, self.xo))
-        return (add(self.xo, mv(n.A, xo_m1), mv(n.B, u_m1)),
-                add(self.bx, mv(n.Om_x, bx_m1)),
-                add(self.bu, mv(n.Om_u, bu_m1)))
+    def increments(self, alpha, bx, bu):
+        """(alpha, beta, gamma): beta and gamma are this step's brackets less
+        1/omega times those of the step before; keeps this step's."""
+        mv, add, m = self.ring.matvec, self.ring.add, self.m
+        beta, gamma = add(bx, mv(m.neg_Om_x, self.bx)), add(bu, mv(m.neg_Om_u, self.bu))
+        self.bx, self.bu = bx, bu
+        return alpha, beta, gamma
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
         increment; returns the new increments, from the step's own products."""
-        mv, add, p, n = self.ring.matvec, self.ring.add, self.pos, self.neg
-        alpha = mv(p.L, innovation)
-        xo = add(mv(p.A, self.xo), mv(p.B, self.u), alpha)
-        bx = mv(p.R, self.re)
-        xe = add(mv(p.F, self.xe), mv(p.G, self.xo), bx)
-        self.re = mv(p.Om_r, add(self.re, ref_increment))
-        bu = mv(p.S, self.re)
-        self.u = add(mv(p.H, xe), mv(p.J, xo), bu)
+        mv, add, m = self.ring.matvec, self.ring.add, self.m
+        alpha = mv(m.L, innovation)
+        xo = add(mv(m.A, self.xo), mv(m.B, self.u), alpha)
+        bx = mv(m.R, self.re)
+        xe = add(mv(m.F, self.xe), mv(m.G, self.xo), bx)
+        self.re = mv(m.Om_r, add(self.re, ref_increment))
+        bu = mv(m.S, self.re)
+        self.u = add(mv(m.H, xe), mv(m.J, xo), bu)
         self.xo, self.xe = xo, xe
-        beta, gamma = add(bx, mv(n.Om_x, self.bx)), add(bu, mv(n.Om_u, self.bu))
-        self.bx, self.bu = bx, bu
-        return alpha, beta, gamma
+        return self.increments(alpha, bx, bu)
 
     def y_o(self):
-        return self.ring.matvec(self.pos.C, self.xo)
+        return self.ring.matvec(self.m.C, self.xo)
 
     def rebuild(self, alpha, beta, gamma):
         """The states of the next step from its increments and the carried
         brackets; returns u."""
-        mv, add, p = self.ring.matvec, self.ring.add, self.pos
-        self.bx = add(beta, mv(p.Om_x, self.bx))
-        self.bu = add(gamma, mv(p.Om_u, self.bu))
-        xo = add(alpha, mv(p.A, self.xo), mv(p.B, self.u))
-        self.xe = add(self.bx, mv(p.F, self.xe), mv(p.G, self.xo))
+        mv, add, m = self.ring.matvec, self.ring.add, self.m
+        self.bx = add(beta, mv(m.Om_x, self.bx))
+        self.bu = add(gamma, mv(m.Om_u, self.bu))
+        xo = add(alpha, mv(m.A, self.xo), mv(m.B, self.u))
+        self.xe = add(self.bx, mv(m.F, self.xe), mv(m.G, self.xo))
         self.xo = xo
-        self.u = add(self.bu, mv(p.H, self.xe), mv(p.J, self.xo))
+        self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.xo))
         return self.u
 
 

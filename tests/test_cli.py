@@ -657,3 +657,42 @@ def test_fixture_initial_states_within_their_bounds():
         assert max(abs(x) for x in sc.x_p0) <= sc.plant.x_p0_bound
         with pytest.raises(ValueError, match="exceeds x_p0_bound"):
             replace(sc, x_p0=(sc.plant.x_p0_bound + 1, *sc.x_p0[1:]))
+
+
+OUT_OF_RANGE_ENTRIES = [
+    # (id, scheme, command, key path, value, words the message names)
+    ("B-zero-denominator-plan", "prelim", "plan", ("plant", "B"), [["1/0"]], "zero denominator"),
+    ("B-zero-denominator-simulate", "prelim", "simulate", ("plant", "B"), [["1/0"]],
+     "zero denominator"),
+    ("x_p0_bound-plan", "prelim", "plan", ("plant", "x_p0_bound"), "1e400", "float range"),
+    ("x_p0_bound-simulate", "prelim", "simulate", ("plant", "x_p0_bound"), "1e400",
+     "float range"),
+    ("x_p0_bound-main-simulate", "main", "simulate", ("plant", "x_p0_bound"), "1e400",
+     "float range"),
+    ("reference-plan", "prelim", "plan", ("reference",), ["1e400"], "float range"),
+    ("reference-simulate", "prelim", "simulate", ("reference",), ["1e400"], "float range"),
+    ("H-underflow-plan", "prelim", "plan", ("controller", "H"), [["1e-400", "0"]],
+     "float range"),
+]
+
+
+@pytest.mark.parametrize("scheme,command,path,value,words",
+                         [e[1:] for e in OUT_OF_RANGE_ENTRIES],
+                         ids=[e[0] for e in OUT_OF_RANGE_ENTRIES])
+def test_entry_outside_the_planners_range_rejected(capsys, tmp_path, scheme, command,
+                                                   path, value, words):
+    """A zero denominator, or an exact value beyond the float range of the
+    planner's bounds, is a one-line config error, not a traceback."""
+    cfg = json.loads(json.dumps({**PRELIM_CONFIG, "scheme": scheme}))
+    *parents, key = path
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[key] = value
+    file = tmp_path / "cfg.json"
+    file.write_text(json.dumps(cfg))
+    horizon = [] if command == "plan" else ["--horizon", "3"]
+    code, _, err = run_cli(capsys, command, "--config", str(file), *horizon)
+    assert code == 1
+    assert err.startswith("config error: ") and words in err
+    assert err.count("\n") == 1

@@ -28,7 +28,7 @@ from encloop.loop import (
     run_closed_loop_prelim,
     _scaled_integer_state,
 )
-from encloop.planner import MainPlanOptions, plan_main
+from encloop.planner import MainPlanOptions, design_deadbeat_observer, plan_main
 
 from conftest import random_main_system
 
@@ -234,12 +234,27 @@ class TestMainIncrements:
             L=batch_companion.L, L_exact=batch_companion.L, reference=ref))
         return Scenario("non-decimal", batch.plant, batch.ctrl, ref, NON_DECIMAL_X_P0), plan
 
-    def test_emitted_increments_are_the_definition_form(self, non_decimal):
+    @pytest.fixture(scope="class")
+    def tanks_main(self, tanks):
+        """The coupled tanks on the main route (exact design): x_e0 = (5, -5)
+        scaled, so step 0's beta is nonzero."""
+        L = design_deadbeat_observer(tanks.plant.A, tanks.plant.C).L
+        return tanks, plan_main(tanks.plant, tanks.ctrl, MainPlanOptions(
+            L=L, L_exact=L, reference=tanks.reference))
+
+    def test_emitted_increments_are_the_definition_form(self, non_decimal, tanks_main):
         """alpha, beta and gamma equal the definition form of `MainRecurrence`
         at every step, computed from consecutive states of an integer shadow
-        replayed on the run's quantized inputs; mock and lattice runs agree."""
-        sc, plan = non_decimal
-        H = 20
+        replayed on the run's quantized inputs; mock and lattice runs agree.
+        On the batch reactor with non-decimal inputs all three are nonzero
+        from t = 3 on; on the coupled tanks step 0's beta is x_e0."""
+        det = self._check_definition_form(*non_decimal)
+        assert all(any(d["alpha"]) and any(d["beta"]) and any(d["gamma"]) for d in det[3:])
+        det = self._check_definition_form(*tanks_main)
+        assert det[0]["beta"] == [5, -5]
+
+    @staticmethod
+    def _check_definition_form(sc, plan, H=20):
         details = []
         for backend in ("mock", "lattice"):
             tr = run_closed_loop_main(plan, main_cfg(sc, plan, H, backend=backend, detail=True))
@@ -247,7 +262,6 @@ class TestMainIncrements:
             details.append(tr.detail)
         assert details[0] == details[1]
         det = details[0]
-        assert all(any(d["alpha"]) and any(d["beta"]) and any(d["gamma"]) for d in det[3:])
 
         d = plan.dims
         states = [([0] * d["n"], [0] * d["n_x"], [0] * d["w"])] * 2  # t = -2, -1
@@ -276,6 +290,7 @@ class TestMainIncrements:
             assert det[t]["alpha"] == less(xo, mv(m["A"], xo_m1), mv(m["B"], u_m1))
             assert det[t]["beta"] == less(bx, mv(inv_omega, bx_m1))
             assert det[t]["gamma"] == less(bu, mv(inv_omega, bu_m1))
+        return det
 
     def test_ops_per_step(self, batch, sound_plan, monkeypatch):
         """A controller step makes 13 `he.plain_matmul` (y_o's included) and 9
@@ -408,7 +423,13 @@ class TestNoiseDryRun:
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_peak_is_the_largest_noise_of_a_run(self, request, monkeypatch, scheme):
+        """At H = 1 and 2 the bootstrap alone sets the pad, at H = 30 the steps."""
         sc, plan, run = route(request, scheme)
+        for horizon in (1, 2, 30):
+            self._check_peak(monkeypatch, sc, plan, run, horizon)
+
+    @staticmethod
+    def _check_peak(monkeypatch, sc, plan, run, horizon):
         largest = [0]
         plain_matmul, decrypt = he.plain_matmul, he.decrypt
 
@@ -424,17 +445,18 @@ class TestNoiseDryRun:
 
         monkeypatch.setattr(he, "plain_matmul", recording_product)
         monkeypatch.setattr(he, "decrypt", recording_decrypt)
-        params = lattice_params(plan, 30)
+        params = lattice_params(plan, horizon)
         cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
-                        x_p0=sc.x_p0, horizon=30, params=params, seed=1)
+                        x_p0=sc.x_p0, horizon=horizon, params=params, seed=1)
         tr = run(plan, cfg)
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-        assert largest[0] == noise_peak(plan, 30)
+        assert largest[0] == noise_peak(plan, horizon)
         # two bits less pad and the same run overflows
         lp = params.lattice
         tight = replace(params, lattice=replace(lp, pad_bits=lp.pad_bits - 2))
         with pytest.raises(he.NoiseOverflowError):
             run(plan, replace(cfg, params=tight))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("scheme", ["main", "prelim"])
@@ -475,6 +497,12 @@ def test_counters(request, scheme):
     assert tr.msgs_ctrl_to_sensor == 10 * to_sensor
     assert tr.actuator_enc_ops == 0
     assert tr.actuator_dec_ops == 10 * per
+    # the bootstrap encrypts main's states xo, xe, re and its zero brackets
+    # bx, bu, or prelim's state x; each step, the sensor's and the provider's
+    # vectors
+    n_x = sc.ctrl.n_x
+    boot = sc.plant.n + 2 * n_x + n_r + w if scheme == "main" else n_x
+    assert tr.enc_ops == boot + 10 * (v + n_r)
     assert (tr.enc_ops, tr.dec_ops) == (tr.records[-1].enc_ops, tr.records[-1].dec_ops)
 
 
@@ -592,9 +620,9 @@ def _golden_digest(trace) -> str:
 GOLDEN = [
     # (fixture, scheme, backend, horizon, seed, digest)
     ("batch", "main", "mock", 120, 0,
-     "595af251d04fb61c03e94fe13f40f3eab09da5ad95c2bd0e7e903c52497c888c"),
+     "d65ed7f5b870dfd9668853a1156eec26b86d76a77c8b409d2452fc0bcc4b12c7"),
     ("batch", "main", "lattice", 40, 3,
-     "8cbbafb0b3ba6cda6e5d795b6ce13a8f624ba67fad3366462301c3960d59bbd9"),
+     "10c079176c3b63eb21e0bc93f9a8f6b3f454c6170322a559b4b352145e07da58"),
     ("tanks", "prelim", "mock", 200, 0,
      "44358ef0efadd4316704ad198a0e64de2ebfcbb529afff66195df2b34a73dbcb"),
     ("tanks", "prelim", "lattice", 60, 3,
