@@ -20,19 +20,34 @@ fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
 Packed slots.  A lattice ciphertext entry (a_1..a_16, c) is one Python int:
 slot 0 holds c and slot j holds a_j, each slot W = bits(Q) + bits(q) + GUARD
 bits wide.  Every public-key row is packed the same way, so `encrypt` sums
-packed rows, `add` adds two ints, `plain_matmul` accumulates m * entry over a
-row (m the centered residue of the matrix entry mod q, |m| <= q/2, prepared
-once per matrix by `PlainMatrix`), and only `decrypt` unpacks.  Slots may go
-negative in between; a row of at most 2^GUARD columns keeps every slot below
-2^(W-1) in magnitude, so no borrow or carry crosses a slot boundary once the
-offset 2^(W-1) is added to each slot.
+packed rows, `add` adds two ints, and `plain_matmul` accumulates m * entry
+over a row (m the centered residue of the matrix entry mod q, |m| <= q/2,
+prepared once per matrix by `PlainMatrix` and compiled into one
+straight-line kernel on its first product).  Slots may go negative in
+between; a row of at most 2^GUARD columns keeps every slot below 2^(W-1) in
+magnitude, so no borrow or carry crosses a slot boundary once the offset
+2^(W-1) is added to each slot.
 The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
 two (every q the planner makes), and slot by slot otherwise.
 
+Key tables.  `keygen` also sums the public-key rows over each window of
+WINDOW = 4 rows into a table of the window's 16 subset sums.  `encrypt`
+draws getrandbits(SAMPLES) once per entry, bit i choosing row i, so every
+row still enters the sum independently with probability 1/2, and adds one
+entry per table: 12 additions instead of up to 48.
+
 The secret is drawn from {-1, 0, 1}^16, a standard LWE variant (Applebaum,
-Cash, Peikert, Sahai, CRYPTO 2009), so decryption's inner product multiplies
-no Q-sized numbers.  Parameters are sized for exactness, not for conjectured
-security; this is a simulation artifact, not a hardened cryptosystem.
+Cash, Peikert, Sahai, CRYPTO 2009), so decryption's inner product is a
+signed sum of slots and multiplies no Q-sized numbers:
+c - <a, s> = c + (sum of a_j over s_j = -1) + (sum of Q - a_j over
+s_j = +1) mod Q.  The full key holds masks for both sets of slots, so
+`decrypt` turns an entry into 17 slot values in [0, Q] with two masks and
+a subtraction, without unpacking it, and halving folds
+(`_Slots.fold`) sum them into slot 0: the total is below 17 Q < 2^W, so no
+partial sum carries into the next slot.  The result is reduced mod Q and
+rounded with a shift by the pad.  Parameters are sized for exactness, not
+for conjectured security; this is a simulation artifact, not a hardened
+cryptosystem.
 """
 
 from __future__ import annotations
@@ -41,6 +56,8 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
+
+from . import kernel
 
 
 class HEError(Exception):
@@ -71,6 +88,9 @@ class DimensionMismatchError(HEError):
 # and per-sample noise magnitude.  A fresh encryption sums a subset of samples.
 DIMENSION, SAMPLES, NOISE = 16, 48, 4
 FRESH_NOISE_BOUND = SAMPLES * NOISE
+# `encrypt` adds one entry per window of WINDOW public-key rows from a table
+# of the window's 2^WINDOW subset sums.
+WINDOW = 4
 # A packed entry has one slot for c and one per a_j; the GUARD bits above
 # bits(Q) + bits(q) let `plain_matmul` sum up to 2^GUARD columns in a slot.
 SLOTS, GUARD = DIMENSION + 1, 8
@@ -129,6 +149,12 @@ class _Slots:
         self.half = 1 << (w - 1)
         self.offset = self.pack([self.half] * SLOTS)
         self.mask = self.pack([Q - 1] * SLOTS) if Q & (Q - 1) == 0 else None
+        # `fold`: each (shift, mask) adds the upper slots onto the lower ones
+        # and halves the slots left, until slot 0 holds the sum of all
+        self.folds, k = [], SLOTS
+        while k > 1:
+            k = (k + 1) // 2
+            self.folds.append((k * w, (1 << (k * w)) - 1))
 
     def pack(self, slots) -> int:
         w = self.width
@@ -148,6 +174,22 @@ class _Slots:
             return packed & self.mask
         Q, half = self.Q, self.half
         return self.pack([(x - half) % Q for x in self.unpack(packed)])
+
+    def sign_masks(self, s) -> tuple:
+        """The masks `decrypt` applies under the secret s: `plus` covers slot
+        0 (c) and the slots j with s_j = -1, `minus` the slots with
+        s_j = +1, and `q_minus` holds Q in each of the latter."""
+        full = (1 << self.width) - 1
+        return (self.pack([full] + [full if s_j == -1 else 0 for s_j in s]),
+                self.pack([0] + [full if s_j == 1 else 0 for s_j in s]),
+                self.pack([0] + [self.Q if s_j == 1 else 0 for s_j in s]))
+
+    def fold(self, packed: int) -> int:
+        """The sum of the slots of an entry whose slots sum below 2^W: no
+        partial sum then carries into the next slot."""
+        for shift, low in self.folds:
+            packed = (packed & low) + (packed >> shift)
+        return packed
 
 
 @dataclass(frozen=True)
@@ -181,7 +223,9 @@ class Ciphertext:
 def keygen(params: SchemeParams, seed: Optional[int] = None):
     """Returns (public KeyMaterial, full KeyMaterial); deterministic under a seed.
     On the lattice backend the public key holds the SAMPLES packed rows
-    (a_i, b_i = <a_i, s> + e_i mod Q), and the full key also the secret s."""
+    (a_i, b_i = <a_i, s> + e_i mod Q) and, per window of WINDOW rows, the
+    table of their subset sums; the full key also the `decrypt` masks and,
+    last, the secret s."""
     if params.backend == "mock":
         pk = KeyMaterial("public", params)
         sk = KeyMaterial("full", params)
@@ -195,9 +239,18 @@ def keygen(params: SchemeParams, seed: Optional[int] = None):
                              + rng.randint(-NOISE, NOISE)) % Q, *a])
         for a in A
     )
-    pk = KeyMaterial("public", params, (rows,))
-    sk = KeyMaterial("full", params, (rows, s))
+    tables = tuple(_subset_sums(rows[k:k + WINDOW]) for k in range(0, SAMPLES, WINDOW))
+    pk = KeyMaterial("public", params, (rows, tables))
+    sk = KeyMaterial("full", params, (rows, tables, params._slots.sign_masks(s), s))
     return pk, sk
+
+
+def _subset_sums(rows) -> tuple:
+    """Entry b is the sum of the rows i for which bit i of b is set."""
+    sums = [0]
+    for row in rows:
+        sums += [x + row for x in sums]
+    return tuple(sums)
 
 
 def _check_plain(v: Sequence[int], q: int):
@@ -212,12 +265,17 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
     if params.backend == "mock":
         return Ciphertext(params, len(v), tuple(v))
     rng = rng if rng is not None else random.Random()
-    delta, rows, reduce = params.delta, pk.payload[0], params._slots.reduce
-    payload = tuple(
-        reduce(delta * x + sum(row for row in rows if rng.getrandbits(1)))
-        for x in v
-    )
-    return Ciphertext(params, len(v), payload, noise_bound=FRESH_NOISE_BOUND)
+    delta, tables, reduce = params.delta, pk.payload[1], params._slots.reduce
+    low = (1 << WINDOW) - 1
+    payload = []
+    for x in v:
+        # bit i of `bits` puts public-key row i into the sum
+        bits, entry = rng.getrandbits(SAMPLES), delta * x
+        for table in tables:
+            entry += table[bits & low]
+            bits >>= WINDOW
+        payload.append(reduce(entry))
+    return Ciphertext(params, len(v), tuple(payload), noise_bound=FRESH_NOISE_BOUND)
 
 
 def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
@@ -233,13 +291,12 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
             f"noise bound 2^{ct.noise_bound.bit_length()} exceeds half-Delta "
             f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
         )
-    s, unpack = sk.payload[1], params._slots.unpack
-    out = []
-    for packed in ct.payload:
-        c, *a = unpack(packed)
-        d = (c - sum(a_j * s_j for a_j, s_j in zip(a, s))) % Q
-        out.append(((d + delta // 2) // delta) % params.q)
-    return tuple(out)
+    # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q,
+    # 17 slot values in [0, Q], summed in one fold
+    (plus, minus, q_minus), fold = sk.payload[2], params._slots.fold
+    pad, half, q = params.lattice.pad_bits, delta // 2, params.q
+    return tuple(((fold((e & plus) + (q_minus - (e & minus))) % Q + half) >> pad) % q
+                 for e in ct.payload)
 
 
 def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
@@ -259,7 +316,10 @@ class PlainMatrix:
     modulus q: each row as (column, m) pairs, m the centered residue of the
     entry mod q (|m| <= q/2), zero residues dropped; and `weight`, the factor
     `plain_matmul` multiplies a noise bound by: the largest absolute row sum
-    of the entries as given, so centered entries give the smallest."""
+    of the entries as given, so centered entries give the smallest.  The
+    first product compiles the rows into one straight-line kernel
+    (`kernel.Source`); the noise dry run, which reads only `weight`, compiles
+    nothing."""
 
     def __init__(self, M: Sequence[Sequence[int]], q: int):
         if not M:
@@ -272,6 +332,16 @@ class PlainMatrix:
         self.rows = tuple(
             tuple((j, m - q if m > half else m) for j, x in enumerate(row) if (m := x % q))
             for row in M)
+        self._kernel = None
+
+    def row_sums(self, v) -> list:
+        """The unreduced sums of m v[j] over each row."""
+        if self._kernel is None:
+            source = kernel.Source()
+            x = source.vector(self.cols)
+            self._kernel = source.function(
+                [source.linear((m, x[j]) for j, m in row) for row in self.rows])
+        return self._kernel(v)
 
 
 def plain_matmul(M, ct: Ciphertext) -> Ciphertext:
@@ -287,9 +357,9 @@ def plain_matmul(M, ct: Ciphertext) -> Ciphertext:
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = ct.noise_bound * M.weight
-    v = ct.payload
     if params.backend == "mock":
-        payload = tuple(sum(m * v[j] for j, m in row) % params.q for row in M.rows)
+        q = params.q
+        payload = tuple([x % q for x in M.row_sums(ct.payload)])
     else:
         if noise >= params.delta // 2:
             raise NoiseOverflowError(
@@ -298,8 +368,7 @@ def plain_matmul(M, ct: Ciphertext) -> Ciphertext:
         if ct.dim > 1 << GUARD:
             raise DimensionMismatchError(
                 f"{ct.dim} columns exceed the {1 << GUARD} a packed slot holds")
-        reduce = params._slots.reduce
-        payload = tuple(reduce(sum(m * v[j] for j, m in row)) for row in M.rows)
+        payload = tuple(map(params._slots.reduce, M.row_sums(ct.payload)))
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 
 

@@ -1,0 +1,97 @@
+"""Straight-line integer kernels.
+
+A fixed integer linear map applied many times (a plaintext matrix in `he`,
+a recurrence step in `loop`) costs most of its time in the interpreter's
+per-term work when it is evaluated from nested lists.  `Source` records the
+map once as straight-line Python: every entry of a vector is a generated
+name, and every linear form `c1 x1 + c2 x2 + ...` becomes one assignment
+with its zero coefficients and its known-zero operands dropped.
+`Source.function` compiles the record with `exec` into one function of the
+input vectors.
+
+Only integer literals and generated names enter the source.  A form with
+more than `TERMS_PER_STATEMENT` terms is split into partial sums, since
+CPython compiles one long sum as a deeply nested expression and a few
+thousand terms exceed its recursion limit.
+"""
+
+from __future__ import annotations
+
+import operator
+import re
+from typing import Iterable, Tuple, Union
+
+TERMS_PER_STATEMENT = 64
+
+# An entry of a recorded vector: a generated name, or the integer 0.
+Entry = Union[str, int]
+_NAME = re.compile(r"t[0-9]+")
+
+
+class Source:
+    """Straight-line source under construction."""
+
+    def __init__(self):
+        self.params, self.lines, self.count = [], [], 0
+
+    def _name(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def vector(self, length: int) -> list:
+        """A new input vector of `length` entries, as generated names."""
+        names = [self._name() for _ in range(length)]
+        self.params.append(names)
+        return names
+
+    def linear(self, terms: Iterable[Tuple[int, Entry]]) -> Entry:
+        """The sum of c x over `terms`: a new name bound to it, an existing
+        name if it is 1 times one name, or 0 if no term is nonzero."""
+        parts = []
+        for c, x in terms:
+            c = int(operator.index(c))  # an integer literal, whatever int type c is
+            if c and _expr(x) != "0":
+                parts.append((c, x))
+        if not parts:
+            return 0
+        if len(parts) == 1 and parts[0][0] == 1:
+            return parts[0][1]
+        name = self._name()
+        for k in range(0, len(parts), TERMS_PER_STATEMENT):
+            expr = "".join(_term(c, x, first=not i and not k)
+                           for i, (c, x) in enumerate(parts[k:k + TERMS_PER_STATEMENT]))
+            self.lines.append(f"{name} = {expr}" if not k else f"{name} = {name}{expr}")
+        return name
+
+    def function(self, result):
+        """The recorded source as one function of the input vectors (in the
+        order `vector` made them) that returns `result`: an entry, or lists
+        and tuples of them, nested as given."""
+        args = [f"p{k}" for k in range(len(self.params))]
+        body = [f"{', '.join(names)}, = {arg}"
+                for arg, names in zip(args, self.params) if names]
+        body += self.lines
+        body.append(f"return {_expr(result)}")
+        src = f"def kernel({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in body)
+        namespace = {}
+        exec(compile(src, "<kernel>", "exec"), namespace)
+        return namespace["kernel"]
+
+
+def _term(c: int, x: str, first: bool) -> str:
+    sign = "-" if c < 0 else ("" if first else "+")
+    mag = abs(c)
+    product = x if mag == 1 else f"{mag}*{x}"
+    return f"{sign}{product}" if first else f" {sign} {product}"
+
+
+def _expr(value) -> str:
+    if isinstance(value, list):
+        return "[" + ", ".join(_expr(x) for x in value) + "]"
+    if isinstance(value, tuple):
+        return "(" + "".join(_expr(x) + ", " for x in value) + ")"
+    if isinstance(value, str) and _NAME.fullmatch(value):
+        return value
+    if type(value) is int and value == 0:
+        return "0"
+    raise TypeError(f"not a kernel entry: {value!r}")

@@ -27,6 +27,17 @@ reconstruction run them on the integer ring (`IntRing`); and the lattice
 pad is sized by running them once on the ring of `he` noise bounds
 (`NoiseRing`, `lattice_params`).
 
+The integer runs repeat one fixed linear map per step, on small matrices,
+so interpreting the recurrence op by op costs more than the arithmetic.
+On its first call, `MainIntegerShadow.step`, the main actuator's `rebuild`
+and `PrelimIntegerShadow.step` each run the recurrence method once on a
+fourth ring of generated names (`KernelRing`), which records every matvec
+row and every sum as one straight-line statement with its zero
+coefficients dropped; `_compile` turns the record into one function, which
+the party calls every later step.  Each run compiles its own kernels.
+`IntRing` stays: the bootstraps run on it once per run, and the tests
+check the compiled kernels against it.
+
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
 provider, encrypted controller, integer shadow and actuator compute, each
@@ -51,6 +62,7 @@ definition form (`test_emitted_increments_are_the_definition_form`), which
 
 from __future__ import annotations
 
+import copy
 import csv
 import math
 import random
@@ -61,7 +73,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import he
+from . import he, kernel
 from .exactmat import RationalMatrix, as_fraction, as_ratio
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
@@ -337,12 +349,13 @@ class IdealLoop:
         return u
 
 
-# -- the converted controllers, each written once over three rings -------------
+# -- the converted controllers, each written once over four rings --------------
 #
 # A ring supplies the two operations the recurrences use, `matvec` (plaintext
 # integer matrix times ring vector) and `add` (of any number of vectors, left
 # to right), plus how it embeds plaintext matrices (`plain`, `scalar`) and
-# fresh integer vectors (`fresh`).
+# fresh integer vectors (`fresh`); `KernelRing`, which only records the steps
+# of a recurrence already bootstrapped on `IntRing`, needs just the two.
 
 
 class IntRing:
@@ -369,6 +382,50 @@ class IntRing:
     @staticmethod
     def add(*vs):
         return [sum(t) for t in zip(*vs)]
+
+
+class KernelRing:
+    """Generated names in place of integers (`kernel.Source`): a recurrence
+    method run once on this ring records every `matvec` row and every entry
+    of an `add` as one straight-line statement, which `_compile` turns into
+    one function.  It has no plaintexts of its own: the recurrence it runs
+    holds `IntRing`'s."""
+
+    def __init__(self):
+        self.source = kernel.Source()
+
+    def matvec(self, M, v):
+        linear = self.source.linear
+        if isinstance(M, int):
+            return [linear([(M, x)]) for x in v]
+        return [linear(zip(row, v)) for row in M]
+
+    def add(self, *vs):
+        return [self.source.linear((1, x) for x in t) for t in zip(*vs)]
+
+
+def _compile(recurrence, method, *args):
+    """`method` of a recurrence on `IntRing` as one compiled function of
+    `method`'s arguments that updates the recurrence's state (its list
+    attributes) as `method` would, and returns what `method` returns.
+    `method` runs once on a `KernelRing`, at the lengths of the current state
+    and of `args`; calls with other lengths raise `ValueError`."""
+    state = [k for k, v in vars(recurrence).items() if isinstance(v, list)]
+    ring = KernelRing()
+    recorded = copy.copy(recurrence)
+    recorded.ring = ring
+    for k in state:
+        setattr(recorded, k, ring.source.vector(len(getattr(recurrence, k))))
+    result = method(recorded, *(ring.source.vector(len(a)) for a in args))
+    fn = ring.source.function((tuple(getattr(recorded, k) for k in state), result))
+
+    def run(*args):
+        new, result = fn(*(getattr(recurrence, k) for k in state), *args)
+        for k, v in zip(state, new):
+            setattr(recurrence, k, v)
+        return result
+
+    return run
 
 
 class CipherRing:
@@ -576,10 +633,17 @@ class MainEncController(MainRecurrence):
 
 class MainIntegerShadow(MainRecurrence):
     """Exact unbounded integer dynamics of the converted controller; ground
-    truth for every ciphertext (mod q) and for the actuator reconstruction."""
+    truth for every ciphertext (mod q) and for the actuator reconstruction.
+    The bootstrap runs on `IntRing`; `step` is compiled on its first call."""
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
+        self._step = None
+
+    def step(self, innovation, ref_increment):
+        if self._step is None:
+            self._step = _compile(self, MainRecurrence.step, innovation, ref_increment)
+        return self._step(innovation, ref_increment)
 
 
 class MainSensor:
@@ -644,6 +708,7 @@ class MainActuator:
         self.q = plan.q
         self.states = MainRecurrence(IntRing(), plan)
         self.states.bootstrap([0] * plan.dims["n_x"])
+        self._rebuild = None  # `states.rebuild`, compiled on the first step
         self.dec_ops = 0
 
     @property
@@ -658,8 +723,9 @@ class MainActuator:
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(list(dec), 0, self.q))
-        ut = self.states.rebuild(*lifted)
-        return tuple(lifted), list(ut)
+        if self._rebuild is None:
+            self._rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
+        return tuple(lifted), self._rebuild(*lifted)
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -670,8 +736,17 @@ class PrelimEncController(PrelimRecurrence):
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
+    """The integer twin of `PrelimEncController`; `step` is compiled on its
+    first call."""
+
     def __init__(self, plan: PrelimPlan):
         super().__init__(IntRing(), plan)
+        self._step = None
+
+    def step(self, y, r):
+        if self._step is None:
+            self._step = _compile(self, PrelimRecurrence.step, y, r)
+        return self._step(y, r)
 
 
 class PrelimActuator:
@@ -785,7 +860,10 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     l_t = plan.l0
     for t in range(cfg.horizon):
         s = step(t, l_t, plant_sim.output())
-        if not all(_same_residues(g, w, plan.q) for g, w in zip(s.lifted, s.shadow)):
+        # equal lifts have equal residues, so only a failed lift can be a mismatch
+        lift_failed = s.lifted != s.shadow
+        if lift_failed and not all(_same_residues(g, w, plan.q)
+                                   for g, w in zip(s.lifted, s.shadow)):
             trace.oracle_mismatches += 1
         trace.actuator_dec_ops = decrypting[-1].dec_ops
         u_true = ideal.step()
@@ -800,7 +878,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
             enc_ops=ring.enc_ops,
             dec_ops=sum(party.dec_ops for party in decrypting),
-            recovery_failure=s.lifted != s.shadow or s.U != s.u_shadow,
+            recovery_failure=lift_failed or s.U != s.u_shadow,
             **s.fields,
         ))
         if cfg.collect_detail:

@@ -258,3 +258,47 @@ def test_secret_is_ternary():
         assert len(s) == he.DIMENSION
         seen |= set(s)
     assert seen == {-1, 0, 1}
+
+
+@pytest.mark.parametrize("q", [2**13, 10], ids=["power-of-two", "q=10"])
+def test_encrypt_adds_the_rows_its_bits_draw(q):
+    """`encrypt` draws getrandbits(SAMPLES) per entry, and bit i puts
+    public-key row i into the sum: the window tables give the per-row
+    subset sum."""
+    params = make_scheme("lattice", q=q, pad=22)
+    pk, _ = he.keygen(params, seed=8)
+    rows, slots = pk.payload[0], params._slots
+    assert len(rows) == he.SAMPLES
+    v = [0, 1, q - 1, q // 2, 3 % q]
+    ct = he.encrypt(pk, v, random.Random(9))
+    rng = random.Random(9)
+    want = []
+    for x in v:
+        bits = rng.getrandbits(he.SAMPLES)
+        chosen = sum(row for i, row in enumerate(rows) if bits >> i & 1)
+        want.append(slots.reduce(params.delta * x + chosen))
+    assert ct.payload == tuple(want)
+
+
+@pytest.mark.parametrize("q,pad", [(2**13, 22), (10, 22), (10, 3)],
+                         ids=["power-of-two", "q=10", "q=10-pad-3"])
+def test_decrypt_fold_is_the_unpacked_inner_product(q, pad):
+    """`decrypt` folds the masked slots of an entry into one sum; on random
+    entries, slots at 0 and Q - 1 included, it rounds as c - <a, s> mod Q
+    from the unpacked slots does."""
+    params = make_scheme("lattice", q=q, pad=pad)
+    Q, delta, slots = params.ct_modulus, params.delta, params._slots
+    rng = random.Random(q + pad)
+    for seed in range(4):
+        _, sk = he.keygen(params, seed=seed)
+        s = sk.payload[-1]
+        entries = [slots.pack([0] * he.SLOTS), slots.pack([Q - 1] * he.SLOTS)]
+        entries += [slots.pack([rng.choice([0, Q - 1, rng.randrange(Q)])
+                                for _ in range(he.SLOTS)]) for _ in range(40)]
+        ct = he.Ciphertext(params, len(entries), tuple(entries))
+        want = []
+        for e in entries:
+            c, *a = slots.unpack(e)
+            d = (c - sum(a_j * s_j for a_j, s_j in zip(a, s))) % Q
+            want.append(((d + delta // 2) // delta) % q)
+        assert he.decrypt(sk, ct) == tuple(want)

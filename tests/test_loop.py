@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from encloop import cli, he
+from encloop import cli, he, kernel
 from encloop.exactmat import RationalMatrix
 from encloop.fixtures import Scenario
 from encloop.loop import (
@@ -16,16 +16,20 @@ from encloop.loop import (
     MAIN_CERTIFICATES,
     CipherRing,
     IntRing,
+    KernelRing,
     MainEncController,
     MainIntegerShadow,
     MainRecurrence,
     PlantSim,
+    PrelimIntegerShadow,
+    PrelimRecurrence,
     RunConfig,
     centered_mod_recover,
     lattice_params,
     noise_peak,
     run_closed_loop_main,
     run_closed_loop_prelim,
+    _compile,
     _scaled_integer_state,
 )
 from encloop.planner import MainPlanOptions, design_deadbeat_observer, plan_main
@@ -405,6 +409,98 @@ class TestPrelimLoop:
                         horizon=20, params=params, seed=1)
         tr = run_closed_loop_prelim(tanks_plan, cfg)
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+
+
+def _generated_matvec(M, v):
+    """M v as a `KernelRing` records and compiles it, evaluated at v."""
+    ring = KernelRing()
+    names = ring.source.vector(len(v))
+    return ring.source.function(ring.matvec(M, names))(v)
+
+
+class TestCompiledKernels:
+    """The straight-line kernels that the integer shadows and the main
+    actuator run each step, against the interpreted `IntRing` as reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.data())
+    def test_generated_matvec_is_int_ring_matvec(self, rows, cols, data):
+        """Zero rows and entries, negative and large entries, 1x1 and empty
+        dimensions; a scalar acts entrywise."""
+        entry = st.one_of(st.just(0), st.sampled_from([1, -1]),
+                          st.integers(-2**70, 2**70))
+        M = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                               min_size=rows, max_size=rows))
+        v = data.draw(st.lists(st.integers(-2**200, 2**200), min_size=cols, max_size=cols))
+        assert _generated_matvec(M, v) == IntRing.matvec(M, v)
+        c = data.draw(entry)
+        assert _generated_matvec(c, v) == IntRing.matvec(c, v)
+
+    def test_long_row_is_split_into_partial_sums(self):
+        """A 3000-term row compiles and evaluates; as one expression CPython
+        3.11 refuses it with `RecursionError`."""
+        rng = random.Random(3000)
+        M = [[rng.randint(-10**6, 10**6) or 1 for _ in range(3000)]]
+        v = [rng.randint(-10**30, 10**30) for _ in range(3000)]
+        ring = KernelRing()
+        out = ring.matvec(M, ring.source.vector(len(v)))
+        assert len(ring.source.lines) == math.ceil(3000 / kernel.TERMS_PER_STATEMENT)
+        assert ring.source.function(out)(v) == IntRing.matvec(M, v)
+
+    def test_source_takes_only_integers_and_generated_names(self):
+        source = kernel.Source()
+        x = source.vector(1)
+        for terms in ([(1, x[0]), (2, "__import__('os')")], [(0.5, x[0])], [(True, 0.0)]):
+            with pytest.raises(TypeError):
+                source.function([source.linear(terms)])
+
+    @staticmethod
+    def _random_inputs(rng, dims):
+        return [[rng.randint(-2**80, 2**80) for _ in range(n)] for n in dims]
+
+    def _check_main(self, plan, x_e0):
+        """`MainIntegerShadow.step` and the compiled `rebuild` against
+        `MainRecurrence` on `IntRing`, over 20 steps of random inputs."""
+        d, rng = plan.dims, random.Random(20)
+        shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
+        actuator, actuator_ref = (MainRecurrence(IntRing(), plan) for _ in range(2))
+        for rec, x0 in ((shadow, x_e0), (reference, x_e0),
+                        (actuator, [0] * d["n_x"]), (actuator_ref, [0] * d["n_x"])):
+            rec.bootstrap(x0)
+        rebuild = None
+        for _ in range(20):
+            inputs = self._random_inputs(rng, (d["v"], d["n_r"]))
+            assert shadow.step(*inputs) == reference.step(*inputs)
+            assert self._states(shadow) == self._states(reference)
+            incs = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
+            rebuild = rebuild or _compile(actuator, MainRecurrence.rebuild, *incs)
+            assert rebuild(*incs) == actuator_ref.rebuild(*incs)
+            assert self._states(actuator) == self._states(actuator_ref)
+
+    @staticmethod
+    def _states(rec):
+        return rec.xo, rec.xe, rec.re, rec.u, rec.bx, rec.bu
+
+    def test_main_route_bundled_plan(self, batch, sound_plan):
+        self._check_main(sound_plan, _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0))
+
+    def test_main_route_random_system(self):
+        plant, ctrl, design, reference, _ = random_main_system(random.Random(7))
+        plan = plan_main(plant, ctrl, MainPlanOptions(L=design.L, L_exact=design.L,
+                                                      reference=reference))
+        self._check_main(plan, _scaled_integer_state(ctrl.x0.data, plan.l0))
+
+    def test_prelim_route_bundled_plan(self, tanks, tanks_plan):
+        """`PrelimIntegerShadow.step` against `PrelimRecurrence` on `IntRing`."""
+        rng = random.Random(21)
+        x0 = _scaled_integer_state(tanks.ctrl.x0.data, tanks_plan.s1 * tanks_plan.l0)
+        shadow, reference = PrelimIntegerShadow(tanks_plan), PrelimRecurrence(IntRing(), tanks_plan)
+        shadow.bootstrap(x0)
+        reference.bootstrap(x0)
+        for _ in range(20):
+            inputs = self._random_inputs(rng, (tanks.plant.v, tanks.ctrl.n_r))
+            assert shadow.step(*inputs) == reference.step(*inputs)
+            assert shadow.x == reference.x
 
 
 class TestNoiseDryRun:
