@@ -3,8 +3,11 @@
 All plant and controller coefficients are rationals (decimal data parses
 exactly), so every integrality question ("does F/a have integer entries?")
 has an exact yes/no answer.  This module keeps that arithmetic exact via
-`fractions.Fraction`; floating point is used only for eigenvalues, which
-gate inequalities with wide margins.
+`fractions.Fraction`.  Floats leave it in two places: `spectral_radius`
+(numpy eigenvalues, which the planners' stability gates read) and
+`to_floats`.  The planners' modulus, window and quantizer-range bounds are
+floats too: products of exact norms (`inf_norm`) converted to floats, and
+float 2-norm series; they are not exact certificates.
 """
 
 from __future__ import annotations

@@ -10,8 +10,9 @@ Two interchangeable backends:
   is natively Z_q (ciphertext modulus Q = q * 2^pad, messages scaled by
   Delta = 2^pad).  Sums and integer-matrix products of plaintexts wrap mod q
   for free.  Noise is tracked per ciphertext with a conservative budget
-  model (additive for sums, absolute-row-sum weighted for matrix products)
-  so decryption ambiguity is predicted, not discovered.
+  model (additive for sums; for matrix products, weighted by the largest
+  absolute row sum of the matrix centered mod q) so decryption ambiguity is
+  predicted, not discovered.
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
@@ -313,13 +314,13 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 
 class PlainMatrix:
     """An integer matrix prepared once for `plain_matmul` under plaintext
-    modulus q: each row as (column, m) pairs, m the centered residue of the
-    entry mod q (|m| <= q/2), zero residues dropped; and `weight`, the factor
-    `plain_matmul` multiplies a noise bound by: the largest absolute row sum
-    of the entries as given, so centered entries give the smallest.  The
-    first product compiles the rows into one straight-line kernel
-    (`kernel.Source`); the noise dry run, which reads only `weight`, compiles
-    nothing."""
+    modulus q: its rows with every entry replaced by its centered residue
+    mod q, m in (-q/2, q/2], which decrypts the same and is the value a
+    product multiplies by; and `weight`, the factor `plain_matmul`
+    multiplies a noise bound by: the largest absolute row sum of those
+    residues.  The first product compiles the rows into one straight-line
+    kernel (`kernel.Source`); the noise dry run, which reads only `weight`,
+    compiles nothing."""
 
     def __init__(self, M: Sequence[Sequence[int]], q: int):
         if not M:
@@ -327,32 +328,26 @@ class PlainMatrix:
         self.q, self.cols = q, len(M[0])
         if any(len(row) != self.cols for row in M):
             raise DimensionMismatchError("matrix rows differ in length")
-        self.weight = max(sum(abs(x) for x in row) for row in M)
         half = q // 2
-        self.rows = tuple(
-            tuple((j, m - q if m > half else m) for j, x in enumerate(row) if (m := x % q))
-            for row in M)
+        self.rows = tuple(tuple(m - q if m > half else m for m in (x % q for x in row))
+                          for row in M)
+        self.weight = max(sum(map(abs, row)) for row in self.rows)
         self._kernel = None
 
     def row_sums(self, v) -> list:
         """The unreduced sums of m v[j] over each row."""
         if self._kernel is None:
             source = kernel.Source()
-            x = source.vector(self.cols)
-            self._kernel = source.function(
-                [source.linear((m, x[j]) for j, m in row) for row in self.rows])
+            self._kernel = source.function(source.matvec(self.rows, source.vector(self.cols)))
         return self._kernel(v)
 
 
-def plain_matmul(M, ct: Ciphertext) -> Ciphertext:
-    """M is a `PlainMatrix` under the ciphertext's q, or a list of integer
-    rows of either sign, prepared here; decrypts to M v mod q, with the noise
-    bound multiplied by M's weight.  The lattice backend takes at most
-    2^GUARD columns."""
+def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
+    """M is a `PlainMatrix` under the ciphertext's q; decrypts to M v mod q,
+    with the noise bound multiplied by M's weight.  The lattice backend takes
+    at most 2^GUARD columns."""
     params = ct.params
-    if not isinstance(M, PlainMatrix):
-        M = PlainMatrix(M, params.q)
-    elif M.q != params.q:
+    if M.q != params.q:
         raise DimensionMismatchError(f"matrix prepared mod {M.q}, ciphertext mod {params.q}")
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")

@@ -5,7 +5,9 @@ a recurrence step in `loop`) costs most of its time in the interpreter's
 per-term work when it is evaluated from nested lists.  `Source` records the
 map once as straight-line Python: every entry of a vector is a generated
 name, and every linear form `c1 x1 + c2 x2 + ...` becomes one assignment
-with its zero coefficients and its known-zero operands dropped.
+with its zero coefficients and its known-zero operands dropped.  It is a
+ring in the sense of `loop` (`matvec` and `add` over vectors of names), so
+a recurrence method run once on it records its whole step.
 `Source.function` compiles the record with `exec` into one function of the
 input vectors.
 
@@ -29,7 +31,9 @@ _NAME = re.compile(r"t[0-9]+")
 
 
 class Source:
-    """Straight-line source under construction."""
+    """Straight-line source under construction, and the ring that records
+    it: `matvec` (integer rows times a vector of entries) and `add` (of any
+    number of vectors) make one linear form per entry."""
 
     def __init__(self):
         self.params, self.lines, self.count = [], [], 0
@@ -62,6 +66,12 @@ class Source:
                            for i, (c, x) in enumerate(parts[k:k + TERMS_PER_STATEMENT]))
             self.lines.append(f"{name} = {expr}" if not k else f"{name} = {name}{expr}")
         return name
+
+    def matvec(self, M, v) -> list:
+        return [self.linear(zip(row, v)) for row in M]
+
+    def add(self, *vs) -> list:
+        return [self.linear((1, x) for x in t) for t in zip(*vs)]
 
     def function(self, result):
         """The recorded source as one function of the input vectors (in the

@@ -19,20 +19,20 @@ unencrypted reference loop (the restoration target) and in reporting, where
 a ratio of integers converts with one correctly rounded division.
 
 Each converted controller is written once, over a ring with two operations,
-`matvec` and `add`: `MainRecurrence` (state update, increments, and their
+`matvec` and `add`: `MainRecurrence` (state update, emission, and its
 inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers run
-them on the ciphertext ring (`CipherRing`, `he` ops on plaintexts centered
-into (-q/2, q/2]); the integer shadows and the main actuator's
-reconstruction run them on the integer ring (`IntRing`); and the lattice
-pad is sized by running them once on the ring of `he` noise bounds
-(`NoiseRing`, `lattice_params`).
+them on the ciphertext ring (`CipherRing`, `he` ops on `he.PlainMatrix`
+plaintexts); the integer shadows and the main actuator's reconstruction
+run them on the integer ring (`IntRing`); and the lattice pad is sized by
+running them once on the ring of `he` noise bounds (`NoiseRing`,
+`lattice_params`).
 
 The integer runs repeat one fixed linear map per step, on small matrices,
 so interpreting the recurrence op by op costs more than the arithmetic.
 On its first call, `MainIntegerShadow.step`, the main actuator's `rebuild`
-and `PrelimIntegerShadow.step` each run the recurrence method once on a
-fourth ring of generated names (`KernelRing`), which records every matvec
-row and every sum as one straight-line statement with its zero
+and `PrelimIntegerShadow.step` each run the recurrence method once on the
+recording ring `kernel.Source`, which makes every matvec row and every sum
+one straight-line statement over generated names with its zero
 coefficients dropped; `_compile` turns the record into one function, which
 the party calls every later step.  Each run compiles its own kernels.
 `IntRing` stays: the bootstraps run on it once per run, and the tests
@@ -102,17 +102,6 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
         d *= den
         out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
     return out
-
-
-def _centered(x: int, q: int) -> int:
-    """The representative of x mod q in (-q/2, q/2]."""
-    r = x % q
-    return r - q if r > q // 2 else r
-
-
-def _centered_rows(M, q: int) -> list:
-    """The plaintext matrix handed to `he`: M's entries centered mod q."""
-    return [[_centered(x, q) for x in row] for row in M]
 
 
 def _log2(x) -> float:
@@ -349,13 +338,14 @@ class IdealLoop:
         return u
 
 
-# -- the converted controllers, each written once over four rings --------------
+# -- the converted controllers, each written once over their rings -----------
 #
 # A ring supplies the two operations the recurrences use, `matvec` (plaintext
 # integer matrix times ring vector) and `add` (of any number of vectors, left
-# to right), plus how it embeds plaintext matrices (`plain`, `scalar`) and
-# fresh integer vectors (`fresh`); `KernelRing`, which only records the steps
-# of a recurrence already bootstrapped on `IntRing`, needs just the two.
+# to right), plus how it embeds integer matrices (`plain`) and fresh integer
+# vectors (`fresh`).  The recording ring `kernel.Source`, which only records
+# the steps of a recurrence already bootstrapped on `IntRing`, needs just
+# the two.
 
 
 class IntRing:
@@ -366,17 +356,11 @@ class IntRing:
         return M
 
     @staticmethod
-    def scalar(c, d):
-        return c
-
-    @staticmethod
     def fresh(values):
         return list(values)
 
     @staticmethod
     def matvec(M, v):
-        if isinstance(M, int):
-            return [M * x for x in v]
         return [sum(m * x for m, x in zip(row, v)) for row in M]
 
     @staticmethod
@@ -384,40 +368,21 @@ class IntRing:
         return [sum(t) for t in zip(*vs)]
 
 
-class KernelRing:
-    """Generated names in place of integers (`kernel.Source`): a recurrence
-    method run once on this ring records every `matvec` row and every entry
-    of an `add` as one straight-line statement, which `_compile` turns into
-    one function.  It has no plaintexts of its own: the recurrence it runs
-    holds `IntRing`'s."""
-
-    def __init__(self):
-        self.source = kernel.Source()
-
-    def matvec(self, M, v):
-        linear = self.source.linear
-        if isinstance(M, int):
-            return [linear([(M, x)]) for x in v]
-        return [linear(zip(row, v)) for row in M]
-
-    def add(self, *vs):
-        return [self.source.linear((1, x) for x in t) for t in zip(*vs)]
-
-
 def _compile(recurrence, method, *args):
     """`method` of a recurrence on `IntRing` as one compiled function of
     `method`'s arguments that updates the recurrence's state (its list
     attributes) as `method` would, and returns what `method` returns.
-    `method` runs once on a `KernelRing`, at the lengths of the current state
+    `method` runs once on a `kernel.Source`, which records it over the
+    recurrence's `IntRing` plaintexts, at the lengths of the current state
     and of `args`; calls with other lengths raise `ValueError`."""
     state = [k for k, v in vars(recurrence).items() if isinstance(v, list)]
-    ring = KernelRing()
+    source = kernel.Source()
     recorded = copy.copy(recurrence)
-    recorded.ring = ring
+    recorded.ring = source
     for k in state:
-        setattr(recorded, k, ring.source.vector(len(getattr(recurrence, k))))
-    result = method(recorded, *(ring.source.vector(len(a)) for a in args))
-    fn = ring.source.function((tuple(getattr(recorded, k) for k in state), result))
+        setattr(recorded, k, source.vector(len(getattr(recurrence, k))))
+    result = method(recorded, *(source.vector(len(a)) for a in args))
+    fn = source.function((tuple(getattr(recorded, k) for k in state), result))
 
     def run(*args):
         new, result = fn(*(getattr(recurrence, k) for k in state), *args)
@@ -431,21 +396,17 @@ def _compile(recurrence, method, *args):
 class CipherRing:
     """Ciphertexts under `pk`: the encrypted controllers, and every party that
     encrypts (`fresh`, which counts the ciphertext entries it makes).
-    A plaintext matrix is prepared once (`he.PlainMatrix`) from its entries
-    centered into (-q/2, q/2], which keeps the row-sum weight
+    A plaintext matrix is prepared once (`he.PlainMatrix`), which centers
+    its entries into (-q/2, q/2] and so keeps the row-sum weight
     `he.plain_matmul` charges to the noise as small as the certified
-    coefficients allow, and a scalar becomes that multiple of the identity,
-    since `he` offers no other product."""
+    coefficients allow."""
 
     def __init__(self, pk, q: int, rng):
         self.pk, self.q, self.rng = pk, q, rng
         self.enc_ops = 0
 
     def plain(self, M):
-        return he.PlainMatrix(_centered_rows(M, self.q), self.q)
-
-    def scalar(self, c, d):
-        return self.plain([[c if i == j else 0 for j in range(d)] for i in range(d)])
+        return he.PlainMatrix(M, self.q)
 
     def fresh(self, values):
         self.enc_ops += len(values)
@@ -476,7 +437,7 @@ class NoiseRing:
         self.q = q
         self.peak = 0
 
-    plain, scalar = CipherRing.plain, CipherRing.scalar
+    plain = CipherRing.plain
 
     @staticmethod
     def fresh(values):
@@ -505,6 +466,11 @@ def _load(ring, certs, names: dict) -> SimpleNamespace:
                               for key, name in names.items()})
 
 
+def _diagonal(c: int, d: int) -> list:
+    """c times the d x d identity, as integer rows."""
+    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
+
+
 class MainRecurrence:
     """The converted observer controller in scaled-integer coordinates.
 
@@ -518,8 +484,9 @@ class MainRecurrence:
         re <- (re + ref_increment) / omega
         u   = H xe + J xo + S re
 
-    The controller sends the increments (suffix _m1, _m2: one and two steps
-    before; every state before step 0 is zero)
+    The controller emits the observer output y_o = C xo of the new xo, which
+    the sensor decrypts, and sends the increments (suffix _m1, _m2: one and
+    two steps before; every state before step 0 is zero)
 
         alpha = xo - A xo_m1 - B u_m1
         beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
@@ -538,16 +505,18 @@ class MainRecurrence:
         self.dims = dims = plan.dims
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
         self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES)
-        # the scalars 1/omega and -1/omega act on differently sized vectors
-        m.Om_r, m.Om_x, m.Om_u = (ring.scalar(inv_omega, dims[k]) for k in ("n_r", "n_x", "w"))
-        m.neg_Om_x, m.neg_Om_u = (ring.scalar(-inv_omega, dims[k]) for k in ("n_x", "w"))
+        # 1/omega and -1/omega as diagonal matrices, one per vector length
+        m.Om_r, m.Om_x, m.Om_u = (ring.plain(_diagonal(inv_omega, dims[k]))
+                                  for k in ("n_r", "n_x", "w"))
+        m.neg_Om_x, m.neg_Om_u = (ring.plain(_diagonal(-inv_omega, dims[k]))
+                                  for k in ("n_x", "w"))
 
     def bootstrap(self, x_e0_scaled):
-        """The initial states, and the increments of step 0 by the rule of
-        every step (`increments`) from zero brackets, every vector fresh on
-        the ring.  With x_e0 = 0 every state and bracket is zero, which is
-        where the actuator starts, so reconstruction telescopes from the
-        first step."""
+        """The initial states, and the emission of step 0, (y_o, alpha, beta,
+        gamma), with the increments by the rule of every step (`increments`)
+        from zero brackets, every vector fresh on the ring.  With x_e0 = 0
+        every state and bracket is zero, which is where the actuator starts,
+        so reconstruction telescopes from the first step."""
         d, fresh, mv, m = self.dims, self.ring.fresh, self.ring.matvec, self.m
         self.xo = fresh([0] * d["n"])
         self.xe = fresh(x_e0_scaled)
@@ -555,7 +524,8 @@ class MainRecurrence:
         self.bx, self.bu = fresh([0] * d["n_x"]), fresh([0] * d["w"])
         bu = mv(m.S, self.re)
         self.u = self.ring.add(mv(m.H, self.xe), mv(m.J, self.xo), bu)
-        return self.increments(self.xo, self.xe, bu)
+        increments = self.increments(self.xo, self.xe, bu)
+        return (self.y_o(), *increments)
 
     def increments(self, alpha, bx, bu):
         """(alpha, beta, gamma): beta and gamma are this step's brackets less
@@ -567,7 +537,8 @@ class MainRecurrence:
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
-        increment; returns the new increments, from the step's own products."""
+        increment; returns the emission (y_o, alpha, beta, gamma), the
+        increments from the step's own products."""
         mv, add, m = self.ring.matvec, self.ring.add, self.m
         alpha = mv(m.L, innovation)
         xo = add(mv(m.A, self.xo), mv(m.B, self.u), alpha)
@@ -577,7 +548,8 @@ class MainRecurrence:
         bu = mv(m.S, self.re)
         self.u = add(mv(m.H, xe), mv(m.J, xo), bu)
         self.xo, self.xe = xo, xe
-        return self.increments(alpha, bx, bu)
+        increments = self.increments(alpha, bx, bu)
+        return (self.y_o(), *increments)
 
     def y_o(self):
         return self.ring.matvec(self.m.C, self.xo)
@@ -621,14 +593,6 @@ class MainEncController(MainRecurrence):
     """Holds only the public key (in its `CipherRing`); iterates the converted
     observer controller on ciphertexts and emits the observer output plus the
     bounded increments."""
-
-    def bootstrap(self, x_e0_scaled):
-        increments = super().bootstrap(x_e0_scaled)
-        return (self.y_o(), *increments)
-
-    def step(self, enc_innovation, enc_ref_increment):
-        increments = super().step(enc_innovation, enc_ref_increment)
-        return (self.y_o(), *increments)
 
 
 class MainIntegerShadow(MainRecurrence):
@@ -906,18 +870,18 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         nonlocal sent
         if t == 0:
             y_o_ct, *incs_ct = controller.bootstrap(x_e0_scaled)
-            incs = shadow.bootstrap(x_e0_scaled)
+            emitted = shadow.bootstrap(x_e0_scaled)
         else:
             y_o_ct, *incs_ct = controller.step(*sent[0])
-            incs = shadow.step(*sent[1])
+            emitted = shadow.step(*sent[1])
         lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_bar)
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
         lifted_a, ut_a = actuator.step(*incs_ct)
-        alpha, beta, gamma = incs
+        _, alpha, beta, gamma = emitted
         return _Step(
             U=ut_a, u_shadow=shadow.u,
-            lifted=(lifted_y, *lifted_a), shadow=(shadow.y_o(), *incs),
+            lifted=(lifted_y, *lifted_a), shadow=emitted,
             fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
                     "log2_gamma": _log2norm(gamma), "log2_sensor_gap": _log2(gap),
                     "saturated": bool(sat_s or sat_r)},

@@ -292,7 +292,7 @@ def test_criterion_9_he_laws_and_backend_equivalence(batch, sound_plan):
             assert he.decrypt(sk, c1) == tuple(v1)                      # i
             got = he.decrypt(sk, he.add(c1, c2))
             assert got == tuple((a + b) % q for a, b in zip(v1, v2))    # ii
-            got = he.decrypt(sk, he.plain_matmul(M, c2))
+            got = he.decrypt(sk, he.plain_matmul(he.PlainMatrix(M, q), c2))
             assert got == tuple(sum(m * x for m, x in zip(row, v2)) % q
                                 for row in M)                           # iii
             vectors += 3 + 1  # three vectors and one matrix exercised

@@ -14,6 +14,11 @@ def make_scheme(backend, q=Q41, pad=64):
                            lattice=he.LatticeParams(pad_bits=pad))
 
 
+def matmul(M, ct):
+    """`he.plain_matmul` of integer rows, prepared under the ciphertext's q."""
+    return he.plain_matmul(he.PlainMatrix(M, ct.params.q), ct)
+
+
 @pytest.fixture(params=["mock", "lattice"])
 def scheme(request):
     return make_scheme(request.param)
@@ -67,30 +72,39 @@ def test_plain_matmul_identity_zero_random(scheme, keys):
     v = [7, 9, 11]
     c = he.encrypt(pk, v, rng)
     eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
-    assert he.decrypt(sk, he.plain_matmul(eye, c)) == tuple(v)
+    assert he.decrypt(sk, matmul(eye, c)) == tuple(v)
     zero = [[0] * 3 for _ in range(2)]
-    assert he.decrypt(sk, he.plain_matmul(zero, c)) == (0, 0)
+    assert he.decrypt(sk, matmul(zero, c)) == (0, 0)
     for _ in range(50):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         M = [[rng.randrange(scheme.q) for _ in range(n)] for _ in range(m)]
         p = [rng.randrange(scheme.q) for _ in range(n)]
-        got = he.decrypt(sk, he.plain_matmul(M, he.encrypt(pk, p, rng)))
+        got = he.decrypt(sk, matmul(M, he.encrypt(pk, p, rng)))
         want = tuple(sum(a * b for a, b in zip(row, p)) % scheme.q for row in M)
         assert got == want
 
 
 def test_plain_matmul_centered_entries(scheme, keys):
     """Negative entries decrypt like their [0, q) residues, and the lattice
-    noise bound charges the row sums of the entries as given."""
+    noise bound charges the row sums of the centered entries."""
     pk, sk = keys
     rng = random.Random(14)
     c = he.encrypt(pk, [3, scheme.q - 5, 12345], rng)
     M = [[-1, 2, -3], [-(scheme.q // 2) + 1, 0, 7]]
     reduced = [[x % scheme.q for x in row] for row in M]
-    got = he.plain_matmul(M, c)
-    assert he.decrypt(sk, got) == he.decrypt(sk, he.plain_matmul(reduced, c))
+    got = matmul(M, c)
+    assert he.decrypt(sk, got) == he.decrypt(sk, matmul(reduced, c))
     assert got.noise_bound == c.noise_bound * (scheme.q // 2 + 6)
-    assert he.plain_matmul([[-1, 2, -3]], c).noise_bound == c.noise_bound * 6
+    assert matmul([[-1, 2, -3]], c).noise_bound == c.noise_bound * 6
+
+
+def test_weight_is_the_row_sum_of_centered_entries():
+    """A product multiplies by the centered residues, so the noise weight is
+    their largest absolute row sum, not that of the entries as given."""
+    assert he.PlainMatrix([[2**12, 3]], 2**10).weight == 3
+    for q in (10, 2**10, 2**65 + 1):
+        assert he.PlainMatrix([[q - 1]], q).weight == 1
+        assert he.PlainMatrix([[q // 2 + q, -(q - 1)]], q).weight == q // 2 + 1
 
 
 def test_dimension_mismatch(scheme, keys):
@@ -101,7 +115,7 @@ def test_dimension_mismatch(scheme, keys):
     with pytest.raises(he.DimensionMismatchError):
         he.add(c1, c2)
     with pytest.raises(he.DimensionMismatchError):
-        he.plain_matmul([[1, 2, 3]], c1)
+        matmul([[1, 2, 3]], c1)
     # a matrix prepared under another plaintext modulus
     with pytest.raises(he.DimensionMismatchError):
         he.plain_matmul(he.PlainMatrix([[1, 2]], scheme.q + 1), c1)
@@ -152,7 +166,7 @@ def test_op_metadata_monotone(scheme, keys):
     rng = random.Random(11)
     c = he.encrypt(pk, [1, 2], rng)
     d = he.add(c, c)
-    e = he.plain_matmul([[1, 1], [0, 1]], d)
+    e = matmul([[1, 1], [0, 1]], d)
     assert e.noise_bound >= d.noise_bound >= 0
 
 
@@ -181,7 +195,7 @@ def test_noise_overflow_predicted_and_raised():
     # a heavy plaintext weight trips the budget check at the operation itself
     fresh = he.encrypt(pk, [1], rng)
     with pytest.raises(he.NoiseOverflowError):
-        he.plain_matmul([[2**12]], fresh)
+        matmul([[2**9]], fresh)
 
 
 def test_bad_params_rejected():
@@ -213,9 +227,9 @@ def test_packed_kernels_match_mock_at_extreme_entries(q):
     for pk, sk in _backends(q, pad=64):
         rng = random.Random(15)
         c1, c2 = he.encrypt(pk, v, rng), he.encrypt(pk, v, rng)
-        results.append((he.decrypt(sk, he.plain_matmul(M, c1)),
+        results.append((he.decrypt(sk, matmul(M, c1)),
                         he.decrypt(sk, he.add(c1, c2)),
-                        he.decrypt(sk, he.plain_matmul(M, he.add(c1, c2)))))
+                        he.decrypt(sk, matmul(M, he.add(c1, c2)))))
     mock, lattice = results
     assert lattice == mock
     assert mock[1] == tuple(2 * x % q for x in v)
@@ -235,7 +249,7 @@ def test_widest_matrix_the_guard_accepts(q):
     results = []
     for pk, sk in _backends(q, pad=36):
         rng = random.Random(16)
-        results.append(he.decrypt(sk, he.plain_matmul(M, he.encrypt(pk, v, rng))))
+        results.append(he.decrypt(sk, matmul(M, he.encrypt(pk, v, rng))))
     assert results[1] == results[0]
     assert results[0] == tuple(sum(m * x for m, x in zip(row, v)) % q for row in M)
     # the largest slots: every component Q - 1, an encryption of 0 whose noise
@@ -244,10 +258,10 @@ def test_widest_matrix_the_guard_accepts(q):
     params = pk.params
     top = params._slots.pack([params.ct_modulus - 1] * he.SLOTS)
     worst = he.Ciphertext(params, n, (top,) * n, noise_bound=he.FRESH_NOISE_BOUND)
-    assert he.decrypt(sk, he.plain_matmul(M, worst)) == (0,) * len(M)
+    assert he.decrypt(sk, matmul(M, worst)) == (0,) * len(M)
     wide = he.encrypt(pk, [1] * (n + 1), random.Random(17))
     with pytest.raises(he.DimensionMismatchError):
-        he.plain_matmul([[1] * (n + 1)], wide)
+        matmul([[1] * (n + 1)], wide)
 
 
 def test_secret_is_ternary():
