@@ -12,7 +12,9 @@ Two interchangeable backends:
   for free.  Noise is tracked per ciphertext with a conservative budget
   model (additive for sums; for matrix products, weighted by the largest
   absolute row sum of the matrix centered mod q) so decryption ambiguity is
-  predicted, not discovered.
+  predicted, not discovered: `check_budget` checks a product's bound, for
+  `plain_matmul` and for a step compiled over payloads alike, and
+  `decrypt` checks what it decrypts.
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
@@ -23,13 +25,15 @@ slot 0 holds c and slot j holds a_j, each slot W = bits(Q) + bits(q) + GUARD
 bits wide.  Every public-key row is packed the same way, so `encrypt` sums
 packed rows, `add` adds two ints, and `plain_matmul` accumulates m * entry
 over a row (m the centered residue of the matrix entry mod q, |m| <= q/2,
-prepared once per matrix by `PlainMatrix` and compiled into one
-straight-line kernel on its first product).  Slots may go negative in
+prepared once per matrix by `PlainMatrix`).  Slots may go negative in
 between; a row of at most 2^GUARD columns keeps every slot below 2^(W-1) in
 magnitude, so no borrow or carry crosses a slot boundary once the offset
 2^(W-1) is added to each slot.
 The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
-two (every q the planner makes), and slot by slot otherwise.
+two (every q the planner makes), and slot by slot otherwise.  A kernel
+compiled over packed payloads (`kernel.Source`) chains products and sums
+before it reduces; `slot_reduction` gives it the reducer and the largest
+slot magnitude, in units of Q, that the reducer accepts.
 
 Key tables.  `keygen` also sums the public-key rows over each window of
 WINDOW = 4 rows into a table of the window's 16 subset sums.  `encrypt`
@@ -57,8 +61,6 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
-
-from . import kernel
 
 
 class HEError(Exception):
@@ -312,15 +314,37 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
                       noise_bound=c1.noise_bound + c2.noise_bound)
 
 
+def slot_reduction(params: SchemeParams) -> tuple:
+    """(reduce, limit) for a kernel over the payloads of ciphertexts under
+    `params` (`kernel.Source`): `reduce` maps an entry to its canonical
+    payload, and takes any entry whose magnitude is bounded by `limit` in
+    units of the modulus, the bound of a canonical entry being 1.  On the
+    lattice backend that is `_Slots.reduce`, whose slots must stay below
+    2^(W-1) in magnitude, and a canonical slot lies below Q; on the mock
+    backend `% q`, which takes any integer, so only outputs need it (limit
+    None)."""
+    if params.backend == "mock":
+        return params.q.__rmod__, None
+    slots = params._slots
+    return slots.reduce, slots.half // slots.Q
+
+
+def check_budget(params: SchemeParams, bound: int):
+    """Raises `NoiseOverflowError` if a product's noise bound reaches half of
+    Delta, the budget decryption needs; the mock backend has none."""
+    if params.backend == "lattice" and bound >= params.delta // 2:
+        raise NoiseOverflowError(
+            "matrix product pushes the noise bound past the declared budget"
+        )
+
+
 class PlainMatrix:
     """An integer matrix prepared once for `plain_matmul` under plaintext
     modulus q: its rows with every entry replaced by its centered residue
     mod q, m in (-q/2, q/2], which decrypts the same and is the value a
     product multiplies by; and `weight`, the factor `plain_matmul`
     multiplies a noise bound by: the largest absolute row sum of those
-    residues.  The first product compiles the rows into one straight-line
-    kernel (`kernel.Source`); the noise dry run, which reads only `weight`,
-    compiles nothing."""
+    residues."""
 
     def __init__(self, M: Sequence[Sequence[int]], q: int):
         if not M:
@@ -332,14 +356,10 @@ class PlainMatrix:
         self.rows = tuple(tuple(m - q if m > half else m for m in (x % q for x in row))
                           for row in M)
         self.weight = max(sum(map(abs, row)) for row in self.rows)
-        self._kernel = None
 
     def row_sums(self, v) -> list:
         """The unreduced sums of m v[j] over each row."""
-        if self._kernel is None:
-            source = kernel.Source()
-            self._kernel = source.function(source.matvec(self.rows, source.vector(self.cols)))
-        return self._kernel(v)
+        return [sum(m * x for m, x in zip(row, v)) for row in self.rows]
 
 
 def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
@@ -352,14 +372,11 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = ct.noise_bound * M.weight
+    check_budget(params, noise)
     if params.backend == "mock":
         q = params.q
         payload = tuple([x % q for x in M.row_sums(ct.payload)])
     else:
-        if noise >= params.delta // 2:
-            raise NoiseOverflowError(
-                "matrix product pushes the noise bound past the declared budget"
-            )
         if ct.dim > 1 << GUARD:
             raise DimensionMismatchError(
                 f"{ct.dim} columns exceed the {1 << GUARD} a packed slot holds")

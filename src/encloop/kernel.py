@@ -1,8 +1,8 @@
 """Straight-line integer kernels.
 
-A fixed integer linear map applied many times (a plaintext matrix in `he`,
-a recurrence step in `loop`) costs most of its time in the interpreter's
-per-term work when it is evaluated from nested lists.  `Source` records the
+A fixed integer linear map applied many times (a recurrence step in
+`loop`) costs most of its time in the interpreter's per-term work when it
+is evaluated from nested lists.  `Source` records the
 map once as straight-line Python: every entry of a vector is a generated
 name, and every linear form `c1 x1 + c2 x2 + ...` becomes one assignment
 with its zero coefficients and its known-zero operands dropped.  It is a
@@ -11,10 +11,22 @@ a recurrence method run once on it records its whole step.
 `Source.function` compiles the record with `exec` into one function of the
 input vectors.
 
-Only integer literals and generated names enter the source.  A form with
-more than `TERMS_PER_STATEMENT` terms is split into partial sums, since
-CPython compiles one long sum as a deeply nested expression and a few
-thousand terms exceed its recursion limit.
+Only integer literals, generated names and calls of the one reducer
+`reduce` enter the source.  A form with more than `TERMS_PER_STATEMENT`
+terms is split into partial sums, since CPython compiles one long sum as a
+deeply nested expression and a few thousand terms exceed its recursion
+limit.
+
+Reduction placement.  A kernel over ciphertext payloads (`loop` compiles the
+encrypted controllers' steps) works modulo something, and its entries must
+be reduced before they outgrow what the reducer accepts.  `Source` is then
+given the reducer and a `limit`, and every generated name carries a bound on
+its magnitude in units of the modulus: an input or a reduced entry has
+bound 1, and a form sum c x has bound sum |c| bound(x).  Before a form would
+exceed the limit, its unreduced operands are reduced first, each with one
+emitted `reduce` call that later forms share; `reduced` reduces the entries
+a kernel returns, each once.  Without a limit nothing is reduced in between,
+and the integer kernels, which pass none, are unchanged.
 """
 
 from __future__ import annotations
@@ -33,24 +45,49 @@ _NAME = re.compile(r"t[0-9]+")
 class Source:
     """Straight-line source under construction, and the ring that records
     it: `matvec` (integer rows times a vector of entries) and `add` (of any
-    number of vectors) make one linear form per entry."""
+    number of vectors) make one linear form per entry.  `reduce` and
+    `limit` place reductions (module docstring); `limit=None` places none
+    between the inputs and `reduced`."""
 
-    def __init__(self):
+    def __init__(self, reduce=None, limit=None):
         self.params, self.lines, self.count = [], [], 0
+        self.reduce, self.limit = reduce, limit
+        self.bound = {}      # name -> bound on its magnitude, in units of the modulus
+        self.reduction = {}  # name -> the name of its reduced value
 
-    def _name(self) -> str:
+    def _name(self, bound: int, reduced=False) -> str:
         self.count += 1
-        return f"t{self.count}"
+        name = f"t{self.count}"
+        self.bound[name] = bound
+        if reduced:
+            self.reduction[name] = name
+        return name
 
     def vector(self, length: int) -> list:
-        """A new input vector of `length` entries, as generated names."""
-        names = [self._name() for _ in range(length)]
+        """A new input vector of `length` reduced entries, as generated names."""
+        names = [self._name(1, reduced=True) for _ in range(length)]
         self.params.append(names)
         return names
 
+    def _bound(self, parts) -> int:
+        return sum(abs(c) * self.bound[x] for c, x in parts)
+
+    def _reduced(self, x: Entry) -> Entry:
+        if x == 0:
+            return 0
+        if x not in self.reduction:
+            name = self.reduction[x] = self._name(1, reduced=True)
+            self.lines.append(f"{name} = reduce({x})")
+        return self.reduction[x]
+
+    def reduced(self, v) -> list:
+        """The entries of v reduced: each unreduced entry once."""
+        return [self._reduced(x) for x in v]
+
     def linear(self, terms: Iterable[Tuple[int, Entry]]) -> Entry:
         """The sum of c x over `terms`: a new name bound to it, an existing
-        name if it is 1 times one name, or 0 if no term is nonzero."""
+        name if it is 1 times one name, or 0 if no term is nonzero.  If its
+        bound would exceed the limit, its operands are reduced first."""
         parts = []
         for c, x in terms:
             c = int(operator.index(c))  # an integer literal, whatever int type c is
@@ -58,9 +95,16 @@ class Source:
                 parts.append((c, x))
         if not parts:
             return 0
+        bound = self._bound(parts)
+        if self.limit is not None and bound > self.limit:
+            parts = [(c, self._reduced(x)) for c, x in parts]
+            bound = self._bound(parts)
+            if bound > self.limit:
+                raise ValueError(f"a form of bound {bound} exceeds the limit {self.limit} "
+                                 "even over reduced operands")
         if len(parts) == 1 and parts[0][0] == 1:
             return parts[0][1]
-        name = self._name()
+        name = self._name(bound)
         for k in range(0, len(parts), TERMS_PER_STATEMENT):
             expr = "".join(_term(c, x, first=not i and not k)
                            for i, (c, x) in enumerate(parts[k:k + TERMS_PER_STATEMENT]))
@@ -83,7 +127,7 @@ class Source:
         body += self.lines
         body.append(f"return {_expr(result)}")
         src = f"def kernel({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in body)
-        namespace = {}
+        namespace = {"reduce": self.reduce}
         exec(compile(src, "<kernel>", "exec"), namespace)
         return namespace["kernel"]
 

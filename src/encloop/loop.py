@@ -20,23 +20,31 @@ a ratio of integers converts with one correctly rounded division.
 
 Each converted controller is written once, over a ring with two operations,
 `matvec` and `add`: `MainRecurrence` (state update, emission, and its
-inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers run
-them on the ciphertext ring (`CipherRing`, `he` ops on `he.PlainMatrix`
-plaintexts); the integer shadows and the main actuator's reconstruction
-run them on the integer ring (`IntRing`); and the lattice pad is sized by
-running them once on the ring of `he` noise bounds (`NoiseRing`,
-`lattice_params`).
+inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers
+bootstrap on the ciphertext ring (`CipherRing`, `he` ops on
+`he.PlainMatrix` plaintexts); the integer shadows and the main actuator's
+reconstruction on the integer ring (`IntRing`); and the lattice pad is
+sized by a dry run over `he` noise bounds (`lattice_params`), whose
+bootstrap runs on `NoiseRing`.
 
-The integer runs repeat one fixed linear map per step, on small matrices,
-so interpreting the recurrence op by op costs more than the arithmetic.
-On its first call, `MainIntegerShadow.step`, the main actuator's `rebuild`
-and `PrelimIntegerShadow.step` each run the recurrence method once on the
-recording ring `kernel.Source`, which makes every matvec row and every sum
-one straight-line statement over generated names with its zero
-coefficients dropped; `_compile` turns the record into one function, which
-the party calls every later step.  Each run compiles its own kernels.
-`IntRing` stays: the bootstraps run on it once per run, and the tests
-check the compiled kernels against it.
+Every run, integer or encrypted, repeats one fixed linear map per step, on
+small matrices, so interpreting the recurrence op by op costs more than the
+arithmetic.  On its first call, the step of each party (the encrypted
+controllers' and the integer shadows' `step`, the main actuator's
+`rebuild`) runs the recurrence method once on the recording ring
+`kernel.Source`, which makes every matvec row and every sum one
+straight-line statement over generated names with its zero coefficients
+dropped, and compiles the record into one function, which the party calls
+every later step.  On integers (`_compile`) that is all.  Over ciphertexts
+(`_compile_cipher`) a name stands for a packed payload entry, and `he`
+supplies the reducer and the slot limit: an entry is reduced only where the
+limit needs it, and every state and emitted entry once.  The same method,
+recorded again over one noise bound per vector (`_noise_step`), gives the
+step's bounds and its largest product bound, which `he` checks against the
+pad where the staged ops would raise, and `noise_peak` runs that same step
+to size the pad.  Each run compiles its own kernels.  `IntRing` and
+`CipherRing` stay: the bootstraps run on them once per run, and the tests
+check the compiled kernels against them.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -102,6 +110,12 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
         d *= den
         out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
     return out
+
+
+def _lift_around_zero(v_modq, q: int) -> list:
+    """`centered_mod_recover(v_modq, 0, q)`: each residue's representative in
+    [-q/2, q/2), without converting the prior."""
+    return [v - (2 * v + q) // (2 * q) * q for v in v_modq]
 
 
 def _log2(x) -> float:
@@ -344,8 +358,8 @@ class IdealLoop:
 # integer matrix times ring vector) and `add` (of any number of vectors, left
 # to right), plus how it embeds integer matrices (`plain`) and fresh integer
 # vectors (`fresh`).  The recording ring `kernel.Source`, which only records
-# the steps of a recurrence already bootstrapped on `IntRing`, needs just
-# the two.
+# the steps of a recurrence already bootstrapped on `IntRing` or
+# `CipherRing`, needs just the two.
 
 
 class IntRing:
@@ -368,38 +382,145 @@ class IntRing:
         return [sum(t) for t in zip(*vs)]
 
 
-def _compile(recurrence, method, *args):
-    """`method` of a recurrence on `IntRing` as one compiled function of
-    `method`'s arguments that updates the recurrence's state (its list
-    attributes) as `method` would, and returns what `method` returns.
-    `method` runs once on a `kernel.Source`, which records it over the
-    recurrence's `IntRing` plaintexts, at the lengths of the current state
-    and of `args`; calls with other lengths raise `ValueError`."""
-    state = [k for k, v in vars(recurrence).items() if isinstance(v, list)]
-    source = kernel.Source()
+def _record(recurrence, method, ring, m: dict, state, args):
+    """Runs `method` once on a copy of `recurrence` whose ring is the
+    recording `ring`, whose plaintexts are `m` and whose state vectors
+    (`recurrence.state`) are `state`, on the argument vectors `args`; returns
+    the new state vectors and what `method` returns."""
     recorded = copy.copy(recurrence)
-    recorded.ring = source
-    for k in state:
-        setattr(recorded, k, source.vector(len(getattr(recurrence, k))))
-    result = method(recorded, *(source.vector(len(a)) for a in args))
-    fn = source.function((tuple(getattr(recorded, k) for k in state), result))
+    recorded.ring, recorded.m = ring, SimpleNamespace(**m)
+    for k, v in zip(recurrence.state, state):
+        setattr(recorded, k, v)
+    result = method(recorded, *args)
+    return tuple(getattr(recorded, k) for k in recurrence.state), result
 
-    def run(*args):
-        new, result = fn(*(getattr(recurrence, k) for k in state), *args)
+
+def _vectors(result) -> tuple:
+    """What a recurrence method returns, as a tuple of vectors."""
+    return result if isinstance(result, tuple) else (result,)
+
+
+def _compile(recurrence, method, *args):
+    """`method` of a recurrence on `IntRing` as one compiled function of the
+    recurrence and `method`'s arguments that updates the recurrence's state
+    as `method` would, and returns what `method` returns.  `method` runs
+    once on a `kernel.Source`, which records it over the recurrence's
+    `IntRing` plaintexts, at the lengths of the current state and of
+    `args`; calls with other lengths raise `ValueError`."""
+    state = recurrence.state
+    source = kernel.Source()
+    new, result = _record(recurrence, method, source, vars(recurrence.m),
+                          [source.vector(len(getattr(recurrence, k))) for k in state],
+                          [source.vector(len(a)) for a in args])
+    fn = source.function((new, result))
+
+    def run(rec, *args):
+        new, result = fn(*(getattr(rec, k) for k in state), *args)
         for k, v in zip(state, new):
-            setattr(recurrence, k, v)
+            setattr(rec, k, v)
         return result
 
     return run
 
 
+class _Products(kernel.Source):
+    """A `kernel.Source` that also keeps every product it records."""
+
+    def __init__(self):
+        super().__init__()
+        self.products = []
+
+    def matvec(self, M, v) -> list:
+        out = super().matvec(M, v)
+        self.products += out
+        return out
+
+
+def _noise_step(recurrence, method, nargs: int):
+    """`method` of an encrypted controller on the noise budget model of `he`,
+    compiled: a function of one list, the noise bounds of the state and of
+    `nargs` argument ciphertexts, that returns the bounds of the new state
+    and of the ciphertexts `method` returns, as one list, and the largest
+    bound of a product in the step, the one `he` checks against the pad.
+    As in `he.plain_matmul` and `he.add`, a product multiplies a bound by its
+    `he.PlainMatrix`'s weight and a sum adds bounds: each bound is recorded
+    as a vector of one entry, each matrix as its weight."""
+    source, n = _Products(), len(recurrence.state)
+    bounds = [[b] for b in source.vector(n + nargs)]
+    new, result = _record(recurrence, method, source,
+                          {k: [[M.weight]] for k, M in vars(recurrence.m).items()},
+                          bounds[:n], bounds[n:])
+    fn = source.function(([b for v in (*new, *_vectors(result)) for b in v],
+                          tuple(dict.fromkeys(source.products))))
+
+    def run(bounds):
+        out, products = fn(bounds)
+        return out, max(products)
+
+    return run
+
+
+def _compile_cipher(controller, method, *args):
+    """`method` of an encrypted controller, on a `CipherRing`, as one step
+    over ciphertext payloads with the noise bounds in lockstep: a function
+    of the controller and `method`'s arguments that updates the controller's
+    state ciphertexts and returns the ciphertexts `method` returns, payloads
+    and bounds equal to those of the staged `he` ops.
+
+    The payloads are `method` recorded once on a `kernel.Source` over the
+    centered plaintext rows, with the reducer and limit of `he`
+    (`he.slot_reduction`): products and sums chain on unreduced payloads,
+    an entry is reduced only where the limit needs it, and every state and
+    returned entry is reduced once.  The bounds are `_noise_step`'s, and the
+    step's largest product bound goes through `he.check_budget`, which
+    raises where the first product past the budget would.  Returned sums
+    are left to `he.decrypt`'s check, as on the staged path."""
+    params, state = controller.ring.pk.params, controller.state
+    n = len(state)
+    source = kernel.Source(*he.slot_reduction(params))
+    vectors = [source.vector(ct.dim) for ct in (*(getattr(controller, k) for k in state), *args)]
+    new, result = _record(controller, method, source,
+                          {k: M.rows for k, M in vars(controller.m).items()},
+                          vectors[:n], vectors[n:])
+    payloads = source.function([tuple(source.reduced(v)) for v in (*new, *_vectors(result))])
+    noise, many = _noise_step(controller, method, len(args)), isinstance(result, tuple)
+
+    def run(rec, *args):
+        cts = [getattr(rec, k) for k in state]
+        cts += args
+        bounds, peak = noise([ct.noise_bound for ct in cts])
+        he.check_budget(params, peak)
+        out = [he.Ciphertext(params, len(p), p, b)
+               for p, b in zip(payloads(*(ct.payload for ct in cts)), bounds)]
+        for k, ct in zip(state, out):
+            setattr(rec, k, ct)
+        return tuple(out[n:]) if many else out[n]
+
+    return run
+
+
+def _compiled(method, compile):
+    """A recurrence's `step`: `method`, compiled by `compile` (`_compile` or
+    `_compile_cipher`) on its first call.  The compiled function takes the
+    recurrence as an argument and holds no reference to it, so a party and
+    its kernel form no cycle, and a run's keys and ciphertexts are freed
+    when the run ends, not at the next garbage collection."""
+
+    def step(self, *args):
+        if self._step is None:
+            self._step = compile(self, method, *args)
+        return self._step(self, *args)
+
+    return step
+
+
 class CipherRing:
-    """Ciphertexts under `pk`: the encrypted controllers, and every party that
-    encrypts (`fresh`, which counts the ciphertext entries it makes).
-    A plaintext matrix is prepared once (`he.PlainMatrix`), which centers
-    its entries into (-q/2, q/2] and so keeps the row-sum weight
-    `he.plain_matmul` charges to the noise as small as the certified
-    coefficients allow."""
+    """Ciphertexts under `pk`: the encrypted controllers' bootstraps (their
+    steps are compiled, `_compile_cipher`), and every party that encrypts
+    (`fresh`, which counts the ciphertext entries it makes).  A plaintext
+    matrix is prepared once (`he.PlainMatrix`), which centers its entries
+    into (-q/2, q/2] and so keeps the row-sum weight `he.plain_matmul`
+    charges to the noise as small as the certified coefficients allow."""
 
     def __init__(self, pk, q: int, rng):
         self.pk, self.q, self.rng = pk, q, rng
@@ -425,13 +546,13 @@ class CipherRing:
 
 class NoiseRing:
     """The lattice backend's noise bounds in place of ciphertexts: a dry run
-    of the budget model of `he`.  A plaintext is the `he.PlainMatrix`
-    `CipherRing` makes of it, whose weight a product charges; `fresh` is
+    of the budget model of `he` for a bootstrap (`noise_peak`; the steps run
+    `_noise_step`).  A plaintext is the `he.PlainMatrix` `CipherRing` makes
+    of it, whose weight a product charges; `fresh` is
     `he.FRESH_NOISE_BOUND`, fixed by the constant LWE dimensions; sums add
     bounds.  No bound depends on the pad, the one per-run setting.  `he`
-    checks a bound against the pad at each `plain_matmul` and `decrypt`, so
-    `peak` is the largest product so far; `noise_peak` adds the emitted
-    ciphertexts, which parties decrypt."""
+    checks a bound against the pad at each product and `decrypt`, so `peak`
+    is the largest product so far."""
 
     def __init__(self, q: int):
         self.q = q
@@ -499,6 +620,8 @@ class MainRecurrence:
     step 0) from the step's own, and carries the new ones.  `rebuild`
     inverts it with the carried brackets, as the actuator does.
     """
+
+    state = ("xo", "xe", "re", "bx", "bu", "u")
 
     def __init__(self, ring, plan: MainPlan):
         self.ring = ring
@@ -572,6 +695,8 @@ class PrelimRecurrence:
     x <- F x + G y + R r, with the certified integer matrices F/omega,
     G/(s1 omega), R/(s1 omega), H/s2, J/(s1 s2), S/(s1 s2)."""
 
+    state = ("x",)
+
     def __init__(self, ring, plan: PrelimPlan):
         self.ring = ring
         self.m = _load(ring, plan.certificates, PRELIM_CERTIFICATES)
@@ -592,7 +717,11 @@ class PrelimRecurrence:
 class MainEncController(MainRecurrence):
     """Holds only the public key (in its `CipherRing`); iterates the converted
     observer controller on ciphertexts and emits the observer output plus the
-    bounded increments."""
+    bounded increments.  The bootstrap runs on the `CipherRing`; `step` is
+    compiled on its first call."""
+
+    _step = None
+    step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
 class MainIntegerShadow(MainRecurrence):
@@ -600,14 +729,11 @@ class MainIntegerShadow(MainRecurrence):
     truth for every ciphertext (mod q) and for the actuator reconstruction.
     The bootstrap runs on `IntRing`; `step` is compiled on its first call."""
 
+    _step = None
+    step = _compiled(MainRecurrence.step, _compile)
+
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
-        self._step = None
-
-    def step(self, innovation, ref_increment):
-        if self._step is None:
-            self._step = _compile(self, MainRecurrence.step, innovation, ref_increment)
-        return self._step(innovation, ref_increment)
 
 
 class MainSensor:
@@ -686,31 +812,32 @@ class MainActuator:
         for ct in (alpha_ct, beta_ct, gamma_ct):
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
-            lifted.append(centered_mod_recover(list(dec), 0, self.q))
+            lifted.append(_lift_around_zero(dec, self.q))
         if self._rebuild is None:
             self._rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
-        return tuple(lifted), self._rebuild(*lifted)
+        return tuple(lifted), self._rebuild(self.states, *lifted)
 
 
 # -- prelim scheme parties -----------------------------------------------------
 
 
 class PrelimEncController(PrelimRecurrence):
-    """The directly converted controller on ciphertexts (a `CipherRing`)."""
+    """The directly converted controller on ciphertexts (a `CipherRing`);
+    `step` is compiled on its first call."""
+
+    _step = None
+    step = _compiled(PrelimRecurrence.step, _compile_cipher)
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
     """The integer twin of `PrelimEncController`; `step` is compiled on its
     first call."""
 
+    _step = None
+    step = _compiled(PrelimRecurrence.step, _compile)
+
     def __init__(self, plan: PrelimPlan):
         super().__init__(IntRing(), plan)
-        self._step = None
-
-    def step(self, y, r):
-        if self._step is None:
-            self._step = _compile(self, PrelimRecurrence.step, y, r)
-        return self._step(y, r)
 
 
 class PrelimActuator:
@@ -752,26 +879,31 @@ class RunConfig:
 
 def noise_peak(plan, horizon: int) -> int:
     """The largest `he` noise bound that a horizon-long lattice run of `plan`
-    (main or prelim) checks against its pad: of any `plain_matmul` product,
-    and of any ciphertext the controller emits, which a party decrypts.
+    (main or prelim) checks against its pad: of any matrix product, and of
+    any ciphertext the controller emits, which a party decrypts.
 
-    The plan's encrypted controller runs on a `NoiseRing` as a route's step
-    drives it (`run_closed_loop_*`): the bootstrap, then each step fed two
-    fresh encryptions, horizon - 1 steps on the main route and horizon on
-    the prelim route.  Noise bounds depend neither on the plaintext values
-    nor on the vector lengths, so none are needed."""
+    The plan's encrypted controller runs as a route's step drives it
+    (`run_closed_loop_*`): the bootstrap on a `NoiseRing`, then each step
+    fed two fresh encryptions, horizon - 1 steps on the main route and
+    horizon on the prelim route, through the compiled noise step that the
+    encrypted run checks (`_noise_step`).  Noise bounds depend neither on
+    the plaintext values nor on the vector lengths, so none are needed."""
     ring = NoiseRing(plan.q)
     if isinstance(plan, MainPlan):
-        controller, steps = MainEncController(ring, plan), horizon - 1
-        peak = max(controller.bootstrap(()))
+        controller, method, steps = MainEncController(ring, plan), MainRecurrence.step, horizon - 1
+        emitted = controller.bootstrap(())
     else:
-        controller, steps = PrelimEncController(ring, plan), horizon
+        controller, method, steps = PrelimEncController(ring, plan), PrelimRecurrence.step, horizon
         controller.bootstrap(())
-        peak = 0
+        emitted = ()
+    peak = max((ring.peak, *emitted))
+    step, n = _noise_step(controller, method, 2), len(controller.state)
+    bounds = [getattr(controller, k) for k in controller.state]
     for _ in range(steps):
-        emitted = controller.step(ring.fresh(()), ring.fresh(()))
-        peak = max(peak, *emitted) if isinstance(emitted, tuple) else max(peak, emitted)
-    return max(peak, ring.peak)
+        out, product_peak = step(bounds + [he.FRESH_NOISE_BOUND] * 2)
+        bounds = out[:n]
+        peak = max(peak, product_peak, *out[n:])
+    return peak
 
 
 def lattice_params(plan, horizon: int) -> he.SchemeParams:
@@ -830,15 +962,15 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
                                    for g, w in zip(s.lifted, s.shadow)):
             trace.oracle_mismatches += 1
         trace.actuator_dec_ops = decrypting[-1].dec_ops
-        u_true = ideal.step()
+        u_true = tuple(float(x) for x in ideal.step())
         u_scale = scale * l_t
-        u_a = [u_scale.numerator * x / u_scale.denominator for x in s.U]
+        u_a = tuple(u_scale.numerator * x / u_scale.denominator for x in s.U)
         plant_sim.step(s.U)
         trace.records.append(StepRecord(
             t=t,
-            u_true=tuple(float(x) for x in u_true),
-            u_a=tuple(u_a),
-            diff_inf=float(np.max(np.abs(np.array(u_a) - u_true))) if u_a else 0.0,
+            u_true=u_true,
+            u_a=u_a,
+            diff_inf=max((abs(a - b) for a, b in zip(u_a, u_true)), default=0.0),
             msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
             enc_ops=ring.enc_ops,
             dec_ops=sum(party.dec_ops for party in decrypting),

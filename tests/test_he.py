@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from encloop import he
+from encloop import he, kernel
 
 Q41 = 2**41
 
@@ -316,3 +318,77 @@ def test_decrypt_fold_is_the_unpacked_inner_product(q, pad):
             d = (c - sum(a_j * s_j for a_j, s_j in zip(a, s))) % Q
             want.append(((d + delta // 2) // delta) % q)
         assert he.decrypt(sk, ct) == tuple(want)
+
+
+def _chain(params, x, ops, placed: bool):
+    """The vectors of a chain of ops on the packed entries x, each the last
+    vector times integer rows ("mv", M) or the last vector plus an earlier
+    one ("add", k), as one compiled kernel that returns every vector
+    reduced.  `placed`: with `he.slot_reduction`'s limit; otherwise reduced
+    only where returned."""
+    reduce, limit = he.slot_reduction(params)
+    source = kernel.Source(reduce, limit if placed else None)
+    vectors = [source.vector(len(x))]
+    for op, arg in ops:
+        vectors.append(source.matvec(arg, vectors[-1]) if op == "mv"
+                       else source.add(vectors[-1], vectors[arg]))
+    return source.function([source.reduced(v) for v in vectors])(x)
+
+
+def _reduce_after_every_op(params, x, ops):
+    reduce = params._slots.reduce
+    vectors = [list(x)]
+    for op, arg in ops:
+        vectors.append([reduce(sum(m * e for m, e in zip(row, vectors[-1]))) for row in arg]
+                       if op == "mv" else
+                       [reduce(a + b) for a, b in zip(vectors[-1], vectors[arg])])
+    return vectors
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduction_placement_is_reduce_after_every_op(data):
+    """Chains of products with centered entries up to q/2 in magnitude, rows
+    of up to 2^GUARD columns, and sums, over packed entries with slots at 0,
+    Q - 1 and between, at small pads: the kernel that reduces only where
+    the slot limit needs it equals reducing after every op."""
+    q = data.draw(st.sampled_from([2, 3, 10, 2**12, 2**12 + 1, 2**65, 2**65 + 1]))
+    params = make_scheme("lattice", q=q, pad=data.draw(st.integers(1, 6)))
+    Q, slots = params.ct_modulus, params._slots
+    rng = random.Random(data.draw(st.integers(0, 2**32)))
+    top, low = q // 2, -((q - 1) // 2)  # the extreme centered residues
+
+    def entry():
+        return rng.choice([top, low, 0, rng.randint(low, top)])
+
+    n = data.draw(st.integers(1, 1 << he.GUARD))
+    x = [slots.pack([rng.choice([0, Q - 1, rng.randrange(Q)]) for _ in range(he.SLOTS)])
+         for _ in range(n)]
+    ops, lengths = [], [n]
+    for _ in range(data.draw(st.integers(1, 6))):
+        same = [k for k, m in enumerate(lengths[:-1]) if m == lengths[-1]]
+        if same and data.draw(st.booleans()):
+            ops.append(("add", data.draw(st.sampled_from(same))))
+        else:
+            rows = data.draw(st.integers(1, 3))
+            ops.append(("mv", [[entry() for _ in range(lengths[-1])] for _ in range(rows)]))
+        lengths.append(len(ops[-1][1]) if ops[-1][0] == "mv" else lengths[-1])
+    assert _chain(params, x, ops, placed=True) == _reduce_after_every_op(params, x, ops)
+
+
+@pytest.mark.parametrize("q", [2**10, 2**10 + 1], ids=["power-of-two", "slot-by-slot"])
+def test_placed_reductions_keep_a_chain_inside_its_slots(q):
+    """Two products of q/2 over 2^GUARD columns of entries at Q - 1 would
+    carry out of a slot unreduced; the placed reduction keeps them exact."""
+    params = make_scheme("lattice", q=q, pad=1)
+    n, Q, slots = 1 << he.GUARD, params.ct_modulus, params._slots
+    x = [slots.pack([Q - 1] * he.SLOTS)] * n
+    ops = [("mv", [[q // 2] * n]), ("mv", [[q // 2]]), ("add", 2)]
+    want = _reduce_after_every_op(params, x, ops)
+    assert _chain(params, x, ops, placed=True) == want
+    assert _chain(params, x, ops, placed=False) != want
+    # a row too long for a slot even over reduced entries is refused
+    _, limit = he.slot_reduction(params)
+    cols = limit // (q // 2) + 1
+    with pytest.raises(ValueError):
+        _chain(params, x[:1] * cols, [("mv", [[q // 2] * cols])], placed=True)

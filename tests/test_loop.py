@@ -20,6 +20,7 @@ from encloop.loop import (
     MainIntegerShadow,
     MainRecurrence,
     PlantSim,
+    PrelimEncController,
     PrelimIntegerShadow,
     PrelimRecurrence,
     RunConfig,
@@ -29,6 +30,8 @@ from encloop.loop import (
     run_closed_loop_main,
     run_closed_loop_prelim,
     _compile,
+    _lift_around_zero,
+    _vectors,
     _scaled_integer_state,
 )
 from encloop.planner import MainPlanOptions, design_deadbeat_observer, plan_main
@@ -106,6 +109,13 @@ class TestCenteredRecover:
         x, prior = 17, 0  # |x - prior| >= q/2: off by a multiple of q
         got = centered_mod_recover([x % q], prior, q)[0]
         assert got != x and (got - x) % q == 0
+
+    @pytest.mark.parametrize("q", [2, 3, 10, 11, 2**65, 2**65 + 1])
+    def test_lift_around_zero(self, q):
+        """The main actuator's lift is `centered_mod_recover` around 0, at the
+        edges of the window [-q/2, q/2) too."""
+        v = [x % q for x in (0, 1, q // 2 - 1, q // 2, q // 2 + 1, q - 1)]
+        assert _lift_around_zero(v, q) == centered_mod_recover(v, 0, q)
 
 
 class TestMainLoop:
@@ -296,30 +306,38 @@ class TestMainIncrements:
         return det
 
     def test_ops_per_step(self, batch, sound_plan, monkeypatch):
-        """A controller step makes 13 `he.plain_matmul` (y_o's included) and 9
-        `he.add`; the integer shadow's step 13 matvecs (y_o's included), the
-        actuator's `rebuild` 8."""
-        counts = {"plain_matmul": 0, "add": 0}
+        """A controller step is one compiled kernel: no `he.plain_matmul` or
+        `he.add`, and on lattice at most one slot reduction per state and
+        emitted entry (29 on the batch reactor).  The integer shadow's step
+        makes 13 matvecs (y_o's included), the actuator's `rebuild` 8."""
+        counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
-        def counting(name):
-            op = getattr(he, name)
-
+        def counting(name, op):
             def wrapped(*args):
                 counts[name] += 1
                 return op(*args)
             return wrapped
 
-        for name in counts:
-            monkeypatch.setattr(he, name, counting(name))
+        def counting_reduction(params, slot_reduction=he.slot_reduction):
+            reduce, limit = slot_reduction(params)
+            return counting("reduce", reduce), limit
+
+        for name in ("plain_matmul", "add"):
+            monkeypatch.setattr(he, name, counting(name, getattr(he, name)))
+        monkeypatch.setattr(he, "slot_reduction", counting_reduction)
         q, d = sound_plan.q, sound_plan.dims
+        entries = 2 * d["n"] + 3 * d["n_x"] + d["n_r"] + 3 * d["w"] + d["v"]
+        assert entries == 29
         x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
-        ring = CipherRing(he.keygen(he.SchemeParams.mock(q))[0], q, random.Random(0))
+        params = lattice_params(sound_plan, 4)
+        ring = CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
         controller = MainEncController(ring, sound_plan)
         controller.bootstrap(x_e0)
         for _ in range(3):
-            counts.update(plain_matmul=0, add=0)
+            counts.update(plain_matmul=0, add=0, reduce=0)
             controller.step(ring.fresh([1] * d["v"]), ring.fresh([1] * d["n_r"]))
-            assert counts == {"plain_matmul": 13, "add": 9}
+            assert counts["plain_matmul"] == counts["add"] == 0
+            assert 0 < counts["reduce"] <= entries
 
         class CountingRing(IntRing):
             matvecs = 0
@@ -476,7 +494,7 @@ class TestCompiledKernels:
             assert emitted[0] == IntRing.matvec(C, shadow.xo)
             incs = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
             rebuild = rebuild or _compile(actuator, MainRecurrence.rebuild, *incs)
-            assert rebuild(*incs) == actuator_ref.rebuild(*incs)
+            assert rebuild(actuator, *incs) == actuator_ref.rebuild(*incs)
             assert self._states(actuator) == self._states(actuator_ref)
 
     @staticmethod
@@ -505,6 +523,86 @@ class TestCompiledKernels:
             assert shadow.x == reference.x
 
 
+class TestCompiledControllerStep:
+    """The encrypted controllers' compiled steps against the staged `he` ops:
+    the recurrence interpreted on `CipherRing`, kept here as the
+    reference."""
+
+    @pytest.mark.parametrize("backend", ["mock", "lattice", "short-pad"])
+    @pytest.mark.parametrize("horizon", [3, 30])
+    @pytest.mark.parametrize("odd", [False, True], ids=["plan-q", "q+1"])
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_compiled_step_is_the_staged_step(self, request, scheme, odd, horizon, backend):
+        """Equal payloads and noise bounds of every state and emitted
+        ciphertext, at the plan's q and at q + 1 (odd, so Q is no power of
+        two), on both backends; with a pad 2 bits short of the horizon's,
+        `NoiseOverflowError` at the same step."""
+        sc, plan, _ = route(request, scheme)
+        if odd:
+            plan = replace(plan, q=plan.q + 1)
+        if backend == "mock":
+            params = he.SchemeParams.mock(plan.q)
+        else:
+            params = lattice_params(plan, horizon)
+            if backend == "short-pad":
+                pad = params.lattice.pad_bits - 2
+                params = replace(params, lattice=he.LatticeParams(pad))
+        pk, _ = he.keygen(params, seed=horizon)
+        if scheme == "main":
+            compiled_cls, staged_cls = MainEncController, MainRecurrence
+            x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.l0)
+            dims = (plan.dims["v"], plan.dims["n_r"])
+        else:
+            compiled_cls, staged_cls = PrelimEncController, PrelimRecurrence
+            x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.s1 * plan.l0)
+            dims = (sc.plant.v, sc.ctrl.n_r)
+        # same seeds: the two bootstraps encrypt alike
+        compiled = compiled_cls(CipherRing(pk, plan.q, random.Random(5)), plan)
+        staged = staged_cls(CipherRing(pk, plan.q, random.Random(5)), plan)
+        inputs = CipherRing(pk, plan.q, random.Random(6))
+        rng = random.Random(7)
+
+        def outcome(rec, *args):
+            """The emitted and the new state ciphertexts of a bootstrap (no
+            arguments) or a step, or "overflow"."""
+            try:
+                emitted = rec.step(*args) if args else rec.bootstrap(x0)
+            except he.NoiseOverflowError:
+                return "overflow"
+            cts = [*_vectors(emitted or ()), *(getattr(rec, k) for k in rec.state)]
+            return [(ct.dim, ct.payload, ct.noise_bound) for ct in cts]
+
+        overflow = None
+        for t in range(horizon):
+            args = [inputs.fresh([rng.randrange(plan.q) for _ in range(n)])
+                    for n in dims] if t else []
+            got = outcome(compiled, *args)
+            assert got == outcome(staged, *args)
+            if got == "overflow":
+                overflow = t
+                break
+        # only the short pad overflows, and within 30 steps it does
+        assert overflow is None or backend == "short-pad"
+        assert overflow is not None or (backend, horizon) != ("short-pad", 30)
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_kernels_per_run(self, request, monkeypatch, scheme):
+        """A run compiles 4 kernels on the main route (the controller's
+        payload and noise steps, the shadow's step, the actuator's `rebuild`)
+        and 3 on the prelim route."""
+        sc, plan, run = route(request, scheme)
+        compiled, function = [], kernel.Source.function
+
+        def counting(source, result):
+            compiled.append(source)
+            return function(source, result)
+
+        monkeypatch.setattr(kernel.Source, "function", counting)
+        run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                            x_p0=sc.x_p0, horizon=5, params=he.SchemeParams.mock(plan.q)))
+        assert len(compiled) == (4 if scheme == "main" else 3)
+
+
 class TestNoiseDryRun:
     """`lattice_params` sizes the pad from a dry run of the noise budget
     (`NoiseRing`); the dry run predicts a real run exactly."""
@@ -528,19 +626,20 @@ class TestNoiseDryRun:
     @staticmethod
     def _check_peak(monkeypatch, sc, plan, run, horizon):
         largest = [0]
-        plain_matmul, decrypt = he.plain_matmul, he.decrypt
+        check_budget, decrypt = he.check_budget, he.decrypt
 
-        # the bounds `he` checks against the pad: products, and what parties decrypt
-        def recording_product(M, ct):
-            out = plain_matmul(M, ct)
-            largest[0] = max(largest[0], out.noise_bound)
-            return out
+        # the bounds `he` checks against the pad: the product bounds of the
+        # bootstrap's products and the peak of each compiled step, and what
+        # parties decrypt
+        def recording_check(params, bound):
+            largest[0] = max(largest[0], bound)
+            return check_budget(params, bound)
 
         def recording_decrypt(sk, ct):
             largest[0] = max(largest[0], ct.noise_bound)
             return decrypt(sk, ct)
 
-        monkeypatch.setattr(he, "plain_matmul", recording_product)
+        monkeypatch.setattr(he, "check_budget", recording_check)
         monkeypatch.setattr(he, "decrypt", recording_decrypt)
         params = lattice_params(plan, horizon)
         cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
