@@ -28,7 +28,8 @@ over a row (m the centered residue of the matrix entry mod q, |m| <= q/2,
 prepared once per matrix by `PlainMatrix`).  Slots may go negative in
 between; a row of at most 2^GUARD columns keeps every slot below 2^(W-1) in
 magnitude, so no borrow or carry crosses a slot boundary once the offset
-2^(W-1) is added to each slot.
+2^(W-1) is added to each slot.  `check_columns` refuses a wider product,
+staged or compiled.
 The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
 two (every q the planner makes), and slot by slot otherwise.  A kernel
 compiled over packed payloads (`kernel.Source`) chains products and sums
@@ -338,6 +339,14 @@ def check_budget(params: SchemeParams, bound: int):
         )
 
 
+def check_columns(params: SchemeParams, cols: int):
+    """Raises `DimensionMismatchError` if a product over `cols` columns could
+    outgrow a packed slot: the lattice backend takes at most 2^GUARD."""
+    if params.backend == "lattice" and cols > 1 << GUARD:
+        raise DimensionMismatchError(
+            f"{cols} columns exceed the {1 << GUARD} a packed slot holds")
+
+
 class PlainMatrix:
     """An integer matrix prepared once for `plain_matmul` under plaintext
     modulus q: its rows with every entry replaced by its centered residue
@@ -373,13 +382,11 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = ct.noise_bound * M.weight
     check_budget(params, noise)
+    check_columns(params, ct.dim)
     if params.backend == "mock":
         q = params.q
         payload = tuple([x % q for x in M.row_sums(ct.payload)])
     else:
-        if ct.dim > 1 << GUARD:
-            raise DimensionMismatchError(
-                f"{ct.dim} columns exceed the {1 << GUARD} a packed slot holds")
         payload = tuple(map(params._slots.reduce, M.row_sums(ct.payload)))
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 

@@ -103,19 +103,22 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
     """
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    priors = prior if isinstance(prior, (list, tuple)) else [prior] * len(v_modq)
+    if isinstance(prior, (list, tuple)):
+        ratios = map(as_ratio, prior)
+    else:  # one prior for every entry, converted once
+        ratios = [as_ratio(prior)] * len(v_modq)
     out = []
-    for v, p in zip(v_modq, priors):
-        n, d = as_ratio(p)
+    for v, (n, d) in zip(v_modq, ratios):
         d *= den
         out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
     return out
 
 
-def _lift_around_zero(v_modq, q: int) -> list:
-    """`centered_mod_recover(v_modq, 0, q)`: each residue's representative in
-    [-q/2, q/2), without converting the prior."""
-    return [v - (2 * v + q) // (2 * q) * q for v in v_modq]
+def _diff_inf(u_a, u_true) -> float:
+    """max |u_a - u_true| over floats, as numpy's max reads it: NaN if any
+    difference is NaN, 0.0 for empty vectors."""
+    diffs = [abs(a - b) for a, b in zip(u_a, u_true)]
+    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
 
 
 def _log2(x) -> float:
@@ -474,9 +477,13 @@ def _compile_cipher(controller, method, *args):
     returned entry is reduced once.  The bounds are `_noise_step`'s, and the
     step's largest product bound goes through `he.check_budget`, which
     raises where the first product past the budget would.  Returned sums
-    are left to `he.decrypt`'s check, as on the staged path."""
+    are left to `he.decrypt`'s check, as on the staged path.  A plaintext
+    wider than a packed slot holds is refused here (`he.check_columns`), as
+    the staged product would refuse it."""
     params, state = controller.ring.pk.params, controller.state
     n = len(state)
+    for M in vars(controller.m).values():
+        he.check_columns(params, M.cols)
     source = kernel.Source(*he.slot_reduction(params))
     vectors = [source.vector(ct.dim) for ct in (*(getattr(controller, k) for k in state), *args)]
     new, result = _record(controller, method, source,
@@ -812,7 +819,7 @@ class MainActuator:
         for ct in (alpha_ct, beta_ct, gamma_ct):
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
-            lifted.append(_lift_around_zero(dec, self.q))
+            lifted.append(centered_mod_recover(dec, 0, self.q))
         if self._rebuild is None:
             self._rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
         return tuple(lifted), self._rebuild(self.states, *lifted)
@@ -970,7 +977,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             t=t,
             u_true=u_true,
             u_a=u_a,
-            diff_inf=max((abs(a - b) for a, b in zip(u_a, u_true)), default=0.0),
+            diff_inf=_diff_inf(u_a, u_true),
             msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
             enc_ops=ring.enc_ops,
             dec_ops=sum(party.dec_ops for party in decrypting),

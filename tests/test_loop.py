@@ -3,7 +3,9 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from encloop.loop import (
     run_closed_loop_main,
     run_closed_loop_prelim,
     _compile,
-    _lift_around_zero,
+    _diff_inf,
     _vectors,
     _scaled_integer_state,
 )
@@ -111,11 +113,15 @@ class TestCenteredRecover:
         assert got != x and (got - x) % q == 0
 
     @pytest.mark.parametrize("q", [2, 3, 10, 11, 2**65, 2**65 + 1])
-    def test_lift_around_zero(self, q):
-        """The main actuator's lift is `centered_mod_recover` around 0, at the
-        edges of the window [-q/2, q/2) too."""
+    @pytest.mark.parametrize("prior, den", [(0, 1), (Fraction(-7, 2), 3)])
+    def test_scalar_prior_is_one_prior_per_entry(self, q, prior, den):
+        """One prior for every entry (the main actuator lifts around 0) lifts
+        as a list of it, at the edges of the window [p - q/2, p + q/2) too."""
         v = [x % q for x in (0, 1, q // 2 - 1, q // 2, q // 2 + 1, q - 1)]
-        assert _lift_around_zero(v, q) == centered_mod_recover(v, 0, q)
+        got = centered_mod_recover(v, prior, q, den)
+        assert got == centered_mod_recover(v, [prior] * len(v), q, den)
+        p = Fraction(prior) / den
+        assert all(p - Fraction(q, 2) <= x < p + Fraction(q, 2) for x in got)
 
 
 class TestMainLoop:
@@ -585,6 +591,32 @@ class TestCompiledControllerStep:
         assert overflow is None or backend == "short-pad"
         assert overflow is not None or (backend, horizon) != ("short-pad", 30)
 
+    @pytest.mark.parametrize("backend", ["mock", "lattice"])
+    def test_row_wider_than_a_slot_is_refused_as_staged(self, backend):
+        """A product over more columns than a packed slot holds (2^GUARD)
+        raises `DimensionMismatchError` on lattice, as `he.plain_matmul`
+        does, even with coefficients small enough to fit; mock takes it."""
+        wide, q = (1 << he.GUARD) + 1, 2**12
+        rows = {"F/omega": [[1]], "G/(s1*omega)": [[1] * wide], "R/(s1*omega)": [[1]],
+                "H/s2": [[1]], "J/(s1*s2)": [[-1] * wide], "S/(s1*s2)": [[1]]}
+        plan = SimpleNamespace(certificates={
+            name: SimpleNamespace(int_rows=lambda r=r: r) for name, r in rows.items()})
+        params = (he.SchemeParams.mock(q) if backend == "mock" else
+                  he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(30)))
+        pk, _ = he.keygen(params, seed=1)
+        outcomes = []
+        for cls in (PrelimEncController, PrelimRecurrence):
+            rec = cls(CipherRing(pk, q, random.Random(2)), plan)
+            rec.bootstrap([3])
+            inputs = CipherRing(pk, q, random.Random(3))
+            try:
+                u = rec.step(inputs.fresh([1] * wide), inputs.fresh([5]))
+                outcomes.append((u.payload, rec.x.payload))
+            except he.DimensionMismatchError:
+                outcomes.append("refused")
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0] == "refused") == (backend == "lattice")
+
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_run(self, request, monkeypatch, scheme):
         """A run compiles 4 kernels on the main route (the controller's
@@ -703,6 +735,17 @@ def test_counters(request, scheme):
 
 
 class TestTrace:
+    @pytest.mark.parametrize("u_a, u_true", [
+        ((), ()), ((1.0, -2.5), (0.5, 1.0)), ((0.0, 0.0), (math.nan, 1.0)),
+        ((0.0, 0.0), (1.0, math.nan)), ((math.inf, 0.0), (math.inf, 3.0)),
+        ((1e308, 0.0), (-1e308, 0.0))])
+    def test_diff_inf_is_numpys(self, u_a, u_true):
+        """diff_inf reads as numpy's max |u_a - u_true| did: NaN wherever a
+        difference is NaN, 0 for no inputs."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = float(np.max(np.abs(np.array(u_a) - u_true))) if u_a else 0.0
+        assert repr(_diff_inf(u_a, u_true)) == repr(want)
+
     def test_csv_schema(self, tanks, tanks_plan, tmp_path):
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
                         reference=tanks.reference, x_p0=tanks.x_p0,
