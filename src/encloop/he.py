@@ -13,8 +13,8 @@ Two interchangeable backends:
   model (additive for sums; for matrix products, weighted by the largest
   absolute row sum of the matrix centered mod q) so decryption ambiguity is
   predicted, not discovered: `check_budget` checks a product's bound, for
-  `plain_matmul` and for a step compiled over payloads alike, and
-  `decrypt` checks what it decrypts.
+  `plain_matmul` and for a step compiled over payloads alike, and what
+  `decrypt` decrypts; `loop.NoiseRing` records the model to size the pad.
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
@@ -210,7 +210,8 @@ class KeyMaterial:
 @dataclass
 class Ciphertext:
     """Opaque encrypted vector (one packed int per entry on the lattice
-    backend); the noise bound only grows."""
+    backend) and its noise bound, which a product by a plaintext whose
+    entries are all 0 mod q (weight 0) resets to 0."""
 
     params: SchemeParams
     dim: int
@@ -289,12 +290,8 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
         raise DimensionMismatchError("key/ciphertext scheme mismatch")
     if params.backend == "mock":
         return tuple(ct.payload)
+    check_budget(params, ct.noise_bound)
     Q, delta = params.ct_modulus, params.delta
-    if ct.noise_bound >= delta // 2:
-        raise NoiseOverflowError(
-            f"noise bound 2^{ct.noise_bound.bit_length()} exceeds half-Delta "
-            f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
-        )
     # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q,
     # 17 slot values in [0, Q], summed in one fold
     (plus, minus, q_minus), fold = sk.payload[2], params._slots.fold
@@ -331,11 +328,13 @@ def slot_reduction(params: SchemeParams) -> tuple:
 
 
 def check_budget(params: SchemeParams, bound: int):
-    """Raises `NoiseOverflowError` if a product's noise bound reaches half of
-    Delta, the budget decryption needs; the mock backend has none."""
+    """Raises `NoiseOverflowError` if a noise bound reaches half of Delta,
+    the budget decryption needs: of a product, or of what `decrypt`
+    decrypts.  The mock backend has none."""
     if params.backend == "lattice" and bound >= params.delta // 2:
         raise NoiseOverflowError(
-            "matrix product pushes the noise bound past the declared budget"
+            f"noise bound 2^{bound.bit_length()} exceeds half-Delta "
+            f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
         )
 
 

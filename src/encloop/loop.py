@@ -23,9 +23,10 @@ Each converted controller is written once, over a ring with two operations,
 inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers
 bootstrap on the ciphertext ring (`CipherRing`, `he` ops on
 `he.PlainMatrix` plaintexts); the integer shadows and the main actuator's
-reconstruction on the integer ring (`IntRing`); and the lattice pad is
-sized by a dry run over `he` noise bounds (`lattice_params`), whose
-bootstrap runs on `NoiseRing`.
+reconstruction on the integer ring (`IntRing`).  The noise budget model of
+`he` is recorded on `NoiseRing`, a `kernel.Source` over one noise bound per
+vector: the lattice pad is sized by a dry run of the recorded bootstrap and
+step (`lattice_params`), and each encrypted step checks that same step.
 
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so interpreting the recurrence op by op costs more than the
@@ -39,12 +40,12 @@ every later step.  On integers (`_compile`) that is all.  Over ciphertexts
 (`_compile_cipher`) a name stands for a packed payload entry, and `he`
 supplies the reducer and the slot limit: an entry is reduced only where the
 limit needs it, and every state and emitted entry once.  The same method,
-recorded again over one noise bound per vector (`_noise_step`), gives the
-step's bounds and its largest product bound, which `he` checks against the
-pad where the staged ops would raise, and `noise_peak` runs that same step
-to size the pad.  Each run compiles its own kernels.  `IntRing` and
-`CipherRing` stay: the bootstraps run on them once per run, and the tests
-check the compiled kernels against them.
+recorded again on `NoiseRing` (`_noise_step`), gives the step's bounds and
+its largest product bound, which `he` checks against the pad where the
+staged ops would raise, and `noise_peak` runs that same step to size the
+pad.  Each run compiles its own kernels.  `IntRing` and `CipherRing` stay:
+the bootstraps run on them once per run, and the tests check the compiled
+kernels against them.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -127,6 +128,11 @@ def _log2(x) -> float:
 
 def _log2norm(v) -> float:
     return _log2(max((abs(x) for x in v), default=0))
+
+
+def _json_number(x: float):
+    """x, or None (JSON null) where JSON has no number: an infinity or NaN."""
+    return x if math.isfinite(x) else None
 
 
 # -- trace ------------------------------------------------------------------
@@ -225,8 +231,8 @@ class ClosedLoopTrace:
         return {
             "scheme": self.scheme,
             "steps": len(self.records),
-            "max_log2_increment": self.max_log2_increment(),
-            "final_diff_inf": self.final_diff_inf(),
+            "max_log2_increment": _json_number(self.max_log2_increment()),
+            "final_diff_inf": _json_number(self.final_diff_inf()),
             "saturation_count": self.saturation_count,
             "recovery_failures": self.recovery_failures,
             "oracle_mismatches": self.oracle_mismatches,
@@ -362,7 +368,8 @@ class IdealLoop:
 # to right), plus how it embeds integer matrices (`plain`) and fresh integer
 # vectors (`fresh`).  The recording ring `kernel.Source`, which only records
 # the steps of a recurrence already bootstrapped on `IntRing` or
-# `CipherRing`, needs just the two.
+# `CipherRing`, needs just the two; `NoiseRing`, a `kernel.Source` that also
+# records a bootstrap, has all four.
 
 
 class IntRing:
@@ -426,41 +433,17 @@ def _compile(recurrence, method, *args):
     return run
 
 
-class _Products(kernel.Source):
-    """A `kernel.Source` that also keeps every product it records."""
-
-    def __init__(self):
-        super().__init__()
-        self.products = []
-
-    def matvec(self, M, v) -> list:
-        out = super().matvec(M, v)
-        self.products += out
-        return out
-
-
 def _noise_step(recurrence, method, nargs: int):
-    """`method` of an encrypted controller on the noise budget model of `he`,
+    """`method` of an encrypted controller recorded on a `NoiseRing` and
     compiled: a function of one list, the noise bounds of the state and of
     `nargs` argument ciphertexts, that returns the bounds of the new state
     and of the ciphertexts `method` returns, as one list, and the largest
-    bound of a product in the step, the one `he` checks against the pad.
-    As in `he.plain_matmul` and `he.add`, a product multiplies a bound by its
-    `he.PlainMatrix`'s weight and a sum adds bounds: each bound is recorded
-    as a vector of one entry, each matrix as its weight."""
-    source, n = _Products(), len(recurrence.state)
-    bounds = [[b] for b in source.vector(n + nargs)]
-    new, result = _record(recurrence, method, source,
-                          {k: [[M.weight]] for k, M in vars(recurrence.m).items()},
+    bound of a product in the step, the one `he` checks against the pad."""
+    ring, n = NoiseRing(recurrence.ring.q), len(recurrence.state)
+    bounds = [[b] for b in ring.vector(n + nargs)]
+    new, result = _record(recurrence, method, ring, vars(recurrence.m),
                           bounds[:n], bounds[n:])
-    fn = source.function(([b for v in (*new, *_vectors(result)) for b in v],
-                          tuple(dict.fromkeys(source.products))))
-
-    def run(bounds):
-        out, products = fn(bounds)
-        return out, max(products)
-
-    return run
+    return ring.bounds((*new, *_vectors(result)))
 
 
 def _compile_cipher(controller, method, *args):
@@ -474,12 +457,13 @@ def _compile_cipher(controller, method, *args):
     centered plaintext rows, with the reducer and limit of `he`
     (`he.slot_reduction`): products and sums chain on unreduced payloads,
     an entry is reduced only where the limit needs it, and every state and
-    returned entry is reduced once.  The bounds are `_noise_step`'s, and the
-    step's largest product bound goes through `he.check_budget`, which
-    raises where the first product past the budget would.  Returned sums
-    are left to `he.decrypt`'s check, as on the staged path.  A plaintext
-    wider than a packed slot holds is refused here (`he.check_columns`), as
-    the staged product would refuse it."""
+    returned entry is reduced once.  The bounds are the same step recorded
+    on a `NoiseRing` (`_noise_step`), the one `noise_peak` sizes the pad
+    with, and the step's largest product bound goes through
+    `he.check_budget`, which raises where the first product past the budget
+    would.  Returned sums are left to `he.decrypt`'s check, as on the staged
+    path.  A plaintext wider than a packed slot holds is refused here
+    (`he.check_columns`), as the staged product would refuse it."""
     params, state = controller.ring.pk.params, controller.state
     n = len(state)
     for M in vars(controller.m).values():
@@ -551,34 +535,41 @@ class CipherRing:
         return first
 
 
-class NoiseRing:
-    """The lattice backend's noise bounds in place of ciphertexts: a dry run
-    of the budget model of `he` for a bootstrap (`noise_peak`; the steps run
-    `_noise_step`).  A plaintext is the `he.PlainMatrix` `CipherRing` makes
-    of it, whose weight a product charges; `fresh` is
-    `he.FRESH_NOISE_BOUND`, fixed by the constant LWE dimensions; sums add
-    bounds.  No bound depends on the pad, the one per-run setting.  `he`
-    checks a bound against the pad at each product and `decrypt`, so `peak`
-    is the largest product so far."""
+class NoiseRing(kernel.Source):
+    """The noise budget model of `he`, recorded over one bound per vector:
+    `noise_peak` records a bootstrap on it, `_noise_step` a step.  A
+    plaintext is `CipherRing`'s `he.PlainMatrix`, by whose weight a product
+    multiplies a bound (`matvec` records [[weight]] and keeps the product);
+    sums add bounds; `fresh` is a new one-entry input, bound to
+    `he.FRESH_NOISE_BOUND` when the record runs.  No bound depends on the
+    pad, the one per-run setting."""
 
     def __init__(self, q: int):
-        self.q = q
-        self.peak = 0
+        super().__init__()
+        self.q, self.products = q, []
 
     plain = CipherRing.plain
 
-    @staticmethod
-    def fresh(values):
-        return he.FRESH_NOISE_BOUND
+    def fresh(self, values):
+        return self.vector(1)
 
-    def matvec(self, M, bound):
-        bound *= M.weight
-        self.peak = max(self.peak, bound)
-        return bound
+    def matvec(self, M, v) -> list:
+        out = super().matvec([[M.weight]], v)
+        self.products += out
+        return out
 
-    @staticmethod
-    def add(*bounds):
-        return sum(bounds)
+    def bounds(self, vectors):
+        """The record compiled: a function of the input vectors' bounds that
+        returns those of `vectors`, as one list, and the largest bound of a
+        recorded product (0 if none)."""
+        fn = self.function(([b for v in vectors for b in v],
+                            tuple(dict.fromkeys(self.products))))
+
+        def run(*inputs):
+            out, products = fn(*inputs)
+            return out, max(products, default=0)
+
+        return run
 
 
 MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
@@ -889,12 +880,12 @@ def noise_peak(plan, horizon: int) -> int:
     (main or prelim) checks against its pad: of any matrix product, and of
     any ciphertext the controller emits, which a party decrypts.
 
-    The plan's encrypted controller runs as a route's step drives it
-    (`run_closed_loop_*`): the bootstrap on a `NoiseRing`, then each step
-    fed two fresh encryptions, horizon - 1 steps on the main route and
-    horizon on the prelim route, through the compiled noise step that the
-    encrypted run checks (`_noise_step`).  Noise bounds depend neither on
-    the plaintext values nor on the vector lengths, so none are needed."""
+    The plan's encrypted controller runs on `NoiseRing` as a route's step
+    drives it (`run_closed_loop_*`): the bootstrap, recorded and compiled
+    once, then each step fed two fresh encryptions through the noise step
+    the encrypted run checks (`_noise_step`), horizon - 1 steps on the main
+    route, whose bootstrap emits step 0, and horizon on the prelim route.
+    No bound depends on a plaintext value or a vector length."""
     ring = NoiseRing(plan.q)
     if isinstance(plan, MainPlan):
         controller, method, steps = MainEncController(ring, plan), MainRecurrence.step, horizon - 1
@@ -903,13 +894,14 @@ def noise_peak(plan, horizon: int) -> int:
         controller, method, steps = PrelimEncController(ring, plan), PrelimRecurrence.step, horizon
         controller.bootstrap(())
         emitted = ()
-    peak = max((ring.peak, *emitted))
-    step, n = _noise_step(controller, method, 2), len(controller.state)
-    bounds = [getattr(controller, k) for k in controller.state]
+    n = len(controller.state)
+    bootstrap = ring.bounds([*(getattr(controller, k) for k in controller.state), *emitted])
+    bounds, peak = bootstrap(*[[he.FRESH_NOISE_BOUND]] * len(ring.params))
+    peak = max([peak, *bounds[n:]])
+    step = _noise_step(controller, method, 2)
     for _ in range(steps):
-        out, product_peak = step(bounds + [he.FRESH_NOISE_BOUND] * 2)
-        bounds = out[:n]
-        peak = max(peak, product_peak, *out[n:])
+        bounds, product_peak = step(bounds[:n] + [he.FRESH_NOISE_BOUND] * 2)
+        peak = max(peak, product_peak, *bounds[n:])
     return peak
 
 

@@ -62,6 +62,15 @@ def tanks_plan(tanks):
     return plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=bound)
 
 
+@pytest.fixture(scope="session")
+def tanks_main_plan(tanks):
+    """The coupled tanks on the main route, with the exact deadbeat design,
+    as `encloop simulate --fixture coupled-tanks --scheme main` plans it."""
+    L = design_deadbeat_observer(tanks.plant.A, tanks.plant.C).L
+    return plan_main(tanks.plant, tanks.ctrl, MainPlanOptions(
+        L=L, L_exact=L, reference=tanks.reference))
+
+
 # -- random system generators -------------------------------------------------
 
 

@@ -323,6 +323,35 @@ def test_command_line_override_beats_config_override(capsys, tmp_path, command):
     assert (rep["plan"] if command == "simulate" else rep)["q"] == "4096"
 
 
+def test_summary_of_a_run_without_increments_is_strict_json(capsys, tmp_path):
+    """A batch reactor at rest (reference and x_p0 all 0) sends only zero
+    increments: the summary writes the -inf max log2 increment as null, not
+    as the -Infinity that strict JSON parsers reject; the CSV keeps -inf."""
+    sc = batch_reactor()
+
+    def rows(M):
+        return [[str(x) for x in M.data[i * M.cols:(i + 1) * M.cols]] for i in range(M.rows)]
+
+    cfg = {"plant": {"A": rows(sc.plant.A), "B": rows(sc.plant.B), "C": rows(sc.plant.C),
+                     "x_p0_bound": "2"},
+           "controller": {"F": rows(sc.ctrl.F), "G": rows(sc.ctrl.G), "R": rows(sc.ctrl.R_ref),
+                          "H": rows(sc.ctrl.H), "J": rows(sc.ctrl.J), "S": rows(sc.ctrl.S)},
+           "L": rows(sc.L_published), "reference": ["0"] * 4, "x_p0": ["0"] * 4}
+    path, prefix = tmp_path / "rest.json", tmp_path / "P"
+    path.write_text(json.dumps(cfg))
+    code, out, _ = run_cli(capsys, "simulate", "--config", str(path), "--horizon", "3",
+                           "--out", str(prefix))
+    assert code == 0
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    for text in (out, (tmp_path / "P.json").read_text()):
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["max_log2_increment"] is None and summary["final_diff_inf"] == 0.0
+    assert (tmp_path / "P.csv").read_text().splitlines()[1].split(",")[4:8] == ["-inf"] * 4
+
+
 def test_encryption_error_exits_5(capsys, monkeypatch):
     def overflow(plan, cfg):
         raise he.NoiseOverflowError("noise bound past the declared budget")

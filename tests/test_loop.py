@@ -21,6 +21,7 @@ from encloop.loop import (
     MainEncController,
     MainIntegerShadow,
     MainRecurrence,
+    NoiseRing,
     PlantSim,
     PrelimEncController,
     PrelimIntegerShadow,
@@ -36,7 +37,7 @@ from encloop.loop import (
     _vectors,
     _scaled_integer_state,
 )
-from encloop.planner import MainPlanOptions, design_deadbeat_observer, plan_main
+from encloop.planner import MainPlanOptions, plan_main
 
 from conftest import random_main_system
 
@@ -254,12 +255,10 @@ class TestMainIncrements:
         return Scenario("non-decimal", batch.plant, batch.ctrl, ref, NON_DECIMAL_X_P0), plan
 
     @pytest.fixture(scope="class")
-    def tanks_main(self, tanks):
+    def tanks_main(self, tanks, tanks_main_plan):
         """The coupled tanks on the main route (exact design): x_e0 = (5, -5)
         scaled, so step 0's beta is nonzero."""
-        L = design_deadbeat_observer(tanks.plant.A, tanks.plant.C).L
-        return tanks, plan_main(tanks.plant, tanks.ctrl, MainPlanOptions(
-            L=L, L_exact=L, reference=tanks.reference))
+        return tanks, tanks_main_plan
 
     def test_emitted_increments_are_the_definition_form(self, non_decimal, tanks_main):
         """alpha, beta and gamma equal the definition form of `MainRecurrence`
@@ -637,7 +636,37 @@ class TestCompiledControllerStep:
 
 class TestNoiseDryRun:
     """`lattice_params` sizes the pad from a dry run of the noise budget
-    (`NoiseRing`); the dry run predicts a real run exactly."""
+    recorded on `NoiseRing`; the dry run predicts a real run exactly."""
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
+        """`lattice_params` compiles 2 kernels, both on `NoiseRing`: the
+        bootstrap's bounds and the step's.  The step's source is that of the
+        noise kernel the lattice run's controller checks its steps with."""
+        sc, plan, run = route(request, scheme)
+        sources, noise, compile_, bounds = [], [], compile, NoiseRing.bounds
+
+        def recording_compile(source, *args):
+            sources.append(source)
+            return compile_(source, *args)
+
+        def recording_bounds(ring, vectors):
+            out = bounds(ring, vectors)
+            noise.append(sources[-1])
+            return out
+
+        # `kernel.Source.function` compiles through the name `compile`
+        monkeypatch.setattr(kernel, "compile", recording_compile, raising=False)
+        monkeypatch.setattr(NoiseRing, "bounds", recording_bounds)
+        params = lattice_params(plan, 5)
+        assert len(sources) == 2 and noise == sources
+        dry_step = sources[1]
+        sources.clear()
+        noise.clear()
+        tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                                 x_p0=sc.x_p0, horizon=5, params=params))
+        assert tr.recovery_failures == 0
+        assert noise == [dry_step]
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -650,7 +679,8 @@ class TestNoiseDryRun:
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_peak_is_the_largest_noise_of_a_run(self, request, monkeypatch, scheme):
-        """At H = 1 and 2 the bootstrap alone sets the pad, at H = 30 the steps."""
+        """At H = 1 and 2 the bootstrap and the first steps set the pad, at
+        H = 30 the later steps."""
         sc, plan, run = route(request, scheme)
         for horizon in (1, 2, 30):
             self._check_peak(monkeypatch, sc, plan, run, horizon)
@@ -883,10 +913,29 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
     assert _golden_digest(run(plan, cfg)) == digest
 
 
+# (plan fixture, horizons, the pad `lattice_params` sizes at each)
+PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (29, 46, 70, 469, 938, 4694)),
+        ("tanks_plan", (1, 2, 3, 20, 200), (16, 17, 17, 19, 22)),
+        ("tanks_main_plan", (1, 2, 3, 100), (17, 22, 29, 673))]
+
+
+@pytest.mark.parametrize("plan,horizons,pads", PADS,
+                         ids=["batch-reactor-main", "coupled-tanks-prelim",
+                              "coupled-tanks-main"])
+def test_lattice_pads_are_pinned(request, plan, horizons, pads):
+    """The pads of the bundled plans: an edit of the noise model that moves
+    one fails here.  On the main route the recorded bootstrap alone sets the
+    pad at H = 1; the prelim bootstrap records no product, so a step sets
+    every prelim pad.  4694 bits at H=200 make the widest packed slots of a
+    bundled run."""
+    plan = request.getfixturevalue(plan)
+    assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
+
+
 def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan):
-    """The batch reactor on lattice at H=200, whose 4694-bit pad makes the
-    widest packed slots of a bundled run, restores the same inputs as mock."""
-    assert lattice_params(sound_plan, 200).lattice.pad_bits == 4694
+    """The batch reactor on lattice at H=200, whose 4694-bit pad
+    (`test_lattice_pads_are_pinned`) makes the widest packed slots of a
+    bundled run, restores the same inputs as mock."""
     digests = set()
     for backend in ("mock", "lattice"):
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 200,
