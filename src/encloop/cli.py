@@ -122,6 +122,18 @@ def _overrides(args, cfg: dict, scheme: str) -> dict:
     return out
 
 
+def _print(text: str):
+    """Prints `text` to stdout.  A reader that closed stdout early (`| head`)
+    ends the output, not the command: the rest is dropped, stdout is
+    detached so that nothing flushes to it at exit, and the command keeps
+    its own exit code."""
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        sys.stdout = None
+
+
 def _observer_for(scenario: Scenario, mode: str):
     """Resolve the observer gain pair (runtime L, exact companion) for a scenario:
     `published` runs the published gain, `exact` the minimal-index deadbeat
@@ -132,7 +144,8 @@ def _observer_for(scenario: Scenario, mode: str):
         L = design_deadbeat_observer(A, C).L
         return L, L
     if L_published is None:
-        raise ConfigError("scenario carries no published observer gain")
+        raise ConfigError("scenario carries no published observer gain; "
+                          "--observer exact runs the minimal-index deadbeat design")
     companion = deadbeat_companion(A, C, L_published)
     if mode == "published":
         return L_published, (companion.L if companion is not None else None)
@@ -198,7 +211,7 @@ def cmd_plan(args) -> int:
     if args.out:
         with open(args.out, "w") as f:
             f.write(text + "\n")
-    print(text)
+    _print(text)
     return code
 
 
@@ -259,7 +272,7 @@ def cmd_simulate(args) -> int:
         with open(args.out + ".json", "w") as f:
             json.dump(summary, f, indent=2, sort_keys=True)
             f.write("\n")
-    print(json.dumps(summary, indent=2, sort_keys=True))
+    _print(json.dumps(summary, indent=2, sort_keys=True))
     if trace.recovery_failures:
         return EXIT_RECOVERY
     if trace.saturation_count:
@@ -311,8 +324,7 @@ def cmd_compare(args) -> int:
         ))
     width0 = max(len(r[0]) for r in rows)
     width1 = max(len(r[1]) for r in rows)
-    for r in rows:
-        print(f"{r[0]:<{width0}}  {r[1]:<{width1}}  {r[2]}")
+    _print("\n".join(f"{r[0]:<{width0}}  {r[1]:<{width1}}  {r[2]}" for r in rows))
     return EXIT_OK
 
 

@@ -12,9 +12,11 @@ Two interchangeable backends:
   for free.  Noise is tracked per ciphertext with a conservative budget
   model (additive for sums; for matrix products, weighted by the largest
   absolute row sum of the matrix centered mod q) so decryption ambiguity is
-  predicted, not discovered: `check_budget` checks a product's bound, for
-  `plain_matmul` and for a step compiled over payloads alike, and what
-  `decrypt` decrypts; `loop.NoiseRing` records the model to size the pad.
+  predicted, not discovered.  Staged (`plain_matmul`, `add`) or compiled
+  over payloads (`loop`), a product follows one rule: `check_product`
+  admits the plaintext, `slot_reduction` reduces the payload and
+  `check_budget` checks the noise bound, as `decrypt` does; `loop.NoiseRing`
+  records the model to size the pad.
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
@@ -28,8 +30,7 @@ over a row (m the centered residue of the matrix entry mod q, |m| <= q/2,
 prepared once per matrix by `PlainMatrix`).  Slots may go negative in
 between; a row of at most 2^GUARD columns keeps every slot below 2^(W-1) in
 magnitude, so no borrow or carry crosses a slot boundary once the offset
-2^(W-1) is added to each slot.  `check_columns` refuses a wider product,
-staged or compiled.
+2^(W-1) is added to each slot.  `check_product` refuses a wider product.
 The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
 two (every q the planner makes), and slot by slot otherwise.  A kernel
 compiled over packed payloads (`kernel.Source`) chains products and sums
@@ -218,12 +219,6 @@ class Ciphertext:
     payload: tuple
     noise_bound: int = 0
 
-    def _compatible(self, other: "Ciphertext"):
-        if self.params is not other.params and self.params != other.params:
-            raise DimensionMismatchError("ciphertexts from different schemes")
-        if self.dim != other.dim:
-            raise DimensionMismatchError(f"dimension {self.dim} vs {other.dim}")
-
 
 def keygen(params: SchemeParams, seed: Optional[int] = None):
     """Returns (public KeyMaterial, full KeyMaterial); deterministic under a seed.
@@ -301,13 +296,13 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
 
 
 def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
-    c1._compatible(c2)
     params = c1.params
-    if params.backend == "mock":
-        payload = tuple((x + y) % params.q for x, y in zip(c1.payload, c2.payload))
-    else:
-        reduce = params._slots.reduce
-        payload = tuple(reduce(x + y) for x, y in zip(c1.payload, c2.payload))
+    if params is not c2.params and params != c2.params:
+        raise DimensionMismatchError("ciphertexts from different schemes")
+    if c1.dim != c2.dim:
+        raise DimensionMismatchError(f"dimension {c1.dim} vs {c2.dim}")
+    reduce = slot_reduction(params)[0]
+    payload = tuple(reduce(x + y) for x, y in zip(c1.payload, c2.payload))
     return Ciphertext(params, c1.dim, payload,
                       noise_bound=c1.noise_bound + c2.noise_bound)
 
@@ -338,12 +333,16 @@ def check_budget(params: SchemeParams, bound: int):
         )
 
 
-def check_columns(params: SchemeParams, cols: int):
-    """Raises `DimensionMismatchError` if a product over `cols` columns could
-    outgrow a packed slot: the lattice backend takes at most 2^GUARD."""
-    if params.backend == "lattice" and cols > 1 << GUARD:
+def check_product(params: SchemeParams, M: "PlainMatrix"):
+    """Raises `DimensionMismatchError` unless ciphertexts under `params`
+    admit a product by M: M prepared under their q and, on the lattice
+    backend, at most 2^GUARD columns, the most a packed slot sums without
+    overflow."""
+    if M.q != params.q:
+        raise DimensionMismatchError(f"matrix prepared mod {M.q}, ciphertext mod {params.q}")
+    if params.backend == "lattice" and M.cols > 1 << GUARD:
         raise DimensionMismatchError(
-            f"{cols} columns exceed the {1 << GUARD} a packed slot holds")
+            f"{M.cols} columns exceed the {1 << GUARD} a packed slot holds")
 
 
 class PlainMatrix:
@@ -365,28 +364,19 @@ class PlainMatrix:
                           for row in M)
         self.weight = max(sum(map(abs, row)) for row in self.rows)
 
-    def row_sums(self, v) -> list:
-        """The unreduced sums of m v[j] over each row."""
-        return [sum(m * x for m, x in zip(row, v)) for row in self.rows]
-
 
 def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
-    """M is a `PlainMatrix` under the ciphertext's q; decrypts to M v mod q,
-    with the noise bound multiplied by M's weight.  The lattice backend takes
-    at most 2^GUARD columns."""
+    """M v mod q, by the product rule (module docstring), for a `PlainMatrix`
+    M with one column per entry of v; the noise bound is multiplied by M's
+    weight."""
     params = ct.params
-    if M.q != params.q:
-        raise DimensionMismatchError(f"matrix prepared mod {M.q}, ciphertext mod {params.q}")
+    check_product(params, M)
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = ct.noise_bound * M.weight
     check_budget(params, noise)
-    check_columns(params, ct.dim)
-    if params.backend == "mock":
-        q = params.q
-        payload = tuple([x % q for x in M.row_sums(ct.payload)])
-    else:
-        payload = tuple(map(params._slots.reduce, M.row_sums(ct.payload)))
+    reduce = slot_reduction(params)[0]
+    payload = tuple([reduce(sum(m * x for m, x in zip(row, ct.payload))) for row in M.rows])
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 
 

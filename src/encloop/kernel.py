@@ -45,7 +45,8 @@ _NAME = re.compile(r"t[0-9]+")
 class Source:
     """Straight-line source under construction, and the ring that records
     it: `matvec` (integer rows times a vector of entries) and `add` (of any
-    number of vectors) make one linear form per entry.  `reduce` and
+    number of vectors) make one linear form per entry, and refuse operands
+    of unequal length (`ValueError`).  `reduce` and
     `limit` place reductions (module docstring); `limit=None` places none
     between the inputs and `reduced`."""
 
@@ -112,9 +113,13 @@ class Source:
         return name
 
     def matvec(self, M, v) -> list:
+        if any(len(row) != len(v) for row in M):
+            raise ValueError("matrix columns must match the vector's length")
         return [self.linear(zip(row, v)) for row in M]
 
     def add(self, *vs) -> list:
+        if len(set(map(len, vs))) > 1:
+            raise ValueError("vectors to add must have equal lengths")
         return [self.linear((1, x) for x in t) for t in zip(*vs)]
 
     def function(self, result):

@@ -453,26 +453,29 @@ def _compile_cipher(controller, method, *args):
     state ciphertexts and returns the ciphertexts `method` returns, payloads
     and bounds equal to those of the staged `he` ops.
 
-    The payloads are `method` recorded once on a `kernel.Source` over the
-    centered plaintext rows, with the reducer and limit of `he`
-    (`he.slot_reduction`): products and sums chain on unreduced payloads,
-    an entry is reduced only where the limit needs it, and every state and
-    returned entry is reduced once.  The bounds are the same step recorded
-    on a `NoiseRing` (`_noise_step`), the one `noise_peak` sizes the pad
-    with, and the step's largest product bound goes through
-    `he.check_budget`, which raises where the first product past the budget
-    would.  Returned sums are left to `he.decrypt`'s check, as on the staged
-    path.  A plaintext wider than a packed slot holds is refused here
-    (`he.check_columns`), as the staged product would refuse it."""
+    `he`'s product rule holds for the whole step.  Each plaintext passes
+    `he.check_product`, and operands of unequal length, which the recording
+    refuses, raise `he.DimensionMismatchError`.  The payloads are `method`
+    recorded once on a `kernel.Source` over the centered plaintext rows with
+    `he.slot_reduction`'s reducer and limit: products and sums chain
+    unreduced, an entry is reduced only where the limit needs it, and every
+    state and returned entry once.  The bounds are the same step recorded on
+    a `NoiseRing` (`_noise_step`, the one `noise_peak` sizes the pad with),
+    and the step's largest product bound goes through `he.check_budget`,
+    which raises where the first product past the budget would; returned
+    sums are left to `he.decrypt`, as on the staged path."""
     params, state = controller.ring.pk.params, controller.state
     n = len(state)
     for M in vars(controller.m).values():
-        he.check_columns(params, M.cols)
+        he.check_product(params, M)
     source = kernel.Source(*he.slot_reduction(params))
     vectors = [source.vector(ct.dim) for ct in (*(getattr(controller, k) for k in state), *args)]
-    new, result = _record(controller, method, source,
-                          {k: M.rows for k, M in vars(controller.m).items()},
-                          vectors[:n], vectors[n:])
+    try:
+        new, result = _record(controller, method, source,
+                              {k: M.rows for k, M in vars(controller.m).items()},
+                              vectors[:n], vectors[n:])
+    except ValueError as e:
+        raise he.DimensionMismatchError(e) from None
     payloads = source.function([tuple(source.reduced(v)) for v in (*new, *_vectors(result))])
     noise, many = _noise_step(controller, method, len(args)), isinstance(result, tuple)
 

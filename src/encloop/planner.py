@@ -154,12 +154,19 @@ class FeasibilityReport:
     reason: str
 
 
-def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> FeasibilityReport:
+def _contractive_rho_c(plant: PlantModel, ctrl: ControllerModel) -> float:
+    """rho_c, the spectral radius of the pre-given closed loop, which both
+    routes assume below 1."""
     rho_c = spectral_radius(block_closed_loop(plant, ctrl))
     if rho_c >= 1.0:
         raise AssumptionViolatedError(
             f"closed loop is not contractive: rho_c = {rho_c:.6f} >= 1"
         )
+    return rho_c
+
+
+def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> FeasibilityReport:
+    rho_c = _contractive_rho_c(plant, ctrl)
     s_F = max_integer_scale(ctrl.F)  # the controller's own granularity
     feasible = rho_c < float(s_F)
     reason = "" if feasible else (
@@ -215,7 +222,7 @@ def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
     omega = as_fraction(omega)
     A_cl, Bbar = _coupling_blocks(plant, ctrl)
     P = A_cl.to_floats() / float(omega)
-    rho = float(np.max(np.abs(np.linalg.eigvals(P)))) if P.size else 0.0
+    rho = spectral_radius(A_cl) / float(omega)
     if rho >= 1.0 - 1e-12:
         raise DivergentError(
             f"rho(A_cl/omega) = {rho:.6f} >= 1: one-step differences are unbounded"
@@ -500,8 +507,7 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
         Pk = Pk @ Nf
     tail_sound = N.matpow(deadbeat_index).is_zero()
     if not tail_sound:
-        rho = float(np.max(np.abs(np.linalg.eigvals(Nf)))) if Nf.size else 0.0
-        tail_sound = rho < 1.0 or float(np.linalg.norm(Pk @ Lf, np.inf)) == 0.0
+        tail_sound = spectral_radius(N) / w < 1.0 or float(np.linalg.norm(Pk @ Lf, np.inf)) == 0.0
     return CeResult(value=max(0.5, transient + series),
                     tail_sound=tail_sound,
                     truncation_index=deadbeat_index, terms=tuple(terms))
@@ -627,9 +633,7 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     (certificates, C_e, q, bootstrap_bound, range_level) is derived from it
     as from a chosen one.  A pin that fails a check raises PinError."""
     n = plant.n
-    rho_c = spectral_radius(block_closed_loop(plant, ctrl))
-    if rho_c >= 1.0:
-        raise AssumptionViolatedError(f"rho_c = {rho_c:.6f} >= 1")
+    _contractive_rho_c(plant, ctrl)
     if observability_matrix(plant.A, plant.C).rank() < n:
         raise NotObservableError("(A, C) is not observable")
 

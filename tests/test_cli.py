@@ -618,6 +618,39 @@ def test_unwritable_out_is_a_config_error(capsys, tmp_path, argv):
     assert err.startswith("config error: cannot write ") and "missing" in err
 
 
+
+class ClosedStdout:
+    """A stdout whose reader has gone, as after `| head`: a write raises
+    `BrokenPipeError`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+
+@pytest.mark.parametrize("argv,want", [
+    (["plan", "--fixture", "coupled-tanks", "--scheme", "main", "--observer", "exact"], 0),
+    (["plan", "--fixture", "batch-reactor", "--scheme", "prelim"], 2),
+    (["simulate", "--fixture", "coupled-tanks", "--scheme", "prelim", "--horizon", "3"], 0),
+    (["compare", "--hypothetical", "n=4,n_x=4,w=10"], 0),
+], ids=["plan", "infeasible-plan", "simulate", "compare"])
+def test_closed_stdout_keeps_the_exit_code(capsys, monkeypatch, argv, want):
+    """A reader that stops early is no config error: nothing on stderr, and
+    the exit code the command has with stdout open."""
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    assert main(argv) == want
+    assert capsys.readouterr().err == ""
+
+
+def test_plan_without_a_published_gain_names_the_exact_observer(capsys):
+    """`plan` defaults to the published gain, which the coupled tanks lack."""
+    code, out, err = run_cli(capsys, "plan", "--fixture", "coupled-tanks", "--scheme", "main")
+    assert (code, out) == (1, "")
+    assert err == ("config error: scenario carries no published observer gain; "
+                   "--observer exact runs the minimal-index deadbeat design\n")
+
 INEXACT_ENTRIES = [
     # (id, path of the key in the config, value)
     ("reference-float", ("reference",), [0.1]),

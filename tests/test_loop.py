@@ -468,6 +468,19 @@ class TestCompiledKernels:
         assert len(source.lines) == math.ceil(3000 / kernel.TERMS_PER_STATEMENT)
         assert source.function(out)(v) == IntRing.matvec(M, v)
 
+    def test_operands_of_unequal_length_are_refused_while_recording(self):
+        """`zip` would drop the entries past the shorter operand."""
+        source = kernel.Source()
+        x, y = source.vector(2), source.vector(3)
+        for M in ([[1, 2, 3]], [[1]], [[1, 2], [1, 2, 3]]):
+            with pytest.raises(ValueError, match="columns"):
+                source.matvec(M, x)
+        with pytest.raises(ValueError, match="equal lengths"):
+            source.add(x, y)
+        with pytest.raises(ValueError, match="equal lengths"):
+            source.add(x, x, y)
+        assert source.lines == []
+
     def test_source_takes_only_integers_and_generated_names(self):
         source = kernel.Source()
         x = source.vector(1)
@@ -591,30 +604,56 @@ class TestCompiledControllerStep:
         assert overflow is not None or (backend, horizon) != ("short-pad", 30)
 
     @pytest.mark.parametrize("backend", ["mock", "lattice"])
-    def test_row_wider_than_a_slot_is_refused_as_staged(self, backend):
-        """A product over more columns than a packed slot holds (2^GUARD)
-        raises `DimensionMismatchError` on lattice, as `he.plain_matmul`
-        does, even with coefficients small enough to fit; mock takes it."""
-        wide, q = (1 << he.GUARD) + 1, 2**12
-        rows = {"F/omega": [[1]], "G/(s1*omega)": [[1] * wide], "R/(s1*omega)": [[1]],
-                "H/s2": [[1]], "J/(s1*s2)": [[-1] * wide], "S/(s1*s2)": [[1]]}
-        plan = SimpleNamespace(certificates={
-            name: SimpleNamespace(int_rows=lambda r=r: r) for name, r in rows.items()})
+    @pytest.mark.parametrize("case,scheme", [
+        ("wide", "prelim"), ("wrong-q", "main"), ("wrong-q", "prelim"),
+        ("wrong-length", "main"), ("wrong-length", "prelim")])
+    def test_row_wider_than_a_slot_is_refused_as_staged(self, request, case, scheme, backend):
+        """A product the staged `he` ops refuse with `DimensionMismatchError`
+        is refused by the compiled step too, at its first call: over more
+        columns than a packed slot holds (2^GUARD, "wide"; on lattice only,
+        even with coefficients small enough to fit, and mock takes it), by
+        a plaintext prepared under another q than the keys' ("wrong-q"), and
+        with an input one entry too long ("wrong-length")."""
+        if case == "wide":
+            wide, q = (1 << he.GUARD) + 1, 2**12
+            rows = {"F/omega": [[1]], "G/(s1*omega)": [[1] * wide], "R/(s1*omega)": [[1]],
+                    "H/s2": [[1]], "J/(s1*s2)": [[-1] * wide], "S/(s1*s2)": [[1]]}
+            plan = SimpleNamespace(q=q, certificates={
+                name: SimpleNamespace(int_rows=lambda r=r: r) for name, r in rows.items()})
+            x0, dims, pad = [3], [wide, 1], 30
+        else:
+            sc, plan, _ = route(request, scheme)
+            if scheme == "main":
+                x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.l0)
+                dims = [plan.dims["v"], plan.dims["n_r"]]
+            else:
+                x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.s1 * plan.l0)
+                dims = [sc.plant.v, sc.ctrl.n_r]
+            pad = lattice_params(plan, 3).lattice.pad_bits
+            dims[0] += case == "wrong-length"
+        q = plan.q + (case == "wrong-q")
         params = (he.SchemeParams.mock(q) if backend == "mock" else
-                  he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(30)))
+                  he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad)))
         pk, _ = he.keygen(params, seed=1)
+        # the bootstrapped state, encrypted from the integer twin: the main
+        # bootstrap multiplies, and would refuse a wrong q before any step
+        twin = (MainRecurrence if scheme == "main" else PrelimRecurrence)(IntRing(), plan)
+        twin.bootstrap(x0)
         outcomes = []
-        for cls in (PrelimEncController, PrelimRecurrence):
-            rec = cls(CipherRing(pk, q, random.Random(2)), plan)
-            rec.bootstrap([3])
-            inputs = CipherRing(pk, q, random.Random(3))
+        for cls in ((MainEncController, MainRecurrence) if scheme == "main" else
+                    (PrelimEncController, PrelimRecurrence)):
+            rec = cls(CipherRing(pk, plan.q, random.Random(2)), plan)
+            for k in rec.state:
+                setattr(rec, k, rec.ring.fresh(getattr(twin, k)))
+            inputs = CipherRing(pk, plan.q, random.Random(3))
             try:
-                u = rec.step(inputs.fresh([1] * wide), inputs.fresh([5]))
-                outcomes.append((u.payload, rec.x.payload))
+                emitted = rec.step(inputs.fresh([1] * dims[0]), inputs.fresh([5] * dims[1]))
+                cts = [*_vectors(emitted), *(getattr(rec, k) for k in rec.state)]
+                outcomes.append([ct.payload for ct in cts])
             except he.DimensionMismatchError:
                 outcomes.append("refused")
         assert outcomes[0] == outcomes[1]
-        assert (outcomes[0] == "refused") == (backend == "lattice")
+        assert (outcomes[0] == "refused") == (backend == "lattice" or case != "wide")
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_run(self, request, monkeypatch, scheme):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from encloop import planner
 from encloop.exactmat import (
     RationalMatrix,
     block_closed_loop,
@@ -102,6 +103,26 @@ class TestFeasibility:
         with pytest.raises(AssumptionViolatedError):
             check_prelim_feasible(plant, ctrl)
 
+
+
+def test_stability_gates_read_one_spectral_radius(monkeypatch, batch, batch_companion,
+                                                  tanks, tanks_plan):
+    """Every float stability decision of the planners reads
+    `spectral_radius`: with it reporting 2, both routes refuse the closed
+    loop with one message, `compute_M` refuses a divergent series, and
+    `compute_Ce` no longer calls a non-nilpotent gain's tail sound."""
+    A, C, L = batch.plant.A, batch.plant.C, batch.L_published
+    Ce = compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n)
+    assert not (A - L @ C).matpow(batch.plant.n).is_zero() and Ce.tail_sound
+    monkeypatch.setattr(planner, "spectral_radius", lambda m: 2.0)
+    with pytest.raises(AssumptionViolatedError, match="^closed loop is not contractive"):
+        check_prelim_feasible(tanks.plant, tanks.ctrl)
+    with pytest.raises(AssumptionViolatedError, match="^closed loop is not contractive"):
+        plan_main(batch.plant, batch.ctrl, MainPlanOptions(
+            L=batch_companion.L, L_exact=batch_companion.L, reference=batch.reference))
+    with pytest.raises(DivergentError):
+        compute_M(tanks.plant, tanks.ctrl, tanks_plan.omega, 0.0)
+    assert not compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n).tail_sound
 
 class TestComputeM:
     def test_stacked_error_bound_formula(self):
