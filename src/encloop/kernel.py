@@ -113,13 +113,11 @@ class Source:
         return name
 
     def matvec(self, M, v) -> list:
-        if any(len(row) != len(v) for row in M):
-            raise ValueError("matrix columns must match the vector's length")
+        check_matvec(M, v)
         return [self.linear(zip(row, v)) for row in M]
 
     def add(self, *vs) -> list:
-        if len(set(map(len, vs))) > 1:
-            raise ValueError("vectors to add must have equal lengths")
+        check_add(vs)
         return [self.linear((1, x) for x in t) for t in zip(*vs)]
 
     def function(self, result):
@@ -135,6 +133,19 @@ class Source:
         namespace = {"reduce": self.reduce}
         exec(compile(src, "<kernel>", "exec"), namespace)
         return namespace["kernel"]
+
+
+def check_matvec(M, v):
+    """Raises `ValueError` unless every row of M has one entry per entry of
+    v: `zip` would drop the entries past the shorter one."""
+    if any(len(row) != len(v) for row in M):
+        raise ValueError("matrix columns must match the vector's length")
+
+
+def check_add(vs):
+    """Raises `ValueError` unless the vectors `vs` have equal lengths."""
+    if len(set(map(len, vs))) > 1:
+        raise ValueError("vectors to add must have equal lengths")
 
 
 def _term(c: int, x: str, first: bool) -> str:

@@ -30,21 +30,24 @@ step (`lattice_params`), and each encrypted step checks that same step.
 
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so interpreting the recurrence op by op costs more than the
-arithmetic.  On its first call, the step of each party (the encrypted
-controllers' and the integer shadows' `step`, the main actuator's
-`rebuild`) runs the recurrence method once on the recording ring
-`kernel.Source`, which makes every matvec row and every sum one
-straight-line statement over generated names with its zero coefficients
-dropped, and compiles the record into one function, which the party calls
-every later step.  On integers (`_compile`) that is all.  Over ciphertexts
+arithmetic.  The step of each party (the encrypted controllers' and the
+integer shadows' `step`, the main actuator's `rebuild`) is the recurrence
+method run once on the recording ring `kernel.Source`, which makes every
+matvec row and every sum one straight-line statement over generated names
+with its zero coefficients dropped, and the record compiled into one
+function.  On integers (`_compile`) that is all.  Over ciphertexts
 (`_compile_cipher`) a name stands for a packed payload entry, and `he`
 supplies the reducer and the slot limit: an entry is reduced only where the
 limit needs it, and every state and emitted entry once.  The same method,
 recorded again on `NoiseRing` (`_noise_step`), gives the step's bounds and
 its largest product bound, which `he` checks against the pad where the
 staged ops would raise, and `noise_peak` runs that same step to size the
-pad.  Each run compiles its own kernels.  `IntRing` and `CipherRing` stay:
-the bootstraps run on them once per run, and the tests check the compiled
+pad.  A kernel depends only on the plan and, over payloads, on the scheme
+parameters, so the process keeps the kernels it built last (`_kept`): the
+pad's dry run and every run of a plan share them, and only keys,
+ciphertexts and encryption randomness are made per run.  Every call of a
+kernel checks its inputs' lengths.  `IntRing` and `CipherRing` stay: the
+bootstraps run on them once per run, and the tests check the compiled
 kernels against them.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
@@ -373,7 +376,8 @@ class IdealLoop:
 
 
 class IntRing:
-    """Plain Python integers: the integer shadows and the main actuator."""
+    """Plain Python integers: the integer shadows and the main actuator.
+    Operands of unequal length raise `ValueError`, as on `kernel.Source`."""
 
     @staticmethod
     def plain(M):
@@ -385,10 +389,12 @@ class IntRing:
 
     @staticmethod
     def matvec(M, v):
+        kernel.check_matvec(M, v)
         return [sum(m * x for m, x in zip(row, v)) for row in M]
 
     @staticmethod
     def add(*vs):
+        kernel.check_add(vs)
         return [sum(t) for t in zip(*vs)]
 
 
@@ -410,22 +416,66 @@ def _vectors(result) -> tuple:
     return result if isinstance(result, tuple) else (result,)
 
 
+# The kernels built last in this process, oldest first: (builder, method,
+# id(plan), params) -> (plan, kernel).  An entry holds its plan, so no other
+# plan can take that id while the entry is kept.  A main plan has 4 kernels
+# and one more per further pad, a prelim plan 3: 32 keep several plans'.
+KERNELS_KEPT = 32
+_kernels: dict = {}
+
+
+def _kept(build, recurrence, method, args, params=None):
+    """`build(recurrence, method, args)`, the kernel of `method` for the plan
+    of `recurrence` (`recurrence.plan`) and, over ciphertexts, `params`:
+    built at its first use in the process and kept while it is among the
+    last `KERNELS_KEPT` built.  A kernel depends on nothing else of a run:
+    it takes the recurrence as an argument and holds no reference to it, so
+    it holds no key and no ciphertext, and a run's keys and ciphertexts are
+    freed when the run ends."""
+    plan = recurrence.plan
+    key = (build, method, id(plan), params)
+    entry = _kernels.get(key)
+    if entry is None:
+        entry = _kernels[key] = plan, build(recurrence, method, args)
+        if len(_kernels) > KERNELS_KEPT:
+            del _kernels[next(iter(_kernels))]
+    return entry[1]
+
+
+def _check_lengths(got: list, want: list, error):
+    """Raises `error` unless a compiled step's input vectors have the
+    lengths it was recorded at: its state, then its arguments."""
+    if got != want:
+        raise error(f"input lengths {got} differ from the recorded {want}")
+
+
 def _compile(recurrence, method, *args):
     """`method` of a recurrence on `IntRing` as one compiled function of the
     recurrence and `method`'s arguments that updates the recurrence's state
-    as `method` would, and returns what `method` returns.  `method` runs
-    once on a `kernel.Source`, which records it over the recurrence's
-    `IntRing` plaintexts, at the lengths of the current state and of
-    `args`; calls with other lengths raise `ValueError`."""
-    state = recurrence.state
+    as `method` would, and returns what `method` returns; one per plan
+    (`_kept`).  `method` runs once on a `kernel.Source`, which records it
+    over the recurrence's `IntRing` plaintexts, at the lengths of the state
+    and of `args`, the only lengths the plan's matrices accept (other
+    lengths raise `ValueError` while recording); every call checks its
+    inputs' lengths against those and raises `ValueError` on others."""
+    return _kept(_int_kernel, recurrence, method, args)
+
+
+def _int_kernel(recurrence, method, args):
+    """`_compile`'s kernel, recorded at the lengths of the recurrence's state
+    and of `args`."""
+    state, n = recurrence.state, len(recurrence.state)
     source = kernel.Source()
+    vectors = [source.vector(len(v))
+               for v in (*(getattr(recurrence, k) for k in state), *args)]
     new, result = _record(recurrence, method, source, vars(recurrence.m),
-                          [source.vector(len(getattr(recurrence, k))) for k in state],
-                          [source.vector(len(a)) for a in args])
-    fn = source.function((new, result))
+                          vectors[:n], vectors[n:])
+    fn, lengths = source.function((new, result)), list(map(len, vectors))
 
     def run(rec, *args):
-        new, result = fn(*(getattr(rec, k) for k in state), *args)
+        inputs = [*(getattr(rec, k) for k in state), *args]
+        _check_lengths(list(map(len, inputs)), lengths, ValueError)
+        new, result = fn(*inputs)
         for k, v in zip(state, new):
             setattr(rec, k, v)
         return result
@@ -435,10 +485,17 @@ def _compile(recurrence, method, *args):
 
 def _noise_step(recurrence, method, nargs: int):
     """`method` of an encrypted controller recorded on a `NoiseRing` and
-    compiled: a function of one list, the noise bounds of the state and of
-    `nargs` argument ciphertexts, that returns the bounds of the new state
-    and of the ciphertexts `method` returns, as one list, and the largest
-    bound of a product in the step, the one `he` checks against the pad."""
+    compiled, one per plan (`_kept`), which the pad's dry run (`noise_peak`)
+    and every encrypted step of the plan share: a function of one list, the
+    noise bounds of the state and of `nargs` argument ciphertexts, that
+    returns the bounds of the new state and of the ciphertexts `method`
+    returns, as one list, and the largest bound of a product in the step,
+    the one `he` checks against the pad.  No bound depends on the pad."""
+    return _kept(_noise_kernel, recurrence, method, nargs)
+
+
+def _noise_kernel(recurrence, method, nargs: int):
+    """`_noise_step`'s kernel."""
     ring, n = NoiseRing(recurrence.ring.q), len(recurrence.state)
     bounds = [[b] for b in ring.vector(n + nargs)]
     new, result = _record(recurrence, method, ring, vars(recurrence.m),
@@ -451,25 +508,34 @@ def _compile_cipher(controller, method, *args):
     over ciphertext payloads with the noise bounds in lockstep: a function
     of the controller and `method`'s arguments that updates the controller's
     state ciphertexts and returns the ciphertexts `method` returns, payloads
-    and bounds equal to those of the staged `he` ops.
+    and bounds equal to those of the staged `he` ops; one per plan and
+    scheme parameters of the ring's keys (`_kept`).
 
     `he`'s product rule holds for the whole step.  Each plaintext passes
     `he.check_product`, and operands of unequal length, which the recording
-    refuses, raise `he.DimensionMismatchError`.  The payloads are `method`
-    recorded once on a `kernel.Source` over the centered plaintext rows with
-    `he.slot_reduction`'s reducer and limit: products and sums chain
-    unreduced, an entry is reduced only where the limit needs it, and every
-    state and returned entry once.  The bounds are the same step recorded on
-    a `NoiseRing` (`_noise_step`, the one `noise_peak` sizes the pad with),
-    and the step's largest product bound goes through `he.check_budget`,
-    which raises where the first product past the budget would; returned
-    sums are left to `he.decrypt`, as on the staged path."""
+    refuses, raise `he.DimensionMismatchError`, as does every later call on
+    inputs of other lengths than the recorded ones.  The payloads are
+    `method` recorded once on a `kernel.Source` over the centered plaintext
+    rows with `he.slot_reduction`'s reducer and limit: products and sums
+    chain unreduced, an entry is reduced only where the limit needs it, and
+    every state and returned entry once.  The bounds are the plan's noise
+    step (`_noise_step`, the one `noise_peak` sizes the pad with), and the
+    step's largest product bound goes through `he.check_budget`, which
+    raises where the first product past the budget would; returned sums are
+    left to `he.decrypt`, as on the staged path."""
+    return _kept(_cipher_kernel, controller, method, args, controller.ring.pk.params)
+
+
+def _cipher_kernel(controller, method, args):
+    """`_compile_cipher`'s kernel, recorded at the lengths of the
+    controller's state and of `args`."""
     params, state = controller.ring.pk.params, controller.state
     n = len(state)
     for M in vars(controller.m).values():
         he.check_product(params, M)
     source = kernel.Source(*he.slot_reduction(params))
-    vectors = [source.vector(ct.dim) for ct in (*(getattr(controller, k) for k in state), *args)]
+    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in state), *args)]
+    vectors = [source.vector(d) for d in lengths]
     try:
         new, result = _record(controller, method, source,
                               {k: M.rows for k, M in vars(controller.m).items()},
@@ -482,6 +548,7 @@ def _compile_cipher(controller, method, *args):
     def run(rec, *args):
         cts = [getattr(rec, k) for k in state]
         cts += args
+        _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
         bounds, peak = noise([ct.noise_bound for ct in cts])
         he.check_budget(params, peak)
         out = [he.Ciphertext(params, len(p), p, b)
@@ -495,15 +562,11 @@ def _compile_cipher(controller, method, *args):
 
 def _compiled(method, compile):
     """A recurrence's `step`: `method`, compiled by `compile` (`_compile` or
-    `_compile_cipher`) on its first call.  The compiled function takes the
-    recurrence as an argument and holds no reference to it, so a party and
-    its kernel form no cycle, and a run's keys and ciphertexts are freed
-    when the run ends, not at the next garbage collection."""
+    `_compile_cipher`) for the recurrence's plan, at the step's first call
+    in the process, and taken from the kept kernels at every later one."""
 
     def step(self, *args):
-        if self._step is None:
-            self._step = compile(self, method, *args)
-        return self._step(self, *args)
+        return compile(self, method, *args)(self, *args)
 
     return step
 
@@ -625,7 +688,7 @@ class MainRecurrence:
     state = ("xo", "xe", "re", "bx", "bu", "u")
 
     def __init__(self, ring, plan: MainPlan):
-        self.ring = ring
+        self.ring, self.plan = ring, plan
         self.dims = dims = plan.dims
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
         self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES)
@@ -699,7 +762,7 @@ class PrelimRecurrence:
     state = ("x",)
 
     def __init__(self, ring, plan: PrelimPlan):
-        self.ring = ring
+        self.ring, self.plan = ring, plan
         self.m = _load(ring, plan.certificates, PRELIM_CERTIFICATES)
 
     def bootstrap(self, x0_scaled):
@@ -719,18 +782,16 @@ class MainEncController(MainRecurrence):
     """Holds only the public key (in its `CipherRing`); iterates the converted
     observer controller on ciphertexts and emits the observer output plus the
     bounded increments.  The bootstrap runs on the `CipherRing`; `step` is
-    compiled on its first call."""
+    compiled once per plan and scheme parameters."""
 
-    _step = None
     step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
 class MainIntegerShadow(MainRecurrence):
     """Exact unbounded integer dynamics of the converted controller; ground
     truth for every ciphertext (mod q) and for the actuator reconstruction.
-    The bootstrap runs on `IntRing`; `step` is compiled on its first call."""
+    The bootstrap runs on `IntRing`; `step` is compiled once per plan."""
 
-    _step = None
     step = _compiled(MainRecurrence.step, _compile)
 
     def __init__(self, plan: MainPlan):
@@ -799,7 +860,6 @@ class MainActuator:
         self.q = plan.q
         self.states = MainRecurrence(IntRing(), plan)
         self.states.bootstrap([0] * plan.dims["n_x"])
-        self._rebuild = None  # `states.rebuild`, compiled on the first step
         self.dec_ops = 0
 
     @property
@@ -814,9 +874,8 @@ class MainActuator:
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(dec, 0, self.q))
-        if self._rebuild is None:
-            self._rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
-        return tuple(lifted), self._rebuild(self.states, *lifted)
+        rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
+        return tuple(lifted), rebuild(self.states, *lifted)
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -824,17 +883,15 @@ class MainActuator:
 
 class PrelimEncController(PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
-    `step` is compiled on its first call."""
+    `step` is compiled once per plan and scheme parameters."""
 
-    _step = None
     step = _compiled(PrelimRecurrence.step, _compile_cipher)
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
-    """The integer twin of `PrelimEncController`; `step` is compiled on its
-    first call."""
+    """The integer twin of `PrelimEncController`; `step` is compiled once
+    per plan."""
 
-    _step = None
     step = _compiled(PrelimRecurrence.step, _compile)
 
     def __init__(self, plan: PrelimPlan):
@@ -885,9 +942,10 @@ def noise_peak(plan, horizon: int) -> int:
 
     The plan's encrypted controller runs on `NoiseRing` as a route's step
     drives it (`run_closed_loop_*`): the bootstrap, recorded and compiled
-    once, then each step fed two fresh encryptions through the noise step
-    the encrypted run checks (`_noise_step`), horizon - 1 steps on the main
-    route, whose bootstrap emits step 0, and horizon on the prelim route.
+    once, then each step fed two fresh encryptions through the plan's noise
+    step (`_noise_step`), horizon - 1 steps on the main route, whose
+    bootstrap emits step 0, and horizon on the prelim route.  The noise
+    step is kept, and the encrypted runs of the plan check theirs with it.
     No bound depends on a plaintext value or a vector length."""
     ring = NoiseRing(plan.q)
     if isinstance(plan, MainPlan):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
+from encloop import loop
 from encloop.exactmat import RationalMatrix, inf_norm, block_closed_loop
 from encloop.fixtures import batch_reactor, batch_reactor_exact_observer, coupled_tanks
 from encloop.planner import (
@@ -21,6 +22,14 @@ from encloop.planner import (
 # CI runs with --hypothesis-profile=ci: a failing example also prints the
 # blob that replays it (@reproduce_failure).
 settings.register_profile("ci", print_blob=True)
+
+
+@pytest.fixture(autouse=True)
+def fresh_kernels():
+    """Each test starts with no kept kernel (`loop._kept`), so a test that
+    patches `he.slot_reduction`, `kernel.Source.function` or
+    `kernel.compile` gets no kernel an earlier test built."""
+    loop._kernels.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -34,6 +36,7 @@ from encloop.loop import (
     run_closed_loop_prelim,
     _compile,
     _diff_inf,
+    _kernels,
     _vectors,
     _scaled_integer_state,
 )
@@ -469,16 +472,18 @@ class TestCompiledKernels:
         assert source.function(out)(v) == IntRing.matvec(M, v)
 
     def test_operands_of_unequal_length_are_refused_while_recording(self):
-        """`zip` would drop the entries past the shorter operand."""
+        """`zip` would drop the entries past the shorter operand: the
+        recording ring and `IntRing` refuse them alike."""
         source = kernel.Source()
-        x, y = source.vector(2), source.vector(3)
-        for M in ([[1, 2, 3]], [[1]], [[1, 2], [1, 2, 3]]):
-            with pytest.raises(ValueError, match="columns"):
-                source.matvec(M, x)
-        with pytest.raises(ValueError, match="equal lengths"):
-            source.add(x, y)
-        with pytest.raises(ValueError, match="equal lengths"):
-            source.add(x, x, y)
+        for ring, x, y in ((source, source.vector(2), source.vector(3)),
+                           (IntRing, [1, 2], [1, 2, 3])):
+            for M in ([[1, 2, 3]], [[1]], [[1, 2], [1, 2, 3]]):
+                with pytest.raises(ValueError, match="columns"):
+                    ring.matvec(M, x)
+            with pytest.raises(ValueError, match="equal lengths"):
+                ring.add(x, y)
+            with pytest.raises(ValueError, match="equal lengths"):
+                ring.add(x, x, y)
         assert source.lines == []
 
     def test_source_takes_only_integers_and_generated_names(self):
@@ -606,14 +611,19 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("backend", ["mock", "lattice"])
     @pytest.mark.parametrize("case,scheme", [
         ("wide", "prelim"), ("wrong-q", "main"), ("wrong-q", "prelim"),
-        ("wrong-length", "main"), ("wrong-length", "prelim")])
+        ("wrong-length", "main"), ("wrong-length", "prelim"),
+        ("wrong-length-later", "main"), ("wrong-length-later", "prelim"),
+        ("wrong-length-rerun", "main"), ("wrong-length-rerun", "prelim")])
     def test_row_wider_than_a_slot_is_refused_as_staged(self, request, case, scheme, backend):
         """A product the staged `he` ops refuse with `DimensionMismatchError`
-        is refused by the compiled step too, at its first call: over more
-        columns than a packed slot holds (2^GUARD, "wide"; on lattice only,
-        even with coefficients small enough to fit, and mock takes it), by
-        a plaintext prepared under another q than the keys' ("wrong-q"), and
-        with an input one entry too long ("wrong-length")."""
+        is refused by the compiled step too: over more columns than a packed
+        slot holds (2^GUARD, "wide"; on lattice only, even with coefficients
+        small enough to fit, and mock takes it), by a plaintext prepared
+        under another q than the keys' ("wrong-q"), and with an input one
+        entry too long: at the first step ("wrong-length"), at the second
+        ("wrong-length-later"), and at the first step of a second controller
+        of the plan, whose kernel the first one's step built
+        ("wrong-length-rerun")."""
         if case == "wide":
             wide, q = (1 << he.GUARD) + 1, 2**12
             rows = {"F/omega": [[1]], "G/(s1*omega)": [[1] * wide], "R/(s1*omega)": [[1]],
@@ -630,7 +640,6 @@ class TestCompiledControllerStep:
                 x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.s1 * plan.l0)
                 dims = [sc.plant.v, sc.ctrl.n_r]
             pad = lattice_params(plan, 3).lattice.pad_bits
-            dims[0] += case == "wrong-length"
         q = plan.q + (case == "wrong-q")
         params = (he.SchemeParams.mock(q) if backend == "mock" else
                   he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad)))
@@ -642,12 +651,25 @@ class TestCompiledControllerStep:
         outcomes = []
         for cls in ((MainEncController, MainRecurrence) if scheme == "main" else
                     (PrelimEncController, PrelimRecurrence)):
-            rec = cls(CipherRing(pk, plan.q, random.Random(2)), plan)
-            for k in rec.state:
-                setattr(rec, k, rec.ring.fresh(getattr(twin, k)))
             inputs = CipherRing(pk, plan.q, random.Random(3))
+
+            def bootstrapped():
+                rec = cls(CipherRing(pk, plan.q, random.Random(2)), plan)
+                for k in rec.state:
+                    setattr(rec, k, rec.ring.fresh(getattr(twin, k)))
+                return rec
+
+            def step(rec, extra=0):
+                return rec.step(inputs.fresh([1] * (dims[0] + extra)),
+                                inputs.fresh([5] * dims[1]))
+
+            rec = bootstrapped()
+            if case == "wrong-length-later":
+                step(rec)
+            elif case == "wrong-length-rerun":
+                step(bootstrapped())
             try:
-                emitted = rec.step(inputs.fresh([1] * dims[0]), inputs.fresh([5] * dims[1]))
+                emitted = step(rec, case.startswith("wrong-length"))
                 cts = [*_vectors(emitted), *(getattr(rec, k) for k in rec.state)]
                 outcomes.append([ct.payload for ct in cts])
             except he.DimensionMismatchError:
@@ -656,21 +678,72 @@ class TestCompiledControllerStep:
         assert (outcomes[0] == "refused") == (backend == "lattice" or case != "wide")
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
-    def test_kernels_per_run(self, request, monkeypatch, scheme):
-        """A run compiles 4 kernels on the main route (the controller's
-        payload and noise steps, the shadow's step, the actuator's `rebuild`)
-        and 3 on the prelim route."""
+    def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
+        """The kernels are the plan's: two lattice runs of one plan with
+        different seeds compile 4 kernels in total on the main route (the
+        controller's payload and noise steps, the shadow's step, the
+        actuator's `rebuild`) and 3 on the prelim route, and write one CSV.
+        A run at another pad compiles its own payload step only; a plan
+        with another q compiles every kernel of its own."""
         sc, plan, run = route(request, scheme)
+        pad = lattice_params(plan, 5).lattice.pad_bits
+        _kernels.clear()
         compiled, function = [], kernel.Source.function
 
         def counting(source, result):
             compiled.append(source)
             return function(source, result)
 
+        def csv(plan, params, seed):
+            tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                                     x_p0=sc.x_p0, horizon=5, params=params, seed=seed))
+            path = tmp_path / f"{len(compiled)}-{seed}.csv"
+            tr.to_csv(str(path))
+            return path.read_bytes()
+
+        def lattice(q, pad):
+            return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
+
         monkeypatch.setattr(kernel.Source, "function", counting)
-        run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
-                            x_p0=sc.x_p0, horizon=5, params=he.SchemeParams.mock(plan.q)))
-        assert len(compiled) == (4 if scheme == "main" else 3)
+        kernels = 4 if scheme == "main" else 3
+        first = csv(plan, lattice(plan.q, pad), 1)
+        assert len(compiled) == kernels
+        assert csv(plan, lattice(plan.q, pad), 2) == first
+        assert len(compiled) == kernels
+        assert csv(plan, lattice(plan.q, pad + 1), 3) == first
+        assert len(compiled) == kernels + 1
+        wider = replace(plan, q=2 * plan.q)
+        assert csv(wider, he.SchemeParams.mock(wider.q), 4) == first
+        assert len(compiled) == 2 * kernels + 1
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_a_run_frees_its_keys_and_ciphertexts(self, request, monkeypatch, scheme):
+        """The kept kernels hold no key and no ciphertext, and a run makes no
+        reference cycle: with the cyclic garbage collector off, a lattice
+        run's keys and every ciphertext a party decrypted are freed when
+        the run returns."""
+        sc, plan, run = route(request, scheme)
+        cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                        x_p0=sc.x_p0, horizon=3, params=lattice_params(plan, 3), seed=1)
+        refs, keygen, decrypt = [], he.keygen, he.decrypt
+
+        def recording_keygen(params, seed=None):
+            keys = keygen(params, seed=seed)
+            refs.extend(map(weakref.ref, keys))
+            return keys
+
+        def recording_decrypt(sk, ct):
+            refs.append(weakref.ref(ct))
+            return decrypt(sk, ct)
+
+        monkeypatch.setattr(he, "keygen", recording_keygen)
+        monkeypatch.setattr(he, "decrypt", recording_decrypt)
+        gc.disable()
+        try:
+            run(plan, cfg)
+            assert len(refs) > 2 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestNoiseDryRun:
@@ -680,8 +753,10 @@ class TestNoiseDryRun:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
         """`lattice_params` compiles 2 kernels, both on `NoiseRing`: the
-        bootstrap's bounds and the step's.  The step's source is that of the
-        noise kernel the lattice run's controller checks its steps with."""
+        bootstrap's bounds and the plan's noise step.  A lattice run of the
+        plan compiles none on `NoiseRing`: its controller checks its steps
+        with the dry run's noise step, and compiles only the payload step,
+        the shadow's step and, on the main route, the actuator's `rebuild`."""
         sc, plan, run = route(request, scheme)
         sources, noise, compile_, bounds = [], [], compile, NoiseRing.bounds
 
@@ -699,13 +774,12 @@ class TestNoiseDryRun:
         monkeypatch.setattr(NoiseRing, "bounds", recording_bounds)
         params = lattice_params(plan, 5)
         assert len(sources) == 2 and noise == sources
-        dry_step = sources[1]
         sources.clear()
         noise.clear()
         tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
-        assert noise == [dry_step]
+        assert noise == [] and len(sources) == (3 if scheme == "main" else 2)
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
