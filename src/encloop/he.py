@@ -12,8 +12,9 @@ Two interchangeable backends:
   for free.  Noise is tracked per ciphertext with a conservative budget
   model (additive for sums; for matrix products, weighted by the largest
   absolute row sum of the matrix centered mod q) so decryption ambiguity is
-  predicted, not discovered.  Staged (`plain_matmul`, `add`) or compiled
-  over payloads (`loop`), a product follows one rule: `check_product`
+  predicted, not discovered.  A run compiles its products over payloads
+  (`loop`); the staged ops `plain_matmul` and `add` are the reference the
+  tests check those kernels against.  Both follow one rule: `check_product`
   admits the plaintext, `slot_reduction` reduces the payload and
   `check_budget` checks the noise bound, as `decrypt` does; `loop.NoiseRing`
   records the model to size the pad.

@@ -18,37 +18,27 @@ grows by that of A/omega each step.  Doubles appear only in the
 unencrypted reference loop (the restoration target) and in reporting, where
 a ratio of integers converts with one correctly rounded division.
 
-Each converted controller is written once, over a ring with two operations,
-`matvec` and `add`: `MainRecurrence` (state update, emission, and its
-inverse `rebuild`) and `PrelimRecurrence`.  The encrypted controllers
-bootstrap on the ciphertext ring (`CipherRing`, `he` ops on
-`he.PlainMatrix` plaintexts); the integer shadows and the main actuator's
-reconstruction on the integer ring (`IntRing`).  The noise budget model of
-`he` is recorded on `NoiseRing`, a `kernel.Source` over one noise bound per
-vector: the lattice pad is sized by a dry run of the recorded bootstrap and
-step (`lattice_params`), and each encrypted step checks that same step.
-
+Each converted controller is written once, over a ring's two operations
+`matvec` and `add`: `MainRecurrence` (its bootstrap's linear part `start`,
+state update, emission, and its inverse `rebuild`) and `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
-small matrices, so interpreting the recurrence op by op costs more than the
-arithmetic.  The step of each party (the encrypted controllers' and the
-integer shadows' `step`, the main actuator's `rebuild`) is the recurrence
-method run once on the recording ring `kernel.Source`, which makes every
-matvec row and every sum one straight-line statement over generated names
-with its zero coefficients dropped, and the record compiled into one
-function.  On integers (`_compile`) that is all.  Over ciphertexts
-(`_compile_cipher`) a name stands for a packed payload entry, and `he`
-supplies the reducer and the slot limit: an entry is reduced only where the
-limit needs it, and every state and emitted entry once.  The same method,
-recorded again on `NoiseRing` (`_noise_step`), gives the step's bounds and
-its largest product bound, which `he` checks against the pad where the
-staged ops would raise, and `noise_peak` runs that same step to size the
-pad.  A kernel depends only on the plan and, over payloads, on the scheme
-parameters, so the process keeps the kernels it built last (`_kept`): the
-pad's dry run and every run of a plan share them, and only keys,
-ciphertexts and encryption randomness are made per run.  Every call of a
-kernel checks its inputs' lengths.  `IntRing` and `CipherRing` stay: the
-bootstraps run on them once per run, and the tests check the compiled
-kernels against them.
+small matrices, so no run interprets a recurrence op by op.  Each linear
+method of a party (`start`, `step`, the main actuator's `rebuild`) is run
+once on the recording ring `kernel.Source`, which makes every matvec row and
+every sum one straight-line statement with its zero coefficients dropped,
+and the record is compiled into one function: on integers (`_compile`, for the
+integer shadows and the main actuator, whose ring `IntRing` only embeds),
+or over packed ciphertext payloads (`_compile_cipher`), where `he` supplies
+the reducer and the slot limit, so an entry is reduced only where the limit
+needs it and every state and emitted entry once.  The same method recorded
+on `NoiseRing`, over one noise bound per vector (`_noise_step`), gives its
+bounds and its largest product bound, which `he` checks against the pad
+where the staged ops would raise; `noise_peak` runs those same kernels to
+size the pad.  A kernel depends only on the plaintext rows it is recorded
+from and, over payloads, on the scheme parameters, so the process keeps the
+kernels it built last by those (`_kept`), and a party looks each of its
+kernels up once and keeps it: only keys, ciphertexts and encryption
+randomness are made per run, and every call checks its inputs.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -366,217 +356,32 @@ class IdealLoop:
 
 # -- the converted controllers, each written once over their rings -----------
 #
-# A ring supplies the two operations the recurrences use, `matvec` (plaintext
+# A ring embeds integer matrices (`plain`) and fresh integer vectors
+# (`fresh`).  The two operations the recurrences use, `matvec` (plaintext
 # integer matrix times ring vector) and `add` (of any number of vectors, left
-# to right), plus how it embeds integer matrices (`plain`) and fresh integer
-# vectors (`fresh`).  The recording ring `kernel.Source`, which only records
-# the steps of a recurrence already bootstrapped on `IntRing` or
-# `CipherRing`, needs just the two; `NoiseRing`, a `kernel.Source` that also
-# records a bootstrap, has all four.
+# to right), are recorded: on `kernel.Source`, which makes each compiled
+# kernel, and on `NoiseRing`, which makes its noise bounds.
 
 
 class IntRing:
-    """Plain Python integers: the integer shadows and the main actuator.
-    Operands of unequal length raise `ValueError`, as on `kernel.Source`."""
+    """Plain Python integers: the integer shadows and the main actuator.  A
+    plaintext is its integer rows as tuples, what the kernels are recorded
+    from and looked up by."""
 
     @staticmethod
     def plain(M):
-        return M
+        return tuple(map(tuple, M))
 
     @staticmethod
     def fresh(values):
         return list(values)
 
-    @staticmethod
-    def matvec(M, v):
-        kernel.check_matvec(M, v)
-        return [sum(m * x for m, x in zip(row, v)) for row in M]
-
-    @staticmethod
-    def add(*vs):
-        kernel.check_add(vs)
-        return [sum(t) for t in zip(*vs)]
-
-
-def _record(recurrence, method, ring, m: dict, state, args):
-    """Runs `method` once on a copy of `recurrence` whose ring is the
-    recording `ring`, whose plaintexts are `m` and whose state vectors
-    (`recurrence.state`) are `state`, on the argument vectors `args`; returns
-    the new state vectors and what `method` returns."""
-    recorded = copy.copy(recurrence)
-    recorded.ring, recorded.m = ring, SimpleNamespace(**m)
-    for k, v in zip(recurrence.state, state):
-        setattr(recorded, k, v)
-    result = method(recorded, *args)
-    return tuple(getattr(recorded, k) for k in recurrence.state), result
-
-
-def _vectors(result) -> tuple:
-    """What a recurrence method returns, as a tuple of vectors."""
-    return result if isinstance(result, tuple) else (result,)
-
-
-# The kernels built last in this process, oldest first: (builder, method,
-# id(plan), params) -> (plan, kernel).  An entry holds its plan, so no other
-# plan can take that id while the entry is kept.  A main plan has 4 kernels
-# and one more per further pad, a prelim plan 3: 32 keep several plans'.
-KERNELS_KEPT = 32
-_kernels: dict = {}
-
-
-def _kept(build, recurrence, method, args, params=None):
-    """`build(recurrence, method, args)`, the kernel of `method` for the plan
-    of `recurrence` (`recurrence.plan`) and, over ciphertexts, `params`:
-    built at its first use in the process and kept while it is among the
-    last `KERNELS_KEPT` built.  A kernel depends on nothing else of a run:
-    it takes the recurrence as an argument and holds no reference to it, so
-    it holds no key and no ciphertext, and a run's keys and ciphertexts are
-    freed when the run ends."""
-    plan = recurrence.plan
-    key = (build, method, id(plan), params)
-    entry = _kernels.get(key)
-    if entry is None:
-        entry = _kernels[key] = plan, build(recurrence, method, args)
-        if len(_kernels) > KERNELS_KEPT:
-            del _kernels[next(iter(_kernels))]
-    return entry[1]
-
-
-def _check_lengths(got: list, want: list, error):
-    """Raises `error` unless a compiled step's input vectors have the
-    lengths it was recorded at: its state, then its arguments."""
-    if got != want:
-        raise error(f"input lengths {got} differ from the recorded {want}")
-
-
-def _compile(recurrence, method, *args):
-    """`method` of a recurrence on `IntRing` as one compiled function of the
-    recurrence and `method`'s arguments that updates the recurrence's state
-    as `method` would, and returns what `method` returns; one per plan
-    (`_kept`).  `method` runs once on a `kernel.Source`, which records it
-    over the recurrence's `IntRing` plaintexts, at the lengths of the state
-    and of `args`, the only lengths the plan's matrices accept (other
-    lengths raise `ValueError` while recording); every call checks its
-    inputs' lengths against those and raises `ValueError` on others."""
-    return _kept(_int_kernel, recurrence, method, args)
-
-
-def _int_kernel(recurrence, method, args):
-    """`_compile`'s kernel, recorded at the lengths of the recurrence's state
-    and of `args`."""
-    state, n = recurrence.state, len(recurrence.state)
-    source = kernel.Source()
-    vectors = [source.vector(len(v))
-               for v in (*(getattr(recurrence, k) for k in state), *args)]
-    new, result = _record(recurrence, method, source, vars(recurrence.m),
-                          vectors[:n], vectors[n:])
-    fn, lengths = source.function((new, result)), list(map(len, vectors))
-
-    def run(rec, *args):
-        inputs = [*(getattr(rec, k) for k in state), *args]
-        _check_lengths(list(map(len, inputs)), lengths, ValueError)
-        new, result = fn(*inputs)
-        for k, v in zip(state, new):
-            setattr(rec, k, v)
-        return result
-
-    return run
-
-
-def _noise_step(recurrence, method, nargs: int):
-    """`method` of an encrypted controller recorded on a `NoiseRing` and
-    compiled, one per plan (`_kept`), which the pad's dry run (`noise_peak`)
-    and every encrypted step of the plan share: a function of one list, the
-    noise bounds of the state and of `nargs` argument ciphertexts, that
-    returns the bounds of the new state and of the ciphertexts `method`
-    returns, as one list, and the largest bound of a product in the step,
-    the one `he` checks against the pad.  No bound depends on the pad."""
-    return _kept(_noise_kernel, recurrence, method, nargs)
-
-
-def _noise_kernel(recurrence, method, nargs: int):
-    """`_noise_step`'s kernel."""
-    ring, n = NoiseRing(recurrence.ring.q), len(recurrence.state)
-    bounds = [[b] for b in ring.vector(n + nargs)]
-    new, result = _record(recurrence, method, ring, vars(recurrence.m),
-                          bounds[:n], bounds[n:])
-    return ring.bounds((*new, *_vectors(result)))
-
-
-def _compile_cipher(controller, method, *args):
-    """`method` of an encrypted controller, on a `CipherRing`, as one step
-    over ciphertext payloads with the noise bounds in lockstep: a function
-    of the controller and `method`'s arguments that updates the controller's
-    state ciphertexts and returns the ciphertexts `method` returns, payloads
-    and bounds equal to those of the staged `he` ops; one per plan and
-    scheme parameters of the ring's keys (`_kept`).
-
-    `he`'s product rule holds for the whole step.  Each plaintext passes
-    `he.check_product`, and operands of unequal length, which the recording
-    refuses, raise `he.DimensionMismatchError`, as does every later call on
-    inputs of other lengths than the recorded ones.  The payloads are
-    `method` recorded once on a `kernel.Source` over the centered plaintext
-    rows with `he.slot_reduction`'s reducer and limit: products and sums
-    chain unreduced, an entry is reduced only where the limit needs it, and
-    every state and returned entry once.  The bounds are the plan's noise
-    step (`_noise_step`, the one `noise_peak` sizes the pad with), and the
-    step's largest product bound goes through `he.check_budget`, which
-    raises where the first product past the budget would; returned sums are
-    left to `he.decrypt`, as on the staged path."""
-    return _kept(_cipher_kernel, controller, method, args, controller.ring.pk.params)
-
-
-def _cipher_kernel(controller, method, args):
-    """`_compile_cipher`'s kernel, recorded at the lengths of the
-    controller's state and of `args`."""
-    params, state = controller.ring.pk.params, controller.state
-    n = len(state)
-    for M in vars(controller.m).values():
-        he.check_product(params, M)
-    source = kernel.Source(*he.slot_reduction(params))
-    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in state), *args)]
-    vectors = [source.vector(d) for d in lengths]
-    try:
-        new, result = _record(controller, method, source,
-                              {k: M.rows for k, M in vars(controller.m).items()},
-                              vectors[:n], vectors[n:])
-    except ValueError as e:
-        raise he.DimensionMismatchError(e) from None
-    payloads = source.function([tuple(source.reduced(v)) for v in (*new, *_vectors(result))])
-    noise, many = _noise_step(controller, method, len(args)), isinstance(result, tuple)
-
-    def run(rec, *args):
-        cts = [getattr(rec, k) for k in state]
-        cts += args
-        _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
-        bounds, peak = noise([ct.noise_bound for ct in cts])
-        he.check_budget(params, peak)
-        out = [he.Ciphertext(params, len(p), p, b)
-               for p, b in zip(payloads(*(ct.payload for ct in cts)), bounds)]
-        for k, ct in zip(state, out):
-            setattr(rec, k, ct)
-        return tuple(out[n:]) if many else out[n]
-
-    return run
-
-
-def _compiled(method, compile):
-    """A recurrence's `step`: `method`, compiled by `compile` (`_compile` or
-    `_compile_cipher`) for the recurrence's plan, at the step's first call
-    in the process, and taken from the kept kernels at every later one."""
-
-    def step(self, *args):
-        return compile(self, method, *args)(self, *args)
-
-    return step
-
 
 class CipherRing:
-    """Ciphertexts under `pk`: the encrypted controllers' bootstraps (their
-    steps are compiled, `_compile_cipher`), and every party that encrypts
-    (`fresh`, which counts the ciphertext entries it makes).  A plaintext
-    matrix is prepared once (`he.PlainMatrix`), which centers its entries
-    into (-q/2, q/2] and so keeps the row-sum weight `he.plain_matmul`
+    """Ciphertexts under `pk`: the encrypted controllers, and every party
+    that encrypts (`fresh`, which counts the ciphertext entries it makes).
+    A plaintext matrix is prepared once (`he.PlainMatrix`), which centers
+    its entries into (-q/2, q/2] and so keeps the row-sum weight a product
     charges to the noise as small as the certified coefficients allow."""
 
     def __init__(self, pk, q: int, rng):
@@ -590,34 +395,17 @@ class CipherRing:
         self.enc_ops += len(values)
         return he.encrypt(self.pk, [v % self.q for v in values], self.rng)
 
-    @staticmethod
-    def matvec(M, ct):
-        return he.plain_matmul(M, ct)
-
-    @staticmethod
-    def add(first, *rest):
-        for ct in rest:
-            first = he.add(first, ct)
-        return first
-
 
 class NoiseRing(kernel.Source):
-    """The noise budget model of `he`, recorded over one bound per vector:
-    `noise_peak` records a bootstrap on it, `_noise_step` a step.  A
-    plaintext is `CipherRing`'s `he.PlainMatrix`, by whose weight a product
-    multiplies a bound (`matvec` records [[weight]] and keeps the product);
-    sums add bounds; `fresh` is a new one-entry input, bound to
-    `he.FRESH_NOISE_BOUND` when the record runs.  No bound depends on the
-    pad, the one per-run setting."""
+    """The noise budget model of `he`, recorded over one bound per vector
+    (`_noise_step`).  A plaintext is `CipherRing`'s `he.PlainMatrix`, by
+    whose weight a product multiplies a bound (`matvec` records [[weight]]
+    and keeps the product); sums add bounds.  No bound depends on the pad,
+    the one per-run setting."""
 
-    def __init__(self, q: int):
+    def __init__(self):
         super().__init__()
-        self.q, self.products = q, []
-
-    plain = CipherRing.plain
-
-    def fresh(self, values):
-        return self.vector(1)
+        self.products = []
 
     def matvec(self, M, v) -> list:
         out = super().matvec([[M.weight]], v)
@@ -626,16 +414,178 @@ class NoiseRing(kernel.Source):
 
     def bounds(self, vectors):
         """The record compiled: a function of the input vectors' bounds that
-        returns those of `vectors`, as one list, and the largest bound of a
-        recorded product (0 if none)."""
-        fn = self.function(([b for v in vectors for b in v],
-                            tuple(dict.fromkeys(self.products))))
+        returns those of `vectors`, as one list, and the bounds of the
+        recorded products."""
+        return self.function(([b for v in vectors for b in v],
+                              tuple(dict.fromkeys(self.products))))
 
-        def run(*inputs):
-            out, products = fn(*inputs)
-            return out, max(products, default=0)
 
-        return run
+def _record(recurrence, method, ring, m: dict, reads, inputs):
+    """Runs `method` once on a copy of `recurrence` with the recording
+    `ring` and the plaintexts `m`, on `inputs`: its state vectors `reads`,
+    then `method`'s arguments.  Returns the new state (`recurrence.state`)
+    and then the vectors `method` returns, and whether it returns a tuple."""
+    recorded = copy.copy(recurrence)
+    recorded.ring, recorded.m = ring, SimpleNamespace(**m)
+    for k, v in zip(reads, inputs):
+        setattr(recorded, k, v)
+    result = method(recorded, *inputs[len(reads):])
+    many = isinstance(result, tuple)
+    return [*(getattr(recorded, k) for k in recurrence.state),
+            *(result if many else (result,))], many
+
+
+def _rows(recurrence) -> tuple:
+    """What the kernels of `recurrence` are recorded from: the name and the
+    rows of each plaintext, centered mod q for a `he.PlainMatrix`."""
+    return tuple((k, getattr(M, "rows", M)) for k, M in vars(recurrence.m).items())
+
+
+# The kernels built last in this process, oldest first: (builder, method,
+# plaintext rows, params) -> kernel.  A main plan has 7 kernels (noise,
+# payload and integer `start` and `step`, and `rebuild`) and 2 more per
+# further pad, a prelim plan 3 and 1 more per pad; plans that differ only
+# in q share their integer kernels.  32 keep several plans'.
+KERNELS_KEPT = 32
+_kernels: dict = {}
+
+
+def _kept(build, recurrence, method, reads, args, params=None):
+    """`build(recurrence, method, reads, args)`, kept by `method`, the
+    plaintext rows of `recurrence` (`_rows`) and, over payloads, `params`
+    while it is among the last `KERNELS_KEPT` built.  A kernel takes the
+    recurrence as an argument and holds no reference to it, so it holds no
+    plan, key or ciphertext of a run."""
+    key = (build, method, _rows(recurrence), params)
+    run = _kernels.get(key)
+    if run is None:
+        run = _kernels[key] = build(recurrence, method, reads, args)
+        if len(_kernels) > KERNELS_KEPT:
+            del _kernels[next(iter(_kernels))]
+    return run
+
+
+def _check_lengths(got: list, want: list, error):
+    """Raises `error` unless a compiled kernel's input vectors have the
+    lengths it was recorded at: its state, then its arguments."""
+    if got != want:
+        raise error(f"input lengths {got} differ from the recorded {want}")
+
+
+def _compile(recurrence, method, reads, args):
+    """`method` of a recurrence on `IntRing`, compiled (`_kept`): a function
+    of the recurrence and `method`'s arguments that reads the state vectors
+    `reads`, updates the state as `method` would and returns what it
+    returns.  Lengths the plan's matrices do not take raise `ValueError`
+    while recording, and so do other lengths than the recorded ones at
+    every call."""
+    return _kept(_int_kernel, recurrence, method, reads, args)
+
+
+def _int_kernel(recurrence, method, reads, args):
+    """`_compile`'s kernel."""
+    source = kernel.Source()
+    inputs = [source.vector(len(v))
+              for v in (*(getattr(recurrence, k) for k in reads), *args)]
+    outputs, many = _record(recurrence, method, source, dict(_rows(recurrence)),
+                            reads, inputs)
+    fn, lengths = source.function(outputs), list(map(len, inputs))
+    state, n = recurrence.state, len(recurrence.state)
+
+    def run(rec, *args):
+        inputs = [*(getattr(rec, k) for k in reads), *args]
+        _check_lengths(list(map(len, inputs)), lengths, ValueError)
+        out = fn(*inputs)
+        for k, v in zip(state, out):
+            setattr(rec, k, v)
+        return tuple(out[n:]) if many else out[n]
+
+    return run
+
+
+def _noise_step(recurrence, method, reads, nargs: int):
+    """`method` of an encrypted controller recorded on a `NoiseRing` and
+    compiled (`_kept`), shared by the pad's dry run (`noise_peak`) and the
+    encrypted runs: a function of the noise bounds of the state vectors
+    `reads` and of `nargs` argument ciphertexts, as one list, that returns
+    those of the new state and of what `method` returns, as one list, and
+    the bounds of its products, whose largest `he` checks against the pad."""
+    return _kept(_noise_kernel, recurrence, method, reads, nargs)
+
+
+def _noise_kernel(recurrence, method, reads, nargs: int):
+    """`_noise_step`'s kernel."""
+    ring = NoiseRing()
+    inputs = [[b] for b in ring.vector(len(reads) + nargs)]
+    outputs, _ = _record(recurrence, method, ring, vars(recurrence.m), reads, inputs)
+    return ring.bounds(outputs)
+
+
+def _compile_cipher(controller, method, reads, args):
+    """`method` of an encrypted controller, compiled over ciphertext payloads
+    for the scheme parameters of its ring's keys (`_kept`), as `_compile`
+    over integers; payloads and noise bounds equal those of the staged `he`
+    ops.  `he`'s product rule holds for the whole method: each plaintext
+    passes `he.check_product`; operands of unequal length, and at every call
+    inputs of other lengths or scheme parameters than the recorded ones,
+    raise `he.DimensionMismatchError`.  The payloads are recorded with
+    `he.slot_reduction`'s reducer and limit over the centered plaintext
+    rows.  The bounds are the noise kernel (`_noise_step`), whose largest
+    product bound goes through `he.check_budget`, which raises where the
+    first product past the budget would; returned sums are left to
+    `he.decrypt`, as on the staged path."""
+    params = controller.ring.pk.params
+    for M in vars(controller.m).values():
+        he.check_product(params, M)
+    return _kept(_cipher_kernel, controller, method, reads, args, params)
+
+
+def _cipher_kernel(controller, method, reads, args):
+    """`_compile_cipher`'s kernel."""
+    params = controller.ring.pk.params
+    source = kernel.Source(*he.slot_reduction(params))
+    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in reads), *args)]
+    try:
+        outputs, many = _record(controller, method, source, dict(_rows(controller)),
+                                reads, [source.vector(d) for d in lengths])
+    except ValueError as e:
+        raise he.DimensionMismatchError(e) from None
+    payloads = source.function([tuple(source.reduced(v)) for v in outputs])
+    noise = _noise_step(controller, method, reads, len(args))
+    state, n = controller.state, len(controller.state)
+
+    def run(rec, *args):
+        params = rec.ring.pk.params  # equal to those the kernel is kept by
+        cts = [*(getattr(rec, k) for k in reads), *args]
+        for ct in cts:
+            if ct.params is not params and ct.params != params:
+                raise he.DimensionMismatchError("ciphertexts from different schemes")
+        _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
+        bounds, products = noise([ct.noise_bound for ct in cts])
+        he.check_budget(params, max(products, default=0))
+        out = [he.Ciphertext(params, len(p), p, b)
+               for p, b in zip(payloads(*(ct.payload for ct in cts)), bounds)]
+        for k, ct in zip(state, out):
+            setattr(rec, k, ct)
+        return tuple(out[n:]) if many else out[n]
+
+    return run
+
+
+def _compiled(method, compile, reads=None):
+    """A recurrence's `method` as a party's method: compiled by `compile`
+    (`_compile` or `_compile_cipher`) at its first call on the party, which
+    keeps the kernel (`kernels`) and calls it from then on.  The kernel
+    reads the state vectors `reads`, by default all of `state`."""
+
+    def call(self, *args):
+        run = self.kernels.get(method)
+        if run is None:
+            run = self.kernels[method] = compile(
+                self, method, self.state if reads is None else reads, args)
+        return run(self, *args)
+
+    return call
 
 
 MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
@@ -688,7 +638,7 @@ class MainRecurrence:
     state = ("xo", "xe", "re", "bx", "bu", "u")
 
     def __init__(self, ring, plan: MainPlan):
-        self.ring, self.plan = ring, plan
+        self.ring, self.kernels = ring, {}
         self.dims = dims = plan.dims
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
         self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES)
@@ -699,19 +649,23 @@ class MainRecurrence:
                                   for k in ("n_x", "w"))
 
     def bootstrap(self, x_e0_scaled):
-        """The initial states, and the emission of step 0, (y_o, alpha, beta,
-        gamma), with the increments by the rule of every step (`increments`)
-        from zero brackets, every vector fresh on the ring.  With x_e0 = 0
+        """`start` on the initial states and zero brackets, every vector
+        fresh on the ring."""
+        d, fresh = self.dims, self.ring.fresh
+        return self.start(fresh([0] * d["n"]), fresh(x_e0_scaled), fresh([0] * d["n_r"]),
+                          fresh([0] * d["n_x"]), fresh([0] * d["w"]))
+
+    def start(self, xo, xe, re, bx, bu):
+        """Takes the initial states xo, xe, re and the brackets bx, bu;
+        returns the emission of step 0, (y_o, alpha, beta, gamma), with the
+        increments by the rule of every step (`increments`).  With x_e0 = 0
         every state and bracket is zero, which is where the actuator starts,
         so reconstruction telescopes from the first step."""
-        d, fresh, mv, m = self.dims, self.ring.fresh, self.ring.matvec, self.m
-        self.xo = fresh([0] * d["n"])
-        self.xe = fresh(x_e0_scaled)
-        self.re = fresh([0] * d["n_r"])
-        self.bx, self.bu = fresh([0] * d["n_x"]), fresh([0] * d["w"])
-        bu = mv(m.S, self.re)
-        self.u = self.ring.add(mv(m.H, self.xe), mv(m.J, self.xo), bu)
-        increments = self.increments(self.xo, self.xe, bu)
+        mv, m = self.ring.matvec, self.m
+        self.xo, self.xe, self.re, self.bx, self.bu = xo, xe, re, bx, bu
+        s_re = mv(m.S, re)
+        self.u = self.ring.add(mv(m.H, xe), mv(m.J, xo), s_re)
+        increments = self.increments(xo, xe, s_re)
         return (self.y_o(), *increments)
 
     def increments(self, alpha, bx, bu):
@@ -757,12 +711,13 @@ class MainRecurrence:
 class PrelimRecurrence:
     """The directly converted controller, u = H x + J y + S r and
     x <- F x + G y + R r, with the certified integer matrices F/omega,
-    G/(s1 omega), R/(s1 omega), H/s2, J/(s1 s2), S/(s1 s2)."""
+    G/(s1 omega), R/(s1 omega), H/s2, J/(s1 s2), S/(s1 s2).  Its bootstrap
+    only encrypts x: there is no linear `start`."""
 
     state = ("x",)
 
     def __init__(self, ring, plan: PrelimPlan):
-        self.ring, self.plan = ring, plan
+        self.ring, self.kernels = ring, {}
         self.m = _load(ring, plan.certificates, PRELIM_CERTIFICATES)
 
     def bootstrap(self, x0_scaled):
@@ -781,21 +736,27 @@ class PrelimRecurrence:
 class MainEncController(MainRecurrence):
     """Holds only the public key (in its `CipherRing`); iterates the converted
     observer controller on ciphertexts and emits the observer output plus the
-    bounded increments.  The bootstrap runs on the `CipherRing`; `step` is
-    compiled once per plan and scheme parameters."""
+    bounded increments.  `start` and `step` are compiled."""
 
+    start = _compiled(MainRecurrence.start, _compile_cipher, reads=())
     step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
-class MainIntegerShadow(MainRecurrence):
-    """Exact unbounded integer dynamics of the converted controller; ground
-    truth for every ciphertext (mod q) and for the actuator reconstruction.
-    The bootstrap runs on `IntRing`; `step` is compiled once per plan."""
+class MainIntegerRecurrence(MainRecurrence):
+    """`MainRecurrence` on `IntRing`, `start`, `step` and `rebuild` compiled:
+    the integer shadow, and the main actuator's reconstruction."""
 
+    start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
+    rebuild = _compiled(MainRecurrence.rebuild, _compile)
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
+
+
+class MainIntegerShadow(MainIntegerRecurrence):
+    """Exact unbounded integer dynamics of the converted controller; ground
+    truth for every ciphertext (mod q) and for the actuator reconstruction."""
 
 
 class MainSensor:
@@ -858,7 +819,7 @@ class MainActuator:
     def __init__(self, sk, plan: MainPlan):
         self.sk = sk
         self.q = plan.q
-        self.states = MainRecurrence(IntRing(), plan)
+        self.states = MainIntegerRecurrence(plan)
         self.states.bootstrap([0] * plan.dims["n_x"])
         self.dec_ops = 0
 
@@ -874,8 +835,7 @@ class MainActuator:
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
             lifted.append(centered_mod_recover(dec, 0, self.q))
-        rebuild = _compile(self.states, MainRecurrence.rebuild, *lifted)
-        return tuple(lifted), rebuild(self.states, *lifted)
+        return tuple(lifted), self.states.rebuild(*lifted)
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -883,14 +843,13 @@ class MainActuator:
 
 class PrelimEncController(PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
-    `step` is compiled once per plan and scheme parameters."""
+    `step` is compiled."""
 
     step = _compiled(PrelimRecurrence.step, _compile_cipher)
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
-    """The integer twin of `PrelimEncController`; `step` is compiled once
-    per plan."""
+    """The integer twin of `PrelimEncController`; `step` is compiled."""
 
     step = _compiled(PrelimRecurrence.step, _compile)
 
@@ -940,29 +899,26 @@ def noise_peak(plan, horizon: int) -> int:
     (main or prelim) checks against its pad: of any matrix product, and of
     any ciphertext the controller emits, which a party decrypts.
 
-    The plan's encrypted controller runs on `NoiseRing` as a route's step
-    drives it (`run_closed_loop_*`): the bootstrap, recorded and compiled
-    once, then each step fed two fresh encryptions through the plan's noise
-    step (`_noise_step`), horizon - 1 steps on the main route, whose
-    bootstrap emits step 0, and horizon on the prelim route.  The noise
-    step is kept, and the encrypted runs of the plan check theirs with it.
+    The plan's noise kernels (`_noise_step`) run as a route's step drives
+    its encrypted controller (`run_closed_loop_*`): from fresh bounds for
+    the state through the main route's `start`, which emits step 0, then
+    each step fed two fresh encryptions, horizon - 1 steps on the main
+    route and horizon on the prelim route.  The kernels are kept, and the
+    encrypted runs of the plan check their bootstraps and steps with them.
     No bound depends on a plaintext value or a vector length."""
-    ring = NoiseRing(plan.q)
-    if isinstance(plan, MainPlan):
-        controller, method, steps = MainEncController(ring, plan), MainRecurrence.step, horizon - 1
-        emitted = controller.bootstrap(())
-    else:
-        controller, method, steps = PrelimEncController(ring, plan), PrelimRecurrence.step, horizon
-        controller.bootstrap(())
-        emitted = ()
-    n = len(controller.state)
-    bootstrap = ring.bounds([*(getattr(controller, k) for k in controller.state), *emitted])
-    bounds, peak = bootstrap(*[[he.FRESH_NOISE_BOUND]] * len(ring.params))
-    peak = max([peak, *bounds[n:]])
-    step = _noise_step(controller, method, 2)
-    for _ in range(steps):
-        bounds, product_peak = step(bounds[:n] + [he.FRESH_NOISE_BOUND] * 2)
-        peak = max(peak, product_peak, *bounds[n:])
+    fresh = he.FRESH_NOISE_BOUND
+    main = isinstance(plan, MainPlan)
+    # the plaintexts as the run's controller prepares them; no key is needed
+    rec = (MainRecurrence if main else PrelimRecurrence)(CipherRing(None, plan.q, None), plan)
+    n = len(rec.state)
+    bounds, peak = [fresh] * n, 0
+    if main:  # `start` takes every state vector but u
+        bounds, products = _noise_step(rec, MainRecurrence.start, (), n - 1)([fresh] * (n - 1))
+        peak = max(*products, *bounds[n:])
+    step = _noise_step(rec, type(rec).step, rec.state, 2)
+    for _ in range(horizon - 1 if main else horizon):
+        bounds, products = step(bounds[:n] + [fresh] * 2)
+        peak = max(peak, *products, *bounds[n:])
     return peak
 
 

@@ -90,6 +90,35 @@ def test_simulate_main_writes_outputs(capsys, tmp_path):
     assert saved["steps"] == 25
 
 
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+@pytest.mark.parametrize("backend", ["mock", "lattice"])
+def test_a_repeated_simulate_compiles_nothing(capsys, monkeypatch, tmp_path, backend, scheme):
+    """Each `simulate` plans anew, and the process keeps its kernels by what
+    they are recorded from: the same simulate again in one process makes no
+    `compile()` call and writes the same CSV, summary and stdout."""
+    fixture = "batch-reactor" if scheme == "main" else "coupled-tanks"
+    calls, compile_ = [0], compile
+
+    def counting_compile(*args):
+        calls[0] += 1
+        return compile_(*args)
+
+    # `kernel.Source.function` compiles through the name `compile`
+    monkeypatch.setattr(encloop.kernel, "compile", counting_compile, raising=False)
+    outputs = []
+    for k in range(2):
+        before = calls[0]
+        prefix = tmp_path / str(k)
+        code, out, err = run_cli(capsys, "simulate", "--fixture", fixture, "--scheme", scheme,
+                                 "--backend", backend, "--horizon", "20", "--seed", "7",
+                                 "--out", str(prefix))
+        assert code == 0, err
+        outputs.append((out, err, prefix.with_suffix(".csv").read_bytes(),
+                        prefix.with_suffix(".json").read_bytes()))
+    assert before > 0 and calls[0] == before
+    assert outputs[0] == outputs[1]
+
+
 def test_simulate_small_q_override_fails_with_code_3(capsys):
     code, out, _ = run_cli(capsys, "simulate", "--fixture", "batch-reactor",
                            "--scheme", "main", "--horizon", "30",

@@ -12,15 +12,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from encloop import cli, he, kernel
+from encloop import cli, he, kernel, loop
 from encloop.exactmat import RationalMatrix
 from encloop.fixtures import Scenario
 from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
     MAIN_CERTIFICATES,
-    CipherRing,
-    IntRing,
     MainEncController,
+    MainIntegerRecurrence,
     MainIntegerShadow,
     MainRecurrence,
     NoiseRing,
@@ -34,19 +33,23 @@ from encloop.loop import (
     noise_peak,
     run_closed_loop_main,
     run_closed_loop_prelim,
-    _compile,
     _diff_inf,
     _kernels,
-    _vectors,
     _scaled_integer_state,
 )
-from encloop.planner import MainPlanOptions, plan_main
+from encloop.planner import MainPlan, MainPlanOptions, plan_main
 
 from conftest import random_main_system
+from rings import CipherRing, IntRing
 
 
 def rmat(rows):
     return RationalMatrix.from_rows(rows)
+
+
+def _vectors(result) -> tuple:
+    """What a recurrence method returns, as a tuple of vectors."""
+    return result if isinstance(result, tuple) else (result,)
 
 
 def main_cfg(sc, plan, horizon, *, backend="mock", seed=0, detail=False, q=None):
@@ -338,14 +341,19 @@ class TestMainIncrements:
         assert entries == 29
         x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
         params = lattice_params(sound_plan, 4)
-        ring = CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
+        ring = loop.CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
         controller = MainEncController(ring, sound_plan)
         controller.bootstrap(x_e0)
+        assert counts["plain_matmul"] == counts["add"] == 0
         for _ in range(3):
             counts.update(plain_matmul=0, add=0, reduce=0)
             controller.step(ring.fresh([1] * d["v"]), ring.fresh([1] * d["n_r"]))
             assert counts["plain_matmul"] == counts["add"] == 0
             assert 0 < counts["reduce"] <= entries
+        # a whole lattice run, bootstraps included, makes no staged op either
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 4, backend="lattice"))
+        assert tr.recovery_failures == 0
+        assert counts["plain_matmul"] == counts["add"] == 0
 
         class CountingRing(IntRing):
             matvecs = 0
@@ -498,17 +506,19 @@ class TestCompiledKernels:
         return [[rng.randint(-2**80, 2**80) for _ in range(n)] for n in dims]
 
     def _check_main(self, plan, x_e0):
-        """`MainIntegerShadow.step` and the compiled `rebuild` against
-        `MainRecurrence` on `IntRing`, over 20 steps of random inputs; the
-        step emits y_o = (C/s1) xo of the new xo first."""
+        """The compiled `start` (the bootstrap's linear part), `step` and
+        `rebuild` of `MainIntegerShadow` and of the actuator's
+        `MainIntegerRecurrence` against `MainRecurrence` on `IntRing`, over
+        20 steps of random inputs; the step emits y_o = (C/s1) xo of the new
+        xo first."""
         d, rng = plan.dims, random.Random(20)
         C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
-        actuator, actuator_ref = (MainRecurrence(IntRing(), plan) for _ in range(2))
-        for rec, x0 in ((shadow, x_e0), (reference, x_e0),
-                        (actuator, [0] * d["n_x"]), (actuator_ref, [0] * d["n_x"])):
-            rec.bootstrap(x0)
-        rebuild = None
+        actuator, actuator_ref = MainIntegerRecurrence(plan), MainRecurrence(IntRing(), plan)
+        for (rec, ref), x0 in (((shadow, reference), x_e0),
+                               ((actuator, actuator_ref), [0] * d["n_x"])):
+            assert rec.bootstrap(x0) == ref.bootstrap(x0)
+            assert self._states(rec) == self._states(ref)
         for _ in range(20):
             inputs = self._random_inputs(rng, (d["v"], d["n_r"]))
             emitted = shadow.step(*inputs)
@@ -516,8 +526,7 @@ class TestCompiledKernels:
             assert self._states(shadow) == self._states(reference)
             assert emitted[0] == IntRing.matvec(C, shadow.xo)
             incs = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
-            rebuild = rebuild or _compile(actuator, MainRecurrence.rebuild, *incs)
-            assert rebuild(actuator, *incs) == actuator_ref.rebuild(*incs)
+            assert actuator.rebuild(*incs) == actuator_ref.rebuild(*incs)
             assert self._states(actuator) == self._states(actuator_ref)
 
     @staticmethod
@@ -613,7 +622,9 @@ class TestCompiledControllerStep:
         ("wide", "prelim"), ("wrong-q", "main"), ("wrong-q", "prelim"),
         ("wrong-length", "main"), ("wrong-length", "prelim"),
         ("wrong-length-later", "main"), ("wrong-length-later", "prelim"),
-        ("wrong-length-rerun", "main"), ("wrong-length-rerun", "prelim")])
+        ("wrong-length-rerun", "main"), ("wrong-length-rerun", "prelim"),
+        ("other-scheme", "main"), ("other-scheme", "prelim"),
+        ("other-scheme-later", "main"), ("other-scheme-later", "prelim")])
     def test_row_wider_than_a_slot_is_refused_as_staged(self, request, case, scheme, backend):
         """A product the staged `he` ops refuse with `DimensionMismatchError`
         is refused by the compiled step too: over more columns than a packed
@@ -623,7 +634,10 @@ class TestCompiledControllerStep:
         entry too long: at the first step ("wrong-length"), at the second
         ("wrong-length-later"), and at the first step of a second controller
         of the plan, whose kernel the first one's step built
-        ("wrong-length-rerun")."""
+        ("wrong-length-rerun"); and with an input encrypted under other
+        scheme parameters than the keys' (q + 1 on mock, a pad 3 bits wider
+        on lattice), at the first step ("other-scheme") and at the second
+        ("other-scheme-later")."""
         if case == "wide":
             wide, q = (1 << he.GUARD) + 1, 2**12
             rows = {"F/omega": [[1]], "G/(s1*omega)": [[1] * wide], "R/(s1*omega)": [[1]],
@@ -644,6 +658,9 @@ class TestCompiledControllerStep:
         params = (he.SchemeParams.mock(q) if backend == "mock" else
                   he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad)))
         pk, _ = he.keygen(params, seed=1)
+        other = (he.SchemeParams.mock(q + 1) if backend == "mock" else
+                 he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad + 3)))
+        other_pk, _ = he.keygen(other, seed=1)
         # the bootstrapped state, encrypted from the integer twin: the main
         # bootstrap multiplies, and would refuse a wrong q before any step
         twin = (MainRecurrence if scheme == "main" else PrelimRecurrence)(IntRing(), plan)
@@ -652,6 +669,7 @@ class TestCompiledControllerStep:
         for cls in ((MainEncController, MainRecurrence) if scheme == "main" else
                     (PrelimEncController, PrelimRecurrence)):
             inputs = CipherRing(pk, plan.q, random.Random(3))
+            other_inputs = CipherRing(other_pk, plan.q, random.Random(3))
 
             def bootstrapped():
                 rec = cls(CipherRing(pk, plan.q, random.Random(2)), plan)
@@ -659,17 +677,18 @@ class TestCompiledControllerStep:
                     setattr(rec, k, rec.ring.fresh(getattr(twin, k)))
                 return rec
 
-            def step(rec, extra=0):
-                return rec.step(inputs.fresh([1] * (dims[0] + extra)),
-                                inputs.fresh([5] * dims[1]))
+            def step(rec, bad=False):
+                y = other_inputs if bad and case.startswith("other-scheme") else inputs
+                extra = bad and case.startswith("wrong-length")
+                return rec.step(y.fresh([1] * (dims[0] + extra)), inputs.fresh([5] * dims[1]))
 
             rec = bootstrapped()
-            if case == "wrong-length-later":
+            if case.endswith("-later"):
                 step(rec)
             elif case == "wrong-length-rerun":
                 step(bootstrapped())
             try:
-                emitted = step(rec, case.startswith("wrong-length"))
+                emitted = step(rec, bad=True)
                 cts = [*_vectors(emitted), *(getattr(rec, k) for k in rec.state)]
                 outcomes.append([ct.payload for ct in cts])
             except he.DimensionMismatchError:
@@ -680,11 +699,14 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 4 kernels in total on the main route (the
-        controller's payload and noise steps, the shadow's step, the
-        actuator's `rebuild`) and 3 on the prelim route, and write one CSV.
-        A run at another pad compiles its own payload step only; a plan
-        with another q compiles every kernel of its own."""
+        different seeds compile 7 kernels in total on the main route (the
+        controller's payload and noise `start` and `step`, the integer
+        `start` and `step` that the shadow and the actuator share, the
+        actuator's `rebuild`) and 3 on the prelim route (payload, noise and
+        integer `step`), and write one CSV.  A run at another pad compiles
+        its own payload kernels only, and so does a plan with twice the q:
+        its integer rows are the same, and so are its centered rows, by
+        which the noise kernels are kept."""
         sc, plan, run = route(request, scheme)
         pad = lattice_params(plan, 5).lattice.pad_bits
         _kernels.clear()
@@ -705,16 +727,16 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "function", counting)
-        kernels = 4 if scheme == "main" else 3
+        kernels, payload = (7, 2) if scheme == "main" else (3, 1)
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad + 1), 3) == first
-        assert len(compiled) == kernels + 1
+        assert len(compiled) == kernels + payload
         wider = replace(plan, q=2 * plan.q)
         assert csv(wider, he.SchemeParams.mock(wider.q), 4) == first
-        assert len(compiled) == 2 * kernels + 1
+        assert len(compiled) == kernels + 2 * payload
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_a_run_frees_its_keys_and_ciphertexts(self, request, monkeypatch, scheme):
@@ -752,11 +774,13 @@ class TestNoiseDryRun:
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
-        """`lattice_params` compiles 2 kernels, both on `NoiseRing`: the
-        bootstrap's bounds and the plan's noise step.  A lattice run of the
-        plan compiles none on `NoiseRing`: its controller checks its steps
-        with the dry run's noise step, and compiles only the payload step,
-        the shadow's step and, on the main route, the actuator's `rebuild`."""
+        """`lattice_params` compiles the plan's noise kernels, on
+        `NoiseRing`: `start` and `step` on the main route, `step` on the
+        prelim route.  A lattice run of the plan compiles none on
+        `NoiseRing`: its controller checks its bootstrap and steps with the
+        dry run's kernels, and compiles only its payload kernels and the
+        integer ones: `start`, `step` and `rebuild` on the main route,
+        `step` on the prelim route."""
         sc, plan, run = route(request, scheme)
         sources, noise, compile_, bounds = [], [], compile, NoiseRing.bounds
 
@@ -773,13 +797,13 @@ class TestNoiseDryRun:
         monkeypatch.setattr(kernel, "compile", recording_compile, raising=False)
         monkeypatch.setattr(NoiseRing, "bounds", recording_bounds)
         params = lattice_params(plan, 5)
-        assert len(sources) == 2 and noise == sources
+        assert len(sources) == (2 if scheme == "main" else 1) and noise == sources
         sources.clear()
         noise.clear()
         tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
-        assert noise == [] and len(sources) == (3 if scheme == "main" else 2)
+        assert noise == [] and len(sources) == (5 if scheme == "main" else 2)
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -875,6 +899,25 @@ def test_counters(request, scheme):
     boot = sc.plant.n + 2 * n_x + n_r + w if scheme == "main" else n_x
     assert tr.enc_ops == boot + 10 * (v + n_r)
     assert (tr.enc_ops, tr.dec_ops) == (tr.records[-1].enc_ops, tr.records[-1].dec_ops)
+
+
+@pytest.mark.parametrize("scheme", ["main", "prelim"])
+def test_a_run_needs_no_staged_op(request, monkeypatch, scheme):
+    """Every linear operation of a run is a compiled kernel: with the staged
+    `he` ops and the reference rings' `matvec` and `add` raising, a lattice
+    run completes and restores every input."""
+    sc, plan, run = route(request, scheme)
+
+    def refuse(*args):
+        raise AssertionError("a run called a staged op")
+
+    for owner, name in ((he, "plain_matmul"), (he, "add"), (IntRing, "matvec"),
+                        (IntRing, "add"), (CipherRing, "matvec"), (CipherRing, "add")):
+        monkeypatch.setattr(owner, name, refuse)
+    cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference, x_p0=sc.x_p0,
+                    horizon=10, params=lattice_params(plan, 10), seed=1)
+    tr = run(plan, cfg)
+    assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
 
 
 class TestTrace:
@@ -1043,6 +1086,27 @@ def test_lattice_pads_are_pinned(request, plan, horizons, pads):
     bundled run."""
     plan = request.getfixturevalue(plan)
     assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
+
+
+@pytest.mark.parametrize("plan,horizons,pads", PADS,
+                         ids=["batch-reactor-main", "coupled-tanks-prelim",
+                              "coupled-tanks-main"])
+def test_pads_of_every_horizon_share_one_noise_program(request, monkeypatch,
+                                                       plan, horizons, pads):
+    """`lattice_params` of one plan at every pinned horizon compiles the
+    plan's noise kernels once: 2 on the main route (`start` and `step`), 1
+    on the prelim route."""
+    plan = request.getfixturevalue(plan)
+    calls, compile_ = [0], compile
+
+    def counting_compile(*args):
+        calls[0] += 1
+        return compile_(*args)
+
+    # `kernel.Source.function` compiles through the name `compile`
+    monkeypatch.setattr(kernel, "compile", counting_compile, raising=False)
+    assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
+    assert calls[0] == (2 if isinstance(plan, MainPlan) else 1)
 
 
 def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan):
