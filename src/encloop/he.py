@@ -9,15 +9,20 @@ Two interchangeable backends:
 * ``lattice`` -- a Regev-style public-key LWE scheme whose plaintext space
   is natively Z_q (ciphertext modulus Q = q * 2^pad, messages scaled by
   Delta = 2^pad).  Sums and integer-matrix products of plaintexts wrap mod q
-  for free.  Noise is tracked per ciphertext with a conservative budget
-  model (additive for sums; for matrix products, weighted by the largest
-  absolute row sum of the matrix centered mod q) so decryption ambiguity is
-  predicted, not discovered.  A run compiles its products over payloads
-  (`loop`); the staged ops `plain_matmul` and `add` are the reference the
-  tests check those kernels against.  Both follow one rule: `check_product`
-  admits the plaintext, `slot_reduction` reduces the payload and
-  `check_budget` checks the noise bound, as `decrypt` does; `loop.NoiseRing`
-  records the model to size the pad.
+  for free.  Every op is linear mod Q, so the noise of a ciphertext is the
+  same integer combination of the fresh encryptions' noises as its
+  plaintext is of theirs.  A ciphertext carries a bound on that noise, or
+  None where nothing bounds it, and `decrypt` checks it against the budget
+  (`check_budget`) or refuses: decryption ambiguity is predicted, not
+  discovered, and only what is decrypted is checked.  A run compiles its
+  products over payloads (`loop`), whose emitted ciphertexts take their
+  bounds from the plan's exact noise table (`loop.NoiseTable`) and whose
+  states carry none.  The staged ops `plain_matmul` and `add` are the
+  reference the tests check those kernels against; they keep a per-vector
+  bound (additive for sums; for matrix products, weighted by the largest
+  absolute row sum of the matrix centered mod q).  Staged or compiled, a
+  product follows one rule: `check_product` admits the plaintext and
+  `slot_reduction` reduces the payload.
 
 The LWE dimensions are constants (`DIMENSION`, `SAMPLES`, `NOISE`), so a
 fresh ciphertext's noise bound is `FRESH_NOISE_BOUND` in every run; the pad
@@ -212,13 +217,15 @@ class KeyMaterial:
 @dataclass
 class Ciphertext:
     """Opaque encrypted vector (one packed int per entry on the lattice
-    backend) and its noise bound, which a product by a plaintext whose
-    entries are all 0 mod q (weight 0) resets to 0."""
+    backend) and a bound on the noise of every entry: None if nothing
+    bounds it, and `decrypt` then refuses it on the lattice backend.  A
+    fresh encryption's bound is `FRESH_NOISE_BOUND` (0 on mock, which has
+    no noise)."""
 
     params: SchemeParams
     dim: int
     payload: tuple
-    noise_bound: int = 0
+    noise_bound: Optional[int] = None
 
 
 def keygen(params: SchemeParams, seed: Optional[int] = None):
@@ -264,7 +271,7 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
     params = pk.params
     _check_plain(v, params.q)
     if params.backend == "mock":
-        return Ciphertext(params, len(v), tuple(v))
+        return Ciphertext(params, len(v), tuple(v), noise_bound=0)
     rng = rng if rng is not None else random.Random()
     delta, tables, reduce = params.delta, pk.payload[1], params._slots.reduce
     low = (1 << WINDOW) - 1
@@ -286,6 +293,9 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
         raise DimensionMismatchError("key/ciphertext scheme mismatch")
     if params.backend == "mock":
         return tuple(ct.payload)
+    if ct.noise_bound is None:
+        raise NoiseOverflowError("no noise bound covers this ciphertext; "
+                                 "decryption could be ambiguous")
     check_budget(params, ct.noise_bound)
     Q, delta = params.ct_modulus, params.delta
     # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q,
@@ -304,8 +314,9 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
         raise DimensionMismatchError(f"dimension {c1.dim} vs {c2.dim}")
     reduce = slot_reduction(params)[0]
     payload = tuple(reduce(x + y) for x, y in zip(c1.payload, c2.payload))
+    bounds = (c1.noise_bound, c2.noise_bound)
     return Ciphertext(params, c1.dim, payload,
-                      noise_bound=c1.noise_bound + c2.noise_bound)
+                      noise_bound=None if None in bounds else sum(bounds))
 
 
 def slot_reduction(params: SchemeParams) -> tuple:
@@ -324,9 +335,9 @@ def slot_reduction(params: SchemeParams) -> tuple:
 
 
 def check_budget(params: SchemeParams, bound: int):
-    """Raises `NoiseOverflowError` if a noise bound reaches half of Delta,
-    the budget decryption needs: of a product, or of what `decrypt`
-    decrypts.  The mock backend has none."""
+    """Raises `NoiseOverflowError` if the noise bound of what `decrypt`
+    decrypts reaches half of Delta, the budget decryption needs.  The mock
+    backend has none."""
     if params.backend == "lattice" and bound >= params.delta // 2:
         raise NoiseOverflowError(
             f"noise bound 2^{bound.bit_length()} exceeds half-Delta "
@@ -374,8 +385,7 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
     check_product(params, M)
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
-    noise = ct.noise_bound * M.weight
-    check_budget(params, noise)
+    noise = None if ct.noise_bound is None else ct.noise_bound * M.weight
     reduce = slot_reduction(params)[0]
     payload = tuple([reduce(sum(m * x for m, x in zip(row, ct.payload))) for row in M.rows])
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
@@ -385,7 +395,8 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
 class NoiseReport:
     """Remaining-operation estimate.  headroom > 0 guarantees exact decryption,
     headroom < 0 guarantees refusal; 0 is the boundary bit.  Infinite on the
-    mock backend."""
+    mock backend; without a noise bound, the bound is infinite and the
+    headroom minus infinity."""
 
     noise_bound_log2: float
     budget_log2: float
@@ -396,6 +407,6 @@ def noise_report(ct: Ciphertext) -> NoiseReport:
     if ct.params.backend == "mock":
         return NoiseReport(0.0, float("inf"), float("inf"))
     budget = float(ct.params.lattice.pad_bits - 1)
-    nb = float(ct.noise_bound.bit_length())
+    nb = float("inf") if ct.noise_bound is None else float(ct.noise_bound.bit_length())
     return NoiseReport(nb, budget, budget - nb)
 

@@ -23,22 +23,32 @@ Each converted controller is written once, over a ring's two operations
 state update, emission, and its inverse `rebuild`) and `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so no run interprets a recurrence op by op.  Each linear
-method of a party (`start`, `step`, the main actuator's `rebuild`) is run
-once on the recording ring `kernel.Source`, which makes every matvec row and
-every sum one straight-line statement with its zero coefficients dropped,
-and the record is compiled into one function: on integers (`_compile`, for the
-integer shadows and the main actuator, whose ring `IntRing` only embeds),
-or over packed ciphertext payloads (`_compile_cipher`), where `he` supplies
+method of a party (`start`, `step`, the main actuator's `rebuild` and
+`y_o`) is run once on the recording ring `kernel.Source`, which makes every
+matvec row and every sum one straight-line statement with its zero
+coefficients dropped, and the record is compiled into one function: on
+integers (`_compile`, for the integer shadows, the main actuator, whose
+ring `IntRing` only embeds, and the noise table), or over packed ciphertext
+payloads (`_compile_cipher`), where `he` supplies
 the reducer and the slot limit, so an entry is reduced only where the limit
-needs it and every state and emitted entry once.  The same method recorded
-on `NoiseRing`, over one noise bound per vector (`_noise_step`), gives its
-bounds and its largest product bound, which `he` checks against the pad
-where the staged ops would raise; `noise_peak` runs those same kernels to
-size the pad.  A kernel depends only on the plaintext rows it is recorded
-from and, over payloads, on the scheme parameters, so the process keeps the
-kernels it built last by those (`_kept`), and a party looks each of its
-kernels up once and keeps it: only keys, ciphertexts and encryption
-randomness are made per run, and every call checks its inputs.
+needs it and every state and emitted entry once.  A kernel depends only on
+the plaintext rows it is recorded from and, over payloads, on the scheme
+parameters, so the process keeps the kernels it used last by those
+(`_kept`), and a party looks each of its kernels up once and keeps it: only
+keys, ciphertexts and encryption randomness are made per run, and every
+call checks its inputs.
+
+Noise.  Every `he` op is linear mod Q, so the noise of an emitted
+ciphertext is an integer form over the noises of the fresh encryptions the
+run has made, whose coefficients the integer kernels compute from the
+plaintext rows centered mod q.  `NoiseTable` sums their absolute values
+from impulse responses, once per plan: the exact bound of every emitted
+entry at every step, for every horizon once the responses have died out.
+The pad is sized from it (`lattice_params`), and the encrypted controllers'
+emitted ciphertexts carry its bounds; their states carry none, since
+nothing decrypts them.  On the main route nothing else is decrypted: the
+controller emits only the bounded increments, and the sensor reads the
+observer output from the actuator's exact reconstruction.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -70,6 +80,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, repeat
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
@@ -359,8 +370,8 @@ class IdealLoop:
 # A ring embeds integer matrices (`plain`) and fresh integer vectors
 # (`fresh`).  The two operations the recurrences use, `matvec` (plaintext
 # integer matrix times ring vector) and `add` (of any number of vectors, left
-# to right), are recorded: on `kernel.Source`, which makes each compiled
-# kernel, and on `NoiseRing`, which makes its noise bounds.
+# to right), are recorded on `kernel.Source`, which makes each compiled
+# kernel.
 
 
 class IntRing:
@@ -381,8 +392,8 @@ class CipherRing:
     """Ciphertexts under `pk`: the encrypted controllers, and every party
     that encrypts (`fresh`, which counts the ciphertext entries it makes).
     A plaintext matrix is prepared once (`he.PlainMatrix`), which centers
-    its entries into (-q/2, q/2] and so keeps the row-sum weight a product
-    charges to the noise as small as the certified coefficients allow."""
+    its entries into (-q/2, q/2]: the coefficients a product multiplies
+    payloads, and so noises, by, as small as the certified ones allow."""
 
     def __init__(self, pk, q: int, rng):
         self.pk, self.q, self.rng = pk, q, rng
@@ -394,30 +405,6 @@ class CipherRing:
     def fresh(self, values):
         self.enc_ops += len(values)
         return he.encrypt(self.pk, [v % self.q for v in values], self.rng)
-
-
-class NoiseRing(kernel.Source):
-    """The noise budget model of `he`, recorded over one bound per vector
-    (`_noise_step`).  A plaintext is `CipherRing`'s `he.PlainMatrix`, by
-    whose weight a product multiplies a bound (`matvec` records [[weight]]
-    and keeps the product); sums add bounds.  No bound depends on the pad,
-    the one per-run setting."""
-
-    def __init__(self):
-        super().__init__()
-        self.products = []
-
-    def matvec(self, M, v) -> list:
-        out = super().matvec([[M.weight]], v)
-        self.products += out
-        return out
-
-    def bounds(self, vectors):
-        """The record compiled: a function of the input vectors' bounds that
-        returns those of `vectors`, as one list, and the bounds of the
-        recorded products."""
-        return self.function(([b for v in vectors for b in v],
-                              tuple(dict.fromkeys(self.products))))
 
 
 def _record(recurrence, method, ring, m: dict, reads, inputs):
@@ -441,11 +428,13 @@ def _rows(recurrence) -> tuple:
     return tuple((k, getattr(M, "rows", M)) for k, M in vars(recurrence.m).items())
 
 
-# The kernels built last in this process, oldest first: (builder, method,
-# plaintext rows, params) -> kernel.  A main plan has 7 kernels (noise,
-# payload and integer `start` and `step`, and `rebuild`) and 2 more per
-# further pad, a prelim plan 3 and 1 more per pad; plans that differ only
-# in q share their integer kernels.  32 keep several plans'.
+# The kernels used last in this process, least recent first: (builder,
+# method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
+# A main plan has 6 kernels (payload and integer `start` and `step`, and the
+# actuator's `rebuild` and `y_o`) and 2 more per further pad, a prelim plan
+# 2 and 1 more per pad; the noise table runs the integer kernels, and plans
+# that differ only in q share them where their centered rows agree.  32
+# keep several plans'.
 KERNELS_KEPT = 32
 _kernels: dict = {}
 
@@ -453,15 +442,17 @@ _kernels: dict = {}
 def _kept(build, recurrence, method, reads, args, params=None):
     """`build(recurrence, method, reads, args)`, kept by `method`, the
     plaintext rows of `recurrence` (`_rows`) and, over payloads, `params`
-    while it is among the last `KERNELS_KEPT` built.  A kernel takes the
-    recurrence as an argument and holds no reference to it, so it holds no
-    plan, key or ciphertext of a run."""
+    while it is among the last `KERNELS_KEPT` used, so that a kernel every
+    plan shares stays.  A kernel takes the recurrence as an argument and
+    holds no reference to it, so it holds no plan, key or ciphertext of a
+    run."""
     key = (build, method, _rows(recurrence), params)
-    run = _kernels.get(key)
+    run = _kernels.pop(key, None)
     if run is None:
-        run = _kernels[key] = build(recurrence, method, reads, args)
-        if len(_kernels) > KERNELS_KEPT:
+        run = build(recurrence, method, reads, args)
+        if len(_kernels) >= KERNELS_KEPT:
             del _kernels[next(iter(_kernels))]
+    _kernels[key] = run  # the last used
     return run
 
 
@@ -478,7 +469,9 @@ def _compile(recurrence, method, reads, args):
     `reads`, updates the state as `method` would and returns what it
     returns.  Lengths the plan's matrices do not take raise `ValueError`
     while recording, and so do other lengths than the recorded ones at
-    every call."""
+    every call.  Its `kernel` is the compiled function itself, unchecked:
+    of the vectors `reads` and the arguments, it returns the new state
+    vectors and then the vectors `method` returns, as one list."""
     return _kept(_int_kernel, recurrence, method, reads, args)
 
 
@@ -500,40 +493,24 @@ def _int_kernel(recurrence, method, reads, args):
             setattr(rec, k, v)
         return tuple(out[n:]) if many else out[n]
 
+    run.kernel = fn
     return run
-
-
-def _noise_step(recurrence, method, reads, nargs: int):
-    """`method` of an encrypted controller recorded on a `NoiseRing` and
-    compiled (`_kept`), shared by the pad's dry run (`noise_peak`) and the
-    encrypted runs: a function of the noise bounds of the state vectors
-    `reads` and of `nargs` argument ciphertexts, as one list, that returns
-    those of the new state and of what `method` returns, as one list, and
-    the bounds of its products, whose largest `he` checks against the pad."""
-    return _kept(_noise_kernel, recurrence, method, reads, nargs)
-
-
-def _noise_kernel(recurrence, method, reads, nargs: int):
-    """`_noise_step`'s kernel."""
-    ring = NoiseRing()
-    inputs = [[b] for b in ring.vector(len(reads) + nargs)]
-    outputs, _ = _record(recurrence, method, ring, vars(recurrence.m), reads, inputs)
-    return ring.bounds(outputs)
 
 
 def _compile_cipher(controller, method, reads, args):
     """`method` of an encrypted controller, compiled over ciphertext payloads
     for the scheme parameters of its ring's keys (`_kept`), as `_compile`
-    over integers; payloads and noise bounds equal those of the staged `he`
-    ops.  `he`'s product rule holds for the whole method: each plaintext
-    passes `he.check_product`; operands of unequal length, and at every call
-    inputs of other lengths or scheme parameters than the recorded ones,
-    raise `he.DimensionMismatchError`.  The payloads are recorded with
+    over integers; payloads equal those of the staged `he` ops.  `he`'s
+    product rule holds for the whole method: each plaintext passes
+    `he.check_product`; operands of unequal length, and at every call inputs
+    of other lengths or scheme parameters than the recorded ones, raise
+    `he.DimensionMismatchError`.  The payloads are recorded with
     `he.slot_reduction`'s reducer and limit over the centered plaintext
-    rows.  The bounds are the noise kernel (`_noise_step`), whose largest
-    product bound goes through `he.check_budget`, which raises where the
-    first product past the budget would; returned sums are left to
-    `he.decrypt`, as on the staged path."""
+    rows.  On lattice, what a call returns carries the bounds of the plan's
+    noise table at the controller's event (`_EncryptedController`), if
+    every argument is a fresh encryption, which the table assumes, and no
+    bound otherwise; the new state carries none.  `he.decrypt` checks the
+    bounds, and refuses a ciphertext without one."""
     params = controller.ring.pk.params
     for M in vars(controller.m).values():
         he.check_product(params, M)
@@ -551,8 +528,9 @@ def _cipher_kernel(controller, method, reads, args):
     except ValueError as e:
         raise he.DimensionMismatchError(e) from None
     payloads = source.function([tuple(source.reduced(v)) for v in outputs])
-    noise = _noise_step(controller, method, reads, len(args))
+    table = noise_table(controller) if params.backend == "lattice" else None
     state, n = controller.state, len(controller.state)
+    fresh = he.FRESH_NOISE_BOUND
 
     def run(rec, *args):
         params = rec.ring.pk.params  # equal to those the kernel is kept by
@@ -561,10 +539,14 @@ def _cipher_kernel(controller, method, reads, args):
             if ct.params is not params and ct.params != params:
                 raise he.DimensionMismatchError("ciphertexts from different schemes")
         _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
-        bounds, products = noise([ct.noise_bound for ct in cts])
-        he.check_budget(params, max(products, default=0))
-        out = [he.Ciphertext(params, len(p), p, b)
-               for p, b in zip(payloads(*(ct.payload for ct in cts)), bounds)]
+        event = rec.events
+        rec.events = event + 1
+        emitted = repeat(None)
+        if table is not None and all(ct.noise_bound is not None and ct.noise_bound <= fresh
+                                     for ct in args):
+            emitted = table.at(event)
+        out = [he.Ciphertext(params, len(p), p, b) for p, b in
+               zip(payloads(*(ct.payload for ct in cts)), chain(repeat(None, n), emitted))]
         for k, ct in zip(state, out):
             setattr(rec, k, ct)
         return tuple(out[n:]) if many else out[n]
@@ -619,9 +601,8 @@ class MainRecurrence:
         re <- (re + ref_increment) / omega
         u   = H xe + J xo + S re
 
-    The controller emits the observer output y_o = C xo of the new xo, which
-    the sensor decrypts, and sends the increments (suffix _m1, _m2: one and
-    two steps before; every state before step 0 is zero)
+    The controller emits the increments (suffix _m1, _m2: one and two steps
+    before; every state before step 0 is zero)
 
         alpha = xo - A xo_m1 - B u_m1
         beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
@@ -632,7 +613,8 @@ class MainRecurrence:
     memory is one step deep: `increments`, the one emission rule, takes
     1/omega times the brackets of the step before (`bx`, `bu`; zero before
     step 0) from the step's own, and carries the new ones.  `rebuild`
-    inverts it with the carried brackets, as the actuator does.
+    inverts it with the carried brackets, as the actuator does, whose
+    observer output y_o = C xo (`y_o`) the sensor reads.
     """
 
     state = ("xo", "xe", "re", "bx", "bu", "u")
@@ -657,16 +639,15 @@ class MainRecurrence:
 
     def start(self, xo, xe, re, bx, bu):
         """Takes the initial states xo, xe, re and the brackets bx, bu;
-        returns the emission of step 0, (y_o, alpha, beta, gamma), with the
-        increments by the rule of every step (`increments`).  With x_e0 = 0
-        every state and bracket is zero, which is where the actuator starts,
-        so reconstruction telescopes from the first step."""
+        returns the emission of step 0, (alpha, beta, gamma), by the rule of
+        every step (`increments`).  With x_e0 = 0 every state and bracket is
+        zero, which is where the actuator starts, so reconstruction
+        telescopes from the first step."""
         mv, m = self.ring.matvec, self.m
         self.xo, self.xe, self.re, self.bx, self.bu = xo, xe, re, bx, bu
         s_re = mv(m.S, re)
         self.u = self.ring.add(mv(m.H, xe), mv(m.J, xo), s_re)
-        increments = self.increments(xo, xe, s_re)
-        return (self.y_o(), *increments)
+        return self.increments(xo, xe, s_re)
 
     def increments(self, alpha, bx, bu):
         """(alpha, beta, gamma): beta and gamma are this step's brackets less
@@ -678,8 +659,8 @@ class MainRecurrence:
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
-        increment; returns the emission (y_o, alpha, beta, gamma), the
-        increments from the step's own products."""
+        increment; returns the emission (alpha, beta, gamma), the increments
+        from the step's own products."""
         mv, add, m = self.ring.matvec, self.ring.add, self.m
         alpha = mv(m.L, innovation)
         xo = add(mv(m.A, self.xo), mv(m.B, self.u), alpha)
@@ -689,10 +670,10 @@ class MainRecurrence:
         bu = mv(m.S, self.re)
         self.u = add(mv(m.H, xe), mv(m.J, xo), bu)
         self.xo, self.xe = xo, xe
-        increments = self.increments(alpha, bx, bu)
-        return (self.y_o(), *increments)
+        return self.increments(alpha, bx, bu)
 
     def y_o(self):
+        """The observer output (C/s1) xo."""
         return self.ring.matvec(self.m.C, self.xo)
 
     def rebuild(self, alpha, beta, gamma):
@@ -706,6 +687,13 @@ class MainRecurrence:
         self.xo = xo
         self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.xo))
         return self.u
+
+    def lengths(self) -> tuple:
+        """The lengths of the vectors a run encrypts fresh: the bootstrap's
+        (`start`'s arguments) and each step's; and of those a step emits."""
+        d = self.dims
+        return ((d["n"], d["n_x"], d["n_r"], d["n_x"], d["w"]), (d["v"], d["n_r"]),
+                (d["n"], d["n_x"], d["w"]))
 
 
 class PrelimRecurrence:
@@ -729,26 +717,46 @@ class PrelimRecurrence:
         self.x = add(mv(m.F, self.x), mv(m.G, y), mv(m.R, r))
         return u
 
+    def lengths(self) -> tuple:
+        """As `MainRecurrence.lengths`, for plaintexts prepared by a
+        `CipherRing`: the state x, which the bootstrap encrypts; y and r;
+        and u."""
+        m = self.m
+        return (m.F.cols,), (m.G.cols, m.R.cols), (len(m.H.rows),)
+
+
+class _EncryptedController:
+    """What an encrypted controller adds to its recurrence: it counts the
+    calls of its compiled kernels since its bootstrap, the events by which
+    the plan's `NoiseTable` bounds what it emits."""
+
+    events = 0
+
+    def bootstrap(self, *args):
+        self.events = 0
+        return super().bootstrap(*args)
+
 
 # -- main scheme parties ------------------------------------------------------
 
 
-class MainEncController(MainRecurrence):
+class MainEncController(_EncryptedController, MainRecurrence):
     """Holds only the public key (in its `CipherRing`); iterates the converted
-    observer controller on ciphertexts and emits the observer output plus the
-    bounded increments.  `start` and `step` are compiled."""
+    observer controller on ciphertexts and emits the bounded increments.
+    `start` and `step` are compiled."""
 
     start = _compiled(MainRecurrence.start, _compile_cipher, reads=())
     step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
 class MainIntegerRecurrence(MainRecurrence):
-    """`MainRecurrence` on `IntRing`, `start`, `step` and `rebuild` compiled:
-    the integer shadow, and the main actuator's reconstruction."""
+    """`MainRecurrence` on `IntRing`, `start`, `step`, `rebuild` and `y_o`
+    compiled: the integer shadow, and the main actuator's reconstruction."""
 
     start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
     rebuild = _compiled(MainRecurrence.rebuild, _compile)
+    y_o = _compiled(MainRecurrence.y_o, _compile)
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
@@ -760,33 +768,35 @@ class MainIntegerShadow(MainIntegerRecurrence):
 
 
 class MainSensor:
-    """Decrypts the observer output, reconstructs it exactly through the
-    centered window around the measured output, and returns the encrypted
-    quantized innovation."""
+    """Quantizes the innovation, the measured output less s1 times the
+    observer output y_o = (C/s1) xo, and returns it encrypted.  The paper's
+    controller sends the sensor y_o encrypted; here the sensor reads it from
+    the actuator, which rebuilds xo exactly from the increments
+    (`MainActuator.y_o`): a plaintext link inside the plant side, where both
+    parties hold the secret key.  The controller is unchanged; it only sends
+    the sensor nothing, so that no ciphertext whose noise grows with t is
+    ever decrypted."""
 
-    def __init__(self, ring: CipherRing, sk, plan: MainPlan):
-        self.ring, self.sk = ring, sk
+    def __init__(self, ring: CipherRing, plan: MainPlan):
+        self.ring = ring
         self.s1 = plan.s1
         self.spec = QuantizerSpec(plan.range_level)
-        self.dec_ops = 0
 
-    def step(self, y_o_ct, y_bar):
-        """`y_bar` is the measurement y/l(t) as (integer numerators Y, their
-        denominator E), as `PlantSim.output` gives it."""
-        dec = he.decrypt(self.sk, y_o_ct)
-        self.dec_ops += len(dec)
+    def step(self, y_o, y_bar):
+        """`y_o` is the exact observer output, and `y_bar` the measurement
+        y/l(t) as (integer numerators Y, their denominator E), as
+        `PlantSim.output` gives it."""
         Y, E = y_bar
         s1n, s1d = self.s1.numerator, self.s1.denominator
-        # prior y_bar/s1 = P/d; prior - lifted = gap_num/d, and the
-        # innovation y_bar - s1 lifted = gap_num/(E s1d)
+        # y_bar/s1 = P/d; y_bar/s1 - y_o = gap_num/d, and the innovation
+        # y_bar - s1 y_o = gap_num/(E s1d)
         d = E * s1n
         P = [y * s1d for y in Y]
-        lifted = centered_mod_recover(list(dec), P, self.ring.q, d)
-        gap_num = [p - d * v for p, v in zip(P, lifted)]
+        gap_num = [p - d * v for p, v in zip(P, y_o)]
         q_inno, sat = quantize_vector(gap_num, self.spec, E * s1d)
         ct = self.ring.fresh(q_inno)
         gap = max((abs(g / d) for g in gap_num), default=0.0)
-        return lifted, q_inno, ct, sat, gap
+        return q_inno, ct, sat, gap
 
 
 class RefProvider:
@@ -814,7 +824,8 @@ class RefProvider:
 class MainActuator:
     """Decrypts the increments, lifts them around zero, and reconstructs the
     controller states in scaled-integer coordinates (exact; the delivered
-    input is u_a = s2 l(t) u_tilde)."""
+    input is u_a = s2 l(t) u_tilde), whose observer output it hands the
+    sensor (`y_o`)."""
 
     def __init__(self, sk, plan: MainPlan):
         self.sk = sk
@@ -837,11 +848,15 @@ class MainActuator:
             lifted.append(centered_mod_recover(dec, 0, self.q))
         return tuple(lifted), self.states.rebuild(*lifted)
 
+    def y_o(self):
+        """The observer output (C/s1) xo of the rebuilt states."""
+        return self.states.y_o()
+
 
 # -- prelim scheme parties -----------------------------------------------------
 
 
-class PrelimEncController(PrelimRecurrence):
+class PrelimEncController(_EncryptedController, PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
     `step` is compiled."""
 
@@ -876,6 +891,136 @@ class PrelimActuator:
         return self.prior
 
 
+# -- the noise table ------------------------------------------------------------
+
+
+class NoiseTable:
+    """The exact noise bounds of what the encrypted controller of a plan
+    emits, by event: the main bootstrap's `start` and then each step, or
+    each prelim step.
+
+    Every `he` op is linear mod Q, so the noise of an emitted entry is the
+    integer form sum c_k e_k over the noises e_k of the fresh encryptions
+    the run has made, |e_k| <= `he.FRESH_NOISE_BOUND`, and its coefficients
+    are what the recurrence computes over Z from its plaintext rows centered
+    mod q.  Its bound, FRESH_NOISE_BOUND sum |c_k|, is exact: the worst case
+    over independent fresh noises.  The coefficients of one fresh entry are
+    an impulse response of the integer kernels (`_response`): one column
+    per entry the bootstrap encrypts, and one per entry of a step's inputs,
+    which every step from `first_input` on encrypts anew, so the responses
+    of such a column at every lag so far add up.  The table keeps those
+    running sums lag by lag and extends itself on demand; once every column
+    has ended, its last bounds hold for every later event (`final`).  A
+    ciphertext takes the largest bound of its entries."""
+
+    def __init__(self, boot: list, inputs: list, first_input: int, lengths):
+        self.boot, self.inputs = boot, inputs  # the columns not yet ended
+        self.first_input, self.lengths = first_input, lengths
+        self.sums = [0] * sum(lengths)
+        self.bounds = []  # by event, each emitted vector's
+        self.final = False
+
+    def at(self, event: int) -> tuple:
+        """The noise bound of each vector emitted at `event`."""
+        while event >= len(self.bounds) and not self.final:
+            self._extend()
+        return self.bounds[min(event, len(self.bounds) - 1)]
+
+    def peak(self, events: int) -> int:
+        """The largest noise bound over the first `events` events."""
+        self.at(events - 1)
+        return max(map(max, self.bounds[:events]))
+
+    def _extend(self):
+        if len(self.bounds) >= self.first_input:
+            self.sums = _absorb(self.sums, self.inputs)
+        entries = _absorb(self.sums, self.boot)
+        self.final = not (self.boot or self.inputs)
+        bounds, k = [], 0
+        for n in self.lengths:
+            bounds.append(he.FRESH_NOISE_BOUND * max(entries[k:k + n], default=0))
+            k += n
+        self.bounds.append(tuple(bounds))
+
+
+def _absorb(sums: list, columns: list) -> list:
+    """`sums` plus the next response of each column; the columns that have
+    ended leave `columns`."""
+    live = []
+    for column in columns:
+        entries = next(column, None)
+        if entries is not None:
+            if entries:
+                sums = [a + b for a, b in zip(sums, entries)]
+            live.append(column)
+    columns[:] = live
+    return sums
+
+
+def _response(out: list, step, n: int, zeros: list):
+    """The absolute emitted entries of one impulse column, lag by lag, or ()
+    where they are all 0: at lag 0 those of `out`, n state vectors and then
+    the emission, and each lag after that those of a step on zero inputs
+    (`step`, an integer `kernel` that reads every state vector).  From lag 1
+    on the response is C A^(lag-1) x, for the state x after lag 0 and the
+    step's linear maps A (state to state) and C (state to emission); so once
+    it has been zero for as many lags in a row as the state has entries, it
+    is zero for ever (Cayley-Hamilton), and the column ends.  It ends as
+    well once the state is zero."""
+    state = out[:n]
+    width, zero_lags = sum(map(len, state)), 0
+    yield [abs(x) for v in out[n:] for x in v]
+    while zero_lags < width and any(map(any, state)):
+        out = step(*state, *zeros)
+        state = out[:n]
+        if any(map(any, out[n:])):
+            zero_lags = 0
+            yield [abs(x) for v in out[n:] for x in v]
+        else:
+            zero_lags += 1
+            yield ()
+
+
+def _units(lengths) -> list:
+    """For each entry of vectors of `lengths`, in order, those vectors with
+    1 at that entry and 0 everywhere else."""
+    return [[[int(k == j and i == e) for i in range(n)] for k, n in enumerate(lengths)]
+            for j, m in enumerate(lengths) for e in range(m)]
+
+
+def noise_table(controller) -> NoiseTable:
+    """The `NoiseTable` of the plan of an encrypted controller, or of its
+    recurrence on any `CipherRing` of the plan: kept (`_kept`) by the
+    plaintext rows centered mod q, which are all it depends on."""
+    return _kept(_noise_table, controller, NoiseTable, None, None)
+
+
+def _noise_table(controller, *_) -> NoiseTable:
+    """`noise_table`'s table, from the recurrence's integer kernels over the
+    centered rows (`_compile`)."""
+    boot, inputs, emitted = controller.lengths()
+    zeros = [[0] * k for k in inputs]
+    probe = copy.copy(controller)  # takes a zero state of the right lengths
+    if isinstance(controller, MainRecurrence):
+        start = _compile(probe, MainRecurrence.start, (), [[0] * k for k in boot])
+        start(probe, *([0] * k for k in boot))
+        step = _compile(probe, MainRecurrence.step, probe.state, zeros).kernel
+        # the bootstrap encrypts `start`'s arguments, and each step from
+        # event 1 on its inputs
+        boot, first_input = [start.kernel(*unit) for unit in _units(boot)], 1
+    else:
+        probe.x = [0] * boot[0]
+        step = _compile(probe, PrelimRecurrence.step, probe.state, zeros).kernel
+        # the bootstrap encrypts the state, and every step its inputs
+        boot, first_input = [step(*unit, *zeros) for unit in _units(boot)], 0
+    state = [[0] * len(getattr(probe, k)) for k in probe.state]
+    inputs = [step(*state, *unit) for unit in _units(inputs)]
+    n = len(state)
+    return NoiseTable([_response(out, step, n, zeros) for out in boot],
+                      [_response(out, step, n, zeros) for out in inputs],
+                      first_input, emitted)
+
+
 # -- orchestrator ---------------------------------------------------------------
 
 
@@ -895,36 +1040,22 @@ class RunConfig:
 
 
 def noise_peak(plan, horizon: int) -> int:
-    """The largest `he` noise bound that a horizon-long lattice run of `plan`
-    (main or prelim) checks against its pad: of any matrix product, and of
-    any ciphertext the controller emits, which a party decrypts.
-
-    The plan's noise kernels (`_noise_step`) run as a route's step drives
-    its encrypted controller (`run_closed_loop_*`): from fresh bounds for
-    the state through the main route's `start`, which emits step 0, then
-    each step fed two fresh encryptions, horizon - 1 steps on the main
-    route and horizon on the prelim route.  The kernels are kept, and the
-    encrypted runs of the plan check their bootstraps and steps with them.
-    No bound depends on a plaintext value or a vector length."""
-    fresh = he.FRESH_NOISE_BOUND
-    main = isinstance(plan, MainPlan)
+    """The largest noise bound of what a horizon-long lattice run of `plan`
+    (main or prelim) decrypts: the plan's `NoiseTable` over the run's
+    `horizon` events, the main bootstrap and horizon - 1 steps, or horizon
+    prelim steps.  The table is kept, and the encrypted runs of the plan
+    take their bounds from it."""
     # the plaintexts as the run's controller prepares them; no key is needed
-    rec = (MainRecurrence if main else PrelimRecurrence)(CipherRing(None, plan.q, None), plan)
-    n = len(rec.state)
-    bounds, peak = [fresh] * n, 0
-    if main:  # `start` takes every state vector but u
-        bounds, products = _noise_step(rec, MainRecurrence.start, (), n - 1)([fresh] * (n - 1))
-        peak = max(*products, *bounds[n:])
-    step = _noise_step(rec, type(rec).step, rec.state, 2)
-    for _ in range(horizon - 1 if main else horizon):
-        bounds, products = step(bounds[:n] + [fresh] * 2)
-        peak = max(peak, *products, *bounds[n:])
-    return peak
+    rec = (MainRecurrence if isinstance(plan, MainPlan) else PrelimRecurrence)(
+        CipherRing(None, plan.q, None), plan)
+    return noise_table(rec).peak(horizon)
 
 
 def lattice_params(plan, horizon: int) -> he.SchemeParams:
     """Size the ciphertext modulus so a horizon-long lattice run of `plan`
-    decrypts exactly: the pad is 2 bits wider than the noise dry run's peak."""
+    decrypts exactly: the pad is 2 bits wider than the noise peak.  Where
+    the plan's table is final within the horizon, as on the main route after
+    a few steps, the pad holds for every horizon."""
     pad = noise_peak(plan, horizon).bit_length() + 2
     return he.SchemeParams(q=plan.q, backend="lattice", lattice=he.LatticeParams(pad))
 
@@ -1008,7 +1139,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
     controller = MainEncController(ring, plan)
     shadow = MainIntegerShadow(plan)
-    sensor = MainSensor(ring, sk, plan)
+    sensor = MainSensor(ring, plan)
     provider = RefProvider(ring, plan, cfg.reference)
     actuator = MainActuator(sk, plan)
     x_e0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.l0)
@@ -1017,19 +1148,18 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     def step(t, l_t, y_bar):
         nonlocal sent
         if t == 0:
-            y_o_ct, *incs_ct = controller.bootstrap(x_e0_scaled)
+            incs_ct = controller.bootstrap(x_e0_scaled)
             emitted = shadow.bootstrap(x_e0_scaled)
         else:
-            y_o_ct, *incs_ct = controller.step(*sent[0])
+            incs_ct = controller.step(*sent[0])
             emitted = shadow.step(*sent[1])
-        lifted_y, q_inno, inno_ct, sat_s, gap = sensor.step(y_o_ct, y_bar)
+        lifted, ut_a = actuator.step(*incs_ct)
+        q_inno, inno_ct, sat_s, gap = sensor.step(actuator.y_o(), y_bar)
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
-        lifted_a, ut_a = actuator.step(*incs_ct)
-        _, alpha, beta, gamma = emitted
+        alpha, beta, gamma = emitted
         return _Step(
-            U=ut_a, u_shadow=shadow.u,
-            lifted=(lifted_y, *lifted_a), shadow=emitted,
+            U=ut_a, u_shadow=shadow.u, lifted=lifted, shadow=emitted,
             fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
                     "log2_gamma": _log2norm(gamma), "log2_sensor_gap": _log2(gap),
                     "saturated": bool(sat_s or sat_r)},
@@ -1039,8 +1169,8 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
 
     trace = ClosedLoopTrace("main", step_msgs={
         "ctrl_to_act": d["n"] + d["n_x"] + d["w"], "sensor_to_ctrl": d["v"],
-        "provider_to_ctrl": d["n_r"], "ctrl_to_sensor": d["v"]})
-    return _drive(trace, plan, cfg, plan.s2, step, ring, sensor, actuator)
+        "provider_to_ctrl": d["n_r"], "ctrl_to_sensor": 0})
+    return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
 
 
 def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:

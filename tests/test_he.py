@@ -194,10 +194,32 @@ def test_noise_overflow_predicted_and_raised():
         c = he.add(c, c)
     with pytest.raises(he.NoiseOverflowError):
         he.decrypt(sk, c)
-    # a heavy plaintext weight trips the budget check at the operation itself
-    fresh = he.encrypt(pk, [1], rng)
+    # a heavy plaintext weight: the product's bound predicts the refusal,
+    # and `decrypt`, which alone checks a bound, makes it
+    heavy = matmul([[2**9]], he.encrypt(pk, [1], rng))
+    assert he.noise_report(heavy).headroom_log2 < 0
     with pytest.raises(he.NoiseOverflowError):
-        matmul([[2**9]], fresh)
+        he.decrypt(sk, heavy)
+
+
+@pytest.mark.parametrize("backend", ["mock", "lattice"])
+def test_a_ciphertext_without_a_noise_bound_is_refused(backend):
+    """A ciphertext that carries no noise bound (None), and every sum and
+    product of one, is refused by `decrypt` on lattice, whatever its
+    payload; mock has no noise and decrypts it."""
+    params = make_scheme(backend, q=2**10, pad=16)
+    pk, sk = he.keygen(params, seed=14)
+    fresh = he.encrypt(pk, [3], random.Random(14))
+    unbounded = he.Ciphertext(params, 1, fresh.payload)
+    assert unbounded.noise_bound is None
+    for ct in (unbounded, he.add(fresh, unbounded), matmul([[1]], unbounded)):
+        if backend == "mock":
+            assert he.decrypt(sk, ct) in {(3,), (6,)}
+        else:
+            assert ct.noise_bound is None
+            assert he.noise_report(ct).headroom_log2 == float("-inf")
+            with pytest.raises(he.NoiseOverflowError, match="no noise bound"):
+                he.decrypt(sk, ct)
 
 
 def test_bad_params_rejected():
@@ -311,7 +333,8 @@ def test_decrypt_fold_is_the_unpacked_inner_product(q, pad):
         entries = [slots.pack([0] * he.SLOTS), slots.pack([Q - 1] * he.SLOTS)]
         entries += [slots.pack([rng.choice([0, Q - 1, rng.randrange(Q)])
                                 for _ in range(he.SLOTS)]) for _ in range(40)]
-        ct = he.Ciphertext(params, len(entries), tuple(entries))
+        # arbitrary entries: the noise bound 0 lets `decrypt` fold them all
+        ct = he.Ciphertext(params, len(entries), tuple(entries), noise_bound=0)
         want = []
         for e in entries:
             c, *a = slots.unpack(e)

@@ -22,7 +22,6 @@ from encloop.loop import (
     MainIntegerRecurrence,
     MainIntegerShadow,
     MainRecurrence,
-    NoiseRing,
     PlantSim,
     PrelimEncController,
     PrelimIntegerShadow,
@@ -31,6 +30,7 @@ from encloop.loop import (
     centered_mod_recover,
     lattice_params,
     noise_peak,
+    noise_table,
     run_closed_loop_main,
     run_closed_loop_prelim,
     _diff_inf,
@@ -40,7 +40,7 @@ from encloop.loop import (
 from encloop.planner import MainPlan, MainPlanOptions, plan_main
 
 from conftest import random_main_system
-from rings import CipherRing, IntRing
+from rings import CipherRing, FormRing, IntRing
 
 
 def rmat(rows):
@@ -319,8 +319,8 @@ class TestMainIncrements:
     def test_ops_per_step(self, batch, sound_plan, monkeypatch):
         """A controller step is one compiled kernel: no `he.plain_matmul` or
         `he.add`, and on lattice at most one slot reduction per state and
-        emitted entry (29 on the batch reactor).  The integer shadow's step
-        makes 13 matvecs (y_o's included), the actuator's `rebuild` 8."""
+        emitted entry (27 on the batch reactor).  The integer shadow's step
+        makes 12 matvecs, the actuator's `rebuild` 8."""
         counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
         def counting(name, op):
@@ -337,8 +337,8 @@ class TestMainIncrements:
             monkeypatch.setattr(he, name, counting(name, getattr(he, name)))
         monkeypatch.setattr(he, "slot_reduction", counting_reduction)
         q, d = sound_plan.q, sound_plan.dims
-        entries = 2 * d["n"] + 3 * d["n_x"] + d["n_r"] + 3 * d["w"] + d["v"]
-        assert entries == 29
+        entries = 2 * d["n"] + 3 * d["n_x"] + d["n_r"] + 3 * d["w"]
+        assert entries == 27
         x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
         params = lattice_params(sound_plan, 4)
         ring = loop.CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
@@ -368,9 +368,9 @@ class TestMainIncrements:
         shadow.bootstrap(x_e0)
         for _ in range(3):
             actuator.ring.matvecs = shadow.ring.matvecs = 0
-            _, *increments = shadow.step([1] * d["v"], [1] * d["n_r"])
+            increments = shadow.step([1] * d["v"], [1] * d["n_r"])
             actuator.rebuild(*increments)
-            assert (actuator.ring.matvecs, shadow.ring.matvecs) == (8, 13)
+            assert (actuator.ring.matvecs, shadow.ring.matvecs) == (8, 12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
@@ -506,11 +506,10 @@ class TestCompiledKernels:
         return [[rng.randint(-2**80, 2**80) for _ in range(n)] for n in dims]
 
     def _check_main(self, plan, x_e0):
-        """The compiled `start` (the bootstrap's linear part), `step` and
-        `rebuild` of `MainIntegerShadow` and of the actuator's
+        """The compiled `start` (the bootstrap's linear part), `step`,
+        `rebuild` and `y_o` of `MainIntegerShadow` and of the actuator's
         `MainIntegerRecurrence` against `MainRecurrence` on `IntRing`, over
-        20 steps of random inputs; the step emits y_o = (C/s1) xo of the new
-        xo first."""
+        20 steps of random inputs; `y_o` is (C/s1) xo of the new xo."""
         d, rng = plan.dims, random.Random(20)
         C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
@@ -524,10 +523,11 @@ class TestCompiledKernels:
             emitted = shadow.step(*inputs)
             assert emitted == reference.step(*inputs)
             assert self._states(shadow) == self._states(reference)
-            assert emitted[0] == IntRing.matvec(C, shadow.xo)
+            assert shadow.y_o() == reference.y_o() == IntRing.matvec(C, shadow.xo)
             incs = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
             assert actuator.rebuild(*incs) == actuator_ref.rebuild(*incs)
             assert self._states(actuator) == self._states(actuator_ref)
+            assert actuator.y_o() == IntRing.matvec(C, actuator.xo)
 
     @staticmethod
     def _states(rec):
@@ -565,10 +565,14 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("odd", [False, True], ids=["plan-q", "q+1"])
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_compiled_step_is_the_staged_step(self, request, scheme, odd, horizon, backend):
-        """Equal payloads and noise bounds of every state and emitted
-        ciphertext, at the plan's q and at q + 1 (odd, so Q is no power of
-        two), on both backends; with a pad 2 bits short of the horizon's,
-        `NoiseOverflowError` at the same step."""
+        """Equal payloads of every state and emitted ciphertext, at the
+        plan's q and at q + 1 (odd, so Q is no power of two), on both
+        backends.  On lattice the compiled new state carries no noise bound,
+        and what it emits carries the bound of the plan's table at the
+        controller's event, never above the staged ops' per-vector bound.
+        At the horizon's pad every emission decrypts; with a pad 2 bits
+        short, decryption raises `NoiseOverflowError` first at the event
+        whose table bound reaches half of Delta, within the horizon."""
         sc, plan, _ = route(request, scheme)
         if odd:
             plan = replace(plan, q=plan.q + 1)
@@ -579,7 +583,7 @@ class TestCompiledControllerStep:
             if backend == "short-pad":
                 pad = params.lattice.pad_bits - 2
                 params = replace(params, lattice=he.LatticeParams(pad))
-        pk, _ = he.keygen(params, seed=horizon)
+        pk, sk = he.keygen(params, seed=horizon)
         if scheme == "main":
             compiled_cls, staged_cls = MainEncController, MainRecurrence
             x0 = _scaled_integer_state(sc.ctrl.x0.data, plan.l0)
@@ -593,29 +597,37 @@ class TestCompiledControllerStep:
         staged = staged_cls(CipherRing(pk, plan.q, random.Random(5)), plan)
         inputs = CipherRing(pk, plan.q, random.Random(6))
         rng = random.Random(7)
-
-        def outcome(rec, *args):
-            """The emitted and the new state ciphertexts of a bootstrap (no
-            arguments) or a step, or "overflow"."""
-            try:
-                emitted = rec.step(*args) if args else rec.bootstrap(x0)
-            except he.NoiseOverflowError:
-                return "overflow"
-            cts = [*_vectors(emitted or ()), *(getattr(rec, k) for k in rec.state)]
-            return [(ct.dim, ct.payload, ct.noise_bound) for ct in cts]
-
-        overflow = None
+        table = noise_table(compiled)
+        overflow, refused = None, None
         for t in range(horizon):
             args = [inputs.fresh([rng.randrange(plan.q) for _ in range(n)])
                     for n in dims] if t else []
-            got = outcome(compiled, *args)
-            assert got == outcome(staged, *args)
-            if got == "overflow":
-                overflow = t
-                break
-        # only the short pad overflows, and within 30 steps it does
-        assert overflow is None or backend == "short-pad"
-        assert overflow is not None or (backend, horizon) != ("short-pad", 30)
+            # the emitted and the new state ciphertexts of a bootstrap (no
+            # arguments) or a step
+            outcomes = []
+            for rec in (compiled, staged):
+                emitted = _vectors((rec.step(*args) if args else rec.bootstrap(x0)) or ())
+                outcomes.append((emitted, [getattr(rec, k) for k in rec.state]))
+            (emitted, states), (staged_emitted, staged_states) = outcomes
+            assert ([(ct.dim, ct.payload) for ct in (*emitted, *states)]
+                    == [(ct.dim, ct.payload) for ct in (*staged_emitted, *staged_states)])
+            if backend == "mock" or not emitted:
+                continue
+            event = compiled.events - 1
+            assert all(ct.noise_bound is None for ct in states)
+            assert [ct.noise_bound for ct in emitted] == list(table.at(event))
+            assert all(c.noise_bound <= s.noise_bound
+                       for c, s in zip(emitted, staged_emitted))
+            if overflow is None and max(table.at(event)) >= params.delta // 2:
+                overflow = event
+            try:
+                for ct in emitted:
+                    he.decrypt(sk, ct)
+            except he.NoiseOverflowError:
+                refused = event if refused is None else refused
+        # only the short pad overflows, within the horizon, where the table says
+        assert refused == overflow
+        assert (overflow is not None) == (backend == "short-pad")
 
     @pytest.mark.parametrize("backend", ["mock", "lattice"])
     @pytest.mark.parametrize("case,scheme", [
@@ -699,14 +711,14 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 7 kernels in total on the main route (the
-        controller's payload and noise `start` and `step`, the integer
-        `start` and `step` that the shadow and the actuator share, the
-        actuator's `rebuild`) and 3 on the prelim route (payload, noise and
-        integer `step`), and write one CSV.  A run at another pad compiles
-        its own payload kernels only, and so does a plan with twice the q:
-        its integer rows are the same, and so are its centered rows, by
-        which the noise kernels are kept."""
+        different seeds compile 6 kernels in total on the main route (the
+        controller's payload `start` and `step`, the integer `start` and
+        `step` that the shadow, the actuator and the noise table share, the
+        actuator's `rebuild` and `y_o`) and 2 on the prelim route (payload
+        and integer `step`), and write one CSV.  A run at another pad
+        compiles its own payload kernels only, and so does a plan with twice
+        the q: its integer rows are the same, and so are its centered rows,
+        by which the noise table is kept."""
         sc, plan, run = route(request, scheme)
         pad = lattice_params(plan, 5).lattice.pad_bits
         _kernels.clear()
@@ -727,7 +739,7 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "function", counting)
-        kernels, payload = (7, 2) if scheme == "main" else (3, 1)
+        kernels, payload = (6, 2) if scheme == "main" else (2, 1)
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -768,42 +780,164 @@ class TestCompiledControllerStep:
             gc.enable()
 
 
-class TestNoiseDryRun:
-    """`lattice_params` sizes the pad from a dry run of the noise budget
-    recorded on `NoiseRing`; the dry run predicts a real run exactly."""
+def _form_bounds(rec, horizon: int, x0) -> list:
+    """What a recurrence on `FormRing` emits at each of `horizon` events, as
+    each vector's noise bound: the bootstrap and horizon - 1 steps on the
+    main route, horizon steps after the bootstrap on the prelim route."""
+    ring, out = rec.ring, []
+    emitted = rec.bootstrap(x0)
+    if emitted is not None:
+        out.append(emitted)
+    lengths = rec.lengths()[1]
+    while len(out) < horizon:
+        out.append(rec.step(*(ring.fresh([0] * n) for n in lengths)))
+    return [tuple(max(map(ring.bound, v), default=0) for v in _vectors(e)) for e in out]
+
+
+class TestNoiseTable:
+    """`lattice_params` sizes the pad from the plan's exact noise table,
+    whose bounds the encrypted controllers' emissions carry; the table
+    predicts a real run exactly."""
+
+    @pytest.mark.parametrize("plan", ["sound_plan", "tanks_main_plan", "tanks_plan", "delayed"],
+                             ids=["batch-reactor-main", "coupled-tanks-main",
+                                  "coupled-tanks-prelim", "delayed-prelim"])
+    def test_table_is_the_form_by_form_bound(self, request, plan):
+        """At every event of a 6-step run the table equals the bound of the
+        noise forms the recurrence computes on `FormRing`, op by op: each
+        emitted entry's FRESH_NOISE_BOUND times the sum of its absolute
+        coefficients over the fresh entries, its vector's largest.  In the
+        delayed prelim controller, a 3-state shift register, an input
+        reaches u again after two lags of zero response, which a column
+        must not end at."""
+        if plan == "delayed":
+            rows = {"F/omega": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "G/(s1*omega)": [[0], [0], [1]],
+                    "R/(s1*omega)": [[0], [0], [0]], "H/s2": [[1, 0, 0]],
+                    "J/(s1*s2)": [[2]], "S/(s1*s2)": [[0]]}
+            plan = SimpleNamespace(q=2**13, certificates={
+                name: SimpleNamespace(int_rows=lambda r=r: r) for name, r in rows.items()})
+        else:
+            plan = request.getfixturevalue(plan)
+        main = isinstance(plan, MainPlan)
+        rec = (MainRecurrence if main else PrelimRecurrence)(FormRing(plan.q), plan)
+        x0 = [0] * rec.lengths()[0][1 if main else 0]
+        table = noise_table(rec)
+        assert _form_bounds(rec, 6, x0) == [table.at(t) for t in range(6)]
+
+    @pytest.mark.parametrize("plan", ["sound_plan", "tanks_main_plan"],
+                             ids=["batch-reactor-main", "coupled-tanks-main"])
+    def test_increment_bounds_are_constant_from_deadbeat_index_plus_2(self, request, plan):
+        """On the main route the increments' bounds are the same at every
+        event from `deadbeat_index + 2` on: the table ends there or before,
+        and the pad of every longer horizon is the same."""
+        plan = request.getfixturevalue(plan)
+        table = noise_table(MainRecurrence(loop.CipherRing(None, plan.q, None), plan))
+        first = plan.deadbeat_index + 2
+        assert len({table.at(t) for t in range(first, 1000)}) == 1
+        assert table.final and len(table.bounds) <= 40
+        pads = {lattice_params(plan, h).lattice.pad_bits for h in (first + 1, 200, 10**6)}
+        assert pads == {noise_peak(plan, first + 1).bit_length() + 2}
+
+    def test_a_thousand_steps_at_the_horizon_free_pad(self, batch, sound_plan):
+        """The batch reactor on lattice at H=1000, at the pad that every
+        horizon from 3 on shares, decrypts every increment and restores the
+        mock run's inputs."""
+        params = lattice_params(sound_plan, 3)
+        assert params == lattice_params(sound_plan, 1000)
+        cfg = main_cfg(batch, sound_plan, 1000)
+        tr_m = run_closed_loop_main(sound_plan, cfg)
+        tr_l = run_closed_loop_main(sound_plan, replace(cfg, params=params, seed=2))
+        assert tr_l.recovery_failures == 0 and tr_l.oracle_mismatches == 0
+        assert [r.u_a for r in tr_l.records] == [r.u_a for r in tr_m.records]
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_a_short_pad_raises_before_any_wrong_decryption(self, request, monkeypatch,
+                                                             scheme):
+        """With a pad 2 bits below `lattice_params`, a run raises
+        `NoiseOverflowError` at the first event whose table bound reaches
+        half of Delta, and every decryption before it is the one a mock run
+        makes."""
+        sc, plan, run = route(request, scheme)
+        horizon = 30
+        params = lattice_params(plan, horizon)
+        tight = replace(params, lattice=he.LatticeParams(params.lattice.pad_bits - 2))
+        decrypt, decrypted = he.decrypt, {"mock": [], "lattice": []}
+
+        def recording_decrypt(sk, ct):
+            out = decrypt(sk, ct)
+            decrypted[sk.params.backend].append(out)
+            return out
+
+        monkeypatch.setattr(he, "decrypt", recording_decrypt)
+        cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference, x_p0=sc.x_p0,
+                        horizon=horizon, params=he.SchemeParams.mock(plan.q), seed=1)
+        run(plan, cfg)
+        with pytest.raises(he.NoiseOverflowError):
+            run(plan, replace(cfg, params=tight))
+        got = decrypted["lattice"]
+        assert got == decrypted["mock"][:len(got)]
+        table = noise_table((MainRecurrence if scheme == "main" else PrelimRecurrence)(
+            loop.CipherRing(None, plan.q, None), plan))
+        event = next(t for t in range(horizon) if max(table.at(t)) >= tight.delta // 2)
+        # the actuator decrypts each event's vectors in turn, and stops at
+        # the first one past the budget
+        before = next(i for i, b in enumerate(table.at(event)) if b >= tight.delta // 2)
+        assert len(got) == event * len(table.at(0)) + before
+
+    def test_controller_state_is_refused(self, batch, sound_plan, tanks, tanks_plan):
+        """No table bound covers the encrypted controllers' states, so they
+        carry none and `he.decrypt` refuses them (exit 5 at the command
+        line), while their emissions decrypt; so are the emissions of a
+        step on inputs that are not fresh encryptions."""
+        for sc, plan, cls in ((batch, sound_plan, MainEncController),
+                              (tanks, tanks_plan, PrelimEncController)):
+            params = lattice_params(plan, 2)
+            pk, sk = he.keygen(params, seed=1)
+            controller = cls(loop.CipherRing(pk, plan.q, random.Random(1)), plan)
+            controller.bootstrap([0] * controller.lengths()[0][1 if cls is MainEncController
+                                                                else 0])
+            emitted = controller.step(*(controller.ring.fresh([1] * n)
+                                        for n in controller.lengths()[1]))
+            for ct in _vectors(emitted):
+                he.decrypt(sk, ct)
+            for k in controller.state:
+                state = getattr(controller, k)
+                assert state.noise_bound is None
+                with pytest.raises(he.NoiseOverflowError, match="no noise bound"):
+                    he.decrypt(sk, state)
+            # the table covers fresh inputs only: a sum of two is not one
+            twice = [he.add(ct, ct) for ct in (controller.ring.fresh([1] * n)
+                                               for n in controller.lengths()[1])]
+            for ct in _vectors(controller.step(*twice)):
+                with pytest.raises(he.NoiseOverflowError, match="no noise bound"):
+                    he.decrypt(sk, ct)
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
-        """`lattice_params` compiles the plan's noise kernels, on
-        `NoiseRing`: `start` and `step` on the main route, `step` on the
-        prelim route.  A lattice run of the plan compiles none on
-        `NoiseRing`: its controller checks its bootstrap and steps with the
-        dry run's kernels, and compiles only its payload kernels and the
-        integer ones: `start`, `step` and `rebuild` on the main route,
-        `step` on the prelim route."""
+        """`lattice_params` builds the plan's table from the integer kernels
+        it compiles: `start` and `step` on the main route, `step` on the
+        prelim route.  A lattice run of the plan compiles no integer kernel
+        of those: the integer shadow runs the table's, and the run compiles
+        the controller's payload kernels (`start` and `step`, or `step`),
+        and on the main route the actuator's `rebuild` and `y_o`."""
         sc, plan, run = route(request, scheme)
-        sources, noise, compile_, bounds = [], [], compile, NoiseRing.bounds
+        sources, compile_ = [], compile
 
         def recording_compile(source, *args):
             sources.append(source)
             return compile_(source, *args)
 
-        def recording_bounds(ring, vectors):
-            out = bounds(ring, vectors)
-            noise.append(sources[-1])
-            return out
-
         # `kernel.Source.function` compiles through the name `compile`
         monkeypatch.setattr(kernel, "compile", recording_compile, raising=False)
-        monkeypatch.setattr(NoiseRing, "bounds", recording_bounds)
         params = lattice_params(plan, 5)
-        assert len(sources) == (2 if scheme == "main" else 1) and noise == sources
+        assert len(sources) == (2 if scheme == "main" else 1)
+        assert not any("reduce(" in src for src in sources)
         sources.clear()
-        noise.clear()
         tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
-        assert noise == [] and len(sources) == (5 if scheme == "main" else 2)
+        payload = [src for src in sources if "reduce(" in src]
+        assert (len(payload), len(sources)) == ((2, 4) if scheme == "main" else (1, 1))
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -827,9 +961,7 @@ class TestNoiseDryRun:
         largest = [0]
         check_budget, decrypt = he.check_budget, he.decrypt
 
-        # the bounds `he` checks against the pad: the product bounds of the
-        # bootstrap's products and the peak of each compiled step, and what
-        # parties decrypt
+        # the bounds `he` checks against the pad: those of what parties decrypt
         def recording_check(params, bound):
             largest[0] = max(largest[0], bound)
             return check_budget(params, bound)
@@ -883,15 +1015,16 @@ def test_counters(request, scheme):
     sc, plan, run = route(request, scheme)
     tr = run(plan, main_cfg(sc, plan, 10))
     v, n_r, w = sc.plant.v, sc.ctrl.n_r, sc.ctrl.w
-    # main sends the increments alpha, beta and gamma, prelim sends u
-    per, to_sensor = (sc.plant.n + sc.ctrl.n_x + w, v) if scheme == "main" else (w, 0)
+    # main sends the increments alpha, beta and gamma, prelim sends u; the
+    # controller sends the sensor nothing, and only the actuator decrypts
+    per = sc.plant.n + sc.ctrl.n_x + w if scheme == "main" else w
     assert all(r.msgs_ctrl_to_act == per for r in tr.records)
     assert tr.msgs_ctrl_to_act == 10 * per
     assert tr.msgs_sensor_to_ctrl == 10 * v
     assert tr.msgs_provider_to_ctrl == 10 * n_r
-    assert tr.msgs_ctrl_to_sensor == 10 * to_sensor
+    assert tr.msgs_ctrl_to_sensor == 0
     assert tr.actuator_enc_ops == 0
-    assert tr.actuator_dec_ops == 10 * per
+    assert tr.actuator_dec_ops == tr.dec_ops == 10 * per
     # the bootstrap encrypts main's states xo, xe, re and its zero brackets
     # bx, bu, or prelim's state x; each step, the sensor's and the provider's
     # vectors
@@ -918,6 +1051,22 @@ def test_a_run_needs_no_staged_op(request, monkeypatch, scheme):
                     horizon=10, params=lattice_params(plan, 10), seed=1)
     tr = run(plan, cfg)
     assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
+
+
+def test_a_kernel_in_use_stays_kept(monkeypatch):
+    """`_kept` keeps the kernels used last, not those built last: a kernel
+    that every plan shares, such as the integer step of plans that differ
+    only in q, is not evicted by the kernels of the plans after it."""
+    monkeypatch.setattr(loop, "KERNELS_KEPT", 2)
+    rec, built = SimpleNamespace(m=SimpleNamespace(A=((1,),))), []
+
+    def build(rec, method, reads, args):
+        built.append(method)
+        return method
+
+    for method in ("shared", "a", "shared", "b", "shared"):
+        assert loop._kept(build, rec, method, (), ()) == method
+    assert built == ["shared", "a", "b"]
 
 
 class TestTrace:
@@ -1045,9 +1194,9 @@ def _golden_digest(trace) -> str:
 GOLDEN = [
     # (fixture, scheme, backend, horizon, seed, digest)
     ("batch", "main", "mock", 120, 0,
-     "d65ed7f5b870dfd9668853a1156eec26b86d76a77c8b409d2452fc0bcc4b12c7"),
+     "1d6f8ed0a37ef892c8245899ed0aa35bfd48111f1119516e3a2b8f084a4cb596"),
     ("batch", "main", "lattice", 40, 3,
-     "10c079176c3b63eb21e0bc93f9a8f6b3f454c6170322a559b4b352145e07da58"),
+     "a0635ee13bb479503c629396a90bc79a2baacec86fbea57c72cb48c855ef19d7"),
     ("tanks", "prelim", "mock", 200, 0,
      "44358ef0efadd4316704ad198a0e64de2ebfcbb529afff66195df2b34a73dbcb"),
     ("tanks", "prelim", "lattice", 60, 3,
@@ -1070,20 +1219,19 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
 
 
 # (plan fixture, horizons, the pad `lattice_params` sizes at each)
-PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (29, 46, 70, 469, 938, 4694)),
-        ("tanks_plan", (1, 2, 3, 20, 200), (16, 17, 17, 19, 22)),
-        ("tanks_main_plan", (1, 2, 3, 100), (17, 22, 29, 673))]
+PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (29, 38, 48, 48, 48, 48)),
+        ("tanks_plan", (1, 2, 3, 20, 200), (16, 16, 16, 16, 16)),
+        ("tanks_main_plan", (1, 2, 3, 100), (17, 20, 22, 22))]
 
 
 @pytest.mark.parametrize("plan,horizons,pads", PADS,
                          ids=["batch-reactor-main", "coupled-tanks-prelim",
                               "coupled-tanks-main"])
 def test_lattice_pads_are_pinned(request, plan, horizons, pads):
-    """The pads of the bundled plans: an edit of the noise model that moves
-    one fails here.  On the main route the recorded bootstrap alone sets the
-    pad at H = 1; the prelim bootstrap records no product, so a step sets
-    every prelim pad.  4694 bits at H=200 make the widest packed slots of a
-    bundled run."""
+    """The pads of the bundled plans: an edit of the noise table that moves
+    one fails here.  On the main route the bootstrap's emission alone sets
+    the pad at H = 1, and from H = 3 on the pad is the same for every
+    horizon; the prelim steps' emissions are bounded alike at every step."""
     plan = request.getfixturevalue(plan)
     assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
 
@@ -1093,9 +1241,9 @@ def test_lattice_pads_are_pinned(request, plan, horizons, pads):
                               "coupled-tanks-main"])
 def test_pads_of_every_horizon_share_one_noise_program(request, monkeypatch,
                                                        plan, horizons, pads):
-    """`lattice_params` of one plan at every pinned horizon compiles the
-    plan's noise kernels once: 2 on the main route (`start` and `step`), 1
-    on the prelim route."""
+    """`lattice_params` of one plan at every pinned horizon builds the plan's
+    noise table once, and compiles its integer kernels once: 2 on the main
+    route (`start` and `step`), 1 on the prelim route."""
     plan = request.getfixturevalue(plan)
     calls, compile_ = [0], compile
 
@@ -1109,18 +1257,22 @@ def test_pads_of_every_horizon_share_one_noise_program(request, monkeypatch,
     assert calls[0] == (2 if isinstance(plan, MainPlan) else 1)
 
 
-def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan):
-    """The batch reactor on lattice at H=200, whose 4694-bit pad
-    (`test_lattice_pads_are_pinned`) makes the widest packed slots of a
-    bundled run, restores the same inputs as mock."""
-    digests = set()
+def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan, tmp_path):
+    """The batch reactor on lattice at H=40 with a 4694-bit pad, given by
+    hand: no bundled run sizes so wide a pad any more, and its wide packed
+    slots write the mock run's trace CSV byte for byte."""
+    csvs = set()
     for backend in ("mock", "lattice"):
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 200,
-                                                       backend=backend, seed=7))
+        cfg = main_cfg(batch, sound_plan, 40, seed=7)
+        if backend == "lattice":
+            cfg = replace(cfg, params=he.SchemeParams(
+                q=sound_plan.q, backend="lattice", lattice=he.LatticeParams(4694)))
+        tr = run_closed_loop_main(sound_plan, cfg)
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-        digests.add(hashlib.sha256(repr([(r.t, r.u_a) for r in tr.records])
-                                   .encode()).hexdigest())
-    assert len(digests) == 1
+        path = tmp_path / f"{backend}.csv"
+        tr.to_csv(str(path))
+        csvs.add(path.read_bytes())
+    assert len(csvs) == 1
 
 
 @pytest.mark.parametrize("scheme", ["main", "prelim"])
