@@ -80,7 +80,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
@@ -175,20 +175,20 @@ class ClosedLoopTrace:
 
     The counts are read from the records: saturated steps, recovery
     failures, controller-to-actuator messages, and the encryptions and
-    decryptions of the run (the last record's).  The other channels' totals
-    are the steps times the route's messages per step (`step_msgs`).  Only
-    the oracle mismatches, the actuator's decryptions and the final states
+    decryptions of the run (the last record's), all the actuator's, which
+    encrypts nothing.  The sensor's and the provider's totals are the steps
+    times the route's messages per step (`step_msgs`); the controller sends
+    the sensor nothing.  Only the oracle mismatches and the final states
     are kept apart."""
 
     scheme: str
-    step_msgs: dict  # messages per step: ctrl_to_act, sensor_to_ctrl, ...
+    step_msgs: dict  # messages per step: ctrl_to_act, sensor_to_ctrl, provider_to_ctrl
     records: list = field(default_factory=list)
     detail: list = field(default_factory=list)
     oracle_mismatches: int = 0
-    actuator_dec_ops: int = 0
     final_plant_state: tuple = ()
     final_ideal_plant_state: tuple = ()
-    actuator_enc_ops = 0  # not a field: the actuators of both routes only decrypt
+    actuator_enc_ops = msgs_ctrl_to_sensor = 0  # not fields: the same on both routes
 
     @property
     def saturation_count(self) -> int:
@@ -211,16 +211,14 @@ class ClosedLoopTrace:
         return len(self.records) * self.step_msgs["provider_to_ctrl"]
 
     @property
-    def msgs_ctrl_to_sensor(self) -> int:
-        return len(self.records) * self.step_msgs["ctrl_to_sensor"]
-
-    @property
     def enc_ops(self) -> int:
         return self.records[-1].enc_ops if self.records else 0
 
     @property
     def dec_ops(self) -> int:
         return self.records[-1].dec_ops if self.records else 0
+
+    actuator_dec_ops = dec_ops
 
     def max_log2_increment(self) -> float:
         m = float("-inf")
@@ -507,10 +505,11 @@ def _compile_cipher(controller, method, reads, args):
     `he.DimensionMismatchError`.  The payloads are recorded with
     `he.slot_reduction`'s reducer and limit over the centered plaintext
     rows.  On lattice, what a call returns carries the bounds of the plan's
-    noise table at the controller's event (`_EncryptedController`), if
-    every argument is a fresh encryption, which the table assumes, and no
-    bound otherwise; the new state carries none.  `he.decrypt` checks the
-    bounds, and refuses a ciphertext without one."""
+    noise table at the controller's event (`_EncryptedController`), if the
+    controller made the states it reads and every argument is a fresh
+    encryption, as the table assumes, and no bound otherwise; the new state
+    carries none.  `he.decrypt` checks the bounds, and refuses a ciphertext
+    without one."""
     params = controller.ring.pk.params
     for M in vars(controller.m).values():
         he.check_product(params, M)
@@ -539,16 +538,18 @@ def _cipher_kernel(controller, method, reads, args):
             if ct.params is not params and ct.params != params:
                 raise he.DimensionMismatchError("ciphertexts from different schemes")
         _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
-        event = rec.events
-        rec.events = event + 1
-        emitted = repeat(None)
-        if table is not None and all(ct.noise_bound is not None and ct.noise_bound <= fresh
-                                     for ct in args):
-            emitted = table.at(event)
+        event = None
+        if all(ct.noise_bound is not None and ct.noise_bound <= fresh for ct in args):
+            if not reads:
+                event = 0  # `start`
+            elif list(map(id, cts[:len(reads)])) == list(map(id, rec.made)):
+                event = rec.events
+        emitted = repeat(None) if table is None or event is None else table.at(event)
         out = [he.Ciphertext(params, len(p), p, b) for p, b in
                zip(payloads(*(ct.payload for ct in cts)), chain(repeat(None, n), emitted))]
         for k, ct in zip(state, out):
             setattr(rec, k, ct)
+        rec.made, rec.events = out[:n], None if event is None else event + 1
         return tuple(out[n:]) if many else out[n]
 
     return run
@@ -726,15 +727,13 @@ class PrelimRecurrence:
 
 
 class _EncryptedController:
-    """What an encrypted controller adds to its recurrence: it counts the
-    calls of its compiled kernels since its bootstrap, the events by which
-    the plan's `NoiseTable` bounds what it emits."""
+    """What an encrypted controller adds to its recurrence: the states its
+    bootstrap or last compiled call made (`made`, compared by identity) and
+    the event of the plan's `NoiseTable` a step from them is (`events`).  A
+    step from states it did not make, on arguments that are not fresh
+    encryptions, or after such a step, has no event and emits no bound."""
 
-    events = 0
-
-    def bootstrap(self, *args):
-        self.events = 0
-        return super().bootstrap(*args)
+    made, events = (), None
 
 
 # -- main scheme parties ------------------------------------------------------
@@ -858,9 +857,14 @@ class MainActuator:
 
 class PrelimEncController(_EncryptedController, PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
-    `step` is compiled."""
+    `step` is compiled.  A step from the fresh state of its bootstrap is
+    event 0."""
 
     step = _compiled(PrelimRecurrence.step, _compile_cipher)
+
+    def bootstrap(self, x0_scaled):
+        super().bootstrap(x0_scaled)
+        self.made, self.events = [self.x], 0
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
@@ -905,18 +909,32 @@ class NoiseTable:
     are what the recurrence computes over Z from its plaintext rows centered
     mod q.  Its bound, FRESH_NOISE_BOUND sum |c_k|, is exact: the worst case
     over independent fresh noises.  The coefficients of one fresh entry are
-    an impulse response of the integer kernels (`_response`): one column
-    per entry the bootstrap encrypts, and one per entry of a step's inputs,
-    which every step from `first_input` on encrypts anew, so the responses
-    of such a column at every lag so far add up.  The table keeps those
-    running sums lag by lag and extends itself on demand; once every column
-    has ended, its last bounds hold for every later event (`final`).  A
-    ciphertext takes the largest bound of its entries."""
+    an impulse response of the integer kernels, a column: one per entry the
+    bootstrap encrypts, and one per entry of a step's inputs, which every
+    step from `first_input` on encrypts anew, so the responses of such a
+    column at every lag so far add up (`sums`).  `boot` and `inputs` hold
+    what each column makes at lag 0, its state vectors and then its
+    emission; each lag after that is a `step` (an integer `kernel` that
+    reads every state vector) on `zeros`, the zero inputs.  From lag 1 on
+    the response is C A^(lag-1) x, for the state x after lag 0 and the
+    step's linear maps A (state to state) and C (state to emission); so once
+    it has been zero for as many lags in a row as the `state` (a zero one)
+    has entries, it is zero for ever (Cayley-Hamilton), and the column
+    ends.  It ends as well once its state is zero.  A live column is a
+    record of its state, its emission at the next lag and its zero lags in
+    a row, and `_advance` moves the columns a lag on.  The table extends
+    itself on demand; once every column has ended, its last bounds hold for
+    every later event (`final`).  A ciphertext takes the largest bound of
+    its entries."""
 
-    def __init__(self, boot: list, inputs: list, first_input: int, lengths):
-        self.boot, self.inputs = boot, inputs  # the columns not yet ended
-        self.first_input, self.lengths = first_input, lengths
-        self.sums = [0] * sum(lengths)
+    def __init__(self, step, state: list, zeros: list, boot: list, inputs: list,
+                 first_input: int, lengths):
+        n = self.n = len(state)
+        self.step, self.zeros, self.width = step, zeros, sum(map(len, state))
+        self.boot, self.inputs = ([SimpleNamespace(state=out[:n], emitted=out[n:], zero_lags=0)
+                                   for out in outs] for outs in (boot, inputs))
+        self.first_input, self.sums = first_input, [0] * sum(lengths)
+        self.vectors = [slice(k - m, k) for m, k in zip(lengths, accumulate(lengths))]
         self.bounds = []  # by event, each emitted vector's
         self.final = False
 
@@ -932,53 +950,27 @@ class NoiseTable:
         return max(map(max, self.bounds[:events]))
 
     def _extend(self):
-        if len(self.bounds) >= self.first_input:
-            self.sums = _absorb(self.sums, self.inputs)
-        entries = _absorb(self.sums, self.boot)
+        # with no column left, this event's bounds, those of the sums, repeat
         self.final = not (self.boot or self.inputs)
-        bounds, k = [], 0
-        for n in self.lengths:
-            bounds.append(he.FRESH_NOISE_BOUND * max(entries[k:k + n], default=0))
-            k += n
-        self.bounds.append(tuple(bounds))
+        if len(self.bounds) >= self.first_input:
+            self.sums, self.inputs = self._advance(self.sums, self.inputs)
+        entries, self.boot = self._advance(self.sums, self.boot)
+        self.bounds.append(tuple(he.FRESH_NOISE_BOUND * max(entries[v], default=0)
+                                 for v in self.vectors))
 
-
-def _absorb(sums: list, columns: list) -> list:
-    """`sums` plus the next response of each column; the columns that have
-    ended leave `columns`."""
-    live = []
-    for column in columns:
-        entries = next(column, None)
-        if entries is not None:
-            if entries:
-                sums = [a + b for a, b in zip(sums, entries)]
-            live.append(column)
-    columns[:] = live
-    return sums
-
-
-def _response(out: list, step, n: int, zeros: list):
-    """The absolute emitted entries of one impulse column, lag by lag, or ()
-    where they are all 0: at lag 0 those of `out`, n state vectors and then
-    the emission, and each lag after that those of a step on zero inputs
-    (`step`, an integer `kernel` that reads every state vector).  From lag 1
-    on the response is C A^(lag-1) x, for the state x after lag 0 and the
-    step's linear maps A (state to state) and C (state to emission); so once
-    it has been zero for as many lags in a row as the state has entries, it
-    is zero for ever (Cayley-Hamilton), and the column ends.  It ends as
-    well once the state is zero."""
-    state = out[:n]
-    width, zero_lags = sum(map(len, state)), 0
-    yield [abs(x) for v in out[n:] for x in v]
-    while zero_lags < width and any(map(any, state)):
-        out = step(*state, *zeros)
-        state = out[:n]
-        if any(map(any, out[n:])):
-            zero_lags = 0
-            yield [abs(x) for v in out[n:] for x in v]
-        else:
-            zero_lags += 1
-            yield ()
+    def _advance(self, sums: list, columns: list) -> tuple:
+        """`sums` plus the absolute emitted entries of each column, and the
+        columns that go on, each moved a lag on."""
+        n, live = self.n, []
+        for c in columns:
+            if not c.zero_lags:  # at lag 0, or a nonzero emission
+                sums = [a + abs(x) for a, x in zip(sums, chain.from_iterable(c.emitted))]
+            if c.zero_lags < self.width and any(map(any, c.state)):
+                out = self.step(*c.state, *self.zeros)
+                c.state, c.emitted = out[:n], out[n:]
+                c.zero_lags = 0 if any(map(any, c.emitted)) else c.zero_lags + 1
+                live.append(c)
+        return sums, live
 
 
 def _units(lengths) -> list:
@@ -1015,10 +1007,7 @@ def _noise_table(controller, *_) -> NoiseTable:
         boot, first_input = [step(*unit, *zeros) for unit in _units(boot)], 0
     state = [[0] * len(getattr(probe, k)) for k in probe.state]
     inputs = [step(*state, *unit) for unit in _units(inputs)]
-    n = len(state)
-    return NoiseTable([_response(out, step, n, zeros) for out in boot],
-                      [_response(out, step, n, zeros) for out in inputs],
-                      first_input, emitted)
+    return NoiseTable(step, state, zeros, boot, inputs, first_input, emitted)
 
 
 # -- orchestrator ---------------------------------------------------------------
@@ -1045,6 +1034,8 @@ def noise_peak(plan, horizon: int) -> int:
     `horizon` events, the main bootstrap and horizon - 1 steps, or horizon
     prelim steps.  The table is kept, and the encrypted runs of the plan
     take their bounds from it."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     # the plaintexts as the run's controller prepares them; no key is needed
     rec = (MainRecurrence if isinstance(plan, MainPlan) else PrelimRecurrence)(
         CipherRing(None, plan.q, None), plan)
@@ -1090,14 +1081,14 @@ class _Step(NamedTuple):
 
 
 def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
-           *decrypting) -> ClosedLoopTrace:
+           actuator) -> ClosedLoopTrace:
     """The closed loop of both routes.  The route supplies `step(t, l(t),
     y/l(t))`, which runs its parties for step t on the measurement as
-    `PlantSim.output` gives it and returns a `_Step`; `decrypting` are the
-    parties that decrypt, the actuator last.  The driver advances the plant
-    on the delivered input u_a = scale l(t) U and the reference loop, keeps
-    the l(t) schedule, makes the oracle and recovery checks, and records
-    the step."""
+    `PlantSim.output` gives it and returns a `_Step`; `ring` counts the
+    run's encryptions, and the `actuator`, the one party that decrypts, its
+    decryptions.  The driver advances the plant on the delivered input
+    u_a = scale l(t) U and the reference loop, keeps the l(t) schedule,
+    makes the oracle and recovery checks, and records the step."""
     plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
     l_t = plan.l0
@@ -1108,7 +1099,6 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
         if lift_failed and not all(_same_residues(g, w, plan.q)
                                    for g, w in zip(s.lifted, s.shadow)):
             trace.oracle_mismatches += 1
-        trace.actuator_dec_ops = decrypting[-1].dec_ops
         u_true = tuple(float(x) for x in ideal.step())
         u_scale = scale * l_t
         u_a = tuple(u_scale.numerator * x / u_scale.denominator for x in s.U)
@@ -1120,7 +1110,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             diff_inf=_diff_inf(u_a, u_true),
             msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
             enc_ops=ring.enc_ops,
-            dec_ops=sum(party.dec_ops for party in decrypting),
+            dec_ops=actuator.dec_ops,
             recovery_failure=lift_failed or s.U != s.u_shadow,
             **s.fields,
         ))
@@ -1169,7 +1159,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
 
     trace = ClosedLoopTrace("main", step_msgs={
         "ctrl_to_act": d["n"] + d["n_x"] + d["w"], "sensor_to_ctrl": d["v"],
-        "provider_to_ctrl": d["n_r"], "ctrl_to_sensor": 0})
+        "provider_to_ctrl": d["n_r"]})
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
 
 
@@ -1202,5 +1192,5 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
 
     trace = ClosedLoopTrace("prelim", step_msgs={
         "ctrl_to_act": cfg.ctrl.w, "sensor_to_ctrl": cfg.plant.v,
-        "provider_to_ctrl": cfg.ctrl.n_r, "ctrl_to_sensor": 0})
+        "provider_to_ctrl": cfg.ctrl.n_r})
     return _drive(trace, plan, cfg, plan.s1 * plan.s2, step, ring, actuator)

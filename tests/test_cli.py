@@ -392,6 +392,41 @@ def test_encryption_error_exits_5(capsys, monkeypatch):
     assert err == "encryption error: noise bound past the declared budget\n"
 
 
+UNOBSERVABLE = {  # C reads the first state only, and A never mixes in the second
+    "plant": {"A": [["1/2", "0"], ["0", "1/3"]], "B": [["1"], ["1"]], "C": [["1", "0"]]},
+    "controller": {"F": [["1/2"]], "G": [["1"]], "R": [["0"]], "H": [["1"]], "J": [["1"]],
+                   "S": [["0"]]},
+    "reference": ["0"]}
+
+
+@pytest.mark.parametrize("argv,code,prefix", [
+    ("simulate --fixture batch-reactor --override range_level=1 --horizon 20", 4, ""),
+    ("simulate --fixture batch-reactor --scheme prelim", 2, "infeasible: "),
+    ("compare --fixture coupled-tanks --scheme prelim", 1,
+     "config error: compare measures the main scheme only"),
+    ("simulate --config {tmp}/unobservable.json", 1, "planning failed: "),
+    ("plan --override q=2", 1, "config error: q override must be >= 4"),
+    ("plan --override range_level=0", 1, "config error: range_level override must be >= 1"),
+    ("plan --override q=x", 1, "config error: override q='x' is not a number"),
+    ("plan --override q", 1, "config error: override 'q' is not key=value"),
+    ("plan --config {tmp}/listed.json", 1, "config error: config 'overrides' must be an object"),
+    ("plan --config {tmp}/missing.json", 1, "config error: cannot read config: "),
+], ids=["saturation", "infeasible-simulate", "compare-prelim", "unobservable", "q-below-min",
+        "range-level-0", "q-not-a-number", "override-without-value", "overrides-a-list",
+        "unreadable-config"])
+def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
+    """Each failure exits with its documented code and names itself on
+    stderr; a saturated run prints its summary and nothing on stderr."""
+    (tmp_path / "unobservable.json").write_text(json.dumps(UNOBSERVABLE))
+    (tmp_path / "listed.json").write_text(json.dumps({**UNOBSERVABLE, "overrides": ["q=8"]}))
+    got, out, err = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
+    assert got == code
+    if prefix:
+        assert err.startswith(prefix) and not out
+    else:
+        assert err == "" and json.loads(out)["saturation_count"] > 0
+
+
 def documented_exit_codes(text: str) -> dict:
     """{code: meaning} from an 'Exit codes: 0 success, 1 ....' sentence."""
     sentence = text.split("Exit codes:", 1)[1].split(".", 1)[0]

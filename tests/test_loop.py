@@ -37,7 +37,8 @@ from encloop.loop import (
     _kernels,
     _scaled_integer_state,
 )
-from encloop.planner import MainPlan, MainPlanOptions, plan_main
+from encloop.planner import (ControllerModel, MainPlan, MainPlanOptions, PlantModel,
+                             plan_main, plan_preliminary)
 
 from conftest import random_main_system
 from rings import CipherRing, FormRing, IntRing
@@ -794,6 +795,20 @@ def _form_bounds(rec, horizon: int, x0) -> list:
     return [tuple(max(map(ring.bound, v), default=0) for v in _vectors(e)) for e in out]
 
 
+@pytest.fixture(scope="module")
+def never_ending():
+    """(scenario, plan): a scalar plant and prelim controller planned at
+    omega = 1/2 = F, so F/omega = [[1]]."""
+    def m(x):
+        return rmat([[x]])
+
+    plant = PlantModel(A=m("0.2"), B=m(1), C=m(1), x_p0_bound=1)
+    ctrl = ControllerModel(F=m("0.5"), G=m("-0.1"), R_ref=m(0), H=m("0.1"), J=m("-0.2"),
+                           S=m(0), x0=m(0))
+    sc = Scenario("never-ending", plant, ctrl, rmat([[0]]), (Fraction(1),))
+    return sc, plan_preliminary(plant, ctrl, reference_bound=Fraction(0))
+
+
 class TestNoiseTable:
     """`lattice_params` sizes the pad from the plan's exact noise table,
     whose bounds the encrypted controllers' emissions carry; the table
@@ -803,13 +818,14 @@ class TestNoiseTable:
                              ids=["batch-reactor-main", "coupled-tanks-main",
                                   "coupled-tanks-prelim", "delayed-prelim"])
     def test_table_is_the_form_by_form_bound(self, request, plan):
-        """At every event of a 6-step run the table equals the bound of the
+        """At every event of a 30-step run the table equals the bound of the
         noise forms the recurrence computes on `FormRing`, op by op: each
         emitted entry's FRESH_NOISE_BOUND times the sum of its absolute
         coefficients over the fresh entries, its vector's largest.  In the
         delayed prelim controller, a 3-state shift register, an input
         reaches u again after two lags of zero response, which a column
-        must not end at."""
+        must not end at.  The run passes the end of every table here: the
+        batch reactor's, the last, ends at event 22."""
         if plan == "delayed":
             rows = {"F/omega": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "G/(s1*omega)": [[0], [0], [1]],
                     "R/(s1*omega)": [[0], [0], [0]], "H/s2": [[1, 0, 0]],
@@ -822,7 +838,7 @@ class TestNoiseTable:
         rec = (MainRecurrence if main else PrelimRecurrence)(FormRing(plan.q), plan)
         x0 = [0] * rec.lengths()[0][1 if main else 0]
         table = noise_table(rec)
-        assert _form_bounds(rec, 6, x0) == [table.at(t) for t in range(6)]
+        assert _form_bounds(rec, 30, x0) == [table.at(t) for t in range(30)]
 
     @pytest.mark.parametrize("plan", ["sound_plan", "tanks_main_plan"],
                              ids=["batch-reactor-main", "coupled-tanks-main"])
@@ -849,6 +865,71 @@ class TestNoiseTable:
         tr_l = run_closed_loop_main(sound_plan, replace(cfg, params=params, seed=2))
         assert tr_l.recovery_failures == 0 and tr_l.oracle_mismatches == 0
         assert [r.u_a for r in tr_l.records] == [r.u_a for r in tr_m.records]
+
+    def test_a_table_that_never_ends(self, never_ending):
+        """With F/omega = [[1]] the prelim state keeps every input for ever,
+        so no column of the table ends: it is never final, and its pad grows
+        with the horizon.  A lattice run at H=1000, at that horizon's pad,
+        decrypts every input and restores the mock run's."""
+        sc, plan = never_ending
+        assert plan.certificates["F/omega"].int_rows() == [[1]]
+        pads = [lattice_params(plan, h).lattice.pad_bits for h in (1, 10, 100, 1000)]
+        assert pads == [14, 14, 17, 20]
+        assert not noise_table(PrelimRecurrence(loop.CipherRing(None, plan.q, None),
+                                                plan)).final
+        cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference, x_p0=sc.x_p0,
+                        horizon=1000, params=he.SchemeParams.mock(plan.q), seed=1)
+        tr_m = run_closed_loop_prelim(plan, cfg)
+        tr_l = run_closed_loop_prelim(plan, replace(cfg, params=lattice_params(plan, 1000)))
+        assert tr_l.recovery_failures == 0 and tr_l.oracle_mismatches == 0
+        assert [r.u_a for r in tr_l.records] == [r.u_a for r in tr_m.records]
+
+    @pytest.mark.parametrize("horizon", [0, -2])
+    def test_a_horizon_below_1_is_refused(self, sound_plan, tanks_plan, horizon):
+        """A run has at least one event, so a shorter horizon has no noise
+        peak and no pad: both refuse it, naming it."""
+        for plan in (sound_plan, tanks_plan):
+            for size in (noise_peak, lattice_params):
+                with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+                    size(plan, horizon)
+
+    @pytest.mark.parametrize("case", ["transplanted", "hand-set"])
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_a_state_the_controller_did_not_make_emits_no_bound(self, request, scheme, case):
+        """The table bounds a step at the controller's event only if its own
+        bootstrap or last step made the states it reads.  The states of a
+        controller that ran 26 steps, given to a freshly bootstrapped one
+        or set by hand on one never bootstrapped, are at no event of its
+        own: what it emits from them, and from the states it makes of
+        them, carries no bound, and `he.decrypt` refuses it.  The
+        controller that made them still bounds its next step, and after a
+        new bootstrap it is at event 0 again."""
+        sc, plan, _ = route(request, scheme)
+        pk, sk = he.keygen(lattice_params(plan, 30), seed=1)
+        ring = loop.CipherRing(pk, plan.q, random.Random(1))
+        cls, scale = ((MainEncController, plan.l0) if scheme == "main"
+                      else (PrelimEncController, plan.s1 * plan.l0))
+        x0 = _scaled_integer_state(sc.ctrl.x0.data, scale)
+        ran, controller = cls(ring, plan), cls(ring, plan)
+
+        def inputs():
+            return [ring.fresh([1] * n) for n in ran.lengths()[1]]
+
+        ran.bootstrap(x0)
+        for _ in range(26):
+            ran.step(*inputs())
+        if case == "transplanted":
+            controller.bootstrap(x0)
+        for k in controller.state:
+            setattr(controller, k, getattr(ran, k))
+        for _ in range(2):
+            for ct in _vectors(controller.step(*inputs())):
+                with pytest.raises(he.NoiseOverflowError, match="no noise bound"):
+                    he.decrypt(sk, ct)
+        for ct in _vectors(ran.step(*inputs())):
+            he.decrypt(sk, ct)
+        emitted = ran.bootstrap(x0) or ran.step(*inputs())
+        assert [ct.noise_bound for ct in _vectors(emitted)] == list(noise_table(ran).at(0))
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_a_short_pad_raises_before_any_wrong_decryption(self, request, monkeypatch,
