@@ -318,7 +318,7 @@ def cmd_compare(args) -> int:
         rows.append((
             "measured / step",
             "-",
-            f"{measured.msgs_ctrl_to_act // steps} ciphertexts, "
+            f"{measured.step_msgs['ctrl_to_act']} ciphertexts, "
             f"{measured.actuator_dec_ops // steps} Dec, "
             f"{measured.actuator_enc_ops} Enc",
         ))

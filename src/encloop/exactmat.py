@@ -383,10 +383,11 @@ def matrix_from_json(obj, name: str = "matrix") -> RationalMatrix:
 
 
 def column_from_json(obj, name: str = "vector") -> RationalMatrix:
-    """Parse a column from a JSON list of `json_entry` entries (exact)."""
+    """Parse a column from a JSON list of `json_entry` entries (exact); an
+    empty list is a column of 0 rows."""
     if not isinstance(obj, list):
         raise ValueError(f"{name}: expected a list of entries")
-    return matrix_from_json([[x] for x in obj], name)
+    return RationalMatrix.column(matrix_from_json([[x] for x in obj], name).data)
 
 
 def fraction_to_str(x: Fraction) -> str:

@@ -363,18 +363,16 @@ class PlainMatrix:
     mod q, m in (-q/2, q/2], which decrypts the same and is the value a
     product multiplies by; and `weight`, the factor `plain_matmul`
     multiplies a noise bound by: the largest absolute row sum of those
-    residues."""
+    residues.  A matrix of no rows has 0 columns and weight 0."""
 
     def __init__(self, M: Sequence[Sequence[int]], q: int):
-        if not M:
-            raise DimensionMismatchError("empty matrix")
-        self.q, self.cols = q, len(M[0])
+        self.q, self.cols = q, len(M[0]) if M else 0
         if any(len(row) != self.cols for row in M):
             raise DimensionMismatchError("matrix rows differ in length")
         half = q // 2
         self.rows = tuple(tuple(m - q if m > half else m for m in (x % q for x in row))
                           for row in M)
-        self.weight = max(sum(map(abs, row)) for row in self.rows)
+        self.weight = max((sum(map(abs, row)) for row in self.rows), default=0)
 
 
 def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:

@@ -78,7 +78,7 @@ import copy
 import csv
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
@@ -104,11 +104,13 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
     Priors may be exact rationals; integer priors over `den` need no
     Fraction.  If the true value strays q/2 or more from the prior, the lift
     is off by a multiple of q (the documented failure mode that modulus
-    planning must exclude).
+    planning must exclude).  A list of priors has one per residue.
     """
     if q < 2:
         raise ValueError("modulus must be >= 2")
     if isinstance(prior, (list, tuple)):
+        if len(prior) != len(v_modq):
+            raise ValueError(f"{len(prior)} priors for {len(v_modq)} residues")
         ratios = map(as_ratio, prior)
     else:  # one prior for every entry, converted once
         ratios = [as_ratio(prior)] * len(v_modq)
@@ -141,13 +143,6 @@ def _json_number(x: float):
 
 # -- trace ------------------------------------------------------------------
 
-CSV_COLUMNS_PREFIX = ["t"]
-CSV_COLUMNS_SUFFIX = [
-    "diff_inf", "log2_alpha", "log2_beta", "log2_gamma", "log2_sensor_gap",
-    "saturated", "msgs_ctrl_to_act", "enc_ops", "dec_ops",
-]
-
-
 @dataclass(kw_only=True)
 class StepRecord:
     """One step of a run.  `enc_ops` and `dec_ops` count the run so far; the
@@ -169,20 +164,23 @@ class StepRecord:
     recovery_failure: bool
 
 
+# the trace CSV's columns after t, u_true_* and u_a_*: the later fields in order
+CSV_COLUMNS_SUFFIX = [f.name for f in fields(StepRecord)[3:] if f.name != "recovery_failure"]
+
+
 @dataclass
 class ClosedLoopTrace:
     """A run's records and what they add up to.
 
     The counts are read from the records: saturated steps, recovery
-    failures, controller-to-actuator messages, and the encryptions and
-    decryptions of the run (the last record's), all the actuator's, which
-    encrypts nothing.  The sensor's and the provider's totals are the steps
-    times the route's messages per step (`step_msgs`); the controller sends
-    the sensor nothing.  Only the oracle mismatches and the final states
-    are kept apart."""
+    failures, and the encryptions and decryptions of the run (the last
+    record's), all the actuator's, which encrypts nothing.  Each channel's
+    total is the steps times its messages per step (`step_msgs`, from the
+    controller's `lengths()`); the controller sends the sensor nothing.
+    Only the oracle mismatches and the final states are kept apart."""
 
     scheme: str
-    step_msgs: dict  # messages per step: ctrl_to_act, sensor_to_ctrl, provider_to_ctrl
+    step_msgs: dict  # messages per step: sensor_to_ctrl, provider_to_ctrl, ctrl_to_act
     records: list = field(default_factory=list)
     detail: list = field(default_factory=list)
     oracle_mismatches: int = 0
@@ -200,7 +198,7 @@ class ClosedLoopTrace:
 
     @property
     def msgs_ctrl_to_act(self) -> int:
-        return sum(r.msgs_ctrl_to_act for r in self.records)
+        return len(self.records) * self.step_msgs["ctrl_to_act"]
 
     @property
     def msgs_sensor_to_ctrl(self) -> int:
@@ -238,9 +236,7 @@ class ClosedLoopTrace:
             "saturation_count": self.saturation_count,
             "recovery_failures": self.recovery_failures,
             "oracle_mismatches": self.oracle_mismatches,
-            "msgs_ctrl_to_act_per_step": (
-                self.msgs_ctrl_to_act // len(self.records) if self.records else 0
-            ),
+            "msgs_ctrl_to_act_per_step": self.step_msgs["ctrl_to_act"] if self.records else 0,
             "msgs_sensor_to_ctrl": self.msgs_sensor_to_ctrl,
             "msgs_provider_to_ctrl": self.msgs_provider_to_ctrl,
             "msgs_ctrl_to_sensor": self.msgs_ctrl_to_sensor,
@@ -251,23 +247,17 @@ class ClosedLoopTrace:
         }
 
     def to_csv(self, path: str):
+        """t, one column per entry of u_true and of u_a, then
+        `CSV_COLUMNS_SUFFIX`; floats as `repr` writes them, bools as 0 or 1."""
         w = len(self.records[0].u_true) if self.records else 0
-        cols = (CSV_COLUMNS_PREFIX
-                + [f"u_true_{i}" for i in range(w)]
-                + [f"u_a_{i}" for i in range(w)]
-                + CSV_COLUMNS_SUFFIX)
         with open(path, "w", newline="") as f:
             out = csv.writer(f)
-            out.writerow(cols)
+            out.writerow(["t", *(f"u_true_{i}" for i in range(w)),
+                          *(f"u_a_{i}" for i in range(w)), *CSV_COLUMNS_SUFFIX])
             for r in self.records:
-                out.writerow(
-                    [r.t]
-                    + [repr(x) for x in r.u_true]
-                    + [repr(x) for x in r.u_a]
-                    + [repr(r.diff_inf), r.log2_alpha, r.log2_beta, r.log2_gamma,
-                       r.log2_sensor_gap, int(r.saturated), r.msgs_ctrl_to_act,
-                       r.enc_ops, r.dec_ops]
-                )
+                cells = (getattr(r, c) for c in CSV_COLUMNS_SUFFIX)
+                out.writerow([r.t, *r.u_true, *r.u_a,
+                              *(int(x) if isinstance(x, bool) else x for x in cells)])
 
 
 # -- plant and the unencrypted reference loop --------------------------------
@@ -1123,8 +1113,16 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     return trace
 
 
+def _step_msgs(controller) -> dict:
+    """A route's messages per step, from what its controller takes and emits
+    (`lengths()`): its two inputs, from the sensor and the provider, and all
+    it emits, to the actuator."""
+    _, (sensor, provider), emitted = controller.lengths()
+    return {"sensor_to_ctrl": sensor, "provider_to_ctrl": provider,
+            "ctrl_to_act": sum(emitted)}
+
+
 def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
-    d = plan.dims
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
     controller = MainEncController(ring, plan)
@@ -1157,9 +1155,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                     "alpha": alpha, "beta": beta, "gamma": gamma,
                     "re_scaled": shadow.re, "u_tilde": shadow.u})
 
-    trace = ClosedLoopTrace("main", step_msgs={
-        "ctrl_to_act": d["n"] + d["n_x"] + d["w"], "sensor_to_ctrl": d["v"],
-        "provider_to_ctrl": d["n_r"]})
+    trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
 
 
@@ -1190,7 +1186,5 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
             fields={"log2_alpha": _log2(mx)},
             detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted})
 
-    trace = ClosedLoopTrace("prelim", step_msgs={
-        "ctrl_to_act": cfg.ctrl.w, "sensor_to_ctrl": cfg.plant.v,
-        "provider_to_ctrl": cfg.ctrl.n_r})
+    trace = ClosedLoopTrace("prelim", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s1 * plan.s2, step, ring, actuator)

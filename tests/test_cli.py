@@ -411,9 +411,11 @@ UNOBSERVABLE = {  # C reads the first state only, and A never mixes in the secon
     ("plan --override q", 1, "config error: override 'q' is not key=value"),
     ("plan --config {tmp}/listed.json", 1, "config error: config 'overrides' must be an object"),
     ("plan --config {tmp}/missing.json", 1, "config error: cannot read config: "),
+    ("simulate --fixture batch-reactor --override omega=2", 1,
+     "config error: pinned omega = 2 does not lie in (0, 1)"),
 ], ids=["saturation", "infeasible-simulate", "compare-prelim", "unobservable", "q-below-min",
         "range-level-0", "q-not-a-number", "override-without-value", "overrides-a-list",
-        "unreadable-config"])
+        "unreadable-config", "omega-outside-0-1"])
 def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     """Each failure exits with its documented code and names itself on
     stderr; a saturated run prints its summary and nothing on stderr."""
@@ -425,6 +427,41 @@ def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
         assert err.startswith(prefix) and not out
     else:
         assert err == "" and json.loads(out)["saturation_count"] > 0
+
+
+NO_REFERENCE = {  # a scalar plant and controller that take no reference input
+    "plant": {"A": [["0.2"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
+    "controller": {"F": [["0.5"]], "G": [["-0.1"]], "R": [[]], "H": [["0.1"]],
+                   "J": [["-0.2"]], "S": [[]]},
+    "x_p0": ["1"], "reference": []}
+
+
+@pytest.mark.parametrize("scheme,pad", [("prelim", 18), ("main", 14)])
+def test_a_controller_without_a_reference_input_runs(capsys, monkeypatch, tmp_path,
+                                                    scheme, pad):
+    """`"reference": []` with zero-column R and S is a controller of no
+    reference input: both routes plan it, the provider sends nothing, and a
+    lattice run at H=200, at its pad, writes the mock run's CSV."""
+    config = tmp_path / "no-reference.json"
+    config.write_text(json.dumps(NO_REFERENCE))
+    pads, sized = [], loop.lattice_params
+
+    def recording(plan, horizon):
+        params = sized(plan, horizon)
+        pads.append(params.lattice.pad_bits)
+        return params
+
+    monkeypatch.setattr(loop, "lattice_params", recording)
+    for backend in ("lattice", "mock"):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--scheme",
+                                 scheme, "--backend", backend, "--horizon", "200",
+                                 "--seed", "7", "--out", str(tmp_path / backend))
+        summary = json.loads(out)
+        assert (code, err) == (0, "")
+        assert summary["recovery_failures"] == summary["oracle_mismatches"] == 0
+        assert summary["msgs_provider_to_ctrl"] == 0
+    assert pads == [pad]
+    assert (tmp_path / "lattice.csv").read_bytes() == (tmp_path / "mock.csv").read_bytes()
 
 
 def documented_exit_codes(text: str) -> dict:

@@ -123,6 +123,22 @@ def test_dimension_mismatch(scheme, keys):
         he.plain_matmul(he.PlainMatrix([[1, 2]], scheme.q + 1), c1)
 
 
+def test_decrypt_refuses_a_key_of_other_parameters(scheme, keys):
+    pk, _ = keys
+    ct = he.encrypt(pk, [1, 2], random.Random(5))
+    _, other = he.keygen(make_scheme(scheme.backend, q=scheme.q // 2), seed=42)
+    with pytest.raises(he.DimensionMismatchError, match="scheme mismatch"):
+        he.decrypt(other, ct)
+
+
+def test_plain_matrix_shapes():
+    """Ragged rows are refused; a matrix of no rows has 0 columns and weight 0."""
+    with pytest.raises(he.DimensionMismatchError, match="rows differ in length"):
+        he.PlainMatrix([[1, 2], [3]], 8)
+    empty = he.PlainMatrix([], 8)
+    assert (empty.rows, empty.cols, empty.weight) == ((), 0, 0)
+
+
 def test_out_of_range_rejected(scheme, keys):
     pk, _ = keys
     with pytest.raises(he.OutOfRangeError):

@@ -88,6 +88,12 @@ class TestCenteredRecover:
         x = -249
         assert centered_mod_recover([x % q], Fraction(-499, 2), q) == [x]
 
+    def test_a_list_of_priors_has_one_per_residue(self):
+        assert centered_mod_recover([1, 2, 3], [0, 0, 0], 8) == [1, 2, 3]
+        for prior in ([0], [0, 0, 0, 0]):
+            with pytest.raises(ValueError, match=f"^{len(prior)} priors for 3 residues$"):
+                centered_mod_recover([1, 2, 3], prior, 8)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(min_value=-10**30, max_value=10**30),
            st.integers(min_value=-10**12, max_value=10**12),
@@ -1172,8 +1178,12 @@ class TestTrace:
         tr.to_csv(str(path))
         header = path.read_text().splitlines()[0].split(",")
         w = tanks.ctrl.w
+        # the public columns (README "Trace output"), which `StepRecord` declares
+        public = ["diff_inf", "log2_alpha", "log2_beta", "log2_gamma", "log2_sensor_gap",
+                  "saturated", "msgs_ctrl_to_act", "enc_ops", "dec_ops"]
+        assert CSV_COLUMNS_SUFFIX == public
         assert header == (["t"] + [f"u_true_{i}" for i in range(w)]
-                          + [f"u_a_{i}" for i in range(w)] + CSV_COLUMNS_SUFFIX)
+                          + [f"u_a_{i}" for i in range(w)] + public)
         assert len(path.read_text().splitlines()) == 6
 
     def test_exact_plant_state(self, batch):

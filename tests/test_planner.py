@@ -395,6 +395,15 @@ class TestMainPlan:
         for name, mat in sources.items():
             assert plan.certificates[name].verify(mat), name
 
+    def test_unobservable_plant_is_refused(self):
+        """`plan_main` checks observability itself, whatever gain it is given
+        (the CLI's deadbeat design refuses such a plant first)."""
+        _, ctrl = deadbeat_1d_fixture()
+        plant = PlantModel(A=rmat([["1/2", 0], [0, "1/3"]]), B=rmat([[1], [1]]),
+                           C=rmat([[1, 0]]))
+        with pytest.raises(NotObservableError):
+            plan_main(plant, ctrl, MainPlanOptions(L=rmat([["1/2"], [0]])))
+
     def test_batch_exact_runtime_parameters(self, sound_plan):
         assert sound_plan.omega == Fraction(1, 460000)
         assert sound_plan.tail_sound
