@@ -15,6 +15,7 @@ from fractions import Fraction
 from . import he, loop
 from .exactmat import (
     ExactMatError,
+    RationalMatrix,
     column_from_json,
     fraction_to_str,
     json_entry,
@@ -67,16 +68,18 @@ def _load_scenario(args) -> tuple:
                 C=matrix_from_json(p["C"], "C"),
                 x_p0_bound=column_from_json([p.get("x_p0_bound", "0")], "x_p0_bound")[0, 0],
             )
+            reference = column_from_json(cfg["reference"], "reference")
+            # JSON cannot write the width of G and R of no rows (no state)
+            G, R = matrix_from_json(c["G"], "G"), matrix_from_json(c["R"], "R")
             ctrl = ControllerModel(
                 F=matrix_from_json(c["F"], "F"),
-                G=matrix_from_json(c["G"], "G"),
-                R_ref=matrix_from_json(c["R"], "R"),
+                G=G if G.rows else RationalMatrix.zeros(0, plant.v),
+                R_ref=R if R.rows else RationalMatrix.zeros(0, reference.rows),
                 H=matrix_from_json(c["H"], "H"),
                 J=matrix_from_json(c["J"], "J"),
                 S=matrix_from_json(c["S"], "S"),
                 x0=column_from_json(c.get("x0", ["0"] * len(c["F"])), "x0"),
             )
-            reference = column_from_json(cfg["reference"], "reference")
             x_p0 = tuple(column_from_json(cfg.get("x_p0", ["0"] * plant.n), "x_p0").data)
             L = matrix_from_json(cfg["L"], "L") if "L" in cfg else None
             sc = Scenario("config", plant, ctrl, reference, x_p0, L_published=L)
@@ -202,7 +205,7 @@ def cmd_plan(args) -> int:
         }
     else:
         code, plan = EXIT_OK, replace(planned, **given)
-        out = plan.to_json(args.full) if isinstance(plan, MainPlan) else plan.to_json()
+        out = plan.to_json(args.full)
         out["feasible"] = True
         below = sorted(k for k, v in given.items() if v < getattr(planned, k))
         if below:

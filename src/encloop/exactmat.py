@@ -2,12 +2,14 @@
 
 All plant and controller coefficients are rationals (decimal data parses
 exactly), so every integrality question ("does F/a have integer entries?")
-has an exact yes/no answer.  This module keeps that arithmetic exact via
-`fractions.Fraction`.  Floats leave it in two places: `spectral_radius`
-(numpy eigenvalues, which the planners' stability gates read) and
-`to_floats`.  The planners' modulus, window and quantizer-range bounds are
-floats too: products of exact norms (`inf_norm`) converted to floats, and
-float 2-norm series; they are not exact certificates.
+has an exact yes/no answer, and every matrix, the all-zero one included,
+has a largest integerizing scale in (0, 1] (`max_integer_scale`).  This
+module keeps that arithmetic exact via `fractions.Fraction`.  Floats leave
+it in two places: `spectral_radius` (numpy eigenvalues, which the planners'
+stability gates read) and `to_floats`.  The planners' modulus, window and
+quantizer-range bounds are floats too: products of exact norms (`inf_norm`)
+converted to floats, and float 2-norm series; they are not exact
+certificates.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ Rational = Union[int, str, Fraction]
 
 class ExactMatError(Exception):
     pass
-
-
-class ZeroMatrixError(ExactMatError):
-    """Scale of an all-zero matrix is undefined."""
 
 
 class NonSquareError(ExactMatError):
@@ -288,13 +286,13 @@ def spectral_radius(m: RationalMatrix) -> float:
 
 @dataclass(frozen=True)
 class IntegralityCertificate:
-    """Evidence that source = scale * scaled_entries with integer scaled_entries."""
+    """Evidence that a matrix = scale * scaled_entries with integer
+    scaled_entries."""
 
     scale: Fraction
     scaled_entries: tuple  # row-major ints
     rows: int
     cols: int
-    source: str
 
     def verify(self, m: RationalMatrix) -> bool:
         if (self.rows, self.cols) != m.shape:
@@ -316,22 +314,19 @@ def max_integer_scale(*mats: RationalMatrix) -> Fraction:
     """Largest a in (0, 1] such that every m/a is an integer matrix.
 
     The rational gcd g of all nonzero entries is the largest unrestricted
-    scale; when g > 1 the answer is its largest divisor not exceeding 1,
-    g/ceil(g).  Raises ZeroMatrixError when every entry is zero.
+    scale, and its largest divisor not exceeding 1 is g/ceil(g) (g itself
+    when g <= 1).  When every entry is zero, every a in (0, 1] divides
+    them, and the answer is 1.
     """
     g = Fraction(0)
     for m in mats:
         for x in m.data:
             if x != 0:
                 g = rational_gcd(g, x)
-    if g == 0:
-        raise ZeroMatrixError("all-zero matrix has no integer scale")
-    if g > 1:
-        g = g / math.ceil(g)
-    return g
+    return g / math.ceil(g) if g else Fraction(1)
 
 
-def is_integer_after_scale(m: RationalMatrix, a, source: str = ""):
+def is_integer_after_scale(m: RationalMatrix, a):
     """Check every entry of m/a is an integer; return (bool, certificate or None)."""
     a = as_fraction(a)
     if a <= 0:
@@ -342,8 +337,7 @@ def is_integer_after_scale(m: RationalMatrix, a, source: str = ""):
         if y.denominator != 1:
             return False, None
         scaled.append(y.numerator)
-    cert = IntegralityCertificate(a, tuple(scaled), m.rows, m.cols, source)
-    return True, cert
+    return True, IntegralityCertificate(a, tuple(scaled), m.rows, m.cols)
 
 
 # -- closed-loop block -------------------------------------------------

@@ -710,10 +710,11 @@ class PrelimRecurrence:
 
     def lengths(self) -> tuple:
         """As `MainRecurrence.lengths`, for plaintexts prepared by a
-        `CipherRing`: the state x, which the bootstrap encrypts; y and r;
+        `CipherRing`: the state x, which the bootstrap encrypts; y and r
+        (read from J and S, which have rows even when the state has none);
         and u."""
         m = self.m
-        return (m.F.cols,), (m.G.cols, m.R.cols), (len(m.H.rows),)
+        return (m.F.cols,), (m.J.cols, m.S.cols), (len(m.H.rows),)
 
 
 class _EncryptedController:

@@ -15,8 +15,10 @@ Two conversion routes for a pre-given controller:
   the observer-error bound C_e is a finite sum up to the gain's nilpotency
   index (`compute_Ce(..., deadbeat_index)`).
 
-Each scale is the largest integerizing one (`exactmat.max_integer_scale`);
-each zoom (omega, l0) is the largest power of ten that passes its checks.
+Each scale is the largest integerizing one (`exactmat.max_integer_scale`, 1
+for all-zero matrices), and each route certifies its scaled matrices in one
+step (`_certify`); each zoom (omega, l0) is the largest power of ten that
+passes its checks.  A plan's JSON report is its fields (`_Plan.to_json`).
 Everything that gates an exact property (integrality, nilpotency) is computed
 in rational arithmetic; series bounds and spectra run in floats.
 """
@@ -24,7 +26,7 @@ in rational arithmetic; series bounds and spectra run in floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -32,8 +34,8 @@ import numpy as np
 
 from .exactmat import (
     DimensionMismatchError,
+    IntegralityCertificate,
     RationalMatrix,
-    ZeroMatrixError,
     as_fraction,
     block,
     block_closed_loop,
@@ -122,7 +124,7 @@ class ControllerModel:
             or self.R_ref.rows != n_x
             or self.H.cols != n_x
             or self.x0.rows != n_x
-            or self.x0.cols != min(1, n_x)
+            or self.x0.cols not in (min(1, n_x), 1)  # no state: 0x0 or 0x1
             or self.H.rows != self.J.rows
             or self.J.rows != self.S.rows
             or self.G.cols != self.J.cols
@@ -249,8 +251,39 @@ def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
 # -- preliminary plan ------------------------------------------------------
 
 
+class _Plan:
+    """What both plans share: the JSON report, under each plan class's `scheme`."""
+
+    def to_json(self, include_integer_matrices: bool = False) -> dict:
+        """Every field of the plan, with the scheme and log2 q: Fractions as
+        "p/q", `q` and `range_level` as decimal strings (q may exceed a JSON
+        number's exact range), matrices row by row, each certificate as its
+        scale and shape, and each certificate's integer matrix when asked."""
+        out = {"scheme": self.scheme, "q_log2": math.log2(self.q)}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = str(value) if f.name in ("q", "range_level") else _json_value(value)
+        if include_integer_matrices:
+            out["integer_matrices"] = {name: cert.int_rows()
+                                       for name, cert in self.certificates.items()}
+        return out
+
+
+def _json_value(value):
+    if isinstance(value, Fraction):
+        return fraction_to_str(value)
+    if isinstance(value, RationalMatrix):
+        return matrix_to_json(value)
+    if isinstance(value, IntegralityCertificate):
+        return {"scale": fraction_to_str(value.scale), "shape": [value.rows, value.cols]}
+    if isinstance(value, dict):
+        return {k: _json_value(v) for k, v in value.items()}
+    return value
+
+
 @dataclass(frozen=True)
-class PrelimPlan:
+class PrelimPlan(_Plan):
+    scheme = "prelim"  # a class attribute, not a field: it has no annotation
     omega: Fraction
     s1: Fraction
     s2: Fraction
@@ -263,39 +296,16 @@ class PrelimPlan:
     rho_c: float
     s_F: Fraction
 
-    @property
-    def q_log2(self) -> float:
-        return math.log2(self.q)
 
-    def to_json(self):
-        return {
-            "scheme": "prelim",
-            "omega": fraction_to_str(self.omega),
-            "s1": fraction_to_str(self.s1),
-            "s2": fraction_to_str(self.s2),
-            "l0": fraction_to_str(self.l0),
-            "q": str(self.q),
-            "q_log2": self.q_log2,
-            "M_bound": self.M_bound,
-            "window_bound": self.window_bound,
-            "u0_bound": self.u0_bound,
-            "rho_c": self.rho_c,
-            "s_F": fraction_to_str(self.s_F),
-            "certificates": _certificates_json(self.certificates),
-        }
-
-
-def _certificates_json(certs: dict) -> dict:
-    return {name: {"scale": fraction_to_str(cert.scale), "shape": [cert.rows, cert.cols]}
-            for name, cert in certs.items()}
-
-
-def _common_scale(*mats: RationalMatrix) -> Fraction:
-    """`max_integer_scale` of the matrices, or 1 when every entry is zero."""
-    try:
-        return max_integer_scale(*mats)
-    except ZeroMatrixError:
-        return Fraction(1)
+def _certify(triples, error) -> dict:
+    """The integrality certificate of each (name, matrix, scale), by name;
+    raises `error(name)` for the first matrix its scale does not integerize."""
+    certs = {}
+    for name, mat, scale in triples:
+        ok, certs[name] = is_integer_after_scale(mat, scale)
+        if not ok:
+            raise error(name)
+    return certs
 
 
 def _largest_power_of_ten(ks, passes) -> Optional[Fraction]:
@@ -326,23 +336,17 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     if not report.feasible:
         raise PrelimInfeasibleError(report)
     omega = report.s_F  # largest admissible divisor of F in (rho_c, s_F]
-    s2 = _common_scale(ctrl.H)
-    s1 = _common_scale(ctrl.G.scale(1 / omega), ctrl.R_ref.scale(1 / omega),
-                       ctrl.J.scale(1 / s2), ctrl.S.scale(1 / s2))
-
-    certs = {}
-    for name, mat, scale in [
+    s2 = max_integer_scale(ctrl.H)
+    s1 = max_integer_scale(ctrl.G.scale(1 / omega), ctrl.R_ref.scale(1 / omega),
+                           ctrl.J.scale(1 / s2), ctrl.S.scale(1 / s2))
+    certs = _certify([
         ("F/omega", ctrl.F, omega),
         ("G/(s1*omega)", ctrl.G, s1 * omega),
         ("R/(s1*omega)", ctrl.R_ref, s1 * omega),
         ("H/s2", ctrl.H, s2),
         ("J/(s1*s2)", ctrl.J, s1 * s2),
         ("S/(s1*s2)", ctrl.S, s1 * s2),
-    ]:
-        ok, cert = is_integer_after_scale(mat, scale, source=name)
-        if not ok:
-            raise InfeasibleError(f"{name} is not an integer matrix")
-        certs[name] = cert
+    ], lambda name: InfeasibleError(f"{name} is not an integer matrix"))
 
     # x0/(s1*l0) must be an integer vector
     x0_scaled = [x / s1 for x in ctrl.x0.data]
@@ -393,7 +397,6 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
 class DeadbeatDesign:
     L: RationalMatrix              # exact rational gain, rho(A - L C) = 0
     nilpotency_index: int          # smallest mu with (A - L C)^mu = 0
-    rho_eig_float: float           # what a double-precision eigensolver reports
 
 
 def observability_matrix(A: RationalMatrix, C: RationalMatrix) -> RationalMatrix:
@@ -452,11 +455,10 @@ def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix) -> DeadbeatDe
     E = RationalMatrix(len(active), v, [Fraction(int(j == k)) for j in active
                                         for k in range(v)])
     L = A @ P @ (E @ C @ P).inverse() @ E
-    N = A - L @ C
-    index = _nilpotency_index(N)
+    index = _nilpotency_index(A - L @ C)
     if index != max(len(chain) for chain in chains):
         raise PlannerError("deadbeat construction failed exact verification")
-    return DeadbeatDesign(L=L, nilpotency_index=index, rho_eig_float=spectral_radius(N))
+    return DeadbeatDesign(L=L, nilpotency_index=index)
 
 
 def deadbeat_companion(A: RationalMatrix, C: RationalMatrix,
@@ -550,7 +552,8 @@ class MainPlanOptions:
 
 
 @dataclass(frozen=True)
-class MainPlan:
+class MainPlan(_Plan):
+    scheme = "main"
     L: RationalMatrix
     omega: Fraction
     s1: Fraction
@@ -569,36 +572,9 @@ class MainPlan:
     bootstrap_bound: float
     dims: dict
 
-    @property
-    def q_log2(self) -> float:
-        return math.log2(self.q)
-
-    def to_json(self, include_integer_matrices: bool = False):
-        out = {
-            "scheme": "main",
-            "omega": fraction_to_str(self.omega),
-            "s1": fraction_to_str(self.s1),
-            "s2": fraction_to_str(self.s2),
-            "l0": fraction_to_str(self.l0),
-            "q": str(self.q),
-            "q_log2": self.q_log2,
-            "q_bound": self.q_bound,
-            "q_bound_log2": math.log2(self.q_bound) if self.q_bound > 0 else None,
-            "C_e": self.C_e,
-            "range_level": str(self.range_level),
-            "rho_observer": self.rho_observer,
-            "rho_observer_eig": self.rho_observer_eig,
-            "rho_observer_grid": self.rho_observer_grid,
-            "deadbeat_index": self.deadbeat_index,
-            "tail_sound": self.tail_sound,
-            "bootstrap_bound": self.bootstrap_bound,
-            "dims": dict(self.dims),
-            "L": matrix_to_json(self.L),
-            "certificates": _certificates_json(self.certificates),
-        }
-        if include_integer_matrices:
-            out["integer_matrices"] = {name: cert.int_rows()
-                                       for name, cert in self.certificates.items()}
+    def to_json(self, include_integer_matrices: bool = False) -> dict:
+        out = super().to_json(include_integer_matrices)
+        out["q_bound_log2"] = math.log2(self.q_bound) if self.q_bound > 0 else None
         return out
 
 
@@ -650,7 +626,7 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     # scales
     s1 = max_integer_scale(plant.C)
     JC = ctrl.J @ plant.C
-    s2 = _common_scale(ctrl.H, JC, ctrl.S)
+    s2 = max_integer_scale(ctrl.H, JC, ctrl.S)
 
     targets = _main_integer_targets(plant, ctrl, L, s2)
     omega = options.omega
@@ -659,20 +635,14 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     elif not 0 < omega < 1:
         raise PinError(f"pinned omega = {fraction_to_str(omega)} does not lie in (0, 1)")
 
-    certs = {}
-    for name, mat, scale in [("C/s1", plant.C, s1), ("H/s2", ctrl.H, s2),
-                             ("JC/s2", JC, s2), ("S/s2", ctrl.S, s2)]:
-        ok, cert = is_integer_after_scale(mat, scale, source=name)
-        if not ok:
-            raise InfeasibleError(f"{name} failed integrality")
-        certs[name] = cert
-    for name, mat in targets.items():
-        ok, cert = is_integer_after_scale(mat, omega, source=name)
-        if not ok:
-            # _find_omega checks these very targets, so only a pin fails here
-            raise PinError(f"{name} fails integrality at the pinned omega = "
-                           f"{fraction_to_str(omega)}")
-        certs[name] = cert
+    certs = _certify([("C/s1", plant.C, s1), ("H/s2", ctrl.H, s2),
+                      ("JC/s2", JC, s2), ("S/s2", ctrl.S, s2)],
+                     lambda name: InfeasibleError(f"{name} failed integrality"))
+    # _find_omega checks these very targets, so only a pin fails here
+    certs.update(_certify(
+        [(name, mat, omega) for name, mat in targets.items()],
+        lambda name: PinError(f"{name} fails integrality at the pinned omega = "
+                              f"{fraction_to_str(omega)}")))
 
     # initial zoom: exact division of x0 (and the reference when it is exact
     # decimal data), plus enough headroom that the scaled reference error

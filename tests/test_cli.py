@@ -16,7 +16,7 @@ import encloop
 from encloop import cli, he, loop
 from encloop.cli import main
 from encloop.fixtures import FIXTURES, batch_reactor, batch_reactor_exact_observer
-from encloop.planner import MainPlanOptions, plan_main
+from encloop.planner import MainPlanOptions, plan_main, plan_preliminary
 
 
 def run_cli(capsys, *argv):
@@ -242,19 +242,64 @@ def test_unknown_fixture(capsys):
     assert "unknown fixture" in err
 
 
-def test_zero_matrix_controller_rejected(capsys, tmp_path):
-    cfg = {
-        "plant": {"A": [["0.4"]], "B": [["1"]], "C": [["1"]]},
-        "controller": {"F": [["0"]], "G": [["0"]], "R": [["0"]],
-                       "H": [["0"]], "J": [["0"]], "S": [["0"]]},
-        "reference": ["0"],
-    }
-    path = tmp_path / "zero.json"
-    path.write_text(json.dumps(cfg))
-    code, _, err = run_cli(capsys, "plan", "--config", str(path),
-                           "--scheme", "prelim")
-    assert code == 1
-    assert "zero" in err.lower()
+SCALAR_PLANT = {"plant": {"A": [["0.2"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
+                "x_p0": ["1"], "reference": ["0"]}
+DEGENERATE = {  # scalar controllers whose matrices are all zero or have no rows
+    "all-zero": {**SCALAR_PLANT, "plant": {**SCALAR_PLANT["plant"], "A": [["0.4"]]},
+                 "controller": {"F": [["0"]], "G": [["0"]], "R": [["0"]],
+                                "H": [["0"]], "J": [["0"]], "S": [["0"]]}},
+    "zero-F": {**SCALAR_PLANT, "controller": {"F": [["0"]], "G": [["-0.1"]], "R": [["0"]],
+                                              "H": [["0.1"]], "J": [["-0.2"]], "S": [["0"]]}},
+    # a static gain u = J y + S r: JSON writes G and R of no rows without a width
+    "no-state": {**SCALAR_PLANT, "controller": {"F": [], "G": [], "R": [], "H": [[]],
+                                                "J": [["-0.2"]], "S": [["0"]]}},
+}
+
+
+@pytest.mark.parametrize("config,scheme,pad", [
+    ("all-zero", "prelim", 2), ("all-zero", "main", 14), ("zero-F", "prelim", 14),
+    ("zero-F", "main", 14), ("no-state", "prelim", 10), ("no-state", "main", 13)])
+def test_a_degenerate_controller_plans_and_runs(capsys, monkeypatch, tmp_path,
+                                                config, scheme, pad):
+    """An all-zero matrix has the integer scale 1 and a controller may have
+    no state: both routes plan these controllers, and a lattice run at H=200,
+    at its pad, writes the mock run's CSV with no recovery failure."""
+    path = tmp_path / f"{config}.json"
+    path.write_text(json.dumps(DEGENERATE[config]))
+    code, out, err = run_cli(capsys, "plan", "--config", str(path), "--scheme", scheme,
+                             "--observer", "exact")
+    assert (code, err) == (0, "")
+    pads, sized = [], loop.lattice_params
+
+    def recording(plan, horizon):
+        params = sized(plan, horizon)
+        pads.append(params.lattice.pad_bits)
+        return params
+
+    monkeypatch.setattr(loop, "lattice_params", recording)
+    for backend in ("lattice", "mock"):
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--scheme",
+                                 scheme, "--backend", backend, "--horizon", "200",
+                                 "--seed", "7", "--out", str(tmp_path / backend))
+        summary = json.loads(out)
+        assert (code, err) == (0, "")
+        assert summary["recovery_failures"] == summary["oracle_mismatches"] == 0
+    assert pads == [pad]
+    assert (tmp_path / "lattice.csv").read_bytes() == (tmp_path / "mock.csv").read_bytes()
+
+
+def test_prelim_full_plan_lists_the_integer_matrices(capsys):
+    """`plan --full` reports each certificate's integer matrix on the prelim
+    route as on the main route."""
+    code, out, _ = run_cli(capsys, "plan", "--fixture", "coupled-tanks",
+                           "--scheme", "prelim", "--full")
+    tanks = FIXTURES["coupled-tanks"]()
+    plan = plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=max(
+        abs(x) for x in tanks.reference.data))
+    assert code == 0
+    reported = json.loads(out)["integer_matrices"]
+    assert reported == {name: cert.int_rows() for name, cert in plan.certificates.items()}
+    assert set(reported) == set(loop.PRELIM_CERTIFICATES.values())
 
 
 PRELIM_CONFIG = {

@@ -11,7 +11,6 @@ from encloop.exactmat import (
     NonSquareError,
     RationalMatrix,
     SingularMatrixError,
-    ZeroMatrixError,
     as_fraction,
     block_closed_loop,
     hstack,
@@ -21,6 +20,7 @@ from encloop.exactmat import (
     max_integer_scale,
     rational_gcd,
     spectral_radius,
+    vstack,
 )
 from encloop.planner import ControllerModel, PlantModel
 
@@ -69,9 +69,9 @@ class TestMaxIntegerScale:
     def test_batch_reactor_F(self, batch):
         assert max_integer_scale(batch.ctrl.F) == Fraction(1, 100)
 
-    def test_zero_matrix_raises(self):
-        with pytest.raises(ZeroMatrixError):
-            max_integer_scale(RationalMatrix.zeros(2, 2))
+    def test_zero_matrix_scales_by_one(self):
+        # every a in (0, 1] divides an all-zero matrix; the largest is 1
+        assert max_integer_scale(RationalMatrix.zeros(2, 2)) == 1
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(rationals, min_size=1, max_size=6))
@@ -105,6 +105,10 @@ class TestIntegerAfterScale:
     def test_zero_matrix_any_scale(self):
         ok, cert = is_integer_after_scale(RationalMatrix.zeros(2, 3), Fraction(7, 13))
         assert ok and cert.verify(RationalMatrix.zeros(2, 3))
+
+    def test_a_certificate_verifies_no_matrix_of_another_shape(self):
+        _, cert = is_integer_after_scale(RationalMatrix.zeros(2, 3), 1)
+        assert not cert.verify(RationalMatrix.zeros(3, 2))
 
 
 class TestSpectralRadius:
@@ -237,6 +241,27 @@ class TestLinearAlgebra:
     def test_matrix_power_exact(self):
         m = rmat([["1/2", 1], [0, "1/2"]])
         assert m.matpow(2) == rmat([["1/4", 1], [0, "1/4"]])
+
+
+SQUARE, WIDE = rmat([[1, 2], [3, 4]]), rmat([[1, 2, 3]])
+REFUSALS = [  # (id, call, the error it raises)
+    ("as_fraction-None", lambda: as_fraction(None), TypeError),
+    ("ragged-rows", lambda: rmat([[1, 2], [3]]), DimensionMismatchError),
+    ("add-shapes", lambda: SQUARE + WIDE, DimensionMismatchError),
+    ("sub-shapes", lambda: SQUARE - WIDE, DimensionMismatchError),
+    ("matpow-non-square", lambda: WIDE.matpow(2), NonSquareError),
+    ("inverse-non-square", lambda: WIDE.inverse(), NonSquareError),
+    ("hstack-rows", lambda: hstack(SQUARE, WIDE), DimensionMismatchError),
+    ("vstack-cols", lambda: vstack(SQUARE, WIDE), DimensionMismatchError),
+    ("scale-zero", lambda: is_integer_after_scale(SQUARE, 0), ValueError),
+    ("json-non-list", lambda: matrix_from_json("1"), ValueError),
+]
+
+
+@pytest.mark.parametrize("call,error", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS])
+def test_malformed_operands_are_refused(call, error):
+    with pytest.raises(error):
+        call()
 
 
 class TestJson:

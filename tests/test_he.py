@@ -238,6 +238,13 @@ def test_a_ciphertext_without_a_noise_bound_is_refused(backend):
                 he.decrypt(sk, ct)
 
 
+def test_noise_report_of_a_mock_ciphertext():
+    """Mock carries no noise: no noise bits, and an infinite budget and headroom."""
+    pk, _ = he.keygen(make_scheme("mock"), seed=15)
+    ct = he.encrypt(pk, [1, 2], random.Random(15))
+    assert he.noise_report(ct) == he.NoiseReport(0.0, float("inf"), float("inf"))
+
+
 def test_bad_params_rejected():
     with pytest.raises(he.BadParamsError):
         he.SchemeParams(q=1)

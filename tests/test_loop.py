@@ -88,6 +88,10 @@ class TestCenteredRecover:
         x = -249
         assert centered_mod_recover([x % q], Fraction(-499, 2), q) == [x]
 
+    def test_a_modulus_below_two_is_refused(self):
+        with pytest.raises(ValueError, match="modulus must be >= 2"):
+            centered_mod_recover([0], 0, 1)
+
     def test_a_list_of_priors_has_one_per_residue(self):
         assert centered_mod_recover([1, 2, 3], [0, 0, 0], 8) == [1, 2, 3]
         for prior in ([0], [0, 0, 0, 0]):
@@ -151,6 +155,21 @@ class TestMainLoop:
         tr = run_closed_loop_main(plan, main_cfg(sc, plan, 20))
         assert all(r.u_a == (0.0,) and r.u_true == (0.0,) for r in tr.records)
         assert tr.recovery_failures == 0 and tr.saturation_count == 0
+
+    def test_the_actuator_rebuilds_the_shadows_output(self, monkeypatch, batch, sound_plan):
+        """After a run, the actuator's reconstructed u_tilde (`ut`) is the
+        integer shadow's u."""
+        made = {}
+        for name in ("MainActuator", "MainIntegerShadow"):
+            class Kept(getattr(loop, name)):
+                def __init__(self, *args, name=name):
+                    super().__init__(*args)
+                    made[name] = self
+            monkeypatch.setattr(loop, name, Kept)
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30))
+        shadow = made["MainIntegerShadow"]
+        assert tr.recovery_failures == 0 and any(shadow.u)
+        assert made["MainActuator"].ut == shadow.u
 
     def test_batch_sound_run_exact(self, batch, sound_plan):
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,

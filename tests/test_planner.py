@@ -8,11 +8,13 @@ import pytest
 
 from encloop import planner
 from encloop.exactmat import (
+    DimensionMismatchError,
     RationalMatrix,
     block_closed_loop,
     hstack,
     inf_norm,
     is_integer_after_scale,
+    spectral_radius,
     vstack,
 )
 from encloop.planner import (
@@ -64,6 +66,18 @@ def deadbeat_1d_fixture():
         x0=RationalMatrix.zeros(1, 1),
     )
     return plant, ctrl
+
+
+@pytest.mark.parametrize("shapes,bound,error", [
+    (((1, 1), (2, 1), (1, 1)), 0, DimensionMismatchError),  # B of another height
+    (((1, 2), (1, 1), (1, 1)), 0, DimensionMismatchError),  # A not square
+    (((1, 1), (1, 1), (1, 2)), 0, DimensionMismatchError),  # C of another width
+    (((1, 1), (1, 1), (1, 1)), -1, ValueError),             # a negative x_p0 bound
+], ids=["B-rows", "A-square", "C-cols", "x_p0_bound"])
+def test_a_malformed_plant_is_refused(shapes, bound, error):
+    A, B, C = (RationalMatrix.zeros(*shape) for shape in shapes)
+    with pytest.raises(error):
+        PlantModel(A=A, B=B, C=C, x_p0_bound=bound)
 
 
 class TestFeasibility:
@@ -147,6 +161,15 @@ class TestComputeM:
     def test_divergent_raises(self, batch):
         with pytest.raises(DivergentError):
             compute_M(batch.plant, batch.ctrl, Fraction(1, 100), 0.0)
+
+    def test_a_series_beyond_the_term_budget_raises(self):
+        """rho(A_cl) = 0.9999: the terms fall below M_SERIES_RTOL of the sum
+        only after about 1.8e5 terms, beyond M_SERIES_MAX_TERMS."""
+        plant = PlantModel(A=rmat([["0.9999"]]), B=rmat([[1]]), C=rmat([[1]]))
+        zero = RationalMatrix.zeros(1, 1)
+        ctrl = ControllerModel(F=zero, G=zero, R_ref=zero, H=zero, J=zero, S=zero, x0=zero)
+        with pytest.raises(DivergentError, match="term budget"):
+            compute_M(plant, ctrl, 1, 0.0)
 
     def test_bound_dominates_worst_case_simulation(self, tanks, tanks_plan):
         # greedy sign-adversary drive of the difference recursion
@@ -238,7 +261,7 @@ class TestDeadbeatObserver:
         design = design_deadbeat_observer(rmat([[2]]), rmat([[1]]))
         assert design.L == rmat([[2]])
         assert design.nilpotency_index == 1
-        assert design.rho_eig_float <= 1e-12
+        assert spectral_radius(rmat([[2]]) - design.L @ rmat([[1]])) <= 1e-12
 
     def test_random_observable_3_state(self):
         rng = random.Random(17)
@@ -256,7 +279,7 @@ class TestDeadbeatObserver:
             assert float(inf_norm(N.matpow(3))) <= 1e-4
             # a double-precision eigensolver on an exactly nilpotent matrix
             # reports eps^(1/index)-level noise, not 0
-            assert design.rho_eig_float <= 1e-3
+            assert spectral_radius(N) <= 1e-3
 
     def test_index_is_the_largest_observability_index(self):
         """On seeded random observable pairs, a third or so with a row of C
@@ -302,7 +325,7 @@ class TestDeadbeatObserver:
         assert d.nilpotency_index == 2
         assert d.L.denominator_lcm() == 18400
         assert round_to_decimal_grid(d.L, 4) == batch.L_published
-        assert d.rho_eig_float <= 1e-5  # what an eigensolver reports (paper: 9e-7)
+        assert spectral_radius(N) <= 1e-5  # what an eigensolver reports (paper: 9e-7)
 
 
 class TestComputeCe:

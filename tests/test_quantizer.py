@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,11 @@ from encloop.quantizer import (
 )
 
 spec9 = QuantizerSpec(range_level=9)
+
+
+def test_a_range_below_one_is_refused():
+    with pytest.raises(ValueError, match="range_level must be >= 1"):
+        QuantizerSpec(range_level=0)
 
 
 def test_inside_zero_cell():
