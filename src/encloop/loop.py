@@ -19,15 +19,17 @@ unencrypted reference loop (the restoration target) and in reporting, where
 a ratio of integers converts with one correctly rounded division.
 
 Each converted controller is written once, over a ring's two operations
-`matvec` and `add`: `MainRecurrence` (its bootstrap's linear part `start`,
-state update, emission, and its inverse `rebuild`) and `PrelimRecurrence`.
+`matvec` and `add`: the main one as its emission rule `MainRecurrence` (its
+bootstrap's linear part `start`, and the step) and as its observer and
+controller dynamics `MainIntegerRecurrence`, which only the reconstruction
+from the increments runs (`rebuild`); the prelim one as `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so no run interprets a recurrence op by op.  Each linear
-method of a party (`start`, `step`, the main actuator's `rebuild` and
+method of a party (`start`, `step`, the reconstruction's `rebuild` and
 `y_o`) is run once on the recording ring `kernel.Source`, which makes every
 matvec row and every sum one straight-line statement with its zero
 coefficients dropped, and the record is compiled into one function: on
-integers (`_compile`, for the integer shadows, the main actuator, whose
+integers (`_compile`, for the integer shadows, the reconstruction, whose
 ring `IntRing` only embeds, and the noise table), or over packed ciphertext
 payloads (`_compile_cipher`), where `he` supplies
 the reducer and the slot limit, so an entry is reduced only where the limit
@@ -67,9 +69,9 @@ Alongside the encrypted loop run these checks:
   restoration target).
 The recurrence itself is checked by code it shares nothing with: the
 reference loop above, and in the tests the closed forms of the increments
-(`test_step_identities_on_batch`, acceptance criterion 7) and their
-definition form (`test_emitted_increments_are_the_definition_form`), which
-`MainRecurrence` does not evaluate.
+(`test_step_identities_on_batch`, acceptance criterion 7), their definition
+form, and the paper's recurrence run op by op, which the reconstruction
+must match at every step (`PaperRecurrence`).
 """
 
 from __future__ import annotations
@@ -419,7 +421,7 @@ def _rows(recurrence) -> tuple:
 # The kernels used last in this process, least recent first: (builder,
 # method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
 # A main plan has 6 kernels (payload and integer `start` and `step`, and the
-# actuator's `rebuild` and `y_o`) and 2 more per further pad, a prelim plan
+# reconstruction's `rebuild` and `y_o`) and 2 more per further pad, a prelim plan
 # 2 and 1 more per pad; the noise table runs the integer kernels, and plans
 # that differ only in q share them where their centered rows agree.  32
 # keep several plans'.
@@ -568,10 +570,10 @@ PRELIM_CERTIFICATES = {"F": "F/omega", "G": "G/(s1*omega)", "R": "R/(s1*omega)",
                        "H": "H/s2", "J": "J/(s1*s2)", "S": "S/(s1*s2)"}
 
 
-def _load(ring, certs, names: dict) -> SimpleNamespace:
-    """The certified integer matrices as plaintexts of `ring`."""
-    return SimpleNamespace(**{key: ring.plain(certs[name].int_rows())
-                              for key, name in names.items()})
+def _load(ring, certs, names: dict, keys=None) -> SimpleNamespace:
+    """The certified integer matrices `names` (or `keys` of them) on `ring`."""
+    return SimpleNamespace(**{key: ring.plain(certs[names[key]].int_rows())
+                              for key in keys or names})
 
 
 def _diagonal(c: int, d: int) -> list:
@@ -580,46 +582,41 @@ def _diagonal(c: int, d: int) -> list:
 
 
 class MainRecurrence:
-    """The converted observer controller in scaled-integer coordinates.
-
-    With A, B, L, C, F, G, R, H, J, S the certified integer matrices
-    (A/omega, s2B/omega, ...) and the integer 1/omega, a step advances the
-    observer xo, the controller xe and the reference estimate re together
-    from the old states, and then the output u from the new ones:
+    """The converted observer controller's emission rule, in scaled-integer
+    coordinates.  With A, B, L, C, F, G, R, H, J, S the certified integer
+    matrices (A/omega, s2B/omega, ...) and the integer 1/omega, the
+    controller advances the observer xo, the controller xe and the reference
+    estimate re from the old states, and the output u from the new ones:
 
         xo <- A xo + B u + L innovation
         xe <- F xe + G xo + R re
         re <- (re + ref_increment) / omega
         u   = H xe + J xo + S re
 
-    The controller emits the increments (suffix _m1, _m2: one and two steps
-    before; every state before step 0 is zero)
+    It emits the increments (suffix _m1, _m2: one and two steps before;
+    every state before step 0 is zero)
 
         alpha = xo - A xo_m1 - B u_m1
         beta  = xe - F xe_m1 - G xo_m1 - (xe_m1 - F xe_m2 - G xo_m2) / omega
         gamma = u  - H xe    - J xo    - (u_m1  - H xe_m1 - J xo_m1) / omega
 
-    The brackets are products the step makes anyway, R re_m1 and S re, and
-    alpha is its L innovation; at step 0 they are xe, S re and xo.  So the
-    memory is one step deep: `increments`, the one emission rule, takes
-    1/omega times the brackets of the step before (`bx`, `bu`; zero before
-    step 0) from the step's own, and carries the new ones.  `rebuild`
-    inverts it with the carried brackets, as the actuator does, whose
-    observer output y_o = C xo (`y_o`) the sensor reads.
+    By the recurrence, alpha is L innovation and the brackets are R re_m1
+    and S re; at step 0 they are xo, xe and S re.  So no emission reads xo,
+    xe or u: a step is bx = R re, re <- (re + ref_increment)/omega and
+    `increments`, which takes 1/omega times the brackets of the step before
+    (`bx`, `bu`; zero before step 0) from bx and S re, and keeps those.  xo,
+    xe and u are rebuilt from the increments (`MainIntegerRecurrence`).
     """
 
-    state = ("xo", "xe", "re", "bx", "bu", "u")
+    state = ("re", "bx", "bu")
 
     def __init__(self, ring, plan: MainPlan):
         self.ring, self.kernels = ring, {}
-        self.dims = dims = plan.dims
-        inv_omega = plan.certificates["1/omega"].scaled_entries[0]
-        self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES)
-        # 1/omega and -1/omega as diagonal matrices, one per vector length
-        m.Om_r, m.Om_x, m.Om_u = (ring.plain(_diagonal(inv_omega, dims[k]))
-                                  for k in ("n_r", "n_x", "w"))
-        m.neg_Om_x, m.neg_Om_u = (ring.plain(_diagonal(-inv_omega, dims[k]))
-                                  for k in ("n_x", "w"))
+        self.dims, inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
+        self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES, "LRS")
+        # 1/omega on re, and -1/omega on each bracket, as diagonal matrices
+        m.Om_r, m.neg_Om_x, m.neg_Om_u = (ring.plain(_diagonal(c * inv_omega, self.dims[k]))
+                                          for c, k in ((1, "n_r"), (-1, "n_x"), (-1, "w")))
 
     def bootstrap(self, x_e0_scaled):
         """`start` on the initial states and zero brackets, every vector
@@ -631,14 +628,9 @@ class MainRecurrence:
     def start(self, xo, xe, re, bx, bu):
         """Takes the initial states xo, xe, re and the brackets bx, bu;
         returns the emission of step 0, (alpha, beta, gamma), by the rule of
-        every step (`increments`).  With x_e0 = 0 every state and bracket is
-        zero, which is where the actuator starts, so reconstruction
-        telescopes from the first step."""
-        mv, m = self.ring.matvec, self.m
-        self.xo, self.xe, self.re, self.bx, self.bu = xo, xe, re, bx, bu
-        s_re = mv(m.S, re)
-        self.u = self.ring.add(mv(m.H, xe), mv(m.J, xo), s_re)
-        return self.increments(xo, xe, s_re)
+        every step (`increments`): the reconstruction starts at zero."""
+        self.re, self.bx, self.bu = re, bx, bu
+        return self.increments(xo, xe, self.ring.matvec(self.m.S, re))
 
     def increments(self, alpha, bx, bu):
         """(alpha, beta, gamma): beta and gamma are this step's brackets less
@@ -650,22 +642,34 @@ class MainRecurrence:
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
-        increment; returns the emission (alpha, beta, gamma), the increments
-        from the step's own products."""
-        mv, add, m = self.ring.matvec, self.ring.add, self.m
-        alpha = mv(m.L, innovation)
-        xo = add(mv(m.A, self.xo), mv(m.B, self.u), alpha)
+        increment; returns the emission (alpha, beta, gamma)."""
+        mv, m = self.ring.matvec, self.m
         bx = mv(m.R, self.re)
-        xe = add(mv(m.F, self.xe), mv(m.G, self.xo), bx)
-        self.re = mv(m.Om_r, add(self.re, ref_increment))
-        bu = mv(m.S, self.re)
-        self.u = add(mv(m.H, xe), mv(m.J, xo), bu)
-        self.xo, self.xe = xo, xe
-        return self.increments(alpha, bx, bu)
+        self.re = mv(m.Om_r, self.ring.add(self.re, ref_increment))
+        return self.increments(mv(m.L, innovation), bx, mv(m.S, self.re))
 
-    def y_o(self):
-        """The observer output (C/s1) xo."""
-        return self.ring.matvec(self.m.C, self.xo)
+    def lengths(self) -> tuple:
+        """The lengths of the vectors a run encrypts fresh: the bootstrap's
+        (`start`'s arguments) and each step's; and of those a step emits."""
+        d = self.dims
+        return ((d["n"], d["n_x"], d["n_r"], d["n_x"], d["w"]), (d["v"], d["n_r"]),
+                (d["n"], d["n_x"], d["w"]))
+
+
+class MainIntegerRecurrence:
+    """The observer and controller dynamics of `MainRecurrence`, rebuilt from
+    its increments on `IntRing` from zero states (as before step 0), with
+    `rebuild` and `y_o` compiled: the actuator's, and the integer shadow's."""
+
+    state = ("xo", "xe", "bx", "bu", "u")
+
+    def __init__(self, plan: MainPlan):
+        self.ring, self.kernels = IntRing(), {}
+        d, inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
+        self.m = m = _load(self.ring, plan.certificates, MAIN_CERTIFICATES, "ABCFGHJ")
+        m.Om_x, m.Om_u = (self.ring.plain(_diagonal(inv_omega, d[k])) for k in ("n_x", "w"))
+        self.xo, self.xe, self.bx, self.bu, self.u = (
+            [0] * d[k] for k in ("n", "n_x", "n_x", "w", "w"))
 
     def rebuild(self, alpha, beta, gamma):
         """The states of the next step from its increments and the carried
@@ -679,12 +683,11 @@ class MainRecurrence:
         self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.xo))
         return self.u
 
-    def lengths(self) -> tuple:
-        """The lengths of the vectors a run encrypts fresh: the bootstrap's
-        (`start`'s arguments) and each step's; and of those a step emits."""
-        d = self.dims
-        return ((d["n"], d["n_x"], d["n_r"], d["n_x"], d["w"]), (d["v"], d["n_r"]),
-                (d["n"], d["n_x"], d["w"]))
+    def y_o(self):
+        """The observer output (C/s1) xo."""
+        return self.ring.matvec(self.m.C, self.xo)
+
+    rebuild, y_o = _compiled(rebuild, _compile), _compiled(y_o, _compile)
 
 
 class PrelimRecurrence:
@@ -731,30 +734,28 @@ class _EncryptedController:
 
 
 class MainEncController(_EncryptedController, MainRecurrence):
-    """Holds only the public key (in its `CipherRing`); iterates the converted
-    observer controller on ciphertexts and emits the bounded increments.
-    `start` and `step` are compiled."""
+    """Holds only the public key (in its `CipherRing`); runs the emission
+    rule on ciphertexts, `start` and `step` compiled."""
 
     start = _compiled(MainRecurrence.start, _compile_cipher, reads=())
     step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
-class MainIntegerRecurrence(MainRecurrence):
-    """`MainRecurrence` on `IntRing`, `start`, `step`, `rebuild` and `y_o`
-    compiled: the integer shadow, and the main actuator's reconstruction."""
+class MainIntegerShadow(MainRecurrence):
+    """The emission rule on exact unbounded integers, `start` and `step`
+    compiled: ground truth for every ciphertext (mod q).  Its increments
+    rebuilt (`states`) are ground truth for the actuator's reconstruction."""
 
     start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
-    rebuild = _compiled(MainRecurrence.rebuild, _compile)
-    y_o = _compiled(MainRecurrence.y_o, _compile)
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
+        self.states = MainIntegerRecurrence(plan)
 
-
-class MainIntegerShadow(MainIntegerRecurrence):
-    """Exact unbounded integer dynamics of the converted controller; ground
-    truth for every ciphertext (mod q) and for the actuator reconstruction."""
+    def y_o(self):
+        """The observer output (C/s1) xo of the rebuilt states."""
+        return self.states.y_o()
 
 
 class MainSensor:
@@ -784,9 +785,12 @@ class MainSensor:
         P = [y * s1d for y in Y]
         gap_num = [p - d * v for p, v in zip(P, y_o)]
         q_inno, sat = quantize_vector(gap_num, self.spec, E * s1d)
-        ct = self.ring.fresh(q_inno)
-        gap = max((abs(g / d) for g in gap_num), default=0.0)
-        return q_inno, ct, sat, gap
+        gap = max(map(abs, gap_num), default=0)
+        try:
+            log2_gap = _log2(gap / d)
+        except OverflowError:  # gap/d lies beyond the float range
+            log2_gap = math.log2(gap) - math.log2(d)
+        return q_inno, self.ring.fresh(q_inno), sat, log2_gap
 
 
 class RefProvider:
@@ -812,16 +816,14 @@ class RefProvider:
 
 
 class MainActuator:
-    """Decrypts the increments, lifts them around zero, and reconstructs the
-    controller states in scaled-integer coordinates (exact; the delivered
-    input is u_a = s2 l(t) u_tilde), whose observer output it hands the
-    sensor (`y_o`)."""
+    """Decrypts the increments, lifts them around zero, and rebuilds the
+    controller's states from them (`MainIntegerRecurrence`; exact, and the
+    delivered input is u_a = s2 l(t) u_tilde), whose observer output it
+    hands the sensor (`y_o`)."""
 
     def __init__(self, sk, plan: MainPlan):
-        self.sk = sk
-        self.q = plan.q
+        self.sk, self.q = sk, plan.q
         self.states = MainIntegerRecurrence(plan)
-        self.states.bootstrap([0] * plan.dims["n_x"])
         self.dec_ops = 0
 
     @property
@@ -911,7 +913,8 @@ class NoiseTable:
     step's linear maps A (state to state) and C (state to emission); so once
     it has been zero for as many lags in a row as the `state` (a zero one)
     has entries, it is zero for ever (Cayley-Hamilton), and the column
-    ends.  It ends as well once its state is zero.  A live column is a
+    ends (on the main route the state is the emission rule's alone, re and
+    the brackets).  It ends as well once its state is zero.  A live column is a
     record of its state, its emission at the next lag and its zero lags in
     a row, and `_advance` moves the columns a lag on.  The table extends
     itself on demand; once every column has ended, its last bounds hold for
@@ -1142,19 +1145,20 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         else:
             incs_ct = controller.step(*sent[0])
             emitted = shadow.step(*sent[1])
+        u_shadow = shadow.states.rebuild(*emitted)
         lifted, ut_a = actuator.step(*incs_ct)
-        q_inno, inno_ct, sat_s, gap = sensor.step(actuator.y_o(), y_bar)
+        q_inno, inno_ct, sat_s, log2_gap = sensor.step(actuator.y_o(), y_bar)
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
         alpha, beta, gamma = emitted
         return _Step(
-            U=ut_a, u_shadow=shadow.u, lifted=lifted, shadow=emitted,
+            U=ut_a, u_shadow=u_shadow, lifted=lifted, shadow=emitted,
             fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
-                    "log2_gamma": _log2norm(gamma), "log2_sensor_gap": _log2(gap),
+                    "log2_gamma": _log2norm(gamma), "log2_sensor_gap": log2_gap,
                     "saturated": bool(sat_s or sat_r)},
             detail={"innovation": q_inno, "ref_increment": q_ref,
                     "alpha": alpha, "beta": beta, "gamma": gamma,
-                    "re_scaled": shadow.re, "u_tilde": shadow.u})
+                    "re_scaled": shadow.re, "u_tilde": u_shadow})
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)

@@ -297,15 +297,11 @@ class PrelimPlan(_Plan):
     s_F: Fraction
 
 
-def _certify(triples, error) -> dict:
-    """The integrality certificate of each (name, matrix, scale), by name;
-    raises `error(name)` for the first matrix its scale does not integerize."""
-    certs = {}
-    for name, mat, scale in triples:
-        ok, certs[name] = is_integer_after_scale(mat, scale)
-        if not ok:
-            raise error(name)
-    return certs
+def _certify(triples) -> dict:
+    """The integrality certificate of each (name, matrix, scale), by name,
+    or None where the scale does not integerize the matrix.  A scale that
+    `max_integer_scale` chose of the very matrices it scales always does."""
+    return {name: is_integer_after_scale(mat, scale)[1] for name, mat, scale in triples}
 
 
 def _largest_power_of_ten(ks, passes) -> Optional[Fraction]:
@@ -346,7 +342,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
         ("H/s2", ctrl.H, s2),
         ("J/(s1*s2)", ctrl.J, s1 * s2),
         ("S/(s1*s2)", ctrl.S, s1 * s2),
-    ], lambda name: InfeasibleError(f"{name} is not an integer matrix"))
+    ])
 
     # x0/(s1*l0) must be an integer vector
     x0_scaled = [x / s1 for x in ctrl.x0.data]
@@ -635,14 +631,13 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     elif not 0 < omega < 1:
         raise PinError(f"pinned omega = {fraction_to_str(omega)} does not lie in (0, 1)")
 
-    certs = _certify([("C/s1", plant.C, s1), ("H/s2", ctrl.H, s2),
-                      ("JC/s2", JC, s2), ("S/s2", ctrl.S, s2)],
-                     lambda name: InfeasibleError(f"{name} failed integrality"))
+    certs = _certify([("C/s1", plant.C, s1), ("H/s2", ctrl.H, s2), ("JC/s2", JC, s2),
+                      ("S/s2", ctrl.S, s2), *((k, mat, omega) for k, mat in targets.items())])
     # _find_omega checks these very targets, so only a pin fails here
-    certs.update(_certify(
-        [(name, mat, omega) for name, mat in targets.items()],
-        lambda name: PinError(f"{name} fails integrality at the pinned omega = "
-                              f"{fraction_to_str(omega)}")))
+    failed = next((name for name in targets if certs[name] is None), None)
+    if failed is not None:
+        raise PinError(f"{failed} fails integrality at the pinned omega = "
+                       f"{fraction_to_str(omega)}")
 
     # initial zoom: exact division of x0 (and the reference when it is exact
     # decimal data), plus enough headroom that the scaled reference error

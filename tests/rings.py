@@ -26,8 +26,12 @@ class IntRing(loop.IntRing):
 
 
 class CipherRing(loop.CipherRing):
-    @staticmethod
-    def matvec(M, ct):
+    """A ciphertext under other scheme parameters than the keys' is refused
+    by `matvec` too, as by `he.add` and the compiled kernels."""
+
+    def matvec(self, M, ct):
+        if ct.params != self.pk.params:
+            raise he.DimensionMismatchError("ciphertexts from different schemes")
         return he.plain_matmul(M, ct)
 
     @staticmethod

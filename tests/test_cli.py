@@ -458,12 +458,19 @@ UNOBSERVABLE = {  # C reads the first state only, and A never mixes in the secon
     ("plan --config {tmp}/missing.json", 1, "config error: cannot read config: "),
     ("simulate --fixture batch-reactor --override omega=2", 1,
      "config error: pinned omega = 2 does not lie in (0, 1)"),
+    ("simulate --fixture batch-reactor --override omega=1/3", 1,
+     "config error: A/omega fails integrality at the pinned omega = 1/3"),
+    ("simulate --horizon 60 --override q=2199023255552", 3, ""),
+    ("simulate --fixture coupled-tanks --scheme main --horizon 1000 --override q=16", 3, ""),
 ], ids=["saturation", "infeasible-simulate", "compare-prelim", "unobservable", "q-below-min",
         "range-level-0", "q-not-a-number", "override-without-value", "overrides-a-list",
-        "unreadable-config", "omega-outside-0-1"])
+        "unreadable-config", "omega-outside-0-1", "omega-not-integerizing",
+        "recovery-gap-past-float-range", "recovery-tanks-q-16"])
 def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     """Each failure exits with its documented code and names itself on
-    stderr; a saturated run prints its summary and nothing on stderr."""
+    stderr; a run whose recovery fails, or that saturates, prints its
+    summary and nothing on stderr.  The two recovery failures drive the
+    sensor gap past the float range, which the trace records as its log2."""
     (tmp_path / "unobservable.json").write_text(json.dumps(UNOBSERVABLE))
     (tmp_path / "listed.json").write_text(json.dumps({**UNOBSERVABLE, "overrides": ["q=8"]}))
     got, out, err = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
@@ -471,7 +478,8 @@ def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     if prefix:
         assert err.startswith(prefix) and not out
     else:
-        assert err == "" and json.loads(out)["saturation_count"] > 0
+        failures = {3: "recovery_failures", 4: "saturation_count"}[code]
+        assert err == "" and json.loads(out)[failures] > 0
 
 
 NO_REFERENCE = {  # a scalar plant and controller that take no reference input

@@ -19,7 +19,6 @@ from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
     MAIN_CERTIFICATES,
     MainEncController,
-    MainIntegerRecurrence,
     MainIntegerShadow,
     MainRecurrence,
     PlantSim,
@@ -157,8 +156,9 @@ class TestMainLoop:
         assert tr.recovery_failures == 0 and tr.saturation_count == 0
 
     def test_the_actuator_rebuilds_the_shadows_output(self, monkeypatch, batch, sound_plan):
-        """After a run, the actuator's reconstructed u_tilde (`ut`) is the
-        integer shadow's u."""
+        """After a run, the actuator's reconstructed u_tilde (`ut`), and
+        every state it rebuilt, are those the integer shadow rebuilds from
+        its own increments."""
         made = {}
         for name in ("MainActuator", "MainIntegerShadow"):
             class Kept(getattr(loop, name)):
@@ -167,9 +167,11 @@ class TestMainLoop:
                     made[name] = self
             monkeypatch.setattr(loop, name, Kept)
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30))
-        shadow = made["MainIntegerShadow"]
+        shadow, actuator = made["MainIntegerShadow"].states, made["MainActuator"]
         assert tr.recovery_failures == 0 and any(shadow.u)
-        assert made["MainActuator"].ut == shadow.u
+        assert actuator.ut == shadow.u
+        assert [getattr(actuator.states, k) for k in shadow.state] == [
+            getattr(shadow, k) for k in shadow.state]
 
     def test_batch_sound_run_exact(self, batch, sound_plan):
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,
@@ -269,6 +271,42 @@ class TestMainLoop:
                 assert [Fraction(g) for g in gamma] == want_g
 
 
+class PaperRecurrence:
+    """The paper's converted observer controller as one step, op by op on
+    `rings.IntRing`, over the certified integer matrices and the integer
+    1/omega, from xo = 0, xe = x_e0 and re = 0:
+
+        xo <- A xo + B u + L innovation
+        xe <- F xe + G xo + R re
+        re <- (re + ref_increment) / omega
+        u   = H xe + J xo + S re
+
+    `loop` never runs these updates as one step: its emission rule keeps
+    only re and the brackets, and the reconstruction rebuilds xo, xe and u
+    from the increments.  This is the reference that the rebuilt states
+    must equal."""
+
+    def __init__(self, plan, x_e0):
+        self.m = SimpleNamespace(**{k: plan.certificates[name].int_rows()
+                                    for k, name in MAIN_CERTIFICATES.items()})
+        self.inv_omega = plan.certificates["1/omega"].scaled_entries[0]
+        d = plan.dims
+        self.xo, self.xe, self.re = [0] * d["n"], list(x_e0), [0] * d["n_r"]
+        self.u = self._output()
+
+    def _output(self):
+        mv, m = IntRing.matvec, self.m
+        return IntRing.add(mv(m.H, self.xe), mv(m.J, self.xo), mv(m.S, self.re))
+
+    def step(self, innovation, ref_increment):
+        mv, add, m = IntRing.matvec, IntRing.add, self.m
+        xo = add(mv(m.A, self.xo), mv(m.B, self.u), mv(m.L, innovation))
+        self.xe = add(mv(m.F, self.xe), mv(m.G, self.xo), mv(m.R, self.re))
+        self.re = [self.inv_omega * x for x in add(self.re, ref_increment)]
+        self.xo = xo
+        self.u = self._output()
+
+
 NON_DECIMAL_X_P0 = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(-13, 9))
 
 
@@ -294,8 +332,10 @@ class TestMainIncrements:
 
     def test_emitted_increments_are_the_definition_form(self, non_decimal, tanks_main):
         """alpha, beta and gamma equal the definition form of `MainRecurrence`
-        at every step, computed from consecutive states of an integer shadow
-        replayed on the run's quantized inputs; mock and lattice runs agree.
+        at every step, computed from consecutive states that the integer
+        shadow, replayed on the run's quantized inputs, rebuilds from its
+        increments, which are those of the paper's recurrence
+        (`PaperRecurrence`) on the same inputs; mock and lattice runs agree.
         On the batch reactor with non-decimal inputs all three are nonzero
         from t = 3 on; on the coupled tanks step 0's beta is x_e0."""
         det = self._check_definition_form(*non_decimal)
@@ -315,12 +355,17 @@ class TestMainIncrements:
 
         d = plan.dims
         states = [([0] * d["n"], [0] * d["n_x"], [0] * d["w"])] * 2  # t = -2, -1
-        shadow = MainIntegerShadow(plan)
-        shadow.bootstrap(_scaled_integer_state(sc.ctrl.x0.data, plan.l0))
-        states.append((shadow.xo, shadow.xe, shadow.u))
-        for step in det[:-1]:
-            shadow.step(step["innovation"], step["ref_increment"])
-            states.append((shadow.xo, shadow.xe, shadow.u))
+        x_e0 = _scaled_integer_state(sc.ctrl.x0.data, plan.l0)
+        shadow, paper = MainIntegerShadow(plan), PaperRecurrence(plan, x_e0)
+        rebuilt = shadow.states
+        rebuilt.rebuild(*shadow.bootstrap(x_e0))
+        for t in range(H):
+            if t:
+                inputs = det[t - 1]["innovation"], det[t - 1]["ref_increment"]
+                rebuilt.rebuild(*shadow.step(*inputs))
+                paper.step(*inputs)
+            assert (rebuilt.xo, rebuilt.xe, rebuilt.u) == (paper.xo, paper.xe, paper.u)
+            states.append((rebuilt.xo, rebuilt.xe, rebuilt.u))
 
         m = {k: plan.certificates[name].int_rows() for k, name in MAIN_CERTIFICATES.items()}
         inv_omega = plan.certificates["1/omega"].scaled_entries[0]
@@ -345,8 +390,9 @@ class TestMainIncrements:
     def test_ops_per_step(self, batch, sound_plan, monkeypatch):
         """A controller step is one compiled kernel: no `he.plain_matmul` or
         `he.add`, and on lattice at most one slot reduction per state and
-        emitted entry (27 on the batch reactor).  The integer shadow's step
-        makes 12 matvecs, the actuator's `rebuild` 8."""
+        emitted entry (18 on the batch reactor: re and the two brackets,
+        and the three increments).  The integer shadow's step records 6
+        matvecs, and the `rebuild` of its increments 8."""
         counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
         def counting(name, op):
@@ -363,8 +409,8 @@ class TestMainIncrements:
             monkeypatch.setattr(he, name, counting(name, getattr(he, name)))
         monkeypatch.setattr(he, "slot_reduction", counting_reduction)
         q, d = sound_plan.q, sound_plan.dims
-        entries = 2 * d["n"] + 3 * d["n_x"] + d["n_r"] + 3 * d["w"]
-        assert entries == 27
+        entries = d["n"] + 2 * d["n_x"] + d["n_r"] + 2 * d["w"]
+        assert entries == 18
         x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
         params = lattice_params(sound_plan, 4)
         ring = loop.CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
@@ -381,22 +427,22 @@ class TestMainIncrements:
         assert tr.recovery_failures == 0
         assert counts["plain_matmul"] == counts["add"] == 0
 
-        class CountingRing(IntRing):
-            matvecs = 0
+        matvecs, record = [], kernel.Source.matvec
 
-            def matvec(self, M, v):
-                self.matvecs += 1
-                return IntRing.matvec(M, v)
+        def counting_matvec(source, M, v):
+            matvecs.append(M)
+            return record(source, M, v)
 
-        actuator = MainRecurrence(CountingRing(), sound_plan)
-        shadow = MainRecurrence(CountingRing(), sound_plan)
-        actuator.bootstrap([0] * d["n_x"])
+        monkeypatch.setattr(kernel.Source, "matvec", counting_matvec)
+        _kernels.clear()  # so that the shadow records its kernels anew
+        shadow = MainIntegerShadow(sound_plan)
         shadow.bootstrap(x_e0)
-        for _ in range(3):
-            actuator.ring.matvecs = shadow.ring.matvecs = 0
-            increments = shadow.step([1] * d["v"], [1] * d["n_r"])
-            actuator.rebuild(*increments)
-            assert (actuator.ring.matvecs, shadow.ring.matvecs) == (8, 12)
+        matvecs.clear()
+        increments = shadow.step([1] * d["v"], [1] * d["n_r"])
+        assert len(matvecs) == 6
+        matvecs.clear()
+        shadow.states.rebuild(*increments)
+        assert len(matvecs) == 8
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
@@ -532,32 +578,28 @@ class TestCompiledKernels:
         return [[rng.randint(-2**80, 2**80) for _ in range(n)] for n in dims]
 
     def _check_main(self, plan, x_e0):
-        """The compiled `start` (the bootstrap's linear part), `step`,
-        `rebuild` and `y_o` of `MainIntegerShadow` and of the actuator's
-        `MainIntegerRecurrence` against `MainRecurrence` on `IntRing`, over
-        20 steps of random inputs; `y_o` is (C/s1) xo of the new xo."""
+        """Over 20 steps of random inputs: the compiled `start` (the
+        bootstrap's linear part) and `step` of `MainIntegerShadow` against
+        `MainRecurrence` on `IntRing`; and the states that the compiled
+        `rebuild` of its increments rebuilds against the paper's recurrence
+        (`PaperRecurrence`) at every step, with `y_o` = (C/s1) xo."""
         d, rng = plan.dims, random.Random(20)
         C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
-        actuator, actuator_ref = MainIntegerRecurrence(plan), MainRecurrence(IntRing(), plan)
-        for (rec, ref), x0 in (((shadow, reference), x_e0),
-                               ((actuator, actuator_ref), [0] * d["n_x"])):
-            assert rec.bootstrap(x0) == ref.bootstrap(x0)
-            assert self._states(rec) == self._states(ref)
-        for _ in range(20):
-            inputs = self._random_inputs(rng, (d["v"], d["n_r"]))
-            emitted = shadow.step(*inputs)
-            assert emitted == reference.step(*inputs)
-            assert self._states(shadow) == self._states(reference)
-            assert shadow.y_o() == reference.y_o() == IntRing.matvec(C, shadow.xo)
-            incs = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
-            assert actuator.rebuild(*incs) == actuator_ref.rebuild(*incs)
-            assert self._states(actuator) == self._states(actuator_ref)
-            assert actuator.y_o() == IntRing.matvec(C, actuator.xo)
-
-    @staticmethod
-    def _states(rec):
-        return rec.xo, rec.xe, rec.re, rec.u, rec.bx, rec.bu
+        rebuilt, paper = shadow.states, PaperRecurrence(plan, x_e0)
+        emitted = shadow.bootstrap(x_e0)
+        assert emitted == reference.bootstrap(x_e0)
+        for t in range(21):
+            if t:
+                inputs = self._random_inputs(rng, (d["v"], d["n_r"]))
+                emitted = shadow.step(*inputs)
+                assert emitted == reference.step(*inputs)
+                paper.step(*inputs)
+            assert [getattr(shadow, k) for k in shadow.state] == [
+                getattr(reference, k) for k in reference.state]
+            assert rebuilt.rebuild(*emitted) == paper.u
+            assert (rebuilt.xo, rebuilt.xe, rebuilt.u) == (paper.xo, paper.xe, paper.u)
+            assert shadow.y_o() == rebuilt.y_o() == IntRing.matvec(C, paper.xo)
 
     def test_main_route_bundled_plan(self, batch, sound_plan):
         self._check_main(sound_plan, _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0))
@@ -850,7 +892,7 @@ class TestNoiseTable:
         delayed prelim controller, a 3-state shift register, an input
         reaches u again after two lags of zero response, which a column
         must not end at.  The run passes the end of every table here: the
-        batch reactor's, the last, ends at event 22."""
+        batch reactor's, the last, ends at event 13."""
         if plan == "delayed":
             rows = {"F/omega": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "G/(s1*omega)": [[0], [0], [1]],
                     "R/(s1*omega)": [[0], [0], [0]], "H/s2": [[1, 0, 0]],
