@@ -61,10 +61,10 @@ zoom l(t) and the delivered input's scale, the oracle and recovery checks,
 the records and detail rows, and the final states.
 
 Alongside the encrypted loop run these checks:
-* the integer shadow: ground truth for every ciphertext, so the per-step
-  mod-q checks of what the parties decrypt (the oracle) and the recovery
-  checks test the ciphertext ring, the modulus and the recovery windows
-  (bit-exact under the mock backend);
+* the integer shadow, which only emits: ground truth for every ciphertext
+  and lift, so the mod-q check of each decryption (the oracle) and the
+  recovery check, that every lift so far equals the shadow's, test the
+  ciphertext ring, the modulus and the recovery windows (bit-exact on mock);
 * the original unquantized closed loop in doubles (`IdealLoop`, the
   restoration target).
 The recurrence itself is checked by code it shares nothing with: the
@@ -128,6 +128,14 @@ def _diff_inf(u_a, u_true) -> float:
     difference is NaN, 0.0 for empty vectors."""
     diffs = [abs(a - b) for a, b in zip(u_a, u_true)]
     return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+
+
+def _ratio_float(n: int, d: int) -> float:
+    """n/d (d > 0) as the nearest float; past the float range, signed inf."""
+    try:
+        return n / d
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _log2(x) -> float:
@@ -331,7 +339,7 @@ class PlantSim:
 
     def state_floats(self) -> np.ndarray:
         n, d = self._state_ratio()
-        return np.array([n * x / d for x in self.X], dtype=float)
+        return np.array([_ratio_float(n * x, d) for x in self.X], dtype=float)
 
 
 class IdealLoop:
@@ -659,7 +667,7 @@ class MainRecurrence:
 class MainIntegerRecurrence:
     """The observer and controller dynamics of `MainRecurrence`, rebuilt from
     its increments on `IntRing` from zero states (as before step 0), with
-    `rebuild` and `y_o` compiled: the actuator's, and the integer shadow's."""
+    `rebuild` and `y_o` compiled: the actuator's, a main run's only one."""
 
     state = ("xo", "xe", "bx", "bu", "u")
 
@@ -743,19 +751,14 @@ class MainEncController(_EncryptedController, MainRecurrence):
 
 class MainIntegerShadow(MainRecurrence):
     """The emission rule on exact unbounded integers, `start` and `step`
-    compiled: ground truth for every ciphertext (mod q).  Its increments
-    rebuilt (`states`) are ground truth for the actuator's reconstruction."""
+    compiled: ground truth for every ciphertext (mod q), and the exact
+    increments that every lift of the actuator must equal."""
 
     start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
-        self.states = MainIntegerRecurrence(plan)
-
-    def y_o(self):
-        """The observer output (C/s1) xo of the rebuilt states."""
-        return self.states.y_o()
 
 
 class MainSensor:
@@ -1057,21 +1060,14 @@ def _scaled_integer_state(x0_entries, scale: Fraction):
     return out
 
 
-def _same_residues(lifted, shadow_values, q: int) -> bool:
-    """The oracle check of one decryption: a lift keeps the residues the party
-    decrypted, so they must equal the integer shadow's mod q."""
-    return [x % q for x in lifted] == [x % q for x in shadow_values]
-
-
 class _Step(NamedTuple):
     """What one step of a route hands the driver."""
 
-    U: list         # the actuator's integers: u_a = scale l(t) U
-    u_shadow: list  # the integer shadow's controller output, which U restores
-    lifted: tuple   # every vector a party decrypted and lifted this step
-    shadow: tuple   # the integer shadow's value of each
-    fields: dict    # the route's own `StepRecord` fields
-    detail: dict    # the route's own detail entries
+    U: list        # the actuator's integers: u_a = scale l(t) U
+    lifted: tuple  # every vector a party decrypted and lifted this step
+    shadow: tuple  # the integer shadow's exact value of each
+    fields: dict   # the route's own `StepRecord` fields
+    detail: dict   # the route's own detail entries
 
 
 def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
@@ -1082,20 +1078,24 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     run's encryptions, and the `actuator`, the one party that decrypts, its
     decryptions.  The driver advances the plant on the delivered input
     u_a = scale l(t) U and the reference loop, keeps the l(t) schedule,
-    makes the oracle and recovery checks, and records the step."""
+    makes the oracle and recovery checks, and records the step.  A step
+    fails recovery from the first lift on that differed from the shadow's:
+    U is rebuilt from every lift so far (main), or each lift is centred on
+    the last (prelim)."""
     plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
-    l_t = plan.l0
+    l_t, failed = plan.l0, False
     for t in range(cfg.horizon):
         s = step(t, l_t, plant_sim.output())
-        # equal lifts have equal residues, so only a failed lift can be a mismatch
-        lift_failed = s.lifted != s.shadow
-        if lift_failed and not all(_same_residues(g, w, plan.q)
-                                   for g, w in zip(s.lifted, s.shadow)):
-            trace.oracle_mismatches += 1
+        if s.lifted != s.shadow:
+            failed = True
+            # the oracle: a lift keeps the residues the actuator decrypted, so
+            # they must be the shadow's mod q (equal lifts have equal residues)
+            residues = [[[x % plan.q for x in v] for v in vs] for vs in (s.lifted, s.shadow)]
+            trace.oracle_mismatches += residues[0] != residues[1]
         u_true = tuple(float(x) for x in ideal.step())
         u_scale = scale * l_t
-        u_a = tuple(u_scale.numerator * x / u_scale.denominator for x in s.U)
+        u_a = tuple(_ratio_float(u_scale.numerator * x, u_scale.denominator) for x in s.U)
         plant_sim.step(s.U)
         trace.records.append(StepRecord(
             t=t,
@@ -1105,7 +1105,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
             enc_ops=ring.enc_ops,
             dec_ops=actuator.dec_ops,
-            recovery_failure=lift_failed or s.U != s.u_shadow,
+            recovery_failure=failed,
             **s.fields,
         ))
         if cfg.collect_detail:
@@ -1145,20 +1145,19 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         else:
             incs_ct = controller.step(*sent[0])
             emitted = shadow.step(*sent[1])
-        u_shadow = shadow.states.rebuild(*emitted)
         lifted, ut_a = actuator.step(*incs_ct)
         q_inno, inno_ct, sat_s, log2_gap = sensor.step(actuator.y_o(), y_bar)
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
         alpha, beta, gamma = emitted
         return _Step(
-            U=ut_a, u_shadow=u_shadow, lifted=lifted, shadow=emitted,
+            U=ut_a, lifted=lifted, shadow=emitted,
             fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
                     "log2_gamma": _log2norm(gamma), "log2_sensor_gap": log2_gap,
                     "saturated": bool(sat_s or sat_r)},
             detail={"innovation": q_inno, "ref_increment": q_ref,
                     "alpha": alpha, "beta": beta, "gamma": gamma,
-                    "re_scaled": shadow.re, "u_tilde": u_shadow})
+                    "re_scaled": shadow.re, "u_tilde": ut_a})
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
@@ -1187,7 +1186,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         mx = max((abs((on * x - od * y) / on) for x, y in zip(ut, prev_ut)), default=0.0)
         prev_ut = ut
         return _Step(
-            U=lifted, u_shadow=ut, lifted=(lifted,), shadow=(ut,),
+            U=lifted, lifted=(lifted,), shadow=(ut,),
             fields={"log2_alpha": _log2(mx)},
             detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted})
 

@@ -443,6 +443,12 @@ UNOBSERVABLE = {  # C reads the first state only, and A never mixes in the secon
                    "S": [["0"]]},
     "reference": ["0"]}
 
+DIVERGING = {  # a plant of pole 1000 with an output feedback that cancels it exactly
+    "plant": {"A": [["1000"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
+    "controller": {"F": [["0"]], "G": [["0"]], "R": [[]], "H": [["0"]], "J": [["-1000"]],
+                   "S": [[]]},
+    "x_p0": ["1"], "reference": []}
+
 
 @pytest.mark.parametrize("argv,code,prefix", [
     ("simulate --fixture batch-reactor --override range_level=1 --horizon 20", 4, ""),
@@ -462,16 +468,21 @@ UNOBSERVABLE = {  # C reads the first state only, and A never mixes in the secon
      "config error: A/omega fails integrality at the pinned omega = 1/3"),
     ("simulate --horizon 60 --override q=2199023255552", 3, ""),
     ("simulate --fixture coupled-tanks --scheme main --horizon 1000 --override q=16", 3, ""),
+    ("simulate --config {tmp}/diverging.json --scheme main --observer exact --horizon 200 "
+     "--override q=16", 3, ""),
 ], ids=["saturation", "infeasible-simulate", "compare-prelim", "unobservable", "q-below-min",
         "range-level-0", "q-not-a-number", "override-without-value", "overrides-a-list",
         "unreadable-config", "omega-outside-0-1", "omega-not-integerizing",
-        "recovery-gap-past-float-range", "recovery-tanks-q-16"])
+        "recovery-gap-past-float-range", "recovery-tanks-q-16", "recovery-plant-past-float-range"])
 def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     """Each failure exits with its documented code and names itself on
     stderr; a run whose recovery fails, or that saturates, prints its
-    summary and nothing on stderr.  The two recovery failures drive the
-    sensor gap past the float range, which the trace records as its log2."""
+    summary and nothing on stderr.  The first two recovery failures drive
+    the sensor gap past the float range, which the trace records as its
+    log2; the third drives the exact plant state past it, whose final
+    floats are then infinities."""
     (tmp_path / "unobservable.json").write_text(json.dumps(UNOBSERVABLE))
+    (tmp_path / "diverging.json").write_text(json.dumps(DIVERGING))
     (tmp_path / "listed.json").write_text(json.dumps({**UNOBSERVABLE, "overrides": ["q=8"]}))
     got, out, err = run_cli(capsys, *shlex.split(argv.format(tmp=tmp_path)))
     assert got == code

@@ -19,6 +19,7 @@ from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
     MAIN_CERTIFICATES,
     MainEncController,
+    MainIntegerRecurrence,
     MainIntegerShadow,
     MainRecurrence,
     PlantSim,
@@ -155,23 +156,24 @@ class TestMainLoop:
         assert all(r.u_a == (0.0,) and r.u_true == (0.0,) for r in tr.records)
         assert tr.recovery_failures == 0 and tr.saturation_count == 0
 
-    def test_the_actuator_rebuilds_the_shadows_output(self, monkeypatch, batch, sound_plan):
-        """After a run, the actuator's reconstructed u_tilde (`ut`), and
-        every state it rebuilt, are those the integer shadow rebuilds from
-        its own increments."""
-        made = {}
-        for name in ("MainActuator", "MainIntegerShadow"):
-            class Kept(getattr(loop, name)):
-                def __init__(self, *args, name=name):
-                    super().__init__(*args)
-                    made[name] = self
-            monkeypatch.setattr(loop, name, Kept)
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30))
-        shadow, actuator = made["MainIntegerShadow"].states, made["MainActuator"]
-        assert tr.recovery_failures == 0 and any(shadow.u)
-        assert actuator.ut == shadow.u
-        assert [getattr(actuator.states, k) for k in shadow.state] == [
-            getattr(shadow, k) for k in shadow.state]
+    def test_the_actuator_rebuilds_the_papers_states(self, monkeypatch, batch, sound_plan):
+        """At every step of a run, the states the actuator rebuilds from the
+        lifted increments, xo, xe and u_tilde, are those of the paper's
+        recurrence (`PaperRecurrence`) on the run's quantized inputs."""
+        rebuilt = []
+
+        class Recording(loop.MainActuator):
+            def step(self, *cts):
+                out = super().step(*cts)
+                rebuilt.append((self.states.xo, self.states.xe, self.ut))
+                return out
+
+        monkeypatch.setattr(loop, "MainActuator", Recording)
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30, detail=True))
+        assert tr.recovery_failures == 0 and len(rebuilt) == 30
+        for t, paper in enumerate(_paper_run(sound_plan, batch, tr.detail)):
+            assert rebuilt[t] == (paper.xo, paper.xe, paper.u)
+        assert any(paper.u)
 
     def test_batch_sound_run_exact(self, batch, sound_plan):
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,
@@ -180,15 +182,39 @@ class TestMainLoop:
         assert tr.saturation_count == 0
         assert tr.oracle_mismatches == 0
         # restored inputs equal the converted controller's outputs exactly:
-        # recomputed from the exact integer shadow values in the detail log
-        for det in tr.detail:
-            u_exact = [sound_plan.s2 * det["l"] * x for x in det["u_tilde"]]
-            assert u_exact == det["u_a_exact"]
+        # those of the paper's recurrence on the run's quantized inputs
+        for det, paper in zip(tr.detail, _paper_run(sound_plan, batch, tr.detail)):
+            assert det["u_a_exact"] == [sound_plan.s2 * det["l"] * x for x in paper.u]
 
     def test_fault_injection_small_modulus(self, batch, sound_plan):
+        """At q = 2^41, far below the planned modulus, the lifts fail from
+        t = 2 on: every step from there is a recovery failure, 198 of 200,
+        on both backends, which agree step by step."""
         bad = replace(sound_plan, q=2**41)
-        tr = run_closed_loop_main(bad, main_cfg(batch, bad, 50))
-        assert tr.recovery_failures > 0
+        flags = []
+        for backend in ("mock", "lattice"):
+            tr = run_closed_loop_main(bad, main_cfg(batch, bad, 200, backend=backend, seed=7))
+            flags.append([r.recovery_failure for r in tr.records])
+            assert tr.recovery_failures == 198 and tr.oracle_mismatches == 0
+        assert flags[0] == flags[1] == [t >= 2 for t in range(200)]
+
+    def test_a_failed_lift_fails_every_later_step(self, monkeypatch, batch, sound_plan):
+        """One lift off by 1 at t = 3, with the actuator's output and every
+        other lift exact: steps 3 to the end fail recovery, and the oracle
+        finds that one lift's residues wrong."""
+        steps = iter(range(10))
+
+        class OneBadLift(loop.MainActuator):
+            def step(self, *cts):
+                (alpha, beta, gamma), ut = super().step(*cts)
+                if next(steps) == 3:
+                    alpha = [alpha[0] + 1, *alpha[1:]]
+                return (alpha, beta, gamma), ut
+
+        monkeypatch.setattr(loop, "MainActuator", OneBadLift)
+        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 10))
+        assert [r.recovery_failure for r in tr.records] == [t >= 3 for t in range(10)]
+        assert tr.oracle_mismatches == 1
 
     def test_backend_equivalence(self, batch, sound_plan):
         tr_m = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 25))
@@ -307,6 +333,17 @@ class PaperRecurrence:
         self.u = self._output()
 
 
+def _paper_run(plan, sc, detail):
+    """`PaperRecurrence` from the scenario's initial state, as it stands at
+    each step of a main run, advanced on the run's quantized innovations
+    and reference increments (`detail`)."""
+    paper = PaperRecurrence(plan, _scaled_integer_state(sc.ctrl.x0.data, plan.l0))
+    for t in range(len(detail)):
+        if t:
+            paper.step(detail[t - 1]["innovation"], detail[t - 1]["ref_increment"])
+        yield paper
+
+
 NON_DECIMAL_X_P0 = (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 11), Fraction(-13, 9))
 
 
@@ -357,7 +394,7 @@ class TestMainIncrements:
         states = [([0] * d["n"], [0] * d["n_x"], [0] * d["w"])] * 2  # t = -2, -1
         x_e0 = _scaled_integer_state(sc.ctrl.x0.data, plan.l0)
         shadow, paper = MainIntegerShadow(plan), PaperRecurrence(plan, x_e0)
-        rebuilt = shadow.states
+        rebuilt = MainIntegerRecurrence(plan)
         rebuilt.rebuild(*shadow.bootstrap(x_e0))
         for t in range(H):
             if t:
@@ -392,7 +429,7 @@ class TestMainIncrements:
         `he.add`, and on lattice at most one slot reduction per state and
         emitted entry (18 on the batch reactor: re and the two brackets,
         and the three increments).  The integer shadow's step records 6
-        matvecs, and the `rebuild` of its increments 8."""
+        matvecs, and the reconstruction's `rebuild` of its increments 8."""
         counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
         def counting(name, op):
@@ -435,13 +472,13 @@ class TestMainIncrements:
 
         monkeypatch.setattr(kernel.Source, "matvec", counting_matvec)
         _kernels.clear()  # so that the shadow records its kernels anew
-        shadow = MainIntegerShadow(sound_plan)
+        shadow, rebuilt = MainIntegerShadow(sound_plan), MainIntegerRecurrence(sound_plan)
         shadow.bootstrap(x_e0)
         matvecs.clear()
         increments = shadow.step([1] * d["v"], [1] * d["n_r"])
         assert len(matvecs) == 6
         matvecs.clear()
-        shadow.states.rebuild(*increments)
+        rebuilt.rebuild(*increments)
         assert len(matvecs) == 8
 
     @settings(max_examples=40, deadline=None)
@@ -499,6 +536,16 @@ class TestPrelimLoop:
         cfg_bad = replace(cfg, params=he.SchemeParams.mock(q_small))
         tr_bad = run_closed_loop_prelim(bad, cfg_bad)
         assert tr_bad.recovery_failures > 0
+
+    def test_recovery_fails_from_the_first_failed_lift_on(self, tanks, tanks_plan):
+        """At q = 128, the recovery failures are a suffix of the run: every
+        step from the first failed lift on, 198 of 200."""
+        bad = replace(tanks_plan, q=128)
+        cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl, reference=tanks.reference,
+                        x_p0=tanks.x_p0, horizon=200, params=he.SchemeParams.mock(128), seed=7)
+        tr = run_closed_loop_prelim(bad, cfg)
+        assert tr.recovery_failures == 198 and tr.oracle_mismatches == 0
+        assert [r.recovery_failure for r in tr.records] == [t >= 2 for t in range(200)]
 
     def test_converges_to_original_input(self, tanks, tanks_plan):
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
@@ -581,12 +628,13 @@ class TestCompiledKernels:
         """Over 20 steps of random inputs: the compiled `start` (the
         bootstrap's linear part) and `step` of `MainIntegerShadow` against
         `MainRecurrence` on `IntRing`; and the states that the compiled
-        `rebuild` of its increments rebuilds against the paper's recurrence
-        (`PaperRecurrence`) at every step, with `y_o` = (C/s1) xo."""
+        `rebuild` of `MainIntegerRecurrence` rebuilds from its increments
+        against the paper's recurrence (`PaperRecurrence`) at every step,
+        with `y_o` = (C/s1) xo."""
         d, rng = plan.dims, random.Random(20)
         C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
-        rebuilt, paper = shadow.states, PaperRecurrence(plan, x_e0)
+        rebuilt, paper = MainIntegerRecurrence(plan), PaperRecurrence(plan, x_e0)
         emitted = shadow.bootstrap(x_e0)
         assert emitted == reference.bootstrap(x_e0)
         for t in range(21):
@@ -599,7 +647,7 @@ class TestCompiledKernels:
                 getattr(reference, k) for k in reference.state]
             assert rebuilt.rebuild(*emitted) == paper.u
             assert (rebuilt.xo, rebuilt.xe, rebuilt.u) == (paper.xo, paper.xe, paper.u)
-            assert shadow.y_o() == rebuilt.y_o() == IntRing.matvec(C, paper.xo)
+            assert rebuilt.y_o() == IntRing.matvec(C, paper.xo)
 
     def test_main_route_bundled_plan(self, batch, sound_plan):
         self._check_main(sound_plan, _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0))
