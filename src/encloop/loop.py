@@ -609,20 +609,20 @@ class MainRecurrence:
         gamma = u  - H xe    - J xo    - (u_m1  - H xe_m1 - J xo_m1) / omega
 
     By the recurrence, alpha is L innovation and the brackets are R re_m1
-    and S re; at step 0 they are xo, xe and S re.  So no emission reads xo,
-    xe or u: a step is bx = R re, re <- (re + ref_increment)/omega and
-    `increments`, which takes 1/omega times the brackets of the step before
-    (`bx`, `bu`; zero before step 0) from bx and S re, and keeps those.  xo,
-    xe and u are rebuilt from the increments (`MainIntegerRecurrence`).
+    and S re, so from step 2 on beta = R ref_increment_m2 / omega and
+    gamma = S ref_increment_m1 / omega; step 1's beta is R re - xe/omega of
+    step 0, which emits (xo, xe, S re).  So no emission reads xo, xe, u or
+    re: the state is one bounded vector, the next step's `beta`, and xo, xe
+    and u are rebuilt from the increments (`MainIntegerRecurrence`).
     """
 
-    state = ("re", "bx", "bu")
+    state = ("beta",)
 
     def __init__(self, ring, plan: MainPlan):
         self.ring, self.kernels = ring, {}
         self.dims, inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
         self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES, "LRS")
-        # 1/omega on re, and -1/omega on each bracket, as diagonal matrices
+        # 1/omega on ref_increment, and -1/omega on xe or a bracket, as diagonals
         m.Om_r, m.neg_Om_x, m.neg_Om_u = (ring.plain(_diagonal(c * inv_omega, self.dims[k]))
                                           for c, k in ((1, "n_r"), (-1, "n_x"), (-1, "w")))
 
@@ -634,27 +634,20 @@ class MainRecurrence:
                           fresh([0] * d["n_x"]), fresh([0] * d["w"]))
 
     def start(self, xo, xe, re, bx, bu):
-        """Takes the initial states xo, xe, re and the brackets bx, bu;
-        returns the emission of step 0, (alpha, beta, gamma), by the rule of
-        every step (`increments`): the reconstruction starts at zero."""
-        self.re, self.bx, self.bu = re, bx, bu
-        return self.increments(xo, xe, self.ring.matvec(self.m.S, re))
-
-    def increments(self, alpha, bx, bu):
-        """(alpha, beta, gamma): beta and gamma are this step's brackets less
-        1/omega times those of the step before; keeps this step's."""
+        """Takes the initial states xo, xe, re and the brackets bx, bu before
+        them; returns step 0's emission (xo, xe - bx/omega, S re - bu/omega)
+        and keeps step 1's beta, R re - xe/omega."""
         mv, add, m = self.ring.matvec, self.ring.add, self.m
-        beta, gamma = add(bx, mv(m.neg_Om_x, self.bx)), add(bu, mv(m.neg_Om_u, self.bu))
-        self.bx, self.bu = bx, bu
-        return alpha, beta, gamma
+        self.beta = add(mv(m.R, re), mv(m.neg_Om_x, xe))
+        return xo, add(xe, mv(m.neg_Om_x, bx)), add(mv(m.S, re), mv(m.neg_Om_u, bu))
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
         increment; returns the emission (alpha, beta, gamma)."""
         mv, m = self.ring.matvec, self.m
-        bx = mv(m.R, self.re)
-        self.re = mv(m.Om_r, self.ring.add(self.re, ref_increment))
-        return self.increments(mv(m.L, innovation), bx, mv(m.S, self.re))
+        r = mv(m.Om_r, ref_increment)
+        beta, self.beta = self.beta, mv(m.R, r)
+        return mv(m.L, innovation), beta, mv(m.S, r)
 
     def lengths(self) -> tuple:
         """The lengths of the vectors a run encrypts fresh: the bootstrap's
@@ -750,9 +743,9 @@ class MainEncController(_EncryptedController, MainRecurrence):
 
 
 class MainIntegerShadow(MainRecurrence):
-    """The emission rule on exact unbounded integers, `start` and `step`
-    compiled: ground truth for every ciphertext (mod q), and the exact
-    increments that every lift of the actuator must equal."""
+    """The emission rule on exact integers, `start` and `step` compiled:
+    ground truth for every ciphertext (mod q), and the exact increments
+    that every lift of the actuator must equal."""
 
     start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
@@ -916,13 +909,12 @@ class NoiseTable:
     step's linear maps A (state to state) and C (state to emission); so once
     it has been zero for as many lags in a row as the `state` (a zero one)
     has entries, it is zero for ever (Cayley-Hamilton), and the column
-    ends (on the main route the state is the emission rule's alone, re and
-    the brackets).  It ends as well once its state is zero.  A live column is a
-    record of its state, its emission at the next lag and its zero lags in
-    a row, and `_advance` moves the columns a lag on.  The table extends
-    itself on demand; once every column has ended, its last bounds hold for
-    every later event (`final`).  A ciphertext takes the largest bound of
-    its entries."""
+    ends.  It ends as well once its state is zero, as a main column's is
+    from lag 1 on.  A live column is a record of its state, its emission at
+    the next lag and its zero lags in a row, and `_advance` moves the
+    columns a lag on.  The table extends itself on demand; once every
+    column has ended, its last bounds hold for every later event (`final`).
+    A ciphertext takes the largest bound of its entries."""
 
     def __init__(self, step, state: list, zeros: list, boot: list, inputs: list,
                  first_input: int, lengths):
@@ -1147,6 +1139,8 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             emitted = shadow.step(*sent[1])
         lifted, ut_a = actuator.step(*incs_ct)
         q_inno, inno_ct, sat_s, log2_gap = sensor.step(actuator.y_o(), y_bar)
+        re = [int(r / l_t - Fraction(e, provider.den))  # r/l(t) - e, an integer
+              for r, e in zip(cfg.reference.data, provider.e)] if cfg.collect_detail else None
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
         alpha, beta, gamma = emitted
@@ -1157,7 +1151,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                     "saturated": bool(sat_s or sat_r)},
             detail={"innovation": q_inno, "ref_increment": q_ref,
                     "alpha": alpha, "beta": beta, "gamma": gamma,
-                    "re_scaled": shadow.re, "u_tilde": ut_a})
+                    "re_scaled": re, "u_tilde": ut_a})
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)

@@ -308,7 +308,7 @@ class PaperRecurrence:
         u   = H xe + J xo + S re
 
     `loop` never runs these updates as one step: its emission rule keeps
-    only re and the brackets, and the reconstruction rebuilds xo, xe and u
+    only the next step's beta, and the reconstruction rebuilds xo, xe and u
     from the increments.  This is the reference that the rebuilt states
     must equal."""
 
@@ -427,9 +427,9 @@ class TestMainIncrements:
     def test_ops_per_step(self, batch, sound_plan, monkeypatch):
         """A controller step is one compiled kernel: no `he.plain_matmul` or
         `he.add`, and on lattice at most one slot reduction per state and
-        emitted entry (18 on the batch reactor: re and the two brackets,
-        and the three increments).  The integer shadow's step records 6
-        matvecs, and the reconstruction's `rebuild` of its increments 8."""
+        emitted entry (13 on the batch reactor: the state beta, and the
+        three increments).  The integer shadow's step records 4 matvecs, and
+        the reconstruction's `rebuild` of its increments 8."""
         counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
         def counting(name, op):
@@ -446,8 +446,8 @@ class TestMainIncrements:
             monkeypatch.setattr(he, name, counting(name, getattr(he, name)))
         monkeypatch.setattr(he, "slot_reduction", counting_reduction)
         q, d = sound_plan.q, sound_plan.dims
-        entries = d["n"] + 2 * d["n_x"] + d["n_r"] + 2 * d["w"]
-        assert entries == 18
+        entries = d["n"] + 2 * d["n_x"] + d["w"]
+        assert entries == 13
         x_e0 = _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0)
         params = lattice_params(sound_plan, 4)
         ring = loop.CipherRing(he.keygen(params, seed=0)[0], q, random.Random(0))
@@ -476,10 +476,26 @@ class TestMainIncrements:
         shadow.bootstrap(x_e0)
         matvecs.clear()
         increments = shadow.step([1] * d["v"], [1] * d["n_r"])
-        assert len(matvecs) == 6
+        assert len(matvecs) == 4
         matvecs.clear()
         rebuilt.rebuild(*increments)
         assert len(matvecs) == 8
+
+    def test_the_emission_rule_keeps_no_growing_state(self, batch, sound_plan):
+        """Over 600 steps of the integer shadow on random inputs, innovations
+        within 2^20 and reference increments within 1, no state entry passes
+        64 bits: the rule keeps only the next step's beta, while a reference
+        estimate would grow by log2(1/omega) bits a step."""
+        d, rng = sound_plan.dims, random.Random(600)
+        shadow = MainIntegerShadow(sound_plan)
+        shadow.bootstrap(_scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0))
+        widest = 0
+        for _ in range(600):
+            shadow.step([rng.randint(-2**20, 2**20) for _ in range(d["v"])],
+                        [rng.randint(-1, 1) for _ in range(d["n_r"])])
+            widest = max(widest, *(abs(x).bit_length() for k in shadow.state
+                                   for x in getattr(shadow, k)))
+        assert 0 < widest <= 64
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=10**6),
@@ -940,7 +956,7 @@ class TestNoiseTable:
         delayed prelim controller, a 3-state shift register, an input
         reaches u again after two lags of zero response, which a column
         must not end at.  The run passes the end of every table here: the
-        batch reactor's, the last, ends at event 13."""
+        delayed controller's, the last, is final after 5 events."""
         if plan == "delayed":
             rows = {"F/omega": [[0, 1, 0], [0, 0, 1], [0, 0, 0]], "G/(s1*omega)": [[0], [0], [1]],
                     "R/(s1*omega)": [[0], [0], [0]], "H/s2": [[1, 0, 0]],
@@ -960,12 +976,13 @@ class TestNoiseTable:
     def test_increment_bounds_are_constant_from_deadbeat_index_plus_2(self, request, plan):
         """On the main route the increments' bounds are the same at every
         event from `deadbeat_index + 2` on: the table ends there or before,
-        and the pad of every longer horizon is the same."""
+        final after 4 events on both plans, since the state is the next
+        step's beta alone, and the pad of every longer horizon is the same."""
         plan = request.getfixturevalue(plan)
         table = noise_table(MainRecurrence(loop.CipherRing(None, plan.q, None), plan))
         first = plan.deadbeat_index + 2
         assert len({table.at(t) for t in range(first, 1000)}) == 1
-        assert table.final and len(table.bounds) <= 40
+        assert table.final and len(table.bounds) == 4
         pads = {lattice_params(plan, h).lattice.pad_bits for h in (first + 1, 200, 10**6)}
         assert pads == {noise_peak(plan, first + 1).bit_length() + 2}
 
@@ -1391,26 +1408,40 @@ def _golden_digest(trace) -> str:
     return h.hexdigest()
 
 
+PLAN_FIXTURES = {("batch", "main"): "sound_plan", ("tanks", "main"): "tanks_main_plan",
+                ("tanks", "prelim"): "tanks_plan"}
 GOLDEN = [
-    # (fixture, scheme, backend, horizon, seed, digest)
-    ("batch", "main", "mock", 120, 0,
+    # (fixture, scheme, backend, horizon, seed, q or None for the plan's, digest)
+    ("batch", "main", "mock", 120, 0, None,
      "1d6f8ed0a37ef892c8245899ed0aa35bfd48111f1119516e3a2b8f084a4cb596"),
-    ("batch", "main", "lattice", 40, 3,
+    ("batch", "main", "lattice", 40, 3, None,
      "a0635ee13bb479503c629396a90bc79a2baacec86fbea57c72cb48c855ef19d7"),
-    ("tanks", "prelim", "mock", 200, 0,
+    ("tanks", "prelim", "mock", 200, 0, None,
      "44358ef0efadd4316704ad198a0e64de2ebfcbb529afff66195df2b34a73dbcb"),
-    ("tanks", "prelim", "lattice", 60, 3,
+    ("tanks", "prelim", "lattice", 60, 3, None,
      "11f34c47d5615afe373e402e256f9ecc2e8998069ce3fcd7928f79e8e087a081"),
+    ("tanks", "main", "mock", 200, 0, None,
+     "28268bdd265ffeca699ba0afe1986c60ed97214d133278e7e71aa4fa555a3738"),
+    ("tanks", "main", "lattice", 60, 3, None,
+     "c82dede5eeeff734dd958bb5fe0f2a4b22e0088a5d666ad43cee4e76938a1657"),
+    # fault injection: the lifts fail from t = 2 on, 198 recovery failures
+    ("batch", "main", "mock", 200, 0, 2**41,
+     "e87843bdbbdbea35fe9487af52b577ef95d2aae3713ef6a88297d0ee587e1b5c"),
 ]
 
 
-@pytest.mark.parametrize("fixture,scheme,backend,horizon,seed,digest", GOLDEN,
-                         ids=[f"{g[0]}-{g[1]}-{g[2]}" for g in GOLDEN])
-def test_golden_trace(request, fixture, scheme, backend, horizon, seed, digest):
+@pytest.mark.parametrize("fixture,scheme,backend,horizon,seed,q,digest", GOLDEN,
+                         ids=[f"{g[0]}-{g[1]}-{g[2]}" + (f"-q{g[5]}" if g[5] else "")
+                              for g in GOLDEN])
+def test_golden_trace(request, fixture, scheme, backend, horizon, seed, q, digest):
     """Exact closed-loop traces stay bit-identical (main route with the exact
-    observer, prelim route; both backends, sized as `encloop simulate` does)."""
+    observer on both fixtures, prelim route; both backends, sized as
+    `encloop simulate` does; and a main run at a modulus far below the
+    plan's)."""
     sc = request.getfixturevalue(fixture)
-    plan = request.getfixturevalue("sound_plan" if scheme == "main" else "tanks_plan")
+    plan = request.getfixturevalue(PLAN_FIXTURES[fixture, scheme])
+    if q is not None:
+        plan = replace(plan, q=q)
     cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                     x_p0=sc.x_p0, horizon=horizon, seed=seed, collect_detail=True,
                     params=cli._backend_params(backend, plan, sc, horizon))
