@@ -12,11 +12,13 @@ make the coefficients integers: the plant holds x/l(t) as integers over one
 denominator (`PlantSim`), the sensor and the reference provider quantize
 integer numerators over one denominator, and the actuators return the
 integers U of the delivered input u_a = scale l(t) U, with scale s2 on the
-main route and s1 s2 on the prelim route.  On the main route a step is
-therefore integer arithmetic only; the prelim route's plant denominator
-grows by that of A/omega each step.  Doubles appear only in the
-unencrypted reference loop (the restoration target) and in reporting, where
-a ratio of integers converts with one correctly rounded division.
+main route and s1 s2 on the prelim route.  The driver keeps scale l(t) as
+an unreduced pair of integers.  A step is therefore integer arithmetic
+only, on both routes, and builds no `Fraction` unless the run collects its
+detail rows; the prelim route's plant denominator grows by that of A/omega
+each step.  Doubles appear only in the unencrypted reference loop (the
+restoration target) and in reporting, where a ratio of integers converts
+with one correctly rounded division.
 
 Each converted controller is written once, over a ring's two operations
 `matvec` and `add`: the main one as its emission rule `MainRecurrence` (its
@@ -26,14 +28,15 @@ from the increments runs (`rebuild`); the prelim one as `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so no run interprets a recurrence op by op.  Each linear
 method of a party (`start`, `step`, the reconstruction's `rebuild` and
-`y_o`) is run once on the recording ring `kernel.Source`, which makes every
+`y_o`, the plant's `products` and `measure`, which its `step` and `output`
+apply) is run once on the recording ring `kernel.Source`, which makes every
 matvec row and every sum one straight-line statement with its zero
 coefficients dropped, and the record is compiled into one function: on
 integers (`_compile`, for the integer shadows, the reconstruction, whose
-ring `IntRing` only embeds, and the noise table), or over packed ciphertext
-payloads (`_compile_cipher`), where `he` supplies
-the reducer and the slot limit, so an entry is reduced only where the limit
-needs it and every state and emitted entry once.  A kernel depends only on
+ring `IntRing` only embeds, the plant and the noise table), or over packed
+ciphertext payloads (`_compile_cipher`), where `he` supplies the reducer
+and the slot limit, so an entry is reduced only where the limit needs it
+and every state and emitted entry once.  A kernel depends only on
 the plaintext rows it is recorded from and, over payloads, on the scheme
 parameters, so the process keeps the kernels it used last by those
 (`_kept`), and a party looks each of its kernels up once and keeps it: only
@@ -113,14 +116,18 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
     if isinstance(prior, (list, tuple)):
         if len(prior) != len(v_modq):
             raise ValueError(f"{len(prior)} priors for {len(v_modq)} residues")
-        ratios = map(as_ratio, prior)
+        windows = [_window(p, q, den) for p in prior]
     else:  # one prior for every entry, converted once
-        ratios = [as_ratio(prior)] * len(v_modq)
-    out = []
-    for v, (n, d) in zip(v_modq, ratios):
-        d *= den
-        out.append(v - (2 * d * v - 2 * n + q * d) // (2 * q * d) * q)
-    return out
+        windows = repeat(_window(prior, q, den))
+    return [v - (d2 * v + c) // qd2 * q for v, (d2, c, qd2) in zip(v_modq, windows)]
+
+
+def _window(prior, q: int, den: int) -> tuple:
+    """(2 d, q d - 2 n, 2 q d) for the prior p = n/d, d taken times `den`:
+    what `centered_mod_recover` computes k from, k = (2 d v + q d - 2 n) // (2 q d)."""
+    n, d = as_ratio(prior)
+    d *= den
+    return 2 * d, q * d - 2 * n, 2 * q * d
 
 
 def _diff_inf(u_a, u_true) -> float:
@@ -270,76 +277,7 @@ class ClosedLoopTrace:
                               *(int(x) if isinstance(x, bool) else x for x in cells)])
 
 
-# -- plant and the unencrypted reference loop --------------------------------
-
-
-def _over_common_den(values):
-    """Exact rationals as (integer numerators, their common denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def _int_rows(M: RationalMatrix):
-    """M as (integer rows, their common denominator)."""
-    nums, den = _over_common_den(M.data)
-    return [nums[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)], den
-
-
-class PlantSim:
-    """Exact process state in the zoomed coordinates x/l(t) = X/D, with
-    integer X and D, and l(t) = l0 omega^t.
-
-    The sensor divides its measurement by l(t); any fixed-precision noise on
-    y_p is amplified by 1/l(t) and overwhelms the quantizer cell within a few
-    steps, so the simulated plant must carry exact values.  The delivered
-    input is u_a = scale l(t) U for an integer vector U, so the zoomed state
-    obeys x/l <- (A/omega) x/l + (scale B/omega) U.  Those two matrices are
-    held as integer rows over common denominators a and b; a step sets
-    D <- lcm(a D, b) and scales both products onto it.  On the main route
-    (scale = s2) the planner certifies A/omega and s2 B/omega integral, so
-    a = b = 1, D never changes and a step needs no gcd.  On the prelim route
-    (scale = s1 s2) D grows by a factor a per step.
-    """
-
-    def __init__(self, plant: PlantModel, x_p0, l0, omega, scale):
-        self.l0, self.omega = as_fraction(l0), as_fraction(omega)
-        self.A, self.a = _int_rows(plant.A.scale(1 / self.omega))
-        self.B, self.b = _int_rows(plant.B.scale(as_fraction(scale) / self.omega))
-        self.C, self.c = _int_rows(plant.C)
-        self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
-        self.t = 0
-
-    def output(self):
-        """y/l(t) as (integer numerators, their common denominator)."""
-        return [sum(c * x for c, x in zip(row, self.X)) for row in self.C], self.c * self.D
-
-    def step(self, U):
-        """Advance on the delivered input u_a = scale l(t) U, U integers."""
-        aD = self.a * self.D
-        D = math.lcm(aD, self.b)
-        fa, fb = D // aD, D // self.b
-        self.X = [
-            fa * sum(m * x for m, x in zip(arow, self.X))
-            + fb * sum(m * u for m, u in zip(brow, U))
-            for arow, brow in zip(self.A, self.B)
-        ]
-        self.D = D
-        self.t += 1
-
-    def _state_ratio(self):
-        """The exact state as (numerator factor, common denominator)."""
-        l = self.l0 * self.omega ** self.t
-        return l.numerator, l.denominator * self.D
-
-    @property
-    def x(self) -> list:
-        """The exact state l(t) X/D."""
-        n, d = self._state_ratio()
-        return [Fraction(n * x, d) for x in self.X]
-
-    def state_floats(self) -> np.ndarray:
-        n, d = self._state_ratio()
-        return np.array([_ratio_float(n * x, d) for x in self.X], dtype=float)
+# -- the unencrypted reference loop ----------------------------------------------
 
 
 class IdealLoop:
@@ -428,11 +366,11 @@ def _rows(recurrence) -> tuple:
 
 # The kernels used last in this process, least recent first: (builder,
 # method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
-# A main plan has 6 kernels (payload and integer `start` and `step`, and the
-# reconstruction's `rebuild` and `y_o`) and 2 more per further pad, a prelim plan
-# 2 and 1 more per pad; the noise table runs the integer kernels, and plans
-# that differ only in q share them where their centered rows agree.  32
-# keep several plans'.
+# A main plan has 8 kernels (payload and integer `start` and `step`, the
+# reconstruction's `rebuild` and `y_o`, and the plant's `products` and
+# `measure`) and 2 more per further pad, a prelim plan 4 and 1 more per pad;
+# the noise table runs the integer kernels, and plans that differ only in q
+# share them where their centered rows agree.  32 keep several plans'.
 KERNELS_KEPT = 32
 _kernels: dict = {}
 
@@ -729,6 +667,93 @@ class _EncryptedController:
     encryptions, or after such a step, has no event and emits no bound."""
 
     made, events = (), None
+
+
+# -- the plant ------------------------------------------------------------------
+
+
+def _over_common_den(values):
+    """Exact rationals as (integer numerators, their common denominator)."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(M: RationalMatrix):
+    """M as (integer rows, their common denominator)."""
+    nums, den = _over_common_den(M.data)
+    return [nums[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)], den
+
+
+class PlantSim:
+    """Exact process state in the zoomed coordinates x/l(t) = X/D, with
+    integer X and D, and l(t) = l0 omega^t.
+
+    The sensor divides its measurement by l(t); any fixed-precision noise on
+    y_p is amplified by 1/l(t) and overwhelms the quantizer cell within a few
+    steps, so the simulated plant must carry exact values.  The delivered
+    input is u_a = scale l(t) U for an integer vector U, so the zoomed state
+    obeys x/l <- (A/omega) x/l + (scale B/omega) U.  Those two matrices are
+    held as integer rows over common denominators a and b; a step sets
+    D <- lcm(a D, b) and scales both products onto it.  On the main route
+    (scale = s2) the planner certifies A/omega and s2 B/omega integral, so
+    a = b = 1, D never changes and a step needs no gcd.  On the prelim route
+    (scale = s1 s2) D grows by a factor a per step.
+
+    The integer rows are the plant's kernels, compiled as the integer
+    shadows' are (`_compile`): (X, U) -> (A X, B U) for `step`, which then
+    only scales the two products onto the new D, and X -> C X for `output`.
+    """
+
+    state = ()  # the kernels keep no state: X and D are the step's own
+
+    def __init__(self, plant: PlantModel, x_p0, l0, omega, scale):
+        self.l0, self.omega = as_fraction(l0), as_fraction(omega)
+        A, self.a = _int_rows(plant.A.scale(1 / self.omega))
+        B, self.b = _int_rows(plant.B.scale(as_fraction(scale) / self.omega))
+        C, self.c = _int_rows(plant.C)
+        self.m, self.kernels = SimpleNamespace(A=IntRing.plain(A), B=IntRing.plain(B),
+                                               C=IntRing.plain(C)), {}
+        self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
+        self.t = 0
+
+    def products(self, X, U):
+        """A X and B U, over the integer rows."""
+        return self.ring.matvec(self.m.A, X), self.ring.matvec(self.m.B, U)
+
+    def measure(self, X):
+        """C X, over the integer rows."""
+        return self.ring.matvec(self.m.C, X)
+
+    products, measure = _compiled(products, _compile), _compiled(measure, _compile)
+
+    def output(self):
+        """y/l(t) as (integer numerators, their common denominator)."""
+        return self.measure(self.X), self.c * self.D
+
+    def step(self, U):
+        """Advance on the delivered input u_a = scale l(t) U, U integers."""
+        AX, BU = self.products(self.X, U)
+        aD = self.a * self.D
+        D = math.lcm(aD, self.b)
+        fa, fb = D // aD, D // self.b
+        self.X = [fa * x + fb * u for x, u in zip(AX, BU)]
+        self.D = D
+        self.t += 1
+
+    def _state_ratio(self):
+        """The exact state as (numerator factor, common denominator)."""
+        l = self.l0 * self.omega ** self.t
+        return l.numerator, l.denominator * self.D
+
+    @property
+    def x(self) -> list:
+        """The exact state l(t) X/D."""
+        n, d = self._state_ratio()
+        return [Fraction(n * x, d) for x in self.X]
+
+    def state_floats(self) -> np.ndarray:
+        n, d = self._state_ratio()
+        return np.array([_ratio_float(n * x, d) for x in self.X], dtype=float)
 
 
 # -- main scheme parties ------------------------------------------------------
@@ -1059,12 +1084,12 @@ class _Step(NamedTuple):
     lifted: tuple  # every vector a party decrypted and lifted this step
     shadow: tuple  # the integer shadow's exact value of each
     fields: dict   # the route's own `StepRecord` fields
-    detail: dict   # the route's own detail entries
+    detail: dict   # the route's own detail entries; None without `collect_detail`
 
 
 def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
            actuator) -> ClosedLoopTrace:
-    """The closed loop of both routes.  The route supplies `step(t, l(t),
+    """The closed loop of both routes.  The route supplies `step(t, zoom,
     y/l(t))`, which runs its parties for step t on the measurement as
     `PlantSim.output` gives it and returns a `_Step`; `ring` counts the
     run's encryptions, and the `actuator`, the one party that decrypts, its
@@ -1073,12 +1098,19 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     makes the oracle and recovery checks, and records the step.  A step
     fails recovery from the first lift on that differed from the shadow's:
     U is rebuilt from every lift so far (main), or each lift is centred on
-    the last (prelim)."""
+    the last (prelim).
+
+    The schedule is `zoom`, scale l(t) as integers (n, d) kept unreduced: a
+    step multiplies them by omega's numerator and denominator, with no gcd.
+    A float of n U/d is correctly rounded whatever the pair, and Fractions
+    are built only for the detail rows."""
     plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
-    l_t, failed = plan.l0, False
+    n, d = as_ratio(scale * plan.l0)  # the zoom at t = 0
+    on, od = as_ratio(plan.omega)
+    failed = False
     for t in range(cfg.horizon):
-        s = step(t, l_t, plant_sim.output())
+        s = step(t, (n, d), plant_sim.output())
         if s.lifted != s.shadow:
             failed = True
             # the oracle: a lift keeps the residues the actuator decrypted, so
@@ -1086,8 +1118,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             residues = [[[x % plan.q for x in v] for v in vs] for vs in (s.lifted, s.shadow)]
             trace.oracle_mismatches += residues[0] != residues[1]
         u_true = tuple(float(x) for x in ideal.step())
-        u_scale = scale * l_t
-        u_a = tuple(_ratio_float(u_scale.numerator * x, u_scale.denominator) for x in s.U)
+        u_a = tuple(_ratio_float(n * x, d) for x in s.U)
         plant_sim.step(s.U)
         trace.records.append(StepRecord(
             t=t,
@@ -1101,9 +1132,9 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             **s.fields,
         ))
         if cfg.collect_detail:
-            trace.detail.append({"t": t, "l": l_t, **s.detail,
-                                 "u_a_exact": [u_scale * x for x in s.U]})
-        l_t = l_t * plan.omega
+            trace.detail.append({"t": t, "l": Fraction(n, d) / scale, **s.detail,
+                                 "u_a_exact": [Fraction(n * x, d) for x in s.U]})
+        n, d = n * on, d * od
     trace.final_plant_state = tuple(plant_sim.state_floats())
     trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
     return trace
@@ -1129,7 +1160,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     x_e0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.l0)
     sent = None  # last step's innovation and reference increment: (cts, ints)
 
-    def step(t, l_t, y_bar):
+    def step(t, zoom, y_bar):
         nonlocal sent
         if t == 0:
             incs_ct = controller.bootstrap(x_e0_scaled)
@@ -1139,7 +1170,8 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             emitted = shadow.step(*sent[1])
         lifted, ut_a = actuator.step(*incs_ct)
         q_inno, inno_ct, sat_s, log2_gap = sensor.step(actuator.y_o(), y_bar)
-        re = [int(r / l_t - Fraction(e, provider.den))  # r/l(t) - e, an integer
+        # r/l(t) - e, an integer, for s2 l(t) = n/d
+        re = [int(r * plan.s2 * Fraction(zoom[1], zoom[0]) - Fraction(e, provider.den))
               for r, e in zip(cfg.reference.data, provider.e)] if cfg.collect_detail else None
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
@@ -1151,7 +1183,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                     "saturated": bool(sat_s or sat_r)},
             detail={"innovation": q_inno, "ref_increment": q_ref,
                     "alpha": alpha, "beta": beta, "gamma": gamma,
-                    "re_scaled": re, "u_tilde": ut_a})
+                    "re_scaled": re, "u_tilde": ut_a} if cfg.collect_detail else None)
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
@@ -1168,11 +1200,15 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     shadow.bootstrap(x0_scaled)
     on, od = plan.omega.numerator, plan.omega.denominator
     prev_ut = [0] * cfg.ctrl.w
+    scale = plan.s1 * plan.s2  # of the delivered input
+    # the reference times the scale: r/l(t) = R d/(E n) for scale l(t) = n/d
+    R, E = _over_common_den([r * scale for r in cfg.reference.data])
 
-    def step(t, l_t, y_bar):
+    def step(t, zoom, y_bar):
         nonlocal prev_ut
+        n, d = zoom
         q_y, _ = quantize_vector(y_bar[0], den=y_bar[1])
-        q_r, _ = quantize_vector([r / l_t for r in cfg.reference.data], None)
+        q_r, _ = quantize_vector([x * d for x in R], None, E * n)
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
         ut = shadow.step(q_y, q_r)
         lifted = actuator.step(u_ct)
@@ -1182,7 +1218,8 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         return _Step(
             U=lifted, lifted=(lifted,), shadow=(ut,),
             fields={"log2_alpha": _log2(mx)},
-            detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted})
+            detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted}
+            if cfg.collect_detail else None)
 
     trace = ClosedLoopTrace("prelim", _step_msgs(controller))
-    return _drive(trace, plan, cfg, plan.s1 * plan.s2, step, ring, actuator)
+    return _drive(trace, plan, cfg, scale, step, ring, actuator)

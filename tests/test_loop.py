@@ -35,10 +35,11 @@ from encloop.loop import (
     run_closed_loop_prelim,
     _diff_inf,
     _kernels,
+    _ratio_float,
     _scaled_integer_state,
 )
 from encloop.planner import (ControllerModel, MainPlan, MainPlanOptions, PlantModel,
-                             plan_main, plan_preliminary)
+                             design_deadbeat_observer, plan_main, plan_preliminary)
 
 from conftest import random_main_system
 from rings import CipherRing, FormRing, IntRing
@@ -843,11 +844,12 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 6 kernels in total on the main route (the
+        different seeds compile 8 kernels in total on the main route (the
         controller's payload `start` and `step`, the integer `start` and
         `step` that the shadow, the actuator and the noise table share, the
-        actuator's `rebuild` and `y_o`) and 2 on the prelim route (payload
-        and integer `step`), and write one CSV.  A run at another pad
+        actuator's `rebuild` and `y_o`, the plant's `products` and
+        `measure`) and 4 on the prelim route (payload and integer `step`,
+        the plant's two), and write one CSV.  A run at another pad
         compiles its own payload kernels only, and so does a plan with twice
         the q: its integer rows are the same, and so are its centered rows,
         by which the noise table is kept."""
@@ -871,7 +873,7 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "function", counting)
-        kernels, payload = (6, 2) if scheme == "main" else (2, 1)
+        kernels, payload = (8, 2) if scheme == "main" else (4, 1)
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -1132,7 +1134,8 @@ class TestNoiseTable:
         prelim route.  A lattice run of the plan compiles no integer kernel
         of those: the integer shadow runs the table's, and the run compiles
         the controller's payload kernels (`start` and `step`, or `step`),
-        and on the main route the actuator's `rebuild` and `y_o`."""
+        the plant's `products` and `measure`, and on the main route the
+        actuator's `rebuild` and `y_o`."""
         sc, plan, run = route(request, scheme)
         sources, compile_ = [], compile
 
@@ -1150,7 +1153,7 @@ class TestNoiseTable:
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
-        assert (len(payload), len(sources)) == ((2, 4) if scheme == "main" else (1, 1))
+        assert (len(payload), len(sources)) == ((2, 6) if scheme == "main" else (1, 3))
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -1369,6 +1372,39 @@ class TestZoomedPlant:
             assert sim.x == x
         assert tuple(sim.state_floats()) == tr.final_plant_state
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_compiled_plant_is_the_fraction_recurrence(self, data):
+        """On random plants of 1-3 states, omega, l0, input scales and x_p0
+        with denominators, and 20 steps of random integer U, the compiled
+        plant's state is x <- A x + B scale l(t) U and its output C x/l(t),
+        both in Fractions.  The denominators of A/omega, scale B/omega and
+        x_p0/l0 scale either product onto a denominator that may grow."""
+        n, w, v = (data.draw(st.integers(1, k)) for k in (3, 2, 2))
+        dens = st.sampled_from([1, 2, 3, 5, 10])
+        rational = st.builds(Fraction, st.integers(-20, 20), dens)
+        positive = st.builds(Fraction, st.integers(1, 20), dens)
+
+        def entries(k):
+            return data.draw(st.lists(rational, min_size=k, max_size=k))
+
+        A, B, C = (RationalMatrix(r, c, entries(r * c)) for r, c in ((n, n), (n, w), (v, n)))
+        omega, l0, scale = (data.draw(positive) for _ in range(3))
+        x = entries(n)
+        sim = PlantSim(PlantModel(A, B, C), x, l0, omega, scale)
+        A, B, C = (M.to_lists() for M in (A, B, C))
+        l = l0
+        for _ in range(20):
+            Y, E = sim.output()
+            assert [Fraction(y, E) for y in Y] == [sum(c * xi for c, xi in zip(row, x)) / l
+                                                   for row in C]
+            U = data.draw(st.lists(st.integers(-2**20, 2**20), min_size=w, max_size=w))
+            sim.step(U)
+            x = [sum(a * xi for a, xi in zip(arow, x))
+                 + scale * l * sum(b * u for b, u in zip(brow, U)) for arow, brow in zip(A, B)]
+            l *= omega
+            assert sim.x == x
+
 
 class TestDeterminismAndSchedules:
     def test_mock_runs_bit_deterministic(self, batch, sound_plan):
@@ -1376,6 +1412,53 @@ class TestDeterminismAndSchedules:
         b = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30))
         assert [(r.u_a, r.log2_alpha, r.saturated) for r in a.records] == \
                [(r.u_a, r.log2_alpha, r.saturated) for r in b.records]
+
+    @pytest.mark.parametrize("scheme,q", [("main", None), ("prelim", None), ("main", 2**41)],
+                             ids=["batch-main", "tanks-prelim", "batch-main-q2199023255552"])
+    def test_the_integer_zoom_rounds_as_the_exact_input(self, request, scheme, q):
+        """The driver keeps scale l(t) as an unreduced pair of integers.  Each
+        record's u_a is the exact u_a of the detail, correctly rounded (an
+        infinity past the float range), and the detail's l is l0 omega^t;
+        also at q = 2^41, where the lifts fail from t = 2 on."""
+        sc, plan, run = route(request, scheme)
+        if q is not None:
+            plan = replace(plan, q=q)
+        tr = run(plan, main_cfg(sc, plan, 200, detail=True))
+        for t, (r, det) in enumerate(zip(tr.records, tr.detail, strict=True)):
+            assert det["l"] == plan.l0 * plan.omega ** t
+            assert r.u_a == tuple(_ratio_float(u.numerator, u.denominator)
+                                  for u in det["u_a_exact"])
+        assert tr.recovery_failures == (198 if q else 0)
+
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_a_step_builds_no_fraction_without_detail(self, request, monkeypatch, scheme):
+        """Without detail rows a run builds its Fractions in set-up only: as
+        many at H = 5 as at H = 15."""
+        sc, plan, run = route(request, scheme)
+        built, new = [0], Fraction.__new__
+
+        def counting(cls, *args, **kwargs):
+            built[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counting)
+        counts = []
+        for horizon in (5, 15):
+            built[0] = 0
+            run(plan, main_cfg(sc, plan, horizon))
+            counts.append(built[0])
+        assert counts[0] == counts[1]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2**1100, 2**1100), st.integers(1, 2**1100), st.integers(1, 2**200))
+    @example(2**1030, 3, 7)
+    @example(-(2**1030), 3, 2**150)
+    @example(2**1024 - 2**970, 1, 5)  # the largest float's rounding boundary
+    def test_an_unreduced_ratio_rounds_as_the_reduced_one(self, n, d, k):
+        """`_ratio_float` depends on the value only: scaling n and d by the
+        same factor gives the same float, or the same signed infinity."""
+        g = math.gcd(n, d)
+        assert repr(_ratio_float(n * k, d * k)) == repr(_ratio_float(n // g, d // g))
 
 
 class TestRandomSystems:
@@ -1408,8 +1491,33 @@ def _golden_digest(trace) -> str:
     return h.hexdigest()
 
 
+@pytest.fixture(scope="module")
+def scalar(never_ending):
+    """The scalar plant and controller of `never_ending` from x_p0 = 1/3, a
+    zoomed plant state over the denominator 3."""
+    sc, _ = never_ending
+    return replace(sc, name="scalar", x_p0=(Fraction(1, 3),))
+
+
+@pytest.fixture(scope="module")
+def scalar_main_plan(scalar):
+    """Main route, deadbeat observer: A/omega and s2 B/omega are integers,
+    so the plant denominator stays 3 and every step scales B U by 3."""
+    L = design_deadbeat_observer(scalar.plant.A, scalar.plant.C).L
+    return plan_main(scalar.plant, scalar.ctrl,
+                     MainPlanOptions(L=L, L_exact=L, reference=scalar.reference))
+
+
+@pytest.fixture(scope="module")
+def scalar_prelim_plan(never_ending):
+    """Prelim route: A/omega and s1 s2 B/omega over 5 and 25, so the plant
+    denominator grows by a lcm every step."""
+    return never_ending[1]
+
+
 PLAN_FIXTURES = {("batch", "main"): "sound_plan", ("tanks", "main"): "tanks_main_plan",
-                ("tanks", "prelim"): "tanks_plan"}
+                ("tanks", "prelim"): "tanks_plan", ("scalar", "main"): "scalar_main_plan",
+                ("scalar", "prelim"): "scalar_prelim_plan"}
 GOLDEN = [
     # (fixture, scheme, backend, horizon, seed, q or None for the plan's, digest)
     ("batch", "main", "mock", 120, 0, None,
@@ -1427,6 +1535,12 @@ GOLDEN = [
     # fault injection: the lifts fail from t = 2 on, 198 recovery failures
     ("batch", "main", "mock", 200, 0, 2**41,
      "e87843bdbbdbea35fe9487af52b577ef95d2aae3713ef6a88297d0ee587e1b5c"),
+    # the plant's denominators: B U scaled by 3 every step (main), and a
+    # denominator that grows by a lcm every step (prelim)
+    ("scalar", "main", "mock", 200, 0, None,
+     "57dfb2eaee316895cd5a0ee3b90d2abc78e9700c78b9e32a133e7575a585d0ec"),
+    ("scalar", "prelim", "mock", 200, 0, None,
+     "cc4d64af69c906464453d10abd7a567ec61d5cb8555766ed0cb975acf61e4d98"),
 ]
 
 
