@@ -239,18 +239,34 @@ def keygen(params: SchemeParams, seed: Optional[int] = None):
         sk = KeyMaterial("full", params)
         return pk, sk
     rng = random.Random(seed)
-    Q = params.ct_modulus
-    s = tuple(rng.randint(-1, 1) for _ in range(DIMENSION))
-    A = [[rng.randrange(Q) for _ in range(DIMENSION)] for _ in range(SAMPLES)]
-    rows = tuple(
-        params._slots.pack([(sum(a_j * s_j for a_j, s_j in zip(a, s))
-                             + rng.randint(-NOISE, NOISE)) % Q, *a])
-        for a in A
-    )
+    Q, width = params.ct_modulus, params._slots.width
+    s = tuple(x - 1 for x in _below(rng, 3, DIMENSION))
+    A = _below(rng, Q, SAMPLES * DIMENSION)
+    rows = []
+    for k, e in zip(range(0, len(A), DIMENSION), _below(rng, 2 * NOISE + 1, SAMPLES)):
+        a, packed = A[k:k + DIMENSION], 0
+        for a_j in reversed(a):
+            packed = packed << width | a_j
+        b = (sum(a_j * s_j for a_j, s_j in zip(a, s)) + e - NOISE) % Q
+        rows.append(packed << width | b)
+    rows = tuple(rows)
     tables = tuple(_subset_sums(rows[k:k + WINDOW]) for k in range(0, SAMPLES, WINDOW))
     pk = KeyMaterial("public", params, (rows, tables))
     sk = KeyMaterial("full", params, (rows, tables, params._slots.sign_masks(s), s))
     return pk, sk
+
+
+def _below(rng: random.Random, n: int, count: int) -> list:
+    """`count` draws of rng.randrange(n) in order, as `random` makes them:
+    getrandbits(k) for k the bit length of n, until one is below n.
+    rng.randint(a, b) is a plus a draw below b - a + 1."""
+    bits, k, out = rng.getrandbits, n.bit_length(), []
+    for _ in range(count):
+        x = bits(k)
+        while x >= n:
+            x = bits(k)
+        out.append(x)
+    return out
 
 
 def _subset_sums(rows) -> tuple:

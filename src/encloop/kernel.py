@@ -9,13 +9,15 @@ with its zero coefficients and its known-zero operands dropped.  It is a
 ring in the sense of `loop` (`matvec` and `add` over vectors of names), so
 a recurrence method run once on it records its whole step.
 `Source.function` compiles the record with `exec` into one function of the
-input vectors.
+input vectors and, in the same `compile`, a second function that a caller
+writes around the recorded statements (`body`): `loop` makes its party
+methods so, each one function from its inputs to its new state.
 
 Only integer literals, generated names and calls of the one reducer
-`reduce` enter the source.  A form with more than `TERMS_PER_STATEMENT`
-terms is split into partial sums, since CPython compiles one long sum as a
-deeply nested expression and a few thousand terms exceed its recursion
-limit.
+`reduce` enter the recorded statements.  A form with more than
+`TERMS_PER_STATEMENT` terms is split into partial sums, since CPython
+compiles one long sum as a deeply nested expression and a few thousand
+terms exceed its recursion limit.
 
 Reduction placement.  A kernel over ciphertext payloads (`loop` compiles the
 encrypted controllers' steps) works modulo something, and its entries must
@@ -92,7 +94,7 @@ class Source:
         parts = []
         for c, x in terms:
             c = int(operator.index(c))  # an integer literal, whatever int type c is
-            if c and _expr(x) != "0":
+            if c and expr(x) != "0":
                 parts.append((c, x))
         if not parts:
             return 0
@@ -107,9 +109,9 @@ class Source:
             return parts[0][1]
         name = self._name(bound)
         for k in range(0, len(parts), TERMS_PER_STATEMENT):
-            expr = "".join(_term(c, x, first=not i and not k)
+            form = "".join(_term(c, x, first=not i and not k)
                            for i, (c, x) in enumerate(parts[k:k + TERMS_PER_STATEMENT]))
-            self.lines.append(f"{name} = {expr}" if not k else f"{name} = {name}{expr}")
+            self.lines.append(f"{name} = {form}" if not k else f"{name} = {name}{form}")
         return name
 
     def matvec(self, M, v) -> list:
@@ -120,19 +122,30 @@ class Source:
         check_add(vs)
         return [self.linear((1, x) for x in t) for t in zip(*vs)]
 
-    def function(self, result):
+    def body(self, args) -> list:
+        """The recorded statements, after binding the names of each input
+        vector (in the order `vector` made them) from the source expression
+        in `args`."""
+        return [f"{', '.join(names)}, = {arg}"
+                for arg, names in zip(args, self.params) if names] + self.lines
+
+    def function(self, result, method=(), names=None):
         """The recorded source as one function of the input vectors (in the
         order `vector` made them) that returns `result`: an entry, or lists
-        and tuples of them, nested as given."""
+        and tuples of them, nested as given.  `method`, the lines of a
+        second function named `method` (built from `body` and `expr`), is
+        compiled in the same source, with `names` among its globals, and
+        then returned instead, with the first as its `kernel`."""
         args = [f"p{k}" for k in range(len(self.params))]
-        body = [f"{', '.join(names)}, = {arg}"
-                for arg, names in zip(args, self.params) if names]
-        body += self.lines
-        body.append(f"return {_expr(result)}")
-        src = f"def kernel({', '.join(args)}):\n" + "".join(f"    {line}\n" for line in body)
-        namespace = {"reduce": self.reduce}
+        body = [*self.body(args), f"return {expr(result)}"]
+        src = "".join([f"def kernel({', '.join(args)}):\n",
+                       *(f"    {line}\n" for line in body), *(f"{line}\n" for line in method)])
+        namespace = {"reduce": self.reduce, **(names or {})}
         exec(compile(src, "<kernel>", "exec"), namespace)
-        return namespace["kernel"]
+        if not method:
+            return namespace["kernel"]
+        namespace["method"].kernel = namespace["kernel"]
+        return namespace["method"]
 
 
 def check_matvec(M, v):
@@ -155,11 +168,13 @@ def _term(c: int, x: str, first: bool) -> str:
     return f"{sign}{product}" if first else f" {sign} {product}"
 
 
-def _expr(value) -> str:
+def expr(value) -> str:
+    """The source expression of a recorded entry, or of lists and tuples of
+    them, nested as given."""
     if isinstance(value, list):
-        return "[" + ", ".join(_expr(x) for x in value) + "]"
+        return "[" + ", ".join(expr(x) for x in value) + "]"
     if isinstance(value, tuple):
-        return "(" + "".join(_expr(x) + ", " for x in value) + ")"
+        return "(" + "".join(expr(x) + ", " for x in value) + ")"
     if isinstance(value, str) and _NAME.fullmatch(value):
         return value
     if type(value) is int and value == 0:

@@ -27,21 +27,25 @@ controller dynamics `MainIntegerRecurrence`, which only the reconstruction
 from the increments runs (`rebuild`); the prelim one as `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so no run interprets a recurrence op by op.  Each linear
-method of a party (`start`, `step`, the reconstruction's `rebuild` and
-`y_o`, the plant's `products` and `measure`, which its `step` and `output`
-apply) is run once on the recording ring `kernel.Source`, which makes every
-matvec row and every sum one straight-line statement with its zero
-coefficients dropped, and the record is compiled into one function: on
-integers (`_compile`, for the integer shadows, the reconstruction, whose
-ring `IntRing` only embeds, the plant and the noise table), or over packed
+method of a party (`start`, `step`, the reconstruction's `rebuild`, the
+plant's `products` and `measure`, which its `step` and `output` apply) is
+run once on the recording ring `kernel.Source`, which makes every matvec
+row and every sum one straight-line statement with its zero coefficients
+dropped.  The record is compiled, in one `compile`, into the party's method:
+one generated function that reads the state by attribute, checks its
+inputs, computes, assigns the new state and returns; and next to it the
+bare `kernel`, which the noise table runs.  It works on integers
+(`_compile`, for the integer shadows, the reconstruction, whose ring
+`IntRing` only embeds, the plant and the noise table), or over packed
 ciphertext payloads (`_compile_cipher`), where `he` supplies the reducer
 and the slot limit, so an entry is reduced only where the limit needs it
-and every state and emitted entry once.  A kernel depends only on
-the plaintext rows it is recorded from and, over payloads, on the scheme
-parameters, so the process keeps the kernels it used last by those
-(`_kept`), and a party looks each of its kernels up once and keeps it: only
-keys, ciphertexts and encryption randomness are made per run, and every
-call checks its inputs.
+and every state and emitted entry once, and the method also checks each
+ciphertext's scheme, finds the controller's noise-table event and makes
+each new `he.Ciphertext`.  A kernel depends only on the plaintext rows it
+is recorded from and, over payloads, on the scheme parameters, so the
+process keeps the kernels it used last by those (`_kept`), and a party
+looks each of its kernels up once and keeps it: only keys, ciphertexts and
+encryption randomness are made per run, and every call checks its inputs.
 
 Noise.  Every `he` op is linear mod Q, so the noise of an emitted
 ciphertext is an integer form over the noises of the fresh encryptions the
@@ -53,7 +57,9 @@ The pad is sized from it (`lattice_params`), and the encrypted controllers'
 emitted ciphertexts carry its bounds; their states carry none, since
 nothing decrypts them.  On the main route nothing else is decrypted: the
 controller emits only the bounded increments, and the sensor reads the
-observer output from the actuator's exact reconstruction.
+observer output from the actuator's exact reconstruction.  The actuator
+lifts the three increments in one call and rebuilds from them in one
+kernel, which also returns that output.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -287,18 +293,21 @@ class IdealLoop:
     def __init__(self, plant: PlantModel, ctrl: ControllerModel, x_p0, reference):
         self.A, self.B, self.C = (m.to_floats() for m in (plant.A, plant.B, plant.C))
         self.F, self.G, self.H = (m.to_floats() for m in (ctrl.F, ctrl.G, ctrl.H))
-        self.R, self.J, self.S = (m.to_floats() for m in (ctrl.R_ref, ctrl.J, ctrl.S))
+        self.J = ctrl.J.to_floats()
         self.x_p = np.array([float(x) for x in x_p0], dtype=float)
         self.x = ctrl.x0.to_floats().ravel()
-        self.r = np.array([float(x) for x in reference.data], dtype=float)
+        r = np.array([float(x) for x in reference.data], dtype=float)
+        # the reference is constant, and so are S r and R r
+        self.Sr, self.Rr = ctrl.S.to_floats() @ r, ctrl.R_ref.to_floats() @ r
 
-    def step(self) -> np.ndarray:
+    def step(self) -> tuple:
+        """The controller's output u of this step, as a tuple of floats."""
         y = self.C @ self.x_p
-        u = self.H @ self.x + self.J @ y + self.S @ self.r
-        x_next = self.F @ self.x + self.G @ y + self.R @ self.r
+        u = self.H @ self.x + self.J @ y + self.Sr
+        x_next = self.F @ self.x + self.G @ y + self.Rr
         self.x_p = self.A @ self.x_p + self.B @ u
         self.x = x_next
-        return u
+        return tuple(u.tolist())
 
 
 # -- the converted controllers, each written once over their rings -----------
@@ -366,9 +375,9 @@ def _rows(recurrence) -> tuple:
 
 # The kernels used last in this process, least recent first: (builder,
 # method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
-# A main plan has 8 kernels (payload and integer `start` and `step`, the
-# reconstruction's `rebuild` and `y_o`, and the plant's `products` and
-# `measure`) and 2 more per further pad, a prelim plan 4 and 1 more per pad;
+# A main plan has 7 kernels (payload and integer `start` and `step`, the
+# reconstruction's `rebuild`, and the plant's `products` and `measure`)
+# and 2 more per further pad, a prelim plan 4 and 1 more per pad;
 # the noise table runs the integer kernels, and plans that differ only in q
 # share them where their centered rows agree.  32 keep several plans'.
 KERNELS_KEPT = 32
@@ -399,15 +408,35 @@ def _check_lengths(got: list, want: list, error):
         raise error(f"input lengths {got} differ from the recorded {want}")
 
 
+def _method(p, reads, lengths, size: str, error: str, checks, body, state, values,
+            many: bool) -> list:
+    """The lines of a compiled party method, whose inputs `p` are the state
+    vectors `reads`, read by attribute, then its arguments: `checks`, one
+    comparison of the inputs' lengths (`size` of each) with the recorded
+    `lengths`, which calls `_check_lengths` to raise `error` only if they
+    differ, `body`, and then the new `state`, the first of the expressions
+    `values`, assigned and the rest returned, as a tuple if `many`."""
+    got, n = "".join(f"{size.format(x)}, " for x in p), len(state)
+    out = "(" + "".join(f"{v}, " for v in values[n:]) + ")" if many else values[n]
+    return [f"def method({', '.join(['self', *p[len(reads):]])}):",
+            *(f"    {x} = self.{k}" for x, k in zip(p, reads)),
+            *(f"    {line}" for line in checks),
+            f"    if ({got}) != {tuple(lengths)!r}:",
+            f"        check([{got}], {list(lengths)!r}, {error})",
+            *(f"    {line}" for line in body),
+            *(f"    self.{k} = {v}" for k, v in zip(state, values)),
+            f"    return {out}"]
+
+
 def _compile(recurrence, method, reads, args):
-    """`method` of a recurrence on `IntRing`, compiled (`_kept`): a function
-    of the recurrence and `method`'s arguments that reads the state vectors
-    `reads`, updates the state as `method` would and returns what it
-    returns.  Lengths the plan's matrices do not take raise `ValueError`
-    while recording, and so do other lengths than the recorded ones at
-    every call.  Its `kernel` is the compiled function itself, unchecked:
-    of the vectors `reads` and the arguments, it returns the new state
-    vectors and then the vectors `method` returns, as one list."""
+    """`method` of a recurrence on `IntRing`, compiled (`_kept`): one
+    generated function of the recurrence and `method`'s arguments that reads
+    the state vectors `reads`, updates the state as `method` would and
+    returns what it returns.  Lengths the plan's matrices do not take raise
+    `ValueError` while recording, and so do other lengths than the recorded
+    ones at every call, before the state changes.  Its `kernel` runs the
+    record unchecked: of the vectors `reads` and the arguments, it returns
+    the new state vectors and then the vectors `method` returns, as one list."""
     return _kept(_int_kernel, recurrence, method, reads, args)
 
 
@@ -418,19 +447,10 @@ def _int_kernel(recurrence, method, reads, args):
               for v in (*(getattr(recurrence, k) for k in reads), *args)]
     outputs, many = _record(recurrence, method, source, dict(_rows(recurrence)),
                             reads, inputs)
-    fn, lengths = source.function(outputs), list(map(len, inputs))
-    state, n = recurrence.state, len(recurrence.state)
-
-    def run(rec, *args):
-        inputs = [*(getattr(rec, k) for k in reads), *args]
-        _check_lengths(list(map(len, inputs)), lengths, ValueError)
-        out = fn(*inputs)
-        for k, v in zip(state, out):
-            setattr(rec, k, v)
-        return tuple(out[n:]) if many else out[n]
-
-    run.kernel = fn
-    return run
+    p = [f"p{k}" for k in range(len(inputs))]
+    return source.function(outputs, _method(
+        p, reads, [len(v) for v in inputs], "len({})", "ValueError", [], source.body(p),
+        recurrence.state, list(map(kernel.expr, outputs)), many), {"check": _check_lengths})
 
 
 def _compile_cipher(controller, method, reads, args):
@@ -442,8 +462,10 @@ def _compile_cipher(controller, method, reads, args):
     of other lengths or scheme parameters than the recorded ones, raise
     `he.DimensionMismatchError`.  The payloads are recorded with
     `he.slot_reduction`'s reducer and limit over the centered plaintext
-    rows.  On lattice, what a call returns carries the bounds of the plan's
-    noise table at the controller's event (`_EncryptedController`), if the
+    rows, and the generated method does the rest, unrolled per ciphertext:
+    the checks, the controller's event, and each new `he.Ciphertext`.  On
+    lattice, what a call returns carries the bounds of the plan's noise
+    table at the controller's event (`_EncryptedController`), if the
     controller made the states it reads and every argument is a fresh
     encryption, as the table assumes, and no bound otherwise; the new state
     carries none.  `he.decrypt` checks the bounds, and refuses a ciphertext
@@ -464,40 +486,43 @@ def _cipher_kernel(controller, method, reads, args):
                                 reads, [source.vector(d) for d in lengths])
     except ValueError as e:
         raise he.DimensionMismatchError(e) from None
-    payloads = source.function([tuple(source.reduced(v)) for v in outputs])
+    outputs = [tuple(source.reduced(v)) for v in outputs]
+    p, r, n = [f"p{k}" for k in range(len(lengths))], len(reads), len(controller.state)
+    # each input's scheme, in one tuple, which compares by identity, then ==
+    checks = ["params = self.ring.pk.params",
+              f"if ({''.join(f'{x}.params, ' for x in p)}) != ({'params, ' * len(p)}):",
+              "    raise DimensionMismatchError('ciphertexts from different schemes')"]
+    # the event: 0 for `start`, else the controller's if it made the states
+    # read; None unless every argument is a fresh encryption
+    given = [f"{x}.noise_bound is not None and {x}.noise_bound <= FRESH" for x in p[r:]]
+    if r:
+        given += [f"len(self.made) == {r}",
+                  *(f"self.made[{k}] is {x}" for k, x in enumerate(p[:r]))]
+    event = f"{'self.events' if r else 0} if {' and '.join(given)} else None" if given else "0"
+    # the new ciphertexts: s0, s1, ... for the state, then those returned
     table = noise_table(controller) if params.backend == "lattice" else None
-    state, n = controller.state, len(controller.state)
-    fresh = he.FRESH_NOISE_BOUND
-
-    def run(rec, *args):
-        params = rec.ring.pk.params  # equal to those the kernel is kept by
-        cts = [*(getattr(rec, k) for k in reads), *args]
-        for ct in cts:
-            if ct.params is not params and ct.params != params:
-                raise he.DimensionMismatchError("ciphertexts from different schemes")
-        _check_lengths([ct.dim for ct in cts], lengths, he.DimensionMismatchError)
-        event = None
-        if all(ct.noise_bound is not None and ct.noise_bound <= fresh for ct in args):
-            if not reads:
-                event = 0  # `start`
-            elif list(map(id, cts[:len(reads)])) == list(map(id, rec.made)):
-                event = rec.events
-        emitted = repeat(None) if table is None or event is None else table.at(event)
-        out = [he.Ciphertext(params, len(p), p, b) for p, b in
-               zip(payloads(*(ct.payload for ct in cts)), chain(repeat(None, n), emitted))]
-        for k, ct in zip(state, out):
-            setattr(rec, k, ct)
-        rec.made, rec.events = out[:n], None if event is None else event + 1
-        return tuple(out[n:]) if many else out[n]
-
-    return run
+    emitted = len(outputs) - n
+    bound = [""] * n + [f", bounds[{k}]" if table else "" for k in range(emitted)]
+    cts = [f"Ciphertext(params, {len(v)}, {kernel.expr(v)}{b})" for v, b in zip(outputs, bound)]
+    body = [f"event = {event}", *source.body([f"{x}.payload" for x in p]),
+            *([f"bounds = {(None,) * emitted!r} if event is None else table.at(event)"]
+              if table else []),
+            *(f"s{k} = {ct}" for k, ct in enumerate(cts[:n])),
+            f"self.made = [{''.join(f's{k}, ' for k in range(n))}]",
+            "self.events = None if event is None else event + 1"]
+    return source.function(outputs, _method(
+        p, reads, lengths, "{}.dim", "DimensionMismatchError", checks, body, controller.state,
+        [f"s{k}" for k in range(n)] + cts[n:], many), {
+        "check": _check_lengths, "Ciphertext": he.Ciphertext, "table": table,
+        "DimensionMismatchError": he.DimensionMismatchError, "FRESH": he.FRESH_NOISE_BOUND})
 
 
 def _compiled(method, compile, reads=None):
     """A recurrence's `method` as a party's method: compiled by `compile`
     (`_compile` or `_compile_cipher`) at its first call on the party, which
-    keeps the kernel (`kernels`) and calls it from then on.  The kernel
-    reads the state vectors `reads`, by default all of `state`."""
+    keeps the generated method (`kernels`) and calls it from then on, through
+    this class attribute, so that a wrapper set on the class sees every
+    call.  It reads the state vectors `reads`, by default all of `state`."""
 
     def call(self, *args):
         run = self.kernels.get(method)
@@ -598,7 +623,8 @@ class MainRecurrence:
 class MainIntegerRecurrence:
     """The observer and controller dynamics of `MainRecurrence`, rebuilt from
     its increments on `IntRing` from zero states (as before step 0), with
-    `rebuild` and `y_o` compiled: the actuator's, a main run's only one."""
+    `rebuild` compiled: the actuator's, a main run's only one, which also
+    returns the observer output the sensor reads."""
 
     state = ("xo", "xe", "bx", "bu", "u")
 
@@ -612,7 +638,7 @@ class MainIntegerRecurrence:
 
     def rebuild(self, alpha, beta, gamma):
         """The states of the next step from its increments and the carried
-        brackets; returns u."""
+        brackets; returns u and the observer output (C/s1) xo."""
         mv, add, m = self.ring.matvec, self.ring.add, self.m
         self.bx = add(beta, mv(m.Om_x, self.bx))
         self.bu = add(gamma, mv(m.Om_u, self.bu))
@@ -620,13 +646,9 @@ class MainIntegerRecurrence:
         self.xe = add(self.bx, mv(m.F, self.xe), mv(m.G, self.xo))
         self.xo = xo
         self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.xo))
-        return self.u
+        return self.u, mv(m.C, self.xo)
 
-    def y_o(self):
-        """The observer output (C/s1) xo."""
-        return self.ring.matvec(self.m.C, self.xo)
-
-    rebuild, y_o = _compiled(rebuild, _compile), _compiled(y_o, _compile)
+    rebuild = _compiled(rebuild, _compile)
 
 
 class PrelimRecurrence:
@@ -837,15 +859,16 @@ class RefProvider:
 
 
 class MainActuator:
-    """Decrypts the increments, lifts them around zero, and rebuilds the
-    controller's states from them (`MainIntegerRecurrence`; exact, and the
-    delivered input is u_a = s2 l(t) u_tilde), whose observer output it
-    hands the sensor (`y_o`)."""
+    """Decrypts the increments, lifts them around zero in one call, and
+    rebuilds the controller's states from them in one kernel
+    (`MainIntegerRecurrence`; exact, and the delivered input is u_a =
+    s2 l(t) u_tilde), which also gives the observer output (`y_o`)."""
 
     def __init__(self, sk, plan: MainPlan):
         self.sk, self.q = sk, plan.q
         self.states = MainIntegerRecurrence(plan)
         self.dec_ops = 0
+        self.observer_output = [0] * plan.dims["v"]  # of the zero states before step 0
 
     @property
     def ut(self):
@@ -854,16 +877,20 @@ class MainActuator:
 
     def step(self, alpha_ct, beta_ct, gamma_ct):
         """Returns the lifted increments and u_tilde."""
-        lifted = []
+        residues, ends = [], []
         for ct in (alpha_ct, beta_ct, gamma_ct):
             dec = he.decrypt(self.sk, ct)
             self.dec_ops += len(dec)
-            lifted.append(centered_mod_recover(dec, 0, self.q))
-        return tuple(lifted), self.states.rebuild(*lifted)
+            residues += dec
+            ends.append(len(residues))
+        flat = centered_mod_recover(residues, 0, self.q)
+        lifted = flat[:ends[0]], flat[ends[0]:ends[1]], flat[ends[1]:]
+        ut, self.observer_output = self.states.rebuild(*lifted)
+        return lifted, ut
 
     def y_o(self):
         """The observer output (C/s1) xo of the rebuilt states."""
-        return self.states.y_o()
+        return self.observer_output
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -1117,7 +1144,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             # they must be the shadow's mod q (equal lifts have equal residues)
             residues = [[[x % plan.q for x in v] for v in vs] for vs in (s.lifted, s.shadow)]
             trace.oracle_mismatches += residues[0] != residues[1]
-        u_true = tuple(float(x) for x in ideal.step())
+        u_true = ideal.step()
         u_a = tuple(_ratio_float(n * x, d) for x in s.U)
         plant_sim.step(s.U)
         trace.records.append(StepRecord(

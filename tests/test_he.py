@@ -163,6 +163,32 @@ def test_keygen_deterministic_under_seed():
     assert c[1].payload != a[1].payload
 
 
+def _reference_keygen(params, seed):
+    """The full key as `random`'s own draws make it: s by `randint`, then
+    every entry of A by `randrange`, then the noises, each row packed by
+    `_Slots.pack`."""
+    rng, Q, slots = random.Random(seed), params.ct_modulus, params._slots
+    s = tuple(rng.randint(-1, 1) for _ in range(he.DIMENSION))
+    A = [[rng.randrange(Q) for _ in range(he.DIMENSION)] for _ in range(he.SAMPLES)]
+    rows = tuple(slots.pack([(sum(a_j * s_j for a_j, s_j in zip(a, s))
+                              + rng.randint(-he.NOISE, he.NOISE)) % Q, *a]) for a in A)
+    tables = tuple(he._subset_sums(rows[k:k + he.WINDOW])
+                   for k in range(0, he.SAMPLES, he.WINDOW))
+    return rows, tables, slots.sign_masks(s), s
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+@pytest.mark.parametrize("q,pad", [(2**65, 48), (2**13, 30), (2**65, 3190), (12289, 40)])
+def test_keygen_is_randoms_own_draws(q, pad, seed):
+    """`keygen` draws its keys as `randint` and `randrange` would, in the
+    same order: the same keys at a pad of every size, and where Q is no
+    power of two (q = 12289)."""
+    params = make_scheme("lattice", q=q, pad=pad)
+    pk, sk = he.keygen(params, seed=seed)
+    want = _reference_keygen(params, seed)
+    assert sk.payload == want and pk.payload == want[:2]
+
+
 def test_lattice_ciphertexts_randomized():
     params = make_scheme("lattice")
     pk, _ = he.keygen(params, seed=9)

@@ -430,7 +430,8 @@ class TestMainIncrements:
         `he.add`, and on lattice at most one slot reduction per state and
         emitted entry (13 on the batch reactor: the state beta, and the
         three increments).  The integer shadow's step records 4 matvecs, and
-        the reconstruction's `rebuild` of its increments 8."""
+        the reconstruction's `rebuild` of its increments 9, the observer
+        output (C/s1) xo included."""
         counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
 
         def counting(name, op):
@@ -480,7 +481,7 @@ class TestMainIncrements:
         assert len(matvecs) == 4
         matvecs.clear()
         rebuilt.rebuild(*increments)
-        assert len(matvecs) == 8
+        assert len(matvecs) == 9
 
     def test_the_emission_rule_keeps_no_growing_state(self, batch, sound_plan):
         """Over 600 steps of the integer shadow on random inputs, innovations
@@ -647,7 +648,7 @@ class TestCompiledKernels:
         `MainRecurrence` on `IntRing`; and the states that the compiled
         `rebuild` of `MainIntegerRecurrence` rebuilds from its increments
         against the paper's recurrence (`PaperRecurrence`) at every step,
-        with `y_o` = (C/s1) xo."""
+        with the observer output (C/s1) xo that `rebuild` returns with u."""
         d, rng = plan.dims, random.Random(20)
         C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
@@ -662,9 +663,8 @@ class TestCompiledKernels:
                 paper.step(*inputs)
             assert [getattr(shadow, k) for k in shadow.state] == [
                 getattr(reference, k) for k in reference.state]
-            assert rebuilt.rebuild(*emitted) == paper.u
+            assert rebuilt.rebuild(*emitted) == (paper.u, IntRing.matvec(C, paper.xo))
             assert (rebuilt.xo, rebuilt.xe, rebuilt.u) == (paper.xo, paper.xe, paper.u)
-            assert rebuilt.y_o() == IntRing.matvec(C, paper.xo)
 
     def test_main_route_bundled_plan(self, batch, sound_plan):
         self._check_main(sound_plan, _scaled_integer_state(batch.ctrl.x0.data, sound_plan.l0))
@@ -686,6 +686,107 @@ class TestCompiledKernels:
             inputs = self._random_inputs(rng, (tanks.plant.v, tanks.ctrl.n_r))
             assert shadow.step(*inputs) == reference.step(*inputs)
             assert shadow.x == reference.x
+
+    @staticmethod
+    def _integer_methods(batch, sound_plan, tanks, tanks_plan, tanks_main_plan) -> list:
+        """(make the party, method, state lengths, argument lengths, whether
+        it returns a tuple) of each compiled integer method of both
+        fixtures."""
+        cases = []
+        for plan in (sound_plan, tanks_main_plan):
+            d = plan.dims
+            cases += [(lambda plan=plan: MainIntegerShadow(plan), "step", (d["n_x"],),
+                       (d["v"], d["n_r"]), True),
+                      (lambda plan=plan: MainIntegerRecurrence(plan), "rebuild",
+                       (d["n"], d["n_x"], d["n_x"], d["w"], d["w"]),
+                       (d["n"], d["n_x"], d["w"]), True)]
+        for sc, plan, scale in ((batch, sound_plan, sound_plan.s2),
+                                (tanks, tanks_plan, tanks_plan.s1 * tanks_plan.s2)):
+            def make(sc=sc, plan=plan, scale=scale):
+                return PlantSim(sc.plant, sc.x_p0, plan.l0, plan.omega, scale)
+            n, w = sc.plant.n, sc.plant.w
+            cases += [(make, "products", (), (n, w), True), (make, "measure", (), (n,), False)]
+        cases.append((lambda: PrelimIntegerShadow(tanks_plan), "step", (tanks.ctrl.n_x,),
+                      (tanks.plant.v, tanks.ctrl.n_r), False))
+        return cases
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_the_generated_integer_method_is_its_kernel(self, batch, sound_plan, tanks,
+                                                        tanks_plan, tanks_main_plan, data):
+        """Each compiled integer method, compiled at a first call: at a later
+        call on any vectors of the recorded lengths, it returns, and leaves
+        as the party's new state, what its `kernel` computes from the same
+        vectors, split at the state's length.  A state vector or argument
+        one entry longer or shorter raises `ValueError` with
+        `_check_lengths`' message and leaves the state as it was."""
+        make, name, state_lengths, arg_lengths, many = data.draw(st.sampled_from(
+            self._integer_methods(batch, sound_plan, tanks, tanks_plan, tanks_main_plan)))
+        party = make()
+
+        def vector(k):
+            return data.draw(st.lists(st.integers(-2**100, 2**100), min_size=k, max_size=k))
+
+        def set_state(vectors):
+            for k, v in zip(party.state, vectors):
+                setattr(party, k, v)
+
+        set_state([[0] * k for k in state_lengths])
+        getattr(party, name)(*([0] * k for k in arg_lengths))
+        compiled = next(f for m, f in party.kernels.items() if m.__name__ == name).kernel
+        state, args = [vector(k) for k in state_lengths], [vector(k) for k in arg_lengths]
+        set_state(state)
+        want, n = compiled(*state, *args), len(party.state)
+        got = getattr(party, name)(*args)
+        assert [getattr(party, k) for k in party.state] == want[:n]
+        assert got == (tuple(want[n:]) if many else want[n])
+
+        inputs = [*state, *args]
+        k = data.draw(st.integers(0, len(inputs) - 1))
+        inputs[k] = inputs[k][:-1] if inputs[k] and data.draw(st.booleans()) else inputs[k] + [0]
+        set_state(inputs[:n])
+        with pytest.raises(ValueError) as recorded:
+            loop._check_lengths(list(map(len, inputs)), [*state_lengths, *arg_lengths],
+                                ValueError)
+        with pytest.raises(ValueError) as refused:
+            getattr(party, name)(*inputs[n:])
+        assert str(refused.value) == str(recorded.value)
+        assert all(getattr(party, k) is v for k, v in zip(party.state, inputs))
+
+    @pytest.mark.parametrize("backend", ["mock", "lattice"])
+    @pytest.mark.parametrize("scheme", ["main", "prelim"])
+    def test_compiled_methods_dispatch_through_the_class(self, request, monkeypatch,
+                                                         scheme, backend):
+        """A party calls each compiled method through its class attribute at
+        every step, as `bench/layers.Tracer` needs: wrappers that replace
+        them on the classes after a run's first step, whose calls compiled
+        every kernel, count every call of the steps after it."""
+        sc, plan, run = route(request, scheme)
+        methods = [(PlantSim, "products"), (PlantSim, "measure")] + (
+            [(MainEncController, "step"), (MainIntegerShadow, "step"),
+             (MainIntegerRecurrence, "rebuild")] if scheme == "main" else
+            [(PrelimEncController, "step"), (PrelimIntegerShadow, "step")])
+        counts, plant_step, horizon = {}, PlantSim.step, 6
+
+        def counting(key, method):
+            def wrapped(*args):
+                counts[key] += 1
+                return method(*args)
+            return wrapped
+
+        def step_then_wrap(plant, U):
+            plant_step(plant, U)
+            if not counts:
+                for cls, name in methods:
+                    counts[cls, name] = 0
+                    monkeypatch.setattr(cls, name, counting((cls, name), getattr(cls, name)))
+
+        monkeypatch.setattr(PlantSim, "step", step_then_wrap)
+        params = (he.SchemeParams.mock(plan.q) if backend == "mock"
+                  else lattice_params(plan, horizon))
+        run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
+                            x_p0=sc.x_p0, horizon=horizon, params=params, seed=1))
+        assert counts == {key: horizon - 1 for key in methods}
 
 
 class TestCompiledControllerStep:
@@ -844,11 +945,10 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 8 kernels in total on the main route (the
+        different seeds compile 7 kernels in total on the main route (the
         controller's payload `start` and `step`, the integer `start` and
-        `step` that the shadow, the actuator and the noise table share, the
-        actuator's `rebuild` and `y_o`, the plant's `products` and
-        `measure`) and 4 on the prelim route (payload and integer `step`,
+        `step` that the shadow and the noise table share, the actuator's
+        `rebuild`, the plant's `products` and `measure`) and 4 on the prelim route (payload and integer `step`,
         the plant's two), and write one CSV.  A run at another pad
         compiles its own payload kernels only, and so does a plan with twice
         the q: its integer rows are the same, and so are its centered rows,
@@ -858,9 +958,9 @@ class TestCompiledControllerStep:
         _kernels.clear()
         compiled, function = [], kernel.Source.function
 
-        def counting(source, result):
+        def counting(source, *args):
             compiled.append(source)
-            return function(source, result)
+            return function(source, *args)
 
         def csv(plan, params, seed):
             tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
@@ -873,7 +973,7 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "function", counting)
-        kernels, payload = (8, 2) if scheme == "main" else (4, 1)
+        kernels, payload = (7, 2) if scheme == "main" else (4, 1)
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -1135,7 +1235,7 @@ class TestNoiseTable:
         of those: the integer shadow runs the table's, and the run compiles
         the controller's payload kernels (`start` and `step`, or `step`),
         the plant's `products` and `measure`, and on the main route the
-        actuator's `rebuild` and `y_o`."""
+        actuator's `rebuild`."""
         sc, plan, run = route(request, scheme)
         sources, compile_ = [], compile
 
@@ -1153,7 +1253,7 @@ class TestNoiseTable:
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
-        assert (len(payload), len(sources)) == ((2, 6) if scheme == "main" else (1, 3))
+        assert (len(payload), len(sources)) == ((2, 5) if scheme == "main" else (1, 3))
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
