@@ -9,9 +9,10 @@ with its zero coefficients and its known-zero operands dropped.  It is a
 ring in the sense of `loop` (`matvec` and `add` over vectors of names), so
 a recurrence method run once on it records its whole step.
 `Source.function` compiles the record with `exec` into one function of the
-input vectors and, in the same `compile`, a second function that a caller
-writes around the recorded statements (`body`): `loop` makes its party
-methods so, each one function from its inputs to its new state.
+input vectors, and `Source.define` compiles a function that a caller writes
+around the recorded statements (`body`) instead: `loop` makes its party
+methods so, each one function from its inputs to its new state, and asks
+for the bare function only where it runs one.
 
 Only integer literals, generated names and calls of the one reducer
 `reduce` enter the recorded statements.  A form with more than
@@ -129,23 +130,22 @@ class Source:
         return [f"{', '.join(names)}, = {arg}"
                 for arg, names in zip(args, self.params) if names] + self.lines
 
-    def function(self, result, method=(), names=None):
+    def function(self, result):
         """The recorded source as one function of the input vectors (in the
         order `vector` made them) that returns `result`: an entry, or lists
-        and tuples of them, nested as given.  `method`, the lines of a
-        second function named `method` (built from `body` and `expr`), is
-        compiled in the same source, with `names` among its globals, and
-        then returned instead, with the first as its `kernel`."""
+        and tuples of them, nested as given."""
         args = [f"p{k}" for k in range(len(self.params))]
-        body = [*self.body(args), f"return {expr(result)}"]
-        src = "".join([f"def kernel({', '.join(args)}):\n",
-                       *(f"    {line}\n" for line in body), *(f"{line}\n" for line in method)])
+        return self.define([f"def kernel({', '.join(args)}):",
+                            *(f"    {line}" for line in self.body(args)),
+                            f"    return {expr(result)}"], "kernel")
+
+    def define(self, lines, name: str, names=None):
+        """The function `name` that `lines` define (a caller builds them
+        around `body` and `expr`), compiled with `reduce` and `names` among
+        its globals."""
         namespace = {"reduce": self.reduce, **(names or {})}
-        exec(compile(src, "<kernel>", "exec"), namespace)
-        if not method:
-            return namespace["kernel"]
-        namespace["method"].kernel = namespace["kernel"]
-        return namespace["method"]
+        exec(compile("".join(f"{line}\n" for line in lines), "<kernel>", "exec"), namespace)
+        return namespace[name]
 
 
 def check_matvec(M, v):

@@ -20,6 +20,13 @@ each step.  Doubles appear only in the unencrypted reference loop (the
 restoration target) and in reporting, where a ratio of integers converts
 with one correctly rounded division.
 
+The zoomed states grow by log2(1/omega) bits a step, so on the main route
+only the actuator's reconstruction carries that growth: the plant keeps its
+bounded gap from the reconstructed observer (observer error coordinates,
+`PlantSim`), and the reconstruction's G and J act on the observer output,
+not on the observer state, where the plan's rows factor so
+(`MainIntegerRecurrence`).
+
 Each converted controller is written once, over a ring's two operations
 `matvec` and `add`: the main one as its emission rule `MainRecurrence` (its
 bootstrap's linear part `start`, and the step) and as its observer and
@@ -28,24 +35,26 @@ from the increments runs (`rebuild`); the prelim one as `PrelimRecurrence`.
 Every run, integer or encrypted, repeats one fixed linear map per step, on
 small matrices, so no run interprets a recurrence op by op.  Each linear
 method of a party (`start`, `step`, the reconstruction's `rebuild`, the
-plant's `products` and `measure`, which its `step` and `output` apply) is
-run once on the recording ring `kernel.Source`, which makes every matvec
+plant's `products` and `measure`, which its `step` and `output` apply on
+the prelim route, and its `observe`, which `gap` applies on the main route)
+is run once on the recording ring `kernel.Source`, which makes every matvec
 row and every sum one straight-line statement with its zero coefficients
-dropped.  The record is compiled, in one `compile`, into the party's method:
-one generated function that reads the state by attribute, checks its
-inputs, computes, assigns the new state and returns; and next to it the
-bare `kernel`, which the noise table runs.  It works on integers
-(`_compile`, for the integer shadows, the reconstruction, whose ring
-`IntRing` only embeds, the plant and the noise table), or over packed
-ciphertext payloads (`_compile_cipher`), where `he` supplies the reducer
-and the slot limit, so an entry is reduced only where the limit needs it
-and every state and emitted entry once, and the method also checks each
-ciphertext's scheme, finds the controller's noise-table event and makes
-each new `he.Ciphertext`.  A kernel depends only on the plaintext rows it
-is recorded from and, over payloads, on the scheme parameters, so the
-process keeps the kernels it used last by those (`_kept`), and a party
-looks each of its kernels up once and keeps it: only keys, ciphertexts and
-encryption randomness are made per run, and every call checks its inputs.
+dropped.  The record is compiled into the party's method: one generated
+function that reads the state by attribute, checks its inputs, computes,
+assigns the new state and returns.  It works on integers (`_compile`, for
+the integer shadows, the reconstruction, whose ring `IntRing` only embeds,
+and the plant), or over packed ciphertext payloads (`_compile_cipher`),
+where `he` supplies the reducer and the slot limit, so an entry is reduced
+only where the limit needs it and every state and emitted entry once, and
+the method also checks each ciphertext's scheme, finds the controller's
+noise-table event and makes each new `he.Ciphertext`.  Only the noise
+table runs a record bare, as a function from the state and inputs to the
+new state and the emission (`_kernel`).  A kernel depends only on the
+plaintext rows it is recorded from and, over payloads, on the scheme
+parameters, so the process keeps the kernels it used last by those
+(`_kept`), and a party looks each of its kernels up once and keeps it: only
+keys, ciphertexts and encryption randomness are made per run, and every
+call checks its inputs.
 
 Noise.  Every `he` op is linear mod Q, so the noise of an emitted
 ciphertext is an integer form over the noises of the fresh encryptions the
@@ -57,9 +66,9 @@ The pad is sized from it (`lattice_params`), and the encrypted controllers'
 emitted ciphertexts carry its bounds; their states carry none, since
 nothing decrypts them.  On the main route nothing else is decrypted: the
 controller emits only the bounded increments, and the sensor reads the
-observer output from the actuator's exact reconstruction.  The actuator
-lifts the three increments in one call and rebuilds from them in one
-kernel, which also returns that output.
+innovation from the plant, whose gap from the actuator's exact
+reconstruction it is.  The actuator lifts the three increments in one call
+and rebuilds from them in one kernel.
 
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
@@ -87,7 +96,9 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import math
+import operator
 import random
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -98,7 +109,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import he, kernel
-from .exactmat import RationalMatrix, as_fraction, as_ratio
+from .exactmat import RationalMatrix, SingularMatrixError, as_fraction, as_ratio
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
 
@@ -375,11 +386,13 @@ def _rows(recurrence) -> tuple:
 
 # The kernels used last in this process, least recent first: (builder,
 # method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
-# A main plan has 7 kernels (payload and integer `start` and `step`, the
-# reconstruction's `rebuild`, and the plant's `products` and `measure`)
-# and 2 more per further pad, a prelim plan 4 and 1 more per pad;
-# the noise table runs the integer kernels, and plans that differ only in q
-# share them where their centered rows agree.  32 keep several plans'.
+# A main plan has 6 kernels (payload and integer `start` and `step`, the
+# reconstruction's `rebuild`, and the plant's `observe`), 2 more on lattice
+# (the noise table's bare integer `start` and `step`) and 2 more per further
+# pad; a prelim plan has 4 (payload and integer `step`, and the plant's
+# `products` and `measure`), 1 more on lattice and 1 more per pad.  Plans
+# that differ only in q share the integer kernels, and the noise table
+# where their centered rows agree.  32 keep several plans'.
 KERNELS_KEPT = 32
 _kernels: dict = {}
 
@@ -434,23 +447,43 @@ def _compile(recurrence, method, reads, args):
     the state vectors `reads`, updates the state as `method` would and
     returns what it returns.  Lengths the plan's matrices do not take raise
     `ValueError` while recording, and so do other lengths than the recorded
-    ones at every call, before the state changes.  Its `kernel` runs the
-    record unchecked: of the vectors `reads` and the arguments, it returns
-    the new state vectors and then the vectors `method` returns, as one list."""
+    ones at every call, before the state changes."""
     return _kept(_int_kernel, recurrence, method, reads, args)
 
 
-def _int_kernel(recurrence, method, reads, args):
-    """`_compile`'s kernel."""
+def _kernel(recurrence, method, reads, args):
+    """The bare kernel of `method` of a recurrence on `IntRing` (`_kept`),
+    which `NoiseTable` runs: of the state vectors `reads` and `method`'s
+    arguments, unchecked, it returns the new state vectors and then the
+    vectors `method` returns, as one list."""
+    return _kept(_bare_kernel, recurrence, method, reads, args)
+
+
+def _int_record(recurrence, method, reads, args) -> tuple:
+    """`method` recorded on a new `kernel.Source` (`_record`) at the lengths
+    of the state vectors `reads` and of `args`: the source, its input
+    vectors, the recorded outputs, and whether `method` returns a tuple."""
     source = kernel.Source()
     inputs = [source.vector(len(v))
               for v in (*(getattr(recurrence, k) for k in reads), *args)]
-    outputs, many = _record(recurrence, method, source, dict(_rows(recurrence)),
-                            reads, inputs)
+    return (source, inputs,
+            *_record(recurrence, method, source, dict(_rows(recurrence)), reads, inputs))
+
+
+def _int_kernel(recurrence, method, reads, args):
+    """`_compile`'s method."""
+    source, inputs, outputs, many = _int_record(recurrence, method, reads, args)
     p = [f"p{k}" for k in range(len(inputs))]
-    return source.function(outputs, _method(
+    return source.define(_method(
         p, reads, [len(v) for v in inputs], "len({})", "ValueError", [], source.body(p),
-        recurrence.state, list(map(kernel.expr, outputs)), many), {"check": _check_lengths})
+        recurrence.state, list(map(kernel.expr, outputs)), many), "method",
+        {"check": _check_lengths})
+
+
+def _bare_kernel(recurrence, method, reads, args):
+    """`_kernel`'s kernel."""
+    source, _, outputs, _ = _int_record(recurrence, method, reads, args)
+    return source.function(outputs)
 
 
 def _compile_cipher(controller, method, reads, args):
@@ -510,9 +543,9 @@ def _cipher_kernel(controller, method, reads, args):
             *(f"s{k} = {ct}" for k, ct in enumerate(cts[:n])),
             f"self.made = [{''.join(f's{k}, ' for k in range(n))}]",
             "self.events = None if event is None else event + 1"]
-    return source.function(outputs, _method(
+    return source.define(_method(
         p, reads, lengths, "{}.dim", "DimensionMismatchError", checks, body, controller.state,
-        [f"s{k}" for k in range(n)] + cts[n:], many), {
+        [f"s{k}" for k in range(n)] + cts[n:], many), "method", {
         "check": _check_lengths, "Ciphertext": he.Ciphertext, "table": table,
         "DimensionMismatchError": he.DimensionMismatchError, "FRESH": he.FRESH_NOISE_BOUND})
 
@@ -620,33 +653,68 @@ class MainRecurrence:
                 (d["n"], d["n_x"], d["w"]))
 
 
+def _factor(M: RationalMatrix, C: RationalMatrix):
+    """The integer matrix X with X C = M, or None unless the rows of C are
+    independent and X exists and is integral.  It is then unique:
+    X = M C^T (C C^T)^-1."""
+    Ct = RationalMatrix(C.cols, C.rows, [C[i, j] for j in range(C.cols) for i in range(C.rows)])
+    try:
+        X = M @ Ct @ (C @ Ct).inverse()
+    except SingularMatrixError:  # the rows of C are dependent
+        return None
+    return X if X.denominator_lcm() == 1 and X @ C == M else None
+
+
+@functools.lru_cache(maxsize=KERNELS_KEPT)
+def _through_output(*certs) -> tuple:
+    """The integer rows C, G and J of `MainIntegerRecurrence.rebuild`, from
+    the certificates of C/s1, GC/omega and JC/s2 (kept by them): C/s1 and
+    the G', J' with G' (C/s1) = GC/omega and J' (C/s1) = JC/s2 (G s1/omega
+    and J s1/s2) where both are integral, so that G and J read the observer
+    output y_o = C xo; else the identity and GC/omega and JC/s2, so that
+    y_o = xo."""
+    C, GC, JC = (cert.as_matrix() for cert in certs)
+    G, J = _factor(GC, C), _factor(JC, C)
+    if G is None or J is None:
+        C, G, J = RationalMatrix.identity(C.cols), GC, JC
+    return tuple(IntRing.plain([[int(x) for x in M.row(i)] for i in range(M.rows)])
+                 for M in (C, G, J))
+
+
 class MainIntegerRecurrence:
     """The observer and controller dynamics of `MainRecurrence`, rebuilt from
     its increments on `IntRing` from zero states (as before step 0), with
-    `rebuild` compiled: the actuator's, a main run's only one, which also
-    returns the observer output the sensor reads."""
+    `rebuild` compiled: the actuator's, a main run's only one.  G and J act
+    on the observer output y_o = C xo (`_through_output`; y_o = xo where
+    the plan's rows do not factor), which the recurrence keeps: G reads last
+    step's, J this step's.  On the batch reactor a `rebuild` makes 52
+    products by a constant, against 62 with GC/omega and JC/s2 on xo.  The
+    plant reads its state from xo and u (`PlantSim`)."""
 
-    state = ("xo", "xe", "bx", "bu", "u")
+    state = ("xo", "xe", "bx", "bu", "u", "yo")
 
     def __init__(self, plan: MainPlan):
         self.ring, self.kernels = IntRing(), {}
-        d, inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
-        self.m = m = _load(self.ring, plan.certificates, MAIN_CERTIFICATES, "ABCFGHJ")
+        d, certs = plan.dims, plan.certificates
+        inv_omega = certs["1/omega"].scaled_entries[0]
+        self.m = m = _load(self.ring, certs, MAIN_CERTIFICATES, "ABFH")
+        m.C, m.G, m.J = _through_output(*(certs[k] for k in ("C/s1", "GC/omega", "JC/s2")))
         m.Om_x, m.Om_u = (self.ring.plain(_diagonal(inv_omega, d[k])) for k in ("n_x", "w"))
         self.xo, self.xe, self.bx, self.bu, self.u = (
             [0] * d[k] for k in ("n", "n_x", "n_x", "w", "w"))
+        self.yo = [0] * len(m.C)
 
     def rebuild(self, alpha, beta, gamma):
         """The states of the next step from its increments and the carried
-        brackets; returns u and the observer output (C/s1) xo."""
+        brackets; returns u."""
         mv, add, m = self.ring.matvec, self.ring.add, self.m
         self.bx = add(beta, mv(m.Om_x, self.bx))
         self.bu = add(gamma, mv(m.Om_u, self.bu))
-        xo = add(alpha, mv(m.A, self.xo), mv(m.B, self.u))
-        self.xe = add(self.bx, mv(m.F, self.xe), mv(m.G, self.xo))
-        self.xo = xo
-        self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.xo))
-        return self.u, mv(m.C, self.xo)
+        self.xo = add(alpha, mv(m.A, self.xo), mv(m.B, self.u))
+        self.xe = add(self.bx, mv(m.F, self.xe), mv(m.G, self.yo))
+        self.yo = mv(m.C, self.xo)
+        self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.yo))
+        return self.u
 
     rebuild = _compiled(rebuild, _compile)
 
@@ -716,19 +784,29 @@ class PlantSim:
     input is u_a = scale l(t) U for an integer vector U, so the zoomed state
     obeys x/l <- (A/omega) x/l + (scale B/omega) U.  Those two matrices are
     held as integer rows over common denominators a and b; a step sets
-    D <- lcm(a D, b) and scales both products onto it.  On the main route
-    (scale = s2) the planner certifies A/omega and s2 B/omega integral, so
-    a = b = 1, D never changes and a step needs no gcd.  On the prelim route
-    (scale = s1 s2) D grows by a factor a per step.
+    D <- lcm(a D, b) and scales both products onto it, so D grows by a
+    factor a per step on the prelim route (scale = s1 s2).  The integer rows
+    are the plant's kernels, compiled as the integer shadows' are
+    (`_compile`): (X, U) -> (A X, B U) for `step`, and X -> C X for `output`.
 
-    The integer rows are the plant's kernels, compiled as the integer
-    shadows' are (`_compile`): (X, U) -> (A X, B U) for `step`, which then
-    only scales the two products onto the new D, and X -> C X for `output`.
+    On the main route (scale = s2) X grows by log2(1/omega) bits a step, as
+    the actuator's reconstruction (`observer`, a `MainIntegerRecurrence`)
+    does, so the plant keeps only its bounded gap from it, in the observer
+    error coordinates X - D xo.  There the plan certifies A/omega and
+    s2 B/omega integral (a = b = 1, and D never changes) and they are the
+    reconstruction's A and B (`run_closed_loop_main` checks it).  Both are
+    driven by the same U, xo by xo <- A xo + B U + alpha, so the gap
+    e = X - D xo follows e <- A e - D alpha exactly, for whatever alpha the
+    actuator lifted.  The plant keeps E = A e, the gap before the next lift:
+    X = E + D (A xo + B U) for the xo and U of the last step.  `gap` takes
+    this step's alpha and returns the sensor's C e (the kernel `observe`),
+    and `step` moves E on.  X is formed only where the state is read (`x`,
+    `state_floats`, exact after a `step`).
     """
 
-    state = ()  # the kernels keep no state: X and D are the step's own
+    state = ()  # the kernels keep no state: X, E and D are the step's own
 
-    def __init__(self, plant: PlantModel, x_p0, l0, omega, scale):
+    def __init__(self, plant: PlantModel, x_p0, l0, omega, scale, observer=None):
         self.l0, self.omega = as_fraction(l0), as_fraction(omega)
         A, self.a = _int_rows(plant.A.scale(1 / self.omega))
         B, self.b = _int_rows(plant.B.scale(as_fraction(scale) / self.omega))
@@ -736,7 +814,10 @@ class PlantSim:
         self.m, self.kernels = SimpleNamespace(A=IntRing.plain(A), B=IntRing.plain(B),
                                                C=IntRing.plain(C)), {}
         self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
-        self.t = 0
+        self.t, self.observer = 0, observer
+        if observer is not None:
+            self.m.neg_D = IntRing.plain(_diagonal(-self.D, len(self.X)))
+            self.E, self.X = self.X, None
 
     def products(self, X, U):
         """A X and B U, over the integer rows."""
@@ -746,21 +827,45 @@ class PlantSim:
         """C X, over the integer rows."""
         return self.ring.matvec(self.m.C, X)
 
-    products, measure = _compiled(products, _compile), _compiled(measure, _compile)
+    def observe(self, E, alpha):
+        """C e and A e for the gap e = E - D alpha, over the integer rows."""
+        e = self.ring.add(E, self.ring.matvec(self.m.neg_D, alpha))
+        return self.ring.matvec(self.m.C, e), self.ring.matvec(self.m.A, e)
+
+    products, measure, observe = (_compiled(f, _compile) for f in (products, measure, observe))
 
     def output(self):
         """y/l(t) as (integer numerators, their common denominator)."""
         return self.measure(self.X), self.c * self.D
 
+    def gap(self, alpha):
+        """Main route: y/l(t) - C xo, the measurement less the output of the
+        reconstruction rebuilt on this step's lifted `alpha`, as (integer
+        numerators C e, their common denominator)."""
+        Ce, self.AE = self.observe(self.E, alpha)
+        return Ce, self.c * self.D
+
     def step(self, U):
-        """Advance on the delivered input u_a = scale l(t) U, U integers."""
-        AX, BU = self.products(self.X, U)
-        aD = self.a * self.D
-        D = math.lcm(aD, self.b)
-        fa, fb = D // aD, D // self.b
-        self.X = [fa * x + fb * u for x, u in zip(AX, BU)]
-        self.D = D
+        """Advance on the delivered input u_a = scale l(t) U, U integers: on
+        the main route, the reconstruction's u, which the state reads."""
+        if self.observer is not None:
+            self.E = self.AE
+        else:
+            AX, BU = self.products(self.X, U)
+            aD = self.a * self.D
+            D = math.lcm(aD, self.b)
+            fa, fb = D // aD, D // self.b
+            self.X = [fa * x + fb * u for x, u in zip(AX, BU)]
+            self.D = D
         self.t += 1
+
+    def _zoomed(self) -> list:
+        """X, on the main route from the gap and the reconstruction."""
+        if self.observer is None:
+            return self.X
+        xo, u, D = self.observer.xo, self.observer.u, self.D
+        return [e + D * (sum(map(operator.mul, a, xo)) + sum(map(operator.mul, b, u)))
+                for e, a, b in zip(self.E, self.m.A, self.m.B)]
 
     def _state_ratio(self):
         """The exact state as (numerator factor, common denominator)."""
@@ -771,11 +876,11 @@ class PlantSim:
     def x(self) -> list:
         """The exact state l(t) X/D."""
         n, d = self._state_ratio()
-        return [Fraction(n * x, d) for x in self.X]
+        return [Fraction(n * x, d) for x in self._zoomed()]
 
     def state_floats(self) -> np.ndarray:
         n, d = self._state_ratio()
-        return np.array([_ratio_float(n * x, d) for x in self.X], dtype=float)
+        return np.array([_ratio_float(n * x, d) for x in self._zoomed()], dtype=float)
 
 
 # -- main scheme parties ------------------------------------------------------
@@ -804,29 +909,27 @@ class MainIntegerShadow(MainRecurrence):
 class MainSensor:
     """Quantizes the innovation, the measured output less s1 times the
     observer output y_o = (C/s1) xo, and returns it encrypted.  The paper's
-    controller sends the sensor y_o encrypted; here the sensor reads it from
-    the actuator, which rebuilds xo exactly from the increments
-    (`MainActuator.y_o`): a plaintext link inside the plant side, where both
-    parties hold the secret key.  The controller is unchanged; it only sends
-    the sensor nothing, so that no ciphertext whose noise grows with t is
-    ever decrypted."""
+    controller sends the sensor y_o encrypted; here the sensor reads the
+    innovation from the plant, which keeps its gap from the xo that the
+    actuator rebuilds exactly from the increments (`PlantSim.gap`): a
+    plaintext link inside the plant side, where both parties hold the
+    secret key.  The controller is unchanged; it only sends the sensor
+    nothing, so that no ciphertext whose noise grows with t is ever
+    decrypted."""
 
     def __init__(self, ring: CipherRing, plan: MainPlan):
         self.ring = ring
         self.s1 = plan.s1
         self.spec = QuantizerSpec(plan.range_level)
 
-    def step(self, y_o, y_bar):
-        """`y_o` is the exact observer output, and `y_bar` the measurement
-        y/l(t) as (integer numerators Y, their denominator E), as
-        `PlantSim.output` gives it."""
-        Y, E = y_bar
+    def step(self, innovation):
+        """`innovation`, y/l(t) - s1 y_o, is (integer numerators G, their
+        denominator E), as `PlantSim.gap` gives it."""
+        G, E = innovation
         s1n, s1d = self.s1.numerator, self.s1.denominator
-        # y_bar/s1 = P/d; y_bar/s1 - y_o = gap_num/d, and the innovation
-        # y_bar - s1 y_o = gap_num/(E s1d)
+        # y/l(t)/s1 - y_o = gap_num/d, and the innovation is gap_num/(E s1d)
         d = E * s1n
-        P = [y * s1d for y in Y]
-        gap_num = [p - d * v for p, v in zip(P, y_o)]
+        gap_num = [g * s1d for g in G]
         q_inno, sat = quantize_vector(gap_num, self.spec, E * s1d)
         gap = max(map(abs, gap_num), default=0)
         try:
@@ -862,13 +965,12 @@ class MainActuator:
     """Decrypts the increments, lifts them around zero in one call, and
     rebuilds the controller's states from them in one kernel
     (`MainIntegerRecurrence`; exact, and the delivered input is u_a =
-    s2 l(t) u_tilde), which also gives the observer output (`y_o`)."""
+    s2 l(t) u_tilde), which the plant reads its state from."""
 
     def __init__(self, sk, plan: MainPlan):
         self.sk, self.q = sk, plan.q
         self.states = MainIntegerRecurrence(plan)
         self.dec_ops = 0
-        self.observer_output = [0] * plan.dims["v"]  # of the zero states before step 0
 
     @property
     def ut(self):
@@ -885,12 +987,7 @@ class MainActuator:
             ends.append(len(residues))
         flat = centered_mod_recover(residues, 0, self.q)
         lifted = flat[:ends[0]], flat[ends[0]:ends[1]], flat[ends[1]:]
-        ut, self.observer_output = self.states.rebuild(*lifted)
-        return lifted, ut
-
-    def y_o(self):
-        """The observer output (C/s1) xo of the rebuilt states."""
-        return self.observer_output
+        return lifted, self.states.rebuild(*lifted)
 
 
 # -- prelim scheme parties -----------------------------------------------------
@@ -1029,21 +1126,21 @@ def noise_table(controller) -> NoiseTable:
 
 
 def _noise_table(controller, *_) -> NoiseTable:
-    """`noise_table`'s table, from the recurrence's integer kernels over the
-    centered rows (`_compile`)."""
+    """`noise_table`'s table, from the recurrence's bare integer kernels over
+    the centered rows (`_kernel`)."""
     boot, inputs, emitted = controller.lengths()
     zeros = [[0] * k for k in inputs]
     probe = copy.copy(controller)  # takes a zero state of the right lengths
     if isinstance(controller, MainRecurrence):
-        start = _compile(probe, MainRecurrence.start, (), [[0] * k for k in boot])
-        start(probe, *([0] * k for k in boot))
-        step = _compile(probe, MainRecurrence.step, probe.state, zeros).kernel
+        start = _kernel(probe, MainRecurrence.start, (), [[0] * k for k in boot])
+        probe.beta = start(*([0] * k for k in boot))[0]
+        step = _kernel(probe, MainRecurrence.step, probe.state, zeros)
         # the bootstrap encrypts `start`'s arguments, and each step from
         # event 1 on its inputs
-        boot, first_input = [start.kernel(*unit) for unit in _units(boot)], 1
+        boot, first_input = [start(*unit) for unit in _units(boot)], 1
     else:
         probe.x = [0] * boot[0]
-        step = _compile(probe, PrelimRecurrence.step, probe.state, zeros).kernel
+        step = _kernel(probe, PrelimRecurrence.step, probe.state, zeros)
         # the bootstrap encrypts the state, and every step its inputs
         boot, first_input = [step(*unit, *zeros) for unit in _units(boot)], 0
     state = [[0] * len(getattr(probe, k)) for k in probe.state]
@@ -1115,29 +1212,27 @@ class _Step(NamedTuple):
 
 
 def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
-           actuator) -> ClosedLoopTrace:
-    """The closed loop of both routes.  The route supplies `step(t, zoom,
-    y/l(t))`, which runs its parties for step t on the measurement as
-    `PlantSim.output` gives it and returns a `_Step`; `ring` counts the
-    run's encryptions, and the `actuator`, the one party that decrypts, its
-    decryptions.  The driver advances the plant on the delivered input
-    u_a = scale l(t) U and the reference loop, keeps the l(t) schedule,
-    makes the oracle and recovery checks, and records the step.  A step
-    fails recovery from the first lift on that differed from the shadow's:
-    U is rebuilt from every lift so far (main), or each lift is centred on
-    the last (prelim).
+           actuator, plant: PlantSim) -> ClosedLoopTrace:
+    """The closed loop of both routes.  The route supplies `step(t, zoom)`,
+    which runs its parties for step t on what they read of the `plant` and
+    returns a `_Step`; `ring` counts the run's encryptions, and the
+    `actuator`, the one party that decrypts, its decryptions.  The driver
+    advances the plant on the delivered input u_a = scale l(t) U and the
+    reference loop, keeps the l(t) schedule, makes the oracle and recovery
+    checks, and records the step.  A step fails recovery from the first
+    lift on that differed from the shadow's: U is rebuilt from every lift
+    so far (main), or each lift is centred on the last (prelim).
 
     The schedule is `zoom`, scale l(t) as integers (n, d) kept unreduced: a
     step multiplies them by omega's numerator and denominator, with no gcd.
     A float of n U/d is correctly rounded whatever the pair, and Fractions
     are built only for the detail rows."""
-    plant_sim = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
     n, d = as_ratio(scale * plan.l0)  # the zoom at t = 0
     on, od = as_ratio(plan.omega)
     failed = False
     for t in range(cfg.horizon):
-        s = step(t, (n, d), plant_sim.output())
+        s = step(t, (n, d))
         if s.lifted != s.shadow:
             failed = True
             # the oracle: a lift keeps the residues the actuator decrypted, so
@@ -1146,7 +1241,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             trace.oracle_mismatches += residues[0] != residues[1]
         u_true = ideal.step()
         u_a = tuple(_ratio_float(n * x, d) for x in s.U)
-        plant_sim.step(s.U)
+        plant.step(s.U)
         trace.records.append(StepRecord(
             t=t,
             u_true=u_true,
@@ -1162,7 +1257,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             trace.detail.append({"t": t, "l": Fraction(n, d) / scale, **s.detail,
                                  "u_a_exact": [Fraction(n * x, d) for x in s.U]})
         n, d = n * on, d * od
-    trace.final_plant_state = tuple(plant_sim.state_floats())
+    trace.final_plant_state = tuple(plant.state_floats())
     trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
     return trace
 
@@ -1177,6 +1272,9 @@ def _step_msgs(controller) -> dict:
 
 
 def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
+    """Raises `ValueError` before step 0 unless the plant of `cfg` is the
+    plan's, as the plant's error coordinates (`PlantSim`) need: its A/omega,
+    s2 B/omega and C/s1 are the plan's integer rows."""
     pk, sk = he.keygen(cfg.params, seed=cfg.seed)
     ring = CipherRing(pk, plan.q, random.Random(cfg.seed))
     controller = MainEncController(ring, plan)
@@ -1184,10 +1282,16 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
     sensor = MainSensor(ring, plan)
     provider = RefProvider(ring, plan, cfg.reference)
     actuator = MainActuator(sk, plan)
+    plant = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, plan.s2, actuator.states)
+    rebuilt = actuator.states.m
+    if ((plant.a, plant.b, plant.m.A, plant.m.B) != (1, 1, rebuilt.A, rebuilt.B)
+            or not plan.certificates["C/s1"].verify(cfg.plant.C)):
+        raise ValueError("the run's plant is not the plan's: its A/omega, s2B/omega "
+                         "or C/s1 differs from the plan's integer rows")
     x_e0_scaled = _scaled_integer_state(cfg.ctrl.x0.data, plan.l0)
     sent = None  # last step's innovation and reference increment: (cts, ints)
 
-    def step(t, zoom, y_bar):
+    def step(t, zoom):
         nonlocal sent
         if t == 0:
             incs_ct = controller.bootstrap(x_e0_scaled)
@@ -1196,7 +1300,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             incs_ct = controller.step(*sent[0])
             emitted = shadow.step(*sent[1])
         lifted, ut_a = actuator.step(*incs_ct)
-        q_inno, inno_ct, sat_s, log2_gap = sensor.step(actuator.y_o(), y_bar)
+        q_inno, inno_ct, sat_s, log2_gap = sensor.step(plant.gap(lifted[0]))
         # r/l(t) - e, an integer, for s2 l(t) = n/d
         re = [int(r * plan.s2 * Fraction(zoom[1], zoom[0]) - Fraction(e, provider.den))
               for r, e in zip(cfg.reference.data, provider.e)] if cfg.collect_detail else None
@@ -1213,7 +1317,7 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
                     "re_scaled": re, "u_tilde": ut_a} if cfg.collect_detail else None)
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
-    return _drive(trace, plan, cfg, plan.s2, step, ring, actuator)
+    return _drive(trace, plan, cfg, plan.s2, step, ring, actuator, plant)
 
 
 def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
@@ -1230,10 +1334,12 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     scale = plan.s1 * plan.s2  # of the delivered input
     # the reference times the scale: r/l(t) = R d/(E n) for scale l(t) = n/d
     R, E = _over_common_den([r * scale for r in cfg.reference.data])
+    plant = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
 
-    def step(t, zoom, y_bar):
+    def step(t, zoom):
         nonlocal prev_ut
         n, d = zoom
+        y_bar = plant.output()
         q_y, _ = quantize_vector(y_bar[0], den=y_bar[1])
         q_r, _ = quantize_vector([x * d for x in R], None, E * n)
         u_ct = controller.step(ring.fresh(q_y), ring.fresh(q_r))
@@ -1249,4 +1355,4 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
             if cfg.collect_detail else None)
 
     trace = ClosedLoopTrace("prelim", _step_msgs(controller))
-    return _drive(trace, plan, cfg, scale, step, ring, actuator)
+    return _drive(trace, plan, cfg, scale, step, ring, actuator, plant)

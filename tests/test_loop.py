@@ -75,6 +75,28 @@ def route(request, scheme):
             request.getfixturevalue("tanks_plan"), run_closed_loop_prelim)
 
 
+@pytest.fixture(scope="module")
+def scalar_main():
+    """(scenario, main plan) of two scalar plants x <- x/5 + u, y = c x, under
+    the controller F = 1/2, G = -1/20, H = 1/10, J = -1/5 with the exact
+    deadbeat observer: c = 2, where G s1/omega = -1/2 is not integral, so
+    `rebuild` keeps GC/omega and JC/s2 on xo; and c = 1/2, where s1 = 1/2
+    and C has a denominator."""
+    out = []
+    for c in (Fraction(2), Fraction(1, 2)):
+        plant = PlantModel(rmat([[Fraction(1, 5)]]), rmat([[1]]), rmat([[c]]),
+                           x_p0_bound=Fraction(1))
+        ctrl = ControllerModel(rmat([[Fraction(1, 2)]]), rmat([[Fraction(-1, 20)]]),
+                               rmat([[0]]), rmat([[Fraction(1, 10)]]),
+                               rmat([[Fraction(-1, 5)]]), rmat([[0]]),
+                               RationalMatrix.column([0]))
+        reference = RationalMatrix.column([0])
+        L = design_deadbeat_observer(plant.A, plant.C).L
+        plan = plan_main(plant, ctrl, MainPlanOptions(L=L, L_exact=L, reference=reference))
+        out.append((Scenario(f"scalar-c={c}", plant, ctrl, reference, (Fraction(1),)), plan))
+    return out
+
+
 class TestCenteredRecover:
     def test_window_identity(self):
         assert centered_mod_recover([7], 0, 10) == [-3]
@@ -198,6 +220,26 @@ class TestMainLoop:
             flags.append([r.recovery_failure for r in tr.records])
             assert tr.recovery_failures == 198 and tr.oracle_mismatches == 0
         assert flags[0] == flags[1] == [t >= 2 for t in range(200)]
+
+    @pytest.mark.parametrize("name,change", [("A", Fraction(1, 10)), ("A", Fraction(1, 10**7)),
+                                             ("B", Fraction(1, 10)), ("C", Fraction(1, 10))])
+    def test_a_plant_other_than_the_plans_is_refused(self, monkeypatch, batch, sound_plan,
+                                                     name, change):
+        """The plant's error coordinates hold only for the plan's plant: a
+        run whose plant has one entry of A, B or C changed, so that A/omega,
+        s2 B/omega or C/s1 differ from the plan's integer rows or are not
+        integral (A changed by 1/10^7), raises `ValueError` before step 0."""
+        M = getattr(batch.plant, name)
+        other = replace(batch.plant, **{name: RationalMatrix(
+            M.rows, M.cols, [M.data[0] + change, *M.data[1:]])})
+        steps = []
+        monkeypatch.setattr(PlantSim, "step", lambda plant, U: steps.append(U))
+        cfg = replace(main_cfg(batch, sound_plan, 5), plant=other)
+        with pytest.raises(ValueError, match="not the plan's"):
+            run_closed_loop_main(sound_plan, cfg)
+        assert steps == []
+        run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 5))
+        assert len(steps) == 5
 
     def test_a_failed_lift_fails_every_later_step(self, monkeypatch, batch, sound_plan):
         """One lift off by 1 at t = 3, with the actuator's output and every
@@ -648,9 +690,8 @@ class TestCompiledKernels:
         `MainRecurrence` on `IntRing`; and the states that the compiled
         `rebuild` of `MainIntegerRecurrence` rebuilds from its increments
         against the paper's recurrence (`PaperRecurrence`) at every step,
-        with the observer output (C/s1) xo that `rebuild` returns with u."""
+        with u, which `rebuild` returns."""
         d, rng = plan.dims, random.Random(20)
-        C = plan.certificates["C/s1"].int_rows()
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
         rebuilt, paper = MainIntegerRecurrence(plan), PaperRecurrence(plan, x_e0)
         emitted = shadow.bootstrap(x_e0)
@@ -663,7 +704,7 @@ class TestCompiledKernels:
                 paper.step(*inputs)
             assert [getattr(shadow, k) for k in shadow.state] == [
                 getattr(reference, k) for k in reference.state]
-            assert rebuilt.rebuild(*emitted) == (paper.u, IntRing.matvec(C, paper.xo))
+            assert rebuilt.rebuild(*emitted) == paper.u
             assert (rebuilt.xo, rebuilt.xe, rebuilt.u) == (paper.xo, paper.xe, paper.u)
 
     def test_main_route_bundled_plan(self, batch, sound_plan):
@@ -674,6 +715,56 @@ class TestCompiledKernels:
         plan = plan_main(plant, ctrl, MainPlanOptions(L=design.L, L_exact=design.L,
                                                       reference=reference))
         self._check_main(plan, _scaled_integer_state(ctrl.x0.data, plan.l0))
+
+    @pytest.mark.parametrize("M,C,X", [
+        ([[3, 5, 3]], [[1, 0, 1], [0, 1, 0]], [[3, 5]]),
+        ([[0, 1]], [[1, 0]], None),            # M is not in the row space of C
+        ([[2, 0]], [[1, 0], [1, 0]], None),    # the rows of C are dependent
+        ([[1]], [[2]], None),                  # X = 1/2 is not integral
+        ([[0, 0, 0]], [[1, 0, 1], [0, 1, 0]], [[0, 0]])])
+    def test_factor(self, M, C, X):
+        """`loop._factor(M, C)`: the integer X with X C = M, or None."""
+        got = loop._factor(rmat(M), rmat(C))
+        assert (got if got is None else got.to_lists()) == X
+
+    def test_rebuild_through_the_observer_output_is_the_gc_form(self, scalar_main):
+        """`rebuild` with G and J on the observer output (`_through_output`)
+        equals `rebuild` with GC/omega and JC/s2 on xo over 20 steps of
+        random increments, on 12 random systems and on the scalar plans.  A
+        plan takes the factored form, G s1/omega and J s1/s2 on
+        y_o = (C/s1) xo, exactly where C has independent rows and both are
+        integral, and the random systems and scalar plans take both forms;
+        the scalar plan whose factor is not integral also rebuilds the
+        paper's states (`_check_main`)."""
+        plans = []
+        for seed in range(12):
+            plant, ctrl, design, reference, _ = random_main_system(random.Random(seed))
+            plans.append((ctrl, plan_main(plant, ctrl, MainPlanOptions(
+                L=design.L, L_exact=design.L, reference=reference))))
+        plans += [(sc.ctrl, plan) for sc, plan in scalar_main]
+        forms = []
+        for ctrl, plan in plans:
+            certs, d = plan.certificates, plan.dims
+            C = certs["C/s1"].as_matrix()
+            G, J = ctrl.G.scale(plan.s1 / plan.omega), ctrl.J.scale(plan.s1 / plan.s2)
+            factored = C.rank() == C.rows and G.denominator_lcm() == J.denominator_lcm() == 1
+            forms.append(factored)
+            rebuilt, gc_form = MainIntegerRecurrence(plan), MainIntegerRecurrence(plan)
+            gc_form.m.C = tuple(tuple(int(i == j) for j in range(d["n"])) for i in range(d["n"]))
+            gc_form.m.G, gc_form.m.J = (tuple(map(tuple, certs[k].int_rows()))
+                                        for k in ("GC/omega", "JC/s2"))
+            gc_form.yo = [0] * d["n"]
+            want = ([tuple(int(x) for x in M.row(i)) for i in range(M.rows)] for M in (C, G, J))
+            assert (rebuilt.m.C, rebuilt.m.G, rebuilt.m.J) == (
+                tuple(map(tuple, want)) if factored else (gc_form.m.C, gc_form.m.G, gc_form.m.J))
+            rng = random.Random(20)
+            for _ in range(20):
+                increments = self._random_inputs(rng, (d["n"], d["n_x"], d["w"]))
+                assert rebuilt.rebuild(*increments) == gc_form.rebuild(*increments)
+                assert (rebuilt.xo, rebuilt.xe) == (gc_form.xo, gc_form.xe)
+        assert set(forms[:12]) == set(forms[12:]) == {True, False}
+        sc, plan = scalar_main[0]
+        self._check_main(plan, _scaled_integer_state(sc.ctrl.x0.data, plan.l0))
 
     def test_prelim_route_bundled_plan(self, tanks, tanks_plan):
         """`PrelimIntegerShadow.step` against `PrelimRecurrence` on `IntRing`."""
@@ -693,13 +784,16 @@ class TestCompiledKernels:
         it returns a tuple) of each compiled integer method of both
         fixtures."""
         cases = []
-        for plan in (sound_plan, tanks_main_plan):
+        for sc, plan in ((batch, sound_plan), (tanks, tanks_main_plan)):
             d = plan.dims
             cases += [(lambda plan=plan: MainIntegerShadow(plan), "step", (d["n_x"],),
                        (d["v"], d["n_r"]), True),
                       (lambda plan=plan: MainIntegerRecurrence(plan), "rebuild",
-                       (d["n"], d["n_x"], d["n_x"], d["w"], d["w"]),
-                       (d["n"], d["n_x"], d["w"]), True)]
+                       (d["n"], d["n_x"], d["n_x"], d["w"], d["w"], d["v"]),
+                       (d["n"], d["n_x"], d["w"]), False),
+                      (lambda sc=sc, plan=plan: PlantSim(
+                          sc.plant, sc.x_p0, plan.l0, plan.omega, plan.s2,
+                          MainIntegerRecurrence(plan)), "observe", (), (d["n"], d["n"]), True)]
         for sc, plan, scale in ((batch, sound_plan, sound_plan.s2),
                                 (tanks, tanks_plan, tanks_plan.s1 * tanks_plan.s2)):
             def make(sc=sc, plan=plan, scale=scale):
@@ -716,10 +810,11 @@ class TestCompiledKernels:
                                                         tanks_plan, tanks_main_plan, data):
         """Each compiled integer method, compiled at a first call: at a later
         call on any vectors of the recorded lengths, it returns, and leaves
-        as the party's new state, what its `kernel` computes from the same
-        vectors, split at the state's length.  A state vector or argument
-        one entry longer or shorter raises `ValueError` with
-        `_check_lengths`' message and leaves the state as it was."""
+        as the party's new state, what its bare kernel (`loop._kernel`)
+        computes from the same vectors, split at the state's length.  A
+        state vector or argument one entry longer or shorter raises
+        `ValueError` with `_check_lengths`' message and leaves the state as
+        it was."""
         make, name, state_lengths, arg_lengths, many = data.draw(st.sampled_from(
             self._integer_methods(batch, sound_plan, tanks, tanks_plan, tanks_main_plan)))
         party = make()
@@ -733,7 +828,8 @@ class TestCompiledKernels:
 
         set_state([[0] * k for k in state_lengths])
         getattr(party, name)(*([0] * k for k in arg_lengths))
-        compiled = next(f for m, f in party.kernels.items() if m.__name__ == name).kernel
+        method = next(m for m in party.kernels if m.__name__ == name)
+        compiled = loop._kernel(party, method, party.state, [[0] * k for k in arg_lengths])
         state, args = [vector(k) for k in state_lengths], [vector(k) for k in arg_lengths]
         set_state(state)
         want, n = compiled(*state, *args), len(party.state)
@@ -762,10 +858,11 @@ class TestCompiledKernels:
         them on the classes after a run's first step, whose calls compiled
         every kernel, count every call of the steps after it."""
         sc, plan, run = route(request, scheme)
-        methods = [(PlantSim, "products"), (PlantSim, "measure")] + (
-            [(MainEncController, "step"), (MainIntegerShadow, "step"),
+        methods = (
+            [(PlantSim, "observe"), (MainEncController, "step"), (MainIntegerShadow, "step"),
              (MainIntegerRecurrence, "rebuild")] if scheme == "main" else
-            [(PrelimEncController, "step"), (PrelimIntegerShadow, "step")])
+            [(PlantSim, "products"), (PlantSim, "measure"), (PrelimEncController, "step"),
+             (PrelimIntegerShadow, "step")])
         counts, plant_step, horizon = {}, PlantSim.step, 6
 
         def counting(key, method):
@@ -945,22 +1042,24 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 7 kernels in total on the main route (the
-        controller's payload `start` and `step`, the integer `start` and
-        `step` that the shadow and the noise table share, the actuator's
-        `rebuild`, the plant's `products` and `measure`) and 4 on the prelim route (payload and integer `step`,
-        the plant's two), and write one CSV.  A run at another pad
-        compiles its own payload kernels only, and so does a plan with twice
-        the q: its integer rows are the same, and so are its centered rows,
-        by which the noise table is kept."""
+        different seeds compile 8 kernels in total on the main route (the
+        controller's payload `start` and `step`, the shadow's integer
+        `start` and `step`, the noise table's bare integer `start` and
+        `step`, the actuator's `rebuild`, the plant's `observe`) and 5 on
+        the prelim route (payload `step`, the shadow's and the table's
+        integer `step`, the plant's `products` and `measure`), and write
+        one CSV.  A run at another pad compiles its own payload kernels
+        only, and so does a plan with twice the q: its integer rows are the
+        same, and so are its centered rows, by which the noise table is
+        kept."""
         sc, plan, run = route(request, scheme)
         pad = lattice_params(plan, 5).lattice.pad_bits
         _kernels.clear()
-        compiled, function = [], kernel.Source.function
+        compiled, define = [], kernel.Source.define
 
         def counting(source, *args):
             compiled.append(source)
-            return function(source, *args)
+            return define(source, *args)
 
         def csv(plan, params, seed):
             tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
@@ -972,8 +1071,8 @@ class TestCompiledControllerStep:
         def lattice(q, pad):
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
-        monkeypatch.setattr(kernel.Source, "function", counting)
-        kernels, payload = (7, 2) if scheme == "main" else (4, 1)
+        monkeypatch.setattr(kernel.Source, "define", counting)
+        kernels, payload = (8, 2) if scheme == "main" else (5, 1)
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -1229,13 +1328,14 @@ class TestNoiseTable:
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
-        """`lattice_params` builds the plan's table from the integer kernels
-        it compiles: `start` and `step` on the main route, `step` on the
-        prelim route.  A lattice run of the plan compiles no integer kernel
-        of those: the integer shadow runs the table's, and the run compiles
-        the controller's payload kernels (`start` and `step`, or `step`),
-        the plant's `products` and `measure`, and on the main route the
-        actuator's `rebuild`."""
+        """`lattice_params` builds the plan's table from the bare integer
+        kernels it compiles: `start` and `step` on the main route, `step` on
+        the prelim route.  A lattice run of the plan builds no table and
+        compiles no bare kernel: it compiles the controller's payload
+        kernels (`start` and `step`, or `step`), the integer shadow's
+        methods of the same, and on the main route the actuator's `rebuild`
+        and the plant's `observe`, on the prelim route the plant's
+        `products` and `measure`."""
         sc, plan, run = route(request, scheme)
         sources, compile_ = [], compile
 
@@ -1253,7 +1353,7 @@ class TestNoiseTable:
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
-        assert (len(payload), len(sources)) == ((2, 5) if scheme == "main" else (1, 3))
+        assert (len(payload), len(sources)) == ((2, 6) if scheme == "main" else (1, 4))
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -1471,6 +1571,51 @@ class TestZoomedPlant:
             sim.step(det["u_tilde_recovered"])
             assert sim.x == x
         assert tuple(sim.state_floats()) == tr.final_plant_state
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_error_coordinates_are_the_x_coordinates(self, batch, sound_plan, tanks,
+                                                     tanks_main_plan, scalar_main, data):
+        """The main route's plant, kept as its gap from the reconstruction,
+        against the same plant in X coordinates (`PlantSim` without an
+        observer, as the prelim route runs it) on the reconstruction's u,
+        over 12 steps of random increments: at every step `gap` on the
+        lifted alpha is y/l(t) - s1 (C/s1) xo as `output` gives it, and
+        after every step the exact state and its floats are equal.  alpha is
+        any vector, as a failed lift makes it, and one in four is further
+        off by a multiple of 2^41; x_p0 has denominators, so D > 1."""
+        sc, plan = data.draw(st.sampled_from(
+            [(batch, sound_plan), (tanks, tanks_main_plan), *scalar_main]))
+        d = plan.dims
+        entry = st.integers(-2**30, 2**30)
+
+        def vector(k):
+            return data.draw(st.lists(entry, min_size=k, max_size=k))
+
+        x_p0 = data.draw(st.lists(st.builds(Fraction, st.integers(-50, 50),
+                                            st.sampled_from([1, 2, 3, 7])),
+                                  min_size=d["n"], max_size=d["n"]))
+        rebuilt = MainIntegerRecurrence(plan)
+        plant = PlantSim(sc.plant, x_p0, plan.l0, plan.omega, plan.s2, rebuilt)
+        reference = PlantSim(sc.plant, x_p0, plan.l0, plan.omega, plan.s2)
+        C = plan.certificates["C/s1"].int_rows()
+        s1n, s1d = plan.s1.numerator, plan.s1.denominator
+        assert plant.x == reference.x
+        for _ in range(12):
+            alpha = vector(d["n"])
+            if data.draw(st.integers(0, 3)) == 0:
+                alpha[data.draw(st.integers(0, d["n"] - 1))] += data.draw(entry) * 2**41
+            U = rebuilt.rebuild(alpha, vector(d["n_x"]), vector(d["w"]))
+            G, E = plant.gap(alpha)
+            Y, E_ref = reference.output()
+            # y/l(t) - s1 (C/s1) xo = (s1d Y - s1n E (C/s1) xo)/(s1d E)
+            assert E == E_ref
+            assert [s1d * g for g in G] == [s1d * y - s1n * E * c for y, c in
+                                            zip(Y, IntRing.matvec(C, rebuilt.xo))]
+            plant.step(U)
+            reference.step(U)
+            assert plant.x == reference.x
+            assert plant.state_floats().tolist() == reference.state_floats().tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
