@@ -8,11 +8,10 @@ name, and every linear form `c1 x1 + c2 x2 + ...` becomes one assignment
 with its zero coefficients and its known-zero operands dropped.  It is a
 ring in the sense of `loop` (`matvec` and `add` over vectors of names), so
 a recurrence method run once on it records its whole step.
-`Source.function` compiles the record with `exec` into one function of the
-input vectors, and `Source.define` compiles a function that a caller writes
-around the recorded statements (`body`) instead: `loop` makes its party
-methods so, each one function from its inputs to its new state, and asks
-for the bare function only where it runs one.
+`Source.define` compiles, with `exec`, a function that a caller writes
+around the recorded statements (`body`) and the expressions of what it
+returns (`expr`): `loop` makes its party methods so, each one function from
+its inputs to its new state.
 
 Only integer literals, generated names and calls of the one reducer
 `reduce` enter the recorded statements.  A form with more than
@@ -129,15 +128,6 @@ class Source:
         in `args`."""
         return [f"{', '.join(names)}, = {arg}"
                 for arg, names in zip(args, self.params) if names] + self.lines
-
-    def function(self, result):
-        """The recorded source as one function of the input vectors (in the
-        order `vector` made them) that returns `result`: an entry, or lists
-        and tuples of them, nested as given."""
-        args = [f"p{k}" for k in range(len(self.params))]
-        return self.define([f"def kernel({', '.join(args)}):",
-                            *(f"    {line}" for line in self.body(args)),
-                            f"    return {expr(result)}"], "kernel")
 
     def define(self, lines, name: str, names=None):
         """The function `name` that `lines` define (a caller builds them

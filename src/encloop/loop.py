@@ -28,40 +28,39 @@ not on the observer state, where the plan's rows factor so
 (`MainIntegerRecurrence`).
 
 Each converted controller is written once, over a ring's two operations
-`matvec` and `add`: the main one as its emission rule `MainRecurrence` (its
-bootstrap's linear part `start`, and the step) and as its observer and
-controller dynamics `MainIntegerRecurrence`, which only the reconstruction
-from the increments runs (`rebuild`); the prelim one as `PrelimRecurrence`.
-Every run, integer or encrypted, repeats one fixed linear map per step, on
-small matrices, so no run interprets a recurrence op by op.  Each linear
-method of a party (`start`, `step`, the reconstruction's `rebuild`, the
-plant's `products` and `measure`, which its `step` and `output` apply on
-the prelim route, and its `observe`, which `gap` applies on the main route)
-is run once on the recording ring `kernel.Source`, which makes every matvec
-row and every sum one straight-line statement with its zero coefficients
-dropped.  The record is compiled into the party's method: one generated
-function that reads the state by attribute, checks its inputs, computes,
-assigns the new state and returns.  It works on integers (`_compile`, for
-the integer shadows, the reconstruction, whose ring `IntRing` only embeds,
-and the plant), or over packed ciphertext payloads (`_compile_cipher`),
-where `he` supplies the reducer and the slot limit, so an entry is reduced
-only where the limit needs it and every state and emitted entry once, and
-the method also checks each ciphertext's scheme, finds the controller's
-noise-table event and makes each new `he.Ciphertext`.  Only the noise
-table runs a record bare, as a function from the state and inputs to the
-new state and the emission (`_kernel`).  A kernel depends only on the
-plaintext rows it is recorded from and, over payloads, on the scheme
-parameters, so the process keeps the kernels it used last by those
-(`_kept`), and a party looks each of its kernels up once and keeps it: only
-keys, ciphertexts and encryption randomness are made per run, and every
-call checks its inputs.
+`matvec` and `add`: the main one as its emission rule `MainRecurrence` and
+as its observer and controller dynamics `MainIntegerRecurrence`, which only
+the reconstruction from the increments runs (`rebuild`); the prelim one as
+`PrelimRecurrence`.  Both bootstraps only encrypt.  Every run, integer or
+encrypted, repeats one fixed linear map per step, on small matrices, so no
+run interprets a recurrence op by op.  Each linear method of a party
+(`step`, the reconstruction's `rebuild`, the plant's `products` and
+`measure`, which its `step` and `output` apply on the prelim route, and its
+`observe`, which `gap` applies on the main route) is run once on the
+recording ring `kernel.Source`, which makes every matvec row and every sum
+one straight-line statement with its zero coefficients dropped.  The record
+is compiled into the party's method: one generated function that reads the
+state by attribute, checks its inputs, computes, assigns the new state and
+returns.  It works on integers (`_compile`, for the integer shadows, the
+reconstruction, whose ring `IntRing` only embeds, and the plant), or over
+packed ciphertext payloads (`_compile_cipher`), where `he` supplies the
+reducer and the slot limit, so an entry is reduced only where the limit
+needs it and every state and emitted entry once, and the method also checks
+each ciphertext's scheme, finds the controller's noise-table event and
+makes each new `he.Ciphertext`.  The noise table runs the integer `step`
+as well, on states of its own.  A kernel depends only on the plaintext rows
+it is recorded from and, over payloads, on the scheme parameters, so the
+process keeps the kernels it used last by those (`_kept`), and a party
+looks each of its kernels up once and keeps it: only keys, ciphertexts and
+encryption randomness are made per run, and every call checks its inputs.
 
 Noise.  Every `he` op is linear mod Q, so the noise of an emitted
 ciphertext is an integer form over the noises of the fresh encryptions the
 run has made, whose coefficients the integer kernels compute from the
 plaintext rows centered mod q.  `NoiseTable` sums their absolute values
 from impulse responses, once per plan: the exact bound of every emitted
-entry at every step, for every horizon once the responses have died out.
+entry at every step, for every horizon once the responses have died out;
+the main bootstrap emits fresh encryptions.
 The pad is sized from it (`lattice_params`), and the encrypted controllers'
 emitted ciphertexts carry its bounds; their states carry none, since
 nothing decrypts them.  On the main route nothing else is decrypted: the
@@ -97,6 +96,7 @@ from __future__ import annotations
 import copy
 import csv
 import functools
+import inspect
 import math
 import operator
 import random
@@ -363,16 +363,18 @@ class CipherRing:
         return he.encrypt(self.pk, [v % self.q for v in values], self.rng)
 
 
-def _record(recurrence, method, ring, m: dict, reads, inputs):
-    """Runs `method` once on a copy of `recurrence` with the recording
-    `ring` and the plaintexts `m`, on `inputs`: its state vectors `reads`,
-    then `method`'s arguments.  Returns the new state (`recurrence.state`)
-    and then the vectors `method` returns, and whether it returns a tuple."""
+def _record(recurrence, method, source: kernel.Source, lengths: list):
+    """Runs `method` once on a copy of `recurrence` with the recording ring
+    `source` and its plaintext rows (`_rows`), on new input vectors of
+    `lengths`: its state vectors, then `method`'s arguments.  Returns the
+    new state (`recurrence.state`) and then the vectors `method` returns,
+    and whether it returns a tuple."""
     recorded = copy.copy(recurrence)
-    recorded.ring, recorded.m = ring, SimpleNamespace(**m)
-    for k, v in zip(reads, inputs):
+    recorded.ring, recorded.m = source, SimpleNamespace(**dict(_rows(recurrence)))
+    inputs = [source.vector(d) for d in lengths]
+    for k, v in zip(recurrence.state, inputs):
         setattr(recorded, k, v)
-    result = method(recorded, *inputs[len(reads):])
+    result = method(recorded, *inputs[len(recurrence.state):])
     many = isinstance(result, tuple)
     return [*(getattr(recorded, k) for k in recurrence.state),
             *(result if many else (result,))], many
@@ -386,28 +388,27 @@ def _rows(recurrence) -> tuple:
 
 # The kernels used last in this process, least recent first: (builder,
 # method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
-# A main plan has 6 kernels (payload and integer `start` and `step`, the
-# reconstruction's `rebuild`, and the plant's `observe`), 2 more on lattice
-# (the noise table's bare integer `start` and `step`) and 2 more per further
-# pad; a prelim plan has 4 (payload and integer `step`, and the plant's
-# `products` and `measure`), 1 more on lattice and 1 more per pad.  Plans
-# that differ only in q share the integer kernels, and the noise table
-# where their centered rows agree.  32 keep several plans'.
+# A main plan has 4 kernels (payload and integer `step`, the
+# reconstruction's `rebuild` and the plant's `observe`), a prelim plan 4
+# (payload and integer `step`, and the plant's `products` and `measure`),
+# and each 1 more payload `step` per further pad.  The noise table runs the
+# shadow's integer `step` where the centered rows are the certified ones.
+# Plans that differ only in q share the integer kernels, and the noise
+# table where their centered rows agree.  32 keep several plans'.
 KERNELS_KEPT = 32
 _kernels: dict = {}
 
 
-def _kept(build, recurrence, method, reads, args, params=None):
-    """`build(recurrence, method, reads, args)`, kept by `method`, the
-    plaintext rows of `recurrence` (`_rows`) and, over payloads, `params`
-    while it is among the last `KERNELS_KEPT` used, so that a kernel every
-    plan shares stays.  A kernel takes the recurrence as an argument and
-    holds no reference to it, so it holds no plan, key or ciphertext of a
-    run."""
+def _kept(build, recurrence, method, args, params=None):
+    """`build(recurrence, method, args)`, kept by `method`, the plaintext
+    rows of `recurrence` (`_rows`) and, over payloads, `params` while it is
+    among the last `KERNELS_KEPT` used, so that a kernel every plan shares
+    stays.  A kernel takes the recurrence as an argument and holds no
+    reference to it, so it holds no plan, key or ciphertext of a run."""
     key = (build, method, _rows(recurrence), params)
     run = _kernels.pop(key, None)
     if run is None:
-        run = build(recurrence, method, reads, args)
+        run = build(recurrence, method, args)
         if len(_kernels) >= KERNELS_KEPT:
             del _kernels[next(iter(_kernels))]
     _kernels[key] = run  # the last used
@@ -421,18 +422,18 @@ def _check_lengths(got: list, want: list, error):
         raise error(f"input lengths {got} differ from the recorded {want}")
 
 
-def _method(p, reads, lengths, size: str, error: str, checks, body, state, values,
+def _method(p, lengths, size: str, error: str, checks, body, state, values,
             many: bool) -> list:
-    """The lines of a compiled party method, whose inputs `p` are the state
-    vectors `reads`, read by attribute, then its arguments: `checks`, one
-    comparison of the inputs' lengths (`size` of each) with the recorded
+    """The lines of a compiled party method, whose inputs `p` are the
+    vectors of its `state`, read by attribute, then its arguments: `checks`,
+    one comparison of the inputs' lengths (`size` of each) with the recorded
     `lengths`, which calls `_check_lengths` to raise `error` only if they
     differ, `body`, and then the new `state`, the first of the expressions
     `values`, assigned and the rest returned, as a tuple if `many`."""
     got, n = "".join(f"{size.format(x)}, " for x in p), len(state)
     out = "(" + "".join(f"{v}, " for v in values[n:]) + ")" if many else values[n]
-    return [f"def method({', '.join(['self', *p[len(reads):]])}):",
-            *(f"    {x} = self.{k}" for x, k in zip(p, reads)),
+    return [f"def method({', '.join(['self', *p[n:]])}):",
+            *(f"    {x} = self.{k}" for x, k in zip(p, state)),
             *(f"    {line}" for line in checks),
             f"    if ({got}) != {tuple(lengths)!r}:",
             f"        check([{got}], {list(lengths)!r}, {error})",
@@ -441,52 +442,29 @@ def _method(p, reads, lengths, size: str, error: str, checks, body, state, value
             f"    return {out}"]
 
 
-def _compile(recurrence, method, reads, args):
+def _compile(recurrence, method, args):
     """`method` of a recurrence on `IntRing`, compiled (`_kept`): one
     generated function of the recurrence and `method`'s arguments that reads
-    the state vectors `reads`, updates the state as `method` would and
-    returns what it returns.  Lengths the plan's matrices do not take raise
-    `ValueError` while recording, and so do other lengths than the recorded
-    ones at every call, before the state changes."""
-    return _kept(_int_kernel, recurrence, method, reads, args)
+    the state, updates it as `method` would and returns what it returns.
+    Lengths the plan's matrices do not take raise `ValueError` while
+    recording, and so do other lengths than the recorded ones at every call,
+    before the state changes."""
+    return _kept(_int_kernel, recurrence, method, args)
 
 
-def _kernel(recurrence, method, reads, args):
-    """The bare kernel of `method` of a recurrence on `IntRing` (`_kept`),
-    which `NoiseTable` runs: of the state vectors `reads` and `method`'s
-    arguments, unchecked, it returns the new state vectors and then the
-    vectors `method` returns, as one list."""
-    return _kept(_bare_kernel, recurrence, method, reads, args)
-
-
-def _int_record(recurrence, method, reads, args) -> tuple:
-    """`method` recorded on a new `kernel.Source` (`_record`) at the lengths
-    of the state vectors `reads` and of `args`: the source, its input
-    vectors, the recorded outputs, and whether `method` returns a tuple."""
-    source = kernel.Source()
-    inputs = [source.vector(len(v))
-              for v in (*(getattr(recurrence, k) for k in reads), *args)]
-    return (source, inputs,
-            *_record(recurrence, method, source, dict(_rows(recurrence)), reads, inputs))
-
-
-def _int_kernel(recurrence, method, reads, args):
+def _int_kernel(recurrence, method, args):
     """`_compile`'s method."""
-    source, inputs, outputs, many = _int_record(recurrence, method, reads, args)
-    p = [f"p{k}" for k in range(len(inputs))]
+    source = kernel.Source()
+    lengths = [len(v) for v in (*(getattr(recurrence, k) for k in recurrence.state), *args)]
+    outputs, many = _record(recurrence, method, source, lengths)
+    p = [f"p{k}" for k in range(len(lengths))]
     return source.define(_method(
-        p, reads, [len(v) for v in inputs], "len({})", "ValueError", [], source.body(p),
+        p, lengths, "len({})", "ValueError", [], source.body(p),
         recurrence.state, list(map(kernel.expr, outputs)), many), "method",
         {"check": _check_lengths})
 
 
-def _bare_kernel(recurrence, method, reads, args):
-    """`_kernel`'s kernel."""
-    source, _, outputs, _ = _int_record(recurrence, method, reads, args)
-    return source.function(outputs)
-
-
-def _compile_cipher(controller, method, reads, args):
+def _compile_cipher(controller, method, args):
     """`method` of an encrypted controller, compiled over ciphertext payloads
     for the scheme parameters of its ring's keys (`_kept`), as `_compile`
     over integers; payloads equal those of the staged `he` ops.  `he`'s
@@ -499,69 +477,67 @@ def _compile_cipher(controller, method, reads, args):
     the checks, the controller's event, and each new `he.Ciphertext`.  On
     lattice, what a call returns carries the bounds of the plan's noise
     table at the controller's event (`_EncryptedController`), if the
-    controller made the states it reads and every argument is a fresh
-    encryption, as the table assumes, and no bound otherwise; the new state
-    carries none.  `he.decrypt` checks the bounds, and refuses a ciphertext
-    without one."""
+    controller's bootstrap or last call made the state it reads and every
+    argument is a fresh encryption, as the table assumes, and no bound
+    otherwise; the new state carries none.  `he.decrypt` checks the bounds,
+    and refuses a ciphertext without one."""
     params = controller.ring.pk.params
     for M in vars(controller.m).values():
         he.check_product(params, M)
-    return _kept(_cipher_kernel, controller, method, reads, args, params)
+    return _kept(_cipher_kernel, controller, method, args, params)
 
 
-def _cipher_kernel(controller, method, reads, args):
+def _cipher_kernel(controller, method, args):
     """`_compile_cipher`'s kernel."""
     params = controller.ring.pk.params
     source = kernel.Source(*he.slot_reduction(params))
-    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in reads), *args)]
+    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in controller.state), *args)]
     try:
-        outputs, many = _record(controller, method, source, dict(_rows(controller)),
-                                reads, [source.vector(d) for d in lengths])
+        outputs, many = _record(controller, method, source, lengths)
     except ValueError as e:
         raise he.DimensionMismatchError(e) from None
     outputs = [tuple(source.reduced(v)) for v in outputs]
-    p, r, n = [f"p{k}" for k in range(len(lengths))], len(reads), len(controller.state)
+    p, n = [f"p{k}" for k in range(len(lengths))], len(controller.state)
     # each input's scheme, in one tuple, which compares by identity, then ==
     checks = ["params = self.ring.pk.params",
               f"if ({''.join(f'{x}.params, ' for x in p)}) != ({'params, ' * len(p)}):",
               "    raise DimensionMismatchError('ciphertexts from different schemes')"]
-    # the event: 0 for `start`, else the controller's if it made the states
-    # read; None unless every argument is a fresh encryption
-    given = [f"{x}.noise_bound is not None and {x}.noise_bound <= FRESH" for x in p[r:]]
-    if r:
-        given += [f"len(self.made) == {r}",
-                  *(f"self.made[{k}] is {x}" for k, x in enumerate(p[:r]))]
-    event = f"{'self.events' if r else 0} if {' and '.join(given)} else None" if given else "0"
+    # the event: the controller's if it made the states read and every
+    # argument is a fresh encryption, else None
+    given = [*(f"{x}.noise_bound is not None and {x}.noise_bound <= FRESH" for x in p[n:]),
+             f"len(self.made) == {n}", *(f"self.made[{k}] is {x}" for k, x in enumerate(p[:n]))]
     # the new ciphertexts: s0, s1, ... for the state, then those returned
     table = noise_table(controller) if params.backend == "lattice" else None
     emitted = len(outputs) - n
     bound = [""] * n + [f", bounds[{k}]" if table else "" for k in range(emitted)]
     cts = [f"Ciphertext(params, {len(v)}, {kernel.expr(v)}{b})" for v, b in zip(outputs, bound)]
-    body = [f"event = {event}", *source.body([f"{x}.payload" for x in p]),
+    body = [f"event = self.events if {' and '.join(given)} else None",
+            *source.body([f"{x}.payload" for x in p]),
             *([f"bounds = {(None,) * emitted!r} if event is None else table.at(event)"]
               if table else []),
             *(f"s{k} = {ct}" for k, ct in enumerate(cts[:n])),
             f"self.made = [{''.join(f's{k}, ' for k in range(n))}]",
             "self.events = None if event is None else event + 1"]
     return source.define(_method(
-        p, reads, lengths, "{}.dim", "DimensionMismatchError", checks, body, controller.state,
+        p, lengths, "{}.dim", "DimensionMismatchError", checks, body, controller.state,
         [f"s{k}" for k in range(n)] + cts[n:], many), "method", {
         "check": _check_lengths, "Ciphertext": he.Ciphertext, "table": table,
         "DimensionMismatchError": he.DimensionMismatchError, "FRESH": he.FRESH_NOISE_BOUND})
 
 
-def _compiled(method, compile, reads=None):
+def _compiled(method, compile):
     """A recurrence's `method` as a party's method: compiled by `compile`
     (`_compile` or `_compile_cipher`) at its first call on the party, which
     keeps the generated method (`kernels`) and calls it from then on, through
     this class attribute, so that a wrapper set on the class sees every
-    call.  It reads the state vectors `reads`, by default all of `state`."""
+    call.  The recurrence's own `method` is its `__wrapped__`, which
+    `_noise_table` compiles over integers."""
 
+    @functools.wraps(method)
     def call(self, *args):
         run = self.kernels.get(method)
         if run is None:
-            run = self.kernels[method] = compile(
-                self, method, self.state if reads is None else reads, args)
+            run = self.kernels[method] = compile(self, method, args)
         return run(self, *args)
 
     return call
@@ -606,36 +582,28 @@ class MainRecurrence:
 
     By the recurrence, alpha is L innovation and the brackets are R re_m1
     and S re, so from step 2 on beta = R ref_increment_m2 / omega and
-    gamma = S ref_increment_m1 / omega; step 1's beta is R re - xe/omega of
-    step 0, which emits (xo, xe, S re).  So no emission reads xo, xe, u or
-    re: the state is one bounded vector, the next step's `beta`, and xo, xe
-    and u are rebuilt from the increments (`MainIntegerRecurrence`).
+    gamma = S ref_increment_m1 / omega.  Every state starts at zero but xe,
+    at x_e0, so step 0 emits (xo, xe, S re) = (0, x_e0, 0), and step 1's
+    beta is R re - xe/omega of step 0, -x_e0/omega.  So no emission reads
+    xo, xe, u or re: the state is one bounded vector, the next step's
+    `beta`, and xo, xe and u are rebuilt from the increments
+    (`MainIntegerRecurrence`).  The bootstrap only encrypts.
     """
 
     state = ("beta",)
 
     def __init__(self, ring, plan: MainPlan):
         self.ring, self.kernels = ring, {}
-        self.dims, inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
-        self.m = m = _load(ring, plan.certificates, MAIN_CERTIFICATES, "LRS")
-        # 1/omega on ref_increment, and -1/omega on xe or a bracket, as diagonals
-        m.Om_r, m.neg_Om_x, m.neg_Om_u = (ring.plain(_diagonal(c * inv_omega, self.dims[k]))
-                                          for c, k in ((1, "n_r"), (-1, "n_x"), (-1, "w")))
+        self.dims, self.inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
+        self.m = _load(ring, plan.certificates, MAIN_CERTIFICATES, "LRS")
+        self.m.Om_r = ring.plain(_diagonal(self.inv_omega, self.dims["n_r"]))
 
     def bootstrap(self, x_e0_scaled):
-        """`start` on the initial states and zero brackets, every vector
-        fresh on the ring."""
+        """Keeps step 1's beta, -x_e0/omega, and returns step 0's emission
+        (0, x_e0, 0), every vector fresh on the ring."""
         d, fresh = self.dims, self.ring.fresh
-        return self.start(fresh([0] * d["n"]), fresh(x_e0_scaled), fresh([0] * d["n_r"]),
-                          fresh([0] * d["n_x"]), fresh([0] * d["w"]))
-
-    def start(self, xo, xe, re, bx, bu):
-        """Takes the initial states xo, xe, re and the brackets bx, bu before
-        them; returns step 0's emission (xo, xe - bx/omega, S re - bu/omega)
-        and keeps step 1's beta, R re - xe/omega."""
-        mv, add, m = self.ring.matvec, self.ring.add, self.m
-        self.beta = add(mv(m.R, re), mv(m.neg_Om_x, xe))
-        return xo, add(xe, mv(m.neg_Om_x, bx)), add(mv(m.S, re), mv(m.neg_Om_u, bu))
+        self.beta = fresh([-self.inv_omega * x for x in x_e0_scaled])
+        return fresh([0] * d["n"]), fresh(x_e0_scaled), fresh([0] * d["w"])
 
     def step(self, innovation, ref_increment):
         """Advance one step on last step's quantized innovation and reference
@@ -646,11 +614,10 @@ class MainRecurrence:
         return mv(m.L, innovation), beta, mv(m.S, r)
 
     def lengths(self) -> tuple:
-        """The lengths of the vectors a run encrypts fresh: the bootstrap's
-        (`start`'s arguments) and each step's; and of those a step emits."""
+        """The lengths of the state, which the bootstrap encrypts, of the
+        vectors each step encrypts fresh, and of those a step emits."""
         d = self.dims
-        return ((d["n"], d["n_x"], d["n_r"], d["n_x"], d["w"]), (d["v"], d["n_r"]),
-                (d["n"], d["n_x"], d["w"]))
+        return (d["n_x"],), (d["v"], d["n_r"]), (d["n"], d["n_x"], d["w"])
 
 
 def _factor(M: RationalMatrix, C: RationalMatrix):
@@ -723,7 +690,7 @@ class PrelimRecurrence:
     """The directly converted controller, u = H x + J y + S r and
     x <- F x + G y + R r, with the certified integer matrices F/omega,
     G/(s1 omega), R/(s1 omega), H/s2, J/(s1 s2), S/(s1 s2).  Its bootstrap
-    only encrypts x: there is no linear `start`."""
+    only encrypts x."""
 
     state = ("x",)
 
@@ -752,11 +719,18 @@ class PrelimRecurrence:
 class _EncryptedController:
     """What an encrypted controller adds to its recurrence: the states its
     bootstrap or last compiled call made (`made`, compared by identity) and
-    the event of the plan's `NoiseTable` a step from them is (`events`).  A
-    step from states it did not make, on arguments that are not fresh
-    encryptions, or after such a step, has no event and emits no bound."""
+    the event of the plan's `NoiseTable` a step from them is (`events`): 0
+    for the first step from the bootstrap's fresh state.  A step from
+    states it did not make, on arguments that are not fresh encryptions, or
+    after such a step, has no event and emits no bound."""
 
     made, events = (), None
+
+    def bootstrap(self, *initial):
+        """The recurrence's bootstrap, which makes the state fresh."""
+        emitted = super().bootstrap(*initial)
+        self.made, self.events = [getattr(self, k) for k in self.state], 0
+        return emitted
 
 
 # -- the plant ------------------------------------------------------------------
@@ -888,18 +862,16 @@ class PlantSim:
 
 class MainEncController(_EncryptedController, MainRecurrence):
     """Holds only the public key (in its `CipherRing`); runs the emission
-    rule on ciphertexts, `start` and `step` compiled."""
+    rule on ciphertexts, `step` compiled.  Its bootstrap only encrypts."""
 
-    start = _compiled(MainRecurrence.start, _compile_cipher, reads=())
     step = _compiled(MainRecurrence.step, _compile_cipher)
 
 
 class MainIntegerShadow(MainRecurrence):
-    """The emission rule on exact integers, `start` and `step` compiled:
-    ground truth for every ciphertext (mod q), and the exact increments
-    that every lift of the actuator must equal."""
+    """The emission rule on exact integers, `step` compiled: ground truth
+    for every ciphertext (mod q), and the exact increments that every lift
+    of the actuator must equal."""
 
-    start = _compiled(MainRecurrence.start, _compile, reads=())
     step = _compiled(MainRecurrence.step, _compile)
 
     def __init__(self, plan: MainPlan):
@@ -995,14 +967,9 @@ class MainActuator:
 
 class PrelimEncController(_EncryptedController, PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
-    `step` is compiled.  A step from the fresh state of its bootstrap is
-    event 0."""
+    `step` is compiled."""
 
     step = _compiled(PrelimRecurrence.step, _compile_cipher)
-
-    def bootstrap(self, x0_scaled):
-        super().bootstrap(x0_scaled)
-        self.made, self.events = [self.x], 0
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
@@ -1038,8 +1005,8 @@ class PrelimActuator:
 
 class NoiseTable:
     """The exact noise bounds of what the encrypted controller of a plan
-    emits, by event: the main bootstrap's `start` and then each step, or
-    each prelim step.
+    emits at each step from its bootstrap, by event: the first step is
+    event 0, on both routes.
 
     Every `he` op is linear mod Q, so the noise of an emitted entry is the
     integer form sum c_k e_k over the noises e_k of the fresh encryptions
@@ -1047,32 +1014,33 @@ class NoiseTable:
     are what the recurrence computes over Z from its plaintext rows centered
     mod q.  Its bound, FRESH_NOISE_BOUND sum |c_k|, is exact: the worst case
     over independent fresh noises.  The coefficients of one fresh entry are
-    an impulse response of the integer kernels, a column: one per entry the
-    bootstrap encrypts, and one per entry of a step's inputs, which every
-    step from `first_input` on encrypts anew, so the responses of such a
-    column at every lag so far add up (`sums`).  `boot` and `inputs` hold
-    what each column makes at lag 0, its state vectors and then its
-    emission; each lag after that is a `step` (an integer `kernel` that
-    reads every state vector) on `zeros`, the zero inputs.  From lag 1 on
-    the response is C A^(lag-1) x, for the state x after lag 0 and the
-    step's linear maps A (state to state) and C (state to emission); so once
-    it has been zero for as many lags in a row as the `state` (a zero one)
-    has entries, it is zero for ever (Cayley-Hamilton), and the column
-    ends.  It ends as well once its state is zero, as a main column's is
-    from lag 1 on.  A live column is a record of its state, its emission at
-    the next lag and its zero lags in a row, and `_advance` moves the
-    columns a lag on.  The table extends itself on demand; once every
-    column has ended, its last bounds hold for every later event (`final`).
-    A ciphertext takes the largest bound of its entries."""
+    an impulse response of the recurrence's compiled integer `step`, a
+    column: one per entry of the `state`, which the bootstrap encrypts, and
+    one per entry of a step's inputs, which every step encrypts anew, so
+    the responses of such a column at every lag so far add up (`sums`).  A
+    column's lag 0 is a step from its unit state on zero inputs (`boot`),
+    or from the zero state on its unit input (`inputs`), and each lag after
+    that is a step on `zeros`, the zero inputs.  From lag 1 on the response
+    is C A^(lag-1) x, for the state x after lag 0 and the step's linear maps
+    A (state to state) and C (state to emission); so once it has been zero
+    for as many lags in a row as the state (a zero one) has entries, it is
+    zero for ever (Cayley-Hamilton), and the column ends.  It ends as well
+    once its state is zero, as a main column's is from lag 1 on.  A live
+    column is the `self` that `step` reads and moves on: its state vectors,
+    its emission at the next lag and its zero lags in a row, and `_advance`
+    moves the columns a lag on.  The table extends itself on demand; once
+    every column has ended, its last bounds hold for every later event
+    (`final`).  A ciphertext takes the largest bound of its entries."""
 
-    def __init__(self, step, state: list, zeros: list, boot: list, inputs: list,
-                 first_input: int, lengths):
-        n = self.n = len(state)
-        self.step, self.zeros, self.width = step, zeros, sum(map(len, state))
-        self.boot, self.inputs = ([SimpleNamespace(state=out[:n], emitted=out[n:], zero_lags=0)
-                                   for out in outs] for outs in (boot, inputs))
-        self.first_input, self.sums = first_input, [0] * sum(lengths)
-        self.vectors = [slice(k - m, k) for m, k in zip(lengths, accumulate(lengths))]
+    def __init__(self, step, state: tuple, lengths):
+        states, inputs, emitted = lengths
+        self.step, self.state, self.width = step, state, sum(states)
+        self.zeros = [[0] * k for k in inputs]
+        zero = [[0] * k for k in states]
+        self.boot = [self._column(unit, self.zeros) for unit in _units(states)]
+        self.inputs = [self._column(zero, unit) for unit in _units(inputs)]
+        self.sums = [0] * sum(emitted)
+        self.vectors = [slice(k - m, k) for m, k in zip(emitted, accumulate(emitted))]
         self.bounds = []  # by event, each emitted vector's
         self.final = False
 
@@ -1083,15 +1051,27 @@ class NoiseTable:
         return self.bounds[min(event, len(self.bounds) - 1)]
 
     def peak(self, events: int) -> int:
-        """The largest noise bound over the first `events` events."""
-        self.at(events - 1)
-        return max(map(max, self.bounds[:events]))
+        """The largest noise bound over the first `events` events (0 for
+        none)."""
+        if events:
+            self.at(events - 1)
+        return max(map(max, self.bounds[:events]), default=0)
+
+    def _column(self, state: list, inputs: list) -> SimpleNamespace:
+        """A column at lag 0: a step from `state` on `inputs`."""
+        c = SimpleNamespace(**dict(zip(self.state, state)), zero_lags=0)
+        c.emitted = self._step(c, inputs)
+        return c
+
+    def _step(self, c, inputs: list) -> tuple:
+        """What a step of column c on `inputs` emits; c's state moves on."""
+        out = self.step(c, *inputs)
+        return out if isinstance(out, tuple) else (out,)
 
     def _extend(self):
         # with no column left, this event's bounds, those of the sums, repeat
         self.final = not (self.boot or self.inputs)
-        if len(self.bounds) >= self.first_input:
-            self.sums, self.inputs = self._advance(self.sums, self.inputs)
+        self.sums, self.inputs = self._advance(self.sums, self.inputs)
         entries, self.boot = self._advance(self.sums, self.boot)
         self.bounds.append(tuple(he.FRESH_NOISE_BOUND * max(entries[v], default=0)
                                  for v in self.vectors))
@@ -1099,13 +1079,12 @@ class NoiseTable:
     def _advance(self, sums: list, columns: list) -> tuple:
         """`sums` plus the absolute emitted entries of each column, and the
         columns that go on, each moved a lag on."""
-        n, live = self.n, []
+        live = []
         for c in columns:
             if not c.zero_lags:  # at lag 0, or a nonzero emission
                 sums = [a + abs(x) for a, x in zip(sums, chain.from_iterable(c.emitted))]
-            if c.zero_lags < self.width and any(map(any, c.state)):
-                out = self.step(*c.state, *self.zeros)
-                c.state, c.emitted = out[:n], out[n:]
+            if c.zero_lags < self.width and any(any(getattr(c, k)) for k in self.state):
+                c.emitted = self._step(c, self.zeros)
                 c.zero_lags = 0 if any(map(any, c.emitted)) else c.zero_lags + 1
                 live.append(c)
         return sums, live
@@ -1122,30 +1101,19 @@ def noise_table(controller) -> NoiseTable:
     """The `NoiseTable` of the plan of an encrypted controller, or of its
     recurrence on any `CipherRing` of the plan: kept (`_kept`) by the
     plaintext rows centered mod q, which are all it depends on."""
-    return _kept(_noise_table, controller, NoiseTable, None, None)
+    return _kept(_noise_table, controller, NoiseTable, None)
 
 
 def _noise_table(controller, *_) -> NoiseTable:
-    """`noise_table`'s table, from the recurrence's bare integer kernels over
-    the centered rows (`_kernel`)."""
-    boot, inputs, emitted = controller.lengths()
-    zeros = [[0] * k for k in inputs]
-    probe = copy.copy(controller)  # takes a zero state of the right lengths
-    if isinstance(controller, MainRecurrence):
-        start = _kernel(probe, MainRecurrence.start, (), [[0] * k for k in boot])
-        probe.beta = start(*([0] * k for k in boot))[0]
-        step = _kernel(probe, MainRecurrence.step, probe.state, zeros)
-        # the bootstrap encrypts `start`'s arguments, and each step from
-        # event 1 on its inputs
-        boot, first_input = [start(*unit) for unit in _units(boot)], 1
-    else:
-        probe.x = [0] * boot[0]
-        step = _kernel(probe, PrelimRecurrence.step, probe.state, zeros)
-        # the bootstrap encrypts the state, and every step its inputs
-        boot, first_input = [step(*unit, *zeros) for unit in _units(boot)], 0
-    state = [[0] * len(getattr(probe, k)) for k in probe.state]
-    inputs = [step(*state, *unit) for unit in _units(inputs)]
-    return NoiseTable(step, state, zeros, boot, inputs, first_input, emitted)
+    """`noise_table`'s table, which runs the recurrence's `step` compiled
+    over integers (`_compile`) from the centered rows: the integer shadow's
+    own kernel wherever those are the certified rows."""
+    lengths = controller.lengths()
+    probe = copy.copy(controller)  # with a zero state of the right lengths
+    for k, n in zip(controller.state, lengths[0]):
+        setattr(probe, k, [0] * n)
+    step = _compile(probe, inspect.unwrap(type(controller).step), [[0] * k for k in lengths[1]])
+    return NoiseTable(step, controller.state, lengths)
 
 
 # -- orchestrator ---------------------------------------------------------------
@@ -1168,16 +1136,17 @@ class RunConfig:
 
 def noise_peak(plan, horizon: int) -> int:
     """The largest noise bound of what a horizon-long lattice run of `plan`
-    (main or prelim) decrypts: the plan's `NoiseTable` over the run's
-    `horizon` events, the main bootstrap and horizon - 1 steps, or horizon
-    prelim steps.  The table is kept, and the encrypted runs of the plan
-    take their bounds from it."""
+    (main or prelim) decrypts: on the main route the bootstrap's fresh
+    emission, `he.FRESH_NOISE_BOUND`, and then the plan's `NoiseTable` over
+    horizon - 1 steps; on the prelim route the table over horizon steps.
+    The table is kept, and the encrypted runs of the plan take their bounds
+    from it."""
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
+    main = isinstance(plan, MainPlan)
     # the plaintexts as the run's controller prepares them; no key is needed
-    rec = (MainRecurrence if isinstance(plan, MainPlan) else PrelimRecurrence)(
-        CipherRing(None, plan.q, None), plan)
-    return noise_table(rec).peak(horizon)
+    rec = (MainRecurrence if main else PrelimRecurrence)(CipherRing(None, plan.q, None), plan)
+    return max(he.FRESH_NOISE_BOUND * main, noise_table(rec).peak(horizon - main))
 
 
 def lattice_params(plan, horizon: int) -> he.SchemeParams:

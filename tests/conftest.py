@@ -27,7 +27,7 @@ settings.register_profile("ci", print_blob=True)
 @pytest.fixture(autouse=True)
 def fresh_kernels():
     """Each test starts with no kept kernel (`loop._kept`), so a test that
-    patches `he.slot_reduction`, `kernel.Source.function` or
+    patches `he.slot_reduction`, `kernel.Source.define` or
     `kernel.compile` gets no kernel an earlier test built."""
     loop._kernels.clear()
 

@@ -6,7 +6,8 @@ operations run op by op: `IntRing` on Python integers, `CipherRing`
 through the staged `he` ops `he.plain_matmul` and `he.add`, and `FormRing`
 on noise forms.  A recurrence of `loop` on one of them
 (`MainRecurrence(IntRing(), plan)`) is the reference its compiled party, or
-the noise table, must match."""
+the noise table, must match.  `function` compiles a `kernel.Source` record
+that a test makes by hand."""
 
 from encloop import he, kernel, loop
 
@@ -80,3 +81,11 @@ def _form(terms) -> dict:
         for k, a in x.items():
             out[k] = out.get(k, 0) + c * a
     return {k: a for k, a in out.items() if a}
+
+
+def function(source, result):
+    """The record of `source`, of its one input vector, compiled through
+    `Source.define` into a function of that vector that returns `result`:
+    an entry, or lists and tuples of them, nested as given."""
+    return source.define(["def kernel(p):", *(f"    {line}" for line in source.body(["p"])),
+                          f"    return {kernel.expr(result)}"], "kernel")

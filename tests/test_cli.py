@@ -103,7 +103,7 @@ def test_a_repeated_simulate_compiles_nothing(capsys, monkeypatch, tmp_path, bac
         calls[0] += 1
         return compile_(*args)
 
-    # `kernel.Source.function` compiles through the name `compile`
+    # `kernel.Source.define` compiles through the name `compile`
     monkeypatch.setattr(encloop.kernel, "compile", counting_compile, raising=False)
     outputs = []
     for k in range(2):
@@ -257,8 +257,8 @@ DEGENERATE = {  # scalar controllers whose matrices are all zero or have no rows
 
 
 @pytest.mark.parametrize("config,scheme,pad", [
-    ("all-zero", "prelim", 2), ("all-zero", "main", 14), ("zero-F", "prelim", 14),
-    ("zero-F", "main", 14), ("no-state", "prelim", 10), ("no-state", "main", 13)])
+    ("all-zero", "prelim", 2), ("all-zero", "main", 12), ("zero-F", "prelim", 14),
+    ("zero-F", "main", 11), ("no-state", "prelim", 10), ("no-state", "main", 11)])
 def test_a_degenerate_controller_plans_and_runs(capsys, monkeypatch, tmp_path,
                                                 config, scheme, pad):
     """An all-zero matrix has the integer scale 1 and a controller may have
@@ -500,7 +500,7 @@ NO_REFERENCE = {  # a scalar plant and controller that take no reference input
     "x_p0": ["1"], "reference": []}
 
 
-@pytest.mark.parametrize("scheme,pad", [("prelim", 18), ("main", 14)])
+@pytest.mark.parametrize("scheme,pad", [("prelim", 18), ("main", 11)])
 def test_a_controller_without_a_reference_input_runs(capsys, monkeypatch, tmp_path,
                                                     scheme, pad):
     """`"reference": []` with zero-column R and S is a controller of no

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 
 from encloop import he, kernel
 
+from rings import function
+
 Q41 = 2**41
 
 
@@ -404,7 +406,7 @@ def _chain(params, x, ops, placed: bool):
     for op, arg in ops:
         vectors.append(source.matvec(arg, vectors[-1]) if op == "mv"
                        else source.add(vectors[-1], vectors[arg]))
-    return source.function([source.reduced(v) for v in vectors])(x)
+    return function(source, [source.reduced(v) for v in vectors])(x)
 
 
 def _reduce_after_every_op(params, x, ops):

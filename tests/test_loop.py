@@ -1,10 +1,13 @@
+import copy
 import gc
 import hashlib
+import json
 import math
 import random
 import weakref
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,7 +45,7 @@ from encloop.planner import (ControllerModel, MainPlan, MainPlanOptions, PlantMo
                              design_deadbeat_observer, plan_main, plan_preliminary)
 
 from conftest import random_main_system
-from rings import CipherRing, FormRing, IntRing
+from rings import CipherRing, FormRing, IntRing, function
 
 
 def rmat(rows):
@@ -625,10 +628,10 @@ class TestPrelimLoop:
 
 
 def _generated_matvec(M, v):
-    """M v as `kernel.Source.matvec` records and compiles it, evaluated at v."""
+    """M v as `kernel.Source.matvec` records it, compiled and evaluated at v."""
     source = kernel.Source()
     names = source.vector(len(v))
-    return source.function(source.matvec(M, names))(v)
+    return function(source, source.matvec(M, names))(v)
 
 
 class TestCompiledKernels:
@@ -656,7 +659,7 @@ class TestCompiledKernels:
         source = kernel.Source()
         out = source.matvec(M, source.vector(len(v)))
         assert len(source.lines) == math.ceil(3000 / kernel.TERMS_PER_STATEMENT)
-        assert source.function(out)(v) == IntRing.matvec(M, v)
+        assert function(source, out)(v) == IntRing.matvec(M, v)
 
     def test_operands_of_unequal_length_are_refused_while_recording(self):
         """`zip` would drop the entries past the shorter operand: the
@@ -678,19 +681,19 @@ class TestCompiledKernels:
         x = source.vector(1)
         for terms in ([(1, x[0]), (2, "__import__('os')")], [(0.5, x[0])], [(True, 0.0)]):
             with pytest.raises(TypeError):
-                source.function([source.linear(terms)])
+                function(source, [source.linear(terms)])
 
     @staticmethod
     def _random_inputs(rng, dims):
         return [[rng.randint(-2**80, 2**80) for _ in range(n)] for n in dims]
 
     def _check_main(self, plan, x_e0):
-        """Over 20 steps of random inputs: the compiled `start` (the
-        bootstrap's linear part) and `step` of `MainIntegerShadow` against
-        `MainRecurrence` on `IntRing`; and the states that the compiled
-        `rebuild` of `MainIntegerRecurrence` rebuilds from its increments
-        against the paper's recurrence (`PaperRecurrence`) at every step,
-        with u, which `rebuild` returns."""
+        """Over 20 steps of random inputs: the bootstrap and the compiled
+        `step` of `MainIntegerShadow` against `MainRecurrence` on `IntRing`;
+        and the states that the compiled `rebuild` of
+        `MainIntegerRecurrence` rebuilds from its increments against the
+        paper's recurrence (`PaperRecurrence`) at every step, with u, which
+        `rebuild` returns."""
         d, rng = plan.dims, random.Random(20)
         shadow, reference = MainIntegerShadow(plan), MainRecurrence(IntRing(), plan)
         rebuilt, paper = MainIntegerRecurrence(plan), PaperRecurrence(plan, x_e0)
@@ -806,15 +809,15 @@ class TestCompiledKernels:
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
-    def test_the_generated_integer_method_is_its_kernel(self, batch, sound_plan, tanks,
-                                                        tanks_plan, tanks_main_plan, data):
+    def test_the_generated_integer_method_is_the_op_by_op_method(
+            self, batch, sound_plan, tanks, tanks_plan, tanks_main_plan, data):
         """Each compiled integer method, compiled at a first call: at a later
         call on any vectors of the recorded lengths, it returns, and leaves
-        as the party's new state, what its bare kernel (`loop._kernel`)
-        computes from the same vectors, split at the state's length.  A
-        state vector or argument one entry longer or shorter raises
-        `ValueError` with `_check_lengths`' message and leaves the state as
-        it was."""
+        as the party's new state, what the recurrence's own method computes
+        from the same vectors op by op on `IntRing`, which shares no code
+        with the recording ring, on a copy of the party.  A state vector or
+        argument one entry longer or shorter raises `ValueError` with
+        `_check_lengths`' message and leaves the state as it was."""
         make, name, state_lengths, arg_lengths, many = data.draw(st.sampled_from(
             self._integer_methods(batch, sound_plan, tanks, tanks_plan, tanks_main_plan)))
         party = make()
@@ -829,13 +832,15 @@ class TestCompiledKernels:
         set_state([[0] * k for k in state_lengths])
         getattr(party, name)(*([0] * k for k in arg_lengths))
         method = next(m for m in party.kernels if m.__name__ == name)
-        compiled = loop._kernel(party, method, party.state, [[0] * k for k in arg_lengths])
         state, args = [vector(k) for k in state_lengths], [vector(k) for k in arg_lengths]
         set_state(state)
-        want, n = compiled(*state, *args), len(party.state)
+        reference, n = copy.copy(party), len(party.state)
+        reference.ring = IntRing()
+        want = method(reference, *args)
         got = getattr(party, name)(*args)
-        assert [getattr(party, k) for k in party.state] == want[:n]
-        assert got == (tuple(want[n:]) if many else want[n])
+        assert [getattr(party, k) for k in party.state] == [
+            getattr(reference, k) for k in party.state]
+        assert got == want and isinstance(got, tuple) == many
 
         inputs = [*state, *args]
         k = data.draw(st.integers(0, len(inputs) - 1))
@@ -898,12 +903,14 @@ class TestCompiledControllerStep:
     def test_compiled_step_is_the_staged_step(self, request, scheme, odd, horizon, backend):
         """Equal payloads of every state and emitted ciphertext, at the
         plan's q and at q + 1 (odd, so Q is no power of two), on both
-        backends.  On lattice the compiled new state carries no noise bound,
-        and what it emits carries the bound of the plan's table at the
-        controller's event, never above the staged ops' per-vector bound.
-        At the horizon's pad every emission decrypts; with a pad 2 bits
-        short, decryption raises `NoiseOverflowError` first at the event
-        whose table bound reaches half of Delta, within the horizon."""
+        backends.  On lattice the bootstrap only encrypts, so what it emits
+        and its state carry `FRESH_NOISE_BOUND`; a compiled step's new state
+        carries no noise bound, and what it emits carries the bound of the
+        plan's table at the controller's event, never above the staged ops'
+        per-vector bound.  At the horizon's pad every emission decrypts;
+        with a pad 2 bits short, decryption raises `NoiseOverflowError`
+        first at the step whose table bound reaches half of Delta, within
+        the horizon."""
         sc, plan, _ = route(request, scheme)
         if odd:
             plan = replace(plan, q=plan.q + 1)
@@ -942,20 +949,24 @@ class TestCompiledControllerStep:
             (emitted, states), (staged_emitted, staged_states) = outcomes
             assert ([(ct.dim, ct.payload) for ct in (*emitted, *states)]
                     == [(ct.dim, ct.payload) for ct in (*staged_emitted, *staged_states)])
-            if backend == "mock" or not emitted:
+            if backend == "mock":
                 continue
-            event = compiled.events - 1
-            assert all(ct.noise_bound is None for ct in states)
-            assert [ct.noise_bound for ct in emitted] == list(table.at(event))
+            if args:
+                bounds = table.at(compiled.events - 1)
+                assert all(ct.noise_bound is None for ct in states)
+            else:
+                bounds = [he.FRESH_NOISE_BOUND] * len(emitted)
+                assert [ct.noise_bound for ct in states] == [he.FRESH_NOISE_BOUND] * len(states)
+            assert [ct.noise_bound for ct in emitted] == list(bounds)
             assert all(c.noise_bound <= s.noise_bound
                        for c, s in zip(emitted, staged_emitted))
-            if overflow is None and max(table.at(event)) >= params.delta // 2:
-                overflow = event
+            if overflow is None and max(bounds, default=0) >= params.delta // 2:
+                overflow = t
             try:
                 for ct in emitted:
                     he.decrypt(sk, ct)
             except he.NoiseOverflowError:
-                refused = event if refused is None else refused
+                refused = t if refused is None else refused
         # only the short pad overflows, within the horizon, where the table says
         assert refused == overflow
         assert (overflow is not None) == (backend == "short-pad")
@@ -1042,11 +1053,10 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 8 kernels in total on the main route (the
-        controller's payload `start` and `step`, the shadow's integer
-        `start` and `step`, the noise table's bare integer `start` and
-        `step`, the actuator's `rebuild`, the plant's `observe`) and 5 on
-        the prelim route (payload `step`, the shadow's and the table's
+        different seeds compile 4 kernels in total on the main route (the
+        controller's payload `step`, the integer `step` that the shadow and
+        the noise table share, the actuator's `rebuild`, the plant's
+        `observe`) and 4 on the prelim route (payload `step`, the shared
         integer `step`, the plant's `products` and `measure`), and write
         one CSV.  A run at another pad compiles its own payload kernels
         only, and so does a plan with twice the q: its integer rows are the
@@ -1072,7 +1082,7 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "define", counting)
-        kernels, payload = (8, 2) if scheme == "main" else (5, 1)
+        kernels, payload = 4, 1
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -1113,18 +1123,19 @@ class TestCompiledControllerStep:
             gc.enable()
 
 
-def _form_bounds(rec, horizon: int, x0) -> list:
-    """What a recurrence on `FormRing` emits at each of `horizon` events, as
-    each vector's noise bound: the bootstrap and horizon - 1 steps on the
-    main route, horizon steps after the bootstrap on the prelim route."""
-    ring, out = rec.ring, []
-    emitted = rec.bootstrap(x0)
-    if emitted is not None:
-        out.append(emitted)
+def _form_bounds(rec, steps: int, x0) -> tuple:
+    """What a recurrence on `FormRing` emits, as each vector's noise bound:
+    at its bootstrap (None where it emits nothing, as on the prelim route),
+    and at each of `steps` steps after it."""
+    ring = rec.ring
+
+    def bounds(emitted) -> tuple:
+        return tuple(max(map(ring.bound, v), default=0) for v in _vectors(emitted))
+
+    boot = rec.bootstrap(x0)
     lengths = rec.lengths()[1]
-    while len(out) < horizon:
-        out.append(rec.step(*(ring.fresh([0] * n) for n in lengths)))
-    return [tuple(max(map(ring.bound, v), default=0) for v in _vectors(e)) for e in out]
+    return None if boot is None else bounds(boot), [
+        bounds(rec.step(*(ring.fresh([0] * n) for n in lengths))) for _ in range(steps)]
 
 
 @pytest.fixture(scope="module")
@@ -1150,10 +1161,11 @@ class TestNoiseTable:
                              ids=["batch-reactor-main", "coupled-tanks-main",
                                   "coupled-tanks-prelim", "delayed-prelim"])
     def test_table_is_the_form_by_form_bound(self, request, plan):
-        """At every event of a 30-step run the table equals the bound of the
-        noise forms the recurrence computes on `FormRing`, op by op: each
-        emitted entry's FRESH_NOISE_BOUND times the sum of its absolute
-        coefficients over the fresh entries, its vector's largest.  In the
+        """At every event of a 30-step run, the steps from the bootstrap, the
+        table equals the bound of the noise forms the recurrence computes on
+        `FormRing`, op by op: each emitted entry's FRESH_NOISE_BOUND times
+        the sum of its absolute coefficients over the fresh entries, its
+        vector's largest.  The main bootstrap's emission is fresh.  In the
         delayed prelim controller, a 3-state shift register, an input
         reaches u again after two lags of zero response, which a column
         must not end at.  The run passes the end of every table here: the
@@ -1168,24 +1180,28 @@ class TestNoiseTable:
             plan = request.getfixturevalue(plan)
         main = isinstance(plan, MainPlan)
         rec = (MainRecurrence if main else PrelimRecurrence)(FormRing(plan.q), plan)
-        x0 = [0] * rec.lengths()[0][1 if main else 0]
+        x0 = [0] * rec.lengths()[0][0]
         table = noise_table(rec)
-        assert _form_bounds(rec, 30, x0) == [table.at(t) for t in range(30)]
+        boot, steps = _form_bounds(rec, 30, x0)
+        assert steps == [table.at(t) for t in range(30)]
+        assert boot == ((he.FRESH_NOISE_BOUND,) * 3 if main else None)
 
     @pytest.mark.parametrize("plan", ["sound_plan", "tanks_main_plan"],
                              ids=["batch-reactor-main", "coupled-tanks-main"])
     def test_increment_bounds_are_constant_from_deadbeat_index_plus_2(self, request, plan):
         """On the main route the increments' bounds are the same at every
-        event from `deadbeat_index + 2` on: the table ends there or before,
-        final after 4 events on both plans, since the state is the next
+        step from `deadbeat_index + 2` on, event `deadbeat_index + 1` of the
+        table, whose first event is step 1: the table ends there or before,
+        final after 3 events on both plans, since the state is the next
         step's beta alone, and the pad of every longer horizon is the same."""
         plan = request.getfixturevalue(plan)
         table = noise_table(MainRecurrence(loop.CipherRing(None, plan.q, None), plan))
-        first = plan.deadbeat_index + 2
+        first = plan.deadbeat_index + 1
         assert len({table.at(t) for t in range(first, 1000)}) == 1
-        assert table.final and len(table.bounds) == 4
-        pads = {lattice_params(plan, h).lattice.pad_bits for h in (first + 1, 200, 10**6)}
-        assert pads == {noise_peak(plan, first + 1).bit_length() + 2}
+        assert table.final and len(table.bounds) == 3
+        # the horizon whose last step is event `first`: the bootstrap, then steps
+        pads = {lattice_params(plan, h).lattice.pad_bits for h in (first + 2, 200, 10**6)}
+        assert pads == {noise_peak(plan, first + 2).bit_length() + 2}
 
     def test_a_thousand_steps_at_the_horizon_free_pad(self, batch, sound_plan):
         """The batch reactor on lattice at H=1000, at the pad that every
@@ -1236,7 +1252,7 @@ class TestNoiseTable:
         own: what it emits from them, and from the states it makes of
         them, carries no bound, and `he.decrypt` refuses it.  The
         controller that made them still bounds its next step, and after a
-        new bootstrap it is at event 0 again."""
+        new bootstrap its first step is event 0 again."""
         sc, plan, _ = route(request, scheme)
         pk, sk = he.keygen(lattice_params(plan, 30), seed=1)
         ring = loop.CipherRing(pk, plan.q, random.Random(1))
@@ -1261,7 +1277,8 @@ class TestNoiseTable:
                     he.decrypt(sk, ct)
         for ct in _vectors(ran.step(*inputs())):
             he.decrypt(sk, ct)
-        emitted = ran.bootstrap(x0) or ran.step(*inputs())
+        ran.bootstrap(x0)
+        emitted = ran.step(*inputs())
         assert [ct.noise_bound for ct in _vectors(emitted)] == list(noise_table(ran).at(0))
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
@@ -1293,10 +1310,11 @@ class TestNoiseTable:
         table = noise_table((MainRecurrence if scheme == "main" else PrelimRecurrence)(
             loop.CipherRing(None, plan.q, None), plan))
         event = next(t for t in range(horizon) if max(table.at(t)) >= tight.delta // 2)
-        # the actuator decrypts each event's vectors in turn, and stops at
-        # the first one past the budget
+        # the actuator decrypts the main bootstrap's fresh emission, then
+        # each event's vectors in turn, and stops at the first one past the
+        # budget
         before = next(i for i, b in enumerate(table.at(event)) if b >= tight.delta // 2)
-        assert len(got) == event * len(table.at(0)) + before
+        assert len(got) == (event + (scheme == "main")) * len(table.at(0)) + before
 
     def test_controller_state_is_refused(self, batch, sound_plan, tanks, tanks_plan):
         """No table bound covers the encrypted controllers' states, so they
@@ -1308,8 +1326,7 @@ class TestNoiseTable:
             params = lattice_params(plan, 2)
             pk, sk = he.keygen(params, seed=1)
             controller = cls(loop.CipherRing(pk, plan.q, random.Random(1)), plan)
-            controller.bootstrap([0] * controller.lengths()[0][1 if cls is MainEncController
-                                                                else 0])
+            controller.bootstrap([0] * controller.lengths()[0][0])
             emitted = controller.step(*(controller.ring.fresh([1] * n)
                                         for n in controller.lengths()[1]))
             for ct in _vectors(emitted):
@@ -1328,14 +1345,12 @@ class TestNoiseTable:
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_dry_run_and_run_compile_one_noise_program(self, request, monkeypatch, scheme):
-        """`lattice_params` builds the plan's table from the bare integer
-        kernels it compiles: `start` and `step` on the main route, `step` on
-        the prelim route.  A lattice run of the plan builds no table and
-        compiles no bare kernel: it compiles the controller's payload
-        kernels (`start` and `step`, or `step`), the integer shadow's
-        methods of the same, and on the main route the actuator's `rebuild`
-        and the plant's `observe`, on the prelim route the plant's
-        `products` and `measure`."""
+        """`lattice_params` builds the plan's table on the one integer
+        kernel it compiles, the recurrence's `step`.  A lattice run of the
+        plan builds no table, and its integer shadow runs that same `step`:
+        it compiles the controller's payload `step` and on the main route
+        the actuator's `rebuild` and the plant's `observe`, on the prelim
+        route the plant's `products` and `measure`."""
         sc, plan, run = route(request, scheme)
         sources, compile_ = [], compile
 
@@ -1343,17 +1358,17 @@ class TestNoiseTable:
             sources.append(source)
             return compile_(source, *args)
 
-        # `kernel.Source.function` compiles through the name `compile`
+        # `kernel.Source.define` compiles through the name `compile`
         monkeypatch.setattr(kernel, "compile", recording_compile, raising=False)
         params = lattice_params(plan, 5)
-        assert len(sources) == (2 if scheme == "main" else 1)
+        assert len(sources) == 1
         assert not any("reduce(" in src for src in sources)
         sources.clear()
         tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
-        assert (len(payload), len(sources)) == ((2, 6) if scheme == "main" else (1, 4))
+        assert (len(payload), len(sources)) == (1, 3)
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))
@@ -1441,11 +1456,11 @@ def test_counters(request, scheme):
     assert tr.msgs_ctrl_to_sensor == 0
     assert tr.actuator_enc_ops == 0
     assert tr.actuator_dec_ops == tr.dec_ops == 10 * per
-    # the bootstrap encrypts main's states xo, xe, re and its zero brackets
-    # bx, bu, or prelim's state x; each step, the sensor's and the provider's
+    # the bootstrap encrypts main's emission (xo, xe, S re) and its state
+    # beta, or prelim's state x; each step, the sensor's and the provider's
     # vectors
     n_x = sc.ctrl.n_x
-    boot = sc.plant.n + 2 * n_x + n_r + w if scheme == "main" else n_x
+    boot = sc.plant.n + 2 * n_x + w if scheme == "main" else n_x
     assert tr.enc_ops == boot + 10 * (v + n_r)
     assert (tr.enc_ops, tr.dec_ops) == (tr.records[-1].enc_ops, tr.records[-1].dec_ops)
 
@@ -1476,12 +1491,12 @@ def test_a_kernel_in_use_stays_kept(monkeypatch):
     monkeypatch.setattr(loop, "KERNELS_KEPT", 2)
     rec, built = SimpleNamespace(m=SimpleNamespace(A=((1,),))), []
 
-    def build(rec, method, reads, args):
+    def build(rec, method, args):
         built.append(method)
         return method
 
     for method in ("shared", "a", "shared", "b", "shared"):
-        assert loop._kept(build, rec, method, (), ()) == method
+        assert loop._kept(build, rec, method, ()) == method
     assert built == ["shared", "a", "b"]
 
 
@@ -1766,24 +1781,24 @@ PLAN_FIXTURES = {("batch", "main"): "sound_plan", ("tanks", "main"): "tanks_main
 GOLDEN = [
     # (fixture, scheme, backend, horizon, seed, q or None for the plan's, digest)
     ("batch", "main", "mock", 120, 0, None,
-     "1d6f8ed0a37ef892c8245899ed0aa35bfd48111f1119516e3a2b8f084a4cb596"),
+     "9005fa5b61307c330620b0286490f0ba02a26d4232ea9ad0ecfa05070eb8123e"),
     ("batch", "main", "lattice", 40, 3, None,
-     "a0635ee13bb479503c629396a90bc79a2baacec86fbea57c72cb48c855ef19d7"),
+     "c18536c7826de6384b5368b82f1221b711ea06943000831814fd877cdc6b7aac"),
     ("tanks", "prelim", "mock", 200, 0, None,
      "44358ef0efadd4316704ad198a0e64de2ebfcbb529afff66195df2b34a73dbcb"),
     ("tanks", "prelim", "lattice", 60, 3, None,
      "11f34c47d5615afe373e402e256f9ecc2e8998069ce3fcd7928f79e8e087a081"),
     ("tanks", "main", "mock", 200, 0, None,
-     "28268bdd265ffeca699ba0afe1986c60ed97214d133278e7e71aa4fa555a3738"),
+     "749d51327f2a2617e92c0132c3ffcb7dd4b8bebf651ee5d4043ebc068309420d"),
     ("tanks", "main", "lattice", 60, 3, None,
-     "c82dede5eeeff734dd958bb5fe0f2a4b22e0088a5d666ad43cee4e76938a1657"),
+     "3426e73bb7deb19cfb2a8355779b1692d2b02d35fd8bdfdd3bb6531ca0a1c511"),
     # fault injection: the lifts fail from t = 2 on, 198 recovery failures
     ("batch", "main", "mock", 200, 0, 2**41,
-     "e87843bdbbdbea35fe9487af52b577ef95d2aae3713ef6a88297d0ee587e1b5c"),
+     "ea2f718ae773a5d85f36baf2990a89d3606c2c5f06ca9028d8d64d5fa3738b23"),
     # the plant's denominators: B U scaled by 3 every step (main), and a
     # denominator that grows by a lcm every step (prelim)
     ("scalar", "main", "mock", 200, 0, None,
-     "57dfb2eaee316895cd5a0ee3b90d2abc78e9700c78b9e32a133e7575a585d0ec"),
+     "baf17010135e54de8facf439fed8894b96e201b38a94a0678ab12365610dd102"),
     ("scalar", "prelim", "mock", 200, 0, None,
      "cc4d64af69c906464453d10abd7a567ec61d5cb8555766ed0cb975acf61e4d98"),
 ]
@@ -1808,10 +1823,35 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, q, diges
     assert _golden_digest(run(plan, cfg)) == digest
 
 
+WORKLOADS = json.loads((Path(__file__).parents[1] / "bench" / "workloads.json")
+                       .read_text())["workloads"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_bench_workload_digests(request, name):
+    """Each benchmark workload (`bench/workloads.json`) restores the inputs
+    its digest pins, which the benchmark checks every sample against: the
+    SHA-256 of repr([(t, u_a), ...]), as `bench/sample.py` computes it, of
+    a run of the plan the sample makes (the exact deadbeat observer on the
+    main route), sized as `encloop simulate` sizes it
+    (`cli._backend_params`)."""
+    wl = WORKLOADS[name]
+    fixture = {"batch-reactor": "batch", "coupled-tanks": "tanks"}[wl["fixture"]]
+    sc = request.getfixturevalue(fixture)
+    plan = request.getfixturevalue(PLAN_FIXTURES[fixture, wl["scheme"]])
+    cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference, x_p0=sc.x_p0,
+                    horizon=wl["horizon"], seed=0,
+                    params=cli._backend_params(wl["backend"], plan, sc, wl["horizon"]))
+    run = run_closed_loop_main if wl["scheme"] == "main" else run_closed_loop_prelim
+    records = run(plan, cfg).records
+    assert hashlib.sha256(repr([(r.t, r.u_a) for r in records]).encode()).hexdigest() == (
+        wl["digest"])
+
+
 # (plan fixture, horizons, the pad `lattice_params` sizes at each)
-PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (29, 38, 48, 48, 48, 48)),
+PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (10, 38, 48, 48, 48, 48)),
         ("tanks_plan", (1, 2, 3, 20, 200), (16, 16, 16, 16, 16)),
-        ("tanks_main_plan", (1, 2, 3, 100), (17, 20, 22, 22))]
+        ("tanks_main_plan", (1, 2, 3, 100), (10, 20, 22, 22))]
 
 
 @pytest.mark.parametrize("plan,horizons,pads", PADS,
@@ -1819,8 +1859,8 @@ PADS = [("sound_plan", (1, 2, 3, 20, 40, 200), (29, 38, 48, 48, 48, 48)),
                               "coupled-tanks-main"])
 def test_lattice_pads_are_pinned(request, plan, horizons, pads):
     """The pads of the bundled plans: an edit of the noise table that moves
-    one fails here.  On the main route the bootstrap's emission alone sets
-    the pad at H = 1, and from H = 3 on the pad is the same for every
+    one fails here.  On the main route the bootstrap's fresh emission alone
+    sets the pad at H = 1, and from H = 3 on the pad is the same for every
     horizon; the prelim steps' emissions are bounded alike at every step."""
     plan = request.getfixturevalue(plan)
     assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
@@ -1832,8 +1872,8 @@ def test_lattice_pads_are_pinned(request, plan, horizons, pads):
 def test_pads_of_every_horizon_share_one_noise_program(request, monkeypatch,
                                                        plan, horizons, pads):
     """`lattice_params` of one plan at every pinned horizon builds the plan's
-    noise table once, and compiles its integer kernels once: 2 on the main
-    route (`start` and `step`), 1 on the prelim route."""
+    noise table once, and compiles its one integer kernel, the recurrence's
+    `step`, once."""
     plan = request.getfixturevalue(plan)
     calls, compile_ = [0], compile
 
@@ -1841,10 +1881,10 @@ def test_pads_of_every_horizon_share_one_noise_program(request, monkeypatch,
         calls[0] += 1
         return compile_(*args)
 
-    # `kernel.Source.function` compiles through the name `compile`
+    # `kernel.Source.define` compiles through the name `compile`
     monkeypatch.setattr(kernel, "compile", counting_compile, raising=False)
     assert tuple(lattice_params(plan, h).lattice.pad_bits for h in horizons) == pads
-    assert calls[0] == (2 if isinstance(plan, MainPlan) else 1)
+    assert calls[0] == 1
 
 
 def test_large_pad_lattice_run_restores_the_mock_inputs(batch, sound_plan, tmp_path):
