@@ -5,21 +5,26 @@ exactly), so every integrality question ("does F/a have integer entries?")
 has an exact yes/no answer, and every matrix, the all-zero one included,
 has a largest integerizing scale in (0, 1] (`max_integer_scale`).  This
 module keeps that arithmetic exact via `fractions.Fraction`.  Floats leave
-it in two places: `spectral_radius` (numpy eigenvalues, which the planners'
-stability gates read) and `to_floats`.  The planners' modulus, window and
-quantizer-range bounds are floats too: products of exact norms (`inf_norm`)
-converted to floats, and float 2-norm series; they are not exact
-certificates.
+it in two places: `spectral_radius`, which the planners' stability gates
+read, and `float_rows`.  `spectral_radius` computes the characteristic
+polynomial exactly (`characteristic_polynomial`), splits off its zero roots
+and its repeated factors exactly, and only then finds the remaining simple
+roots in complex floats (`_simple_roots`), so a nilpotent matrix reads
+exactly 0.0 and a repeated eigenvalue is found as accurately as a simple
+one.  The planners' modulus, window and quantizer-range bounds are floats
+too: products of exact norms (`inf_norm`) converted to floats, and float
+2-norm series; they are not exact certificates.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
-
-import numpy as np
 
 Rational = Union[int, str, Fraction]
 
@@ -124,10 +129,11 @@ class RationalMatrix:
     def to_lists(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_floats(self) -> np.ndarray:
-        return np.array(
-            [[float(x) for x in self.row(i)] for i in range(self.rows)], dtype=float
-        ).reshape(self.rows, self.cols)
+    def float_rows(self) -> list:
+        """The entries as rows (lists) of correctly rounded floats, each
+        one integer division (what `float` of a Fraction computes)."""
+        return [[x.numerator / x.denominator for x in self.row(i)]
+                for i in range(self.rows)]
 
     @property
     def shape(self):
@@ -271,14 +277,126 @@ def inf_norm(m: RationalMatrix) -> Fraction:
     return max(sum((abs(x) for x in m.row(i)), Fraction(0)) for i in range(m.rows))
 
 
-def spectral_radius(m: RationalMatrix) -> float:
-    """max |eigenvalue| in double precision (abs tol ~1e-9 on balanced matrices)."""
+def characteristic_polynomial(m: RationalMatrix) -> tuple:
+    """The exact characteristic polynomial det(x I - d m) of the integer
+    matrix d m, d the lcm of m's denominators: its integer coefficients,
+    leading 1 first, and d.  The eigenvalues of m are its roots over d.
+
+    Faddeev-LeVerrier: with N = d m, M_1 = I, c_k = -tr(N M_k)/k and
+    M_(k+1) = N M_k + c_k I; each division by k is exact over the integers.
+    """
     if m.rows != m.cols:
-        raise NonSquareError("spectral radius of a non-square matrix")
-    if m.rows == 0:
+        raise NonSquareError("characteristic polynomial of a non-square matrix")
+    n, d = m.rows, m.denominator_lcm()
+    N = [[x.numerator * (d // x.denominator) for x in m.row(i)] for i in range(n)]
+    coeffs = [1]
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        cols = list(zip(*Mk))
+        if k == n:  # only the trace of N M_n is needed
+            coeffs.append(-sum(sum(map(operator.mul, N[i], cols[i])) for i in range(n)) // k)
+            break
+        Mk = [[sum(map(operator.mul, row, col)) for col in cols] for row in N]
+        c = -sum(Mk[i][i] for i in range(n)) // k
+        coeffs.append(c)
+        for i in range(n):
+            Mk[i][i] += c
+    return coeffs, d
+
+
+def _primitive(p: list) -> list:
+    """p over the gcd of its coefficients, with a positive leading one."""
+    g = math.gcd(*p)
+    return [x // (g if p[0] > 0 else -g) for x in p]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """The remainder of lc(b)^k a by b over the integers, leading zeros
+    dropped (a zero remainder is [])."""
+    lb = b[0]
+    while len(a) >= len(b):
+        f = a[0]
+        a = [lb * x - f * y for x, y in zip(a[1:], b[1:])] + [lb * x for x in a[len(b):]]
+        while a and a[0] == 0:
+            a = a[1:]
+    return a
+
+
+def squarefree_part(p: list) -> list:
+    """The primitive integer polynomial with the roots of the integer
+    polynomial p, each once: p / gcd(p, p'), the gcd taken by a primitive
+    remainder sequence, the division exact (Gauss's lemma)."""
+    deg = len(p) - 1
+    a, b = _primitive(p), _primitive([x * (deg - i) for i, x in enumerate(p[:-1])])
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
+            break
+        a, b = b, _primitive(r)
+    else:
+        return _primitive(p)
+    quotient, rest = [], list(p)
+    while len(rest) >= len(b):
+        f = rest[0] // b[0]
+        quotient.append(f)
+        rest = [x - f * y for x, y in zip(rest[1:], b[1:])] + rest[len(b):]
+    return _primitive(quotient)
+
+
+ABERTH_MAX_ITERATIONS = 500
+
+
+def _simple_roots(c: list) -> list:
+    """The roots of the monic float polynomial c (leading 1 first, degree
+    >= 1, c[-1] != 0) with simple roots: Aberth-Ehrlich iteration from
+    points on the circle of the roots' geometric mean, each root updated in
+    turn.  A root stops once |p(z)| is within the rounding error of
+    evaluating p at z, and then takes one Newton step."""
+    m = len(c) - 1
+    radius = abs(c[-1]) ** (1.0 / m)
+    z = [radius * cmath.exp(1j * (2 * math.pi * k / m + 0.4)) for k in range(m)]
+    absc = [abs(x) for x in c]
+    live = set(range(m))
+    for _ in range(ABERTH_MAX_ITERATIONS):
+        for i in sorted(live):
+            zi = z[i]
+            p = dp = 0j
+            for a in c:
+                dp = dp * zi + p
+                p = p * zi + a
+            az, bound = abs(zi), 0.0
+            for a in absc:
+                bound = bound * az + a
+            if abs(p) <= 4 * m * sys.float_info.epsilon * bound:
+                live.discard(i)
+                if dp:
+                    z[i] = zi - p / dp
+                continue
+            den = dp - p * sum(1 / (zi - zj) for zj in z if zj != zi)
+            # a zero denominator (a critical point) is left by a nudge
+            z[i] = zi - p / den if den else zi * (1 + 1e-8) + 1e-300
+        if not live:
+            break
+    return z
+
+
+def spectral_radius(m: RationalMatrix) -> float:
+    """max |eigenvalue| of m, as a float: the largest modulus among the
+    roots of m's characteristic polynomial.  Exact zero roots are split off
+    and repeated roots reduced to one (`squarefree_part`) in integers, so a
+    nilpotent m gives exactly 0.0; the simple roots left are found in
+    complex floats (`_simple_roots`) from the monic polynomial in m's own
+    eigenvalues, whose coefficients are correctly rounded."""
+    p, d = characteristic_polynomial(m)
+    while len(p) > 1 and p[-1] == 0:
+        p = p[:-1]
+    if len(p) == 1:
         return 0.0
-    ev = np.linalg.eigvals(m.to_floats())
-    return float(np.max(np.abs(ev)))
+    p = squarefree_part(p)
+    c = [x / (p[0] * d ** k) for k, x in enumerate(p)]
+    if len(c) == 2:
+        return abs(c[1])
+    return max(map(abs, _simple_roots(c)))
 
 
 # -- integer scaling ---------------------------------------------------

@@ -17,8 +17,9 @@ an unreduced pair of integers.  A step is therefore integer arithmetic
 only, on both routes, and builds no `Fraction` unless the run collects its
 detail rows; the prelim route's plant denominator grows by that of A/omega
 each step.  Doubles appear only in the unencrypted reference loop (the
-restoration target) and in reporting, where a ratio of integers converts
-with one correctly rounded division.
+restoration target, one closed-loop map on plain float rows) and in
+reporting, where a ratio of integers converts with one correctly rounded
+division.
 
 The zoomed states grow by log2(1/omega) bits a step, so on the main route
 only the actuator's reconstruction carries that growth: the plant keeps its
@@ -105,8 +106,6 @@ from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
 from typing import NamedTuple, Sequence
-
-import numpy as np
 
 from . import he, kernel
 from .exactmat import RationalMatrix, SingularMatrixError, as_fraction, as_ratio
@@ -299,26 +298,45 @@ class ClosedLoopTrace:
 
 class IdealLoop:
     """The pre-given controller closed with its own plant copy on the constant
-    reference, no quantization."""
+    reference, no quantization: one closed-loop map on z = (x_p, x), in
+    floats.  A step emits u = K z + S r and moves z <- M z + c, with
+    K = [J C, H], M = [[A + B J C, B H], [G C, F]] (`block_closed_loop`) and
+    c = (B S r, R r), all formed from the float rows of the models."""
 
     def __init__(self, plant: PlantModel, ctrl: ControllerModel, x_p0, reference):
-        self.A, self.B, self.C = (m.to_floats() for m in (plant.A, plant.B, plant.C))
-        self.F, self.G, self.H = (m.to_floats() for m in (ctrl.F, ctrl.G, ctrl.H))
-        self.J = ctrl.J.to_floats()
-        self.x_p = np.array([float(x) for x in x_p0], dtype=float)
-        self.x = ctrl.x0.to_floats().ravel()
-        r = np.array([float(x) for x in reference.data], dtype=float)
-        # the reference is constant, and so are S r and R r
-        self.Sr, self.Rr = ctrl.S.to_floats() @ r, ctrl.R_ref.to_floats() @ r
+        A, B, C = (m.float_rows() for m in (plant.A, plant.B, plant.C))
+        F, G, H, J, S, R = (m.float_rows() for m in (
+            ctrl.F, ctrl.G, ctrl.H, ctrl.J, ctrl.S, ctrl.R_ref))
+        r = [_float(x) for x in reference.data]
+        n, Ct = plant.n, list(zip(*C)) if C else [()] * plant.n
+        self.K = [[sum(map(operator.mul, j, c)) for c in Ct] + h for j, h in zip(J, H)]
+        self.Sr = [sum(map(operator.mul, row, r)) for row in S]
+        Kt = list(zip(*self.K)) if self.K else [()] * (n + ctrl.n_x)
+        self.M = [[a + sum(map(operator.mul, b, k)) for a, k in zip(ra + [0.0] * ctrl.n_x, Kt)]
+                  for ra, b in zip(A, B)]
+        self.M += [[sum(map(operator.mul, g, c)) for c in Ct] + f for g, f in zip(G, F)]
+        self.c = ([sum(map(operator.mul, b, self.Sr)) for b in B]
+                  + [sum(map(operator.mul, row, r)) for row in R])
+        self.n = n
+        self.z = tuple([_float(x) for x in chain(x_p0, ctrl.x0.data)])
+
+    @property
+    def x_p(self) -> tuple:
+        """The plant copy's state."""
+        return self.z[:self.n]
 
     def step(self) -> tuple:
         """The controller's output u of this step, as a tuple of floats."""
-        y = self.C @ self.x_p
-        u = self.H @ self.x + self.J @ y + self.Sr
-        x_next = self.F @ self.x + self.G @ y + self.Rr
-        self.x_p = self.A @ self.x_p + self.B @ u
-        self.x = x_next
-        return tuple(u.tolist())
+        z = self.z
+        u = tuple([sum(map(operator.mul, k, z)) + sr for k, sr in zip(self.K, self.Sr)])
+        self.z = tuple([sum(map(operator.mul, m, z)) + c for m, c in zip(self.M, self.c)])
+        return u
+
+
+def _float(x) -> float:
+    """An int or a Fraction as the nearest float, by one integer division."""
+    n, d = as_ratio(x)
+    return n / d
 
 
 # -- the converted controllers, each written once over their rings -----------
@@ -852,9 +870,9 @@ class PlantSim:
         n, d = self._state_ratio()
         return [Fraction(n * x, d) for x in self._zoomed()]
 
-    def state_floats(self) -> np.ndarray:
+    def state_floats(self) -> list:
         n, d = self._state_ratio()
-        return np.array([_ratio_float(n * x, d) for x in self._zoomed()], dtype=float)
+        return [_ratio_float(n * x, d) for x in self._zoomed()]
 
 
 # -- main scheme parties ------------------------------------------------------
@@ -1227,7 +1245,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
                                  "u_a_exact": [Fraction(n * x, d) for x in s.U]})
         n, d = n * on, d * od
     trace.final_plant_state = tuple(plant.state_floats())
-    trace.final_ideal_plant_state = tuple(float(x) for x in ideal.x_p)
+    trace.final_ideal_plant_state = ideal.x_p
     return trace
 
 

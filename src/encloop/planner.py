@@ -20,17 +20,21 @@ for all-zero matrices), and each route certifies its scaled matrices in one
 step (`_certify`); each zoom (omega, l0) is the largest power of ten that
 passes its checks.  A plan's JSON report is its fields (`_Plan.to_json`).
 Everything that gates an exact property (integrality, nilpotency) is computed
-in rational arithmetic; series bounds and spectra run in floats.
+in rational arithmetic.  Series bounds run in floats, on plain float rows:
+the 2-norms of `compute_M` are largest singular values from cyclic Jacobi
+on P^T P (`norm2`), and `compute_Ce` takes infinity norms of float
+products.  Spectral radii are the float roots of exact characteristic
+polynomials (`exactmat.spectral_radius`).
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
-
-import numpy as np
 
 from .exactmat import (
     DimensionMismatchError,
@@ -210,39 +214,102 @@ def stacked_error_bound(v: int, w: int, n_r: int, omega) -> float:
 MIN_Q = 4  # the smallest plaintext modulus a plan or a q override may set
 M_SERIES_RTOL = 1e-12
 M_SERIES_MAX_TERMS = 20000
+JACOBI_MAX_SWEEPS = 60
+
+
+# -- float rows ---------------------------------------------------------------
+
+
+def _matmul(a: list, b: list) -> list:
+    """The float product of the rows a and b (b with at least one row)."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def _identity(n: int) -> list:
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+def _scaled_rows(m: RationalMatrix, w: float) -> list:
+    """m's float rows, each entry divided by the float w."""
+    return [[x / w for x in row] for row in m.float_rows()]
+
+
+def _float_inf_norm(rows: list) -> float:
+    """Induced infinity norm of float rows: max absolute row sum (0.0 for
+    no entries)."""
+    return max((sum(map(abs, row)) for row in rows), default=0.0)
+
+
+def norm2(rows: list) -> float:
+    """Induced 2-norm of float rows: the largest singular value, the square
+    root of the largest eigenvalue of the Gram matrix P^T P, which cyclic
+    Jacobi rotations diagonalize (0.0 for no entries).  P is first scaled by
+    a power of two, exactly, to a largest entry in [1/2, 1), so that no
+    product of the Gram matrix overflows or underflows."""
+    big = max((abs(x) for row in rows for x in row), default=0.0)
+    if big == 0.0:
+        return 0.0
+    e = math.frexp(big)[1]
+    rows = [[math.ldexp(x, -e) for x in row] for row in rows]
+    g = _matmul(list(zip(*rows)), rows)
+    n = len(g)
+    for _ in range(JACOBI_MAX_SWEEPS):
+        off = sum(g[p][q] ** 2 for p in range(n) for q in range(p + 1, n))
+        if off <= (sys.float_info.epsilon * max(g[p][p] for p in range(n))) ** 2:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                gpq = g[p][q]
+                if gpq == 0.0:
+                    continue
+                theta = (g[q][q] - g[p][p]) / (2.0 * gpq)
+                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
+                c = 1.0 / math.hypot(t, 1.0)
+                s = t * c
+                for r in range(n):
+                    grp, grq = g[r][p], g[r][q]
+                    g[r][p], g[r][q] = c * grp - s * grq, s * grp + c * grq
+                for r in range(n):
+                    gpr, gqr = g[p][r], g[q][r]
+                    g[p][r], g[q][r] = c * gpr - s * gqr, s * gpr + c * gqr
+    return math.ldexp(math.sqrt(max(max(g[p][p] for p in range(n)), 0.0)), e)
 
 
 def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
-              delta0_bound: float) -> float:
+              delta0_bound: float, rho_c: Optional[float] = None) -> float:
     """Uniform bound on the stacked one-step state differences delta(t).
 
     delta obeys delta(t+1) = (A_cl/omega) delta(t) + (Bbar/omega) e(t) with
     ||e(t)||_2 <= sqrt(v+w+n_r) (1/2 + 1/(2 omega)); the bound is the seeded
     transient supremum plus the geometric series of 2-norm power terms,
     truncated once terms fall below M_SERIES_RTOL of the partial sum.
+    `rho_c`, the spectral radius of A_cl, is computed when not given.
     """
     omega = as_fraction(omega)
     A_cl, Bbar = _coupling_blocks(plant, ctrl)
-    P = A_cl.to_floats() / float(omega)
-    rho = spectral_radius(A_cl) / float(omega)
+    w = float(omega)
+    if rho_c is None:
+        rho_c = spectral_radius(A_cl)
+    rho = rho_c / w
     if rho >= 1.0 - 1e-12:
         raise DivergentError(
             f"rho(A_cl/omega) = {rho:.6f} >= 1: one-step differences are unbounded"
         )
-    Bw = Bbar.to_floats() / float(omega)
+    P = _scaled_rows(A_cl, w)
     e_max = stacked_error_bound(plant.v, plant.w, ctrl.n_r, omega)
-    b2 = float(np.linalg.norm(Bw, 2)) if Bw.size else 0.0
-    Pk = np.eye(P.shape[0])
+    b2 = norm2(_scaled_rows(Bbar, w))
+    Pk = _identity(len(P))
     series = 0.0
     transient = 0.0
     for k in range(M_SERIES_MAX_TERMS):
-        nk = float(np.linalg.norm(Pk, 2))
+        nk = norm2(Pk)
         transient = max(transient, nk * delta0_bound)
         term = nk * b2 * e_max
         series += term
         if k > 0 and term <= M_SERIES_RTOL * series:
             break
-        Pk = Pk @ P
+        Pk = _matmul(Pk, P)
     else:
         raise DivergentError("series did not converge within the term budget")
     return transient + series
@@ -369,7 +436,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     dx1 = (nF * xbar0 + nG * (ybar0 + 0.5) + nR * (rbar0 + 0.5)) / w
     seed = math.sqrt(plant.n + ctrl.n_x) * max(dp1, dx1)
 
-    M = compute_M(plant, ctrl, omega, seed)
+    M = compute_M(plant, ctrl, omega, seed, report.rho_c)
 
     # per-step recovery window: [JC H] delta plus the quantization-error and
     # scaling cross terms the coarse bound glosses over
@@ -493,19 +560,19 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
     """
     w = float(as_fraction(omega))
     N = A - L @ C
-    Nf = N.to_floats() / w
-    Lf = L.to_floats() / w
+    Nf, Lf = _scaled_rows(N, w), _scaled_rows(L, w)
     terms, series, transient = [], 0.0, e0_bound
-    Pk = np.eye(Nf.shape[0])
+    Pk = _identity(len(Nf))
     for k in range(deadbeat_index):          # Pk = Abar^k
         if k:
-            transient = max(transient, float(np.linalg.norm(Pk, np.inf)) * e0_bound)
-        terms.append(0.5 * float(np.linalg.norm(Pk @ Lf, np.inf)))
+            transient = max(transient, _float_inf_norm(Pk) * e0_bound)
+        terms.append(0.5 * _float_inf_norm(_matmul(Pk, Lf)))
         series += terms[-1]
-        Pk = Pk @ Nf
+        Pk = _matmul(Pk, Nf)
     tail_sound = N.matpow(deadbeat_index).is_zero()
     if not tail_sound:
-        tail_sound = spectral_radius(N) / w < 1.0 or float(np.linalg.norm(Pk @ Lf, np.inf)) == 0.0
+        tail_sound = (spectral_radius(N) / w < 1.0
+                      or _float_inf_norm(_matmul(Pk, Lf)) == 0.0)
     return CeResult(value=max(0.5, transient + series),
                     tail_sound=tail_sound,
                     truncation_index=deadbeat_index, terms=tuple(terms))
@@ -561,7 +628,8 @@ class MainPlan(_Plan):
     range_level: int
     certificates: dict
     rho_observer: float          # 0.0 when exact nilpotency is certified
-    rho_observer_eig: float      # double-precision eigensolver report
+    rho_observer_eig: float      # spectral_radius: the float roots of the exact
+                                 # characteristic polynomial, 0.0 for a nilpotent gain
     rho_observer_grid: Optional[float]  # spectral radius of the certified gain, if distinct
     deadbeat_index: int
     tail_sound: bool

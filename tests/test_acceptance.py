@@ -41,6 +41,7 @@ from encloop.planner import (
 )
 
 from conftest import random_main_system, random_prelim_system
+from floatref import floats
 
 
 def report(num, detail):
@@ -92,7 +93,7 @@ def test_criterion_2_parameter_reproduction(batch, batch_companion):
     for name, mat in sources.items():
         assert plan.certificates[name].verify(mat), name
     assert plan.rho_observer <= 1e-5        # 0 by exact nilpotency (paper: 9e-7)
-    assert plan.rho_observer_eig <= 1e-5    # double-precision eigensolver report
+    assert plan.rho_observer_eig <= 1e-5    # float radius: 0.0 from the exact x^4
     assert elapsed < 1.0
     report(2, f"s1=1, s2=1/100, omega=1/10000, 11 exact certificates, "
               f"rho={plan.rho_observer_eig:.1e}, {elapsed*1e3:.0f} ms")
@@ -104,10 +105,10 @@ def test_criterion_3_modulus_bound(batch, batch_companion, published_plan):
     assert abs(math.log2(published_plan.q_bound) - 61.4955) <= 2.0
     # term-by-term against an independent float recomputation
     Ce = published_plan.C_e
-    L = batch.L_published.to_floats()
-    Cf = batch.plant.C.to_floats()
-    Rf = batch.ctrl.R_ref.to_floats()
-    Sf = batch.ctrl.S.to_floats()
+    L = floats(batch.L_published)
+    Cf = floats(batch.plant.C)
+    Rf = floats(batch.ctrl.R_ref)
+    Sf = floats(batch.ctrl.S)
     w = float(published_plan.omega)
     s1, s2 = float(published_plan.s1), float(published_plan.s2)
     independent = [

@@ -548,7 +548,8 @@ def _plan_digest(plan) -> str:
     """SHA-256 over a plan's exact fields: the scales, the modulus, the
     quantizer range, the observer report, the gain, the dimensions and every
     certificate's scale and integer rows.  The float bounds are left out, as
-    their last bits vary with the BLAS build."""
+    their last bits follow the order of float operations, which is no part
+    of the plan."""
     fields = [(name, getattr(plan, name)) for name in (
         "omega", "s1", "s2", "l0", "q", "range_level", "deadbeat_index",
         "tail_sound", "L", "dims") if hasattr(plan, name)]
@@ -594,24 +595,36 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(done.stdout)["q"]
 
 
-def test_no_route_imports_scipy():
-    """encloop depends on numpy only: planning with every observer mode, the
-    prelim plan and a main-route simulation never import scipy."""
+def test_no_route_imports_numpy_or_scipy():
+    """encloop's runtime needs neither numpy nor scipy: in a fresh
+    interpreter whose `sys.meta_path` refuses to import either, planning with
+    both observer modes and on the prelim route, and simulating both routes
+    on both backends at a short horizon, each return 0."""
     code = (
-        "import sys, encloop\n"
+        "import sys\n"
+        "class Refuse:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] in ('numpy', 'scipy'):\n"
+        "            raise ImportError(f'{name} is refused')\n"
+        "sys.meta_path.insert(0, Refuse())\n"
         "from encloop.cli import main\n"
-        "for obs in ['published', 'exact']:\n"
-        "    assert main(['plan', '--fixture', 'batch-reactor', '--observer', obs]) == 0\n"
-        "assert main(['plan', '--fixture', 'coupled-tanks', '--scheme', 'prelim']) == 0\n"
-        "assert main(['simulate', '--fixture', 'batch-reactor', '--backend', 'mock',\n"
-        "             '--horizon', '5']) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "runs = [['plan', '--fixture', 'batch-reactor', '--observer', 'published'],\n"
+        "        ['plan', '--fixture', 'batch-reactor', '--observer', 'exact'],\n"
+        "        ['plan', '--fixture', 'coupled-tanks', '--scheme', 'prelim']]\n"
+        "for backend in ['mock', 'lattice']:\n"
+        "    for fixture, scheme in [('batch-reactor', 'main'), ('coupled-tanks', 'prelim')]:\n"
+        "        runs.append(['simulate', '--fixture', fixture, '--scheme', scheme,\n"
+        "                     '--backend', backend, '--horizon', '5'])\n"
+        "for argv in runs:\n"
+        "    assert main(argv) == 0, argv\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
     src = str(Path(encloop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.splitlines()[-1] == "[]"
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 @pytest.mark.parametrize("spec", ["n=4", "n=4,n_x=4", "n=4,n_x=x,w=1", "n=4,n_x=4,w",

@@ -1,9 +1,11 @@
+import math
 import random
+import timeit
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from encloop.exactmat import (
@@ -13,6 +15,7 @@ from encloop.exactmat import (
     SingularMatrixError,
     as_fraction,
     block_closed_loop,
+    characteristic_polynomial,
     hstack,
     inf_norm,
     is_integer_after_scale,
@@ -20,9 +23,12 @@ from encloop.exactmat import (
     max_integer_scale,
     rational_gcd,
     spectral_radius,
+    squarefree_part,
     vstack,
 )
-from encloop.planner import ControllerModel, PlantModel
+from encloop.planner import ControllerModel, PlantModel, norm2
+
+from floatref import floats
 
 rationals = st.fractions(
     min_value=Fraction(-50), max_value=Fraction(50), max_denominator=40
@@ -136,6 +142,134 @@ class TestSpectralRadius:
             rhs = abs(float(c)) * spectral_radius(m)
             assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_numpys_eigenvalues(self, data):
+        """numpy's eigenvalues as the reference, on rational matrices up to
+        8x8 where numpy's own answer is good to 1e-11 of the radius: its
+        eigenvalue condition numbers, times eps ||m||_2, say so, and no two
+        eigenvalues lie within 1e-6 of the radius of each other."""
+        n = data.draw(st.integers(1, 8))
+        nums = data.draw(st.lists(st.integers(-50, 50), min_size=n * n, max_size=n * n))
+        dens = data.draw(st.lists(st.integers(1, 40), min_size=n * n, max_size=n * n))
+        m = RationalMatrix(n, n, [Fraction(a, b) for a, b in zip(nums, dens)])
+        a = floats(m)
+        vals, X = np.linalg.eig(a)
+        rho = float(np.max(np.abs(vals)))
+        assume(rho > 0 and np.linalg.cond(X) < 1e12)
+        kappa = np.linalg.norm(np.linalg.inv(X), axis=1) * np.linalg.norm(X, axis=0)
+        gaps = [abs(x - y) for i, x in enumerate(vals) for y in vals[:i]]
+        assume(np.finfo(float).eps * np.linalg.norm(a, 2) * kappa.max() <= 1e-11 * rho)
+        assume(min(gaps, default=rho) > 1e-6 * rho)
+        assert spectral_radius(m) == pytest.approx(rho, rel=1e-9, abs=0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_known_spectrum(self, data):
+        """T = U D U^-1 with D block diagonal and U an integer matrix of
+        determinant 1, so that the radius is known exactly.  D's blocks are
+        Jordan blocks of up to 3 rows at a rational eigenvalue (repeated
+        eigenvalues, within a block and across blocks, and the identity),
+        and 2x2 blocks [[a, -b], [b, a]] (complex pairs a +- bi), up to 8
+        rows in all.  On a Jordan block of k rows an eigensolver is good to
+        about eps^(1/k) only, so the reference is the exact radius, to
+        1e-9; a nilpotent T (every eigenvalue 0) reads exactly 0.0."""
+        small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+        zero = data.draw(st.booleans())
+        blocks, radius, size = [], 0.0, 0
+        while size < 8:
+            if zero:
+                kind = "jordan"
+            else:
+                kind = data.draw(st.sampled_from(["jordan", "rotation"]))
+            if kind == "rotation" and size <= 6:
+                a, b = data.draw(small), data.draw(small.filter(bool))
+                blocks.append([[a, -b], [b, a]])
+                radius = max(radius, math.hypot(a, b))
+                size += 2
+            else:
+                lam = Fraction(0) if zero else data.draw(small)
+                k = data.draw(st.integers(1, min(3, 8 - size)))
+                blocks.append([[lam if i == j else Fraction(int(j == i + 1))
+                                for j in range(k)] for i in range(k)])
+                radius = max(radius, abs(float(lam)))
+                size += k
+            if data.draw(st.booleans()):
+                break
+        D = RationalMatrix.zeros(size, size)
+        rows = D.to_lists()
+        at = 0
+        for blk in blocks:
+            for i, row in enumerate(blk):
+                rows[at + i][at:at + len(row)] = row
+            at += len(blk)
+        U = RationalMatrix.identity(size).to_lists()
+        for _ in range(data.draw(st.integers(0, 3 * size))):
+            i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
+            if i != j:
+                c = data.draw(st.integers(-2, 2))
+                U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+        U = rmat(U)
+        T = U @ rmat(rows) @ U.inverse()
+        got = spectral_radius(T)
+        if zero:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(radius, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_identity_and_a_nilpotent_shift_are_exact(self, n):
+        shift = RationalMatrix(n, n, [Fraction(int(j == i + 1)) for i in range(n)
+                                      for j in range(n)])
+        assert spectral_radius(RationalMatrix.identity(n)) == 1.0
+        assert spectral_radius(shift) == 0.0
+        assert spectral_radius(shift.scale(Fraction(1, 2)) + RationalMatrix.identity(n)
+                               .scale(Fraction(-2, 3))) == pytest.approx(2 / 3, rel=1e-15)
+
+    def test_the_characteristic_polynomial_is_exact(self, batch):
+        """det(x I - d m) of the batch reactor's closed loop, checked at
+        x = 0 against the exact determinant, and by Cayley-Hamilton: the
+        polynomial of d m annihilates d m."""
+        m = block_closed_loop(batch.plant, batch.ctrl)
+        p, d = characteristic_polynomial(m)
+        N = m.scale(d)
+        acc = RationalMatrix.zeros(m.rows, m.cols)
+        for c in p:  # Horner in matrices
+            acc = acc @ N + RationalMatrix.identity(m.rows).scale(c)
+        assert acc.is_zero()
+        assert len(p) == m.rows + 1 and p[0] == 1
+
+    @pytest.mark.parametrize("p,want", [
+        ([1, -3, 3, -1], [1, -1]),            # (x - 1)^3
+        ([1, 0, -2, 0, 1], [1, 0, -1]),       # (x^2 - 1)^2
+        ([4, 0, 1], [4, 0, 1]),               # squarefree already
+        ([2, -2], [1, -1]),
+        ([1, 0, 0], [1, 0]),                  # x^2
+    ])
+    def test_squarefree_part(self, p, want):
+        assert squarefree_part(p) == want
+
+    def test_one_call_on_the_batch_closed_loop_is_fast(self, batch):
+        m = block_closed_loop(batch.plant, batch.ctrl)
+        best = min(timeit.repeat(lambda: spectral_radius(m), number=5, repeat=5)) / 5
+        assert best < 0.010
+
+
+class TestNorm2:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_numpys_2_norm(self, data):
+        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        scale = 2.0 ** data.draw(st.integers(-600, 600))
+        entries = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows * cols,
+                                     max_size=rows * cols))
+        a = np.array(entries).reshape(rows, cols) * scale
+        assert norm2(a.tolist()) == pytest.approx(float(np.linalg.norm(a, 2)),
+                                                  rel=1e-9, abs=0)
+
+    def test_no_entries(self):
+        assert norm2([]) == 0.0 and norm2([[], []]) == 0.0 and norm2([[0.0, -0.0]]) == 0.0
+
 
 class TestInfNorm:
     def test_small(self):
@@ -229,7 +363,7 @@ class TestLinearAlgebra:
         # integer entries: a nonzero minor is at least 1, far above the
         # tolerance of numpy's singular-value rank
         rank = m.rank()
-        assert rank == np.linalg.matrix_rank(m.to_floats())
+        assert rank == np.linalg.matrix_rank(floats(m))
         if m.rows != m.cols:
             return
         if rank < m.rows:

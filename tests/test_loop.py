@@ -21,6 +21,7 @@ from encloop.fixtures import Scenario
 from encloop.loop import (
     CSV_COLUMNS_SUFFIX,
     MAIN_CERTIFICATES,
+    IdealLoop,
     MainEncController,
     MainIntegerRecurrence,
     MainIntegerShadow,
@@ -44,7 +45,8 @@ from encloop.loop import (
 from encloop.planner import (ControllerModel, MainPlan, MainPlanOptions, PlantModel,
                              design_deadbeat_observer, plan_main, plan_preliminary)
 
-from conftest import random_main_system
+from conftest import random_main_system, random_prelim_system
+from floatref import SevenProductLoop
 from rings import CipherRing, FormRing, IntRing, function
 
 
@@ -1630,7 +1632,7 @@ class TestZoomedPlant:
             plant.step(U)
             reference.step(U)
             assert plant.x == reference.x
-            assert plant.state_floats().tolist() == reference.state_floats().tolist()
+            assert plant.state_floats() == reference.state_floats()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1736,10 +1738,55 @@ class TestRandomSystems:
             assert tr.saturation_count == 0
 
 
+class TestIdealLoop:
+    """`IdealLoop`, one closed-loop map on (x_p, x), against the plant and
+    controller equations in numpy, seven products a step
+    (`floatref.SevenProductLoop`): u within 1e-9 max(1, |u|) at every step,
+    and the plant state alike at the end."""
+
+    @staticmethod
+    def _check(plant, ctrl, x_p0, reference, horizon):
+        ours = IdealLoop(plant, ctrl, x_p0, reference)
+        theirs = SevenProductLoop(plant, ctrl, x_p0, reference)
+        for _ in range(horizon):
+            u, want = ours.step(), theirs.step()
+            assert type(u) is tuple and len(u) == len(want)
+            assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(u, want))
+        assert type(ours.x_p) is tuple and len(ours.x_p) == plant.n
+        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(ours.x_p, theirs.x_p))
+
+    @pytest.mark.parametrize("fixture,horizon", [("batch", 600), ("tanks", 200)])
+    def test_bundled(self, request, fixture, horizon):
+        sc = request.getfixturevalue(fixture)
+        self._check(sc.plant, sc.ctrl, sc.x_p0, sc.reference, horizon)
+
+    def test_random_plans(self):
+        rng = random.Random(2033)
+        for _ in range(8):
+            plant, ctrl, _, reference, x_p0 = random_main_system(rng)
+            self._check(plant, ctrl, x_p0, reference, 200)
+            plant, ctrl, reference, x_p0 = random_prelim_system(rng)
+            self._check(plant, ctrl, x_p0, reference, 200)
+
+    def test_a_controller_without_a_state_or_a_reference(self):
+        """u = J y: F, G, R and H, S of no rows or no columns."""
+        plant = PlantModel(A=RationalMatrix.from_rows([["0.2"]]),
+                           B=RationalMatrix.from_rows([[1]]),
+                           C=RationalMatrix.from_rows([[1]]))
+        ctrl = ControllerModel(F=RationalMatrix(0, 0, []), G=RationalMatrix(0, 1, []),
+                               R_ref=RationalMatrix(0, 0, []), H=RationalMatrix(1, 0, []),
+                               J=RationalMatrix.from_rows([["-0.2"]]),
+                               S=RationalMatrix(1, 0, []), x0=RationalMatrix(0, 1, []))
+        self._check(plant, ctrl, (Fraction(1),), RationalMatrix(0, 1, []), 50)
+        assert IdealLoop(plant, ctrl, (Fraction(1),), RationalMatrix(0, 1, [])).step() == (
+            -0.2,)
+
+
 def _golden_digest(trace) -> str:
     """SHA-256 over the exact parts of a trace: the per-step records (less the
-    float reference loop's u_true and diff_inf, whose last bits vary with the
-    BLAS build), the detail log, and the summary's integer counters."""
+    float reference loop's u_true and diff_inf, whose last bits follow the
+    order of its float operations), the detail log, and the summary's integer
+    counters."""
     records = [(r.t, r.u_a, r.log2_alpha, r.log2_beta, r.log2_gamma,
                 r.log2_sensor_gap, r.saturated, r.msgs_ctrl_to_act, r.enc_ops,
                 r.dec_ops, r.recovery_failure) for r in trace.records]

@@ -37,6 +37,7 @@ from encloop.planner import (
 )
 
 from conftest import random_main_system
+from floatref import floats
 
 
 def rmat(rows):
@@ -175,11 +176,11 @@ class TestComputeM:
         # greedy sign-adversary drive of the difference recursion
         plant, ctrl = tanks.plant, tanks.ctrl
         omega = float(tanks_plan.omega)
-        A_cl = block_closed_loop(plant, ctrl).to_floats() / omega
+        A_cl = floats(block_closed_loop(plant, ctrl)) / omega
         Bbar = np.block([
-            [plant.B.to_floats() @ ctrl.J.to_floats(), plant.B.to_floats(),
-             plant.B.to_floats() @ ctrl.S.to_floats()],
-            [ctrl.G.to_floats(), np.zeros((ctrl.n_x, plant.w)), ctrl.R_ref.to_floats()],
+            [floats(plant.B) @ floats(ctrl.J), floats(plant.B),
+             floats(plant.B) @ floats(ctrl.S)],
+            [floats(ctrl.G), np.zeros((ctrl.n_x, plant.w)), floats(ctrl.R_ref)],
         ]) / omega
         emax = 0.5 + 0.5 / omega
         rng = np.random.default_rng(0)
@@ -199,11 +200,11 @@ class TestComputeM:
         # brute-force drive for 10^4 steps: 2 ||[JC H]|| max||delta|| < q
         plant, ctrl = tanks.plant, tanks.ctrl
         omega = float(tanks_plan.omega)
-        A_cl = block_closed_loop(plant, ctrl).to_floats() / omega
+        A_cl = floats(block_closed_loop(plant, ctrl)) / omega
         Bbar = np.block([
-            [plant.B.to_floats() @ ctrl.J.to_floats(), plant.B.to_floats(),
-             plant.B.to_floats() @ ctrl.S.to_floats()],
-            [ctrl.G.to_floats(), np.zeros((ctrl.n_x, plant.w)), ctrl.R_ref.to_floats()],
+            [floats(plant.B) @ floats(ctrl.J), floats(plant.B),
+             floats(plant.B) @ floats(ctrl.S)],
+            [floats(ctrl.G), np.zeros((ctrl.n_x, plant.w)), floats(ctrl.R_ref)],
         ]) / omega
         emax = 0.5 + 0.5 / omega
         rng = np.random.default_rng(1)
@@ -277,9 +278,9 @@ class TestDeadbeatObserver:
             # exact deadbeat: the certified radius is 0 and the cube vanishes
             assert N.matpow(3).is_zero()
             assert float(inf_norm(N.matpow(3))) <= 1e-4
-            # a double-precision eigensolver on an exactly nilpotent matrix
-            # reports eps^(1/index)-level noise, not 0
-            assert spectral_radius(N) <= 1e-3
+            # the exact characteristic polynomial of a nilpotent matrix is
+            # x^3, so the reported radius is exactly 0
+            assert spectral_radius(N) == 0.0
 
     def test_index_is_the_largest_observability_index(self):
         """On seeded random observable pairs, a third or so with a row of C
@@ -325,7 +326,7 @@ class TestDeadbeatObserver:
         assert d.nilpotency_index == 2
         assert d.L.denominator_lcm() == 18400
         assert round_to_decimal_grid(d.L, 4) == batch.L_published
-        assert spectral_radius(N) <= 1e-5  # what an eigensolver reports (paper: 9e-7)
+        assert spectral_radius(N) == 0.0  # an eigensolver reports ~1e-8 (paper: 9e-7)
 
 
 class TestComputeCe:
@@ -378,10 +379,10 @@ class TestQBound:
             w = Fraction(1, rng.choice([100, 460, 10000]))
             got = q_bound_main(batch_companion.L, batch.plant.C, batch.ctrl.R_ref,
                                batch.ctrl.S, s1, s2, w, Ce)
-            L = batch_companion.L.to_floats()
-            Cf = batch.plant.C.to_floats()
-            Rf = batch.ctrl.R_ref.to_floats()
-            Sf = batch.ctrl.S.to_floats()
+            L = floats(batch_companion.L)
+            Cf = floats(batch.plant.C)
+            Rf = floats(batch.ctrl.R_ref)
+            Sf = floats(batch.ctrl.S)
             wf, s1f, s2f = float(w), float(s1), float(s2)
             t1 = 2 * Ce * np.linalg.norm(np.hstack([L @ Cf, L]), np.inf) / wf
             t2 = np.linalg.norm(np.hstack([Rf / wf, -Rf]), np.inf) / wf**2
