@@ -178,7 +178,8 @@ def _planned(args, scenario: Scenario, cfg: dict):
                 L=L, L_exact=L_exact, reference=scenario.reference,
                 omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
     except (OverflowError, ZeroDivisionError) as e:
-        # the planner's bounds are floats, which an exact config value can outrange
+        # the main route's bounds and the prelim plan's reported bounds are
+        # floats, which an exact config value can outrange
         raise ConfigError(f"a config value lies beyond the float range of the "
                           f"planner's bounds ({e})") from None
     return plan, overrides
@@ -256,9 +257,15 @@ def _run_config(args, cfg: dict, scenario: Scenario, plan) -> loop.RunConfig:
 
 
 def _run(plan, run_cfg: loop.RunConfig) -> loop.ClosedLoopTrace:
-    if isinstance(plan, MainPlan):
-        return loop.run_closed_loop_main(plan, run_cfg)
-    return loop.run_closed_loop_prelim(plan, run_cfg)
+    run = loop.run_closed_loop_main if isinstance(plan, MainPlan) else loop.run_closed_loop_prelim
+    try:
+        return run(plan, run_cfg)
+    except OverflowError as e:
+        # the unquantized reference loop takes the reference in floats, and
+        # the exact prelim planner accepts a reference beyond the float range
+        # where no matrix reads it
+        raise ConfigError(f"a config value lies beyond the float range of the "
+                          f"reference loop ({e})") from None
 
 
 def cmd_simulate(args) -> int:

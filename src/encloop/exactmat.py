@@ -4,16 +4,15 @@ All plant and controller coefficients are rationals (decimal data parses
 exactly), so every integrality question ("does F/a have integer entries?")
 has an exact yes/no answer, and every matrix, the all-zero one included,
 has a largest integerizing scale in (0, 1] (`max_integer_scale`).  This
-module keeps that arithmetic exact via `fractions.Fraction`.  Floats leave
-it in two places: `spectral_radius`, which the planners' stability gates
-read, and `float_rows`.  `spectral_radius` computes the characteristic
-polynomial exactly (`characteristic_polynomial`), splits off its zero roots
-and its repeated factors exactly, and only then finds the remaining simple
-roots in complex floats (`_simple_roots`), so a nilpotent matrix reads
-exactly 0.0 and a repeated eigenvalue is found as accurately as a simple
-one.  The planners' modulus, window and quantizer-range bounds are floats
-too: products of exact norms (`inf_norm`) converted to floats, and float
-2-norm series; they are not exact certificates.
+module keeps that arithmetic exact via `fractions.Fraction`, and so is the
+planners' stability gate: `spectral_radius_below` decides rho(m) < s by the
+Schur-Cohn test on the exact characteristic polynomial
+(`characteristic_polynomial`).  Floats leave the module in two places:
+`float_rows`, and `spectral_radius`, the radius that plans and error
+messages report.  It splits off the polynomial's zero roots and its
+repeated factors exactly, and only then finds the remaining simple roots
+in complex floats (`_simple_roots`), so a nilpotent matrix reads exactly
+0.0 and a repeated eigenvalue is found as accurately as a simple one.
 """
 
 from __future__ import annotations
@@ -277,6 +276,13 @@ def inf_norm(m: RationalMatrix) -> Fraction:
     return max(sum((abs(x) for x in m.row(i)), Fraction(0)) for i in range(m.rows))
 
 
+def integer_rows(m: RationalMatrix) -> tuple:
+    """d m as rows (lists) of ints, d the lcm of m's denominators, and d."""
+    d = m.denominator_lcm()
+    return [[x.numerator * (d // x.denominator) for x in m.row(i)]
+            for i in range(m.rows)], d
+
+
 def characteristic_polynomial(m: RationalMatrix) -> tuple:
     """The exact characteristic polynomial det(x I - d m) of the integer
     matrix d m, d the lcm of m's denominators: its integer coefficients,
@@ -287,8 +293,8 @@ def characteristic_polynomial(m: RationalMatrix) -> tuple:
     """
     if m.rows != m.cols:
         raise NonSquareError("characteristic polynomial of a non-square matrix")
-    n, d = m.rows, m.denominator_lcm()
-    N = [[x.numerator * (d // x.denominator) for x in m.row(i)] for i in range(n)]
+    n = m.rows
+    N, d = integer_rows(m)
     coeffs = [1]
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -341,6 +347,25 @@ def squarefree_part(p: list) -> list:
         quotient.append(f)
         rest = [x - f * y for x, y in zip(rest[1:], b[1:])] + rest[len(b):]
     return _primitive(quotient)
+
+
+def spectral_radius_below(m: RationalMatrix, s) -> bool:
+    """Whether every eigenvalue of the square m has modulus below s > 0,
+    decided exactly.  The characteristic polynomial of m/s, in integers,
+    goes through the Schur-Cohn (Jury) reduction: p(z) = a_n z^n + ... + a_0
+    has every root in the open unit disk iff |a_0| < |a_n| and the same holds
+    for (a_n p(z) - a_0 z^n p(1/z))/z, of degree n - 1 and leading
+    coefficient a_n^2 - a_0^2.  A root on the unit circle is a root of both
+    terms, so it stays until a degree fails the first test."""
+    c, d = characteristic_polynomial(m)
+    num, den = as_ratio(s)
+    n = len(c) - 1
+    p = [x * (d * num) ** (n - k) * den**k for k, x in enumerate(c)]  # den^n c(d s z)
+    while len(p) > 1:
+        if abs(p[-1]) >= p[0]:
+            return False
+        p = _primitive([p[0] * x - p[-1] * y for x, y in zip(p[:-1], p[:0:-1])])
+    return True
 
 
 ABERTH_MAX_ITERATIONS = 500

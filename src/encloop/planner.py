@@ -19,19 +19,22 @@ Each scale is the largest integerizing one (`exactmat.max_integer_scale`, 1
 for all-zero matrices), and each route certifies its scaled matrices in one
 step (`_certify`); each zoom (omega, l0) is the largest power of ten that
 passes its checks.  A plan's JSON report is its fields (`_Plan.to_json`).
-Everything that gates an exact property (integrality, nilpotency) is computed
-in rational arithmetic.  Series bounds run in floats, on plain float rows:
-the 2-norms of `compute_M` are largest singular values from cyclic Jacobi
-on P^T P (`norm2`), and `compute_Ce` takes infinity norms of float
-products.  Spectral radii are the float roots of exact characteristic
-polynomials (`exactmat.spectral_radius`).
+Every decision is exact: integrality and nilpotency in rational
+arithmetic, and each stability gate (rho_c < 1, rho_c < s_F, rho(A_cl/omega)
+< 1, and the contraction of a non-nilpotent observer tail) by the Schur-Cohn
+test on an exact characteristic polynomial
+(`exactmat.spectral_radius_below`).  The prelim route's bounds are exact
+too: `compute_M` is a certified infinity-norm bound from exact powers of
+A_cl/omega, and q the least power of two above Fractions.  The main route's
+C_e and q still come from floats (`compute_Ce` takes infinity norms of float
+products).  Float spectral radii (`exactmat.spectral_radius`) feed only the
+reported fields and error messages.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -46,10 +49,12 @@ from .exactmat import (
     fraction_to_str,
     hstack,
     inf_norm,
+    integer_rows,
     is_integer_after_scale,
     matrix_to_json,
     max_integer_scale,
     spectral_radius,
+    spectral_radius_below,
     vstack,
 )
 
@@ -160,21 +165,21 @@ class FeasibilityReport:
     reason: str
 
 
-def _contractive_rho_c(plant: PlantModel, ctrl: ControllerModel) -> float:
-    """rho_c, the spectral radius of the pre-given closed loop, which both
-    routes assume below 1."""
-    rho_c = spectral_radius(block_closed_loop(plant, ctrl))
-    if rho_c >= 1.0:
+def _require_contractive(A_cl: RationalMatrix) -> None:
+    """Both routes assume the pre-given closed loop A_cl contracts:
+    rho_c < 1, decided exactly."""
+    if not spectral_radius_below(A_cl, 1):
         raise AssumptionViolatedError(
-            f"closed loop is not contractive: rho_c = {rho_c:.6f} >= 1"
+            f"closed loop is not contractive: rho_c = {spectral_radius(A_cl):.6f} >= 1"
         )
-    return rho_c
 
 
 def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> FeasibilityReport:
-    rho_c = _contractive_rho_c(plant, ctrl)
+    A_cl = block_closed_loop(plant, ctrl)
+    _require_contractive(A_cl)
     s_F = max_integer_scale(ctrl.F)  # the controller's own granularity
-    feasible = rho_c < float(s_F)
+    feasible = spectral_radius_below(A_cl, s_F)
+    rho_c = spectral_radius(A_cl)
     reason = "" if feasible else (
         f"rho_c = {rho_c:.4f} >= s_F = {fraction_to_str(s_F)}: no zoom factor "
         "can both outrun the closed loop and integerize F"
@@ -205,29 +210,22 @@ def _coupling_blocks(plant: PlantModel, ctrl: ControllerModel):
     return A_cl, Bbar
 
 
-def stacked_error_bound(v: int, w: int, n_r: int, omega) -> float:
-    """2-norm bound on the stacked quantization-error differences driving the
-    one-step state-difference recursion: sqrt(v+w+n_r) (1/2 + 1/(2 omega))."""
-    return math.sqrt(v + w + n_r) * (0.5 + 0.5 / float(as_fraction(omega)))
-
-
 MIN_Q = 4  # the smallest plaintext modulus a plan or a q override may set
-M_SERIES_RTOL = 1e-12
-M_SERIES_MAX_TERMS = 20000
-JACOBI_MAX_SWEEPS = 60
+M_MAX_POWER = 500  # compute_M tries the powers of A_cl/omega up to this one
 
 
-# -- float rows ---------------------------------------------------------------
+# -- rows of numbers ------------------------------------------------------------
 
 
 def _matmul(a: list, b: list) -> list:
-    """The float product of the rows a and b (b with at least one row)."""
+    """The product of the rows a and b, of ints or floats (b with at least
+    one row)."""
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
 
 def _identity(n: int) -> list:
-    return [[float(i == j) for j in range(n)] for i in range(n)]
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def _scaled_rows(m: RationalMatrix, w: float) -> list:
@@ -235,84 +233,54 @@ def _scaled_rows(m: RationalMatrix, w: float) -> list:
     return [[x / w for x in row] for row in m.float_rows()]
 
 
-def _float_inf_norm(rows: list) -> float:
-    """Induced infinity norm of float rows: max absolute row sum (0.0 for
-    no entries)."""
-    return max((sum(map(abs, row)) for row in rows), default=0.0)
+def _inf_norm_rows(rows: list):
+    """Induced infinity norm of rows of ints or floats: max absolute row sum
+    (0 for no entries)."""
+    return max((sum(map(abs, row)) for row in rows), default=0)
 
 
-def norm2(rows: list) -> float:
-    """Induced 2-norm of float rows: the largest singular value, the square
-    root of the largest eigenvalue of the Gram matrix P^T P, which cyclic
-    Jacobi rotations diagonalize (0.0 for no entries).  P is first scaled by
-    a power of two, exactly, to a largest entry in [1/2, 1), so that no
-    product of the Gram matrix overflows or underflows."""
-    big = max((abs(x) for row in rows for x in row), default=0.0)
-    if big == 0.0:
-        return 0.0
-    e = math.frexp(big)[1]
-    rows = [[math.ldexp(x, -e) for x in row] for row in rows]
-    g = _matmul(list(zip(*rows)), rows)
-    n = len(g)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = sum(g[p][q] ** 2 for p in range(n) for q in range(p + 1, n))
-        if off <= (sys.float_info.epsilon * max(g[p][p] for p in range(n))) ** 2:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gpq = g[p][q]
-                if gpq == 0.0:
-                    continue
-                theta = (g[q][q] - g[p][p]) / (2.0 * gpq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                for r in range(n):
-                    grp, grq = g[r][p], g[r][q]
-                    g[r][p], g[r][q] = c * grp - s * grq, s * grp + c * grq
-                for r in range(n):
-                    gpr, gqr = g[p][r], g[q][r]
-                    g[p][r], g[q][r] = c * gpr - s * gqr, s * gpr + c * gqr
-    return math.ldexp(math.sqrt(max(max(g[p][p] for p in range(n)), 0.0)), e)
+def compute_M(plant: PlantModel, ctrl: ControllerModel, omega, delta0_bound) -> Fraction:
+    """Certified bound on ||delta(t)||_inf, the stacked one-step state
+    differences.
 
-
-def compute_M(plant: PlantModel, ctrl: ControllerModel, omega,
-              delta0_bound: float, rho_c: Optional[float] = None) -> float:
-    """Uniform bound on the stacked one-step state differences delta(t).
-
-    delta obeys delta(t+1) = (A_cl/omega) delta(t) + (Bbar/omega) e(t) with
-    ||e(t)||_2 <= sqrt(v+w+n_r) (1/2 + 1/(2 omega)); the bound is the seeded
-    transient supremum plus the geometric series of 2-norm power terms,
-    truncated once terms fall below M_SERIES_RTOL of the partial sum.
-    `rho_c`, the spectral radius of A_cl, is computed when not given.
+    delta(t+1) = P delta(t) + Bbar' e(t), with P = A_cl/omega,
+    Bbar' = Bbar/omega, |e_i(t)| <= eps = 1/2 + 1/(2 omega) and
+    ||delta(0)||_inf <= delta0_bound.  For any k with ||P^k||_inf < 1, cutting
+    t into blocks of k steps bounds ||delta(t)||_inf by
+    T delta0_bound + eps max(r) / (1 - ||P^k||_inf), where T = max_{j<k}
+    ||P^j||_inf and r = sum_{j<k} |P^j Bbar'| 1, row by row.  M is the least
+    of these over k up to the first ||P^k||_inf <= 1/2, or M_MAX_POWER, all
+    in integers and Fractions.  Refused with DivergentError when rho(P) < 1
+    fails (decided exactly) or no power up to M_MAX_POWER has a norm below 1.
     """
     omega = as_fraction(omega)
     A_cl, Bbar = _coupling_blocks(plant, ctrl)
-    w = float(omega)
-    if rho_c is None:
-        rho_c = spectral_radius(A_cl)
-    rho = rho_c / w
-    if rho >= 1.0 - 1e-12:
+    if not spectral_radius_below(A_cl, omega):
         raise DivergentError(
-            f"rho(A_cl/omega) = {rho:.6f} >= 1: one-step differences are unbounded"
+            f"rho(A_cl/omega) = {spectral_radius(A_cl) / omega:.6f} >= 1: "
+            "one-step differences are unbounded"
         )
-    P = _scaled_rows(A_cl, w)
-    e_max = stacked_error_bound(plant.v, plant.w, ctrl.n_r, omega)
-    b2 = norm2(_scaled_rows(Bbar, w))
-    Pk = _identity(len(P))
-    series = 0.0
-    transient = 0.0
-    for k in range(M_SERIES_MAX_TERMS):
-        nk = norm2(Pk)
-        transient = max(transient, nk * delta0_bound)
-        term = nk * b2 * e_max
-        series += term
-        if k > 0 and term <= M_SERIES_RTOL * series:
-            break
-        Pk = _matmul(Pk, P)
-    else:
-        raise DivergentError("series did not converge within the term budget")
-    return transient + series
+    N, d = integer_rows(A_cl.scale(1 / omega))  # P = N/d
+    W, e = integer_rows(Bbar.scale(1 / omega))  # Bbar' = W/e
+    eps = Fraction(1, 2) + 1 / (2 * omega)
+    delta0 = as_fraction(delta0_bound)
+    Pk, dk = _identity(len(N)), 1  # P^(k-1) = Pk/dk at the top of the loop
+    T, R, best = Fraction(0), [0] * len(N), None
+    for _ in range(M_MAX_POWER):
+        T = max(T, Fraction(_inf_norm_rows(Pk), dk))
+        R = [x * d + sum(map(abs, row)) for x, row in zip(R, _matmul(Pk, W))]  # r = R/(dk e)
+        Pk, dk = _matmul(Pk, N), dk * d
+        norm = _inf_norm_rows(Pk)  # ||P^k||_inf = norm/dk
+        if norm < dk:
+            M = T * delta0 + eps * max(R, default=0) * d / (e * (dk - norm))
+            best = M if best is None else min(best, M)
+            if 2 * norm <= dk:
+                break
+    if best is None:
+        raise DivergentError(
+            f"no power of A_cl/omega up to the {M_MAX_POWER}th has an infinity norm below 1"
+        )
+    return best
 
 
 # -- preliminary plan ------------------------------------------------------
@@ -356,7 +324,7 @@ class PrelimPlan(_Plan):
     s2: Fraction
     l0: Fraction
     q: int
-    M_bound: float
+    M_bound: float       # compute_M's certified bound on ||delta(t)||_inf, rounded to a float
     window_bound: float  # sound per-step recovery window requirement
     u0_bound: float
     certificates: dict
@@ -386,9 +354,9 @@ def _largest_decimal_l0(vectors, floor=0) -> Fraction:
     return l0
 
 
-def _modulus_above(x: float) -> int:
-    """Smallest power of two strictly exceeding x (for finite x >= 0), and at
-    least MIN_Q."""
+def _modulus_above(x) -> int:
+    """Smallest power of two strictly exceeding x (a finite float or a
+    Fraction, x >= 0), and at least MIN_Q."""
     return max(MIN_Q, 1 << math.floor(x).bit_length())
 
 
@@ -416,39 +384,34 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     l0 = _largest_decimal_l0([x0_scaled])
 
     # initial magnitudes (used to seed the difference bound and to cover the
-    # zero-prior recovery at the first step)
-    r_bound = as_fraction(reference_bound)
-    nC = float(inf_norm(plant.C))
-    ybar0 = nC * float(plant.x_p0_bound / l0)
-    rbar0 = float(r_bound / l0)
-    xbar0 = float(inf_norm(ctrl.x0) / l0)
-    xpbar0 = float(plant.x_p0_bound / l0)
-    nH, nJ, nS = (float(inf_norm(m)) for m in (ctrl.H, ctrl.J, ctrl.S))
-    ubar0 = nH * xbar0 + nJ * (ybar0 + 0.5) + nS * (rbar0 + 0.5)
-    u0_bound = ubar0 / float(s1 * s2)
+    # zero-prior recovery at the first step), exact
+    half = Fraction(1, 2)
+    xpbar0 = plant.x_p0_bound / l0
+    ybar0 = inf_norm(plant.C) * xpbar0
+    rbar0 = as_fraction(reference_bound) / l0
+    xbar0 = inf_norm(ctrl.x0) / l0
+    nH, nJ, nS = (inf_norm(m) for m in (ctrl.H, ctrl.J, ctrl.S))
+    ubar0 = nH * xbar0 + nJ * (ybar0 + half) + nS * (rbar0 + half)
+    u0_bound = ubar0 / (s1 * s2)
 
-    w = float(omega)
-    nA = float(inf_norm(plant.A - RationalMatrix.identity(plant.n)))
-    nB = float(inf_norm(plant.B))
-    nF = float(inf_norm(ctrl.F - RationalMatrix.identity(ctrl.n_x)))
-    nG, nR = float(inf_norm(ctrl.G)), float(inf_norm(ctrl.R_ref))
-    dp1 = (nA * xpbar0 + nB * ubar0) / w
-    dx1 = (nF * xbar0 + nG * (ybar0 + 0.5) + nR * (rbar0 + 0.5)) / w
-    seed = math.sqrt(plant.n + ctrl.n_x) * max(dp1, dx1)
+    nA = inf_norm(plant.A - RationalMatrix.identity(plant.n))
+    nF = inf_norm(ctrl.F - RationalMatrix.identity(ctrl.n_x))
+    dp1 = (nA * xpbar0 + inf_norm(plant.B) * ubar0) / omega
+    dx1 = (nF * xbar0 + inf_norm(ctrl.G) * (ybar0 + half)
+           + inf_norm(ctrl.R_ref) * (rbar0 + half)) / omega
 
-    M = compute_M(plant, ctrl, omega, seed, report.rho_c)
+    M = compute_M(plant, ctrl, omega, max(dp1, dx1))
 
     # per-step recovery window: [JC H] delta plus the quantization-error and
     # scaling cross terms the coarse bound glosses over
-    JC_H = hstack(ctrl.J @ plant.C, ctrl.H)
-    base = float(inf_norm(JC_H)) * M
-    cross = (nJ + nS) * 0.5 * (1.0 + 1.0 / w)
-    window = (base + cross) / float(s1 * s2)
-    q = _modulus_above(2.0 * max(base, window, u0_bound))
+    base = inf_norm(hstack(ctrl.J @ plant.C, ctrl.H)) * M
+    cross = (nJ + nS) * half * (1 + 1 / omega)
+    window = (base + cross) / (s1 * s2)
+    q = _modulus_above(2 * max(base, window, u0_bound))
 
     return PrelimPlan(
-        omega=omega, s1=s1, s2=s2, l0=l0, q=q, M_bound=M,
-        window_bound=window, u0_bound=u0_bound, certificates=certs,
+        omega=omega, s1=s1, s2=s2, l0=l0, q=q, M_bound=float(M),
+        window_bound=float(window), u0_bound=float(u0_bound), certificates=certs,
         rho_c=report.rho_c, s_F=report.s_F,
     )
 
@@ -553,10 +516,11 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
 
     C_e = max(1/2, max_{k<mu} ||Abar^k|| e0 + sum_{k<mu} ||Abar^k Lbar||/2)
     with Abar = (A - L C)/omega, Lbar = L/omega and mu = deadbeat_index, a
-    finite sum.  The tail is sound when (A - L C)^mu is exactly zero, so
-    that everything discarded vanishes; for a gain that is only
-    approximately nilpotent (e.g. a decimal rounding) tail_sound reports
-    whether the tail contracts (rho(Abar) < 1) or vanishes in floats.
+    finite sum.  The tail is sound when (A - L C)^mu L is exactly zero (as
+    for an exactly nilpotent gain), so that every discarded term vanishes;
+    for a gain that is only approximately nilpotent (e.g. a decimal
+    rounding) tail_sound reports whether the tail contracts (rho(Abar) < 1,
+    decided exactly).
     """
     w = float(as_fraction(omega))
     N = A - L @ C
@@ -565,14 +529,12 @@ def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
     Pk = _identity(len(Nf))
     for k in range(deadbeat_index):          # Pk = Abar^k
         if k:
-            transient = max(transient, _float_inf_norm(Pk) * e0_bound)
-        terms.append(0.5 * _float_inf_norm(_matmul(Pk, Lf)))
+            transient = max(transient, _inf_norm_rows(Pk) * e0_bound)
+        terms.append(0.5 * _inf_norm_rows(_matmul(Pk, Lf)))
         series += terms[-1]
         Pk = _matmul(Pk, Nf)
-    tail_sound = N.matpow(deadbeat_index).is_zero()
-    if not tail_sound:
-        tail_sound = (spectral_radius(N) / w < 1.0
-                      or _float_inf_norm(_matmul(Pk, Lf)) == 0.0)
+    tail_sound = ((N.matpow(deadbeat_index) @ L).is_zero()
+                  or spectral_radius_below(N, omega))
     return CeResult(value=max(0.5, transient + series),
                     tail_sound=tail_sound,
                     truncation_index=deadbeat_index, terms=tuple(terms))
@@ -673,7 +635,7 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     (certificates, C_e, q, bootstrap_bound, range_level) is derived from it
     as from a chosen one.  A pin that fails a check raises PinError."""
     n = plant.n
-    _contractive_rho_c(plant, ctrl)
+    _require_contractive(block_closed_loop(plant, ctrl))
     if observability_matrix(plant.A, plant.C).rank() < n:
         raise NotObservableError("(A, C) is not observable")
 

@@ -570,7 +570,7 @@ GOLDEN_PLANS = [
     ("batch-reactor", "main", "exact", ["omega=1/920000"],
      "089b9029e2cd5f2438f86c52ca081de3441ffa4126e8b998a0725544613d3024"),
     ("coupled-tanks", "prelim", "exact", [],
-     "bfd1993eb8dda1db6a5dec449d66dccee4f6070c41a11456294f7130b5d236e1"),
+     "13ea31434636e086c0fae5878d903e3d85233bafb8e07057caa7fcf216803227"),
 ]
 
 
@@ -900,35 +900,43 @@ def test_fixture_initial_states_within_their_bounds():
 
 
 OUT_OF_RANGE_ENTRIES = [
-    # (id, scheme, command, key path, value, words the message names)
-    ("B-zero-denominator-plan", "prelim", "plan", ("plant", "B"), [["1/0"]], "zero denominator"),
-    ("B-zero-denominator-simulate", "prelim", "simulate", ("plant", "B"), [["1/0"]],
+    # (id, scheme, command, {key path: value}, words the message names)
+    ("B-zero-denominator-plan", "prelim", "plan", {("plant", "B"): [["1/0"]]},
      "zero denominator"),
-    ("x_p0_bound-plan", "prelim", "plan", ("plant", "x_p0_bound"), "1e400", "float range"),
-    ("x_p0_bound-simulate", "prelim", "simulate", ("plant", "x_p0_bound"), "1e400",
+    ("B-zero-denominator-simulate", "prelim", "simulate", {("plant", "B"): [["1/0"]]},
+     "zero denominator"),
+    ("x_p0_bound-plan", "prelim", "plan", {("plant", "x_p0_bound"): "1e400"}, "float range"),
+    ("x_p0_bound-simulate", "prelim", "simulate", {("plant", "x_p0_bound"): "1e400"},
      "float range"),
-    ("x_p0_bound-main-simulate", "main", "simulate", ("plant", "x_p0_bound"), "1e400",
+    ("x_p0_bound-main-simulate", "main", "simulate", {("plant", "x_p0_bound"): "1e400"},
      "float range"),
-    ("reference-plan", "prelim", "plan", ("reference",), ["1e400"], "float range"),
-    ("reference-simulate", "prelim", "simulate", ("reference",), ["1e400"], "float range"),
-    ("H-underflow-plan", "prelim", "plan", ("controller", "H"), [["1e-400", "0"]],
+    # the prelim bounds are exact, and only their reported values are floats:
+    # a value outranges them where a matrix reads it (S the reference, J the
+    # 1/s2 that a tiny H makes); a reference that no matrix reads outranges
+    # the float reference loop of a run
+    ("reference-plan", "prelim", "plan",
+     {("reference",): ["1e400"], ("controller", "S"): [["0.1"]]}, "float range"),
+    ("reference-simulate", "prelim", "simulate", {("reference",): ["1e400"]}, "float range"),
+    ("H-underflow-plan", "prelim", "plan",
+     {("controller", "H"): [["1e-400", "0"]], ("controller", "J"): [["-0.1"]]},
      "float range"),
 ]
 
 
-@pytest.mark.parametrize("scheme,command,path,value,words",
+@pytest.mark.parametrize("scheme,command,edits,words",
                          [e[1:] for e in OUT_OF_RANGE_ENTRIES],
                          ids=[e[0] for e in OUT_OF_RANGE_ENTRIES])
 def test_entry_outside_the_planners_range_rejected(capsys, tmp_path, scheme, command,
-                                                   path, value, words):
+                                                   edits, words):
     """A zero denominator, or an exact value beyond the float range of the
     planner's bounds, is a one-line config error, not a traceback."""
     cfg = json.loads(json.dumps({**PRELIM_CONFIG, "scheme": scheme}))
-    *parents, key = path
-    node = cfg
-    for name in parents:
-        node = node[name]
-    node[key] = value
+    for path, value in edits.items():
+        *parents, key = path
+        node = cfg
+        for name in parents:
+            node = node[name]
+        node[key] = value
     file = tmp_path / "cfg.json"
     file.write_text(json.dumps(cfg))
     horizon = [] if command == "plan" else ["--horizon", "3"]

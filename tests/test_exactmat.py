@@ -23,10 +23,11 @@ from encloop.exactmat import (
     max_integer_scale,
     rational_gcd,
     spectral_radius,
+    spectral_radius_below,
     squarefree_part,
     vstack,
 )
-from encloop.planner import ControllerModel, PlantModel, norm2
+from encloop.planner import ControllerModel, PlantModel
 
 from floatref import floats
 
@@ -48,6 +49,53 @@ def small_int_matrices(draw):
 
 def rmat(rows):
     return RationalMatrix.from_rows(rows)
+
+
+@st.composite
+def known_spectra(draw):
+    """(T, radius, nilpotent): T = U D U^-1 with D block diagonal and U an
+    integer matrix of determinant 1, so that the radius is known exactly.
+    D's blocks are Jordan blocks of up to 3 rows at a rational eigenvalue
+    (repeated eigenvalues, within a block and across blocks, and the
+    identity), and 2x2 blocks [[a, -b], [b, a]] (complex pairs a +- bi), up
+    to 8 rows in all; every eigenvalue is 0 when `nilpotent`."""
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
+    zero = draw(st.booleans())
+    blocks, radius, size = [], 0.0, 0
+    while size < 8:
+        if zero:
+            kind = "jordan"
+        else:
+            kind = draw(st.sampled_from(["jordan", "rotation"]))
+        if kind == "rotation" and size <= 6:
+            a, b = draw(small), draw(small.filter(bool))
+            blocks.append([[a, -b], [b, a]])
+            radius = max(radius, math.hypot(a, b))
+            size += 2
+        else:
+            lam = Fraction(0) if zero else draw(small)
+            k = draw(st.integers(1, min(3, 8 - size)))
+            blocks.append([[lam if i == j else Fraction(int(j == i + 1))
+                            for j in range(k)] for i in range(k)])
+            radius = max(radius, abs(float(lam)))
+            size += k
+        if draw(st.booleans()):
+            break
+    D = RationalMatrix.zeros(size, size)
+    rows = D.to_lists()
+    at = 0
+    for blk in blocks:
+        for i, row in enumerate(blk):
+            rows[at + i][at:at + len(row)] = row
+        at += len(blk)
+    U = RationalMatrix.identity(size).to_lists()
+    for _ in range(draw(st.integers(0, 3 * size))):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if i != j:
+            c = draw(st.integers(-2, 2))
+            U[i] = [x + c * y for x, y in zip(U[i], U[j])]
+    U = rmat(U)
+    return U @ rmat(rows) @ U.inverse(), radius, zero
 
 
 def test_decimal_strings_parse_exactly():
@@ -164,53 +212,12 @@ class TestSpectralRadius:
         assert spectral_radius(m) == pytest.approx(rho, rel=1e-9, abs=0)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_a_known_spectrum(self, data):
-        """T = U D U^-1 with D block diagonal and U an integer matrix of
-        determinant 1, so that the radius is known exactly.  D's blocks are
-        Jordan blocks of up to 3 rows at a rational eigenvalue (repeated
-        eigenvalues, within a block and across blocks, and the identity),
-        and 2x2 blocks [[a, -b], [b, a]] (complex pairs a +- bi), up to 8
-        rows in all.  On a Jordan block of k rows an eigensolver is good to
-        about eps^(1/k) only, so the reference is the exact radius, to
-        1e-9; a nilpotent T (every eigenvalue 0) reads exactly 0.0."""
-        small = st.fractions(min_value=-3, max_value=3, max_denominator=9)
-        zero = data.draw(st.booleans())
-        blocks, radius, size = [], 0.0, 0
-        while size < 8:
-            if zero:
-                kind = "jordan"
-            else:
-                kind = data.draw(st.sampled_from(["jordan", "rotation"]))
-            if kind == "rotation" and size <= 6:
-                a, b = data.draw(small), data.draw(small.filter(bool))
-                blocks.append([[a, -b], [b, a]])
-                radius = max(radius, math.hypot(a, b))
-                size += 2
-            else:
-                lam = Fraction(0) if zero else data.draw(small)
-                k = data.draw(st.integers(1, min(3, 8 - size)))
-                blocks.append([[lam if i == j else Fraction(int(j == i + 1))
-                                for j in range(k)] for i in range(k)])
-                radius = max(radius, abs(float(lam)))
-                size += k
-            if data.draw(st.booleans()):
-                break
-        D = RationalMatrix.zeros(size, size)
-        rows = D.to_lists()
-        at = 0
-        for blk in blocks:
-            for i, row in enumerate(blk):
-                rows[at + i][at:at + len(row)] = row
-            at += len(blk)
-        U = RationalMatrix.identity(size).to_lists()
-        for _ in range(data.draw(st.integers(0, 3 * size))):
-            i, j = data.draw(st.integers(0, size - 1)), data.draw(st.integers(0, size - 1))
-            if i != j:
-                c = data.draw(st.integers(-2, 2))
-                U[i] = [x + c * y for x, y in zip(U[i], U[j])]
-        U = rmat(U)
-        T = U @ rmat(rows) @ U.inverse()
+    @given(known_spectra())
+    def test_a_known_spectrum(self, case):
+        """On `known_spectra`: on a Jordan block of k rows an eigensolver is
+        good to about eps^(1/k) only, so the reference is the exact radius,
+        to 1e-9; a nilpotent T (every eigenvalue 0) reads exactly 0.0."""
+        T, radius, zero = case
         got = spectral_radius(T)
         if zero:
             assert got == 0.0
@@ -255,20 +262,47 @@ class TestSpectralRadius:
         assert best < 0.010
 
 
-class TestNorm2:
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_numpys_2_norm(self, data):
-        rows, cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
-        scale = 2.0 ** data.draw(st.integers(-600, 600))
-        entries = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=rows * cols,
-                                     max_size=rows * cols))
-        a = np.array(entries).reshape(rows, cols) * scale
-        assert norm2(a.tolist()) == pytest.approx(float(np.linalg.norm(a, 2)),
-                                                  rel=1e-9, abs=0)
+class TestSpectralRadiusBelow:
+    @settings(max_examples=200, deadline=None)
+    @given(known_spectra(), st.data())
+    def test_agrees_with_spectral_radius(self, case, data):
+        """Wherever |rho - s| > 1e-9 max(1, s), the exact test says what the
+        float `spectral_radius` says, on `known_spectra` (Jordan blocks and
+        complex pairs included); s is drawn within 10^-8 to 10^-3 of the
+        radius, relatively, or anywhere in [1/100, 4]."""
+        T, _, _ = case
+        rho = spectral_radius(T)
+        if rho > 0 and data.draw(st.booleans()):
+            rel = Fraction(data.draw(st.sampled_from([-1, 1])), 10 ** data.draw(st.integers(3, 8)))
+            s = Fraction(rho) * (1 + rel)
+        else:
+            s = data.draw(st.fractions(min_value=Fraction(1, 100), max_value=4,
+                                       max_denominator=1000))
+        assume(abs(rho - s) > 1e-9 * max(1, s))
+        assert spectral_radius_below(T, s) == (rho < s)
 
-    def test_no_entries(self):
-        assert norm2([]) == 0.0 and norm2([[], []]) == 0.0 and norm2([[0.0, -0.0]]) == 0.0
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_a_jordan_block_at_the_boundary(self, k):
+        """A Jordan block of k rows at 1/2 + delta is below 1/2 exactly when
+        delta < 0, down to |delta| = 10^-15, where its float radius (good to
+        about eps^(1/k)) cannot tell."""
+        half = Fraction(1, 2)
+        for delta, below in ((Fraction(-1, 10**15), True), (0, False),
+                             (Fraction(1, 10**15), False)):
+            lam = half + delta
+            J = RationalMatrix(k, k, [lam if i == j else Fraction(int(j == i + 1))
+                                      for i in range(k) for j in range(k)])
+            assert spectral_radius_below(J, half) is below
+            assert spectral_radius_below(J.scale(-1), half) is below
+
+    def test_a_complex_pair_on_the_circle(self):
+        """3/10 +- 4/10 i has modulus exactly 1/2."""
+        R = rmat([["3/10", "-4/10"], ["4/10", "3/10"]])
+        assert not spectral_radius_below(R, Fraction(1, 2))
+        assert spectral_radius_below(R, Fraction(1, 2) + Fraction(1, 10**15))
+
+    def test_no_eigenvalues_are_all_below(self):
+        assert spectral_radius_below(RationalMatrix.zeros(0, 0), Fraction(1, 10))
 
 
 class TestInfNorm:

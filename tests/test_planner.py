@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import time
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +28,7 @@ from encloop.planner import (
     NotObservableError,
     PinError,
     PlantModel,
+    PrelimInfeasibleError,
     check_prelim_feasible,
     compute_Ce,
     compute_M,
@@ -33,7 +36,6 @@ from encloop.planner import (
     plan_main,
     plan_preliminary,
     q_bound_main,
-    stacked_error_bound,
 )
 
 from conftest import random_main_system
@@ -119,61 +121,130 @@ class TestFeasibility:
             check_prelim_feasible(plant, ctrl)
 
 
+def boundary_fixture(A):
+    """A scalar plant A with B = 0, so that A is a mode of the closed loop,
+    and a controller with nilpotent F (s_F = 1/2), G, H and J nonzero: the
+    prelim route is feasible exactly when |A| < 1/2, and q then covers
+    [J C, H] times M."""
+    plant = PlantModel(A=rmat([[A]]), B=rmat([[0]]), C=rmat([[1]]), x_p0_bound=1)
+    ctrl = ControllerModel(
+        F=rmat([[0, "1/2"], [0, 0]]), G=rmat([["-0.1"], [0]]), R_ref=rmat([[0], [0]]),
+        H=rmat([["0.1", 0]]), J=rmat([["-0.2"]]), S=rmat([[0]]),
+        x0=RationalMatrix.zeros(2, 1),
+    )
+    return plant, ctrl
 
-def test_stability_gates_read_one_spectral_radius(monkeypatch, batch, batch_companion,
-                                                  tanks, tanks_plan):
-    """Every float stability decision of the planners reads
-    `spectral_radius`: with it reporting 2, both routes refuse the closed
-    loop with one message, `compute_M` refuses a divergent series, and
+
+class TestTheBoundary:
+    """The closed loop's radius within 10^-17 of s_F = 1/2, on each side,
+    where its float radius reads 0.5 either way."""
+
+    def test_just_below_s_F_plans(self):
+        plant, ctrl = boundary_fixture("0.49999999999999999")
+        rep = check_prelim_feasible(plant, ctrl)
+        assert rep.feasible and rep.rho_c == 0.5
+        plan = plan_preliminary(plant, ctrl)
+        assert plan.q > planner.MIN_Q
+        assert plan.q > 2 * float(inf_norm(hstack(ctrl.J @ plant.C, ctrl.H))) * plan.M_bound
+
+    @pytest.mark.parametrize("A", ["0.5", "0.50000000000000001"])
+    def test_at_or_above_s_F_is_infeasible(self, A):
+        plant, ctrl = boundary_fixture(A)
+        with pytest.raises(PrelimInfeasibleError, match="s_F = 1/2"):
+            plan_preliminary(plant, ctrl)
+
+    def test_a_jordan_block_at_s_F_is_refused(self):
+        """A Jordan block at exactly s_F = 1/2 in the plant: the float radius
+        of a repeated eigenvalue is good to about eps^(1/2) only."""
+        _, ctrl = boundary_fixture("0")
+        plant = PlantModel(A=rmat([["1/2", 1], [0, "1/2"]]), B=rmat([[0], [0]]),
+                           C=rmat([[1, 0]]), x_p0_bound=1)
+        assert not check_prelim_feasible(plant, ctrl).feasible
+        with pytest.raises(PrelimInfeasibleError):
+            plan_preliminary(plant, ctrl)
+
+
+def test_stability_gates_read_one_exact_test(monkeypatch, batch, batch_companion,
+                                             tanks, tanks_plan, sound_plan):
+    """Every stability decision of the planners reads the exact
+    `spectral_radius_below`, and the float `spectral_radius` only the
+    reported radii: with the float radius reporting 2, both routes plan as
+    before; with the exact test answering no, both routes refuse the closed
+    loop with one message, `compute_M` refuses the difference recursion, and
     `compute_Ce` no longer calls a non-nilpotent gain's tail sound."""
     A, C, L = batch.plant.A, batch.plant.C, batch.L_published
     Ce = compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n)
     assert not (A - L @ C).matpow(batch.plant.n).is_zero() and Ce.tail_sound
+    options = MainPlanOptions(L=batch_companion.L, L_exact=batch_companion.L,
+                              reference=batch.reference)
+    bound = max(abs(x) for x in tanks.reference.data)
     monkeypatch.setattr(planner, "spectral_radius", lambda m: 2.0)
+    assert plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=bound) == replace(
+        tanks_plan, rho_c=2.0)
+    assert plan_main(batch.plant, batch.ctrl, options) == replace(
+        sound_plan, rho_observer_eig=2.0)
+    monkeypatch.setattr(planner, "spectral_radius_below", lambda m, s: False)
     with pytest.raises(AssumptionViolatedError, match="^closed loop is not contractive"):
         check_prelim_feasible(tanks.plant, tanks.ctrl)
     with pytest.raises(AssumptionViolatedError, match="^closed loop is not contractive"):
-        plan_main(batch.plant, batch.ctrl, MainPlanOptions(
-            L=batch_companion.L, L_exact=batch_companion.L, reference=batch.reference))
+        plan_main(batch.plant, batch.ctrl, options)
     with pytest.raises(DivergentError):
-        compute_M(tanks.plant, tanks.ctrl, tanks_plan.omega, 0.0)
+        compute_M(tanks.plant, tanks.ctrl, tanks_plan.omega, 0)
     assert not compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n).tail_sound
 
 class TestComputeM:
-    def test_stacked_error_bound_formula(self):
-        assert stacked_error_bound(1, 1, 1, Fraction(1, 2)) == pytest.approx(
-            math.sqrt(3) * 1.5)
-
-    def test_nilpotent_closed_form(self):
-        # A_cl = [[0, 1/2], [0, 0]] nilpotent; series has exactly two terms
+    @pytest.mark.parametrize("h,T", [("1/2", 1), ("1", 2)])
+    def test_nilpotent_closed_form(self, h, T):
+        """A_cl = [[0, h], [0, 0]] at omega = 1/2: P = A_cl/omega =
+        [[0, 2h], [0, 0]] has norm 2h >= 1 and P^2 = 0, so k = 2 certifies,
+        with T = max(||I||, ||P||) = max(1, 2h) and r = |B'| 1 + |P B'| 1 =
+        (2, 0), where B' = Bbar/omega = [[0, 2, 0], [0, 0, 0]].  With
+        eps = 1/2 + 1/(2 omega) = 3/2: M = T delta0 + eps max(r) / (1 - ||P^2||)
+        = T delta0 + 3."""
         plant = PlantModel(A=rmat([[0]]), B=rmat([[1]]), C=rmat([[1]]))
         ctrl = ControllerModel(
             F=rmat([[0]]), G=rmat([[0]]), R_ref=rmat([[0]]),
-            H=rmat([["1/2"]]), J=rmat([[0]]), S=rmat([[0]]),
+            H=rmat([[h]]), J=rmat([[0]]), S=rmat([[0]]),
             x0=RationalMatrix.zeros(1, 1),
         )
         omega = Fraction(1, 2)
-        # Bbar = [[0, 1, 0], [0, 0, 0]], ||Bbar/omega||_2 = 2
-        # ||(A_cl/omega)^0||=1, ||(A_cl/omega)^1||=1, then zero
-        expect = (1 + 1) * 2 * stacked_error_bound(1, 1, 1, omega)
-        got = compute_M(plant, ctrl, omega, delta0_bound=0.0)
-        assert got == pytest.approx(expect, rel=1e-12)
+        assert compute_M(plant, ctrl, omega, delta0_bound=0) == 3
+        assert compute_M(plant, ctrl, omega, delta0_bound=Fraction(5, 2)) == T * Fraction(5, 2) + 3
 
     def test_divergent_raises(self, batch):
-        with pytest.raises(DivergentError):
-            compute_M(batch.plant, batch.ctrl, Fraction(1, 100), 0.0)
+        """rho(A_cl) = 0.8655 >= omega = 1/100: the exact test refuses it
+        before any power is taken."""
+        start = time.perf_counter()
+        with pytest.raises(DivergentError, match="unbounded"):
+            compute_M(batch.plant, batch.ctrl, Fraction(1, 100), 0)
+        assert time.perf_counter() - start < 0.5
 
-    def test_a_series_beyond_the_term_budget_raises(self):
-        """rho(A_cl) = 0.9999: the terms fall below M_SERIES_RTOL of the sum
-        only after about 1.8e5 terms, beyond M_SERIES_MAX_TERMS."""
+    def test_a_slow_contraction_certifies_at_the_first_power(self):
+        """rho(A_cl) = ||A_cl||_inf = 0.9999 at omega = 1: k = 1 certifies,
+        with T = 1, r = |Bbar| 1 = (1, 0) and eps = 1, so M = 1/(1 - 0.9999);
+        no later power of a scalar mode does better."""
         plant = PlantModel(A=rmat([["0.9999"]]), B=rmat([[1]]), C=rmat([[1]]))
         zero = RationalMatrix.zeros(1, 1)
         ctrl = ControllerModel(F=zero, G=zero, R_ref=zero, H=zero, J=zero, S=zero, x0=zero)
-        with pytest.raises(DivergentError, match="term budget"):
-            compute_M(plant, ctrl, 1, 0.0)
+        assert compute_M(plant, ctrl, 1, 0) == 10000
+
+    def test_the_power_cap_refuses_a_strongly_non_normal_loop(self):
+        """A Jordan block at 0.99 contracts (rho = 0.99 < omega = 1), but
+        ||P^k||_inf = 0.99^k + k 0.99^(k-1) stays at 1 or above up to k = 644,
+        beyond M_MAX_POWER: refused, and soon."""
+        assert planner.M_MAX_POWER < 645
+        plant = PlantModel(A=rmat([["0.99", 1], [0, "0.99"]]), B=rmat([[1], [0]]),
+                           C=rmat([[1, 0]]))
+        zero = RationalMatrix.zeros(1, 1)
+        ctrl = ControllerModel(F=zero, G=zero, R_ref=zero, H=zero, J=zero, S=zero, x0=zero)
+        start = time.perf_counter()
+        with pytest.raises(DivergentError, match="infinity norm below 1"):
+            compute_M(plant, ctrl, 1, 0)
+        assert time.perf_counter() - start < 0.5
 
     def test_bound_dominates_worst_case_simulation(self, tanks, tanks_plan):
-        # greedy sign-adversary drive of the difference recursion
+        # greedy sign-adversary drive of the difference recursion, measured in
+        # the infinity norm that M bounds
         plant, ctrl = tanks.plant, tanks.ctrl
         omega = float(tanks_plan.omega)
         A_cl = floats(block_closed_loop(plant, ctrl)) / omega
@@ -192,8 +263,8 @@ class TestComputeM:
             signs[signs == 0] = 1.0
             aligned = carried + Bbar @ (emax * signs)
             rnd = carried + Bbar @ (emax * rng.choice([-1.0, 1.0], Bbar.shape[1]))
-            delta = aligned if np.linalg.norm(aligned) >= np.linalg.norm(rnd) else rnd
-            mx = max(mx, float(np.linalg.norm(delta)))
+            delta = aligned if np.max(np.abs(aligned)) >= np.max(np.abs(rnd)) else rnd
+            mx = max(mx, float(np.max(np.abs(delta))))
         assert mx <= tanks_plan.M_bound <= 5 * mx
 
     def test_q_exceeds_delta_oracle(self, tanks, tanks_plan):
@@ -243,6 +314,18 @@ class TestPrelimPlan:
         assert plan.q > 2 * float(inf_norm(hstack(tanks.ctrl.J @ tanks.plant.C,
                                                   tanks.ctrl.H))) * plan.M_bound
         assert plan.q & (plan.q - 1) == 0  # power of two
+
+    def test_the_power_search_runs_to_one_half(self):
+        """The scalar controller of the CI's lattice runs: the bound at the
+        first k with ||P^k||_inf < 1 gives q = 8192, as the 2-norm series
+        did; the search on to the first ||P^k||_inf <= 1/2 gives q = 1024."""
+        plant = PlantModel(A=rmat([["0.2"]]), B=rmat([[1]]), C=rmat([[1]]), x_p0_bound=1)
+        ctrl = ControllerModel(
+            F=rmat([["0.5"]]), G=rmat([["-0.1"]]), R_ref=rmat([[0]]),
+            H=rmat([["0.1"]]), J=rmat([["-0.2"]]), S=rmat([[0]]),
+            x0=RationalMatrix.zeros(1, 1),
+        )
+        assert plan_preliminary(plant, ctrl).q == 1024
 
     def test_scale_of_scaled_integer_matrix(self):
         # H = 0.05 * integer matrix => s2 = 1/20
