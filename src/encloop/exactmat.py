@@ -4,15 +4,22 @@ All plant and controller coefficients are rationals (decimal data parses
 exactly), so every integrality question ("does F/a have integer entries?")
 has an exact yes/no answer, and every matrix, the all-zero one included,
 has a largest integerizing scale in (0, 1] (`max_integer_scale`).  This
-module keeps that arithmetic exact via `fractions.Fraction`, and so is the
+module keeps that arithmetic exact.  Fractions are its interface (`data`,
+`row`, indexing); the arithmetic runs on each matrix's kept integer form,
+d m as ints and d, the lcm of m's denominators, made once per matrix and
+carried by every result of an integer operation: products are one integer
+dot product per entry, rank and inverse are fraction-free (Bareiss)
+elimination, and integrality, scales and norms read the numerators.  A
+result's Fractions are built only when read.  The module is also the
 planners' stability gate: `spectral_radius_below` decides rho(m) < s by the
 Schur-Cohn test on the exact characteristic polynomial
-(`characteristic_polynomial`).  Floats leave the module in two places:
-`float_rows`, and `spectral_radius`, the radius that plans and error
-messages report.  It splits off the polynomial's zero roots and its
-repeated factors exactly, and only then finds the remaining simple roots
-in complex floats (`_simple_roots`), so a nilpotent matrix reads exactly
-0.0 and a repeated eigenvalue is found as accurately as a simple one.
+(`characteristic_polynomial`, kept with the integer form).  Floats leave
+the module in two places: `float_rows`, and `spectral_radius`, the radius
+that plans and error messages report.  It splits off the polynomial's zero
+roots and its repeated factors exactly, and only then finds the remaining
+simple roots in complex floats (`_simple_roots`), so a nilpotent matrix
+reads exactly 0.0 and a repeated eigenvalue is found as accurately as a
+simple one.
 """
 
 from __future__ import annotations
@@ -79,9 +86,14 @@ def rational_gcd(a: Fraction, b: Fraction) -> Fraction:
 
 
 class RationalMatrix:
-    """Dense matrix of Fractions, row-major.  Supports zero-sized dimensions."""
+    """Dense matrix of Fractions, row-major.  Supports zero-sized dimensions.
 
-    __slots__ = ("rows", "cols", "data")
+    The matrix is kept as its integer form (`_form`), d m row-major as ints
+    and d, the lcm of its denominators, so that equal matrices have equal
+    forms; and as its Fractions (`data`).  Each is made from the other when
+    first read."""
+
+    __slots__ = ("rows", "cols", "_data", "_nums", "_den", "_charpoly")
 
     def __init__(self, rows: int, cols: int, entries: Sequence[Fraction]):
         if rows < 0 or cols < 0 or len(entries) != rows * cols:
@@ -90,7 +102,19 @@ class RationalMatrix:
             )
         self.rows = rows
         self.cols = cols
-        self.data = tuple(entries)
+        self._data = tuple(entries)
+        self._nums = self._den = self._charpoly = None
+
+    @classmethod
+    def _from_form(cls, rows: int, cols: int, nums, den: int) -> "RationalMatrix":
+        """The matrix nums/den (den > 0), its integer form reduced by
+        gcd(den, *nums): what is left of den is the lcm of the entries'
+        denominators."""
+        g = math.gcd(den, *nums)
+        m = cls.__new__(cls)
+        m.rows, m.cols, m._data, m._charpoly = rows, cols, None, None
+        m._nums, m._den = tuple([x // g for x in nums]), den // g
+        return m
 
     # -- construction -------------------------------------------------
 
@@ -110,13 +134,30 @@ class RationalMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "RationalMatrix":
-        return cls(rows, cols, [Fraction(0)] * (rows * cols))
+        return cls._from_form(rows, cols, [0] * (rows * cols), 1)
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        return cls._from_form(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
 
     # -- access -------------------------------------------------------
+
+    @property
+    def data(self) -> tuple:
+        """The entries, row-major, as Fractions."""
+        if self._data is None:
+            d = self._den
+            self._data = tuple([Fraction(x, d) for x in self._nums])
+        return self._data
+
+    def _form(self) -> tuple:
+        """The integer form: (d m row-major as a tuple of ints, d), d the lcm
+        of the entries' denominators."""
+        if self._nums is None:
+            den = math.lcm(*(x.denominator for x in self._data))
+            self._nums = tuple([x.numerator * (den // x.denominator) for x in self._data])
+            self._den = den
+        return self._nums, self._den
 
     def __getitem__(self, ij) -> Fraction:
         i, j = ij
@@ -131,8 +172,9 @@ class RationalMatrix:
     def float_rows(self) -> list:
         """The entries as rows (lists) of correctly rounded floats, each
         one integer division (what `float` of a Fraction computes)."""
-        return [[x.numerator / x.denominator for x in self.row(i)]
-                for i in range(self.rows)]
+        nums, d = self._form()
+        c = self.cols
+        return [[x / d for x in nums[i * c:(i + 1) * c]] for i in range(self.rows)]
 
     @property
     def shape(self):
@@ -142,48 +184,55 @@ class RationalMatrix:
         return (
             isinstance(other, RationalMatrix)
             and self.shape == other.shape
-            and self.data == other.data
+            and self._form() == other._form()
         )
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self._form()))
 
     def __repr__(self):
         return f"RationalMatrix({self.to_lists()!r})"
 
     # -- arithmetic ---------------------------------------------------
 
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign other, over the lcm of the two denominators."""
+        a, da = self._form()
+        b, db = other._form()
+        d = math.lcm(da, db)
+        fa, fb = d // da, sign * (d // db)
+        return RationalMatrix._from_form(self.rows, self.cols,
+                                       [x * fa + y * fb for x, y in zip(a, b)], d)
+
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise DimensionMismatchError(f"{self.shape} + {other.shape}")
-        return RationalMatrix(
-            self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)]
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.shape != other.shape:
             raise DimensionMismatchError(f"{self.shape} - {other.shape}")
-        return RationalMatrix(
-            self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)]
-        )
+        return self._combine(other, -1)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(self.rows, self.cols, [-a for a in self.data])
+        a, d = self._form()
+        return RationalMatrix._from_form(self.rows, self.cols, [-x for x in a], d)
 
     def scale(self, c) -> "RationalMatrix":
-        c = as_fraction(c)
-        return RationalMatrix(self.rows, self.cols, [c * a for a in self.data])
+        p, q = as_ratio(c)
+        a, d = self._form()
+        return RationalMatrix._from_form(self.rows, self.cols, [x * p for x in a], d * q)
 
     def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
         n, k, m = self.rows, self.cols, other.cols
-        out = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(m):
-                out.append(sum((ri[t] * other.data[t * m + j] for t in range(k)), Fraction(0)))
-        return RationalMatrix(n, m, out)
+        a, da = self._form()
+        b, db = other._form()
+        cols = [b[j::m] for j in range(m)]
+        out = [sum(map(operator.mul, a[i * k:(i + 1) * k], col))
+               for i in range(n) for col in cols]
+        return RationalMatrix._from_form(n, m, out, da * db)
 
     def matpow(self, k: int) -> "RationalMatrix":
         if self.rows != self.cols:
@@ -194,72 +243,87 @@ class RationalMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self._form()[0])
 
     def inverse(self) -> "RationalMatrix":
-        """Exact Gauss-Jordan inverse: [A | I] reduces to [I | A^-1]."""
+        """Exact Gauss-Jordan inverse of m = N/d: [N | I] reduces,
+        fraction-free, to [p I | p N^-1] (`_row_reduce`), and m^-1 = d N^-1."""
         if self.rows != self.cols:
             raise NonSquareError("inverse of a non-square matrix")
         n = self.rows
-        a = [list(self.row(i)) + [Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
-        if _row_reduce(a, n) < n:
+        rows, d = integer_rows(self)
+        a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        rank, p = _row_reduce(a, n)
+        if rank < n:
             raise SingularMatrixError("matrix is singular")
-        return RationalMatrix(n, n, [x for row in a for x in row[n:]])
+        if p < 0:
+            p, d = -p, -d
+        return RationalMatrix._from_form(n, n, [x * d for row in a for x in row[n:]], p)
 
     def rank(self) -> int:
-        """Exact rank: the pivot count of Gauss-Jordan elimination."""
-        return _row_reduce([list(self.row(i)) for i in range(self.rows)], self.cols)
+        """Exact rank: the pivot count of fraction-free Gauss-Jordan
+        elimination of d m."""
+        return _row_reduce(integer_rows(self)[0], self.cols)[0]
 
     def denominator_lcm(self) -> int:
-        out = 1
-        for x in self.data:
-            out = out * x.denominator // math.gcd(out, x.denominator)
-        return out
+        return self._form()[1]
 
 
-def _row_reduce(a: list, cols: int) -> int:
-    """Gauss-Jordan elimination, in place, of the rows `a` (lists of
-    Fractions) on their first `cols` columns; returns the pivot count, the
-    rank of those columns.  Later columns follow the row operations."""
-    rank = 0
+def _row_reduce(a: list, cols: int) -> tuple:
+    """Fraction-free Gauss-Jordan elimination (Bareiss), in place, of the
+    integer rows `a` on their first `cols` columns; returns the pivot count,
+    the rank of those columns, and the last pivot (1 if none).  A pivot p in
+    row k takes every other row a_i to (p a_i - a_ik a_k)/p', p' the pivot
+    before it; the division is exact, since every entry stays a minor of the
+    input (Sylvester's identity).  Earlier pivots become p too, so a reduction
+    of rank `cols` leaves p I, p = +-det, in those columns.  Later columns
+    follow the row operations."""
+    rank, prev = 0, 1
     for col in range(cols):
-        piv = next((r for r in range(rank, len(a)) if a[r][col] != 0), None)
+        piv = next((r for r in range(rank, len(a)) if a[r][col]), None)
         if piv is None:
             continue
         a[rank], a[piv] = a[piv], a[rank]
-        inv = 1 / a[rank][col]
-        a[rank] = [x * inv for x in a[rank]]
+        pivot_row = a[rank]
+        p = pivot_row[col]
         for r in range(len(a)):
-            if r != rank and a[r][col] != 0:
+            if r != rank:
                 f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[rank])]
+                a[r] = [(p * x - f * y) // prev for x, y in zip(a[r], pivot_row)]
+        prev = p
         rank += 1
-    return rank
+    return rank, prev
 
 
 # -- block assembly ----------------------------------------------------
+
+
+def _common_form(mats) -> tuple:
+    """The mats' numerators over the lcm d of their denominators, and d."""
+    forms = [m._form() for m in mats]
+    d = math.lcm(*(den for _, den in forms))
+    return [[x * (d // den) for x in nums] for nums, den in forms], d
 
 
 def hstack(*mats: RationalMatrix) -> RationalMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise DimensionMismatchError("hstack row mismatch")
-    data = []
+    parts, d = _common_form(mats)
+    nums = []
     for i in range(rows):
-        for m in mats:
-            data.extend(m.row(i))
-    return RationalMatrix(rows, sum(m.cols for m in mats), data)
+        for m, part in zip(mats, parts):
+            nums.extend(part[i * m.cols:(i + 1) * m.cols])
+    return RationalMatrix._from_form(rows, sum(m.cols for m in mats), nums, d)
 
 
 def vstack(*mats: RationalMatrix) -> RationalMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise DimensionMismatchError("vstack column mismatch")
-    data = []
-    for m in mats:
-        data.extend(m.data)
-    return RationalMatrix(sum(m.rows for m in mats), cols, data)
+    parts, d = _common_form(mats)
+    return RationalMatrix._from_form(sum(m.rows for m in mats), cols,
+                                     [x for part in parts for x in part], d)
 
 
 def block(rows_of_blocks) -> RationalMatrix:
@@ -271,30 +335,37 @@ def block(rows_of_blocks) -> RationalMatrix:
 
 def inf_norm(m: RationalMatrix) -> Fraction:
     """Induced infinity norm: max absolute row sum.  Exact."""
-    if m.rows == 0 or m.cols == 0:
-        return Fraction(0)
-    return max(sum((abs(x) for x in m.row(i)), Fraction(0)) for i in range(m.rows))
+    rows, d = integer_rows(m)
+    return Fraction(max((sum(map(abs, row)) for row in rows), default=0), d)
 
 
 def integer_rows(m: RationalMatrix) -> tuple:
-    """d m as rows (lists) of ints, d the lcm of m's denominators, and d."""
-    d = m.denominator_lcm()
-    return [[x.numerator * (d // x.denominator) for x in m.row(i)]
-            for i in range(m.rows)], d
+    """d m as rows (lists) of ints, d the lcm of m's denominators, and d:
+    the matrix's kept integer form."""
+    nums, d = m._form()
+    c = m.cols
+    return [list(nums[i * c:(i + 1) * c]) for i in range(m.rows)], d
 
 
 def characteristic_polynomial(m: RationalMatrix) -> tuple:
     """The exact characteristic polynomial det(x I - d m) of the integer
     matrix d m, d the lcm of m's denominators: its integer coefficients,
-    leading 1 first, and d.  The eigenvalues of m are its roots over d.
-
-    Faddeev-LeVerrier: with N = d m, M_1 = I, c_k = -tr(N M_k)/k and
-    M_(k+1) = N M_k + c_k I; each division by k is exact over the integers.
-    """
+    leading 1 first, as a tuple, and d.  The eigenvalues of m are its roots
+    over d.  Computed once per matrix (`_faddeev_leverrier`) and kept with
+    its integer form."""
     if m.rows != m.cols:
         raise NonSquareError("characteristic polynomial of a non-square matrix")
-    n = m.rows
-    N, d = integer_rows(m)
+    if m._charpoly is None:
+        N, d = integer_rows(m)
+        m._charpoly = _faddeev_leverrier(N), d
+    return m._charpoly
+
+
+def _faddeev_leverrier(N: list) -> tuple:
+    """det(x I - N) of the square integer rows N, leading 1 first.  With
+    M_1 = I, c_k = -tr(N M_k)/k and M_(k+1) = N M_k + c_k I; each division
+    by k is exact over the integers."""
+    n = len(N)
     coeffs = [1]
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
@@ -307,7 +378,7 @@ def characteristic_polynomial(m: RationalMatrix) -> tuple:
         coeffs.append(c)
         for i in range(n):
             Mk[i][i] += c
-    return coeffs, d
+    return tuple(coeffs)
 
 
 def _primitive(p: list) -> list:
@@ -438,14 +509,16 @@ class IntegralityCertificate:
     cols: int
 
     def verify(self, m: RationalMatrix) -> bool:
+        """Whether m = scale * scaled_entries: with m = N/d and scale = p/q,
+        whether d p s = q N entrywise."""
         if (self.rows, self.cols) != m.shape:
             return False
-        return all(
-            self.scale * s == x for s, x in zip(self.scaled_entries, m.data)
-        )
+        nums, d = m._form()
+        dp, q = d * self.scale.numerator, self.scale.denominator
+        return all(dp * s == q * x for s, x in zip(self.scaled_entries, nums))
 
     def as_matrix(self) -> RationalMatrix:
-        return RationalMatrix(self.rows, self.cols, [Fraction(v) for v in self.scaled_entries])
+        return RationalMatrix._from_form(self.rows, self.cols, self.scaled_entries, 1)
 
     def int_rows(self) -> list:
         """The integer matrix as a list of row lists."""
@@ -459,28 +532,26 @@ def max_integer_scale(*mats: RationalMatrix) -> Fraction:
     The rational gcd g of all nonzero entries is the largest unrestricted
     scale, and its largest divisor not exceeding 1 is g/ceil(g) (g itself
     when g <= 1).  When every entry is zero, every a in (0, 1] divides
-    them, and the answer is 1.
+    them, and the answer is 1.  The gcd of m = N/d's entries is gcd(N)/d.
     """
     g = Fraction(0)
     for m in mats:
-        for x in m.data:
-            if x != 0:
-                g = rational_gcd(g, x)
+        nums, d = m._form()
+        g = rational_gcd(g, Fraction(math.gcd(*nums), d))
     return g / math.ceil(g) if g else Fraction(1)
 
 
 def is_integer_after_scale(m: RationalMatrix, a):
-    """Check every entry of m/a is an integer; return (bool, certificate or None)."""
+    """Check every entry of m/a is an integer; return (bool, certificate or None).
+    With m = N/d and a = p/q, m/a = q N/(d p), integral where d p divides q N."""
     a = as_fraction(a)
     if a <= 0:
         raise ValueError("scale must be positive")
-    scaled = []
-    for x in m.data:
-        y = x / a
-        if y.denominator != 1:
-            return False, None
-        scaled.append(y.numerator)
-    return True, IntegralityCertificate(a, tuple(scaled), m.rows, m.cols)
+    nums, d = m._form()
+    dp, q = d * a.numerator, a.denominator
+    if any(q * x % dp for x in nums):
+        return False, None
+    return True, IntegralityCertificate(a, tuple([q * x // dp for x in nums]), m.rows, m.cols)
 
 
 # -- closed-loop block -------------------------------------------------

@@ -108,7 +108,7 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import he, kernel
-from .exactmat import RationalMatrix, SingularMatrixError, as_fraction, as_ratio
+from .exactmat import RationalMatrix, SingularMatrixError, as_fraction, as_ratio, integer_rows
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
 
@@ -760,12 +760,6 @@ def _over_common_den(values):
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _int_rows(M: RationalMatrix):
-    """M as (integer rows, their common denominator)."""
-    nums, den = _over_common_den(M.data)
-    return [nums[i * M.cols:(i + 1) * M.cols] for i in range(M.rows)], den
-
-
 class PlantSim:
     """Exact process state in the zoomed coordinates x/l(t) = X/D, with
     integer X and D, and l(t) = l0 omega^t.
@@ -800,9 +794,9 @@ class PlantSim:
 
     def __init__(self, plant: PlantModel, x_p0, l0, omega, scale, observer=None):
         self.l0, self.omega = as_fraction(l0), as_fraction(omega)
-        A, self.a = _int_rows(plant.A.scale(1 / self.omega))
-        B, self.b = _int_rows(plant.B.scale(as_fraction(scale) / self.omega))
-        C, self.c = _int_rows(plant.C)
+        A, self.a = integer_rows(plant.A.scale(1 / self.omega))
+        B, self.b = integer_rows(plant.B.scale(as_fraction(scale) / self.omega))
+        C, self.c = integer_rows(plant.C)
         self.m, self.kernels = SimpleNamespace(A=IntRing.plain(A), B=IntRing.plain(B),
                                                C=IntRing.plain(C)), {}
         self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])

@@ -175,9 +175,15 @@ def _require_contractive(A_cl: RationalMatrix) -> None:
 
 
 def check_prelim_feasible(plant: PlantModel, ctrl: ControllerModel) -> FeasibilityReport:
-    A_cl = block_closed_loop(plant, ctrl)
+    return _feasibility(block_closed_loop(plant, ctrl), ctrl.F)
+
+
+def _feasibility(A_cl: RationalMatrix, F: RationalMatrix) -> FeasibilityReport:
+    """The prelim route's feasibility for the closed loop A_cl and the
+    controller's F.  Its three readings of A_cl's spectrum share A_cl's one
+    characteristic polynomial."""
     _require_contractive(A_cl)
-    s_F = max_integer_scale(ctrl.F)  # the controller's own granularity
+    s_F = max_integer_scale(F)  # the controller's own granularity
     feasible = spectral_radius_below(A_cl, s_F)
     rho_c = spectral_radius(A_cl)
     reason = "" if feasible else (
@@ -198,16 +204,14 @@ class PrelimInfeasibleError(InfeasibleError):
 # -- increment-magnitude bound for the preliminary route ------------------
 
 
-def _coupling_blocks(plant: PlantModel, ctrl: ControllerModel):
-    """A_cl and the noise-injection block [[BJ, B, BS], [G, 0, R]]."""
-    A_cl = block_closed_loop(plant, ctrl)
-    Bbar = block(
+def _noise_block(plant: PlantModel, ctrl: ControllerModel) -> RationalMatrix:
+    """The noise-injection block [[BJ, B, BS], [G, 0, R]]."""
+    return block(
         [
             [plant.B @ ctrl.J, plant.B, plant.B @ ctrl.S],
             [ctrl.G, RationalMatrix.zeros(ctrl.n_x, plant.w), ctrl.R_ref],
         ]
     )
-    return A_cl, Bbar
 
 
 MIN_Q = 4  # the smallest plaintext modulus a plan or a q override may set
@@ -240,6 +244,13 @@ def _inf_norm_rows(rows: list):
 
 
 def compute_M(plant: PlantModel, ctrl: ControllerModel, omega, delta0_bound) -> Fraction:
+    """`_certified_M` of the plant and controller's closed loop A_cl and
+    noise-injection block Bbar."""
+    return _certified_M(block_closed_loop(plant, ctrl), _noise_block(plant, ctrl),
+                        omega, delta0_bound)
+
+
+def _certified_M(A_cl: RationalMatrix, Bbar: RationalMatrix, omega, delta0_bound) -> Fraction:
     """Certified bound on ||delta(t)||_inf, the stacked one-step state
     differences.
 
@@ -254,7 +265,6 @@ def compute_M(plant: PlantModel, ctrl: ControllerModel, omega, delta0_bound) -> 
     fails (decided exactly) or no power up to M_MAX_POWER has a norm below 1.
     """
     omega = as_fraction(omega)
-    A_cl, Bbar = _coupling_blocks(plant, ctrl)
     if not spectral_radius_below(A_cl, omega):
         raise DivergentError(
             f"rho(A_cl/omega) = {spectral_radius(A_cl) / omega:.6f} >= 1: "
@@ -362,8 +372,12 @@ def _modulus_above(x) -> int:
 
 def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
                      reference_bound=0) -> PrelimPlan:
-    """Select (omega, s1, s2, l0, q) for the direct conversion route."""
-    report = check_prelim_feasible(plant, ctrl)
+    """Select (omega, s1, s2, l0, q) for the direct conversion route.  The
+    feasibility check (`check_prelim_feasible`) and the bound M
+    (`compute_M`) read one closed loop A_cl, so its spectrum's four readings
+    share one characteristic polynomial."""
+    A_cl = block_closed_loop(plant, ctrl)
+    report = _feasibility(A_cl, ctrl.F)
     if not report.feasible:
         raise PrelimInfeasibleError(report)
     omega = report.s_F  # largest admissible divisor of F in (rho_c, s_F]
@@ -400,7 +414,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
     dx1 = (nF * xbar0 + inf_norm(ctrl.G) * (ybar0 + half)
            + inf_norm(ctrl.R_ref) * (rbar0 + half)) / omega
 
-    M = compute_M(plant, ctrl, omega, max(dp1, dx1))
+    M = _certified_M(A_cl, _noise_block(plant, ctrl), omega, max(dp1, dx1))
 
     # per-step recovery window: [JC H] delta plus the quantization-error and
     # scaling cross terms the coarse bound glosses over

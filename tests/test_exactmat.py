@@ -18,6 +18,7 @@ from encloop.exactmat import (
     characteristic_polynomial,
     hstack,
     inf_norm,
+    integer_rows,
     is_integer_after_scale,
     matrix_from_json,
     max_integer_scale,
@@ -29,6 +30,7 @@ from encloop.exactmat import (
 )
 from encloop.planner import ControllerModel, PlantModel
 
+import fractionref
 from floatref import floats
 
 rationals = st.fractions(
@@ -49,6 +51,33 @@ def small_int_matrices(draw):
 
 def rmat(rows):
     return RationalMatrix.from_rows(rows)
+
+
+@st.composite
+def rational_matrices(draw, rows=None, cols=None):
+    """Matrices of up to 8 rows and 8 columns, zero-sized ones included:
+    entries p/q with |p| <= 50 and 0 < q <= 40, or integers of at most 2 in
+    size (singular matrices are common among those), or a product through
+    a narrower inner dimension, so of lower rank.  Some are made by an
+    integer operation, so that they hold their integer form and no
+    Fractions yet."""
+    rows = draw(st.integers(0, 8)) if rows is None else rows
+    cols = draw(st.integers(0, 8)) if cols is None else cols
+
+    def plain(r, c):
+        small = draw(st.booleans())
+        nums = draw(st.lists(st.integers(-2, 2) if small else st.integers(-50, 50),
+                             min_size=r * c, max_size=r * c))
+        dens = [1] * len(nums) if small else draw(
+            st.lists(st.integers(1, 40), min_size=r * c, max_size=r * c))
+        return RationalMatrix(r, c, [Fraction(a, b) for a, b in zip(nums, dens)])
+
+    if min(rows, cols) > 0 and draw(st.booleans()):
+        k = draw(st.integers(0, min(rows, cols) - 1))
+        m = RationalMatrix(rows, cols, fractionref.matmul(plain(rows, k), plain(k, cols)))
+    else:
+        m = plain(rows, cols)
+    return m.scale(1) if draw(st.booleans()) else m
 
 
 @st.composite
@@ -409,6 +438,95 @@ class TestLinearAlgebra:
     def test_matrix_power_exact(self):
         m = rmat([["1/2", 1], [0, "1/2"]])
         assert m.matpow(2) == rmat([["1/4", 1], [0, "1/4"]])
+
+
+class TestIntegerKernels:
+    """Each operation on the integer form against `fractionref` or entrywise
+    Fraction arithmetic, on `rational_matrices`: a result must equal the
+    reference entry by entry, and its integer form must be the one made
+    from those entries, over the lcm of their denominators."""
+
+    @staticmethod
+    def check(got, rows, cols, entries):
+        want = RationalMatrix(rows, cols, entries)
+        assert got.shape == want.shape and got.data == want.data
+        assert integer_rows(got) == integer_rows(want)
+        assert got == want and hash(got) == hash(want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_products_and_powers(self, data):
+        n, k, m = (data.draw(st.integers(0, 8)) for _ in range(3))
+        a, b = data.draw(rational_matrices(n, k)), data.draw(rational_matrices(k, m))
+        self.check(a @ b, n, m, fractionref.matmul(a, b))
+        square, power = data.draw(rational_matrices(n, n)), data.draw(st.integers(0, 3))
+        want = RationalMatrix(n, n, [Fraction(int(i == j)) for i in range(n) for j in range(n)])
+        for _ in range(power):
+            want = RationalMatrix(n, n, fractionref.matmul(want, square))
+        self.check(square.matpow(power), n, n, want.data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sums_scales_norms_and_stacks(self, data):
+        rows, cols = data.draw(st.integers(0, 8)), data.draw(st.integers(0, 8))
+        a, b = data.draw(rational_matrices(rows, cols)), data.draw(rational_matrices(rows, cols))
+        c = data.draw(st.one_of(rationals, st.integers(-5, 5)))  # integer, negative, zero
+        self.check(a + b, rows, cols, [x + y for x, y in zip(a.data, b.data)])
+        self.check(a - b, rows, cols, [x - y for x, y in zip(a.data, b.data)])
+        self.check(-a, rows, cols, [-x for x in a.data])
+        self.check(a.scale(c), rows, cols, [Fraction(c) * x for x in a.data])
+        self.check(hstack(a, b), rows, 2 * cols, [x for i in range(rows) for x in a.row(i) + b.row(i)])
+        self.check(vstack(a, b), 2 * rows, cols, a.data + b.data)
+        assert inf_norm(a) == max((sum(map(abs, a.row(i)), Fraction(0)) for i in range(rows)),
+                                  default=0)
+        assert a.denominator_lcm() == math.lcm(*(x.denominator for x in a.data))
+        assert a.is_zero() == all(x == 0 for x in a.data)
+        assert a.float_rows() == [[float(x) for x in a.row(i)] for i in range(rows)]
+        g = Fraction(0)
+        for x in a.data + b.data:
+            g = rational_gcd(g, x)
+        assert max_integer_scale(a, b) == (g / math.ceil(g) if g else 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rank_and_inverse(self, data):
+        n = data.draw(st.integers(0, 8))
+        m = data.draw(rational_matrices(n, data.draw(st.one_of(st.just(n), st.integers(0, 8)))))
+        assert m.rank() == fractionref.rank(m)
+        if m.rows != m.cols:
+            return
+        want = fractionref.inverse(m)
+        if want is None:
+            with pytest.raises(SingularMatrixError):
+                m.inverse()
+        else:
+            self.check(m.inverse(), n, n, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_integrality(self, m, data):
+        """At scales that divide m (its largest one over 1 to 3), that may
+        not (times 2 to 5), integers and any rationals; a negative or zero
+        scale is refused."""
+        top = max_integer_scale(m)
+        a = data.draw(st.one_of(
+            st.integers(1, 3).map(lambda k: top / k), st.integers(2, 5).map(lambda k: top * k),
+            st.integers(1, 6).map(Fraction), rationals.filter(lambda x: x > 0)))
+        ok, cert = is_integer_after_scale(m, a)
+        want = fractionref.is_integer_after_scale(m, a)
+        assert ok == (want is not None)
+        if not ok:
+            assert cert is None
+        else:
+            assert cert.scale == a and cert.scaled_entries == tuple(want)
+            assert cert.verify(m) and cert.as_matrix() == RationalMatrix(
+                m.rows, m.cols, [Fraction(x) for x in want])
+            if m.data:
+                other = RationalMatrix(m.rows, m.cols, (m.data[0] + Fraction(1, 7),) + m.data[1:])
+                assert not cert.verify(other)
+        for bad in (-a, 0):
+            with pytest.raises(ValueError):
+                is_integer_after_scale(m, bad)
 
 
 SQUARE, WIDE = rmat([[1, 2], [3, 4]]), rmat([[1, 2, 3]])

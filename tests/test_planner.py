@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from encloop import planner
+from encloop import exactmat, planner
 from encloop.exactmat import (
     DimensionMismatchError,
     RationalMatrix,
@@ -191,6 +191,23 @@ def test_stability_gates_read_one_exact_test(monkeypatch, batch, batch_companion
     with pytest.raises(DivergentError):
         compute_M(tanks.plant, tanks.ctrl, tanks_plan.omega, 0)
     assert not compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n).tail_sound
+
+
+def test_a_prelim_plan_reads_one_closed_loop(monkeypatch, tanks, tanks_plan):
+    """`plan_preliminary` builds the closed loop once, and its four readings
+    of the spectrum (rho_c < 1, rho_c < s_F, the reported rho_c and
+    rho(A_cl/omega) < 1 in `compute_M`) share one characteristic
+    polynomial."""
+    loops, polynomials = [], []
+    closed_loop, faddeev_leverrier = planner.block_closed_loop, exactmat._faddeev_leverrier
+    monkeypatch.setattr(planner, "block_closed_loop",
+                        lambda *args: loops.append(args) or closed_loop(*args))
+    monkeypatch.setattr(exactmat, "_faddeev_leverrier",
+                        lambda N: polynomials.append(N) or faddeev_leverrier(N))
+    bound = max(abs(x) for x in tanks.reference.data)
+    assert plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=bound) == tanks_plan
+    assert (len(loops), len(polynomials)) == (1, 1)
+
 
 class TestComputeM:
     @pytest.mark.parametrize("h,T", [("1/2", 1), ("1", 2)])
