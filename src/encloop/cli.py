@@ -177,9 +177,9 @@ def _planned(args, scenario: Scenario, cfg: dict):
             plan = plan_main(scenario.plant, scenario.ctrl, MainPlanOptions(
                 L=L, L_exact=L_exact, reference=scenario.reference,
                 omega=overrides.pop("omega", None), l0=overrides.pop("l0", None)))
-    except (OverflowError, ZeroDivisionError) as e:
-        # the main route's bounds and the prelim plan's reported bounds are
-        # floats, which an exact config value can outrange
+    except OverflowError as e:
+        # the plans are exact, but report bounds and radii as floats: `float` of
+        # an exact bound, or a radius's float coefficients, can overflow
         raise ConfigError(f"a config value lies beyond the float range of the "
                           f"planner's bounds ({e})") from None
     return plan, overrides

@@ -242,9 +242,6 @@ class RationalMatrix:
             acc = acc @ self
         return acc
 
-    def is_zero(self) -> bool:
-        return not any(self._form()[0])
-
     def inverse(self) -> "RationalMatrix":
         """Exact Gauss-Jordan inverse of m = N/d: [N | I] reduces,
         fraction-free, to [p I | p N^-1] (`_row_reduce`), and m^-1 = d N^-1."""

@@ -309,14 +309,13 @@ class IdealLoop:
             ctrl.F, ctrl.G, ctrl.H, ctrl.J, ctrl.S, ctrl.R_ref))
         r = [_float(x) for x in reference.data]
         n, Ct = plant.n, list(zip(*C)) if C else [()] * plant.n
-        self.K = [[sum(map(operator.mul, j, c)) for c in Ct] + h for j, h in zip(J, H)]
-        self.Sr = [sum(map(operator.mul, row, r)) for row in S]
+        self.K = [[_dot(j, c) for c in Ct] + h for j, h in zip(J, H)]
+        self.Sr = [_dot(row, r) for row in S]
         Kt = list(zip(*self.K)) if self.K else [()] * (n + ctrl.n_x)
-        self.M = [[a + sum(map(operator.mul, b, k)) for a, k in zip(ra + [0.0] * ctrl.n_x, Kt)]
+        self.M = [[a + _dot(b, k) for a, k in zip(ra + [0.0] * ctrl.n_x, Kt)]
                   for ra, b in zip(A, B)]
-        self.M += [[sum(map(operator.mul, g, c)) for c in Ct] + f for g, f in zip(G, F)]
-        self.c = ([sum(map(operator.mul, b, self.Sr)) for b in B]
-                  + [sum(map(operator.mul, row, r)) for row in R])
+        self.M += [[_dot(g, c) for c in Ct] + f for g, f in zip(G, F)]
+        self.c = [_dot(b, self.Sr) for b in B] + [_dot(row, r) for row in R]
         self.n = n
         self.z = tuple([_float(x) for x in chain(x_p0, ctrl.x0.data)])
 
@@ -328,9 +327,17 @@ class IdealLoop:
     def step(self) -> tuple:
         """The controller's output u of this step, as a tuple of floats."""
         z = self.z
-        u = tuple([sum(map(operator.mul, k, z)) + sr for k, sr in zip(self.K, self.Sr)])
-        self.z = tuple([sum(map(operator.mul, m, z)) + c for m, c in zip(self.M, self.c)])
+        u = tuple([_dot(k, z) + sr for k, sr in zip(self.K, self.Sr)])
+        self.z = tuple([_dot(m, z) + c for m, c in zip(self.M, self.c)])
         return u
+
+
+def _dot(a, b) -> float:
+    """a . b in floats, summed left to right (`sum` compensates from Python 3.12 on)."""
+    acc = 0
+    for x, y in zip(a, b):
+        acc += x * y
+    return acc
 
 
 def _float(x) -> float:

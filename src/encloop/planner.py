@@ -23,12 +23,11 @@ Every decision is exact: integrality and nilpotency in rational
 arithmetic, and each stability gate (rho_c < 1, rho_c < s_F, rho(A_cl/omega)
 < 1, and the contraction of a non-nilpotent observer tail) by the Schur-Cohn
 test on an exact characteristic polynomial
-(`exactmat.spectral_radius_below`).  The prelim route's bounds are exact
-too: `compute_M` is a certified infinity-norm bound from exact powers of
-A_cl/omega, and q the least power of two above Fractions.  The main route's
-C_e and q still come from floats (`compute_Ce` takes infinity norms of float
-products).  Float spectral radii (`exactmat.spectral_radius`) feed only the
-reported fields and error messages.
+(`exactmat.spectral_radius_below`).  The bounds are exact too, from integer
+powers: `compute_M` of A_cl/omega, and `compute_Ce` of A - L C (`_powers`).
+q is the least power of two above Fractions, and a plan reports each bound
+rounded to a float.  Float spectral radii (`exactmat.spectral_radius`) feed
+only the reported fields and error messages.
 """
 
 from __future__ import annotations
@@ -222,8 +221,7 @@ M_MAX_POWER = 500  # compute_M tries the powers of A_cl/omega up to this one
 
 
 def _matmul(a: list, b: list) -> list:
-    """The product of the rows a and b, of ints or floats (b with at least
-    one row)."""
+    """The product of the integer rows a and b (b with at least one row)."""
     cols = list(zip(*b))
     return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
 
@@ -232,14 +230,8 @@ def _identity(n: int) -> list:
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _scaled_rows(m: RationalMatrix, w: float) -> list:
-    """m's float rows, each entry divided by the float w."""
-    return [[x / w for x in row] for row in m.float_rows()]
-
-
-def _inf_norm_rows(rows: list):
-    """Induced infinity norm of rows of ints or floats: max absolute row sum
-    (0 for no entries)."""
+def _inf_norm_rows(rows: list) -> int:
+    """Induced infinity norm of integer rows: max absolute row sum (0 for none)."""
     return max((sum(map(abs, row)) for row in rows), default=0)
 
 
@@ -365,8 +357,8 @@ def _largest_decimal_l0(vectors, floor=0) -> Fraction:
 
 
 def _modulus_above(x) -> int:
-    """Smallest power of two strictly exceeding x (a finite float or a
-    Fraction, x >= 0), and at least MIN_Q."""
+    """Smallest power of two strictly exceeding the exact x >= 0 (an int or
+    a Fraction), and at least MIN_Q."""
     return max(MIN_Q, 1 << math.floor(x).bit_length())
 
 
@@ -446,13 +438,19 @@ def observability_matrix(A: RationalMatrix, C: RationalMatrix) -> RationalMatrix
     return vstack(*blocks)
 
 
-def _nilpotency_index(N: RationalMatrix) -> Optional[int]:
-    P = RationalMatrix.identity(N.rows)
-    for k in range(1, N.rows + 1):
-        P = P @ N
-        if P.is_zero():
-            return k
-    return None
+def _powers(N: RationalMatrix, last: int) -> list:
+    """The nonzero powers among N^0, ..., N^last as (rows, d^k), N^k = rows/d^k
+    for N = rows/d, from one integer walk that a zero power ends (every later
+    one vanishes): with last = N.rows, N is nilpotent exactly when at most
+    N.rows powers are nonzero, and its index is their count."""
+    rows, d = integer_rows(N)
+    walk, Pk, dk = [], _identity(N.rows), 1
+    while any(map(any, Pk)):
+        walk.append((Pk, dk))
+        if len(walk) > last:
+            break
+        Pk, dk = _matmul(Pk, rows), dk * d
+    return walk
 
 
 def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix) -> DeadbeatDesign:
@@ -495,7 +493,7 @@ def design_deadbeat_observer(A: RationalMatrix, C: RationalMatrix) -> DeadbeatDe
     E = RationalMatrix(len(active), v, [Fraction(int(j == k)) for j in active
                                         for k in range(v)])
     L = A @ P @ (E @ C @ P).inverse() @ E
-    index = _nilpotency_index(A - L @ C)
+    index = len(_powers(A - L @ C, n))  # n + 1 when A - L C is not nilpotent
     if index != max(len(chain) for chain in chains):
         raise PlannerError("deadbeat construction failed exact verification")
     return DeadbeatDesign(L=L, nilpotency_index=index)
@@ -518,62 +516,59 @@ def deadbeat_companion(A: RationalMatrix, C: RationalMatrix,
 
 @dataclass(frozen=True)
 class CeResult:
-    value: float
+    value: Fraction
     tail_sound: bool       # True when the tail beyond the horizon provably vanishes
-    truncation_index: int
-    terms: tuple
 
 
 def compute_Ce(A: RationalMatrix, C: RationalMatrix, L: RationalMatrix, omega,
-               e0_bound: float, deadbeat_index: int) -> CeResult:
+               e0_bound, deadbeat_index: int) -> CeResult:
     """Upper bound on the scaled observer error driven by quantization noise.
 
     C_e = max(1/2, max_{k<mu} ||Abar^k|| e0 + sum_{k<mu} ||Abar^k Lbar||/2)
     with Abar = (A - L C)/omega, Lbar = L/omega and mu = deadbeat_index, a
-    finite sum.  The tail is sound when (A - L C)^mu L is exactly zero (as
-    for an exactly nilpotent gain), so that every discarded term vanishes;
-    for a gain that is only approximately nilpotent (e.g. a decimal
-    rounding) tail_sound reports whether the tail contracts (rho(Abar) < 1,
-    decided exactly).
+    finite sum, exact in integers and Fractions.  The tail is sound when
+    (A - L C)^mu L is exactly zero (as for an exactly nilpotent gain), so
+    that every discarded term vanishes; for a gain that is only
+    approximately nilpotent (e.g. a decimal rounding) tail_sound reports
+    whether the tail contracts (rho(Abar) < 1, decided exactly).
     """
-    w = float(as_fraction(omega))
     N = A - L @ C
-    Nf, Lf = _scaled_rows(N, w), _scaled_rows(L, w)
-    terms, series, transient = [], 0.0, e0_bound
-    Pk = _identity(len(Nf))
-    for k in range(deadbeat_index):          # Pk = Abar^k
-        if k:
-            transient = max(transient, _inf_norm_rows(Pk) * e0_bound)
-        terms.append(0.5 * _inf_norm_rows(_matmul(Pk, Lf)))
-        series += terms[-1]
-        Pk = _matmul(Pk, Nf)
-    tail_sound = ((N.matpow(deadbeat_index) @ L).is_zero()
+    return _observer_bound(N, _powers(N, deadbeat_index), L, omega, e0_bound, deadbeat_index)
+
+
+def _observer_bound(N: RationalMatrix, powers: list, L: RationalMatrix, omega,
+                    e0_bound, mu: int) -> CeResult:
+    """`compute_Ce` of N = A - L C from its nonzero powers to N^mu (`_powers`)."""
+    omega, e0 = as_fraction(omega), as_fraction(e0_bound)
+    Ln, dL = integer_rows(L)
+    transient, series = e0, Fraction(0)
+    for k, (Pk, dk) in enumerate(powers[:mu]):  # Abar^k = Pk/(dk omega^k)
+        transient = max(transient, Fraction(_inf_norm_rows(Pk), dk) * e0 / omega ** k)
+        series += Fraction(_inf_norm_rows(_matmul(Pk, Ln)), 2 * dk * dL) / omega ** (k + 1)
+    tail_sound = (len(powers) <= mu or not any(map(any, _matmul(powers[mu][0], Ln)))
                   or spectral_radius_below(N, omega))
-    return CeResult(value=max(0.5, transient + series),
-                    tail_sound=tail_sound,
-                    truncation_index=deadbeat_index, terms=tuple(terms))
+    return CeResult(value=max(Fraction(1, 2), transient + series), tail_sound=tail_sound)
 
 
 # -- modulus bound -----------------------------------------------------------
 
 
 def q_bound_terms(L: RationalMatrix, C: RationalMatrix, R_ref: RationalMatrix,
-                  S: RationalMatrix, s1, s2, omega, C_e: float) -> tuple:
-    """The four modulus-bound terms: observer increment, state increment,
-    output increment, and the sensor reconstruction window."""
-    s1, s2, omega = as_fraction(s1), as_fraction(s2), as_fraction(omega)
+                  S: RationalMatrix, s1, s2, omega, C_e) -> tuple:
+    """The four modulus-bound terms, as Fractions: observer increment, state
+    increment, output increment, and the sensor reconstruction window."""
+    s1, s2, omega, C_e = (as_fraction(x) for x in (s1, s2, omega, C_e))
     if min(s1, s2, omega) <= 0:
         raise ValueError("scales must be positive")
-    w = float(omega)
-    t1 = 2.0 * C_e * float(inf_norm(hstack(L @ C, L))) / w
-    t2 = float(inf_norm(hstack(R_ref.scale(1 / omega), -R_ref))) / (w * w)
-    t3 = float(inf_norm(hstack(S.scale(1 / omega), -S))) / (float(s2) * w)
-    t4 = 2.0 * float(inf_norm(C.scale(1 / s1))) * C_e
+    t1 = 2 * C_e * inf_norm(hstack(L @ C, L)) / omega
+    t2 = inf_norm(hstack(R_ref.scale(1 / omega), -R_ref)) / omega ** 2
+    t3 = inf_norm(hstack(S.scale(1 / omega), -S)) / (s2 * omega)
+    t4 = 2 * inf_norm(C.scale(1 / s1)) * C_e
     return t1, t2, t3, t4
 
 
 def q_bound_main(L: RationalMatrix, C: RationalMatrix, R_ref: RationalMatrix,
-                 S: RationalMatrix, s1, s2, omega, C_e: float) -> float:
+                 S: RationalMatrix, s1, s2, omega, C_e) -> Fraction:
     """Four-term maximum that the modulus must strictly exceed."""
     return max(q_bound_terms(L, C, R_ref, S, s1, s2, omega, C_e))
 
@@ -599,8 +594,8 @@ class MainPlan(_Plan):
     s2: Fraction
     l0: Fraction
     q: int
-    q_bound: float
-    C_e: float
+    q_bound: float               # q_bound_main's exact bound, rounded to a float
+    C_e: float                   # compute_Ce's exact bound, rounded to a float
     range_level: int
     certificates: dict
     rho_observer: float          # 0.0 when exact nilpotency is certified
@@ -609,7 +604,7 @@ class MainPlan(_Plan):
     rho_observer_grid: Optional[float]  # spectral radius of the certified gain, if distinct
     deadbeat_index: int
     tail_sound: bool
-    bootstrap_bound: float
+    bootstrap_bound: float       # exact, rounded to a float
     dims: dict
 
     def to_json(self, include_integer_matrices: bool = False) -> dict:
@@ -655,13 +650,17 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
 
     # observer report: the spectrum of the exact companion when given, else of
     # the runtime gain; the C_e sum runs to the runtime gain's nilpotency index,
-    # or to n when it is not nilpotent (a grid-rounded gain)
+    # or to n when it is not nilpotent (a grid-rounded gain); one walk a gain
     L = options.L
     L_best = options.L_exact if options.L_exact is not None else L
-    rho_eig = spectral_radius(plant.A - L_best @ plant.C)
-    rho_observer = 0.0 if _nilpotency_index(plant.A - L_best @ plant.C) else rho_eig
-    rho_grid = spectral_radius(plant.A - L @ plant.C) if L != L_best else None
-    deadbeat_index = _nilpotency_index(plant.A - L @ plant.C) or n
+    N = plant.A - L @ plant.C
+    powers = _powers(N, n)
+    N_best = N if L == L_best else plant.A - L_best @ plant.C
+    best = powers if L == L_best else _powers(N_best, n)
+    rho_eig = spectral_radius(N_best)
+    rho_observer = 0.0 if len(best) <= n else rho_eig  # nilpotent: at most n nonzero powers
+    rho_grid = spectral_radius(N) if L != L_best else None
+    deadbeat_index = min(len(powers), n)
 
     # scales
     s1 = max_integer_scale(plant.C)
@@ -709,32 +708,29 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
         except InfeasibleError:
             l0 = _largest_decimal_l0([ctrl.x0.data], floor_l0)
 
-    # observer-error bound and the modulus
-    e0 = float(plant.x_p0_bound / l0)
-    ce = compute_Ce(plant.A, plant.C, L, omega, e0, deadbeat_index)
-
+    # observer-error bound and the modulus, exact
+    ce = _observer_bound(N, powers, L, omega, plant.x_p0_bound / l0, deadbeat_index)
     bound = q_bound_main(L, plant.C, ctrl.R_ref, ctrl.S, s1, s2, omega, ce.value)
 
     # start-up magnitudes under the zero-memory convention: the first two
     # transmitted state increments carry x0/l0 and x0/(omega l0), and the first
     # reference-output increment carries the unshrunk initial reference error
-    b1 = float(inf_norm(ctrl.x0) / l0)
-    w = float(omega)
-    g1 = float(inf_norm(ctrl.S.scale(1 / s2))) * (float(ref_norm / l0) + 0.5) / w
-    bootstrap = max(b1, b1 / w, g1)
+    b1 = inf_norm(ctrl.x0) / l0
+    g1 = inf_norm(ctrl.S.scale(1 / s2)) * (ref_norm / l0 + Fraction(1, 2)) / omega
+    bootstrap = max(b1, b1 / omega, g1)
 
-    q = _modulus_above(max(bound, 2.0 * bootstrap))
+    q = _modulus_above(max(bound, 2 * bootstrap))
 
     # quantizer range: (2R+1)/2 must strictly exceed both saturation drivers
-    sat = max(float(inf_norm(plant.C)) * ce.value, 1.0 / (2.0 * w))
-    range_level = max(1, math.floor(sat - 0.5) + 1)
+    sat = max(inf_norm(plant.C) * ce.value, 1 / (2 * omega))
+    range_level = max(1, math.floor(sat - Fraction(1, 2)) + 1)
 
     return MainPlan(
-        L=L, omega=omega, s1=s1, s2=s2, l0=l0, q=q, q_bound=bound,
-        C_e=ce.value, range_level=range_level, certificates=certs,
+        L=L, omega=omega, s1=s1, s2=s2, l0=l0, q=q, q_bound=float(bound),
+        C_e=float(ce.value), range_level=range_level, certificates=certs,
         rho_observer=rho_observer, rho_observer_eig=rho_eig,
         rho_observer_grid=rho_grid, deadbeat_index=deadbeat_index,
-        tail_sound=ce.tail_sound, bootstrap_bound=bootstrap,
+        tail_sound=ce.tail_sound, bootstrap_bound=float(bootstrap),
         dims={"n": plant.n, "w": plant.w, "v": plant.v,
               "n_x": ctrl.n_x, "n_r": ctrl.n_r},
     )

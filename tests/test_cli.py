@@ -1,4 +1,5 @@
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -564,7 +565,7 @@ def _plan_digest(plan) -> str:
 GOLDEN_PLANS = [
     # (fixture, scheme, observer, overrides, digest)
     ("batch-reactor", "main", "published", [],
-     "68b967504950adc4d61d0cad17604c6e13dcac346c3a4da627c25fd56b54b9ef"),
+     "051b9f91daa483342ce8a9d5179408a4407b734b0fd8ceaed75dad69b6673a8c"),
     ("batch-reactor", "main", "exact", [],
      "95cb9389047e8dc77e3c8f51727d9fab6a93933ccbbb84c3133a2210947ac2e2"),
     ("batch-reactor", "main", "exact", ["omega=1/920000"],
@@ -583,6 +584,63 @@ def test_golden_plan(fixture, scheme, observer, overrides, digest):
     args = argparse.Namespace(scheme=scheme, observer=observer, override=overrides)
     plan = cli._plan(args, FIXTURES[fixture](), {})
     assert _plan_digest(plan) == digest
+
+
+def _float_digest(values) -> str:
+    """SHA-256 over the repr of floats: their shortest round-trip strings."""
+    return hashlib.sha256(repr(values).encode()).hexdigest()
+
+
+GOLDEN_PLAN_FLOATS = [
+    # (fixture, observer, digest) of a main plan's float fields
+    ("batch-reactor", "published",
+     "6ad1ec5fbc0f826086e401bb18f0270f62d468b079a9d0b1947cd68cf038d4fa"),
+    ("batch-reactor", "exact",
+     "762076f8fe8e702c14572a2d0fe69cead6eb0de47cc13e3e5706295d28d3ea08"),
+    ("coupled-tanks", "exact",
+     "a72c047748010e9a69303a6a2be0d3afe1144fd5a489a153e8528d539c0e2b28"),
+]
+
+
+@pytest.mark.parametrize("fixture,observer,digest", GOLDEN_PLAN_FLOATS,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_PLAN_FLOATS])
+def test_golden_plan_floats(fixture, observer, digest):
+    """A main plan's float fields, which `_plan_digest` leaves out, are the
+    same on every supported Python: each bound is an exact Fraction rounded
+    once, and each radius comes from an exact characteristic polynomial."""
+    args = argparse.Namespace(scheme="main", observer=observer, override=[])
+    plan = cli._plan(args, FIXTURES[fixture](), {})
+    values = [(name, getattr(plan, name)) for name in (
+        "C_e", "q_bound", "bootstrap_bound", "rho_observer", "rho_observer_eig",
+        "rho_observer_grid")]
+    assert _float_digest(values) == digest
+
+
+GOLDEN_RUN_FLOATS = [
+    # (fixture, scheme, digest) of a mock run at H=40, seed 7
+    ("batch-reactor", "main",
+     "b54da239f947645d83a1a8d97e38937936b1879a54ebde86afacdfd366f06cc3"),
+    ("coupled-tanks", "prelim",
+     "a24645f8c8372eb65712b5a346095bee0dcf5810448c31a9f8a3be5d372e0a75"),
+]
+
+
+@pytest.mark.parametrize("fixture,scheme,digest", GOLDEN_RUN_FLOATS,
+                         ids=[f"{g[0]}-{g[1]}" for g in GOLDEN_RUN_FLOATS])
+def test_golden_run_floats(capsys, tmp_path, fixture, scheme, digest):
+    """A run's float columns (u_true_* and diff_inf) and its final_diff_inf,
+    which the `GOLDEN` digests of test_loop leave out, are the same on every
+    supported Python: the reference loop sums its dot products left to
+    right."""
+    out = tmp_path / "run"
+    code, _, _ = run_cli(capsys, "simulate", "--fixture", fixture, "--scheme", scheme,
+                         "--horizon", "40", "--seed", "7", "--out", str(out))
+    assert code == 0
+    with open(f"{out}.csv", newline="") as f:
+        columns = [[v for k, v in row.items() if k.startswith("u_true_") or k == "diff_inf"]
+                   for row in csv.DictReader(f)]
+    final = json.loads(Path(f"{out}.json").read_text())["final_diff_inf"]
+    assert _float_digest((columns, final)) == digest
 
 
 def test_python_dash_m_runs_the_cli():
@@ -908,6 +966,9 @@ OUT_OF_RANGE_ENTRIES = [
     ("x_p0_bound-plan", "prelim", "plan", {("plant", "x_p0_bound"): "1e400"}, "float range"),
     ("x_p0_bound-simulate", "prelim", "simulate", {("plant", "x_p0_bound"): "1e400"},
      "float range"),
+    # `plan` runs the published gain, here the deadbeat one of A = 0.4, C = 1
+    ("x_p0_bound-main-plan", "main", "plan",
+     {("plant", "x_p0_bound"): "1e400", ("L",): [["0.4"]]}, "float range"),
     ("x_p0_bound-main-simulate", "main", "simulate", {("plant", "x_p0_bound"): "1e400"},
      "float range"),
     # the prelim bounds are exact, and only their reported values are floats:

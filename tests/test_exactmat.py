@@ -272,7 +272,7 @@ class TestSpectralRadius:
         acc = RationalMatrix.zeros(m.rows, m.cols)
         for c in p:  # Horner in matrices
             acc = acc @ N + RationalMatrix.identity(m.rows).scale(c)
-        assert acc.is_zero()
+        assert acc == RationalMatrix.zeros(m.rows, m.cols)
         assert len(p) == m.rows + 1 and p[0] == 1
 
     @pytest.mark.parametrize("p,want", [
@@ -480,7 +480,7 @@ class TestIntegerKernels:
         assert inf_norm(a) == max((sum(map(abs, a.row(i)), Fraction(0)) for i in range(rows)),
                                   default=0)
         assert a.denominator_lcm() == math.lcm(*(x.denominator for x in a.data))
-        assert a.is_zero() == all(x == 0 for x in a.data)
+        assert (a == RationalMatrix.zeros(rows, cols)) == all(x == 0 for x in a.data)
         assert a.float_rows() == [[float(x) for x in a.row(i)] for i in range(rows)]
         g = Fraction(0)
         for x in a.data + b.data:

@@ -46,6 +46,10 @@ def rmat(rows):
     return RationalMatrix.from_rows(rows)
 
 
+def is_zero(m: RationalMatrix) -> bool:
+    return m == RationalMatrix.zeros(m.rows, m.cols)
+
+
 def round_to_decimal_grid(m: RationalMatrix, decimals: int) -> RationalMatrix:
     """Entrywise rounding to `decimals` places, half away from zero."""
     scale = 10**decimals
@@ -174,7 +178,7 @@ def test_stability_gates_read_one_exact_test(monkeypatch, batch, batch_companion
     `compute_Ce` no longer calls a non-nilpotent gain's tail sound."""
     A, C, L = batch.plant.A, batch.plant.C, batch.L_published
     Ce = compute_Ce(A, C, L, Fraction(1, 10), 1.0, batch.plant.n)
-    assert not (A - L @ C).matpow(batch.plant.n).is_zero() and Ce.tail_sound
+    assert not is_zero((A - L @ C).matpow(batch.plant.n)) and Ce.tail_sound
     options = MainPlanOptions(L=batch_companion.L, L_exact=batch_companion.L,
                               reference=batch.reference)
     bound = max(abs(x) for x in tanks.reference.data)
@@ -207,6 +211,24 @@ def test_a_prelim_plan_reads_one_closed_loop(monkeypatch, tanks, tanks_plan):
     bound = max(abs(x) for x in tanks.reference.data)
     assert plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=bound) == tanks_plan
     assert (len(loops), len(polynomials)) == (1, 1)
+
+
+@pytest.mark.parametrize("observer, walks", [("exact", 1), ("published", 2)])
+def test_a_main_plan_walks_each_gain_once(monkeypatch, batch, batch_companion,
+                                          sound_plan, published_plan, observer, walks):
+    """`plan_main` forms A - L C once for each distinct gain, the runtime
+    one and the exact companion, and walks its powers once: one of each
+    when they are the same gain, two with the published gain."""
+    differences, walked = [], []
+    sub, powers = RationalMatrix.__sub__, planner._powers
+    monkeypatch.setattr(RationalMatrix, "__sub__",
+                        lambda a, b: differences.append(b) or sub(a, b))
+    monkeypatch.setattr(planner, "_powers", lambda N, last: walked.append(N) or powers(N, last))
+    L = batch_companion.L if observer == "exact" else batch.L_published
+    plan = plan_main(batch.plant, batch.ctrl, MainPlanOptions(
+        L=L, L_exact=batch_companion.L, reference=batch.reference))
+    assert plan == (sound_plan if observer == "exact" else published_plan)
+    assert (len(differences), len(walked)) == (walks, walks)
 
 
 class TestComputeM:
@@ -376,7 +398,7 @@ class TestDeadbeatObserver:
             design = design_deadbeat_observer(A, C)
             N = A - design.L @ C
             # exact deadbeat: the certified radius is 0 and the cube vanishes
-            assert N.matpow(3).is_zero()
+            assert is_zero(N.matpow(3))
             assert float(inf_norm(N.matpow(3))) <= 1e-4
             # the exact characteristic polynomial of a nilpotent matrix is
             # x^3, so the reported radius is exactly 0
@@ -404,8 +426,8 @@ class TestDeadbeatObserver:
                 continue
             design = design_deadbeat_observer(A, C)
             N = A - design.L @ C
-            assert N.matpow(n).is_zero()
-            index = next(m for m in range(1, n + 1) if N.matpow(m).is_zero())
+            assert is_zero(N.matpow(n))
+            index = next(m for m in range(1, n + 1) if is_zero(N.matpow(m)))
             assert index == design.nilpotency_index == k
             checked += 1
             dependent += C.rank() < v
@@ -422,28 +444,39 @@ class TestDeadbeatObserver:
         gain with denominator 18400: the minimal-index design."""
         d = batch_companion
         N = batch.plant.A - d.L @ batch.plant.C
-        assert (N @ N).is_zero()
+        assert is_zero(N @ N)
         assert d.nilpotency_index == 2
         assert d.L.denominator_lcm() == 18400
         assert round_to_decimal_grid(d.L, 4) == batch.L_published
         assert spectral_radius(N) == 0.0  # an eigensolver reports ~1e-8 (paper: 9e-7)
 
 
+def Ce_sum(A, C, L, omega, e0, mu):
+    """C_e's finite sum to mu, term by term on the RationalMatrix operations."""
+    Abar, Lbar = (A - L @ C).scale(1 / omega), L.scale(1 / omega)
+    transient = max(inf_norm(Abar.matpow(k)) * e0 for k in range(mu))
+    series = sum(inf_norm(Abar.matpow(k) @ Lbar) / 2 for k in range(mu))
+    return max(Fraction(1, 2), transient + series)
+
+
 class TestComputeCe:
     def test_exact_nilpotent_truncates_at_index(self, batch, batch_companion):
-        res = compute_Ce(batch.plant.A, batch.plant.C, batch_companion.L,
-                         Fraction(1, 460000), e0_bound=20.0, deadbeat_index=2)
-        assert res.truncation_index == 2 and res.tail_sound
-        assert len(res.terms) == 2
+        """(A - L C)^2 = 0: the sum has two terms, exactly, and a longer
+        truncation adds nothing."""
+        A, C, L, omega = batch.plant.A, batch.plant.C, batch_companion.L, Fraction(1, 460000)
+        res = compute_Ce(A, C, L, omega, e0_bound=20, deadbeat_index=2)
+        assert res.tail_sound
+        assert res.value == Ce_sum(A, C, L, omega, 20, 2)
+        assert compute_Ce(A, C, L, omega, 20, 4) == res
 
     def test_zero_observer(self):
         A = RationalMatrix.zeros(2, 2)
         C = RationalMatrix.identity(2)
         L = RationalMatrix.zeros(2, 2)
-        res = compute_Ce(A, C, L, Fraction(1, 2), e0_bound=0.2, deadbeat_index=1)
-        assert res.value == 0.5
-        res2 = compute_Ce(A, C, L, Fraction(1, 2), e0_bound=7.0, deadbeat_index=1)
-        assert res2.value == 7.0
+        res = compute_Ce(A, C, L, Fraction(1, 2), e0_bound=Fraction(1, 5), deadbeat_index=1)
+        assert res.value == Fraction(1, 2)
+        res2 = compute_Ce(A, C, L, Fraction(1, 2), e0_bound=7, deadbeat_index=1)
+        assert res2.value == 7
 
     def test_batch_matches_published_scale(self, batch, published_plan):
         # ||C||_inf * C_e within a factor of 4 of 1.3594e13
@@ -452,10 +485,10 @@ class TestComputeCe:
         assert target / 4 <= got <= target * 4
 
     def test_grid_gain_tail_flagged(self, batch):
-        res = compute_Ce(batch.plant.A, batch.plant.C, batch.L_published,
-                         Fraction(1, 10000), e0_bound=1.0, deadbeat_index=4)
+        A, C, L, omega = batch.plant.A, batch.plant.C, batch.L_published, Fraction(1, 10000)
+        res = compute_Ce(A, C, L, omega, e0_bound=1, deadbeat_index=4)
         assert not res.tail_sound
-        assert res.truncation_index == 4
+        assert res.value == Ce_sum(A, C, L, omega, 1, 4)
 
 
 class TestQBound:
