@@ -28,7 +28,6 @@ from .planner import (
     InfeasibleError,
     MainPlan,
     MainPlanOptions,
-    NotObservableError,
     PinError,
     PlannerError,
     PlantModel,
@@ -397,7 +396,7 @@ def main(argv=None) -> int:
     except InfeasibleError as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (NotObservableError, PlannerError) as e:
+    except PlannerError as e:
         print(f"planning failed: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (ExactMatError, ValueError) as e:

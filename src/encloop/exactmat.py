@@ -138,7 +138,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls._from_form(n, n, [int(i == j) for i in range(n) for j in range(n)], 1)
+        return cls._from_form(n, n, [x for row in identity_rows(n) for x in row], 1)
 
     # -- access -------------------------------------------------------
 
@@ -249,7 +249,7 @@ class RationalMatrix:
             raise NonSquareError("inverse of a non-square matrix")
         n = self.rows
         rows, d = integer_rows(self)
-        a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+        a = [row + unit for row, unit in zip(rows, identity_rows(n))]
         rank, p = _row_reduce(a, n)
         if rank < n:
             raise SingularMatrixError("matrix is singular")
@@ -327,13 +327,32 @@ def block(rows_of_blocks) -> RationalMatrix:
     return vstack(*[hstack(*row) for row in rows_of_blocks])
 
 
+# -- integer rows ------------------------------------------------------
+
+
+def identity_rows(n: int, c: int = 1) -> list:
+    """c times the n x n identity, as integer rows (lists)."""
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def matmul_rows(a: list, b: list) -> list:
+    """The product of the integer rows a and b (b with at least one row)."""
+    cols = list(zip(*b))
+    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
+
+
+def inf_norm_rows(rows) -> int:
+    """Induced infinity norm of integer rows: max absolute row sum (0 for none)."""
+    return max((sum(map(abs, row)) for row in rows), default=0)
+
+
 # -- norms and spectra -------------------------------------------------
 
 
 def inf_norm(m: RationalMatrix) -> Fraction:
     """Induced infinity norm: max absolute row sum.  Exact."""
     rows, d = integer_rows(m)
-    return Fraction(max((sum(map(abs, row)) for row in rows), default=0), d)
+    return Fraction(inf_norm_rows(rows), d)
 
 
 def integer_rows(m: RationalMatrix) -> tuple:
@@ -363,14 +382,13 @@ def _faddeev_leverrier(N: list) -> tuple:
     M_1 = I, c_k = -tr(N M_k)/k and M_(k+1) = N M_k + c_k I; each division
     by k is exact over the integers."""
     n = len(N)
-    coeffs = [1]
-    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
+    coeffs, Mk = [1], identity_rows(n)
     for k in range(1, n + 1):
-        cols = list(zip(*Mk))
         if k == n:  # only the trace of N M_n is needed
-            coeffs.append(-sum(sum(map(operator.mul, N[i], cols[i])) for i in range(n)) // k)
+            trace = sum(sum(map(operator.mul, row, col)) for row, col in zip(N, zip(*Mk)))
+            coeffs.append(-trace // k)
             break
-        Mk = [[sum(map(operator.mul, row, col)) for col in cols] for row in N]
+        Mk = matmul_rows(N, Mk)
         c = -sum(Mk[i][i] for i in range(n)) // k
         coeffs.append(c)
         for i in range(n):

@@ -1,17 +1,26 @@
-"""Straight-line integer kernels.
+"""The compiler of the parties' linear methods: straight-line integer kernels.
 
-A fixed integer linear map applied many times (a recurrence step in
-`loop`) costs most of its time in the interpreter's per-term work when it
-is evaluated from nested lists.  `Source` records the
-map once as straight-line Python: every entry of a vector is a generated
-name, and every linear form `c1 x1 + c2 x2 + ...` becomes one assignment
-with its zero coefficients and its known-zero operands dropped.  It is a
-ring in the sense of `loop` (`matvec` and `add` over vectors of names), so
-a recurrence method run once on it records its whole step.
-`Source.define` compiles, with `exec`, a function that a caller writes
-around the recorded statements (`body`) and the expressions of what it
-returns (`expr`): `loop` makes its party methods so, each one function from
-its inputs to its new state.
+Every run, integer or encrypted, repeats one fixed linear map per step, on
+small matrices, and a map evaluated from nested lists costs most of its
+time in the interpreter's per-term work.  So each linear method of a party
+(a recurrence method of `loop`, written over a ring's `matvec` and `add`)
+is compiled into the party's method at its first call (`compiled`).  The
+method runs once on the recording ring `Source`, over a namespace of the
+party's plaintext rows (`rows_of`) and new input vectors: every entry of a
+vector is a generated name, and every linear form `c1 x1 + c2 x2 + ...`
+becomes one assignment with its zero coefficients and its known-zero
+operands dropped.  The record becomes one generated function
+(`compile_method`) that reads the party's state by attribute, checks its
+inputs' lengths, computes, assigns the new state and returns.  Over
+integers that is the whole method (`Protocol`); over other values, such as
+the ciphertext payloads of `loop`'s encrypted controllers, a subclass of
+`Protocol` says how an input's length reads, what refuses another length,
+how entries are reduced, and what the method checks and makes around the
+record.  A kernel depends only on the method, the names of its state, the
+plaintext rows, its inputs' lengths and the protocol's `key`, so the
+process keeps the kernels it used last by those (`kept`), and a party
+looks each of its kernels up once and keeps it: no kernel holds a party,
+and every call checks its inputs.
 
 Only integer literals, generated names and calls of the one reducer
 `reduce` enter the recorded statements.  A form with more than
@@ -19,22 +28,24 @@ Only integer literals, generated names and calls of the one reducer
 compiles one long sum as a deeply nested expression and a few thousand
 terms exceed its recursion limit.
 
-Reduction placement.  A kernel over ciphertext payloads (`loop` compiles the
-encrypted controllers' steps) works modulo something, and its entries must
-be reduced before they outgrow what the reducer accepts.  `Source` is then
-given the reducer and a `limit`, and every generated name carries a bound on
-its magnitude in units of the modulus: an input or a reduced entry has
-bound 1, and a form sum c x has bound sum |c| bound(x).  Before a form would
-exceed the limit, its unreduced operands are reduced first, each with one
-emitted `reduce` call that later forms share; `reduced` reduces the entries
-a kernel returns, each once.  Without a limit nothing is reduced in between,
-and the integer kernels, which pass none, are unchanged.
+Reduction placement.  A kernel over ciphertext payloads works modulo
+something, and its entries must be reduced before they outgrow what the
+reducer accepts.  `Source` is then given the reducer and a `limit`, and
+every generated name carries a bound on its magnitude in units of the
+modulus: an input or a reduced entry has bound 1, and a form sum c x has
+bound sum |c| bound(x).  Before a form would exceed the limit, its
+unreduced operands are reduced first, each with one emitted `reduce` call
+that later forms share; `reduced` reduces the entries a kernel returns,
+each once.  Without a limit nothing is reduced in between, and the integer
+kernels, which pass none, are unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 import re
+from types import SimpleNamespace
 from typing import Iterable, Tuple, Union
 
 TERMS_PER_STATEMENT = 64
@@ -42,6 +53,18 @@ TERMS_PER_STATEMENT = 64
 # An entry of a recorded vector: a generated name, or the integer 0.
 Entry = Union[str, int]
 _NAME = re.compile(r"t[0-9]+")
+
+# What the process used last, least recent first, by what it is built from
+# (`kept`): the kernels and `loop`'s noise tables.  A main plan has 4
+# kernels (payload and integer `step`, the reconstruction's `rebuild` and
+# the plant's `observe`), a prelim plan 4 (payload and integer `step`, and
+# the plant's `products` and `measure`), and each 1 more payload `step` per
+# further pad.  The noise table runs the shadow's integer `step` where the
+# centered rows are the certified ones.  Plans that differ only in q share
+# the integer kernels, and the noise table where their centered rows agree.
+# 32 keep several plans'.
+KERNELS_KEPT = 32
+_kernels: dict = {}
 
 
 class Source:
@@ -136,6 +159,118 @@ class Source:
         namespace = {"reduce": self.reduce, **(names or {})}
         exec(compile("".join(f"{line}\n" for line in lines), "<kernel>", "exec"), namespace)
         return namespace[name]
+
+
+def kept(key, build, *args):
+    """`build(*args)`, kept by `key` while it is among the last
+    `KERNELS_KEPT` used, so that what every plan shares stays."""
+    run = _kernels.pop(key, None)
+    if run is None:
+        run = build(*args)
+        if len(_kernels) >= KERNELS_KEPT:
+            del _kernels[next(iter(_kernels))]
+    _kernels[key] = run  # the last used
+    return run
+
+
+def rows_of(m) -> tuple:
+    """What the kernels of a party are recorded from, its plaintexts `m` (a
+    namespace): the name and the rows of each, a prepared plaintext's
+    `rows`."""
+    return tuple((k, getattr(M, "rows", M)) for k, M in vars(m).items())
+
+
+def check_lengths(got: list, want: list, error):
+    """Raises `error` unless a compiled method's input vectors have the
+    lengths it was recorded at: its state, then its arguments."""
+    if got != want:
+        raise error(f"input lengths {got} differ from the recorded {want}")
+
+
+class Protocol:
+    """How a compiled method reads, checks and returns around its record:
+    over integers here, and over other values in a subclass, which sets
+    `length`, an input's length, and `size`, its source expression (a format
+    of the input's name); `error`, what recording and a call on inputs of
+    other lengths raise; `key`, what else the kernel depends on; (`reduce`,
+    `limit`), the reductions of its `Source`; and `lines`.  `compiled` makes
+    one per party, `Protocol(party)`."""
+
+    length, size, error, key, reduce, limit = len, "len({})", ValueError, None, None, None
+
+    def __init__(self, party=None):
+        """Over integers every party's is the same."""
+
+    def lines(self, source: Source, p: list, n: int, outputs: list) -> tuple:
+        """The checks, the body, the source expressions of the new state
+        and of what is returned, and the globals they read, for a method
+        whose inputs `p` are its `n` state vectors and then its arguments,
+        recorded on `source` as `outputs`: the new state, then what it
+        returns."""
+        return [], source.body(p), [expr(v) for v in outputs], {}
+
+
+def compiled(method, protocol=Protocol):
+    """A recurrence's `method` as a party's method: compiled
+    (`compile_method`) under `protocol(party)` at its first call on the
+    party, which keeps the generated method (`kernels`) and calls it from
+    then on, through this class attribute, so that a wrapper set on the
+    class sees every call.  The recurrence reads its plaintexts from `m`,
+    `state` names its state vectors, and its own `method` is the
+    `__wrapped__` of this one."""
+
+    @functools.wraps(method)
+    def call(self, *args):
+        run = self.kernels.get(method)
+        if run is None:
+            how = protocol(self)
+            inputs = (*(getattr(self, k) for k in self.state), *args)
+            run = self.kernels[method] = compile_method(
+                method, self.state, rows_of(self.m), [how.length(v) for v in inputs], how)
+        return run(self, *args)
+
+    return call
+
+
+def compile_method(method, state: tuple, rows: tuple, lengths: list, protocol=Protocol()):
+    """`method` of a recurrence with the plaintext `rows` (`rows_of`), compiled
+    under `protocol` for input vectors of `lengths`, those of its `state`
+    and then its arguments, and kept (`kept`) by all of these, of
+    `protocol` its `key`: one generated function of a party and `method`'s
+    arguments that reads the state by attribute, updates it as `method`
+    would and returns what it returns.  Lengths the rows do not take raise
+    `protocol.error` while recording, and so do other lengths than the
+    recorded ones at every call, before the state changes."""
+    key = (method, state, rows, tuple(lengths), protocol.key)
+    return kept(key, _build, method, state, rows, lengths, protocol)
+
+
+def _build(method, state: tuple, rows: tuple, lengths: list, protocol):
+    """`compile_method`'s kernel: `method` run once on a namespace of
+    `rows`, of new input vectors of `lengths` and of the recording ring."""
+    source = Source(protocol.reduce, protocol.limit)
+    recorded = SimpleNamespace(ring=source, m=SimpleNamespace(**dict(rows)))
+    inputs = [source.vector(d) for d in lengths]
+    vars(recorded).update(zip(state, inputs))
+    try:
+        result = method(recorded, *inputs[len(state):])
+    except ValueError as e:
+        raise protocol.error(e) from None
+    many = isinstance(result, tuple)
+    p, n = [f"p{k}" for k in range(len(lengths))], len(state)
+    checks, body, values, names = protocol.lines(source, p, n, [
+        *(getattr(recorded, k) for k in state), *(result if many else (result,))])
+    got, error = "".join(f"{protocol.size.format(x)}, " for x in p), protocol.error.__name__
+    out = "(" + "".join(f"{v}, " for v in values[n:]) + ")" if many else values[n]
+    return source.define([f"def method({', '.join(['self', *p[n:]])}):",
+                          *(f"    {x} = self.{k}" for x, k in zip(p, state)),
+                          *(f"    {line}" for line in checks),
+                          f"    if ({got}) != {tuple(lengths)!r}:",
+                          f"        check([{got}], {list(lengths)!r}, {error})",
+                          *(f"    {line}" for line in body),
+                          *(f"    self.{k} = {v}" for k, v in zip(state, values)),
+                          f"    return {out}"], "method",
+                         {"check": check_lengths, error: protocol.error, **names})
 
 
 def check_matvec(M, v):

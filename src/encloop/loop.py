@@ -32,28 +32,19 @@ Each converted controller is written once, over a ring's two operations
 `matvec` and `add`: the main one as its emission rule `MainRecurrence` and
 as its observer and controller dynamics `MainIntegerRecurrence`, which only
 the reconstruction from the increments runs (`rebuild`); the prelim one as
-`PrelimRecurrence`.  Both bootstraps only encrypt.  Every run, integer or
-encrypted, repeats one fixed linear map per step, on small matrices, so no
-run interprets a recurrence op by op.  Each linear method of a party
-(`step`, the reconstruction's `rebuild`, the plant's `products` and
-`measure`, which its `step` and `output` apply on the prelim route, and its
-`observe`, which `gap` applies on the main route) is run once on the
-recording ring `kernel.Source`, which makes every matvec row and every sum
-one straight-line statement with its zero coefficients dropped.  The record
-is compiled into the party's method: one generated function that reads the
-state by attribute, checks its inputs, computes, assigns the new state and
-returns.  It works on integers (`_compile`, for the integer shadows, the
-reconstruction, whose ring `IntRing` only embeds, and the plant), or over
-packed ciphertext payloads (`_compile_cipher`), where `he` supplies the
-reducer and the slot limit, so an entry is reduced only where the limit
-needs it and every state and emitted entry once, and the method also checks
-each ciphertext's scheme, finds the controller's noise-table event and
-makes each new `he.Ciphertext`.  The noise table runs the integer `step`
-as well, on states of its own.  A kernel depends only on the plaintext rows
-it is recorded from and, over payloads, on the scheme parameters, so the
-process keeps the kernels it used last by those (`_kept`), and a party
-looks each of its kernels up once and keeps it: only keys, ciphertexts and
-encryption randomness are made per run, and every call checks its inputs.
+`PrelimRecurrence`.  Both bootstraps only encrypt.  No run interprets a
+recurrence op by op: each linear method of a party (`step`, the
+reconstruction's `rebuild`, the plant's `products` and `measure`, which its
+`step` and `output` apply on the prelim route, and its `observe`, which
+`gap` applies on the main route) is compiled by `kernel` into the party's
+method (`kernel.compiled`), over integers for the integer shadows, the
+reconstruction, whose ring `IntRing` only embeds, and the plant, and over
+packed ciphertext payloads for the encrypted controllers, whose own
+protocol (`_Payloads`) checks each ciphertext's scheme, finds the
+controller's noise-table event and makes each new `he.Ciphertext`.  The
+noise table runs the integer `step` as well, on states of its own.  The
+process keeps the kernels and the noise tables it used last, so only keys,
+ciphertexts and encryption randomness are made per run.
 
 Noise.  Every `he` op is linear mod Q, so the noise of an emitted
 ciphertext is an integer form over the noises of the fresh encryptions the
@@ -94,7 +85,6 @@ must match at every step (`PaperRecurrence`).
 
 from __future__ import annotations
 
-import copy
 import csv
 import functools
 import inspect
@@ -108,7 +98,8 @@ from types import SimpleNamespace
 from typing import NamedTuple, Sequence
 
 from . import he, kernel
-from .exactmat import RationalMatrix, SingularMatrixError, as_fraction, as_ratio, integer_rows
+from .exactmat import (RationalMatrix, SingularMatrixError, as_fraction, as_ratio, identity_rows,
+                       integer_rows)
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
 
@@ -388,184 +379,59 @@ class CipherRing:
         return he.encrypt(self.pk, [v % self.q for v in values], self.rng)
 
 
-def _record(recurrence, method, source: kernel.Source, lengths: list):
-    """Runs `method` once on a copy of `recurrence` with the recording ring
-    `source` and its plaintext rows (`_rows`), on new input vectors of
-    `lengths`: its state vectors, then `method`'s arguments.  Returns the
-    new state (`recurrence.state`) and then the vectors `method` returns,
-    and whether it returns a tuple."""
-    recorded = copy.copy(recurrence)
-    recorded.ring, recorded.m = source, SimpleNamespace(**dict(_rows(recurrence)))
-    inputs = [source.vector(d) for d in lengths]
-    for k, v in zip(recurrence.state, inputs):
-        setattr(recorded, k, v)
-    result = method(recorded, *inputs[len(recurrence.state):])
-    many = isinstance(result, tuple)
-    return [*(getattr(recorded, k) for k in recurrence.state),
-            *(result if many else (result,))], many
-
-
-def _rows(recurrence) -> tuple:
-    """What the kernels of `recurrence` are recorded from: the name and the
-    rows of each plaintext, centered mod q for a `he.PlainMatrix`."""
-    return tuple((k, getattr(M, "rows", M)) for k, M in vars(recurrence.m).items())
-
-
-# The kernels used last in this process, least recent first: (builder,
-# method, plaintext rows, params) -> kernel, and each plan's `NoiseTable`.
-# A main plan has 4 kernels (payload and integer `step`, the
-# reconstruction's `rebuild` and the plant's `observe`), a prelim plan 4
-# (payload and integer `step`, and the plant's `products` and `measure`),
-# and each 1 more payload `step` per further pad.  The noise table runs the
-# shadow's integer `step` where the centered rows are the certified ones.
-# Plans that differ only in q share the integer kernels, and the noise
-# table where their centered rows agree.  32 keep several plans'.
-KERNELS_KEPT = 32
-_kernels: dict = {}
-
-
-def _kept(build, recurrence, method, args, params=None):
-    """`build(recurrence, method, args)`, kept by `method`, the plaintext
-    rows of `recurrence` (`_rows`) and, over payloads, `params` while it is
-    among the last `KERNELS_KEPT` used, so that a kernel every plan shares
-    stays.  A kernel takes the recurrence as an argument and holds no
-    reference to it, so it holds no plan, key or ciphertext of a run."""
-    key = (build, method, _rows(recurrence), params)
-    run = _kernels.pop(key, None)
-    if run is None:
-        run = build(recurrence, method, args)
-        if len(_kernels) >= KERNELS_KEPT:
-            del _kernels[next(iter(_kernels))]
-    _kernels[key] = run  # the last used
-    return run
-
-
-def _check_lengths(got: list, want: list, error):
-    """Raises `error` unless a compiled kernel's input vectors have the
-    lengths it was recorded at: its state, then its arguments."""
-    if got != want:
-        raise error(f"input lengths {got} differ from the recorded {want}")
-
-
-def _method(p, lengths, size: str, error: str, checks, body, state, values,
-            many: bool) -> list:
-    """The lines of a compiled party method, whose inputs `p` are the
-    vectors of its `state`, read by attribute, then its arguments: `checks`,
-    one comparison of the inputs' lengths (`size` of each) with the recorded
-    `lengths`, which calls `_check_lengths` to raise `error` only if they
-    differ, `body`, and then the new `state`, the first of the expressions
-    `values`, assigned and the rest returned, as a tuple if `many`."""
-    got, n = "".join(f"{size.format(x)}, " for x in p), len(state)
-    out = "(" + "".join(f"{v}, " for v in values[n:]) + ")" if many else values[n]
-    return [f"def method({', '.join(['self', *p[n:]])}):",
-            *(f"    {x} = self.{k}" for x, k in zip(p, state)),
-            *(f"    {line}" for line in checks),
-            f"    if ({got}) != {tuple(lengths)!r}:",
-            f"        check([{got}], {list(lengths)!r}, {error})",
-            *(f"    {line}" for line in body),
-            *(f"    self.{k} = {v}" for k, v in zip(state, values)),
-            f"    return {out}"]
-
-
-def _compile(recurrence, method, args):
-    """`method` of a recurrence on `IntRing`, compiled (`_kept`): one
-    generated function of the recurrence and `method`'s arguments that reads
-    the state, updates it as `method` would and returns what it returns.
-    Lengths the plan's matrices do not take raise `ValueError` while
-    recording, and so do other lengths than the recorded ones at every call,
-    before the state changes."""
-    return _kept(_int_kernel, recurrence, method, args)
-
-
-def _int_kernel(recurrence, method, args):
-    """`_compile`'s method."""
-    source = kernel.Source()
-    lengths = [len(v) for v in (*(getattr(recurrence, k) for k in recurrence.state), *args)]
-    outputs, many = _record(recurrence, method, source, lengths)
-    p = [f"p{k}" for k in range(len(lengths))]
-    return source.define(_method(
-        p, lengths, "len({})", "ValueError", [], source.body(p),
-        recurrence.state, list(map(kernel.expr, outputs)), many), "method",
-        {"check": _check_lengths})
-
-
-def _compile_cipher(controller, method, args):
-    """`method` of an encrypted controller, compiled over ciphertext payloads
-    for the scheme parameters of its ring's keys (`_kept`), as `_compile`
-    over integers; payloads equal those of the staged `he` ops.  `he`'s
-    product rule holds for the whole method: each plaintext passes
-    `he.check_product`; operands of unequal length, and at every call inputs
-    of other lengths or scheme parameters than the recorded ones, raise
-    `he.DimensionMismatchError`.  The payloads are recorded with
+class _Payloads(kernel.Protocol):
+    """How an encrypted controller's method compiles (`kernel.compiled`):
+    over ciphertext payloads, for the scheme parameters of its ring's keys
+    (`key`); payloads equal those of the staged `he` ops.  `he`'s product
+    rule holds for the whole method: each plaintext passes
+    `he.check_product`; operands of unequal length, and at every call
+    inputs of other lengths or scheme parameters than the recorded ones,
+    raise `he.DimensionMismatchError`.  The payloads are recorded with
     `he.slot_reduction`'s reducer and limit over the centered plaintext
-    rows, and the generated method does the rest, unrolled per ciphertext:
-    the checks, the controller's event, and each new `he.Ciphertext`.  On
+    rows, and `lines` adds the rest, unrolled per ciphertext: the scheme
+    check, the controller's event, and each new `he.Ciphertext`.  On
     lattice, what a call returns carries the bounds of the plan's noise
     table at the controller's event (`_EncryptedController`), if the
     controller's bootstrap or last call made the state it reads and every
     argument is a fresh encryption, as the table assumes, and no bound
     otherwise; the new state carries none.  `he.decrypt` checks the bounds,
     and refuses a ciphertext without one."""
-    params = controller.ring.pk.params
-    for M in vars(controller.m).values():
-        he.check_product(params, M)
-    return _kept(_cipher_kernel, controller, method, args, params)
 
+    length, size, error = operator.attrgetter("dim"), "{}.dim", he.DimensionMismatchError
 
-def _cipher_kernel(controller, method, args):
-    """`_compile_cipher`'s kernel."""
-    params = controller.ring.pk.params
-    source = kernel.Source(*he.slot_reduction(params))
-    lengths = [ct.dim for ct in (*(getattr(controller, k) for k in controller.state), *args)]
-    try:
-        outputs, many = _record(controller, method, source, lengths)
-    except ValueError as e:
-        raise he.DimensionMismatchError(e) from None
-    outputs = [tuple(source.reduced(v)) for v in outputs]
-    p, n = [f"p{k}" for k in range(len(lengths))], len(controller.state)
-    # each input's scheme, in one tuple, which compares by identity, then ==
-    checks = ["params = self.ring.pk.params",
-              f"if ({''.join(f'{x}.params, ' for x in p)}) != ({'params, ' * len(p)}):",
-              "    raise DimensionMismatchError('ciphertexts from different schemes')"]
-    # the event: the controller's if it made the states read and every
-    # argument is a fresh encryption, else None
-    given = [*(f"{x}.noise_bound is not None and {x}.noise_bound <= FRESH" for x in p[n:]),
-             f"len(self.made) == {n}", *(f"self.made[{k}] is {x}" for k, x in enumerate(p[:n]))]
-    # the new ciphertexts: s0, s1, ... for the state, then those returned
-    table = noise_table(controller) if params.backend == "lattice" else None
-    emitted = len(outputs) - n
-    bound = [""] * n + [f", bounds[{k}]" if table else "" for k in range(emitted)]
-    cts = [f"Ciphertext(params, {len(v)}, {kernel.expr(v)}{b})" for v, b in zip(outputs, bound)]
-    body = [f"event = self.events if {' and '.join(given)} else None",
-            *source.body([f"{x}.payload" for x in p]),
-            *([f"bounds = {(None,) * emitted!r} if event is None else table.at(event)"]
-              if table else []),
-            *(f"s{k} = {ct}" for k, ct in enumerate(cts[:n])),
-            f"self.made = [{''.join(f's{k}, ' for k in range(n))}]",
-            "self.events = None if event is None else event + 1"]
-    return source.define(_method(
-        p, lengths, "{}.dim", "DimensionMismatchError", checks, body, controller.state,
-        [f"s{k}" for k in range(n)] + cts[n:], many), "method", {
-        "check": _check_lengths, "Ciphertext": he.Ciphertext, "table": table,
-        "DimensionMismatchError": he.DimensionMismatchError, "FRESH": he.FRESH_NOISE_BOUND})
+    def __init__(self, controller):
+        self.controller = controller
+        self.key = params = controller.ring.pk.params
+        for M in vars(controller.m).values():
+            he.check_product(params, M)
+        self.reduce, self.limit = he.slot_reduction(params)
 
-
-def _compiled(method, compile):
-    """A recurrence's `method` as a party's method: compiled by `compile`
-    (`_compile` or `_compile_cipher`) at its first call on the party, which
-    keeps the generated method (`kernels`) and calls it from then on, through
-    this class attribute, so that a wrapper set on the class sees every
-    call.  The recurrence's own `method` is its `__wrapped__`, which
-    `_noise_table` compiles over integers."""
-
-    @functools.wraps(method)
-    def call(self, *args):
-        run = self.kernels.get(method)
-        if run is None:
-            run = self.kernels[method] = compile(self, method, args)
-        return run(self, *args)
-
-    return call
+    def lines(self, source, p, n, outputs):
+        outputs = [tuple(source.reduced(v)) for v in outputs]
+        # each input's scheme, in one tuple, which compares by identity, then ==
+        checks = ["params = self.ring.pk.params",
+                  f"if ({''.join(f'{x}.params, ' for x in p)}) != ({'params, ' * len(p)}):",
+                  "    raise DimensionMismatchError('ciphertexts from different schemes')"]
+        # the event: the controller's if it made the states read and every
+        # argument is a fresh encryption, else None
+        given = [*(f"{x}.noise_bound is not None and {x}.noise_bound <= FRESH" for x in p[n:]),
+                 f"len(self.made) == {n}",
+                 *(f"self.made[{k}] is {x}" for k, x in enumerate(p[:n]))]
+        # the new ciphertexts: s0, s1, ... for the state, then those returned
+        table = noise_table(self.controller) if self.key.backend == "lattice" else None
+        emitted = len(outputs) - n
+        bound = [""] * n + [f", bounds[{k}]" if table else "" for k in range(emitted)]
+        cts = [f"Ciphertext(params, {len(v)}, {kernel.expr(v)}{b})"
+               for v, b in zip(outputs, bound)]
+        body = [f"event = self.events if {' and '.join(given)} else None",
+                *source.body([f"{x}.payload" for x in p]),
+                *([f"bounds = {(None,) * emitted!r} if event is None else table.at(event)"]
+                  if table else []),
+                *(f"s{k} = {ct}" for k, ct in enumerate(cts[:n])),
+                f"self.made = [{''.join(f's{k}, ' for k in range(n))}]",
+                "self.events = None if event is None else event + 1"]
+        return checks, body, [f"s{k}" for k in range(n)] + cts[n:], {
+            "Ciphertext": he.Ciphertext, "table": table, "FRESH": he.FRESH_NOISE_BOUND}
 
 
 MAIN_CERTIFICATES = {"A": "A/omega", "B": "s2B/omega", "L": "L/omega", "C": "C/s1",
@@ -579,11 +445,6 @@ def _load(ring, certs, names: dict, keys=None) -> SimpleNamespace:
     """The certified integer matrices `names` (or `keys` of them) on `ring`."""
     return SimpleNamespace(**{key: ring.plain(certs[names[key]].int_rows())
                               for key in keys or names})
-
-
-def _diagonal(c: int, d: int) -> list:
-    """c times the d x d identity, as integer rows."""
-    return [[c if i == j else 0 for j in range(d)] for i in range(d)]
 
 
 class MainRecurrence:
@@ -621,7 +482,7 @@ class MainRecurrence:
         self.ring, self.kernels = ring, {}
         self.dims, self.inv_omega = plan.dims, plan.certificates["1/omega"].scaled_entries[0]
         self.m = _load(ring, plan.certificates, MAIN_CERTIFICATES, "LRS")
-        self.m.Om_r = ring.plain(_diagonal(self.inv_omega, self.dims["n_r"]))
+        self.m.Om_r = ring.plain(identity_rows(self.dims["n_r"], self.inv_omega))
 
     def bootstrap(self, x_e0_scaled):
         """Keeps step 1's beta, -x_e0/omega, and returns step 0's emission
@@ -657,7 +518,7 @@ def _factor(M: RationalMatrix, C: RationalMatrix):
     return X if X.denominator_lcm() == 1 and X @ C == M else None
 
 
-@functools.lru_cache(maxsize=KERNELS_KEPT)
+@functools.lru_cache(maxsize=kernel.KERNELS_KEPT)
 def _through_output(*certs) -> tuple:
     """The integer rows C, G and J of `MainIntegerRecurrence.rebuild`, from
     the certificates of C/s1, GC/omega and JC/s2 (kept by them): C/s1 and
@@ -691,7 +552,7 @@ class MainIntegerRecurrence:
         inv_omega = certs["1/omega"].scaled_entries[0]
         self.m = m = _load(self.ring, certs, MAIN_CERTIFICATES, "ABFH")
         m.C, m.G, m.J = _through_output(*(certs[k] for k in ("C/s1", "GC/omega", "JC/s2")))
-        m.Om_x, m.Om_u = (self.ring.plain(_diagonal(inv_omega, d[k])) for k in ("n_x", "w"))
+        m.Om_x, m.Om_u = (self.ring.plain(identity_rows(d[k], inv_omega)) for k in ("n_x", "w"))
         self.xo, self.xe, self.bx, self.bu, self.u = (
             [0] * d[k] for k in ("n", "n_x", "n_x", "w", "w"))
         self.yo = [0] * len(m.C)
@@ -708,7 +569,7 @@ class MainIntegerRecurrence:
         self.u = add(self.bu, mv(m.H, self.xe), mv(m.J, self.yo))
         return self.u
 
-    rebuild = _compiled(rebuild, _compile)
+    rebuild = kernel.compiled(rebuild)
 
 
 class PrelimRecurrence:
@@ -780,7 +641,8 @@ class PlantSim:
     D <- lcm(a D, b) and scales both products onto it, so D grows by a
     factor a per step on the prelim route (scale = s1 s2).  The integer rows
     are the plant's kernels, compiled as the integer shadows' are
-    (`_compile`): (X, U) -> (A X, B U) for `step`, and X -> C X for `output`.
+    (`kernel.compiled`): (X, U) -> (A X, B U) for `step`, and X -> C X for
+    `output`.
 
     On the main route (scale = s2) X grows by log2(1/omega) bits a step, as
     the actuator's reconstruction (`observer`, a `MainIntegerRecurrence`)
@@ -809,7 +671,7 @@ class PlantSim:
         self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
         self.t, self.observer = 0, observer
         if observer is not None:
-            self.m.neg_D = IntRing.plain(_diagonal(-self.D, len(self.X)))
+            self.m.neg_D = IntRing.plain(identity_rows(len(self.X), -self.D))
             self.E, self.X = self.X, None
 
     def products(self, X, U):
@@ -825,7 +687,7 @@ class PlantSim:
         e = self.ring.add(E, self.ring.matvec(self.m.neg_D, alpha))
         return self.ring.matvec(self.m.C, e), self.ring.matvec(self.m.A, e)
 
-    products, measure, observe = (_compiled(f, _compile) for f in (products, measure, observe))
+    products, measure, observe = map(kernel.compiled, (products, measure, observe))
 
     def output(self):
         """y/l(t) as (integer numerators, their common denominator)."""
@@ -883,7 +745,7 @@ class MainEncController(_EncryptedController, MainRecurrence):
     """Holds only the public key (in its `CipherRing`); runs the emission
     rule on ciphertexts, `step` compiled.  Its bootstrap only encrypts."""
 
-    step = _compiled(MainRecurrence.step, _compile_cipher)
+    step = kernel.compiled(MainRecurrence.step, _Payloads)
 
 
 class MainIntegerShadow(MainRecurrence):
@@ -891,7 +753,7 @@ class MainIntegerShadow(MainRecurrence):
     for every ciphertext (mod q), and the exact increments that every lift
     of the actuator must equal."""
 
-    step = _compiled(MainRecurrence.step, _compile)
+    step = kernel.compiled(MainRecurrence.step)
 
     def __init__(self, plan: MainPlan):
         super().__init__(IntRing(), plan)
@@ -988,13 +850,13 @@ class PrelimEncController(_EncryptedController, PrelimRecurrence):
     """The directly converted controller on ciphertexts (a `CipherRing`);
     `step` is compiled."""
 
-    step = _compiled(PrelimRecurrence.step, _compile_cipher)
+    step = kernel.compiled(PrelimRecurrence.step, _Payloads)
 
 
 class PrelimIntegerShadow(PrelimRecurrence):
     """The integer twin of `PrelimEncController`; `step` is compiled."""
 
-    step = _compiled(PrelimRecurrence.step, _compile)
+    step = kernel.compiled(PrelimRecurrence.step)
 
     def __init__(self, plan: PrelimPlan):
         super().__init__(IntRing(), plan)
@@ -1033,10 +895,12 @@ class NoiseTable:
     are what the recurrence computes over Z from its plaintext rows centered
     mod q.  Its bound, FRESH_NOISE_BOUND sum |c_k|, is exact: the worst case
     over independent fresh noises.  The coefficients of one fresh entry are
-    an impulse response of the recurrence's compiled integer `step`, a
-    column: one per entry of the `state`, which the bootstrap encrypts, and
-    one per entry of a step's inputs, which every step encrypts anew, so
-    the responses of such a column at every lag so far add up (`sums`).  A
+    an impulse response of the recurrence's `step` compiled over integers
+    from those rows (`kernel.compile_method`: the integer shadow's own
+    kernel wherever they are the certified rows), a column: one per entry
+    of the `state`, which the bootstrap encrypts, and one per entry of a
+    step's inputs, which every step encrypts anew, so the responses of such
+    a column at every lag so far add up (`sums`).  A
     column's lag 0 is a step from its unit state on zero inputs (`boot`),
     or from the zero state on its unit input (`inputs`), and each lag after
     that is a step on `zeros`, the zero inputs.  From lag 1 on the response
@@ -1051,9 +915,10 @@ class NoiseTable:
     every column has ended, its last bounds hold for every later event
     (`final`).  A ciphertext takes the largest bound of its entries."""
 
-    def __init__(self, step, state: tuple, lengths):
+    def __init__(self, step, state: tuple, rows: tuple, lengths):
         states, inputs, emitted = lengths
-        self.step, self.state, self.width = step, state, sum(states)
+        self.step = kernel.compile_method(step, state, rows, [*states, *inputs])
+        self.state, self.width = state, sum(states)
         self.zeros = [[0] * k for k in inputs]
         zero = [[0] * k for k in states]
         self.boot = [self._column(unit, self.zeros) for unit in _units(states)]
@@ -1118,21 +983,12 @@ def _units(lengths) -> list:
 
 def noise_table(controller) -> NoiseTable:
     """The `NoiseTable` of the plan of an encrypted controller, or of its
-    recurrence on any `CipherRing` of the plan: kept (`_kept`) by the
-    plaintext rows centered mod q, which are all it depends on."""
-    return _kept(_noise_table, controller, NoiseTable, None)
-
-
-def _noise_table(controller, *_) -> NoiseTable:
-    """`noise_table`'s table, which runs the recurrence's `step` compiled
-    over integers (`_compile`) from the centered rows: the integer shadow's
-    own kernel wherever those are the certified rows."""
-    lengths = controller.lengths()
-    probe = copy.copy(controller)  # with a zero state of the right lengths
-    for k, n in zip(controller.state, lengths[0]):
-        setattr(probe, k, [0] * n)
-    step = _compile(probe, inspect.unwrap(type(controller).step), [[0] * k for k in lengths[1]])
-    return NoiseTable(step, controller.state, lengths)
+    recurrence on any `CipherRing` of the plan: kept (`kernel.kept`) by the
+    state, the plaintext rows centered mod q and the lengths, which are all
+    it depends on (the names of the rows tell the recurrences apart)."""
+    state, rows, lengths = controller.state, kernel.rows_of(controller.m), controller.lengths()
+    return kernel.kept((NoiseTable, state, rows, lengths), NoiseTable,
+                       inspect.unwrap(type(controller).step), state, rows, lengths)
 
 
 # -- orchestrator ---------------------------------------------------------------

@@ -33,7 +33,6 @@ only the reported fields and error messages.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
@@ -47,10 +46,13 @@ from .exactmat import (
     block_closed_loop,
     fraction_to_str,
     hstack,
+    identity_rows,
     inf_norm,
+    inf_norm_rows,
     integer_rows,
     is_integer_after_scale,
     matrix_to_json,
+    matmul_rows,
     max_integer_scale,
     spectral_radius,
     spectral_radius_below,
@@ -217,24 +219,6 @@ MIN_Q = 4  # the smallest plaintext modulus a plan or a q override may set
 M_MAX_POWER = 500  # compute_M tries the powers of A_cl/omega up to this one
 
 
-# -- rows of numbers ------------------------------------------------------------
-
-
-def _matmul(a: list, b: list) -> list:
-    """The product of the integer rows a and b (b with at least one row)."""
-    cols = list(zip(*b))
-    return [[sum(map(operator.mul, row, col)) for col in cols] for row in a]
-
-
-def _identity(n: int) -> list:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def _inf_norm_rows(rows: list) -> int:
-    """Induced infinity norm of integer rows: max absolute row sum (0 for none)."""
-    return max((sum(map(abs, row)) for row in rows), default=0)
-
-
 def compute_M(plant: PlantModel, ctrl: ControllerModel, omega, delta0_bound) -> Fraction:
     """`_certified_M` of the plant and controller's closed loop A_cl and
     noise-injection block Bbar."""
@@ -266,13 +250,13 @@ def _certified_M(A_cl: RationalMatrix, Bbar: RationalMatrix, omega, delta0_bound
     W, e = integer_rows(Bbar.scale(1 / omega))  # Bbar' = W/e
     eps = Fraction(1, 2) + 1 / (2 * omega)
     delta0 = as_fraction(delta0_bound)
-    Pk, dk = _identity(len(N)), 1  # P^(k-1) = Pk/dk at the top of the loop
+    Pk, dk = identity_rows(len(N)), 1  # P^(k-1) = Pk/dk at the top of the loop
     T, R, best = Fraction(0), [0] * len(N), None
     for _ in range(M_MAX_POWER):
-        T = max(T, Fraction(_inf_norm_rows(Pk), dk))
-        R = [x * d + sum(map(abs, row)) for x, row in zip(R, _matmul(Pk, W))]  # r = R/(dk e)
-        Pk, dk = _matmul(Pk, N), dk * d
-        norm = _inf_norm_rows(Pk)  # ||P^k||_inf = norm/dk
+        T = max(T, Fraction(inf_norm_rows(Pk), dk))
+        R = [x * d + sum(map(abs, row)) for x, row in zip(R, matmul_rows(Pk, W))]  # r = R/(dk e)
+        Pk, dk = matmul_rows(Pk, N), dk * d
+        norm = inf_norm_rows(Pk)  # ||P^k||_inf = norm/dk
         if norm < dk:
             M = T * delta0 + eps * max(R, default=0) * d / (e * (dk - norm))
             best = M if best is None else min(best, M)
@@ -444,12 +428,12 @@ def _powers(N: RationalMatrix, last: int) -> list:
     one vanishes): with last = N.rows, N is nilpotent exactly when at most
     N.rows powers are nonzero, and its index is their count."""
     rows, d = integer_rows(N)
-    walk, Pk, dk = [], _identity(N.rows), 1
+    walk, Pk, dk = [], identity_rows(N.rows), 1
     while any(map(any, Pk)):
         walk.append((Pk, dk))
         if len(walk) > last:
             break
-        Pk, dk = _matmul(Pk, rows), dk * d
+        Pk, dk = matmul_rows(Pk, rows), dk * d
     return walk
 
 
@@ -543,9 +527,9 @@ def _observer_bound(N: RationalMatrix, powers: list, L: RationalMatrix, omega,
     Ln, dL = integer_rows(L)
     transient, series = e0, Fraction(0)
     for k, (Pk, dk) in enumerate(powers[:mu]):  # Abar^k = Pk/(dk omega^k)
-        transient = max(transient, Fraction(_inf_norm_rows(Pk), dk) * e0 / omega ** k)
-        series += Fraction(_inf_norm_rows(_matmul(Pk, Ln)), 2 * dk * dL) / omega ** (k + 1)
-    tail_sound = (len(powers) <= mu or not any(map(any, _matmul(powers[mu][0], Ln)))
+        transient = max(transient, Fraction(inf_norm_rows(Pk), dk) * e0 / omega ** k)
+        series += Fraction(inf_norm_rows(matmul_rows(Pk, Ln)), 2 * dk * dL) / omega ** (k + 1)
+    tail_sound = (len(powers) <= mu or not any(map(any, matmul_rows(powers[mu][0], Ln)))
                   or spectral_radius_below(N, omega))
     return CeResult(value=max(Fraction(1, 2), transient + series), tail_sound=tail_sound)
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import settings
 
-from encloop import loop
+from encloop import kernel
 from encloop.exactmat import RationalMatrix, inf_norm, block_closed_loop
 from encloop.fixtures import batch_reactor, batch_reactor_exact_observer, coupled_tanks
 from encloop.planner import (
@@ -26,10 +26,10 @@ settings.register_profile("ci", print_blob=True)
 
 @pytest.fixture(autouse=True)
 def fresh_kernels():
-    """Each test starts with no kept kernel (`loop._kept`), so a test that
+    """Each test starts with no kept kernel (`kernel.kept`), so a test that
     patches `he.slot_reduction`, `kernel.Source.define` or
     `kernel.compile` gets no kernel an earlier test built."""
-    loop._kernels.clear()
+    kernel._kernels.clear()
 
 
 @pytest.fixture(scope="session")

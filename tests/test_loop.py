@@ -38,7 +38,6 @@ from encloop.loop import (
     run_closed_loop_main,
     run_closed_loop_prelim,
     _diff_inf,
-    _kernels,
     _ratio_float,
     _scaled_integer_state,
 )
@@ -520,7 +519,7 @@ class TestMainIncrements:
             return record(source, M, v)
 
         monkeypatch.setattr(kernel.Source, "matvec", counting_matvec)
-        _kernels.clear()  # so that the shadow records its kernels anew
+        kernel._kernels.clear()  # so that the shadow records its kernels anew
         shadow, rebuilt = MainIntegerShadow(sound_plan), MainIntegerRecurrence(sound_plan)
         shadow.bootstrap(x_e0)
         matvecs.clear()
@@ -819,7 +818,7 @@ class TestCompiledKernels:
         from the same vectors op by op on `IntRing`, which shares no code
         with the recording ring, on a copy of the party.  A state vector or
         argument one entry longer or shorter raises `ValueError` with
-        `_check_lengths`' message and leaves the state as it was."""
+        `kernel.check_lengths`' message and leaves the state as it was."""
         make, name, state_lengths, arg_lengths, many = data.draw(st.sampled_from(
             self._integer_methods(batch, sound_plan, tanks, tanks_plan, tanks_main_plan)))
         party = make()
@@ -849,8 +848,8 @@ class TestCompiledKernels:
         inputs[k] = inputs[k][:-1] if inputs[k] and data.draw(st.booleans()) else inputs[k] + [0]
         set_state(inputs[:n])
         with pytest.raises(ValueError) as recorded:
-            loop._check_lengths(list(map(len, inputs)), [*state_lengths, *arg_lengths],
-                                ValueError)
+            kernel.check_lengths(list(map(len, inputs)), [*state_lengths, *arg_lengths],
+                                 ValueError)
         with pytest.raises(ValueError) as refused:
             getattr(party, name)(*inputs[n:])
         assert str(refused.value) == str(recorded.value)
@@ -1066,7 +1065,7 @@ class TestCompiledControllerStep:
         kept."""
         sc, plan, run = route(request, scheme)
         pad = lattice_params(plan, 5).lattice.pad_bits
-        _kernels.clear()
+        kernel._kernels.clear()
         compiled, define = [], kernel.Source.define
 
         def counting(source, *args):
@@ -1484,22 +1483,6 @@ def test_a_run_needs_no_staged_op(request, monkeypatch, scheme):
                     horizon=10, params=lattice_params(plan, 10), seed=1)
     tr = run(plan, cfg)
     assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-
-
-def test_a_kernel_in_use_stays_kept(monkeypatch):
-    """`_kept` keeps the kernels used last, not those built last: a kernel
-    that every plan shares, such as the integer step of plans that differ
-    only in q, is not evicted by the kernels of the plans after it."""
-    monkeypatch.setattr(loop, "KERNELS_KEPT", 2)
-    rec, built = SimpleNamespace(m=SimpleNamespace(A=((1,),))), []
-
-    def build(rec, method, args):
-        built.append(method)
-        return method
-
-    for method in ("shared", "a", "shared", "b", "shared"):
-        assert loop._kept(build, rec, method, ()) == method
-    assert built == ["shared", "a", "b"]
 
 
 class TestTrace:
