@@ -26,6 +26,7 @@ from .planner import (
     q_bound_main,
 )
 from .quantizer import QuantizerSpec, quantize_scalar, quantize_vector
+from .records import replace
 from .loop import (
     ClosedLoopTrace,
     RunConfig,
@@ -64,6 +65,7 @@ __all__ = [
     "run_closed_loop_prelim",
     "RunConfig",
     "ClosedLoopTrace",
+    "replace",
     "he",
 ]
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import he, loop
@@ -37,6 +36,7 @@ from .planner import (
     plan_main,
     plan_preliminary,
 )
+from .records import replace
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

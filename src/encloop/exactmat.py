@@ -28,9 +28,10 @@ import cmath
 import math
 import operator
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
+
+from .records import Record
 
 Rational = Union[int, str, Fraction]
 
@@ -513,8 +514,7 @@ def spectral_radius(m: RationalMatrix) -> float:
 # -- integer scaling ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntegralityCertificate:
+class IntegralityCertificate(Record, frozen=True):
     """Evidence that a matrix = scale * scaled_entries with integer
     scaled_entries."""
 

@@ -11,7 +11,6 @@ digit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -23,10 +22,10 @@ from .planner import (
     PlantModel,
     deadbeat_companion,
 )
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(Record, frozen=True):
     name: str
     plant: PlantModel
     ctrl: ControllerModel

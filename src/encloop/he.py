@@ -66,9 +66,10 @@ cryptosystem.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Tuple
+
+from .records import Record
 
 
 class HEError(Exception):
@@ -107,8 +108,7 @@ WINDOW = 4
 SLOTS, GUARD = DIMENSION + 1, 8
 
 
-@dataclass(frozen=True)
-class LatticeParams:
+class LatticeParams(Record, frozen=True):
     """pad_bits of headroom above the plaintext: Delta = 2^pad_bits."""
 
     pad_bits: int
@@ -118,8 +118,7 @@ class LatticeParams:
             raise BadParamsError("pad_bits must be positive")
 
 
-@dataclass(frozen=True)
-class SchemeParams:
+class SchemeParams(Record, frozen=True):
     q: int
     backend: str = "mock"
     lattice: Optional[LatticeParams] = None
@@ -203,8 +202,7 @@ class _Slots:
         return packed
 
 
-@dataclass(frozen=True)
-class KeyMaterial:
+class KeyMaterial(Record, frozen=True):
     role: str  # "public" | "full"
     params: SchemeParams
     payload: tuple = ()
@@ -214,8 +212,7 @@ class KeyMaterial:
             raise WrongKeyRoleError("decryption requires the full key")
 
 
-@dataclass
-class Ciphertext:
+class Ciphertext(Record):
     """Opaque encrypted vector (one packed int per entry on the lattice
     backend) and a bound on the noise of every entry: None if nothing
     bounds it, and `decrypt` then refuses it on the lattice backend.  A
@@ -225,7 +222,10 @@ class Ciphertext:
     params: SchemeParams
     dim: int
     payload: tuple
-    noise_bound: Optional[int] = None
+    noise_bound: Optional[int]
+
+    def __init__(self, params, dim, payload, noise_bound=None):  # made at every HE op
+        self.params, self.dim, self.payload, self.noise_bound = params, dim, payload, noise_bound
 
 
 def keygen(params: SchemeParams, seed: Optional[int] = None):
@@ -405,8 +405,7 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 
 
-@dataclass(frozen=True)
-class NoiseReport:
+class NoiseReport(Record, frozen=True):
     """Remaining-operation estimate.  headroom > 0 guarantees exact decryption,
     headroom < 0 guarantees refusal; 0 is the boundary bit.  Infinite on the
     mock backend; without a noise bound, the bound is infinite and the

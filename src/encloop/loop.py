@@ -87,11 +87,9 @@ from __future__ import annotations
 
 import csv
 import functools
-import inspect
 import math
 import operator
 import random
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import accumulate, chain, repeat
 from types import SimpleNamespace
@@ -102,6 +100,7 @@ from .exactmat import (RationalMatrix, SingularMatrixError, as_fraction, as_rati
                        integer_rows)
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
+from .records import Record, fields
 
 
 # -- shared kernels ---------------------------------------------------------
@@ -167,33 +166,40 @@ def _json_number(x: float):
 
 # -- trace ------------------------------------------------------------------
 
-@dataclass(kw_only=True)
-class StepRecord:
+class StepRecord(Record):
     """One step of a run.  `enc_ops` and `dec_ops` count the run so far; the
     prelim route has no beta, gamma, sensor gap or quantizer range, and
-    keeps the defaults."""
+    keeps the defaults of `__init__`, which the loop calls every step."""
 
     t: int
     u_true: tuple
     u_a: tuple
     diff_inf: float
     log2_alpha: float
-    log2_beta: float = float("-inf")
-    log2_gamma: float = float("-inf")
-    log2_sensor_gap: float = float("-inf")
-    saturated: bool = False
+    log2_beta: float
+    log2_gamma: float
+    log2_sensor_gap: float
+    saturated: bool
     msgs_ctrl_to_act: int
     enc_ops: int
     dec_ops: int
     recovery_failure: bool
 
+    def __init__(self, *, t, u_true, u_a, diff_inf, log2_alpha, log2_beta=float("-inf"),
+                 log2_gamma=float("-inf"), log2_sensor_gap=float("-inf"), saturated=False,
+                 msgs_ctrl_to_act, enc_ops, dec_ops, recovery_failure):
+        self.t, self.u_true, self.u_a, self.diff_inf = t, u_true, u_a, diff_inf
+        self.log2_alpha, self.log2_beta, self.log2_gamma = log2_alpha, log2_beta, log2_gamma
+        self.log2_sensor_gap, self.saturated = log2_sensor_gap, saturated
+        self.msgs_ctrl_to_act, self.enc_ops, self.dec_ops = msgs_ctrl_to_act, enc_ops, dec_ops
+        self.recovery_failure = recovery_failure
+
 
 # the trace CSV's columns after t, u_true_* and u_a_*: the later fields in order
-CSV_COLUMNS_SUFFIX = [f.name for f in fields(StepRecord)[3:] if f.name != "recovery_failure"]
+CSV_COLUMNS_SUFFIX = [name for name in fields(StepRecord)[3:] if name != "recovery_failure"]
 
 
-@dataclass
-class ClosedLoopTrace:
+class ClosedLoopTrace(Record):
     """A run's records and what they add up to.
 
     The counts are read from the records: saturated steps, recovery
@@ -205,12 +211,21 @@ class ClosedLoopTrace:
 
     scheme: str
     step_msgs: dict  # messages per step: sensor_to_ctrl, provider_to_ctrl, ctrl_to_act
-    records: list = field(default_factory=list)
-    detail: list = field(default_factory=list)
-    oracle_mismatches: int = 0
-    final_plant_state: tuple = ()
-    final_ideal_plant_state: tuple = ()
+    records: list
+    detail: list
+    oracle_mismatches: int
+    final_plant_state: tuple
+    final_ideal_plant_state: tuple
     actuator_enc_ops = msgs_ctrl_to_sensor = 0  # not fields: the same on both routes
+
+    def __init__(self, scheme, step_msgs, records=None, detail=None, oracle_mismatches=0,
+                 final_plant_state=(), final_ideal_plant_state=()):  # new lists per trace
+        self.scheme, self.step_msgs = scheme, step_msgs
+        self.records = [] if records is None else records
+        self.detail = [] if detail is None else detail
+        self.oracle_mismatches = oracle_mismatches
+        self.final_plant_state = final_plant_state
+        self.final_ideal_plant_state = final_ideal_plant_state
 
     @property
     def saturation_count(self) -> int:
@@ -985,17 +1000,19 @@ def noise_table(controller) -> NoiseTable:
     """The `NoiseTable` of the plan of an encrypted controller, or of its
     recurrence on any `CipherRing` of the plan: kept (`kernel.kept`) by the
     state, the plaintext rows centered mod q and the lengths, which are all
-    it depends on (the names of the rows tell the recurrences apart)."""
+    it depends on (the names of the rows tell the recurrences apart).  It
+    runs the recurrence's own `step`, whatever the controller's class has
+    made of it."""
     state, rows, lengths = controller.state, kernel.rows_of(controller.m), controller.lengths()
+    recurrence = MainRecurrence if isinstance(controller, MainRecurrence) else PrelimRecurrence
     return kernel.kept((NoiseTable, state, rows, lengths), NoiseTable,
-                       inspect.unwrap(type(controller).step), state, rows, lengths)
+                       recurrence.step, state, rows, lengths)
 
 
 # -- orchestrator ---------------------------------------------------------------
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """One closed-loop run.  `reference` (n_r x 1) is constant for the whole
     run, as the plan's error envelopes and quantizer range assume."""
 

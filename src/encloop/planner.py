@@ -33,7 +33,6 @@ only the reported fields and error messages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Optional
 
@@ -58,6 +57,7 @@ from .exactmat import (
     spectral_radius_below,
     vstack,
 )
+from .records import Record, fields
 
 
 class PlannerError(Exception):
@@ -88,8 +88,7 @@ class PinError(PlannerError):
 # -- models --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlantModel:
+class PlantModel(Record, frozen=True):
     A: RationalMatrix
     B: RationalMatrix
     C: RationalMatrix
@@ -116,8 +115,7 @@ class PlantModel:
         return self.C.rows
 
 
-@dataclass(frozen=True)
-class ControllerModel:
+class ControllerModel(Record, frozen=True):
     F: RationalMatrix
     G: RationalMatrix
     R_ref: RationalMatrix
@@ -158,8 +156,7 @@ class ControllerModel:
 # -- feasibility of the preliminary route ---------------------------------
 
 
-@dataclass(frozen=True)
-class FeasibilityReport:
+class FeasibilityReport(Record, frozen=True):
     rho_c: float
     s_F: Fraction
     feasible: bool
@@ -272,7 +269,7 @@ def _certified_M(A_cl: RationalMatrix, Bbar: RationalMatrix, omega, delta0_bound
 # -- preliminary plan ------------------------------------------------------
 
 
-class _Plan:
+class _Plan(Record):
     """What both plans share: the JSON report, under each plan class's `scheme`."""
 
     def to_json(self, include_integer_matrices: bool = False) -> dict:
@@ -281,9 +278,9 @@ class _Plan:
         number's exact range), matrices row by row, each certificate as its
         scale and shape, and each certificate's integer matrix when asked."""
         out = {"scheme": self.scheme, "q_log2": math.log2(self.q)}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = str(value) if f.name in ("q", "range_level") else _json_value(value)
+        for name in fields(self):
+            value = getattr(self, name)
+            out[name] = str(value) if name in ("q", "range_level") else _json_value(value)
         if include_integer_matrices:
             out["integer_matrices"] = {name: cert.int_rows()
                                        for name, cert in self.certificates.items()}
@@ -302,8 +299,7 @@ def _json_value(value):
     return value
 
 
-@dataclass(frozen=True)
-class PrelimPlan(_Plan):
+class PrelimPlan(_Plan, frozen=True):
     scheme = "prelim"  # a class attribute, not a field: it has no annotation
     omega: Fraction
     s1: Fraction
@@ -409,8 +405,7 @@ def plan_preliminary(plant: PlantModel, ctrl: ControllerModel, *,
 # -- deadbeat observer design ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeadbeatDesign:
+class DeadbeatDesign(Record, frozen=True):
     L: RationalMatrix              # exact rational gain, rho(A - L C) = 0
     nilpotency_index: int          # smallest mu with (A - L C)^mu = 0
 
@@ -498,8 +493,7 @@ def deadbeat_companion(A: RationalMatrix, C: RationalMatrix,
 # -- observer-error bound ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CeResult:
+class CeResult(Record, frozen=True):
     value: Fraction
     tail_sound: bool       # True when the tail beyond the horizon provably vanishes
 
@@ -560,8 +554,7 @@ def q_bound_main(L: RationalMatrix, C: RationalMatrix, R_ref: RationalMatrix,
 # -- main plan ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MainPlanOptions:
+class MainPlanOptions(Record, frozen=True):
     L: RationalMatrix                           # runtime gain (certified)
     L_exact: Optional[RationalMatrix] = None    # exact companion, for the spectral report
     reference: Optional[RationalMatrix] = None  # constant reference (n_r x 1)
@@ -569,8 +562,7 @@ class MainPlanOptions:
     l0: Optional[Fraction] = None               # pinned initial zoom; chosen when None
 
 
-@dataclass(frozen=True)
-class MainPlan(_Plan):
+class MainPlan(_Plan, frozen=True):
     scheme = "main"
     L: RationalMatrix
     omega: Fraction

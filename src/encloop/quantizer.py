@@ -15,14 +15,13 @@ quantize them without building a Fraction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .exactmat import as_ratio
+from .records import Record
 
 
-@dataclass(frozen=True)
-class QuantizerSpec:
+class QuantizerSpec(Record, frozen=True):
     """range_level is the largest representable cell index (R >= 1)."""
 
     range_level: int

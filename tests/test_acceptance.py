@@ -15,7 +15,7 @@ all green.  See the decisions ledger for the full analysis.
 import math
 import random
 import time
-from dataclasses import replace
+from encloop import replace
 from fractions import Fraction
 
 import numpy as np

@@ -7,7 +7,7 @@ import re
 import shlex
 import subprocess
 import sys
-from dataclasses import replace
+from encloop import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -677,6 +677,22 @@ def test_no_route_imports_numpy_or_scipy():
         "    assert main(argv) == 0, argv\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))\n"
     )
+    src = str(Path(encloop.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Every command is a fresh process that pays for `import encloop`: in
+    a fresh interpreter it loads neither `dataclasses`, which compiles each
+    record's methods as the class is made, nor `inspect`, which
+    `dataclasses` imports (`encloop.records`)."""
+    code = ("import sys\n"
+            "import encloop, encloop.cli\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n")
     src = str(Path(encloop.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

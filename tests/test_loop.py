@@ -5,7 +5,7 @@ import json
 import math
 import random
 import weakref
-from dataclasses import replace
+from encloop import replace
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -1370,6 +1370,21 @@ class TestNoiseTable:
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
         assert (len(payload), len(sources)) == (1, 3)
+
+    def test_a_wrapped_controller_step_leaves_the_table_on_the_recurrence(
+            self, monkeypatch, tanks, tanks_plan):
+        """The table runs the recurrence's own `step`, not what the
+        controller's class holds: with `PrelimEncController.step` replaced
+        by a wrapper that has no `__wrapped__` and the table no longer kept,
+        a lattice run builds the table anew and runs exact."""
+        step = PrelimEncController.step
+        monkeypatch.setattr(PrelimEncController, "step", lambda self, *args: step(self, *args))
+        params = lattice_params(tanks_plan, 20)
+        kernel._kernels.clear()
+        tr = run_closed_loop_prelim(tanks_plan, RunConfig(
+            plant=tanks.plant, ctrl=tanks.ctrl, reference=tanks.reference, x_p0=tanks.x_p0,
+            horizon=20, params=params, seed=1))
+        assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
 
     def test_cipher_ring_centers_plaintexts(self):
         pk, _ = he.keygen(he.SchemeParams.mock(10))

@@ -2,7 +2,7 @@ import json
 import math
 import random
 import time
-from dataclasses import replace
+from encloop import replace
 from fractions import Fraction
 
 import numpy as np
