@@ -86,7 +86,6 @@ must match at every step (`PaperRecurrence`).
 from __future__ import annotations
 
 import csv
-import functools
 import math
 import operator
 import random
@@ -533,14 +532,13 @@ def _factor(M: RationalMatrix, C: RationalMatrix):
     return X if X.denominator_lcm() == 1 and X @ C == M else None
 
 
-@functools.lru_cache(maxsize=kernel.KERNELS_KEPT)
 def _through_output(*certs) -> tuple:
     """The integer rows C, G and J of `MainIntegerRecurrence.rebuild`, from
-    the certificates of C/s1, GC/omega and JC/s2 (kept by them): C/s1 and
-    the G', J' with G' (C/s1) = GC/omega and J' (C/s1) = JC/s2 (G s1/omega
-    and J s1/s2) where both are integral, so that G and J read the observer
-    output y_o = C xo; else the identity and GC/omega and JC/s2, so that
-    y_o = xo."""
+    the certificates of C/s1, GC/omega and JC/s2: C/s1 and the G', J' with
+    G' (C/s1) = GC/omega and J' (C/s1) = JC/s2 (G s1/omega and J s1/s2)
+    where both are integral, so that G and J read the observer output
+    y_o = C xo; else the identity and GC/omega and JC/s2, so that y_o = xo.
+    The recurrence keeps them by the certificates (`kernel.kept`)."""
     C, GC, JC = (cert.as_matrix() for cert in certs)
     G, J = _factor(GC, C), _factor(JC, C)
     if G is None or J is None:
@@ -566,7 +564,8 @@ class MainIntegerRecurrence:
         d, certs = plan.dims, plan.certificates
         inv_omega = certs["1/omega"].scaled_entries[0]
         self.m = m = _load(self.ring, certs, MAIN_CERTIFICATES, "ABFH")
-        m.C, m.G, m.J = _through_output(*(certs[k] for k in ("C/s1", "GC/omega", "JC/s2")))
+        through = tuple(certs[k] for k in ("C/s1", "GC/omega", "JC/s2"))
+        m.C, m.G, m.J = kernel.kept((_through_output, through), _through_output, *through)
         m.Om_x, m.Om_u = (self.ring.plain(identity_rows(d[k], inv_omega)) for k in ("n_x", "w"))
         self.xo, self.xe, self.bx, self.bu, self.u = (
             [0] * d[k] for k in ("n", "n_x", "n_x", "w", "w"))
@@ -794,12 +793,10 @@ class MainSensor:
         """`innovation`, y/l(t) - s1 y_o, is (integer numerators G, their
         denominator E), as `PlantSim.gap` gives it."""
         G, E = innovation
-        s1n, s1d = self.s1.numerator, self.s1.denominator
-        # y/l(t)/s1 - y_o = gap_num/d, and the innovation is gap_num/(E s1d)
-        d = E * s1n
-        gap_num = [g * s1d for g in G]
-        q_inno, sat = quantize_vector(gap_num, self.spec, E * s1d)
-        gap = max(map(abs, gap_num), default=0)
+        q_inno, sat = quantize_vector(G, self.spec, E)
+        # y/l(t)/s1 - y_o = gap/d
+        gap = max(map(abs, G), default=0) * self.s1.denominator
+        d = E * self.s1.numerator
         try:
             log2_gap = _log2(gap / d)
         except OverflowError:  # gap/d lies beyond the float range

@@ -26,9 +26,10 @@ settings.register_profile("ci", print_blob=True)
 
 @pytest.fixture(autouse=True)
 def fresh_kernels():
-    """Each test starts with no kept kernel (`kernel.kept`), so a test that
+    """Each test starts with nothing kept (`kernel.kept`: no kernel, noise
+    table or `rebuild` rows), as a fresh process does, so a test that
     patches `he.slot_reduction`, `kernel.Source.define` or
-    `kernel.compile` gets no kernel an earlier test built."""
+    `kernel.compile` gets nothing an earlier test built."""
     kernel._kernels.clear()
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import encloop
-from encloop import cli, he, loop
+from encloop import cli, he, kernel, loop
 from encloop.cli import main
 from encloop.fixtures import FIXTURES, batch_reactor, batch_reactor_exact_observer
 from encloop.planner import MainPlanOptions, plan_main, plan_preliminary
@@ -89,35 +89,6 @@ def test_simulate_main_writes_outputs(capsys, tmp_path):
     assert csv_lines[0].startswith("t,u_true_0,u_a_0,diff_inf,log2_alpha")
     saved = json.loads((tmp_path / "run.json").read_text())
     assert saved["steps"] == 25
-
-
-@pytest.mark.parametrize("scheme", ["main", "prelim"])
-@pytest.mark.parametrize("backend", ["mock", "lattice"])
-def test_a_repeated_simulate_compiles_nothing(capsys, monkeypatch, tmp_path, backend, scheme):
-    """Each `simulate` plans anew, and the process keeps its kernels by what
-    they are recorded from: the same simulate again in one process makes no
-    `compile()` call and writes the same CSV, summary and stdout."""
-    fixture = "batch-reactor" if scheme == "main" else "coupled-tanks"
-    calls, compile_ = [0], compile
-
-    def counting_compile(*args):
-        calls[0] += 1
-        return compile_(*args)
-
-    # `kernel.Source.define` compiles through the name `compile`
-    monkeypatch.setattr(encloop.kernel, "compile", counting_compile, raising=False)
-    outputs = []
-    for k in range(2):
-        before = calls[0]
-        prefix = tmp_path / str(k)
-        code, out, err = run_cli(capsys, "simulate", "--fixture", fixture, "--scheme", scheme,
-                                 "--backend", backend, "--horizon", "20", "--seed", "7",
-                                 "--out", str(prefix))
-        assert code == 0, err
-        outputs.append((out, err, prefix.with_suffix(".csv").read_bytes(),
-                        prefix.with_suffix(".json").read_bytes()))
-    assert before > 0 and calls[0] == before
-    assert outputs[0] == outputs[1]
 
 
 def test_simulate_small_q_override_fails_with_code_3(capsys):
@@ -243,33 +214,87 @@ def test_unknown_fixture(capsys):
     assert "unknown fixture" in err
 
 
-SCALAR_PLANT = {"plant": {"A": [["0.2"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
-                "x_p0": ["1"], "reference": ["0"]}
-DEGENERATE = {  # scalar controllers whose matrices are all zero or have no rows
-    "all-zero": {**SCALAR_PLANT, "plant": {**SCALAR_PLANT["plant"], "A": [["0.4"]]},
-                 "controller": {"F": [["0"]], "G": [["0"]], "R": [["0"]],
-                                "H": [["0"]], "J": [["0"]], "S": [["0"]]}},
-    "zero-F": {**SCALAR_PLANT, "controller": {"F": [["0"]], "G": [["-0.1"]], "R": [["0"]],
-                                              "H": [["0.1"]], "J": [["-0.2"]], "S": [["0"]]}},
+SCALAR_PLANT = {  # a scalar plant and controller; each scalar config is a variant of it
+    "plant": {"A": [["0.2"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
+    "controller": {"F": [["0.5"]], "G": [["-0.1"]], "R": [["0"]], "H": [["0.1"]],
+                   "J": [["-0.2"]], "S": [["0"]]},
+    "x_p0": ["1"], "reference": ["0"]}
+
+
+def scalar(plant=(), controller=(), **config) -> dict:
+    """`SCALAR_PLANT` with the given plant, controller and config entries."""
+    return {**SCALAR_PLANT, **config,
+            "plant": {**SCALAR_PLANT["plant"], **dict(plant)},
+            "controller": {**SCALAR_PLANT["controller"], **dict(controller)}}
+
+
+SCALAR_CONFIGS = {
+    # F/omega = [[1]]: the prelim noise table never ends
+    "never-ending": scalar(),
+    # R and S of no columns: a controller of no reference input
+    "no-reference": scalar(controller={"R": [[]], "S": [[]]}, reference=[]),
+    # an all-zero matrix has the integer scale 1
+    "all-zero": scalar({"A": [["0.4"]]}, {k: [["0"]] for k in "FGRHJS"}),
+    "zero-F": scalar(controller={"F": [["0"]]}),
     # a static gain u = J y + S r: JSON writes G and R of no rows without a width
-    "no-state": {**SCALAR_PLANT, "controller": {"F": [], "G": [], "R": [], "H": [[]],
-                                                "J": [["-0.2"]], "S": [["0"]]}},
+    "no-state": scalar(controller={"F": [], "G": [], "R": [], "H": [[]]}),
+    # G s1/omega is not integral, so `rebuild` keeps GC/omega and JC/s2 on the
+    # observer state instead of G and J on its output
+    "gc-fallback": scalar({"C": [["2"]]}, {"G": [["-0.05"]]}),
 }
 
+RUNS = [
+    # (scenario, scheme, horizon, override, lattice pad in bits).  The batch
+    # reactor's pad at H=1 is its encrypt-only bootstrap's, at H=2 that and
+    # one step's, and from H=3 on the same 48 bits, since only the bounded
+    # increments are decrypted; the tanks' prelim pad is the same at every
+    # horizon.  q=8193 and 2^65+1 are odd: Q is no power of two, so payloads
+    # reduce slot by slot, and centering mod q is asymmetric.
+    ("batch-reactor", "main", 1, None, 10),
+    ("batch-reactor", "main", 2, None, 38),
+    ("batch-reactor", "main", 200, None, 48),
+    ("batch-reactor", "main", 1000, None, 48),
+    ("batch-reactor", "main", 40, "q=36893488147419103233", 48),
+    ("batch-reactor", "main", 200, "q=36893488147419103233", 48),
+    ("coupled-tanks", "prelim", 1, None, 16),
+    ("coupled-tanks", "prelim", 200, None, 16),
+    ("coupled-tanks", "prelim", 200, "q=8193", 16),
+    ("coupled-tanks", "main", 1, None, 10),
+    ("coupled-tanks", "main", 2, None, 20),
+    ("coupled-tanks", "main", 100, None, 22),
+    ("never-ending", "prelim", 1000, None, 20),
+    ("no-reference", "prelim", 200, None, 18),
+    ("no-reference", "main", 200, None, 11),
+    ("all-zero", "prelim", 200, None, 2),
+    ("all-zero", "main", 200, None, 12),
+    ("zero-F", "prelim", 200, None, 14),
+    ("zero-F", "main", 200, None, 11),
+    ("no-state", "prelim", 200, None, 10),
+    ("no-state", "main", 200, None, 11),
+    ("gc-fallback", "main", 200, None, 10),
+]
+RUN_IDS = ["-".join(str(x) for x in run[:4] if x) for run in RUNS]
 
-@pytest.mark.parametrize("config,scheme,pad", [
-    ("all-zero", "prelim", 2), ("all-zero", "main", 12), ("zero-F", "prelim", 14),
-    ("zero-F", "main", 11), ("no-state", "prelim", 10), ("no-state", "main", 11)])
-def test_a_degenerate_controller_plans_and_runs(capsys, monkeypatch, tmp_path,
-                                                config, scheme, pad):
-    """An all-zero matrix has the integer scale 1 and a controller may have
-    no state: both routes plan these controllers, and a lattice run at H=200,
-    at its pad, writes the mock run's CSV with no recovery failure."""
-    path = tmp_path / f"{config}.json"
-    path.write_text(json.dumps(DEGENERATE[config]))
-    code, out, err = run_cli(capsys, "plan", "--config", str(path), "--scheme", scheme,
-                             "--observer", "exact")
-    assert (code, err) == (0, "")
+
+def simulate_argv(tmp_path, scenario, scheme, horizon, override, backend) -> list:
+    """The `simulate` arguments of a table run on `backend`, at seed 7; a
+    scalar config is written to `tmp_path` first."""
+    if scenario in FIXTURES:
+        where = ["--fixture", scenario]
+    else:
+        path = tmp_path / f"{scenario}.json"
+        path.write_text(json.dumps(SCALAR_CONFIGS[scenario]))
+        where = ["--config", str(path)]
+    return ["simulate", *where, "--scheme", scheme, "--backend", backend, "--horizon",
+            str(horizon), "--seed", "7", *(["--override", override] if override else [])]
+
+
+@pytest.mark.parametrize("scenario,scheme,horizon,override,pad", RUNS, ids=RUN_IDS)
+def test_a_lattice_run_at_its_pad_writes_the_mock_trace(capsys, monkeypatch, tmp_path, scenario,
+                                                       scheme, horizon, override, pad):
+    """Each table run plans, and on the lattice backend, at its planned pad,
+    recovers every step and writes the mock run's trace CSV byte for byte;
+    a controller of no reference input gets no message from the provider."""
     pads, sized = [], loop.lattice_params
 
     def recording(plan, horizon):
@@ -279,14 +304,112 @@ def test_a_degenerate_controller_plans_and_runs(capsys, monkeypatch, tmp_path,
 
     monkeypatch.setattr(loop, "lattice_params", recording)
     for backend in ("lattice", "mock"):
-        code, out, err = run_cli(capsys, "simulate", "--config", str(path), "--scheme",
-                                 scheme, "--backend", backend, "--horizon", "200",
-                                 "--seed", "7", "--out", str(tmp_path / backend))
-        summary = json.loads(out)
+        code, out, err = run_cli(capsys, *simulate_argv(tmp_path, scenario, scheme, horizon,
+                                                        override, backend),
+                                 "--out", str(tmp_path / backend))
         assert (code, err) == (0, "")
+        summary = json.loads(out)
         assert summary["recovery_failures"] == summary["oracle_mismatches"] == 0
+        assert (summary["msgs_provider_to_ctrl"] == 0) == (scenario == "no-reference")
     assert pads == [pad]
     assert (tmp_path / "lattice.csv").read_bytes() == (tmp_path / "mock.csv").read_bytes()
+
+
+def test_the_table_in_one_interpreter(capsys, monkeypatch, tmp_path):
+    """A child interpreter, under another hash seed than this one, makes
+    each table run on each backend cold, as a fresh process would
+    (`kernel._kernels` cleared).  Meanwhile this process makes each twice
+    in a row, keeping the kernels and noise tables it builds across plans,
+    pads and q overrides: each repeat makes no `compile()` call and builds
+    no noise table (a kept one is extended, never rebuilt), and every run
+    writes the cold run's CSV, summary and stdout."""
+    argvs = [simulate_argv(tmp_path, *run[:4], backend)
+             for run in RUNS for backend in ("lattice", "mock")]
+    (tmp_path / "runs.json").write_text(json.dumps(argvs))
+    code = ("import contextlib, json, sys\n"
+            "from encloop import kernel\n"
+            "from encloop.cli import main\n"
+            "for k, argv in enumerate(json.load(open(f'{sys.argv[1]}/runs.json'))):\n"
+            "    kernel._kernels.clear()\n"
+            "    prefix = f'{sys.argv[1]}/cold{k}'\n"
+            "    with open(f'{prefix}.out', 'w') as out, contextlib.redirect_stdout(out):\n"
+            "        assert main(argv + ['--out', prefix]) == 0, argv\n")
+    src = str(Path(encloop.__file__).resolve().parents[1])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+    compiles, tables, compile_, init = [0], [0], compile, loop.NoiseTable.__init__
+
+    def counting_compile(*args):
+        compiles[0] += 1
+        return compile_(*args)
+
+    def counting_init(table, *args):
+        tables[0] += 1
+        init(table, *args)
+
+    # `kernel.Source.define` compiles through the name `compile`
+    monkeypatch.setattr(kernel, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(loop.NoiseTable, "__init__", counting_init)
+
+    def written(prefix, out):
+        """A run's stdout `out`, and the CSV and summary JSON it wrote."""
+        return (out, *(prefix.with_suffix(x).read_bytes() for x in (".csv", ".json")))
+
+    def made(argv, prefix):
+        code, out, err = run_cli(capsys, *argv, "--out", str(prefix))
+        assert (code, err) == (0, ""), argv
+        return written(prefix, out)
+
+    with subprocess.Popen([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          stderr=subprocess.PIPE, text=True) as child:
+        warm = []
+        for k, argv in enumerate(argvs):
+            once = made(argv, tmp_path / f"once{k}")
+            before = compiles[0], tables[0]
+            warm.append((once, made(argv, tmp_path / f"twice{k}")))
+            assert (compiles[0], tables[0]) == before, argv
+        assert compiles[0] and tables[0]
+        assert (child.communicate(timeout=120)[1], child.returncode) == ("", 0)
+    for k, argv in enumerate(argvs):
+        prefix = tmp_path / f"cold{k}"
+        cold = written(prefix, prefix.with_suffix(".out").read_text())
+        assert warm[k] == (cold, cold), argv
+
+
+@pytest.mark.parametrize("argv,failures", [
+    ("--fixture batch-reactor --scheme main --override q=2199023255552", 198),  # 2^41
+    ("--fixture coupled-tanks --scheme prelim --override q=32", 199),
+], ids=["batch-main-q41", "tanks-prelim-q32"])
+def test_a_run_below_its_planned_modulus_counts_every_failure(capsys, tmp_path, argv, failures):
+    """Far below the planned modulus, the batch reactor's main lifts fail
+    from t = 2 on (its sensor gap passes the float range at t = 54), and the
+    tanks' prelim lifts from t = 1 on: of 200 steps, 198 and 199 fail.  On
+    each backend the run exits 3 with nothing on stderr and counts them in
+    its summary, and the two backends write the same trace CSV."""
+    for backend in ("lattice", "mock"):
+        prefix = tmp_path / backend
+        code, out, err = run_cli(capsys, "simulate", *argv.split(), "--horizon", "200",
+                                 "--seed", "7", "--backend", backend, "--out", str(prefix))
+        assert (code, err) == (3, "")
+        for summary in (out, prefix.with_suffix(".json").read_text()):
+            assert json.loads(summary)["recovery_failures"] == failures
+    assert (tmp_path / "lattice.csv").read_bytes() == (tmp_path / "mock.csv").read_bytes()
+
+
+@pytest.mark.parametrize("A,code", [("0.49999999999999999", 0), ("0.50000000000000001", 2)],
+                         ids=["below", "above"])
+def test_prelim_boundary_plans(capsys, tmp_path, A, code):
+    """B = 0 makes A a mode of the closed loop, and F is nilpotent
+    (s_F = 1/2): the float radius reads 0.5 at A = 1/2 -+ 10^-17, and only
+    the exact Schur-Cohn test tells them apart.  The loop below s_F plans,
+    and the one above is infeasible."""
+    path = tmp_path / "boundary.json"
+    path.write_text(json.dumps(scalar({"A": [[A]], "B": [["0"]]}, {
+        "F": [["0", "0.5"], ["0", "0"]], "G": [["-0.1"], ["0"]], "R": [["0"], ["0"]],
+        "H": [["0.1", "0"]]})))
+    got, out, err = run_cli(capsys, "plan", "--config", str(path), "--scheme", "prelim")
+    assert (got, err) == (code, "")
+    assert json.loads(out)["feasible"] is (code == 0)
 
 
 def test_prelim_full_plan_lists_the_integer_matrices(capsys):
@@ -492,41 +615,6 @@ def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     else:
         failures = {3: "recovery_failures", 4: "saturation_count"}[code]
         assert err == "" and json.loads(out)[failures] > 0
-
-
-NO_REFERENCE = {  # a scalar plant and controller that take no reference input
-    "plant": {"A": [["0.2"]], "B": [["1"]], "C": [["1"]], "x_p0_bound": "1"},
-    "controller": {"F": [["0.5"]], "G": [["-0.1"]], "R": [[]], "H": [["0.1"]],
-                   "J": [["-0.2"]], "S": [[]]},
-    "x_p0": ["1"], "reference": []}
-
-
-@pytest.mark.parametrize("scheme,pad", [("prelim", 18), ("main", 11)])
-def test_a_controller_without_a_reference_input_runs(capsys, monkeypatch, tmp_path,
-                                                    scheme, pad):
-    """`"reference": []` with zero-column R and S is a controller of no
-    reference input: both routes plan it, the provider sends nothing, and a
-    lattice run at H=200, at its pad, writes the mock run's CSV."""
-    config = tmp_path / "no-reference.json"
-    config.write_text(json.dumps(NO_REFERENCE))
-    pads, sized = [], loop.lattice_params
-
-    def recording(plan, horizon):
-        params = sized(plan, horizon)
-        pads.append(params.lattice.pad_bits)
-        return params
-
-    monkeypatch.setattr(loop, "lattice_params", recording)
-    for backend in ("lattice", "mock"):
-        code, out, err = run_cli(capsys, "simulate", "--config", str(config), "--scheme",
-                                 scheme, "--backend", backend, "--horizon", "200",
-                                 "--seed", "7", "--out", str(tmp_path / backend))
-        summary = json.loads(out)
-        assert (code, err) == (0, "")
-        assert summary["recovery_failures"] == summary["oracle_mismatches"] == 0
-        assert summary["msgs_provider_to_ctrl"] == 0
-    assert pads == [pad]
-    assert (tmp_path / "lattice.csv").read_bytes() == (tmp_path / "mock.csv").read_bytes()
 
 
 def documented_exit_codes(text: str) -> dict:
@@ -815,8 +903,12 @@ def readme_cli_lines() -> list:
 
 
 def test_readme_cli_examples_run_as_written(capsys, tmp_path):
+    """Each command exits as its comment states: only the batch reactor's
+    prelim plan exits 2 (infeasible), and every other command exits 0."""
     lines = readme_cli_lines()
     assert lines and all(argv[0] == "encloop" for argv, _ in lines)
+    assert [argv[1:] for argv, want in lines if want == 2] == [
+        ["plan", "--fixture", "batch-reactor", "--scheme", "prelim"]]
     for argv, want in lines:
         argv = argv[1:]
         if "--out" in argv:

@@ -731,6 +731,26 @@ class TestCompiledKernels:
         got = loop._factor(rmat(M), rmat(C))
         assert (got if got is None else got.to_lists()) == X
 
+    def test_rebuild_rows_are_kept_with_the_kernels(self, monkeypatch, sound_plan):
+        """The rows of `rebuild` (`_through_output`) are kept in `kernel.kept`,
+        the process's one cache: a recurrence built again after
+        `kernel._kernels` is cleared factors its rows again, as in a fresh
+        process, and one built while they are kept factors nothing."""
+        calls, factor = [0], loop._factor
+
+        def counting(*args):
+            calls[0] += 1
+            return factor(*args)
+
+        monkeypatch.setattr(loop, "_factor", counting)
+        MainIntegerRecurrence(sound_plan)
+        cold = calls[0]
+        MainIntegerRecurrence(sound_plan)
+        assert cold > 0 and calls[0] == cold
+        kernel._kernels.clear()
+        MainIntegerRecurrence(sound_plan)
+        assert calls[0] == 2 * cold
+
     def test_rebuild_through_the_observer_output_is_the_gc_form(self, scalar_main):
         """`rebuild` with G and J on the observer output (`_through_output`)
         equals `rebuild` with GC/omega and JC/s2 on xo over 20 steps of
@@ -1693,8 +1713,11 @@ class TestDeterminismAndSchedules:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_a_step_builds_no_fraction_without_detail(self, request, monkeypatch, scheme):
         """Without detail rows a run builds its Fractions in set-up only: as
-        many at H = 5 as at H = 15."""
+        many at H = 5 as at H = 15.  A first run keeps what its set-up
+        builds once per plan (`kernel.kept`), so both counted runs follow
+        one."""
         sc, plan, run = route(request, scheme)
+        run(plan, main_cfg(sc, plan, 1))
         built, new = [0], Fraction.__new__
 
         def counting(cls, *args, **kwargs):

@@ -355,7 +355,7 @@ class TestPrelimPlan:
         assert plan.q & (plan.q - 1) == 0  # power of two
 
     def test_the_power_search_runs_to_one_half(self):
-        """The scalar controller of the CI's lattice runs: the bound at the
+        """The scalar controller of the CLI run table: the bound at the
         first k with ||P^k||_inf < 1 gives q = 8192, as the 2-norm series
         did; the search on to the first ||P^k||_inf <= 1/2 gives q = 1024."""
         plant = PlantModel(A=rmat([["0.2"]]), B=rmat([[1]]), C=rmat([[1]]), x_p0_bound=1)
