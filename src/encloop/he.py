@@ -56,7 +56,7 @@ c - <a, s> = c + (sum of a_j over s_j = -1) + (sum of Q - a_j over
 s_j = +1) mod Q.  The full key holds masks for both sets of slots, so
 `decrypt` turns an entry into 17 slot values in [0, Q] with two masks and
 a subtraction, without unpacking it, and halving folds
-(`_Slots.fold`) sum them into slot 0: the total is below 17 Q < 2^W, so no
+(`_Slots.folds`) sum them into slot 0: the total is below 17 Q < 2^W, so no
 partial sum carries into the next slot.  The result is reduced mod Q and
 rounded with a shift by the pad.  Parameters are sized for exactness, not
 for conjectured security; this is a simulation artifact, not a hardened
@@ -141,26 +141,26 @@ class SchemeParams(Record, frozen=True):
             raise BadParamsError("ct_modulus only defined for the lattice backend")
         return self.q << self.lattice.pad_bits
 
-    @property
-    def delta(self) -> int:
-        return 1 << self.lattice.pad_bits
-
     @cached_property
     def _slots(self) -> "_Slots":
-        return _Slots(self.q, self.ct_modulus)
+        return _Slots(self.q, self.lattice.pad_bits)
 
 
 class _Slots:
-    """The packed layout of a lattice ciphertext entry under one (q, Q)."""
+    """The packed layout of a lattice ciphertext entry under one (q, pad),
+    and the constants `encrypt` and `decrypt` read: Q, Delta and the noise
+    budget Delta/2."""
 
-    def __init__(self, q: int, Q: int):
-        self.Q = Q
+    def __init__(self, q: int, pad: int):
+        Q = self.Q = q << pad
+        self.q, self.pad, self.delta, self.half_delta = q, pad, 1 << pad, 1 << (pad - 1)
         self.width = w = Q.bit_length() + q.bit_length() + GUARD
         self.half = 1 << (w - 1)
         self.offset = self.pack([self.half] * SLOTS)
         self.mask = self.pack([Q - 1] * SLOTS) if Q & (Q - 1) == 0 else None
-        # `fold`: each (shift, mask) adds the upper slots onto the lower ones
-        # and halves the slots left, until slot 0 holds the sum of all
+        # the folds of `decrypt`: each (shift, mask) adds the upper slots onto
+        # the lower ones and halves the slots left, until slot 0 holds the sum
+        # of all; no partial sum carries while the slots sum below 2^W
         self.folds, k = [], SLOTS
         while k > 1:
             k = (k + 1) // 2
@@ -193,13 +193,6 @@ class _Slots:
         return (self.pack([full] + [full if s_j == -1 else 0 for s_j in s]),
                 self.pack([0] + [full if s_j == 1 else 0 for s_j in s]),
                 self.pack([0] + [self.Q if s_j == 1 else 0 for s_j in s]))
-
-    def fold(self, packed: int) -> int:
-        """The sum of the slots of an entry whose slots sum below 2^W: no
-        partial sum then carries into the next slot."""
-        for shift, low in self.folds:
-            packed = (packed & low) + (packed >> shift)
-        return packed
 
 
 class KeyMaterial(Record, frozen=True):
@@ -288,17 +281,18 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
     _check_plain(v, params.q)
     if params.backend == "mock":
         return Ciphertext(params, len(v), tuple(v), noise_bound=0)
-    rng = rng if rng is not None else random.Random()
-    delta, tables, reduce = params.delta, pk.payload[1], params._slots.reduce
-    low = (1 << WINDOW) - 1
+    draw = (rng if rng is not None else random.Random()).getrandbits
+    slots = params._slots
+    delta, reduce = slots.delta, slots.reduce
+    # one table per window of WINDOW = 4 rows; bit i of b puts row i into the sum
+    t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 = pk.payload[1]
     payload = []
     for x in v:
-        # bit i of `bits` puts public-key row i into the sum
-        bits, entry = rng.getrandbits(SAMPLES), delta * x
-        for table in tables:
-            entry += table[bits & low]
-            bits >>= WINDOW
-        payload.append(reduce(entry))
+        b = draw(SAMPLES)
+        payload.append(reduce(
+            delta * x + t0[b & 15] + t1[b >> 4 & 15] + t2[b >> 8 & 15] + t3[b >> 12 & 15]
+            + t4[b >> 16 & 15] + t5[b >> 20 & 15] + t6[b >> 24 & 15] + t7[b >> 28 & 15]
+            + t8[b >> 32 & 15] + t9[b >> 36 & 15] + t10[b >> 40 & 15] + t11[b >> 44]))
     return Ciphertext(params, len(v), tuple(payload), noise_bound=FRESH_NOISE_BOUND)
 
 
@@ -313,13 +307,18 @@ def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
         raise NoiseOverflowError("no noise bound covers this ciphertext; "
                                  "decryption could be ambiguous")
     check_budget(params, ct.noise_bound)
-    Q, delta = params.ct_modulus, params.delta
-    # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q,
-    # 17 slot values in [0, Q], summed in one fold
-    (plus, minus, q_minus), fold = sk.payload[2], params._slots.fold
-    pad, half, q = params.lattice.pad_bits, delta // 2, params.q
-    return tuple(((fold((e & plus) + (q_minus - (e & minus))) % Q + half) >> pad) % q
-                 for e in ct.payload)
+    slots = params._slots
+    Q, half, pad, q, folds = slots.Q, slots.half_delta, slots.pad, slots.q, slots.folds
+    # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q:
+    # 17 slot values in [0, Q], summed into slot 0 by the folds
+    plus, minus, q_minus = sk.payload[2]
+    out = []
+    for e in ct.payload:
+        e = (e & plus) + (q_minus - (e & minus))
+        for shift, low in folds:
+            e = (e & low) + (e >> shift)
+        out.append(((e % Q + half) >> pad) % q)
+    return tuple(out)
 
 
 def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
@@ -354,7 +353,7 @@ def check_budget(params: SchemeParams, bound: int):
     """Raises `NoiseOverflowError` if the noise bound of what `decrypt`
     decrypts reaches half of Delta, the budget decryption needs.  The mock
     backend has none."""
-    if params.backend == "lattice" and bound >= params.delta // 2:
+    if params.backend == "lattice" and bound >= params._slots.half_delta:
         raise NoiseOverflowError(
             f"noise bound 2^{bound.bit_length()} exceeds half-Delta "
             f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"

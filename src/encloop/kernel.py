@@ -56,12 +56,13 @@ _NAME = re.compile(r"t[0-9]+")
 
 # What the process used last, least recent first, by what it is built from
 # (`kept`): the kernels, `loop`'s noise tables and the rows of a main
-# `rebuild`.  A main plan keeps 4 kernels (payload and integer `step`, the
-# reconstruction's `rebuild` and the plant's `observe`), its noise table and
-# one entry of `rebuild` rows (`loop._through_output`); a prelim plan 4
-# kernels (payload and integer `step`, and the plant's `products` and
-# `measure`) and its noise table; and each 1 more payload `step` per further
-# pad.  The noise table runs the shadow's integer `step` where the centered
+# `rebuild`.  A main plan keeps 5 kernels (payload and integer `step`, the
+# reconstruction's `rebuild`, the plant's `observe` and the reference loop's
+# closed-loop map, `loop._closed_loop`), its noise table and one entry of
+# `rebuild` rows (`loop._through_output`); a prelim plan 5 kernels (payload
+# and integer `step`, the plant's `products` and `measure`, and the
+# reference loop's map) and its noise table; and each 1 more payload `step`
+# per further pad.  The noise table runs the shadow's integer `step` where the centered
 # rows are the certified ones.  Plans that differ only in q share the
 # integer kernels, and the noise table where their centered rows agree.  32
 # keep several plans'.

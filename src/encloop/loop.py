@@ -17,9 +17,9 @@ an unreduced pair of integers.  A step is therefore integer arithmetic
 only, on both routes, and builds no `Fraction` unless the run collects its
 detail rows; the prelim route's plant denominator grows by that of A/omega
 each step.  Doubles appear only in the unencrypted reference loop (the
-restoration target, one closed-loop map on plain float rows) and in
-reporting, where a ratio of integers converts with one correctly rounded
-division.
+restoration target, one closed-loop map on plain float rows, compiled once
+per set of rows, whose sums run left to right) and in reporting, where a
+ratio of integers converts with one correctly rounded division.
 
 The zoomed states grow by log2(1/omega) bits a step, so on the main route
 only the actuator's reconstruction carries that growth: the plant keeps its
@@ -155,7 +155,7 @@ def _log2(x) -> float:
 
 
 def _log2norm(v) -> float:
-    return _log2(max((abs(x) for x in v), default=0))
+    return _log2(max(map(abs, v), default=0))
 
 
 def _json_number(x: float):
@@ -306,7 +306,9 @@ class IdealLoop:
     reference, no quantization: one closed-loop map on z = (x_p, x), in
     floats.  A step emits u = K z + S r and moves z <- M z + c, with
     K = [J C, H], M = [[A + B J C, B H], [G C, F]] (`block_closed_loop`) and
-    c = (B S r, R r), all formed from the float rows of the models."""
+    c = (B S r, R r), all formed from the float rows of the models.  The map
+    is compiled once per set of rows (`_closed_loop`) and kept with the
+    kernels (`kernel.kept`)."""
 
     def __init__(self, plant: PlantModel, ctrl: ControllerModel, x_p0, reference):
         A, B, C = (m.float_rows() for m in (plant.A, plant.B, plant.C))
@@ -314,13 +316,16 @@ class IdealLoop:
             ctrl.F, ctrl.G, ctrl.H, ctrl.J, ctrl.S, ctrl.R_ref))
         r = [_float(x) for x in reference.data]
         n, Ct = plant.n, list(zip(*C)) if C else [()] * plant.n
-        self.K = [[_dot(j, c) for c in Ct] + h for j, h in zip(J, H)]
-        self.Sr = [_dot(row, r) for row in S]
-        Kt = list(zip(*self.K)) if self.K else [()] * (n + ctrl.n_x)
-        self.M = [[a + _dot(b, k) for a, k in zip(ra + [0.0] * ctrl.n_x, Kt)]
-                  for ra, b in zip(A, B)]
-        self.M += [[_dot(g, c) for c in Ct] + f for g, f in zip(G, F)]
-        self.c = [_dot(b, self.Sr) for b in B] + [_dot(row, r) for row in R]
+        K = [[_dot(j, c) for c in Ct] + h for j, h in zip(J, H)]
+        Sr = [_dot(row, r) for row in S]
+        Kt = list(zip(*K)) if K else [()] * (n + ctrl.n_x)
+        M = [[a + _dot(b, k) for a, k in zip(ra + [0.0] * ctrl.n_x, Kt)]
+             for ra, b in zip(A, B)]
+        M += [[_dot(g, c) for c in Ct] + f for g, f in zip(G, F)]
+        c = [_dot(b, Sr) for b in B] + [_dot(row, r) for row in R]
+        rows = (K, Sr, M, c)
+        # by the rows' repr, which tells 0, 0.0 and -0.0 apart, as == does not
+        self._map = kernel.kept((_closed_loop, repr(rows)), _closed_loop, *rows)
         self.n = n
         self.z = tuple([_float(x) for x in chain(x_p0, ctrl.x0.data)])
 
@@ -331,10 +336,30 @@ class IdealLoop:
 
     def step(self) -> tuple:
         """The controller's output u of this step, as a tuple of floats."""
-        z = self.z
-        u = tuple([_dot(k, z) + sr for k, sr in zip(self.K, self.Sr)])
-        self.z = tuple([_dot(m, z) + c for m, c in zip(self.M, self.c)])
+        u, self.z = self._map(self.z)
         return u
+
+
+def _closed_loop(K, Sr, M, c):
+    """z -> (K z + Sr, M z + c) as one straight-line function of the tuple z
+    that returns tuples, compiled by `kernel`: each entry sums as `_dot` does
+    and then adds its constant, from the integer 0, left to right, with no
+    term dropped (0.0 * inf is NaN, and -0.0 + 0.0 is 0.0).  Every
+    coefficient is bound as a name, so the sums read the rows' own values."""
+    values, lines, outputs = {}, ["def step(z):"], []
+    if M:
+        lines.append(f"    {''.join(f'z{j}, ' for j in range(len(M)))}= z")
+    for out, rows, consts in (("u", K, Sr), ("x", M, c)):
+        for i, (row, const) in enumerate(zip(rows, consts)):
+            first, name = len(values), f"{out}{i}"
+            values.update({f"a{first + j}": x for j, x in enumerate([*row, const])})
+            terms = [*(f"a{first + j}*z{j}" for j in range(len(row))), f"a{first + len(row)}"]
+            for k in range(0, len(terms), kernel.TERMS_PER_STATEMENT):
+                lines.append(f"    {name} = {name if k else 0} + "
+                             + " + ".join(terms[k:k + kernel.TERMS_PER_STATEMENT]))
+        outputs.append("(" + "".join(f"{out}{i}, " for i in range(len(rows))) + ")")
+    lines.append(f"    return {', '.join(outputs)}")
+    return kernel.Source().define(lines, "step", values)
 
 
 def _dot(a, b) -> float:
@@ -1098,7 +1123,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             residues = [[[x % plan.q for x in v] for v in vs] for vs in (s.lifted, s.shadow)]
             trace.oracle_mismatches += residues[0] != residues[1]
         u_true = ideal.step()
-        u_a = tuple(_ratio_float(n * x, d) for x in s.U)
+        u_a = tuple([_ratio_float(n * x, d) for x in s.U])
         plant.step(s.U)
         trace.records.append(StepRecord(
             t=t,
@@ -1204,7 +1229,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         ut = shadow.step(q_y, q_r)
         lifted = actuator.step(u_ct)
         # the increment ut - prev_ut/omega = (on ut - od prev_ut)/on
-        mx = max((abs((on * x - od * y) / on) for x, y in zip(ut, prev_ut)), default=0.0)
+        mx = max([abs((on * x - od * y) / on) for x, y in zip(ut, prev_ut)], default=0.0)
         prev_ut = ut
         return _Step(
             U=lifted, lifted=(lifted,), shadow=(ut,),

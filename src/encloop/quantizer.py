@@ -56,12 +56,15 @@ def quantize_scalar(chi, spec: Optional[QuantizerSpec] = None):
 def quantize_vector(values: Sequence, spec: Optional[QuantizerSpec] = None,
                     den: int = 1):
     """Elementwise quantization of values[i]/den (den > 0); flag is the OR
-    of element flags.  With integer values this is integer arithmetic only."""
-    out = []
-    sat = False
+    of element flags.  An integer value is its own numerator over den, so
+    integer values need integer arithmetic only."""
+    out, sat = [], False
     for v in values:
-        n, d = as_ratio(v)
-        psi, s = _cell(n, d * den, spec)
+        if isinstance(v, int):
+            psi, s = _cell(v, den, spec)
+        else:
+            n, d = as_ratio(v)
+            psi, s = _cell(n, d * den, spec)
         out.append(psi)
         sat = sat or s
     return out, sat

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -246,6 +247,38 @@ def test_noise_overflow_predicted_and_raised():
         he.decrypt(sk, heavy)
 
 
+@pytest.mark.parametrize("q,pad", [(2**10, 16), (10, 22), (7, 1)])
+def test_decrypt_at_the_noise_budget(q, pad):
+    """The budget is Delta/2: entries whose noise is Delta/2 - 1 either way,
+    under a bound of Delta/2 - 1, decrypt exactly, and a bound of Delta/2
+    is refused with the budget in the message.  A ciphertext without a
+    bound, a key of other parameters and the public key are refused."""
+    params = make_scheme("lattice", q=q, pad=pad)
+    pk, sk = he.keygen(params, seed=pad)
+    Q, delta, slots, s = params.ct_modulus, 1 << pad, params._slots, sk.payload[-1]
+    rng, m = random.Random(q), [0, 1, q - 1, q // 2]
+    entries, want = [], []
+    for x in m:
+        for e in (delta // 2 - 1, -(delta // 2 - 1)):
+            a = [rng.randrange(Q) for _ in range(he.DIMENSION)]
+            c = (sum(a_j * s_j for a_j, s_j in zip(a, s)) + delta * x + e) % Q
+            entries.append(slots.pack([c, *a]))
+            want.append(x)
+    ct = he.Ciphertext(params, len(entries), tuple(entries), delta // 2 - 1)
+    assert he.decrypt(sk, ct) == tuple(want)
+    with pytest.raises(he.NoiseOverflowError, match=re.escape(
+            f"noise bound 2^{pad} exceeds half-Delta 2^{pad - 1}; "
+            "decryption would be ambiguous")):
+        he.decrypt(sk, he.Ciphertext(params, ct.dim, ct.payload, delta // 2))
+    with pytest.raises(he.NoiseOverflowError, match="no noise bound"):
+        he.decrypt(sk, he.Ciphertext(params, ct.dim, ct.payload))
+    _, other = he.keygen(make_scheme("lattice", q=q, pad=pad + 1), seed=pad)
+    with pytest.raises(he.DimensionMismatchError, match="scheme mismatch"):
+        he.decrypt(other, ct)
+    with pytest.raises(he.WrongKeyRoleError):
+        he.decrypt(pk, ct)
+
+
 @pytest.mark.parametrize("backend", ["mock", "lattice"])
 def test_a_ciphertext_without_a_noise_bound_is_refused(backend):
     """A ciphertext that carries no noise bound (None), and every sum and
@@ -365,7 +398,7 @@ def test_encrypt_adds_the_rows_its_bits_draw(q):
     for x in v:
         bits = rng.getrandbits(he.SAMPLES)
         chosen = sum(row for i, row in enumerate(rows) if bits >> i & 1)
-        want.append(slots.reduce(params.delta * x + chosen))
+        want.append(slots.reduce(2**22 * x + chosen))
     assert ct.payload == tuple(want)
 
 
@@ -376,7 +409,7 @@ def test_decrypt_fold_is_the_unpacked_inner_product(q, pad):
     entries, slots at 0 and Q - 1 included, it rounds as c - <a, s> mod Q
     from the unpacked slots does."""
     params = make_scheme("lattice", q=q, pad=pad)
-    Q, delta, slots = params.ct_modulus, params.delta, params._slots
+    Q, delta, slots = params.ct_modulus, 1 << pad, params._slots
     rng = random.Random(q + pad)
     for seed in range(4):
         _, sk = he.keygen(params, seed=seed)

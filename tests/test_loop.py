@@ -981,7 +981,7 @@ class TestCompiledControllerStep:
             assert [ct.noise_bound for ct in emitted] == list(bounds)
             assert all(c.noise_bound <= s.noise_bound
                        for c, s in zip(emitted, staged_emitted))
-            if overflow is None and max(bounds, default=0) >= params.delta // 2:
+            if overflow is None and max(bounds, default=0) >= 1 << (params.lattice.pad_bits - 1):
                 overflow = t
             try:
                 for ct in emitted:
@@ -1074,12 +1074,12 @@ class TestCompiledControllerStep:
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
     def test_kernels_per_plan(self, request, monkeypatch, tmp_path, scheme):
         """The kernels are the plan's: two lattice runs of one plan with
-        different seeds compile 4 kernels in total on the main route (the
+        different seeds compile 5 kernels in total on the main route (the
         controller's payload `step`, the integer `step` that the shadow and
         the noise table share, the actuator's `rebuild`, the plant's
-        `observe`) and 4 on the prelim route (payload `step`, the shared
-        integer `step`, the plant's `products` and `measure`), and write
-        one CSV.  A run at another pad compiles its own payload kernels
+        `observe`, the reference loop's map) and 5 on the prelim route
+        (payload `step`, the shared integer `step`, the plant's `products`
+        and `measure`, the reference loop's map), and write one CSV.  A run at another pad compiles its own payload kernels
         only, and so does a plan with twice the q: its integer rows are the
         same, and so are its centered rows, by which the noise table is
         kept."""
@@ -1103,7 +1103,7 @@ class TestCompiledControllerStep:
             return he.SchemeParams(q=q, backend="lattice", lattice=he.LatticeParams(pad))
 
         monkeypatch.setattr(kernel.Source, "define", counting)
-        kernels, payload = 4, 1
+        kernels, payload = 5, 1
         first = csv(plan, lattice(plan.q, pad), 1)
         assert len(compiled) == kernels
         assert csv(plan, lattice(plan.q, pad), 2) == first
@@ -1330,11 +1330,12 @@ class TestNoiseTable:
         assert got == decrypted["mock"][:len(got)]
         table = noise_table((MainRecurrence if scheme == "main" else PrelimRecurrence)(
             loop.CipherRing(None, plan.q, None), plan))
-        event = next(t for t in range(horizon) if max(table.at(t)) >= tight.delta // 2)
+        budget = 1 << (tight.lattice.pad_bits - 1)  # Delta/2
+        event = next(t for t in range(horizon) if max(table.at(t)) >= budget)
         # the actuator decrypts the main bootstrap's fresh emission, then
         # each event's vectors in turn, and stops at the first one past the
         # budget
-        before = next(i for i, b in enumerate(table.at(event)) if b >= tight.delta // 2)
+        before = next(i for i, b in enumerate(table.at(event)) if b >= budget)
         assert len(got) == (event + (scheme == "main")) * len(table.at(0)) + before
 
     def test_controller_state_is_refused(self, batch, sound_plan, tanks, tanks_plan):
@@ -1369,9 +1370,10 @@ class TestNoiseTable:
         """`lattice_params` builds the plan's table on the one integer
         kernel it compiles, the recurrence's `step`.  A lattice run of the
         plan builds no table, and its integer shadow runs that same `step`:
-        it compiles the controller's payload `step` and on the main route
-        the actuator's `rebuild` and the plant's `observe`, on the prelim
-        route the plant's `products` and `measure`."""
+        it compiles the controller's payload `step`, the reference loop's
+        map, and on the main route the actuator's `rebuild` and the plant's
+        `observe`, on the prelim route the plant's `products` and
+        `measure`."""
         sc, plan, run = route(request, scheme)
         sources, compile_ = [], compile
 
@@ -1389,7 +1391,7 @@ class TestNoiseTable:
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
         payload = [src for src in sources if "reduce(" in src]
-        assert (len(payload), len(sources)) == (1, 3)
+        assert (len(payload), len(sources)) == (1, 4)
 
     def test_a_wrapped_controller_step_leaves_the_table_on_the_recurrence(
             self, monkeypatch, tanks, tanks_plan):

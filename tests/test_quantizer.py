@@ -99,3 +99,28 @@ def test_vector_over_den_agrees_with_scalar(n, d, m, spec):
     d m), quantize as the Fraction n/d does."""
     psi, sat = quantize_scalar(Fraction(n, d), spec)
     assert quantize_vector([n * m], spec, den=d * m) == ([psi], sat)
+
+
+values = st.one_of(
+    st.integers(),
+    st.integers(min_value=-2**200, max_value=2**200),
+    st.booleans(),
+    st.fractions(),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(values, max_size=6),
+       st.one_of(st.integers(min_value=1, max_value=50), st.integers(min_value=1)),
+       st.one_of(st.none(), st.builds(QuantizerSpec, st.integers(min_value=1, max_value=2**70))))
+@example([True, False, -2**64 - 1, 2**64], 1, QuantizerSpec(1))
+@example([2**65 + 1, Fraction(-3, 2), -0.5], 2**65, QuantizerSpec(2))
+def test_vector_equals_scalars_entry_by_entry(vs, den, spec):
+    """Ints (bools and values past 64 bits among them), Fractions and
+    floats over `den`: each cell is `quantize_scalar`'s of value/den, an
+    int, and the flag the OR of theirs."""
+    want = [quantize_scalar(Fraction(v) / den, spec) for v in vs]
+    psis, sat = quantize_vector(vs, spec, den)
+    assert psis == [psi for psi, _ in want] and all(type(psi) is int for psi in psis)
+    assert sat is any(s for _, s in want)
