@@ -299,7 +299,7 @@ def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = No
 def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
     sk.require_full()
     params = ct.params
-    if params != sk.params:
+    if params is not sk.params and params != sk.params:
         raise DimensionMismatchError("key/ciphertext scheme mismatch")
     if params.backend == "mock":
         return tuple(ct.payload)

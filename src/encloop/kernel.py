@@ -7,9 +7,9 @@ time in the interpreter's per-term work.  So each linear method of a party
 is compiled into the party's method at its first call (`compiled`).  The
 method runs once on the recording ring `Source`, over a namespace of the
 party's plaintext rows (`rows_of`) and new input vectors: every entry of a
-vector is a generated name, and every linear form `c1 x1 + c2 x2 + ...`
-becomes one assignment with its zero coefficients and its known-zero
-operands dropped.  The record becomes one generated function
+vector is a generated name, and every distinct linear form
+`c1 x1 + c2 x2 + ...` becomes one assignment with its zero coefficients and
+its known-zero operands dropped.  The record becomes one generated function
 (`compile_method`) that reads the party's state by attribute, checks its
 inputs' lengths, computes, assigns the new state and returns.  Over
 integers that is the whole method (`Protocol`); over other values, such as
@@ -83,6 +83,7 @@ class Source:
         self.reduce, self.limit = reduce, limit
         self.bound = {}      # name -> bound on its magnitude, in units of the modulus
         self.reduction = {}  # name -> the name of its reduced value
+        self.forms = {}      # the terms of a named form -> its name
 
     def _name(self, bound: int, reduced=False) -> str:
         self.count += 1
@@ -115,8 +116,9 @@ class Source:
 
     def linear(self, terms: Iterable[Tuple[int, Entry]]) -> Entry:
         """The sum of c x over `terms`: a new name bound to it, an existing
-        name if it is 1 times one name, or 0 if no term is nonzero.  If its
-        bound would exceed the limit, its operands are reduced first."""
+        name if it is 1 times one name or a form already named with the same
+        terms, or 0 if no term is nonzero.  If its bound would exceed the
+        limit, its operands are reduced first."""
         parts = []
         for c, x in terms:
             c = int(operator.index(c))  # an integer literal, whatever int type c is
@@ -124,6 +126,9 @@ class Source:
                 parts.append((c, x))
         if not parts:
             return 0
+        key = tuple(parts)
+        if key in self.forms:  # names are assigned once: an equal form has its value
+            return self.forms[key]
         bound = self._bound(parts)
         if self.limit is not None and bound > self.limit:
             parts = [(c, self._reduced(x)) for c, x in parts]
@@ -133,7 +138,7 @@ class Source:
                                  "even over reduced operands")
         if len(parts) == 1 and parts[0][0] == 1:
             return parts[0][1]
-        name = self._name(bound)
+        name = self.forms[key] = self._name(bound)
         for k in range(0, len(parts), TERMS_PER_STATEMENT):
             form = "".join(_term(c, x, first=not i and not k)
                            for i, (c, x) in enumerate(parts[k:k + TERMS_PER_STATEMENT]))

@@ -64,7 +64,8 @@ and rebuilds from them in one kernel.
 One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
 provider, encrypted controller, integer shadow and actuator compute, each
-value a party decrypted next to the shadow's, and its own record fields.
+value a party decrypted next to the shadow's, and its record fields as one
+tuple; no step builds a dict unless the run collects its detail rows.
 The driver owns the rest: the plant, the unencrypted reference loop, the
 zoom l(t) and the delivered input's scale, the oracle and recovery checks,
 the records and detail rows, and the final states.
@@ -109,37 +110,47 @@ def centered_mod_recover(v_modq: Sequence[int], prior, q: int, den: int = 1):
     """Lift residues to the integers nearest a prior estimate.
 
     Entry i becomes the unique integer congruent to v_modq[i] mod q inside
-    [p - q/2, p + q/2) for p = prior_i/den (den > 0), via x = v - k q with
-    k = floor((v - p + q/2)/q) = (2 d v - 2 n + q d) // (2 q d) for p = n/d.
-    Priors may be exact rationals; integer priors over `den` need no
-    Fraction.  If the true value strays q/2 or more from the prior, the lift
-    is off by a multiple of q (the documented failure mode that modulus
-    planning must exclude).  A list of priors has one per residue.
+    [p - q/2, p + q/2) for p = prior_i/den (den > 0).  An integer prior p
+    over den 1 lifts as x = p + ((v - p + q//2) mod q) - q//2, with integer
+    arithmetic only; any other prior p = n/d, d taken times `den`, as
+    x = v - k q with k = floor((v - p + q/2)/q) = (2 d v + q d - 2 n) // (2 q d),
+    so exact rationals need no Fraction either.  If the true value strays
+    q/2 or more from the prior, the lift is off by a multiple of q (the
+    documented failure mode that modulus planning must exclude).  A list of
+    priors has one per residue.
     """
     if q < 2:
         raise ValueError("modulus must be >= 2")
-    if isinstance(prior, (list, tuple)):
-        if len(prior) != len(v_modq):
-            raise ValueError(f"{len(prior)} priors for {len(v_modq)} residues")
-        windows = [_window(p, q, den) for p in prior]
-    else:  # one prior for every entry, converted once
-        windows = repeat(_window(prior, q, den))
-    return [v - (d2 * v + c) // qd2 * q for v, (d2, c, qd2) in zip(v_modq, windows)]
-
-
-def _window(prior, q: int, den: int) -> tuple:
-    """(2 d, q d - 2 n, 2 q d) for the prior p = n/d, d taken times `den`:
-    what `centered_mod_recover` computes k from, k = (2 d v + q d - 2 n) // (2 q d)."""
-    n, d = as_ratio(prior)
-    d *= den
-    return 2 * d, q * d - 2 * n, 2 * q * d
+    half = q // 2
+    if not isinstance(prior, (list, tuple)):
+        if den == 1 and isinstance(prior, int):  # one integer prior for every entry
+            c = half - prior
+            return [(v + c) % q - c for v in v_modq]
+        prior = repeat(prior)
+    elif len(prior) != len(v_modq):
+        raise ValueError(f"{len(prior)} priors for {len(v_modq)} residues")
+    out = []
+    for v, p in zip(v_modq, prior):
+        if den == 1 and isinstance(p, int):
+            out.append(p + (v - p + half) % q - half)
+        else:
+            n, d = as_ratio(p)
+            d *= den
+            out.append(v - (2 * d * v + q * d - 2 * n) // (2 * q * d) * q)
+    return out
 
 
 def _diff_inf(u_a, u_true) -> float:
     """max |u_a - u_true| over floats, as numpy's max reads it: NaN if any
     difference is NaN, 0.0 for empty vectors."""
-    diffs = [abs(a - b) for a, b in zip(u_a, u_true)]
-    return math.nan if any(map(math.isnan, diffs)) else max(diffs, default=0.0)
+    m = 0.0
+    for a, b in zip(u_a, u_true):
+        x = abs(a - b)
+        if x != x:  # NaN
+            return math.nan
+        if x > m:
+            m = x
+    return m
 
 
 def _ratio_float(n: int, d: int) -> float:
@@ -150,12 +161,10 @@ def _ratio_float(n: int, d: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
-def _log2(x) -> float:
-    return math.log2(x) if x > 0 else float("-inf")
-
-
 def _log2norm(v) -> float:
-    return _log2(max(map(abs, v), default=0))
+    """log2 of the largest magnitude in v; -inf if it is 0 or v is empty."""
+    m = max(map(abs, v), default=0)
+    return math.log2(m) if m else -math.inf
 
 
 def _json_number(x: float):
@@ -168,7 +177,8 @@ def _json_number(x: float):
 class StepRecord(Record):
     """One step of a run.  `enc_ops` and `dec_ops` count the run so far; the
     prelim route has no beta, gamma, sensor gap or quantizer range, and
-    keeps the defaults of `__init__`, which the loop calls every step."""
+    records the defaults of `__init__` for them.  The loop calls `__init__`
+    every step, with every field by keyword."""
 
     t: int
     u_true: tuple
@@ -810,20 +820,18 @@ class MainSensor:
     decrypted."""
 
     def __init__(self, ring: CipherRing, plan: MainPlan):
-        self.ring = ring
-        self.s1 = plan.s1
-        self.spec = QuantizerSpec(plan.range_level)
+        self.ring, self.s1, self.spec = ring, as_ratio(plan.s1), QuantizerSpec(plan.range_level)
 
     def step(self, innovation):
         """`innovation`, y/l(t) - s1 y_o, is (integer numerators G, their
         denominator E), as `PlantSim.gap` gives it."""
         G, E = innovation
         q_inno, sat = quantize_vector(G, self.spec, E)
-        # y/l(t)/s1 - y_o = gap/d
-        gap = max(map(abs, G), default=0) * self.s1.denominator
-        d = E * self.s1.numerator
+        # y/l(t)/s1 - y_o = gap/d, for s1 = n/m
+        n, m = self.s1
+        gap, d = max(map(abs, G), default=0) * m, E * n
         try:
-            log2_gap = _log2(gap / d)
+            log2_gap = _log2norm([gap / d])
         except OverflowError:  # gap/d lies beyond the float range
             log2_gap = math.log2(gap) - math.log2(d)
         return q_inno, self.ring.fresh(q_inno), sat, log2_gap
@@ -869,14 +877,12 @@ class MainActuator:
 
     def step(self, alpha_ct, beta_ct, gamma_ct):
         """Returns the lifted increments and u_tilde."""
-        residues, ends = [], []
-        for ct in (alpha_ct, beta_ct, gamma_ct):
-            dec = he.decrypt(self.sk, ct)
-            self.dec_ops += len(dec)
-            residues += dec
-            ends.append(len(residues))
-        flat = centered_mod_recover(residues, 0, self.q)
-        lifted = flat[:ends[0]], flat[ends[0]:ends[1]], flat[ends[1]:]
+        sk = self.sk
+        alpha, beta = he.decrypt(sk, alpha_ct), he.decrypt(sk, beta_ct)
+        flat = centered_mod_recover(alpha + beta + he.decrypt(sk, gamma_ct), 0, self.q)
+        self.dec_ops += len(flat)
+        i, j = len(alpha), len(alpha) + len(beta)
+        lifted = flat[:i], flat[i:j], flat[j:]
         return lifted, self.states.rebuild(*lifted)
 
 
@@ -903,18 +909,15 @@ class PrelimActuator:
     """Decrypts u_tilde (the delivered input is u_a = s1 s2 l(t) u_tilde)."""
 
     def __init__(self, sk, plan: PrelimPlan, w: int):
-        self.sk = sk
-        self.q = plan.q
-        self.omega = plan.omega
-        self.prior = [0] * w
-        self.dec_ops = 0
+        self.sk, self.q, self.omega = sk, plan.q, as_ratio(plan.omega)
+        self.prior, self.dec_ops = [0] * w, 0
 
     def step(self, u_ct):
         """Lifts u_tilde around last step's value over omega and returns it."""
         dec = he.decrypt(self.sk, u_ct)
         self.dec_ops += len(dec)
-        on, od = self.omega.numerator, self.omega.denominator
-        self.prior = centered_mod_recover(list(dec), [p * od for p in self.prior], self.q, on)
+        on, od = self.omega
+        self.prior = centered_mod_recover(dec, [p * od for p in self.prior], self.q, on)
         return self.prior
 
 
@@ -1090,7 +1093,7 @@ class _Step(NamedTuple):
     U: list        # the actuator's integers: u_a = scale l(t) U
     lifted: tuple  # every vector a party decrypted and lifted this step
     shadow: tuple  # the integer shadow's exact value of each
-    fields: dict   # the route's own `StepRecord` fields
+    fields: tuple  # `StepRecord`'s log2_alpha, log2_beta, log2_gamma, log2_sensor_gap, saturated
     detail: dict   # the route's own detail entries; None without `collect_detail`
 
 
@@ -1102,9 +1105,11 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     `actuator`, the one party that decrypts, its decryptions.  The driver
     advances the plant on the delivered input u_a = scale l(t) U and the
     reference loop, keeps the l(t) schedule, makes the oracle and recovery
-    checks, and records the step.  A step fails recovery from the first
-    lift on that differed from the shadow's: U is rebuilt from every lift
-    so far (main), or each lift is centred on the last (prelim).
+    checks, and records the step: one `StepRecord`, its fields passed by
+    keyword, the route's from the `_Step`'s tuple.  A step fails recovery
+    from the first lift on that differed from the shadow's: U is rebuilt
+    from every lift so far (main), or each lift is centred on the last
+    (prelim).
 
     The schedule is `zoom`, scale l(t) as integers (n, d) kept unreduced: a
     step multiplies them by omega's numerator and denominator, with no gcd.
@@ -1113,7 +1118,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
     n, d = as_ratio(scale * plan.l0)  # the zoom at t = 0
     on, od = as_ratio(plan.omega)
-    failed = False
+    failed, records, msgs = False, trace.records, trace.step_msgs["ctrl_to_act"]
     for t in range(cfg.horizon):
         s = step(t, (n, d))
         if s.lifted != s.shadow:
@@ -1125,17 +1130,12 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
         u_true = ideal.step()
         u_a = tuple([_ratio_float(n * x, d) for x in s.U])
         plant.step(s.U)
-        trace.records.append(StepRecord(
-            t=t,
-            u_true=u_true,
-            u_a=u_a,
-            diff_inf=_diff_inf(u_a, u_true),
-            msgs_ctrl_to_act=trace.step_msgs["ctrl_to_act"],
-            enc_ops=ring.enc_ops,
-            dec_ops=actuator.dec_ops,
-            recovery_failure=failed,
-            **s.fields,
-        ))
+        log2_alpha, log2_beta, log2_gamma, log2_sensor_gap, saturated = s.fields
+        records.append(StepRecord(
+            t=t, u_true=u_true, u_a=u_a, diff_inf=_diff_inf(u_a, u_true),
+            log2_alpha=log2_alpha, log2_beta=log2_beta, log2_gamma=log2_gamma,
+            log2_sensor_gap=log2_sensor_gap, saturated=saturated, msgs_ctrl_to_act=msgs,
+            enc_ops=ring.enc_ops, dec_ops=actuator.dec_ops, recovery_failure=failed))
         if cfg.collect_detail:
             trace.detail.append({"t": t, "l": Fraction(n, d) / scale, **s.detail,
                                  "u_a_exact": [Fraction(n * x, d) for x in s.U]})
@@ -1192,9 +1192,8 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
         alpha, beta, gamma = emitted
         return _Step(
             U=ut_a, lifted=lifted, shadow=emitted,
-            fields={"log2_alpha": _log2norm(alpha), "log2_beta": _log2norm(beta),
-                    "log2_gamma": _log2norm(gamma), "log2_sensor_gap": log2_gap,
-                    "saturated": bool(sat_s or sat_r)},
+            fields=(_log2norm(alpha), _log2norm(beta), _log2norm(gamma), log2_gap,
+                    bool(sat_s or sat_r)),
             detail={"innovation": q_inno, "ref_increment": q_ref,
                     "alpha": alpha, "beta": beta, "gamma": gamma,
                     "re_scaled": re, "u_tilde": ut_a} if cfg.collect_detail else None)
@@ -1218,6 +1217,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     # the reference times the scale: r/l(t) = R d/(E n) for scale l(t) = n/d
     R, E = _over_common_den([r * scale for r in cfg.reference.data])
     plant = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
+    absent = (-math.inf, -math.inf, -math.inf, False)  # `StepRecord`'s defaults
 
     def step(t, zoom):
         nonlocal prev_ut
@@ -1229,11 +1229,10 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         ut = shadow.step(q_y, q_r)
         lifted = actuator.step(u_ct)
         # the increment ut - prev_ut/omega = (on ut - od prev_ut)/on
-        mx = max([abs((on * x - od * y) / on) for x, y in zip(ut, prev_ut)], default=0.0)
+        increment = [(on * x - od * y) / on for x, y in zip(ut, prev_ut)]
         prev_ut = ut
         return _Step(
-            U=lifted, lifted=(lifted,), shadow=(ut,),
-            fields={"log2_alpha": _log2(mx)},
+            U=lifted, lifted=(lifted,), shadow=(ut,), fields=(_log2norm(increment), *absent),
             detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted}
             if cfg.collect_detail else None)
 

@@ -31,18 +31,6 @@ class QuantizerSpec(Record, frozen=True):
             raise ValueError("range_level must be >= 1")
 
 
-def _cell(n: int, d: int, spec: Optional[QuantizerSpec]):
-    """(psi, saturated) for chi = n/d, d > 0."""
-    if 2 * n < -d:
-        psi, sat = _cell(-n, d, spec)
-        return -psi, sat
-    # unsaturated mid-tread for chi >= -1/2: psi = floor(chi + 1/2)
-    psi = (2 * n + d) // (2 * d)
-    if spec is not None and 2 * abs(n) >= (2 * spec.range_level + 1) * d:
-        return min(psi, spec.range_level), True
-    return psi, False
-
-
 def quantize_scalar(chi, spec: Optional[QuantizerSpec] = None):
     """Quantize one value; returns (integer, saturated).
 
@@ -50,21 +38,29 @@ def quantize_scalar(chi, spec: Optional[QuantizerSpec] = None):
     assumes infinite range).  Accepts int/float/Fraction; floats convert
     exactly, so cell decisions are deterministic.
     """
-    return _cell(*as_ratio(chi), spec)
+    (psi,), sat = quantize_vector((chi,), spec)
+    return psi, sat
 
 
 def quantize_vector(values: Sequence, spec: Optional[QuantizerSpec] = None,
                     den: int = 1):
     """Elementwise quantization of values[i]/den (den > 0); flag is the OR
-    of element flags.  An integer value is its own numerator over den, so
-    integer values need integer arithmetic only."""
+    of element flags.  Each cell is decided here, in one loop, on
+    chi = n/d: an integer value is its own numerator n over d = den, so
+    integer values need integer arithmetic only and no call per entry."""
     out, sat = [], False
+    edge = None if spec is None else 2 * spec.range_level + 1  # |chi| >= edge/2 saturates
     for v in values:
         if isinstance(v, int):
-            psi, s = _cell(v, den, spec)
+            n, d = v, den
         else:
             n, d = as_ratio(v)
-            psi, s = _cell(n, d * den, spec)
-        out.append(psi)
-        sat = sat or s
+            d *= den
+        mirrored = 2 * n < -d  # chi < -1/2: the cell of -chi, negated
+        a = -2 * n if mirrored else 2 * n
+        if edge is not None and a >= edge * d:
+            psi, sat = spec.range_level, True
+        else:
+            psi = (a + d) // (2 * d)  # mid-tread: floor(a/(2d) + 1/2)
+        out.append(-psi if mirrored else psi)
     return out, sat

@@ -2,6 +2,7 @@
 and no numpy."""
 
 import copy
+import re
 import weakref
 from types import SimpleNamespace
 
@@ -136,3 +137,27 @@ def test_a_kernel_in_use_stays_kept(monkeypatch):
     for name in ("shared", "a", "shared", "b", "shared"):
         assert kernel.kept(name, build, name) == name
     assert built == ["shared", "a", "b"]
+
+
+def test_equal_rows_name_their_form_once(monkeypatch):
+    """A form of the same terms as one already named takes its name: rows
+    that repeat emit their form once, and the compiled method still
+    computes what the recurrence does op by op."""
+    defined = []
+    define = kernel.Source.define
+
+    def recording(source, lines, *args):
+        defined.append(lines)
+        return define(source, lines, *args)
+
+    monkeypatch.setattr(kernel.Source, "define", recording)
+    m = {"A": ((2, 3), (2, 3)), "B": ((1,), (1,)), "C": ((5, -7), (5, -7))}
+    compiled = CompiledFilter(m, [1, 2], [0, 4])
+    reference = Filter(IntRing(), m, [1, 2], [0, 4])
+    for u in ([5], [-4], [2**70]):
+        assert compiled.step(u) == reference.step(u)
+        assert (compiled.x, compiled.s) == (reference.x, reference.s)
+    [lines] = defined
+    forms = [line.split(" = ", 1)[1] for line in lines if re.fullmatch(r" +t[0-9]+ = .*", line)]
+    # C x and A x once each, A x + B u once, and s + y for each entry of s
+    assert len(forms) == len(set(forms)) == 5
