@@ -155,9 +155,8 @@ class RationalMatrix:
         """The integer form: (d m row-major as a tuple of ints, d), d the lcm
         of the entries' denominators."""
         if self._nums is None:
-            den = math.lcm(*(x.denominator for x in self._data))
-            self._nums = tuple([x.numerator * (den // x.denominator) for x in self._data])
-            self._den = den
+            nums, self._den = over_common_den(self._data)
+            self._nums = tuple(nums)
         return self._nums, self._den
 
     def __getitem__(self, ij) -> Fraction:
@@ -329,6 +328,13 @@ def block(rows_of_blocks) -> RationalMatrix:
 
 
 # -- integer rows ------------------------------------------------------
+
+
+def over_common_den(values) -> tuple:
+    """Exact rationals as (their integer numerators over d, d), d the lcm of
+    their denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def identity_rows(n: int, c: int = 1) -> list:

@@ -14,12 +14,12 @@ integer numerators over one denominator, and the actuators return the
 integers U of the delivered input u_a = scale l(t) U, with scale s2 on the
 main route and s1 s2 on the prelim route.  The driver keeps scale l(t) as
 an unreduced pair of integers.  A step is therefore integer arithmetic
-only, on both routes, and builds no `Fraction` unless the run collects its
-detail rows; the prelim route's plant denominator grows by that of A/omega
-each step.  Doubles appear only in the unencrypted reference loop (the
-restoration target, one closed-loop map on plain float rows, compiled once
-per set of rows, whose sums run left to right) and in reporting, where a
-ratio of integers converts with one correctly rounded division.
+only, on both routes, and builds no `Fraction`; the prelim route's plant
+denominator grows by that of A/omega each step.  Doubles appear only in
+the unencrypted reference loop (the restoration target, one closed-loop
+map on plain float rows, compiled once per set of rows, whose sums run
+left to right) and in reporting, where a ratio of integers converts with
+one correctly rounded division.
 
 The zoomed states grow by log2(1/omega) bits a step, so on the main route
 only the actuator's reconstruction carries that growth: the plant keeps its
@@ -65,10 +65,10 @@ One driver (`_drive`) runs the loop of both routes.  A route builds its
 keys, ring and parties and supplies one step: what its sensor, reference
 provider, encrypted controller, integer shadow and actuator compute, each
 value a party decrypted next to the shadow's, and its record fields as one
-tuple; no step builds a dict unless the run collects its detail rows.
-The driver owns the rest: the plant, the unencrypted reference loop, the
-zoom l(t) and the delivered input's scale, the oracle and recovery checks,
-the records and detail rows, and the final states.
+tuple; no step builds a dict.  The driver owns the rest: the plant, the
+unencrypted reference loop, the zoom l(t) and the delivered input's scale,
+the oracle and recovery checks, and the records.  A run keeps only what it
+reports; the tests read the parties' own values by wrapping their methods.
 
 Alongside the encrypted loop run these checks:
 * the integer shadow, which only emits: ground truth for every ciphertext
@@ -97,7 +97,7 @@ from typing import NamedTuple, Sequence
 
 from . import he, kernel
 from .exactmat import (RationalMatrix, SingularMatrixError, as_fraction, as_ratio, identity_rows,
-                       integer_rows)
+                       integer_rows, over_common_den)
 from .planner import MainPlan, PlantModel, ControllerModel, PrelimPlan
 from .quantizer import QuantizerSpec, quantize_vector
 from .records import Record, fields
@@ -216,25 +216,18 @@ class ClosedLoopTrace(Record):
     record's), all the actuator's, which encrypts nothing.  Each channel's
     total is the steps times its messages per step (`step_msgs`, from the
     controller's `lengths()`); the controller sends the sensor nothing.
-    Only the oracle mismatches and the final states are kept apart."""
+    Only the oracle mismatches are kept apart."""
 
     scheme: str
     step_msgs: dict  # messages per step: sensor_to_ctrl, provider_to_ctrl, ctrl_to_act
     records: list
-    detail: list
     oracle_mismatches: int
-    final_plant_state: tuple
-    final_ideal_plant_state: tuple
     actuator_enc_ops = msgs_ctrl_to_sensor = 0  # not fields: the same on both routes
 
-    def __init__(self, scheme, step_msgs, records=None, detail=None, oracle_mismatches=0,
-                 final_plant_state=(), final_ideal_plant_state=()):  # new lists per trace
+    def __init__(self, scheme, step_msgs, records=None, oracle_mismatches=0):
         self.scheme, self.step_msgs = scheme, step_msgs
-        self.records = [] if records is None else records
-        self.detail = [] if detail is None else detail
+        self.records = [] if records is None else records  # a new list per trace
         self.oracle_mismatches = oracle_mismatches
-        self.final_plant_state = final_plant_state
-        self.final_ideal_plant_state = final_ideal_plant_state
 
     @property
     def saturation_count(self) -> int:
@@ -243,10 +236,6 @@ class ClosedLoopTrace(Record):
     @property
     def recovery_failures(self) -> int:
         return sum(r.recovery_failure for r in self.records)
-
-    @property
-    def msgs_ctrl_to_act(self) -> int:
-        return len(self.records) * self.step_msgs["ctrl_to_act"]
 
     @property
     def msgs_sensor_to_ctrl(self) -> int:
@@ -336,13 +325,7 @@ class IdealLoop:
         rows = (K, Sr, M, c)
         # by the rows' repr, which tells 0, 0.0 and -0.0 apart, as == does not
         self._map = kernel.kept((_closed_loop, repr(rows)), _closed_loop, *rows)
-        self.n = n
         self.z = tuple([_float(x) for x in chain(x_p0, ctrl.x0.data)])
-
-    @property
-    def x_p(self) -> tuple:
-        """The plant copy's state."""
-        return self.z[:self.n]
 
     def step(self) -> tuple:
         """The controller's output u of this step, as a tuple of floats."""
@@ -671,12 +654,6 @@ class _EncryptedController:
 # -- the plant ------------------------------------------------------------------
 
 
-def _over_common_den(values):
-    """Exact rationals as (integer numerators, their common denominator)."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 class PlantSim:
     """Exact process state in the zoomed coordinates x/l(t) = X/D, with
     integer X and D, and l(t) = l0 omega^t.
@@ -705,7 +682,7 @@ class PlantSim:
     X = E + D (A xo + B U) for the xo and U of the last step.  `gap` takes
     this step's alpha and returns the sensor's C e (the kernel `observe`),
     and `step` moves E on.  X is formed only where the state is read (`x`,
-    `state_floats`, exact after a `step`).
+    exact after a `step`).
     """
 
     state = ()  # the kernels keep no state: X, E and D are the step's own
@@ -717,7 +694,7 @@ class PlantSim:
         C, self.c = integer_rows(plant.C)
         self.m, self.kernels = SimpleNamespace(A=IntRing.plain(A), B=IntRing.plain(B),
                                                C=IntRing.plain(C)), {}
-        self.X, self.D = _over_common_den([as_fraction(x) / self.l0 for x in x_p0])
+        self.X, self.D = over_common_den([as_fraction(x) / self.l0 for x in x_p0])
         self.t, self.observer = 0, observer
         if observer is not None:
             self.m.neg_D = IntRing.plain(identity_rows(len(self.X), -self.D))
@@ -771,20 +748,11 @@ class PlantSim:
         return [e + D * (sum(map(operator.mul, a, xo)) + sum(map(operator.mul, b, u)))
                 for e, a, b in zip(self.E, self.m.A, self.m.B)]
 
-    def _state_ratio(self):
-        """The exact state as (numerator factor, common denominator)."""
-        l = self.l0 * self.omega ** self.t
-        return l.numerator, l.denominator * self.D
-
     @property
     def x(self) -> list:
         """The exact state l(t) X/D."""
-        n, d = self._state_ratio()
-        return [Fraction(n * x, d) for x in self._zoomed()]
-
-    def state_floats(self) -> list:
-        n, d = self._state_ratio()
-        return [_ratio_float(n * x, d) for x in self._zoomed()]
+        l = self.l0 * self.omega ** self.t
+        return [Fraction(l.numerator * x, l.denominator * self.D) for x in self._zoomed()]
 
 
 # -- main scheme parties ------------------------------------------------------
@@ -851,7 +819,7 @@ class RefProvider:
         self.ring = ring
         self.spec = QuantizerSpec(plan.range_level)
         self.inv_omega = plan.certificates["1/omega"].scaled_entries[0]
-        self.e, self.den = _over_common_den([r / plan.l0 for r in reference.data])
+        self.e, self.den = over_common_den([r / plan.l0 for r in reference.data])
 
     def step(self):
         q_inc, sat = quantize_vector(self.e, self.spec, self.den)
@@ -1048,7 +1016,6 @@ class RunConfig(Record):
     horizon: int
     params: he.SchemeParams
     seed: int = 0
-    collect_detail: bool = False
 
 
 def noise_peak(plan, horizon: int) -> int:
@@ -1094,7 +1061,6 @@ class _Step(NamedTuple):
     lifted: tuple  # every vector a party decrypted and lifted this step
     shadow: tuple  # the integer shadow's exact value of each
     fields: tuple  # `StepRecord`'s log2_alpha, log2_beta, log2_gamma, log2_sensor_gap, saturated
-    detail: dict   # the route's own detail entries; None without `collect_detail`
 
 
 def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
@@ -1113,8 +1079,8 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
 
     The schedule is `zoom`, scale l(t) as integers (n, d) kept unreduced: a
     step multiplies them by omega's numerator and denominator, with no gcd.
-    A float of n U/d is correctly rounded whatever the pair, and Fractions
-    are built only for the detail rows."""
+    A float of n U/d is correctly rounded whatever the pair, so no step
+    builds a Fraction."""
     ideal = IdealLoop(cfg.plant, cfg.ctrl, cfg.x_p0, cfg.reference)
     n, d = as_ratio(scale * plan.l0)  # the zoom at t = 0
     on, od = as_ratio(plan.omega)
@@ -1136,12 +1102,7 @@ def _drive(trace, plan, cfg: RunConfig, scale: Fraction, step, ring: CipherRing,
             log2_alpha=log2_alpha, log2_beta=log2_beta, log2_gamma=log2_gamma,
             log2_sensor_gap=log2_sensor_gap, saturated=saturated, msgs_ctrl_to_act=msgs,
             enc_ops=ring.enc_ops, dec_ops=actuator.dec_ops, recovery_failure=failed))
-        if cfg.collect_detail:
-            trace.detail.append({"t": t, "l": Fraction(n, d) / scale, **s.detail,
-                                 "u_a_exact": [Fraction(n * x, d) for x in s.U]})
         n, d = n * on, d * od
-    trace.final_plant_state = tuple(plant.state_floats())
-    trace.final_ideal_plant_state = ideal.x_p
     return trace
 
 
@@ -1184,19 +1145,13 @@ def run_closed_loop_main(plan: MainPlan, cfg: RunConfig) -> ClosedLoopTrace:
             emitted = shadow.step(*sent[1])
         lifted, ut_a = actuator.step(*incs_ct)
         q_inno, inno_ct, sat_s, log2_gap = sensor.step(plant.gap(lifted[0]))
-        # r/l(t) - e, an integer, for s2 l(t) = n/d
-        re = [int(r * plan.s2 * Fraction(zoom[1], zoom[0]) - Fraction(e, provider.den))
-              for r, e in zip(cfg.reference.data, provider.e)] if cfg.collect_detail else None
         q_ref, ref_ct, sat_r = provider.step()
         sent = (inno_ct, ref_ct), (q_inno, q_ref)
         alpha, beta, gamma = emitted
         return _Step(
             U=ut_a, lifted=lifted, shadow=emitted,
             fields=(_log2norm(alpha), _log2norm(beta), _log2norm(gamma), log2_gap,
-                    bool(sat_s or sat_r)),
-            detail={"innovation": q_inno, "ref_increment": q_ref,
-                    "alpha": alpha, "beta": beta, "gamma": gamma,
-                    "re_scaled": re, "u_tilde": ut_a} if cfg.collect_detail else None)
+                    bool(sat_s or sat_r)))
 
     trace = ClosedLoopTrace("main", _step_msgs(controller))
     return _drive(trace, plan, cfg, plan.s2, step, ring, actuator, plant)
@@ -1215,7 +1170,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
     prev_ut = [0] * cfg.ctrl.w
     scale = plan.s1 * plan.s2  # of the delivered input
     # the reference times the scale: r/l(t) = R d/(E n) for scale l(t) = n/d
-    R, E = _over_common_den([r * scale for r in cfg.reference.data])
+    R, E = over_common_den([r * scale for r in cfg.reference.data])
     plant = PlantSim(cfg.plant, cfg.x_p0, plan.l0, plan.omega, scale)
     absent = (-math.inf, -math.inf, -math.inf, False)  # `StepRecord`'s defaults
 
@@ -1232,9 +1187,7 @@ def run_closed_loop_prelim(plan: PrelimPlan, cfg: RunConfig) -> ClosedLoopTrace:
         increment = [(on * x - od * y) / on for x, y in zip(ut, prev_ut)]
         prev_ut = ut
         return _Step(
-            U=lifted, lifted=(lifted,), shadow=(ut,), fields=(_log2norm(increment), *absent),
-            detail={"q_y": q_y, "q_r": q_r, "u_tilde": ut, "u_tilde_recovered": lifted}
-            if cfg.collect_detail else None)
+            U=lifted, lifted=(lifted,), shadow=(ut,), fields=(_log2norm(increment), *absent))
 
     trace = ClosedLoopTrace("prelim", _step_msgs(controller))
     return _drive(trace, plan, cfg, scale, step, ring, actuator, plant)

@@ -574,7 +574,7 @@ class MainPlan(_Plan, frozen=True):
     C_e: float                   # compute_Ce's exact bound, rounded to a float
     range_level: int
     certificates: dict
-    rho_observer: float          # 0.0 when exact nilpotency is certified
+    rho_observer: float          # rho_observer_eig, kept as its own JSON field
     rho_observer_eig: float      # spectral_radius: the float roots of the exact
                                  # characteristic polynomial, 0.0 for a nilpotent gain
     rho_observer_grid: Optional[float]  # spectral radius of the certified gain, if distinct
@@ -626,15 +626,13 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
 
     # observer report: the spectrum of the exact companion when given, else of
     # the runtime gain; the C_e sum runs to the runtime gain's nilpotency index,
-    # or to n when it is not nilpotent (a grid-rounded gain); one walk a gain
+    # or to n when it is not nilpotent (a grid-rounded gain), from one walk
     L = options.L
     L_best = options.L_exact if options.L_exact is not None else L
     N = plant.A - L @ plant.C
     powers = _powers(N, n)
     N_best = N if L == L_best else plant.A - L_best @ plant.C
-    best = powers if L == L_best else _powers(N_best, n)
-    rho_eig = spectral_radius(N_best)
-    rho_observer = 0.0 if len(best) <= n else rho_eig  # nilpotent: at most n nonzero powers
+    rho_eig = spectral_radius(N_best)  # exactly 0.0 for a nilpotent gain
     rho_grid = spectral_radius(N) if L != L_best else None
     deadbeat_index = min(len(powers), n)
 
@@ -704,7 +702,7 @@ def plan_main(plant: PlantModel, ctrl: ControllerModel, options: MainPlanOptions
     return MainPlan(
         L=L, omega=omega, s1=s1, s2=s2, l0=l0, q=q, q_bound=float(bound),
         C_e=float(ce.value), range_level=range_level, certificates=certs,
-        rho_observer=rho_observer, rho_observer_eig=rho_eig,
+        rho_observer=rho_eig, rho_observer_eig=rho_eig,
         rho_observer_grid=rho_grid, deadbeat_index=deadbeat_index,
         tail_sound=ce.tail_sound, bootstrap_bound=float(bootstrap),
         dims={"n": plant.n, "w": plant.w, "v": plant.v,

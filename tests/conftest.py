@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
 
-from encloop import kernel
+from encloop import kernel, loop
 from encloop.exactmat import RationalMatrix, inf_norm, block_closed_loop
 from encloop.fixtures import batch_reactor, batch_reactor_exact_observer, coupled_tanks
 from encloop.planner import (
     ControllerModel,
+    MainPlan,
     MainPlanOptions,
     PlantModel,
     check_prelim_feasible,
@@ -79,6 +81,81 @@ def tanks_main_plan(tanks):
     L = design_deadbeat_observer(tanks.plant.A, tanks.plant.C).L
     return plan_main(tanks.plant, tanks.ctrl, MainPlanOptions(
         L=L, L_exact=L, reference=tanks.reference))
+
+
+# -- the parties of a run, recorded --------------------------------------------
+
+# What `recorded` wraps, bound here to `loop`'s own classes: a test that
+# swaps one of `loop`'s names for a subclass still calls them through super().
+RECORDED = {"sensor": (loop.MainSensor, "step"), "provider": (loop.RefProvider, "step"),
+            "boot": (loop.MainIntegerShadow, "bootstrap"),
+            "shadow": (loop.MainIntegerShadow, "step"), "actuator": (loop.MainActuator, "step"),
+            "prelim_shadow": (loop.PrelimIntegerShadow, "step"),
+            "prelim_actuator": (loop.PrelimActuator, "step"),
+            "plant": (loop.PlantSim, "__init__"), "ideal": (loop.IdealLoop, "__init__")}
+
+
+def recorded(run, plan, cfg):
+    """`run(plan, cfg)` with its parties' methods wrapped (`RECORDED`):
+    the trace, and what the parties computed, with `rows`, one dict a step:
+
+    * main: t, l = l0 omega^t, the sensor's quantized innovation and the
+      provider's reference increment, the shadow's alpha, beta and gamma,
+      re_scaled = r/l - e (an integer) for the provider's scaled error e
+      before its step, the actuator's u_tilde, and u_a_exact = s2 l u_tilde;
+    * prelim: t, l, the shadow's quantized inputs q_y and q_r and its
+      u_tilde, the actuator's lift of it, and u_a_exact = s1 s2 l times
+      that lift;
+
+    and the run's `PlantSim` (`plant`) and `IdealLoop` (`ideal`), whose
+    states at the end read as floats in `final_plant_state` and
+    `final_ideal_plant_state`."""
+    seen = {key: [] for key in RECORDED}
+    kept = [(cls, name, cls.__dict__.get(name)) for cls, name in RECORDED.values()]
+
+    def wrap(key, cls, name):
+        method = getattr(cls, name)
+
+        def wrapped(self, *args):
+            before = dict(vars(self))
+            out = method(self, *args)
+            seen[key].append(SimpleNamespace(party=self, before=before, args=args, out=out))
+            return out
+
+        setattr(cls, name, wrapped)
+
+    try:
+        for key, (cls, name) in RECORDED.items():
+            wrap(key, cls, name)
+        trace = run(plan, cfg)
+    finally:
+        for cls, name, method in kept:
+            if method is None:
+                delattr(cls, name)
+            else:
+                setattr(cls, name, method)
+    steps = [(t, plan.l0 * plan.omega ** t) for t in range(len(trace.records))]
+    if isinstance(plan, MainPlan):
+        rows = [{"t": t, "l": l, "innovation": sensor.out[0], "ref_increment": ref.out[0],
+                 "alpha": shadow.out[0], "beta": shadow.out[1], "gamma": shadow.out[2],
+                 "re_scaled": [int(r / l - Fraction(e, ref.before["den"]))
+                               for r, e in zip(cfg.reference.data, ref.before["e"])],
+                 "u_tilde": act.out[1], "u_a_exact": [plan.s2 * l * x for x in act.out[1]]}
+                for (t, l), sensor, ref, shadow, act in zip(
+                    steps, seen["sensor"], seen["provider"], seen["boot"] + seen["shadow"],
+                    seen["actuator"])]
+    else:
+        scale = plan.s1 * plan.s2
+        rows = [{"t": t, "l": l, "q_y": shadow.args[0], "q_r": shadow.args[1],
+                 "u_tilde": shadow.out, "u_tilde_recovered": act.out,
+                 "u_a_exact": [scale * l * x for x in act.out]}
+                for (t, l), shadow, act in zip(steps, seen["prelim_shadow"],
+                                               seen["prelim_actuator"])]
+    plant, ideal = seen["plant"][-1].party, seen["ideal"][-1].party
+    return trace, SimpleNamespace(
+        rows=rows, plant=plant, ideal=ideal,
+        final_plant_state=tuple(loop._ratio_float(x.numerator, x.denominator) for x in plant.x),
+        final_ideal_plant_state=ideal.z[:cfg.plant.n])
 
 
 # -- random system generators -------------------------------------------------

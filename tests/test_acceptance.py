@@ -18,8 +18,12 @@ import time
 from encloop import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
+
+# numpy is the float reference here: without it the module is skipped
+pytest.importorskip("numpy")
+
+import numpy as np
 
 from encloop import he
 from encloop.exactmat import RationalMatrix
@@ -40,7 +44,7 @@ from encloop.planner import (
     q_bound_terms,
 )
 
-from conftest import random_main_system, random_prelim_system
+from conftest import random_main_system, random_prelim_system, recorded
 from floatref import floats
 
 
@@ -50,12 +54,14 @@ def report(num, detail):
 
 @pytest.fixture(scope="module")
 def sound_trace_600(batch, sound_plan):
+    """The 600-step run: its trace, its parties' values (`recorded`), and
+    the time the recorded run took."""
     cfg = RunConfig(plant=batch.plant, ctrl=batch.ctrl, reference=batch.reference,
                     x_p0=batch.x_p0, horizon=600,
                     params=he.SchemeParams.mock(sound_plan.q), seed=0)
     start = time.perf_counter()
-    trace = run_closed_loop_main(sound_plan, cfg)
-    return trace, time.perf_counter() - start
+    trace, rec = recorded(run_closed_loop_main, sound_plan, cfg)
+    return trace, rec, time.perf_counter() - start
 
 
 def test_criterion_1_feasibility_reproduction(batch):
@@ -155,7 +161,7 @@ def test_criterion_4_empirical_modulus_as_stated(batch, sound_plan):
 def test_criterion_4_companion_sound_modulus(sound_plan, sound_trace_600):
     """Same clauses at the planner's own modulus: exact recovery everywhere,
     and the recorded increments stay below the planned bound."""
-    trace, elapsed = sound_trace_600
+    trace, _, elapsed = sound_trace_600
     assert elapsed < 10.0
     assert trace.recovery_failures == 0
     assert trace.oracle_mismatches == 0
@@ -167,21 +173,21 @@ def test_criterion_4_companion_sound_modulus(sound_plan, sound_trace_600):
 
 
 def test_criterion_5_asymptotic_restoration(sound_trace_600):
-    trace, _ = sound_trace_600
+    trace, rec, _ = sound_trace_600
     final = trace.records[-1].diff_inf
     assert final <= 1e-6
     # eventually monotone decay (checkpoints clear of the float noise floor)
     marks = [trace.records[t].diff_inf for t in (30, 80, 130, 180, 230)]
     assert all(a > b for a, b in zip(marks, marks[1:]))
     drift = max(abs(a - b) for a, b in
-                zip(trace.final_plant_state, trace.final_ideal_plant_state))
+                zip(rec.final_plant_state, rec.final_ideal_plant_state))
     assert drift <= 1e-6
     report(5, f"final |u_a - u|_inf = {final:.2e}, decaying through "
               f"checkpoints, plant tracks the unquantized loop to {drift:.2e}")
 
 
 def test_criterion_6_non_saturation(sound_plan, sound_trace_600):
-    trace, _ = sound_trace_600
+    trace, _, _ = sound_trace_600
     assert trace.saturation_count == 0
     report(6, f"zero saturation flags over 600 steps at planned "
               f"range_level={sound_plan.range_level:.3e}")
@@ -206,8 +212,8 @@ def test_criterion_7_increment_identities_random_systems():
         sc = Scenario("rand", plant, ctrl, reference, x_p0)
         cfg = RunConfig(plant=plant, ctrl=ctrl, reference=reference, x_p0=x_p0,
                         horizon=50, params=he.SchemeParams.mock(plan.q),
-                        seed=systems, collect_detail=True)
-        trace = run_closed_loop_main(plan, cfg)
+                        seed=systems)
+        trace, rec = recorded(run_closed_loop_main, plan, cfg)
         assert trace.recovery_failures == 0
         assert trace.oracle_mismatches == 0
         certs = plan.certificates
@@ -216,7 +222,7 @@ def test_criterion_7_increment_identities_random_systems():
         S_int = _imat(certs["S/s2"])
         inv_w = 1 / plan.omega
         ref = list(reference.data)
-        det = trace.detail
+        det = rec.rows
 
         def e_r(k):
             return [r / det[k]["l"] - re for r, re in zip(ref, det[k]["re_scaled"])]
@@ -249,10 +255,10 @@ def test_criterion_8_prelim_recovery_random_fixtures():
         plan = plan_preliminary(plant, ctrl, reference_bound=bound)
         cfg = RunConfig(plant=plant, ctrl=ctrl, reference=reference, x_p0=x_p0,
                         horizon=200, params=he.SchemeParams.mock(plan.q),
-                        seed=count, collect_detail=True)
-        trace = run_closed_loop_prelim(plan, cfg)
+                        seed=count)
+        trace, rec = recorded(run_closed_loop_prelim, plan, cfg)
         assert trace.recovery_failures == 0, f"fixture {count}"
-        for det in trace.detail:
+        for det in rec.rows:
             assert det["u_tilde"] == det["u_tilde_recovered"]
         incs = [r.log2_alpha for r in trace.records if math.isfinite(r.log2_alpha)]
         if not incs:
@@ -260,8 +266,7 @@ def test_criterion_8_prelim_recovery_random_fixtures():
         # inject a modulus whose window the observed increments must exceed
         q_small = max(2, 2**int(max(incs)))
         bad = replace(plan, q=q_small)
-        cfg_bad = replace(cfg, params=he.SchemeParams.mock(q_small),
-                          collect_detail=False)
+        cfg_bad = replace(cfg, params=he.SchemeParams.mock(q_small))
         assert run_closed_loop_prelim(bad, cfg_bad).recovery_failures > 0
         count += 1
     report(8, "exact recovery on 20 random fixtures x 200 steps; "
@@ -328,7 +333,7 @@ def test_criterion_9_long_horizon_lattice(batch, sound_plan):
 
 
 def test_criterion_10_overheads(sound_plan, sound_trace_600):
-    trace, _ = sound_trace_600
+    trace, _, _ = sound_trace_600
     d = sound_plan.dims
     per_step = d["n"] + d["n_x"] + d["w"]
     assert all(r.msgs_ctrl_to_act == per_step for r in trace.records)

@@ -603,8 +603,7 @@ def test_exit_code_of_each_failure(capsys, tmp_path, argv, code, prefix):
     stderr; a run whose recovery fails, or that saturates, prints its
     summary and nothing on stderr.  The first two recovery failures drive
     the sensor gap past the float range, which the trace records as its
-    log2; the third drives the exact plant state past it, whose final
-    floats are then infinities."""
+    log2; the third drives the exact plant state past it."""
     (tmp_path / "unobservable.json").write_text(json.dumps(UNOBSERVABLE))
     (tmp_path / "diverging.json").write_text(json.dumps(DIVERGING))
     (tmp_path / "listed.json").write_text(json.dumps({**UNOBSERVABLE, "overrides": ["q=8"]}))

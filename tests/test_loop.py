@@ -10,8 +10,12 @@ from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
+
+# numpy is the float reference here: without it the module is skipped
+pytest.importorskip("numpy")
+
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -44,7 +48,7 @@ from encloop.loop import (
 from encloop.planner import (ControllerModel, MainPlan, MainPlanOptions, PlantModel,
                              design_deadbeat_observer, plan_main, plan_preliminary)
 
-from conftest import random_main_system, random_prelim_system
+from conftest import random_main_system, random_prelim_system, recorded
 from floatref import SevenProductLoop
 from rings import CipherRing, FormRing, IntRing, function
 
@@ -58,15 +62,14 @@ def _vectors(result) -> tuple:
     return result if isinstance(result, tuple) else (result,)
 
 
-def main_cfg(sc, plan, horizon, *, backend="mock", seed=0, detail=False, q=None):
+def main_cfg(sc, plan, horizon, *, backend="mock", seed=0, q=None):
     q = q if q is not None else plan.q
     if backend == "mock":
         params = he.SchemeParams.mock(q)
     else:
         params = lattice_params(plan, horizon)
     return RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
-                     x_p0=sc.x_p0, horizon=horizon, params=params, seed=seed,
-                     collect_detail=detail)
+                     x_p0=sc.x_p0, horizon=horizon, params=params, seed=seed)
 
 
 def route(request, scheme):
@@ -196,21 +199,20 @@ class TestMainLoop:
                 return out
 
         monkeypatch.setattr(loop, "MainActuator", Recording)
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30, detail=True))
+        tr, rec = recorded(run_closed_loop_main, sound_plan, main_cfg(batch, sound_plan, 30))
         assert tr.recovery_failures == 0 and len(rebuilt) == 30
-        for t, paper in enumerate(_paper_run(sound_plan, batch, tr.detail)):
+        for t, paper in enumerate(_paper_run(sound_plan, batch, rec.rows)):
             assert rebuilt[t] == (paper.xo, paper.xe, paper.u)
         assert any(paper.u)
 
     def test_batch_sound_run_exact(self, batch, sound_plan):
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,
-                                                       detail=True))
+        tr, rec = recorded(run_closed_loop_main, sound_plan, main_cfg(batch, sound_plan, 50))
         assert tr.recovery_failures == 0
         assert tr.saturation_count == 0
         assert tr.oracle_mismatches == 0
         # restored inputs equal the converted controller's outputs exactly:
         # those of the paper's recurrence on the run's quantized inputs
-        for det, paper in zip(tr.detail, _paper_run(sound_plan, batch, tr.detail)):
+        for det, paper in zip(rec.rows, _paper_run(sound_plan, batch, rec.rows)):
             assert det["u_a_exact"] == [sound_plan.s2 * det["l"] * x for x in paper.u]
 
     def test_fault_injection_small_modulus(self, batch, sound_plan):
@@ -279,9 +281,9 @@ class TestMainLoop:
                                          reference=zero_ref))
         from encloop.fixtures import Scenario
         sc = Scenario("reg", batch.plant, batch.ctrl, zero_ref, batch.x_p0)
-        tr = run_closed_loop_main(plan, main_cfg(sc, plan, 150))
+        tr, rec = recorded(run_closed_loop_main, plan, main_cfg(sc, plan, 150))
         assert tr.recovery_failures == 0
-        assert max(abs(x) for x in tr.final_plant_state) < 1e-3
+        assert max(abs(x) for x in rec.final_plant_state) < 1e-3
         assert tr.records[-1].diff_inf < 1e-6
 
     def test_scaled_reference_error_envelope(self, batch, batch_companion):
@@ -294,11 +296,10 @@ class TestMainLoop:
                                          reference=ref))
         from encloop.fixtures import Scenario
         sc = Scenario("frac-ref", batch.plant, batch.ctrl, ref, batch.x_p0)
-        cfg = main_cfg(sc, plan, 40, detail=True)
-        tr = run_closed_loop_main(plan, cfg)
+        tr, rec = recorded(run_closed_loop_main, plan, main_cfg(sc, plan, 40))
         assert tr.recovery_failures == 0 and tr.saturation_count == 0
         bound = Fraction(1, 2 * plan.omega)
-        for det in tr.detail[1:]:
+        for det in rec.rows[1:]:
             l = det["l"]
             for r_i, re_i in zip(ref.data, det["re_scaled"]):
                 e_r = r_i / l - re_i
@@ -307,8 +308,7 @@ class TestMainLoop:
     def test_step_identities_on_batch(self, batch, sound_plan):
         """Transmitted increments equal their closed forms: alpha from the
         quantized innovation, beta/gamma from scaled reference errors."""
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 30,
-                                                       detail=True))
+        tr, rec = recorded(run_closed_loop_main, sound_plan, main_cfg(batch, sound_plan, 30))
         assert tr.recovery_failures == 0
         certs = sound_plan.certificates
         L_int = [list(certs["L/omega"].scaled_entries[i * 2:(i + 1) * 2])
@@ -318,7 +318,7 @@ class TestMainLoop:
         S_int = [list(certs["S/s2"].scaled_entries[0:4])]
         inv_w = 1 / sound_plan.omega
         ref = list(batch.reference.data)
-        det = tr.detail
+        det = rec.rows
         for t in range(1, 30):
             alpha = det[t]["alpha"]
             want = [sum(m * x for m, x in zip(row, det[t - 1]["innovation"]))
@@ -380,14 +380,14 @@ class PaperRecurrence:
         self.u = self._output()
 
 
-def _paper_run(plan, sc, detail):
+def _paper_run(plan, sc, rows):
     """`PaperRecurrence` from the scenario's initial state, as it stands at
     each step of a main run, advanced on the run's quantized innovations
-    and reference increments (`detail`)."""
+    and reference increments (the recorded `rows`)."""
     paper = PaperRecurrence(plan, _scaled_integer_state(sc.ctrl.x0.data, plan.l0))
-    for t in range(len(detail)):
+    for t in range(len(rows)):
         if t:
-            paper.step(detail[t - 1]["innovation"], detail[t - 1]["ref_increment"])
+            paper.step(rows[t - 1]["innovation"], rows[t - 1]["ref_increment"])
         yield paper
 
 
@@ -431,9 +431,10 @@ class TestMainIncrements:
     def _check_definition_form(sc, plan, H=20):
         details = []
         for backend in ("mock", "lattice"):
-            tr = run_closed_loop_main(plan, main_cfg(sc, plan, H, backend=backend, detail=True))
+            tr, rec = recorded(run_closed_loop_main, plan,
+                               main_cfg(sc, plan, H, backend=backend))
             assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-            details.append(tr.detail)
+            details.append(rec.rows)
         assert details[0] == details[1]
         det = details[0]
 
@@ -555,10 +556,10 @@ class TestMainIncrements:
         failure or oracle mismatch, and every increment below q/2."""
         assert batch.plant.x_p0_bound == 2
         sc = Scenario("box", batch.plant, batch.ctrl, batch.reference, tuple(x_p0))
-        tr = run_closed_loop_main(sound_plan, main_cfg(sc, sound_plan, 12, detail=True))
+        tr, rec = recorded(run_closed_loop_main, sound_plan, main_cfg(sc, sound_plan, 12))
         assert tr.saturation_count == 0
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-        largest = max(abs(x) for det in tr.detail
+        largest = max(abs(x) for det in rec.rows
                       for x in (*det["alpha"], *det["beta"], *det["gamma"]))
         assert 2 * largest < sound_plan.q
 
@@ -568,13 +569,13 @@ class TestPrelimLoop:
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
                         reference=tanks.reference, x_p0=tanks.x_p0,
                         horizon=200, params=he.SchemeParams.mock(tanks_plan.q),
-                        seed=0, collect_detail=True)
-        tr = run_closed_loop_prelim(tanks_plan, cfg)
+                        seed=0)
+        tr, rec = recorded(run_closed_loop_prelim, tanks_plan, cfg)
         assert tr.recovery_failures == 0 and tr.oracle_mismatches == 0
-        for det in tr.detail:
+        for det in rec.rows:
             assert det["u_tilde"] == det["u_tilde_recovered"]
         # restored input matches the quantized-loop truth exactly
-        for det in tr.detail:
+        for det in rec.rows:
             want = [tanks_plan.s1 * tanks_plan.s2 * det["l"] * x
                     for x in det["u_tilde"]]
             assert want == det["u_a_exact"]
@@ -1488,7 +1489,7 @@ def test_counters(request, scheme):
     # controller sends the sensor nothing, and only the actuator decrypts
     per = sc.plant.n + sc.ctrl.n_x + w if scheme == "main" else w
     assert all(r.msgs_ctrl_to_act == per for r in tr.records)
-    assert tr.msgs_ctrl_to_act == 10 * per
+    assert tr.summary()["msgs_ctrl_to_act_per_step"] == per
     assert tr.msgs_sensor_to_ctrl == 10 * v
     assert tr.msgs_provider_to_ctrl == 10 * n_r
     assert tr.msgs_ctrl_to_sensor == 0
@@ -1581,33 +1582,32 @@ class TestZoomedPlant:
     recurrence on the inputs a real run delivers."""
 
     def test_main_route(self, batch, sound_plan):
-        tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 50,
-                                                       detail=True))
+        _, rec = recorded(run_closed_loop_main, sound_plan, main_cfg(batch, sound_plan, 50))
         sim = PlantSim(batch.plant, batch.x_p0, sound_plan.l0, sound_plan.omega,
                        sound_plan.s2)
         D0 = sim.D
         want = _fraction_plant(batch.plant, batch.x_p0,
-                               [det["u_a_exact"] for det in tr.detail])
-        for det, x in zip(tr.detail, want):
+                               [det["u_a_exact"] for det in rec.rows])
+        for det, x in zip(rec.rows, want):
             sim.step(det["u_tilde"])
             assert sim.x == x
             assert sim.D == D0  # A/omega and s2 B/omega are integral: no growth
-        assert tuple(sim.state_floats()) == tr.final_plant_state
+        assert rec.plant.x == sim.x
 
     def test_prelim_route(self, tanks, tanks_plan):
         cfg = RunConfig(plant=tanks.plant, ctrl=tanks.ctrl,
                         reference=tanks.reference, x_p0=tanks.x_p0,
                         horizon=50, params=he.SchemeParams.mock(tanks_plan.q),
-                        seed=0, collect_detail=True)
-        tr = run_closed_loop_prelim(tanks_plan, cfg)
+                        seed=0)
+        _, rec = recorded(run_closed_loop_prelim, tanks_plan, cfg)
         sim = PlantSim(tanks.plant, tanks.x_p0, tanks_plan.l0, tanks_plan.omega,
                        tanks_plan.s1 * tanks_plan.s2)
         want = _fraction_plant(tanks.plant, tanks.x_p0,
-                               [det["u_a_exact"] for det in tr.detail])
-        for det, x in zip(tr.detail, want):
+                               [det["u_a_exact"] for det in rec.rows])
+        for det, x in zip(rec.rows, want):
             sim.step(det["u_tilde_recovered"])
             assert sim.x == x
-        assert tuple(sim.state_floats()) == tr.final_plant_state
+        assert rec.plant.x == sim.x
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1618,7 +1618,7 @@ class TestZoomedPlant:
         observer, as the prelim route runs it) on the reconstruction's u,
         over 12 steps of random increments: at every step `gap` on the
         lifted alpha is y/l(t) - s1 (C/s1) xo as `output` gives it, and
-        after every step the exact state and its floats are equal.  alpha is
+        after every step the exact states are equal.  alpha is
         any vector, as a failed lift makes it, and one in four is further
         off by a multiple of 2^41; x_p0 has denominators, so D > 1."""
         sc, plan = data.draw(st.sampled_from(
@@ -1652,7 +1652,6 @@ class TestZoomedPlant:
             plant.step(U)
             reference.step(U)
             assert plant.x == reference.x
-            assert plant.state_floats() == reference.state_floats()
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -1699,23 +1698,22 @@ class TestDeterminismAndSchedules:
                              ids=["batch-main", "tanks-prelim", "batch-main-q2199023255552"])
     def test_the_integer_zoom_rounds_as_the_exact_input(self, request, scheme, q):
         """The driver keeps scale l(t) as an unreduced pair of integers.  Each
-        record's u_a is the exact u_a of the detail, correctly rounded (an
-        infinity past the float range), and the detail's l is l0 omega^t;
-        also at q = 2^41, where the lifts fail from t = 2 on."""
+        record's u_a is the exact input scale l0 omega^t U of the actuator's
+        U, correctly rounded (an infinity past the float range); also at
+        q = 2^41, where the lifts fail from t = 2 on."""
         sc, plan, run = route(request, scheme)
         if q is not None:
             plan = replace(plan, q=q)
-        tr = run(plan, main_cfg(sc, plan, 200, detail=True))
-        for t, (r, det) in enumerate(zip(tr.records, tr.detail, strict=True)):
-            assert det["l"] == plan.l0 * plan.omega ** t
+        tr, rec = recorded(run, plan, main_cfg(sc, plan, 200))
+        for r, det in zip(tr.records, rec.rows, strict=True):
             assert r.u_a == tuple(_ratio_float(u.numerator, u.denominator)
                                   for u in det["u_a_exact"])
         assert tr.recovery_failures == (198 if q else 0)
 
     @pytest.mark.parametrize("scheme", ["main", "prelim"])
-    def test_a_step_builds_no_fraction_without_detail(self, request, monkeypatch, scheme):
-        """Without detail rows a run builds its Fractions in set-up only: as
-        many at H = 5 as at H = 15.  A first run keeps what its set-up
+    def test_a_step_builds_no_fraction(self, request, monkeypatch, scheme):
+        """A run builds its Fractions in set-up only: as many at H = 5 as at
+        H = 15.  A first run keeps what its set-up
         builds once per plan (`kernel.kept`), so both counted runs follow
         one."""
         sc, plan, run = route(request, scheme)
@@ -1775,8 +1773,9 @@ class TestIdealLoop:
             u, want = ours.step(), theirs.step()
             assert type(u) is tuple and len(u) == len(want)
             assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(u, want))
-        assert type(ours.x_p) is tuple and len(ours.x_p) == plant.n
-        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(ours.x_p, theirs.x_p))
+        x_p = ours.z[:plant.n]
+        assert type(x_p) is tuple and len(x_p) == plant.n
+        assert all(abs(a - b) <= 1e-9 * max(1.0, abs(b)) for a, b in zip(x_p, theirs.x_p))
 
     @pytest.mark.parametrize("fixture,horizon", [("batch", 600), ("tanks", 200)])
     def test_bundled(self, request, fixture, horizon):
@@ -1805,10 +1804,11 @@ class TestIdealLoop:
             -0.2,)
 
 
-def _golden_digest(trace) -> str:
-    """SHA-256 over the exact parts of a trace: the per-step records (less the
-    float reference loop's u_true and diff_inf, whose last bits follow the
-    order of its float operations), the detail log, and the summary's integer
+def _golden_digest(trace, rows) -> str:
+    """SHA-256 over the exact parts of a run: the per-step records of its
+    trace (less the float reference loop's u_true and diff_inf, whose last
+    bits follow the order of its float operations), the parties' values
+    each step (`rows`, as `recorded` gives them), and the summary's integer
     counters."""
     records = [(r.t, r.u_a, r.log2_alpha, r.log2_beta, r.log2_gamma,
                 r.log2_sensor_gap, r.saturated, r.msgs_ctrl_to_act, r.enc_ops,
@@ -1816,7 +1816,7 @@ def _golden_digest(trace) -> str:
     counters = sorted((k, v) for k, v in trace.summary().items()
                       if isinstance(v, int) and not isinstance(v, bool))
     h = hashlib.sha256()
-    for part in (records, trace.detail, counters):
+    for part in (records, rows, counters):
         h.update(repr(part).encode())
     return h.hexdigest()
 
@@ -1887,10 +1887,11 @@ def test_golden_trace(request, fixture, scheme, backend, horizon, seed, q, diges
     if q is not None:
         plan = replace(plan, q=q)
     cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
-                    x_p0=sc.x_p0, horizon=horizon, seed=seed, collect_detail=True,
+                    x_p0=sc.x_p0, horizon=horizon, seed=seed,
                     params=cli._backend_params(backend, plan, sc, horizon))
     run = run_closed_loop_main if scheme == "main" else run_closed_loop_prelim
-    assert _golden_digest(run(plan, cfg)) == digest
+    trace, rec = recorded(run, plan, cfg)
+    assert _golden_digest(trace, rec.rows) == digest
 
 
 WORKLOADS = json.loads((Path(__file__).parents[1] / "bench" / "workloads.json")
@@ -1984,10 +1985,10 @@ def test_every_seed_and_backend_report_the_same(request, tmp_path, scheme):
     reports = set()
     for backend, seed in (("mock", 0), ("lattice", 0), ("lattice", 1)):
         cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
-                        x_p0=sc.x_p0, horizon=20, seed=seed, collect_detail=True,
+                        x_p0=sc.x_p0, horizon=20, seed=seed,
                         params=cli._backend_params(backend, plan, sc, 20))
-        trace = run(plan, cfg)
+        trace, rec = recorded(run, plan, cfg)
         path = tmp_path / f"{backend}-{seed}.csv"
         trace.to_csv(str(path))
-        reports.add((_golden_digest(trace), path.read_bytes()))
+        reports.add((_golden_digest(trace, rec.rows), path.read_bytes()))
     assert len(reports) == 1

@@ -5,8 +5,12 @@ import time
 from encloop import replace
 from fractions import Fraction
 
-import numpy as np
 import pytest
+
+# numpy is the float reference here: without it the module is skipped
+pytest.importorskip("numpy")
+
+import numpy as np
 
 from encloop import exactmat, planner
 from encloop.exactmat import (
@@ -186,7 +190,7 @@ def test_stability_gates_read_one_exact_test(monkeypatch, batch, batch_companion
     assert plan_preliminary(tanks.plant, tanks.ctrl, reference_bound=bound) == replace(
         tanks_plan, rho_c=2.0)
     assert plan_main(batch.plant, batch.ctrl, options) == replace(
-        sound_plan, rho_observer_eig=2.0)
+        sound_plan, rho_observer=2.0, rho_observer_eig=2.0)
     monkeypatch.setattr(planner, "spectral_radius_below", lambda m, s: False)
     with pytest.raises(AssumptionViolatedError, match="^closed loop is not contractive"):
         check_prelim_feasible(tanks.plant, tanks.ctrl)
@@ -213,12 +217,13 @@ def test_a_prelim_plan_reads_one_closed_loop(monkeypatch, tanks, tanks_plan):
     assert (len(loops), len(polynomials)) == (1, 1)
 
 
-@pytest.mark.parametrize("observer, walks", [("exact", 1), ("published", 2)])
+@pytest.mark.parametrize("observer, gains", [("exact", 1), ("published", 2)])
 def test_a_main_plan_walks_each_gain_once(monkeypatch, batch, batch_companion,
-                                          sound_plan, published_plan, observer, walks):
+                                          sound_plan, published_plan, observer, gains):
     """`plan_main` forms A - L C once for each distinct gain, the runtime
-    one and the exact companion, and walks its powers once: one of each
-    when they are the same gain, two with the published gain."""
+    one and the exact companion: one when they are the same gain, two with
+    the published gain.  It walks the powers of the runtime gain's alone,
+    once; the companion's radius is read from its spectrum."""
     differences, walked = [], []
     sub, powers = RationalMatrix.__sub__, planner._powers
     monkeypatch.setattr(RationalMatrix, "__sub__",
@@ -228,7 +233,28 @@ def test_a_main_plan_walks_each_gain_once(monkeypatch, batch, batch_companion,
     plan = plan_main(batch.plant, batch.ctrl, MainPlanOptions(
         L=L, L_exact=batch_companion.L, reference=batch.reference))
     assert plan == (sound_plan if observer == "exact" else published_plan)
-    assert (len(differences), len(walked)) == (walks, walks)
+    assert (len(differences), len(walked)) == (gains, 1)
+
+
+def test_the_observer_radius_is_zero_exactly_for_a_nilpotent_gain():
+    """The reported observer radius is the float spectral radius, which
+    reads exactly 0.0 for a nilpotent A - L C and is nonzero otherwise, so
+    `rho_observer` needs no walk of its own to say 0 for a deadbeat gain.
+    On random systems with their deadbeat gains rounded to 1 decimal, many
+    of them no longer nilpotent, both reported radii agree with the exact
+    nilpotency test."""
+    rng = random.Random(611)
+    seen = {True: 0, False: 0}
+    for _ in range(40):
+        plant, ctrl, design, reference, _ = random_main_system(rng)
+        L = RationalMatrix(design.L.rows, design.L.cols,
+                           [Fraction(round(x * 10), 10) for x in design.L.data])
+        plan = plan_main(plant, ctrl, MainPlanOptions(L=L, reference=reference))
+        nilpotent = is_zero((plant.A - L @ plant.C).matpow(plant.n))
+        assert plan.rho_observer == plan.rho_observer_eig
+        assert (plan.rho_observer == 0.0) == nilpotent
+        seen[nilpotent] += 1
+    assert min(seen.values()) >= 8
 
 
 class TestComputeM:

@@ -108,6 +108,10 @@ def test_field_order_is_pinned():
         "log2_sensor_gap", "saturated", "msgs_ctrl_to_act", "enc_ops", "dec_ops",
         "recovery_failure")
     assert loop.CSV_COLUMNS_SUFFIX == list(fields(loop.StepRecord)[3:-1])
+    # what a run takes and returns: a field kept for the tests alone shows here
+    assert fields(loop.RunConfig) == (
+        "plant", "ctrl", "reference", "x_p0", "horizon", "params", "seed")
+    assert fields(loop.ClosedLoopTrace) == ("scheme", "step_msgs", "records", "oracle_mismatches")
 
 
 def test_replace_validates_anew():
@@ -140,7 +144,7 @@ def test_defaults_and_keywords():
     record = _step_record()
     assert (record.log2_beta, record.saturated) == (float("-inf"), False)
     first, second = loop.ClosedLoopTrace("main", {}), loop.ClosedLoopTrace("main", {})
-    assert first.records == first.detail == [] and first.records is not second.records
+    assert first.records == [] and first.records is not second.records
 
 
 def test_step_record_is_keyword_only():

@@ -5,9 +5,9 @@ A step's integer arithmetic grows with t, its glue does not: each party
 step, kernel, `he` op, record and comprehension is a Python call, the same
 number at every t.  `sys.setprofile` counts them (its "call" events; a
 builtin is a "c_call" and does not count) in two warm runs of different
-horizons, whose difference is what the extra steps make: set-up, the
-bootstrap and the final states cancel.  Each bound is the count on Python
-3.10 and 3.11; from 3.12 on comprehensions are inlined and count less."""
+horizons, whose difference is what the extra steps make: set-up and the
+bootstrap cancel.  Each bound is the count on Python 3.10 and 3.11; from
+3.12 on comprehensions are inlined and count less."""
 
 import gc
 import sys
