@@ -13,7 +13,7 @@ Two interchangeable backends:
   same integer combination of the fresh encryptions' noises as its
   plaintext is of theirs.  A ciphertext carries a bound on that noise, or
   None where nothing bounds it, and `decrypt` checks it against the budget
-  (`check_budget`) or refuses: decryption ambiguity is predicted, not
+  Delta/2 or refuses: decryption ambiguity is predicted, not
   discovered, and only what is decrypted is checked.  A run compiles its
   products over payloads (`loop`), whose emitted ciphertexts take their
   bounds from the plan's exact noise table (`loop.NoiseTable`) and whose
@@ -37,11 +37,12 @@ prepared once per matrix by `PlainMatrix`).  Slots may go negative in
 between; a row of at most 2^GUARD columns keeps every slot below 2^(W-1) in
 magnitude, so no borrow or carry crosses a slot boundary once the offset
 2^(W-1) is added to each slot.  `check_product` refuses a wider product.
-The reduction mod Q then is one AND with Q-1 per slot when Q is a power of
-two (every q the planner makes), and slot by slot otherwise.  A kernel
-compiled over packed payloads (`kernel.Source`) chains products and sums
-before it reduces; `slot_reduction` gives it the reducer and the largest
-slot magnitude, in units of Q, that the reducer accepts.
+The reduction mod Q (`_Slots.reduce`) then is one AND with Q-1 per slot
+when Q is a power of two (every q the planner makes), and slot by slot
+otherwise.  A kernel compiled over packed payloads (`kernel.Source`)
+chains products and sums before it reduces; `slot_reduction` gives it the
+reduction as a source form, inline where Q is a power of two, and the
+largest slot magnitude, in units of Q, that the form accepts.
 
 Key tables.  `keygen` also sums the public-key rows over each window of
 WINDOW = 4 rows into a table of the window's 16 subset sums.  `encrypt`
@@ -67,6 +68,7 @@ from __future__ import annotations
 
 import random
 from functools import cached_property
+from itertools import compress
 from typing import Optional, Sequence, Tuple
 
 from .records import Record
@@ -200,10 +202,6 @@ class KeyMaterial(Record, frozen=True):
     params: SchemeParams
     payload: tuple = ()
 
-    def require_full(self):
-        if self.role != "full":
-            raise WrongKeyRoleError("decryption requires the full key")
-
 
 class Ciphertext(Record):
     """Opaque encrypted vector (one packed int per entry on the lattice
@@ -234,13 +232,15 @@ def keygen(params: SchemeParams, seed: Optional[int] = None):
     rng = random.Random(seed)
     Q, width = params.ct_modulus, params._slots.width
     s = tuple(x - 1 for x in _below(rng, 3, DIMENSION))
+    plus, minus = [s_j == 1 for s_j in s], [s_j == -1 for s_j in s]
     A = _below(rng, Q, SAMPLES * DIMENSION)
     rows = []
     for k, e in zip(range(0, len(A), DIMENSION), _below(rng, 2 * NOISE + 1, SAMPLES)):
         a, packed = A[k:k + DIMENSION], 0
         for a_j in reversed(a):
             packed = packed << width | a_j
-        b = (sum(a_j * s_j for a_j, s_j in zip(a, s)) + e - NOISE) % Q
+        # <a, s>: the a_j over s_j = +1 less those over s_j = -1
+        b = (sum(compress(a, plus)) - sum(compress(a, minus)) + e - NOISE) % Q
         rows.append(packed << width | b)
     rows = tuple(rows)
     tables = tuple(_subset_sums(rows[k:k + WINDOW]) for k in range(0, SAMPLES, WINDOW))
@@ -270,44 +270,53 @@ def _subset_sums(rows) -> tuple:
     return tuple(sums)
 
 
-def _check_plain(v: Sequence[int], q: int):
-    for x in v:
-        if not isinstance(x, int) or not (0 <= x < q):
-            raise OutOfRangeError(f"plaintext entry {x!r} outside Z_{q}")
-
-
 def encrypt(pk: KeyMaterial, v: Sequence[int], rng: Optional[random.Random] = None) -> Ciphertext:
+    """v encrypted under `pk` with randomness from `rng` (a new one if None);
+    an entry that is no integer in [0, q) raises `OutOfRangeError` before
+    any draw.  On lattice each entry is Delta x plus the table entries its
+    draw chooses, whose slots lie in [0, 49 Q), below 2^(W-1): where Q is
+    a power of two one AND reduces it as `_Slots.reduce` does."""
     params = pk.params
-    _check_plain(v, params.q)
+    q = params.q
+    for x in v:
+        if not isinstance(x, int) or not 0 <= x < q:
+            raise OutOfRangeError(f"plaintext entry {x!r} outside Z_{q}")
     if params.backend == "mock":
         return Ciphertext(params, len(v), tuple(v), noise_bound=0)
     draw = (rng if rng is not None else random.Random()).getrandbits
     slots = params._slots
-    delta, reduce = slots.delta, slots.reduce
+    delta, mask, reduce = slots.delta, slots.mask, slots.reduce
     # one table per window of WINDOW = 4 rows; bit i of b puts row i into the sum
     t0, t1, t2, t3, t4, t5, t6, t7, t8, t9, t10, t11 = pk.payload[1]
     payload = []
     for x in v:
         b = draw(SAMPLES)
-        payload.append(reduce(
-            delta * x + t0[b & 15] + t1[b >> 4 & 15] + t2[b >> 8 & 15] + t3[b >> 12 & 15]
-            + t4[b >> 16 & 15] + t5[b >> 20 & 15] + t6[b >> 24 & 15] + t7[b >> 28 & 15]
-            + t8[b >> 32 & 15] + t9[b >> 36 & 15] + t10[b >> 40 & 15] + t11[b >> 44]))
+        e = (delta * x + t0[b & 15] + t1[b >> 4 & 15] + t2[b >> 8 & 15] + t3[b >> 12 & 15]
+             + t4[b >> 16 & 15] + t5[b >> 20 & 15] + t6[b >> 24 & 15] + t7[b >> 28 & 15]
+             + t8[b >> 32 & 15] + t9[b >> 36 & 15] + t10[b >> 40 & 15] + t11[b >> 44])
+        payload.append(e & mask if mask is not None else reduce(e))
     return Ciphertext(params, len(v), tuple(payload), noise_bound=FRESH_NOISE_BOUND)
 
 
 def decrypt(sk: KeyMaterial, ct: Ciphertext) -> Tuple[int, ...]:
-    sk.require_full()
+    """The plaintext of `ct` under the full key `sk`.  Refuses a public key
+    (`WrongKeyRoleError`), another scheme (`DimensionMismatchError`) and,
+    on lattice, a noise bound that is None or reaches Delta/2, the budget
+    of an unambiguous decryption (`NoiseOverflowError`)."""
+    if sk.role != "full":
+        raise WrongKeyRoleError("decryption requires the full key")
     params = ct.params
     if params is not sk.params and params != sk.params:
         raise DimensionMismatchError("key/ciphertext scheme mismatch")
     if params.backend == "mock":
         return tuple(ct.payload)
-    if ct.noise_bound is None:
+    bound, slots = ct.noise_bound, params._slots
+    if bound is None:
         raise NoiseOverflowError("no noise bound covers this ciphertext; "
                                  "decryption could be ambiguous")
-    check_budget(params, ct.noise_bound)
-    slots = params._slots
+    if bound >= slots.half_delta:
+        raise NoiseOverflowError(f"noise bound 2^{bound.bit_length()} exceeds half-Delta "
+                                 f"2^{slots.pad - 1}; decryption would be ambiguous")
     Q, half, pad, q, folds = slots.Q, slots.half_delta, slots.pad, slots.q, slots.folds
     # c - <a, s> = c + (a_j over s_j = -1) + (Q - a_j over s_j = +1) mod Q:
     # 17 slot values in [0, Q], summed into slot 0 by the folds
@@ -327,7 +336,7 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
         raise DimensionMismatchError("ciphertexts from different schemes")
     if c1.dim != c2.dim:
         raise DimensionMismatchError(f"dimension {c1.dim} vs {c2.dim}")
-    reduce = slot_reduction(params)[0]
+    reduce = params._slots.reduce if params.backend == "lattice" else params.q.__rmod__
     payload = tuple(reduce(x + y) for x, y in zip(c1.payload, c2.payload))
     bounds = (c1.noise_bound, c2.noise_bound)
     return Ciphertext(params, c1.dim, payload,
@@ -335,29 +344,21 @@ def add(c1: Ciphertext, c2: Ciphertext) -> Ciphertext:
 
 
 def slot_reduction(params: SchemeParams) -> tuple:
-    """(reduce, limit) for a kernel over the payloads of ciphertexts under
-    `params` (`kernel.Source`): `reduce` maps an entry to its canonical
-    payload, and takes any entry whose magnitude is bounded by `limit` in
-    units of the modulus, the bound of a canonical entry being 1.  On the
-    lattice backend that is `_Slots.reduce`, whose slots must stay below
-    2^(W-1) in magnitude, and a canonical slot lies below Q; on the mock
-    backend `% q`, which takes any integer, so only outputs need it (limit
-    None)."""
+    """(form, constants, limit) for a kernel over the payloads of ciphertexts
+    under `params` (`kernel.Source`): `form.format(x)`, over the names
+    `constants` binds, is the canonical payload of any entry x whose
+    magnitude is bounded by `limit` in units of the modulus, that of a
+    canonical entry being 1.  On lattice it is `_Slots.reduce`, whose slots
+    must stay below 2^(W-1) in magnitude: inline, `x + OFFSET & MASK`, where
+    Q is a power of two, else a call.  On mock it is `x % Q` with Q = q,
+    which takes any integer, so only outputs need it (limit None)."""
     if params.backend == "mock":
-        return params.q.__rmod__, None
+        return "{} % Q", {"Q": params.q}, None
     slots = params._slots
-    return slots.reduce, slots.half // slots.Q
-
-
-def check_budget(params: SchemeParams, bound: int):
-    """Raises `NoiseOverflowError` if the noise bound of what `decrypt`
-    decrypts reaches half of Delta, the budget decryption needs.  The mock
-    backend has none."""
-    if params.backend == "lattice" and bound >= params._slots.half_delta:
-        raise NoiseOverflowError(
-            f"noise bound 2^{bound.bit_length()} exceeds half-Delta "
-            f"2^{params.lattice.pad_bits - 1}; decryption would be ambiguous"
-        )
+    limit = slots.half // slots.Q
+    if slots.mask is None:
+        return "reduce({})", {"reduce": slots.reduce}, limit
+    return "{} + OFFSET & MASK", {"OFFSET": slots.offset, "MASK": slots.mask}, limit
 
 
 def check_product(params: SchemeParams, M: "PlainMatrix"):
@@ -399,7 +400,7 @@ def plain_matmul(M: PlainMatrix, ct: Ciphertext) -> Ciphertext:
     if M.cols != ct.dim:
         raise DimensionMismatchError("matrix columns must match ciphertext dimension")
     noise = None if ct.noise_bound is None else ct.noise_bound * M.weight
-    reduce = slot_reduction(params)[0]
+    reduce = params._slots.reduce if params.backend == "lattice" else params.q.__rmod__
     payload = tuple([reduce(sum(m * x for m, x in zip(row, ct.payload))) for row in M.rows])
     return Ciphertext(params, len(M.rows), payload, noise_bound=noise)
 

@@ -22,22 +22,24 @@ process keeps the kernels it used last by those (`kept`), and a party
 looks each of its kernels up once and keeps it: no kernel holds a party,
 and every call checks its inputs.
 
-Only integer literals, generated names and calls of the one reducer
-`reduce` enter the recorded statements.  A form with more than
+Only integer literals, generated names and the `Source`'s reduction
+form, over the constants it names, enter the recorded statements: a
+kernel calls no reducer where the form is inline.  A form with more than
 `TERMS_PER_STATEMENT` terms is split into partial sums, since CPython
 compiles one long sum as a deeply nested expression and a few thousand
 terms exceed its recursion limit.
 
 Reduction placement.  A kernel over ciphertext payloads works modulo
 something, and its entries must be reduced before they outgrow what the
-reducer accepts.  `Source` is then given the reducer and a `limit`, and
-every generated name carries a bound on its magnitude in units of the
+reduction accepts.  `Source` is then given the reduction as a source
+form, such as `{} % Q`, with the constants its names bind, and a `limit`,
+and every generated name carries a bound on its magnitude in units of the
 modulus: an input or a reduced entry has bound 1, and a form sum c x has
 bound sum |c| bound(x).  Before a form would exceed the limit, its
-unreduced operands are reduced first, each with one emitted `reduce` call
-that later forms share; `reduced` reduces the entries a kernel returns,
-each once.  Without a limit nothing is reduced in between, and the integer
-kernels, which pass none, are unchanged.
+unreduced operands are reduced first, each with one emitted assignment of
+the reduction form that later forms share; `reduced` reduces the entries
+a kernel returns, each once.  Without a limit nothing is reduced in
+between, and the integer kernels, which pass none, are unchanged.
 """
 
 from __future__ import annotations
@@ -74,13 +76,14 @@ class Source:
     """Straight-line source under construction, and the ring that records
     it: `matvec` (integer rows times a vector of entries) and `add` (of any
     number of vectors) make one linear form per entry, and refuse operands
-    of unequal length (`ValueError`).  `reduce` and
-    `limit` place reductions (module docstring); `limit=None` places none
-    between the inputs and `reduced`."""
+    of unequal length (`ValueError`).  `form` (the source of a reduced
+    entry, a format of its name), its `constants` and `limit` place
+    reductions (module docstring); `limit=None` places none between the
+    inputs and `reduced`."""
 
-    def __init__(self, reduce=None, limit=None):
+    def __init__(self, form=None, constants=None, limit=None):
         self.params, self.lines, self.count = [], [], 0
-        self.reduce, self.limit = reduce, limit
+        self.form, self.constants, self.limit = form, constants or {}, limit
         self.bound = {}      # name -> bound on its magnitude, in units of the modulus
         self.reduction = {}  # name -> the name of its reduced value
         self.forms = {}      # the terms of a named form -> its name
@@ -107,7 +110,7 @@ class Source:
             return 0
         if x not in self.reduction:
             name = self.reduction[x] = self._name(1, reduced=True)
-            self.lines.append(f"{name} = reduce({x})")
+            self.lines.append(f"{name} = {self.form.format(x)}")
         return self.reduction[x]
 
     def reduced(self, v) -> list:
@@ -162,9 +165,9 @@ class Source:
 
     def define(self, lines, name: str, names=None):
         """The function `name` that `lines` define (a caller builds them
-        around `body` and `expr`), compiled with `reduce` and `names` among
-        its globals."""
-        namespace = {"reduce": self.reduce, **(names or {})}
+        around `body` and `expr`), compiled with the reduction's constants
+        and `names` among its globals."""
+        namespace = {**self.constants, **(names or {})}
         exec(compile("".join(f"{line}\n" for line in lines), "<kernel>", "exec"), namespace)
         return namespace[name]
 
@@ -200,11 +203,11 @@ class Protocol:
     over integers here, and over other values in a subclass, which sets
     `length`, an input's length, and `size`, its source expression (a format
     of the input's name); `error`, what recording and a call on inputs of
-    other lengths raise; `key`, what else the kernel depends on; (`reduce`,
-    `limit`), the reductions of its `Source`; and `lines`.  `compiled` makes
-    one per party, `Protocol(party)`."""
+    other lengths raise; `key`, what else the kernel depends on;
+    `reduction`, the (form, constants, limit) of its `Source`; and `lines`.
+    `compiled` makes one per party, `Protocol(party)`."""
 
-    length, size, error, key, reduce, limit = len, "len({})", ValueError, None, None, None
+    length, size, error, key, reduction = len, "len({})", ValueError, None, ()
 
     def __init__(self, party=None):
         """Over integers every party's is the same."""
@@ -256,7 +259,7 @@ def compile_method(method, state: tuple, rows: tuple, lengths: list, protocol=Pr
 def _build(method, state: tuple, rows: tuple, lengths: list, protocol):
     """`compile_method`'s kernel: `method` run once on a namespace of
     `rows`, of new input vectors of `lengths` and of the recording ring."""
-    source = Source(protocol.reduce, protocol.limit)
+    source = Source(*protocol.reduction)
     recorded = SimpleNamespace(ring=source, m=SimpleNamespace(**dict(rows)))
     inputs = [source.vector(d) for d in lengths]
     vars(recorded).update(zip(state, inputs))

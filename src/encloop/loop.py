@@ -419,9 +419,10 @@ class _Payloads(kernel.Protocol):
     `he.check_product`; operands of unequal length, and at every call
     inputs of other lengths or scheme parameters than the recorded ones,
     raise `he.DimensionMismatchError`.  The payloads are recorded with
-    `he.slot_reduction`'s reducer and limit over the centered plaintext
-    rows, and `lines` adds the rest, unrolled per ciphertext: the scheme
-    check, the controller's event, and each new `he.Ciphertext`.  On
+    `he.slot_reduction`'s form, constants and limit over the centered
+    plaintext rows, so that a kernel reduces inline, without a call, where
+    Q is a power of two; `lines` adds the rest, unrolled per ciphertext: the
+    scheme check, the controller's event, and each new `he.Ciphertext`.  On
     lattice, what a call returns carries the bounds of the plan's noise
     table at the controller's event (`_EncryptedController`), if the
     controller's bootstrap or last call made the state it reads and every
@@ -436,7 +437,7 @@ class _Payloads(kernel.Protocol):
         self.key = params = controller.ring.pk.params
         for M in vars(controller.m).values():
             he.check_product(params, M)
-        self.reduce, self.limit = he.slot_reduction(params)
+        self.reduction = he.slot_reduction(params)
 
     def lines(self, source, p, n, outputs):
         outputs = [tuple(source.reduced(v)) for v in outputs]

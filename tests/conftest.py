@@ -30,8 +30,8 @@ settings.register_profile("ci", print_blob=True)
 def fresh_kernels():
     """Each test starts with nothing kept (`kernel.kept`: no kernel, noise
     table or `rebuild` rows), as a fresh process does, so a test that
-    patches `he.slot_reduction`, `kernel.Source.define` or
-    `kernel.compile` gets nothing an earlier test built."""
+    patches `kernel.Source.define` or `kernel.compile` to read the kernels
+    a run records gets nothing an earlier test built."""
     kernel._kernels.clear()
 
 

@@ -1,5 +1,6 @@
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -402,6 +403,44 @@ def test_encrypt_adds_the_rows_its_bits_draw(q):
     assert ct.payload == tuple(want)
 
 
+@settings(max_examples=20, deadline=None)
+@given(q=st.sampled_from([2, 2**13, 2**65, 10, 12289]), pad=st.integers(1, 64),
+       seed=st.integers(0, 2**32))
+def test_encrypt_masks_the_largest_sum_a_draw_makes(q, pad, seed):
+    """A draw of all ones adds every public-key row, the largest sum
+    `encrypt` makes: at x = q - 1 it still reduces as `_Slots.reduce`,
+    with one AND where Q is a power of two."""
+    params = make_scheme("lattice", q=q, pad=pad)
+    pk, _ = he.keygen(params, seed=seed)
+    slots = params._slots
+    ones = SimpleNamespace(getrandbits=lambda k: (1 << k) - 1)
+    assert ones.getrandbits(he.SAMPLES) == 2**48 - 1
+    ct = he.encrypt(pk, [q - 1], ones)
+    assert ct.payload == (slots.reduce(slots.delta * (q - 1) + sum(pk.payload[0])),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_the_kernel_reduction_is_reduce(data):
+    """The reduction `he.slot_reduction` gives a kernel equals
+    `_Slots.reduce` on entries whose slots span (-2^(W-1), 2^(W-1)), the
+    edges included: inline where Q is a power of two, a call of it for
+    q = 10 and q = 12289."""
+    q = data.draw(st.sampled_from([2, 2**13, 2**65, 10, 12289]))
+    params = make_scheme("lattice", q=q, pad=data.draw(st.integers(1, 64)))
+    slots, Q = params._slots, params.ct_modulus
+    form, constants, _ = he.slot_reduction(params)
+    assert (form == "reduce({})") == (q & (q - 1) != 0)
+    edge = slots.half - 1
+    slot = st.one_of(st.sampled_from([-edge, edge, 0, -1, 1, Q - 1, Q, -Q]),
+                     st.integers(-edge, edge))
+    x = slots.pack(data.draw(st.lists(slot, min_size=he.SLOTS, max_size=he.SLOTS)))
+    # x + 0 in a kernel that reduces what it returns
+    source = kernel.Source(form, constants)
+    a, b = source.vector(2)
+    assert function(source, source.reduced(source.add([a], [b])))([x, 0]) == [slots.reduce(x)]
+
+
 @pytest.mark.parametrize("q,pad", [(2**13, 22), (10, 22), (10, 3)],
                          ids=["power-of-two", "q=10", "q=10-pad-3"])
 def test_decrypt_fold_is_the_unpacked_inner_product(q, pad):
@@ -433,8 +472,8 @@ def _chain(params, x, ops, placed: bool):
     one ("add", k), as one compiled kernel that returns every vector
     reduced.  `placed`: with `he.slot_reduction`'s limit; otherwise reduced
     only where returned."""
-    reduce, limit = he.slot_reduction(params)
-    source = kernel.Source(reduce, limit if placed else None)
+    form, constants, limit = he.slot_reduction(params)
+    source = kernel.Source(form, constants, limit if placed else None)
     vectors = [source.vector(len(x))]
     for op, arg in ops:
         vectors.append(source.matvec(arg, vectors[-1]) if op == "mv"
@@ -495,7 +534,7 @@ def test_placed_reductions_keep_a_chain_inside_its_slots(q):
     assert _chain(params, x, ops, placed=True) == want
     assert _chain(params, x, ops, placed=False) != want
     # a row too long for a slot even over reduced entries is refused
-    _, limit = he.slot_reduction(params)
+    limit = he.slot_reduction(params)[2]
     cols = limit // (q // 2) + 1
     with pytest.raises(ValueError):
         _chain(params, x[:1] * cols, [("mv", [[q // 2] * cols])], placed=True)

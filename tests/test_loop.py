@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import weakref
 from encloop import replace
 from fractions import Fraction
@@ -476,10 +477,12 @@ class TestMainIncrements:
         """A controller step is one compiled kernel: no `he.plain_matmul` or
         `he.add`, and on lattice at most one slot reduction per state and
         emitted entry (13 on the batch reactor: the state beta, and the
-        three increments).  The integer shadow's step records 4 matvecs, and
-        the reconstruction's `rebuild` of its increments 9, the observer
-        output (C/s1) xo included."""
-        counts = {"plain_matmul": 0, "add": 0, "reduce": 0}
+        three increments), each the inline form of `he.slot_reduction`, so
+        the kernel calls no reducer.  The integer shadow's step records 4
+        matvecs, and the reconstruction's `rebuild` of its increments 9, the
+        observer output (C/s1) xo included."""
+        counts = {"plain_matmul": 0, "add": 0}
+        defined, define = [], kernel.Source.define
 
         def counting(name, op):
             def wrapped(*args):
@@ -487,13 +490,13 @@ class TestMainIncrements:
                 return op(*args)
             return wrapped
 
-        def counting_reduction(params, slot_reduction=he.slot_reduction):
-            reduce, limit = slot_reduction(params)
-            return counting("reduce", reduce), limit
+        def recording(source, lines, name, names=None):
+            defined.append(lines)
+            return define(source, lines, name, names)
 
         for name in ("plain_matmul", "add"):
             monkeypatch.setattr(he, name, counting(name, getattr(he, name)))
-        monkeypatch.setattr(he, "slot_reduction", counting_reduction)
+        monkeypatch.setattr(kernel.Source, "define", recording)
         q, d = sound_plan.q, sound_plan.dims
         entries = d["n"] + 2 * d["n_x"] + d["w"]
         assert entries == 13
@@ -504,10 +507,14 @@ class TestMainIncrements:
         controller.bootstrap(x_e0)
         assert counts["plain_matmul"] == counts["add"] == 0
         for _ in range(3):
-            counts.update(plain_matmul=0, add=0, reduce=0)
             controller.step(ring.fresh([1] * d["v"]), ring.fresh([1] * d["n_r"]))
             assert counts["plain_matmul"] == counts["add"] == 0
-            assert 0 < counts["reduce"] <= entries
+        # every step ran the one payload kernel the first recorded
+        [lines] = [lines for lines in defined if any("Ciphertext(" in x for x in lines)]
+        form = re.escape(he.slot_reduction(params)[0]).replace(r"\{\}", "t[0-9]+")
+        reductions = sum(bool(re.fullmatch(f" *t[0-9]+ = {form}", line)) for line in lines)
+        assert 0 < reductions <= entries
+        assert not any("reduce(" in line for line in lines)
         # a whole lattice run, bootstraps included, makes no staged op either
         tr = run_closed_loop_main(sound_plan, main_cfg(batch, sound_plan, 4, backend="lattice"))
         assert tr.recovery_failures == 0
@@ -1386,13 +1393,15 @@ class TestNoiseTable:
         monkeypatch.setattr(kernel, "compile", recording_compile, raising=False)
         params = lattice_params(plan, 5)
         assert len(sources) == 1
-        assert not any("reduce(" in src for src in sources)
+        assert not any("Ciphertext(" in src or "OFFSET" in src for src in sources)
         sources.clear()
         tr = run(plan, RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,
                                  x_p0=sc.x_p0, horizon=5, params=params))
         assert tr.recovery_failures == 0
-        payload = [src for src in sources if "reduce(" in src]
+        payload = [src for src in sources if "Ciphertext(" in src]
         assert (len(payload), len(sources)) == (1, 4)
+        # q is a power of two: the payload kernel reduces inline, calling no reducer
+        assert "+ OFFSET & MASK" in payload[0] and not any("reduce(" in src for src in sources)
 
     def test_a_wrapped_controller_step_leaves_the_table_on_the_recurrence(
             self, monkeypatch, tanks, tanks_plan):
@@ -1428,19 +1437,13 @@ class TestNoiseTable:
 
     @staticmethod
     def _check_peak(monkeypatch, sc, plan, run, horizon):
-        largest = [0]
-        check_budget, decrypt = he.check_budget, he.decrypt
+        largest, decrypt = [0], he.decrypt
 
-        # the bounds `he` checks against the pad: those of what parties decrypt
-        def recording_check(params, bound):
-            largest[0] = max(largest[0], bound)
-            return check_budget(params, bound)
-
+        # the bounds `he.decrypt` checks against the pad: those of what parties decrypt
         def recording_decrypt(sk, ct):
             largest[0] = max(largest[0], ct.noise_bound)
             return decrypt(sk, ct)
 
-        monkeypatch.setattr(he, "check_budget", recording_check)
         monkeypatch.setattr(he, "decrypt", recording_decrypt)
         params = lattice_params(plan, horizon)
         cfg = RunConfig(plant=sc.plant, ctrl=sc.ctrl, reference=sc.reference,

@@ -6,8 +6,9 @@ step, kernel, `he` op, record and comprehension is a Python call, the same
 number at every t.  `sys.setprofile` counts them (its "call" events; a
 builtin is a "c_call" and does not count) in two warm runs of different
 horizons, whose difference is what the extra steps make: set-up and the
-bootstrap cancel.  Each bound is the count on Python 3.10 and 3.11; from
-3.12 on comprehensions are inlined and count less."""
+bootstrap cancel.  Each case has two bounds: the count on Python 3.10 and
+3.11, and the lower one from 3.12 on, where comprehensions are inlined and
+count less, so that every version catches one more call."""
 
 import gc
 import sys
@@ -16,8 +17,9 @@ import pytest
 
 from encloop import fixtures, he, loop, planner
 
-# calls per warm step, at most
-BOUNDS = {"batch-main-mock": 50, "batch-main-lattice": 69, "tanks-prelim-lattice": 51}
+# calls per warm step, at most: on 3.10 and 3.11, and from 3.12 on
+BOUNDS = {"batch-main-mock": (45, 40), "batch-main-lattice": (46, 41),
+          "tanks-prelim-lattice": (40, 33)}
 
 
 def batch_main(backend):
@@ -71,4 +73,4 @@ def test_a_warm_step_makes_few_calls(case, route):
         run(plan, cfg)  # warm
         counts.append(counted(run, plan, cfg))
     per_step, rest = divmod(counts[1] - counts[0], 10)
-    assert rest == 0 and per_step <= BOUNDS[case]
+    assert rest == 0 and per_step <= BOUNDS[case][sys.version_info >= (3, 12)]
